@@ -55,12 +55,15 @@ int main(int argc, char** argv) {
   sharing::SystemConfig dom_config = config;
   dom_config.record_path = false;  // the pre-record DOM baseline
 
+  sharing::SystemConfig parallel_config = config;
+  parallel_config.executor = sharing::ExecutorKind::kParallel;
+
   Result<std::unique_ptr<sharing::StreamShareSystem>> serial =
       Deploy(scenario, config);
   Result<std::unique_ptr<sharing::StreamShareSystem>> serial_dom =
       Deploy(scenario, dom_config);
   Result<std::unique_ptr<sharing::StreamShareSystem>> parallel =
-      Deploy(scenario, config);
+      Deploy(scenario, parallel_config);
   if (!serial.ok() || !serial_dom.ok() || !parallel.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n",
                  (!serial.ok()   ? serial
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
   }
 
   start = Clock::now();
-  status = (*parallel)->RunParallel(items);
+  status = (*parallel)->Run(items);
   double parallel_s = SecondsSince(start);
   if (!status.ok()) {
     std::fprintf(stderr, "parallel run failed: %s\n",
@@ -151,9 +154,10 @@ int main(int argc, char** argv) {
 
   uint64_t producer_blocked_ns = 0, consumer_blocked_ns = 0;
   uint64_t max_queue_depth = 0;
-  size_t workers = (*parallel)->parallel_stats().size();
-  for (const engine::ParallelWorkerStats& stats :
-       (*parallel)->parallel_stats()) {
+  const std::vector<engine::ParallelWorkerStats>& worker_stats =
+      (*parallel)->run_stats().workers;
+  size_t workers = worker_stats.size();
+  for (const engine::ParallelWorkerStats& stats : worker_stats) {
     producer_blocked_ns += stats.producer_blocked_ns;
     consumer_blocked_ns += stats.consumer_blocked_ns;
     max_queue_depth = std::max(max_queue_depth, stats.max_queue_depth);
@@ -170,8 +174,7 @@ int main(int argc, char** argv) {
   std::printf("hw_threads=%u\n", std::thread::hardware_concurrency());
   std::printf("workers=%zu\n", workers);
   for (size_t w = 0; w < workers; ++w) {
-    const engine::ParallelWorkerStats& stats =
-        (*parallel)->parallel_stats()[w];
+    const engine::ParallelWorkerStats& stats = worker_stats[w];
     std::printf("# worker %zu: %zu peers, %zu ops, %llu entries\n", w,
                 stats.peers.size(), stats.operator_count,
                 static_cast<unsigned long long>(stats.entries_received));

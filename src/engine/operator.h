@@ -49,7 +49,7 @@ class Operator {
         downstreams_.end());
   }
   /// Swaps `from` for `to` in place, preserving emission order. Used by
-  /// the parallel executor to splice queue ports into cross-peer edges
+  /// the partitioned runner to splice channel ports into cross-peer edges
   /// (and to splice the original consumers back afterwards).
   void ReplaceDownstream(Operator* from, Operator* to) {
     std::replace(downstreams_.begin(), downstreams_.end(), from, to);
@@ -67,7 +67,7 @@ class Operator {
     if (metrics_ != nullptr) out->push_back(metrics_);
   }
   /// Redirects every metrics pointer currently equal to `from` to `to` —
-  /// the parallel executor points operators at per-worker shards for the
+  /// the partitioned runner points operators at per-worker shards for the
   /// duration of a run, then back.
   virtual void RebindMetrics(Metrics* from, Metrics* to) {
     if (metrics_ == from) metrics_ = to;

@@ -94,7 +94,6 @@ class EventLog {
 
   /// Cheap pre-check: a sink is installed and `severity` clears the bar.
   bool ShouldLog(Severity severity) const {
-    if (!STREAMSHARE_OBS_ENABLED) return false;
     return has_sink_.load(std::memory_order_relaxed) &&
            static_cast<int>(severity) >=
                min_severity_.load(std::memory_order_relaxed);

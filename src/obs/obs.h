@@ -1,26 +1,15 @@
-// Kill switches for the observability layer (metrics registry, trace
-// recorder, event log). Two levels:
-//
-//   * compile time — building with -DSTREAMSHARE_OBS_ENABLED=0 (the CMake
-//     option STREAMSHARE_OBS=OFF) turns obs::Enabled() into a constexpr
-//     false, so every `if (obs::Enabled()) { ... }` instrumentation block
-//     in the engine and planner is dead code;
-//   * runtime — obs::SetEnabled(false) gates the same blocks behind one
-//     relaxed atomic load. Tracing has its own additional opt-in switch
-//     (TraceRecorder::SetEnabled), since span recording is the only part
-//     whose always-on cost would be noticeable.
-//
-// The obs classes themselves always compile; only the instrumentation
-// call sites vanish. Default: counters on, tracing off.
+// Runtime kill switch for the observability layer (metrics registry,
+// trace recorder, event log): obs::SetEnabled(false) gates every
+// `if (obs::Enabled()) { ... }` instrumentation block in the engine and
+// planner behind one relaxed atomic load. Tracing has its own additional
+// opt-in switch (TraceRecorder::SetEnabled), since span recording is the
+// only part whose always-on cost would be noticeable. Default: counters
+// on, tracing off.
 
 #ifndef STREAMSHARE_OBS_OBS_H_
 #define STREAMSHARE_OBS_OBS_H_
 
 #include <atomic>
-
-#ifndef STREAMSHARE_OBS_ENABLED
-#define STREAMSHARE_OBS_ENABLED 1
-#endif
 
 namespace streamshare::obs {
 
@@ -28,14 +17,10 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
-#if STREAMSHARE_OBS_ENABLED
 /// Master gate for hot-path instrumentation. One relaxed load.
 inline bool Enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
-#else
-constexpr bool Enabled() { return false; }
-#endif
 
 inline void SetEnabled(bool enabled) {
   detail::g_enabled.store(enabled, std::memory_order_relaxed);

@@ -60,16 +60,9 @@ class TraceRecorder {
   static TraceRecorder& Default();
 
   void SetEnabled(bool enabled) {
-    enabled_.store(enabled && STREAMSHARE_OBS_ENABLED,
-                   std::memory_order_relaxed);
+    enabled_.store(enabled, std::memory_order_relaxed);
   }
-  bool enabled() const {
-#if STREAMSHARE_OBS_ENABLED
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Microseconds since the recorder's epoch (creation or last Clear).
   uint64_t NowMicros() const;

@@ -513,8 +513,10 @@ Status ServeDaemon::LoopOnce() {
     stats_.attached_clients = clients_.size();
   }
 
+  // Only the clients that were polled: any accepted above come after them
+  // and have no pollfd yet.
   std::vector<size_t> closed;
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  for (size_t i = 0; i + 1 < fds.size(); ++i) {
     ClientState* client = clients_[i].get();
     short revents = fds[i + 1].revents;
     if (revents == 0) continue;
@@ -994,13 +996,19 @@ Status ServeDaemon::ForwardNewResults() {
       channel.observed_us.push_back(now);
     }
   }
+  // A client whose connection failed keeps the others from losing their
+  // deliveries; the first failure is still reported.
+  Status first_error = Status::Ok();
   for (std::unique_ptr<ClientState>& client : clients_) {
     for (auto& [query_id, attachment] : client->subs) {
-      SS_RETURN_IF_ERROR(
-          ForwardTo(client.get(), query_id, &attachment));
+      Status forwarded = ForwardTo(client.get(), query_id, &attachment);
+      if (!forwarded.ok()) {
+        if (first_error.ok()) first_error = std::move(forwarded);
+        break;
+      }
     }
   }
-  return Status::Ok();
+  return first_error;
 }
 
 Status ServeDaemon::ForwardTo(ClientState* client, int query_id,
@@ -1091,7 +1099,9 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     // compaction checkpoint must not resurrect a flushed-and-ended
     // deployment on the next start.
     SS_RETURN_IF_ERROR(system_->Shutdown());
-    SS_RETURN_IF_ERROR(ForwardNewResults());
+    // Best effort, like the EOS below: a client that closed before the
+    // loop noticed must not fail the drain of the others.
+    (void)ForwardNewResults();
     if (durable()) {
       wal_.Close();
       std::remove(WalPathOrDefault().c_str());

@@ -220,7 +220,8 @@ class ServeDaemon {
   ControlResponse DoDetach(ClientState* client);
 
   /// Notes deliveries that appeared at the sinks since the last scan and
-  /// forwards them to the attached clients.
+  /// forwards them to the attached clients. A client whose connection
+  /// fails does not stop the others; the first failure is returned.
   Status ForwardNewResults();
   Status ForwardTo(ClientState* client, int query_id,
                    Attachment* attachment);

@@ -849,23 +849,11 @@ Status CollectEntries(
 Status StreamShareSystem::Run(
     const std::map<std::string, std::vector<engine::ItemPtr>>&
         items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  if (config_.executor == ExecutorKind::kParallel) {
-    return RunParallel(items_by_stream);
-  }
-  if (config_.executor == ExecutorKind::kTransport) {
-    return RunTransport(items_by_stream);
-  }
   std::vector<engine::Operator*> entries;
   std::vector<std::vector<engine::ItemPtr>> item_lists;
   SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
                                     &entries, &item_lists));
-  if (config_.record_path) {
-    return engine::RunStreamsBatched(entries, item_lists,
-                                     config_.parallel.batch_size,
-                                     /*adopt=*/true, /*finish=*/true);
-  }
-  return engine::RunStreams(entries, item_lists, /*finish=*/true);
+  return Execute(entries, item_lists, /*finish=*/true);
 }
 
 Status StreamShareSystem::RunBatches(
@@ -889,77 +877,55 @@ Status StreamShareSystem::RunBatches(
   return engine::RunBatchStreams(entries, &batch_lists, /*finish=*/true);
 }
 
-engine::ParallelOptions StreamShareSystem::EffectiveParallelOptions() const {
-  engine::ParallelOptions options = config_.parallel;
-  options.adopt_records = options.adopt_records && config_.record_path;
-  return options;
-}
-
-Status StreamShareSystem::RunParallel(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
-                                    &entries, &item_lists));
-  engine::ParallelExecutor executor(EffectiveParallelOptions());
-  Status status = executor.Run(entries, item_lists);
-  parallel_stats_ = executor.worker_stats();
-  return status;
-}
-
-Status StreamShareSystem::RunTransport(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
-                                    &entries, &item_lists));
-  return RunTransportImpl(entries, item_lists, /*finish=*/true);
-}
-
-Status StreamShareSystem::RunTransportImpl(
+Status StreamShareSystem::Execute(
     const std::vector<engine::Operator*>& entries,
     const std::vector<std::vector<engine::ItemPtr>>& item_lists,
     bool finish) {
   engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  std::unique_ptr<transport::Transport> transport;
-  if (config_.transport == "loopback") {
-    transport = std::make_unique<transport::LoopbackTransport>();
-  } else if (config_.transport == "tcp") {
-    transport = std::make_unique<transport::TcpTransport>(config_.tcp);
-  } else {
-    return Status::InvalidArgument("unknown transport '" +
-                                   config_.transport +
-                                   "' (expected loopback or tcp)");
+  if (config_.executor == ExecutorKind::kSerial) {
+    if (config_.record_path) {
+      return engine::RunStreamsBatched(entries, item_lists,
+                                       config_.parallel.batch_size,
+                                       /*adopt=*/true, finish);
+    }
+    return engine::RunStreams(entries, item_lists, finish);
   }
   transport::RunnerOptions options;
-  options.parallel = EffectiveParallelOptions();
-  options.flow = config_.flow;
-  options.faults = config_.faults;
-  options.mode = config_.transport_processes
-                     ? transport::RunnerOptions::Mode::kProcesses
-                     : transport::RunnerOptions::Mode::kThreads;
+  options.parallel = config_.parallel;
+  // The record-path master switch wins over the per-executor knob.
+  options.parallel.adopt_records =
+      options.parallel.adopt_records && config_.record_path;
+  std::unique_ptr<transport::Transport> transport;
+  if (config_.executor == ExecutorKind::kTransport) {
+    if (config_.transport == "loopback") {
+      transport = std::make_unique<transport::LoopbackTransport>();
+    } else if (config_.transport == "tcp") {
+      transport = std::make_unique<transport::TcpTransport>(config_.tcp);
+    } else {
+      return Status::InvalidArgument("unknown transport '" +
+                                     config_.transport +
+                                     "' (expected loopback or tcp)");
+    }
+    options.flow = config_.flow;
+    options.faults = config_.faults;
+    if (config_.transport_processes) {
+      options.mode = transport::RunnerOptions::Mode::kProcesses;
+    }
+  }
   transport::PartitionedRunner runner(transport.get(), options);
   Status status = runner.Run(entries, item_lists, finish);
-  transport_stats_ = runner.run_stats();
-  // The transport runner's workers mirror the parallel executor's, so
-  // their queue stats export through the same engine.worker.* gauges.
-  parallel_stats_ = transport_stats_.workers;
+  run_stats_ = runner.run_stats();
   // Liveness detection: a sender that exhausted its credit-wait retries
   // observed a stalled-or-gone receiver. Promote the symptom into
   // suspicion of the receiving worker's peers — advisory only (routing is
   // unchanged); FailPeer confirms and commits recovery.
   if (status.IsDeadlineExceeded()) {
     for (const transport::ChannelTrafficStats& channel :
-         transport_stats_.channels) {
+         run_stats_.channels) {
       if (channel.stats.deadline_failures == 0) continue;
-      if (channel.target_worker >= transport_stats_.workers.size()) {
-        continue;
-      }
+      if (channel.target_worker >= run_stats_.workers.size()) continue;
       for (network::NodeId peer :
-           transport_stats_.workers[channel.target_worker].peers) {
+           run_stats_.workers[channel.target_worker].peers) {
         state_.mutable_health().MarkSuspect(
             peer, "transport: " + status.message());
       }
@@ -971,7 +937,6 @@ Status StreamShareSystem::RunTransportImpl(
 Status StreamShareSystem::Feed(
     const std::map<std::string, std::vector<engine::ItemPtr>>&
         items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
   std::vector<engine::Operator*> entries;
   std::vector<std::vector<engine::ItemPtr>> item_lists;
   // A stream whose source peer failed no longer produces: its batches are
@@ -985,24 +950,7 @@ Status StreamShareSystem::Feed(
     entries.push_back(stream_entries_.at(name));
     item_lists.push_back(items);
   }
-  switch (config_.executor) {
-    case ExecutorKind::kSerial:
-      if (config_.record_path) {
-        return engine::RunStreamsBatched(entries, item_lists,
-                                         config_.parallel.batch_size,
-                                         /*adopt=*/true, /*finish=*/false);
-      }
-      return engine::RunStreams(entries, item_lists, /*finish=*/false);
-    case ExecutorKind::kParallel: {
-      engine::ParallelExecutor executor(EffectiveParallelOptions());
-      Status status = executor.Run(entries, item_lists, /*finish=*/false);
-      parallel_stats_ = executor.worker_stats();
-      return status;
-    }
-    case ExecutorKind::kTransport:
-      return RunTransportImpl(entries, item_lists, /*finish=*/false);
-  }
-  return Status::Internal("unknown executor kind");
+  return Execute(entries, item_lists, /*finish=*/false);
 }
 
 Status StreamShareSystem::Shutdown() {
@@ -1102,13 +1050,13 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->GetGauge("network.peer." + name + ".health")
         ->Set(static_cast<double>(state_.health().status(peer)));
   }
-  // Transport measurements of the most recent RunTransport: measured
+  // Transport measurements of the most recent kTransport run: measured
   // traffic per topology link, next to the committed bandwidth u_b(e)
   // the cost model predicted for that link.
-  if (!transport_stats_.transport.empty()) {
+  if (!run_stats_.transport.empty()) {
     std::map<int, uint64_t> encoded_per_link;
     std::map<int, uint64_t> items_per_link;
-    for (const transport::EdgeTrafficStats& edge : transport_stats_.edges) {
+    for (const transport::EdgeTrafficStats& edge : run_stats_.edges) {
       if (edge.link < 0) continue;
       encoded_per_link[edge.link] += edge.encoded_bytes;
       items_per_link[edge.link] += edge.items;
@@ -1128,7 +1076,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     }
     uint64_t wire_bytes = 0, frames = 0, stalls = 0, stall_ns = 0;
     for (const transport::ChannelTrafficStats& channel :
-         transport_stats_.channels) {
+         run_stats_.channels) {
       wire_bytes += channel.stats.bytes_sent;
       frames += channel.stats.frames_sent;
       stalls += channel.stats.credit_stalls;
@@ -1143,7 +1091,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->GetGauge("transport.run.credit_stall_ns")
         ->Set(static_cast<double>(stall_ns));
     registry->GetGauge("transport.run.processes")
-        ->Set(static_cast<double>(transport_stats_.process_count));
+        ->Set(static_cast<double>(run_stats_.process_count));
   }
   // Batching configuration in effect, so a metrics snapshot records the
   // knobs a run's queue/blocking numbers were measured under.
@@ -1153,8 +1101,8 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
       ->Set(static_cast<double>(config_.parallel.batch_size));
   registry->GetGauge("engine.record_path")
       ->Set(config_.record_path ? 1.0 : 0.0);
-  for (size_t w = 0; w < parallel_stats_.size(); ++w) {
-    const engine::ParallelWorkerStats& stats = parallel_stats_[w];
+  for (size_t w = 0; w < run_stats_.workers.size(); ++w) {
+    const engine::ParallelWorkerStats& stats = run_stats_.workers[w];
     std::string prefix = "engine.worker." + std::to_string(w);
     registry->GetGauge(prefix + ".entries_received")
         ->Set(static_cast<double>(stats.entries_received));

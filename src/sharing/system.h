@@ -20,7 +20,6 @@
 #include "engine/executor.h"
 #include "engine/metrics.h"
 #include "engine/operator.h"
-#include "engine/parallel_executor.h"
 #include "network/state.h"
 #include "network/stream_registry.h"
 #include "network/subnet.h"
@@ -41,12 +40,14 @@ enum class Strategy { kDataShipping, kQueryShipping, kStreamSharing };
 
 std::string_view StrategyToString(Strategy strategy);
 
-/// How Run() drives the deployed operator network: serial on the calling
-/// thread (the default and the correctness oracle), partitioned by
-/// super-peer across worker threads with bounded queues on the peer
-/// boundaries, or partitioned across a transport (binary codec +
-/// credit-based flow control; with config.transport = "tcp" and
-/// transport_processes, each partition becomes its own OS process).
+/// How Run() and Feed() drive the deployed operator network: serial on
+/// the calling thread (the default and the correctness oracle), or on
+/// transport::PartitionedRunner — partitioned by super-peer across worker
+/// threads, with cross-peer edges on memory channels (kParallel: bounded
+/// queues on the peer boundaries) or on wire channels over a transport
+/// (kTransport: binary codec + credit-based flow control; with
+/// config.transport = "tcp" and transport_processes, each partition
+/// becomes its own OS process).
 enum class ExecutorKind { kSerial, kParallel, kTransport };
 
 struct SystemConfig {
@@ -63,9 +64,10 @@ struct SystemConfig {
   /// subnet first, escalating per `hierarchy` options.
   std::vector<int> subnet_assignment;
   HierarchicalOptions hierarchy;
-  /// Executor Run() uses; RunParallel() forces kParallel regardless.
+  /// Executor Run() and Feed() use.
   ExecutorKind executor = ExecutorKind::kSerial;
-  /// Queue capacity / dispatch batching for the parallel executor.
+  /// Queue capacity / dispatch batching / worker cap for the partitioned
+  /// executors (the serial record path batches by batch_size too).
   engine::ParallelOptions parallel;
   /// Indexed candidate lookup: Subscribe consults a CandidateIndex
   /// (hash buckets on (variant stream, route node), dominance-grouped by
@@ -80,14 +82,14 @@ struct SystemConfig {
   /// while feeding. Off, every run drives items one by one through the
   /// DOM evaluation path — the differential oracle's reference mode.
   bool record_path = true;
-  /// Transport RunTransport() uses: "loopback" (in-process frame pipes,
+  /// Transport kTransport runs over: "loopback" (in-process frame pipes,
   /// the default) or "tcp" (one localhost TCP connection per
   /// cross-worker channel).
   std::string transport = "loopback";
   /// Run each worker partition as its own OS process instead of a
   /// thread. Requires a transport whose pipes survive fork ("tcp").
   bool transport_processes = false;
-  /// Credit window / timeouts and fault injection for RunTransport().
+  /// Credit window / timeouts and fault injection for kTransport runs.
   transport::FlowOptions flow;
   transport::FaultPlan faults;
   /// Connect retry/backoff for the "tcp" transport.
@@ -277,11 +279,12 @@ class StreamShareSystem {
   /// everywhere, not whatever the registry walk happens to hit.
   Status CheckActiveSubscription(int query_id) const;
 
-  /// Single-shot run: feeds items of the named original streams through
-  /// the deployed network (round-robin across streams), then signals end
-  /// of stream — window operators flush their partial windows. Use
-  /// Feed/Shutdown instead for continuous operation across multiple
-  /// batches.
+  /// Single-shot run on the configured executor: feeds items of the
+  /// named original streams through the deployed network (round-robin
+  /// across streams), then signals end of stream — window operators flush
+  /// their partial windows. Every executor produces the serial results
+  /// and merged metrics. Use Feed/Shutdown instead for continuous
+  /// operation across multiple batches.
   Status Run(const std::map<std::string, std::vector<engine::ItemPtr>>&
                  items_by_stream);
 
@@ -294,35 +297,10 @@ class StreamShareSystem {
       std::map<std::string, std::vector<engine::ItemBatch>>*
           batches_by_stream);
 
-  /// Single-shot run on the peer-partitioned parallel executor (one
-  /// worker thread per super-peer partition, bounded queues on the peer
-  /// boundaries), regardless of the configured ExecutorKind. Results and
-  /// merged metrics match a serial Run of the same items.
-  Status RunParallel(
-      const std::map<std::string, std::vector<engine::ItemPtr>>&
-          items_by_stream);
-
-  /// Per-worker queue/blocking stats of the most recent parallel run
-  /// (empty if no parallel run happened yet).
-  const std::vector<engine::ParallelWorkerStats>& parallel_stats() const {
-    return parallel_stats_;
-  }
-
-  /// Single-shot run over the configured transport (config.transport,
-  /// config.transport_processes): the partitioned operator network
-  /// exchanges encoded items through flow-controlled channels,
-  /// optionally with every worker in its own OS process. Results and
-  /// merged metrics match a serial Run of the same items.
-  Status RunTransport(
-      const std::map<std::string, std::vector<engine::ItemPtr>>&
-          items_by_stream);
-
-  /// Traffic measured by the most recent RunTransport (bytes-on-wire per
-  /// channel, encoded bytes per cross edge, credit stalls). Empty
-  /// transport name if no transport run happened yet.
-  const transport::TransportRunStats& transport_stats() const {
-    return transport_stats_;
-  }
+  /// Per-worker queue stats and cross-edge traffic of the most recent
+  /// partitioned run (kParallel or kTransport); empty before one. Its
+  /// transport name is empty unless that run went over the wire.
+  const transport::RunStats& run_stats() const { return run_stats_; }
 
   /// Continuous operation: feeds a batch without signalling end of
   /// stream. Subscriptions may be registered and deregistered between
@@ -359,8 +337,8 @@ class StreamShareSystem {
   /// Folds the system's own measurements into named registry series:
   /// engine.link.<a>-<b>.bytes and engine.peer.<name>.{work,items} from
   /// the deployment's Metrics, engine.worker.<i>.* from the most recent
-  /// parallel run, network.{link,peer}.<...>.utilization gauges from
-  /// the committed plan usage, and — after a RunTransport —
+  /// partitioned run, network.{link,peer}.<...>.utilization gauges from
+  /// the committed plan usage, and — after a kTransport run —
   /// transport.link.<a>-<b>.{encoded_bytes,predicted_kbps} gauges that
   /// put measured bytes-on-wire next to the cost model's committed
   /// bandwidth u_b(e). Call before exporting a snapshot.
@@ -479,14 +457,12 @@ class StreamShareSystem {
   /// flowing), or its upstream chain does.
   bool StreamSevered(network::StreamId id,
                      const std::vector<bool>& severed) const;
-  /// config_.parallel with adopt_records gated on config_.record_path
-  /// (the master switch wins over the per-executor knob).
-  engine::ParallelOptions EffectiveParallelOptions() const;
-  /// Shared body of RunTransport and transport-mode Feed.
-  Status RunTransportImpl(
-      const std::vector<engine::Operator*>& entries,
-      const std::vector<std::vector<engine::ItemPtr>>& item_lists,
-      bool finish);
+  /// Shared body of Run and Feed: drives `item_lists[s]` into
+  /// `entries[s]` on the configured executor; `finish` signals end of
+  /// stream afterwards.
+  Status Execute(const std::vector<engine::Operator*>& entries,
+                 const std::vector<std::vector<engine::ItemPtr>>& item_lists,
+                 bool finish);
 
   network::Topology topology_;
   SystemConfig config_;
@@ -521,8 +497,7 @@ class StreamShareSystem {
   /// other subscriptions (see ParkedWiring).
   std::vector<ParkedWiring> parked_;
   std::vector<recover::RecoveryReport> recovery_reports_;
-  std::vector<engine::ParallelWorkerStats> parallel_stats_;
-  transport::TransportRunStats transport_stats_;
+  transport::RunStats run_stats_;
   /// Bumped whenever planner-visible state changes (deployments, GC,
   /// recovery, re-optimization); guards SubscribeBatch's plan memo.
   uint64_t plan_epoch_ = 0;

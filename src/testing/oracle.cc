@@ -335,10 +335,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         BuiltSystem built,
         BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
                          config, options));
-    Status run_status = spec.executor == ExecutorKind::kTransport
-                            ? built.system->RunTransport(items)
-                            : built.system->RunParallel(items);
-    SS_RETURN_IF_ERROR(run_status.WithContext(spec.name));
+    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(spec.name));
     ModeObservation mode;
     mode.mode = spec.name;
     Observe(built, &mode);
@@ -925,7 +922,6 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         query.content_hash = observed.content_hash;
         serve_mode.queries.push_back(std::move(query));
       }
-      report.modes.push_back(serve_mode);
 
       if (serve_mode.queries.size() != expected->size()) {
         report.serve_ok = false;
@@ -953,6 +949,8 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
           }
         }
       }
+      // Appended only now: `expected` may point into report.modes.
+      report.modes.push_back(std::move(serve_mode));
     }
   }
 
@@ -1028,7 +1026,6 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         query.content_hash = observed.content_hash;
         crash_mode.queries.push_back(std::move(query));
       }
-      report.modes.push_back(crash_mode);
 
       if (crash_mode.queries.size() != expected->size()) {
         report.crash_ok = false;
@@ -1062,6 +1059,8 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
           }
         }
       }
+      // Appended only now: `expected` may point into report.modes.
+      report.modes.push_back(std::move(crash_mode));
     }
   }
 

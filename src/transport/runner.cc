@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -34,7 +35,29 @@ using engine::Metrics;
 using engine::Operator;
 using engine::PartitionPlan;
 
-/// Registry series fed once per run from the aggregated channel stats.
+/// Registry series fed by every worker's dispatch loop. Looked up once;
+/// updates are per-shard relaxed adds on the worker's pinned shard.
+struct ParallelSeries {
+  obs::Counter* items;
+  obs::Counter* batches;
+  obs::Histogram* batch_items;
+
+  static const ParallelSeries& Get() {
+    static const ParallelSeries series = [] {
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+      return ParallelSeries{
+          registry.GetCounter("engine.parallel.items"),
+          registry.GetCounter("engine.parallel.batches"),
+          registry.GetHistogram("engine.parallel.batch_items",
+                                obs::Histogram::ExponentialBounds(1, 2, 12)),
+      };
+    }();
+    return series;
+  }
+};
+
+/// Registry series fed once per wire run from the aggregated channel
+/// stats.
 struct TransportSeries {
   obs::Counter* items_sent;
   obs::Counter* frames_sent;
@@ -83,23 +106,61 @@ class AbortState {
   std::atomic<bool> aborted_{false};
 };
 
-class TransportPortOp;
+/// Sending half of a cross edge over a memory channel: accumulates
+/// emitted slots into a pending ItemBatch and hands the whole batch to
+/// the target worker's queue as one entry — one lock acquisition and one
+/// wakeup per batch. Lives on the source worker's thread; never bills
+/// engine metrics (the replaced edge's target still does its own
+/// accounting when the target worker pushes into it).
+class QueuePortOp final : public Operator {
+ public:
+  QueuePortOp(Operator* target, LinkQueue* queue, size_t buffer_limit,
+              EdgeTrafficStats* edge)
+      : Operator("queue-port:" + target->label()),
+        target_(target),
+        queue_(queue),
+        buffer_limit_(buffer_limit),
+        edge_(edge) {
+    pending_.reserve(buffer_limit_);
+  }
 
-/// One flow-controlled channel between a pair of workers. The sender end
-/// (and the shared per-channel encoder) is driven by the source worker's
-/// thread, the receiver end by one receiver thread on the target worker.
-struct ChannelRt {
-  size_t source_worker = 0;
-  size_t target_worker = 0;
-  std::unique_ptr<ChannelSender> sender;
-  std::unique_ptr<ChannelReceiver> receiver;
-  ItemEncoder encoder;
+  void Flush() {
+    if (pending_.empty()) return;
+    edge_->items += pending_.size();
+    queue_->Push(LinkQueue::Entry{target_, std::move(pending_)});
+    pending_ = engine::ItemBatch();
+    pending_.reserve(buffer_limit_);
+  }
+
+ protected:
+  Status Process(const ItemPtr& item) override {
+    pending_.AppendItem(item, /*adopt=*/false);
+    // A DOM-path emit carries its latency stamp in the thread-local
+    // ambient; persist it on the slot before the batch crosses threads.
+    pending_.slot(pending_.size() - 1).stamp = engine::latency::Ambient();
+    if (pending_.size() >= buffer_limit_) Flush();
+    return Status::Ok();
+  }
+
+  Status ProcessBatch(engine::ItemBatch* batch) override {
+    for (size_t i = 0; i < batch->size(); ++i) {
+      pending_.AppendSlot(batch->slot(i));
+      if (pending_.size() >= buffer_limit_) Flush();
+    }
+    return Status::Ok();
+  }
+
+ private:
+  Operator* target_;
+  LinkQueue* queue_;
+  size_t buffer_limit_;
+  EdgeTrafficStats* edge_;
+  engine::ItemBatch pending_;
 };
 
-/// Sending half of a cross-worker edge: encodes the item with the
-/// channel's dictionary and ships it to the target's operator index.
-/// Never bills engine metrics (the replaced edge's target still does its
-/// own accounting when the receiving worker pushes into it).
+/// Sending half of a cross edge over a wire channel: encodes the item
+/// with the channel's dictionary and ships it to the target's operator
+/// index. Never bills engine metrics, like QueuePortOp.
 class TransportPortOp final : public Operator {
  public:
   TransportPortOp(Operator* target, uint64_t target_index,
@@ -170,6 +231,21 @@ class TransportPortOp final : public Operator {
   std::string buffer_;
 };
 
+/// One channel between a pair of workers. A memory channel is its ports
+/// plus the target worker's queue. A wire channel's sender end (and the
+/// shared per-channel encoder) is driven by the source worker's thread,
+/// its receiver end by one receiver thread on the target worker.
+struct ChannelRt {
+  size_t source_worker = 0;
+  size_t target_worker = 0;
+  LinkQueue* target_queue = nullptr;
+  std::vector<QueuePortOp*> memory_ports;
+  /// Null on a memory channel.
+  std::unique_ptr<ChannelSender> sender;
+  std::unique_ptr<ChannelReceiver> receiver;
+  ItemEncoder encoder;
+};
+
 struct WorkerRt {
   size_t index = 0;
   std::vector<network::NodeId> peers;
@@ -181,7 +257,7 @@ struct WorkerRt {
   std::set<Operator*> root_set;
   std::vector<ChannelRt*> inbound;
   std::vector<ChannelRt*> outbound;
-  /// Indices into entries/item_lists this worker feeds itself.
+  /// Indices into entries/item_lists this worker is fed.
   std::vector<size_t> entry_streams;
   size_t expected_pills = 0;
   /// Worker-local metrics shard per original Metrics sink.
@@ -192,30 +268,43 @@ struct WorkerRt {
   }
 };
 
-/// Receiver thread: one per inbound channel. Decodes DATA frames into the
-/// worker's bounded queue and grants a credit only after the push went
-/// through — that handoff is what extends queue backpressure across the
-/// wire. Ends with one poison pill, whatever happened.
-void ReceiveChannel(WorkerRt* w, ChannelRt* ch, const PartitionPlan& plan,
-                    AbortState* abort) {
+/// Everything the threads of one run share. In process mode each child
+/// works on its own post-fork copy.
+struct RunContext {
+  const PartitionPlan& plan;
+  const std::vector<Operator*>& entries;
+  const std::vector<std::vector<ItemPtr>>& item_lists;
+  std::vector<WorkerRt>& workers;
+  const engine::ParallelOptions& options;
+  bool finish;
+  AbortState abort;
+};
+
+/// Receiver thread: one per inbound wire channel. Decodes DATA frames
+/// into the worker's bounded queue and grants a credit only after the
+/// push went through — that handoff is what extends queue backpressure
+/// across the wire. Ends with one poison pill, whatever happened.
+void ReceiveChannel(RunContext* ctx, WorkerRt* w, ChannelRt* ch) {
   obs::ScopedShard pinned(w->index);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
+  const PartitionPlan& plan = ctx->plan;
   ItemDecoder decoder;
   while (true) {
     ChannelReceiver::Incoming in;
     Status status = ch->receiver->Recv(&in);
     if (!status.ok()) {
-      abort->Record(std::move(status));
+      ctx->abort.Record(std::move(status));
       break;
     }
     if (in.type == FrameType::kEos) break;
     if (in.type == FrameType::kError) {
-      abort->Record(Status::Internal(std::string(kRelayPrefix) + in.error));
+      ctx->abort.Record(
+          Status::Internal(std::string(kRelayPrefix) + in.error));
       break;
     }
     if (in.target >= plan.ops.size() ||
         plan.worker_of[in.target] != w->index) {
-      abort->Record(Status::Internal(
+      ctx->abort.Record(Status::Internal(
           "channel " + ch->receiver->label() +
           ": DATA frame routed to a foreign operator index"));
       break;
@@ -231,7 +320,7 @@ void ReceiveChannel(WorkerRt* w, ChannelRt* ch, const PartitionPlan& plan,
                               static_cast<double>(in.item_bytes.size()))});
     }
     if (!decoded.ok()) {
-      abort->Record(
+      ctx->abort.Record(
           decoded.WithContext("channel " + ch->receiver->label()));
       break;
     }
@@ -251,63 +340,64 @@ void ReceiveChannel(WorkerRt* w, ChannelRt* ch, const PartitionPlan& plan,
   w->queue->Push(LinkQueue::Entry{});
 }
 
-/// Feeder thread: pushes this worker's own entry streams (round-robin
-/// across streams, per-stream order preserved), then one pill. Items are
-/// adopted into compact records while buffering; each full batch crosses
-/// the queue as one entry.
-void FeedEntries(WorkerRt* w, const std::vector<Operator*>& entries,
-                 const std::vector<std::vector<ItemPtr>>& item_lists,
-                 size_t batch_size, bool adopt_records, AbortState* abort) {
-  std::vector<engine::ItemBatch> buffers(w->entry_streams.size());
-  std::vector<size_t> cursors(w->entry_streams.size(), 0);
+/// The feeder: pushes the entry streams `streams` into their workers'
+/// queues (round-robin across streams, per-stream order preserved), then
+/// one pill into every worker it fed. Items are adopted into compact
+/// records while buffering; each full batch crosses the queue as one
+/// entry (one lock, one wakeup).
+void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
+  const size_t batch_size = ctx->options.batch_size;
+  std::vector<LinkQueue*> queues(streams.size());
+  std::vector<engine::ItemBatch> buffers(streams.size());
+  std::vector<size_t> cursors(streams.size(), 0);
   std::vector<size_t> active;
-  for (size_t i = 0; i < w->entry_streams.size(); ++i) {
+  for (size_t i = 0; i < streams.size(); ++i) {
+    queues[i] =
+        ctx->workers[ctx->plan.WorkerOf(ctx->entries[streams[i]])].queue.get();
     buffers[i].reserve(batch_size);
-    if (!item_lists[w->entry_streams[i]].empty()) active.push_back(i);
+    if (!ctx->item_lists[streams[i]].empty()) active.push_back(i);
   }
   const bool stamping = engine::latency::Enabled();
-  while (!active.empty() && !abort->aborted()) {
+  while (!active.empty() && !ctx->abort.aborted()) {
     size_t write = 0;
     for (size_t idx = 0; idx < active.size(); ++idx) {
       size_t i = active[idx];
-      size_t s = w->entry_streams[i];
-      buffers[i].AppendItem(item_lists[s][cursors[i]++], adopt_records);
+      const std::vector<ItemPtr>& items = ctx->item_lists[streams[i]];
+      buffers[i].AppendItem(items[cursors[i]++], ctx->options.adopt_records);
       if (stamping) {
         buffers[i].slot(buffers[i].size() - 1).stamp.ingress_us =
             engine::latency::NowUs();
       }
       if (buffers[i].size() >= batch_size) {
-        w->queue->Push(LinkQueue::Entry{entries[s], std::move(buffers[i])});
+        queues[i]->Push(
+            LinkQueue::Entry{ctx->entries[streams[i]], std::move(buffers[i])});
         buffers[i] = engine::ItemBatch();
         buffers[i].reserve(batch_size);
       }
-      if (cursors[i] < item_lists[s].size()) active[write++] = i;
+      if (cursors[i] < items.size()) active[write++] = i;
     }
     active.resize(write);
   }
-  if (!abort->aborted()) {
-    for (size_t i = 0; i < buffers.size(); ++i) {
+  if (!ctx->abort.aborted()) {
+    for (size_t i = 0; i < streams.size(); ++i) {
       if (buffers[i].empty()) continue;
-      w->queue->Push(
-          LinkQueue::Entry{entries[w->entry_streams[i]],
-                           std::move(buffers[i])});
+      queues[i]->Push(
+          LinkQueue::Entry{ctx->entries[streams[i]], std::move(buffers[i])});
     }
   }
-  w->queue->Push(LinkQueue::Entry{});
+  std::set<LinkQueue*> fed(queues.begin(), queues.end());
+  for (LinkQueue* queue : fed) queue->Push(LinkQueue::Entry{});
 }
 
-/// One worker: receiver threads + feeder thread around the same drain
-/// loop the parallel executor runs, then EOS (or the first error) down
-/// every outbound channel.
-void RunWorker(WorkerRt* w, const PartitionPlan& plan,
-               const std::vector<Operator*>& entries,
-               const std::vector<std::vector<ItemPtr>>& item_lists,
-               size_t batch_size, bool adopt_records, AbortState* abort,
-               bool finish) {
+/// One worker: receiver threads for its inbound wire channels around the
+/// dispatch loop, Finish() on its boundary operators once every producer's
+/// pill arrived, then end of stream (or the first error) down every
+/// outbound channel.
+void RunWorker(RunContext* ctx, WorkerRt* w) {
   obs::ScopedShard pinned(w->index);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
   if (recorder.enabled()) {
-    std::string name = "tworker-" + std::to_string(w->index);
+    std::string name = "worker-" + std::to_string(w->index);
     if (!w->peers.empty()) {
       name += " [";
       for (size_t i = 0; i < w->peers.size(); ++i) {
@@ -318,18 +408,18 @@ void RunWorker(WorkerRt* w, const PartitionPlan& plan,
     }
     recorder.SetThreadName(std::move(name));
   }
+  const ParallelSeries& series = ParallelSeries::Get();
+  const bool count_metrics = obs::Enabled();
+  AbortState& abort = ctx->abort;
 
-  std::vector<std::thread> helpers;
-  helpers.reserve(w->inbound.size() + 1);
+  std::vector<std::thread> receivers;
   for (ChannelRt* ch : w->inbound) {
-    helpers.emplace_back(ReceiveChannel, w, ch, std::cref(plan), abort);
-  }
-  if (!w->entry_streams.empty()) {
-    helpers.emplace_back(FeedEntries, w, std::cref(entries),
-                         std::cref(item_lists), batch_size, adopt_records,
-                         abort);
+    if (ch->receiver != nullptr) {
+      receivers.emplace_back(ReceiveChannel, ctx, w, ch);
+    }
   }
 
+  const size_t batch_size = ctx->options.batch_size;
   std::vector<LinkQueue::Entry> batch;
   batch.reserve(batch_size);
   size_t pills = 0;
@@ -341,37 +431,62 @@ void RunWorker(WorkerRt* w, const PartitionPlan& plan,
         ++pills;
         continue;
       }
-      if (abort->aborted()) continue;  // drain without processing
+      if (abort.aborted()) continue;  // drain without processing
+      const bool tracing = recorder.enabled();
+      uint64_t span_start = tracing ? recorder.NowMicros() : 0;
       Status status = entry.target->PushBatch(&entry.batch);
+      if (tracing) {
+        recorder.RecordComplete(
+            entry.target->label(), "op", span_start,
+            recorder.NowMicros() - span_start,
+            {obs::TraceArg::Num("items",
+                                static_cast<double>(entry.batch.size()))});
+      }
+      if (count_metrics) {
+        series.items->AddToShard(w->index, entry.batch.size());
+        series.batches->AddToShard(w->index, 1);
+        series.batch_items->ObserveToShard(
+            w->index, static_cast<double>(entry.batch.size()));
+      }
       if (!status.ok()) {
-        abort->Record(engine::WrapOperatorFailure(std::move(status), "push",
-                                                  *entry.target));
+        abort.Record(engine::WrapOperatorFailure(std::move(status), "push",
+                                                 *entry.target));
       }
     }
   }
-  if (finish && !abort->aborted()) {
+  if (ctx->finish && !abort.aborted()) {
     for (Operator* root : w->roots) {
+      obs::TraceSpan finish_span(&recorder, "finish:" + root->label(), "op");
       Status status = root->Finish();
       if (!status.ok()) {
-        abort->Record(
+        abort.Record(
             engine::WrapOperatorFailure(std::move(status), "finish", *root));
         break;
       }
     }
   }
   for (ChannelRt* ch : w->outbound) {
-    Status status = abort->aborted()
-                        ? ch->sender->SendError(abort->Snapshot().ToString())
+    if (ch->sender == nullptr) {
+      if (!abort.aborted()) {
+        for (QueuePortOp* port : ch->memory_ports) port->Flush();
+      }
+      ch->target_queue->Push(LinkQueue::Entry{});
+      continue;
+    }
+    Status status = abort.aborted()
+                        ? ch->sender->SendError(abort.Snapshot().ToString())
                         : ch->sender->SendEos();
-    if (!status.ok() && !abort->aborted()) abort->Record(std::move(status));
+    if (!status.ok() && !abort.aborted()) abort.Record(std::move(status));
   }
-  // Only after EOS went down every channel: wait (bounded) for each peer
-  // to acknowledge by closing its end, so no channel still has unread
-  // CREDIT frames when this worker's fds close. A process-mode exit that
-  // skips this can turn into a TCP reset that destroys the peer's
-  // still-buffered EOS.
-  for (ChannelRt* ch : w->outbound) ch->sender->DrainUntilPeerClose();
-  for (std::thread& helper : helpers) helper.join();
+  // Only after EOS went down every wire: wait (bounded) for each peer to
+  // acknowledge by closing its end, so no channel still has unread CREDIT
+  // frames when this worker's fds close. A process-mode exit that skips
+  // this can turn into a TCP reset that destroys the peer's still-buffered
+  // EOS.
+  for (ChannelRt* ch : w->outbound) {
+    if (ch->sender != nullptr) ch->sender->DrainUntilPeerClose();
+  }
+  for (std::thread& receiver : receivers) receiver.join();
 }
 
 // --- Cross-process report blob -----------------------------------------
@@ -520,6 +635,9 @@ Status StatusFromReport(uint64_t code, std::string message) {
 
 }  // namespace
 
+PartitionedRunner::PartitionedRunner(RunnerOptions options)
+    : PartitionedRunner(nullptr, std::move(options)) {}
+
 PartitionedRunner::PartitionedRunner(Transport* transport,
                                      RunnerOptions options)
     : transport_(transport), options_(std::move(options)) {
@@ -532,16 +650,17 @@ PartitionedRunner::PartitionedRunner(Transport* transport,
 Status PartitionedRunner::Run(
     const std::vector<Operator*>& entries,
     const std::vector<std::vector<ItemPtr>>& item_lists, bool finish) {
-  run_stats_ = TransportRunStats{};
-  run_stats_.transport = transport_->name();
+  run_stats_ = RunStats{};
+  const bool wire = transport_ != nullptr;
+  if (wire) run_stats_.transport = transport_->name();
   if (entries.size() != item_lists.size()) {
     return Status::InvalidArgument(
         "PartitionedRunner::Run: entries and item lists differ in count");
   }
   if (options_.mode == RunnerOptions::Mode::kProcesses &&
-      !transport_->SupportsProcesses()) {
+      (!wire || !transport_->SupportsProcesses())) {
     return Status::InvalidArgument(
-        std::string("transport '") + transport_->name() +
+        std::string("transport '") + (wire ? transport_->name() : "memory") +
         "' cannot span processes; use Mode::kThreads");
   }
   if (!finish && options_.mode == RunnerOptions::Mode::kProcesses) {
@@ -553,18 +672,27 @@ Status PartitionedRunner::Run(
 
   PartitionPlan plan;
   SS_RETURN_IF_ERROR(engine::PlanPeerPartitions(entries, &plan));
-  const size_t batch_size = options_.parallel.batch_size;
+  if (!wire) {
+    size_t max_workers =
+        options_.parallel.max_workers != 0
+            ? options_.parallel.max_workers
+            : std::max(1u, std::thread::hardware_concurrency());
+    engine::CoalesceWorkers(&plan, max_workers);
+  }
 
   // Content hashes make cross-mode result comparison cheap, and in
   // multi-process mode they are how sink contents survive the report
-  // pipe at all.
+  // pipe at all. Memory runs leave sinks as configured: hashing every
+  // result would tax the in-process hot path.
   std::vector<SinkBaseline> sinks;
-  for (size_t i = 0; i < plan.ops.size(); ++i) {
-    if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
-      sink->EnableContentHash();
-      sinks.push_back(SinkBaseline{i, sink, sink->item_count(),
-                                   sink->total_bytes(),
-                                   sink->content_hash()});
+  if (wire) {
+    for (size_t i = 0; i < plan.ops.size(); ++i) {
+      if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
+        sink->EnableContentHash();
+        sinks.push_back(SinkBaseline{i, sink, sink->item_count(),
+                                     sink->total_bytes(),
+                                     sink->content_hash()});
+      }
     }
   }
 
@@ -581,8 +709,7 @@ Status PartitionedRunner::Run(
       // a histogram the parent also owns and can merge reports into.
       workers[w].queue->SetResidencyHistogram(
           obs::MetricsRegistry::Default().GetHistogram(
-              "transport.queue.worker." + std::to_string(w) +
-                  ".residency_us",
+              "engine.queue.worker." + std::to_string(w) + ".residency_us",
               obs::Histogram::ExponentialBounds(50.0, 1.6, 24)));
     }
   }
@@ -592,8 +719,8 @@ Status PartitionedRunner::Run(
     w.AddRoot(entries[s]);
   }
 
-  // --- One flow-controlled channel per worker pair with cross traffic,
-  // pipes created up front (before any fork). ---
+  // --- One channel per worker pair with cross traffic; wire pipes are
+  // created up front (before any fork). ---
   std::vector<std::unique_ptr<ChannelRt>> channels;
   std::map<std::pair<size_t, size_t>, ChannelRt*> channel_of;
   for (const PartitionPlan::CrossEdge& edge : plan.cross_edges) {
@@ -601,17 +728,20 @@ Status PartitionedRunner::Run(
     size_t dst = plan.worker_of[edge.target];
     auto key = std::make_pair(src, dst);
     if (channel_of.count(key) != 0) continue;
-    std::string label =
-        "w" + std::to_string(src) + "->w" + std::to_string(dst);
-    PipePair pair;
-    SS_RETURN_IF_ERROR(transport_->CreatePipe(label, &pair));
     auto channel = std::make_unique<ChannelRt>();
     channel->source_worker = src;
     channel->target_worker = dst;
-    channel->sender = std::make_unique<ChannelSender>(
-        label, std::move(pair.ends[0]), options_.flow, options_.faults);
-    channel->receiver = std::make_unique<ChannelReceiver>(
-        label, std::move(pair.ends[1]), options_.flow, options_.faults);
+    channel->target_queue = workers[dst].queue.get();
+    if (wire) {
+      std::string label =
+          "w" + std::to_string(src) + "->w" + std::to_string(dst);
+      PipePair pair;
+      SS_RETURN_IF_ERROR(transport_->CreatePipe(label, &pair));
+      channel->sender = std::make_unique<ChannelSender>(
+          label, std::move(pair.ends[0]), options_.flow, options_.faults);
+      channel->receiver = std::make_unique<ChannelReceiver>(
+          label, std::move(pair.ends[1]), options_.flow, options_.faults);
+    }
     workers[src].outbound.push_back(channel.get());
     workers[dst].inbound.push_back(channel.get());
     channel_of[key] = channel.get();
@@ -637,11 +767,11 @@ Status PartitionedRunner::Run(
     run_stats_.edges.push_back(stats);
   }
 
-  // --- Splice transport ports into every cross-worker edge. ---
+  // --- Splice a port of the channel's kind into every cross edge. ---
   struct Splice {
     Operator* source;
     Operator* original;
-    std::unique_ptr<TransportPortOp> port;
+    std::unique_ptr<Operator> port;
   };
   std::vector<Splice> splices;
   splices.reserve(plan.cross_edges.size());
@@ -649,20 +779,29 @@ Status PartitionedRunner::Run(
     const PartitionPlan::CrossEdge& edge = plan.cross_edges[e];
     Operator* source = plan.ops[edge.source];
     Operator* target = plan.ops[edge.target];
-    size_t src = plan.worker_of[edge.source];
     size_t dst = plan.worker_of[edge.target];
-    ChannelRt* channel = channel_of[{src, dst}];
-    auto port = std::make_unique<TransportPortOp>(
-        target, edge.target, channel->sender.get(), &channel->encoder,
-        &run_stats_.edges[e]);
+    ChannelRt* channel = channel_of[{plan.worker_of[edge.source], dst}];
+    std::unique_ptr<Operator> port;
+    if (wire) {
+      port = std::make_unique<TransportPortOp>(
+          target, edge.target, channel->sender.get(), &channel->encoder,
+          &run_stats_.edges[e]);
+    } else {
+      auto queue_port = std::make_unique<QueuePortOp>(
+          target, channel->target_queue, options_.parallel.batch_size,
+          &run_stats_.edges[e]);
+      channel->memory_ports.push_back(queue_port.get());
+      port = std::move(queue_port);
+    }
     source->ReplaceDownstream(target, port.get());
     workers[dst].AddRoot(target);
     splices.push_back(Splice{source, target, std::move(port)});
   }
 
-  // --- Rebind metrics to per-worker shards. The (original, shard) pair
-  // order is deterministic first-seen order; children report shards in
-  // the same order, so the report needs no metric identities. ---
+  // --- Rebind metrics to per-worker shards (the hot path stays lock- and
+  // atomic-free). The (original, shard) pair order is deterministic
+  // first-seen order; children report shards in the same order, so the
+  // report needs no metric identities. ---
   struct Rebind {
     Operator* op;
     Metrics* original;
@@ -693,11 +832,14 @@ Status PartitionedRunner::Run(
     }
   }
 
-  obs::TraceSpan run_span(&obs::TraceRecorder::Default(), "transport.run",
-                          "transport");
-  run_span.AddArg(obs::TraceArg::Str("transport", transport_->name()));
+  obs::TraceSpan run_span(&obs::TraceRecorder::Default(), "parallel.run",
+                          "engine");
+  run_span.AddArg(obs::TraceArg::Str(
+      "channel", wire ? std::string(transport_->name()) : "memory"));
   run_span.AddArg(
       obs::TraceArg::Num("workers", static_cast<double>(worker_count)));
+  run_span.AddArg(
+      obs::TraceArg::Num("operators", static_cast<double>(plan.ops.size())));
 
   run_stats_.channels.reserve(channels.size());
   for (const auto& channel : channels) {
@@ -712,27 +854,28 @@ Status PartitionedRunner::Run(
     run_stats_.workers[w].operator_count = workers[w].operator_count;
   }
 
+  RunContext ctx{plan,     entries, item_lists, workers, options_.parallel,
+                 finish, {}};
   Status run_status;
   if (options_.mode == RunnerOptions::Mode::kThreads) {
-    // --- Thread mode: one thread per worker, channels stay in-process. ---
-    AbortState abort;
+    // --- Thread mode: one thread per worker, the calling thread feeds. ---
     std::vector<std::thread> threads;
     threads.reserve(worker_count);
     for (size_t w = 0; w < worker_count; ++w) {
-      threads.emplace_back(RunWorker, &workers[w], std::cref(plan),
-                           std::cref(entries), std::cref(item_lists),
-                           batch_size, options_.parallel.adopt_records,
-                           &abort, finish);
+      threads.emplace_back(RunWorker, &ctx, &workers[w]);
     }
+    std::vector<size_t> all_streams(entries.size());
+    for (size_t s = 0; s < entries.size(); ++s) all_streams[s] = s;
+    FeedStreams(&ctx, all_streams);
     for (std::thread& thread : threads) thread.join();
-    run_status = abort.Snapshot();
+    run_status = ctx.abort.Snapshot();
 
     for (WorkerRt& worker : workers) {
       for (auto& [original, shard] : worker.shards) {
         original->MergeFrom(*shard);
       }
     }
-    for (size_t c = 0; c < channels.size(); ++c) {
+    for (size_t c = 0; wire && c < channels.size(); ++c) {
       AddChannelStats(&run_stats_.channels[c].stats,
                       channels[c]->sender->stats());
       ChannelStats receiver_side;
@@ -801,10 +944,14 @@ Status PartitionedRunner::Run(
         // to MergeCounts without double counting the pre-fork totals.
         obs::MetricsRegistry::Default().ResetAll();
 
-        AbortState abort;
-        RunWorker(&workers[w], plan, entries, item_lists, batch_size,
-                  options_.parallel.adopt_records, &abort, /*finish=*/true);
-        Status status = abort.Snapshot();
+        std::thread feeder;
+        if (!workers[w].entry_streams.empty()) {
+          feeder = std::thread(FeedStreams, &ctx,
+                               std::cref(workers[w].entry_streams));
+        }
+        RunWorker(&ctx, &workers[w]);
+        if (feeder.joinable()) feeder.join();
+        Status status = ctx.abort.Snapshot();
 
         std::string report;
         PutVarint(&report, kReportVersion);
@@ -1120,7 +1267,7 @@ Status PartitionedRunner::Run(
     rebind.op->RebindMetrics(rebind.shard, rebind.original);
   }
 
-  if (obs::Enabled()) {
+  if (wire && obs::Enabled()) {
     const TransportSeries& series = TransportSeries::Get();
     uint64_t items = 0, encoded = 0;
     for (const EdgeTrafficStats& edge : run_stats_.edges) {

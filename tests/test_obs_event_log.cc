@@ -11,8 +11,8 @@
 
 #include "common/status.h"
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
 #include "obs/event_log.h"
+#include "transport/runner.h"
 
 namespace streamshare {
 namespace {
@@ -45,9 +45,6 @@ TEST(EventLogTest, SilentWithoutSink) {
 }
 
 TEST(EventLogTest, MemorySinkCapturesStructuredEvents) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   EventLog log;
   auto sink = std::make_shared<MemorySink>();
   log.SetSink(sink);
@@ -70,9 +67,6 @@ TEST(EventLogTest, MemorySinkCapturesStructuredEvents) {
 }
 
 TEST(EventLogTest, MinSeverityFilters) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   EventLog log;
   auto sink = std::make_shared<MemorySink>();
   log.SetSink(sink);
@@ -140,8 +134,8 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   auto* parallel_entry = parallel_graph.Add<engine::PassOp>("entry[q7]");
   auto* parallel_fail = parallel_graph.Add<AlwaysFailOp>("boom");
   parallel_entry->AddDownstream(parallel_fail);
-  engine::ParallelExecutor executor;
-  Status parallel_status = executor.Run(parallel_entry, items);
+  transport::PartitionedRunner runner;
+  Status parallel_status = runner.Run({parallel_entry}, {items});
 
   ASSERT_FALSE(serial_status.ok());
   ASSERT_FALSE(parallel_status.ok());
@@ -155,9 +149,6 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
 }
 
 TEST(EventLogTest, OperatorFailureEmitsStructuredErrorEvent) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   auto sink = std::make_shared<MemorySink>();
   EventLog::Default().SetSink(sink);
 

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
+#include "transport/runner.h"
 
 namespace streamshare {
 namespace {
@@ -263,16 +263,13 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-// The parallel executor's built-in instrumentation updates
+// The partitioned runner's worker loop updates
 // engine.parallel.{items,batches,batch_items} from every worker thread on
 // pinned shards. Whatever the interleaving, the counters and the
 // histogram must tell one consistent story: every dispatched batch is one
 // batches increment, one histogram observation, and its item count summed
 // into items.
-TEST(MetricsRegistryTest, ParallelExecutorCountersStayConsistent) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
+TEST(MetricsRegistryTest, ParallelRunnerCountersStayConsistent) {
   if (!obs::Enabled()) GTEST_SKIP() << "observability disabled";
   MetricsRegistry& registry = MetricsRegistry::Default();
   Counter* items = registry.GetCounter("engine.parallel.items");
@@ -292,8 +289,8 @@ TEST(MetricsRegistryTest, ParallelExecutorCountersStayConsistent) {
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 500; ++i) fed.push_back(Leaf("n", std::to_string(i)));
 
-  engine::ParallelExecutor executor;
-  ASSERT_TRUE(executor.Run(entry, fed).ok());
+  transport::PartitionedRunner runner;
+  ASSERT_TRUE(runner.Run({entry}, {fed}).ok());
 
   const uint64_t items_delta = items->Value() - items_before;
   const uint64_t batches_delta = batches->Value() - batches_before;

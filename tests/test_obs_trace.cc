@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
 #include "obs/trace.h"
+#include "transport/runner.h"
 
 namespace streamshare {
 namespace {
@@ -288,9 +288,6 @@ TEST(TraceRecorderTest, DisabledRecorderRecordsNothing) {
 }
 
 TEST(TraceRecorderTest, NestedSpansSerializeWellFormed) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   recorder.SetThreadName("main-track");
@@ -330,9 +327,6 @@ TEST(TraceRecorderTest, NestedSpansSerializeWellFormed) {
 }
 
 TEST(TraceRecorderTest, EscapesSpecialCharactersInStrings) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   recorder.RecordComplete("quote\" slash\\ newline\n tab\t", "cat\"egory",
@@ -346,9 +340,6 @@ TEST(TraceRecorderTest, EscapesSpecialCharactersInStrings) {
 }
 
 TEST(TraceRecorderTest, ThreadsGetDistinctTracks) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   constexpr int kThreads = 4;
@@ -381,9 +372,6 @@ TEST(TraceRecorderTest, ThreadsGetDistinctTracks) {
 }
 
 TEST(TraceRecorderTest, ClearDropsEventsAndResetsEpoch) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   recorder.RecordComplete("before", "test", 0, 1);
@@ -402,13 +390,10 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-// End-to-end: the parallel executor's built-in instrumentation (worker
+// End-to-end: the partitioned runner's built-in instrumentation (worker
 // tracks, dispatch spans, the parallel.run span) must produce a parseable
 // trace with well-nested spans on every track.
 TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
-#if !STREAMSHARE_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
   TraceRecorder& recorder = TraceRecorder::Default();
   recorder.Clear();
   recorder.SetEnabled(true);
@@ -419,8 +404,8 @@ TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
   entry->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
-  engine::ParallelExecutor executor;
-  Status status = executor.Run(entry, items);
+  transport::PartitionedRunner runner;
+  Status status = runner.Run({entry}, {items});
 
   recorder.SetEnabled(false);
   ASSERT_TRUE(status.ok());

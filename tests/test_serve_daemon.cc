@@ -14,6 +14,7 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/net.h"
+#include "serve/wal.h"
 #include "workload/scenario.h"
 
 namespace streamshare::serve {
@@ -315,6 +316,7 @@ TEST(ServeDaemon, RestartableDrainCheckpointsAndExitsCleanly) {
   options.checkpoint_path =
       ::testing::TempDir() + "/serve_drain_reject.ckpt";
   std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
   auto daemon = StartDaemon(scenario, options);
   ASSERT_NE(daemon, nullptr);
 
@@ -339,6 +341,7 @@ TEST(ServeDaemon, RestartableDrainCheckpointsAndExitsCleanly) {
   ASSERT_EQ(checkpoint->events.size(), 1u);
   EXPECT_EQ(checkpoint->events[0].kind, LogEvent::Kind::kSubscribe);
   std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
 }
 
 TEST(ServeDaemon, SubscribeBatchMatchesSequentialSubscribes) {

@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "serve/serve_oracle.h"
+#include "serve/wal.h"
 #include "workload/scenario.h"
 
 namespace streamshare::serve {
@@ -142,6 +143,7 @@ TEST(ServeEndToEnd, IdentityHoldsAcrossDrainAndReplayRestart) {
 
   ExpectLiveMatchesBatch(*live, RunBatch(scenario, kItems));
   std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
 }
 
 TEST(ServeEndToEnd, ChurnedLiveMatchesChurnedBatch) {
@@ -192,6 +194,7 @@ TEST(ServeEndToEnd, GapResumeNeverDuplicatesAndKeepsSubscriptions) {
   }
   EXPECT_GT(live_total, 0u);
   std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
 }
 
 }  // namespace

@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
     std::printf("\n%-8s %10s %10s %16s %16s %10s\n", "worker", "peers",
                 "entries", "prod blocked ms", "cons blocked ms",
                 "max depth");
-    const auto& worker_stats = run->system->parallel_stats();
+    const auto& worker_stats = run->system->run_stats().workers;
     for (size_t w = 0; w < worker_stats.size(); ++w) {
       const engine::ParallelWorkerStats& stats = worker_stats[w];
       std::string peers;
@@ -333,8 +333,7 @@ int main(int argc, char** argv) {
   }
 
   if (!options.transport.empty()) {
-    const transport::TransportRunStats& tstats =
-        run->system->transport_stats();
+    const transport::RunStats& tstats = run->system->run_stats();
     std::printf("\ntransport=%s processes=%zu\n", tstats.transport.c_str(),
                 tstats.process_count);
     std::printf("%-12s %12s %12s %12s %10s\n", "channel", "frames",
