@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   std::printf("items_total=%zu\n", total_items);
 
   // --- Stamping-overhead pair: identical serial record-path runs, one
-  // clock read per item apart. CI gates on the relative difference, so
+  // clock read per fed batch apart. CI gates on the relative difference, so
   // the measurement must beat scheduler noise: interleave the two
   // configurations across trials and take each one's best rate (the
   // least-perturbed run is the closest to the true cost of the code).
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
         }
         auto batches = make_batches(serial_config);
         Clock::time_point start = Clock::now();
-        Status status = (*system)->RunBatches(&batches);
+        Status status = (*system)->Run(&batches);
         double elapsed = SecondsSince(start);
         if (!status.ok()) {
           std::fprintf(stderr, "serial run failed: %s\n",

@@ -14,6 +14,12 @@ namespace {
 
 xml::Path P(const char* text) { return xml::Path::Parse(text).value(); }
 
+/// Opaque-slot batches of `items` (the operators' DOM evaluation).
+std::vector<engine::ItemBatch> OpaqueBatches(
+    const std::vector<engine::ItemPtr>& items) {
+  return engine::ChunkItems(items, /*batch_size=*/64, /*adopt=*/false);
+}
+
 std::vector<engine::ItemPtr> Photons(size_t count) {
   workload::PhotonGenConfig config;
   workload::PhotonGenerator generator(config);
@@ -23,6 +29,7 @@ std::vector<engine::ItemPtr> Photons(size_t count) {
 void RunWindowBench(benchmark::State& state,
                     properties::WindowSpec window) {
   std::vector<engine::ItemPtr> photons = Photons(4096);
+  std::vector<engine::ItemBatch> batches = OpaqueBatches(photons);
   for (auto _ : state) {
     state.PauseTiming();
     engine::OperatorGraph graph;
@@ -31,8 +38,8 @@ void RunWindowBench(benchmark::State& state,
     auto* sink = graph.Add<engine::SinkOp>("sink");
     agg->AddDownstream(sink);
     state.ResumeTiming();
-    for (const engine::ItemPtr& photon : photons) {
-      benchmark::DoNotOptimize(agg->Push(photon));
+    for (engine::ItemBatch& batch : batches) {
+      benchmark::DoNotOptimize(agg->PushBatch(&batch));
     }
     benchmark::DoNotOptimize(agg->Finish());
   }
@@ -80,12 +87,15 @@ void BM_AggCombine(benchmark::State& state) {
         "agg", properties::AggregateFunc::kAvg, P("en"), fine);
     auto* sink = graph.Add<engine::SinkOp>("sink", /*keep_items=*/true);
     agg->AddDownstream(sink);
-    if (!engine::RunStream(agg, Photons(8192)).ok()) {
+    std::vector<std::vector<engine::ItemBatch>> input = {
+        OpaqueBatches(Photons(8192))};
+    if (!engine::RunBatchStreams({agg}, &input).ok()) {
       state.SkipWithError("fine aggregation failed");
       return;
     }
     fine_items = sink->items();
   }
+  std::vector<engine::ItemBatch> batches = OpaqueBatches(fine_items);
   for (auto _ : state) {
     state.PauseTiming();
     engine::OperatorGraph graph;
@@ -94,8 +104,8 @@ void BM_AggCombine(benchmark::State& state) {
     auto* sink = graph.Add<engine::SinkOp>("sink");
     combine->AddDownstream(sink);
     state.ResumeTiming();
-    for (const engine::ItemPtr& item : fine_items) {
-      benchmark::DoNotOptimize(combine->Push(item));
+    for (engine::ItemBatch& batch : batches) {
+      benchmark::DoNotOptimize(combine->PushBatch(&batch));
     }
     benchmark::DoNotOptimize(combine->Finish());
   }

@@ -1,9 +1,12 @@
 // Serial vs. peer-partitioned parallel execution on the 4×4 grid
 // workload (Fig. 7 scenario: 16 super-peers, 2 photon streams, 100
-// queries under stream sharing). Feeds the identical item lists through
-// two identically-deployed systems — once on the serial executor, once on
-// the parallel one — verifies the outputs are bit-identical, and prints
-// items/s for both plus queue blocking totals.
+// queries under stream sharing). Feeds the same logical streams through
+// three identically-deployed systems — the serial executor on record
+// slots, the serial executor with record_path off (every slot an opaque
+// DOM item: serial_dom_items_per_s, and record_speedup = serial over
+// that), and the parallel executor — verifies the outputs are
+// bit-identical, and prints items/s for all three plus queue blocking
+// totals.
 //
 // Output is `key=value` lines (plus human-readable commentary on lines
 // starting with '#'); pipe through tools/bench_to_json to persist
@@ -53,7 +56,7 @@ int main(int argc, char** argv) {
   config.keep_results = true;  // needed for the bit-identity check
 
   sharing::SystemConfig dom_config = config;
-  dom_config.record_path = false;  // the pre-record DOM baseline
+  dom_config.record_path = false;  // opaque-slot (DOM evaluation) baseline
 
   sharing::SystemConfig parallel_config = config;
   parallel_config.executor = sharing::ExecutorKind::kParallel;
@@ -97,7 +100,7 @@ int main(int argc, char** argv) {
   const bool serial_only = std::getenv("BENCH_SERIAL_ONLY") != nullptr;
 
   Clock::time_point start = Clock::now();
-  Status status = (*serial)->RunBatches(&batches);
+  Status status = (*serial)->Run(&batches);
   double serial_s = SecondsSince(start);
   if (!status.ok()) {
     std::fprintf(stderr, "serial run failed: %s\n",

@@ -48,8 +48,12 @@ int main() {
   auto* direct_sink = graph.Add<engine::SinkOp>("direct-sink", true);
   direct->AddDownstream(direct_sink);
 
-  Status status = engine::RunStream(fine_agg, photons);
-  if (status.ok()) status = engine::RunStream(direct, photons);
+  // Both chains see the same photons, adopted into record batches.
+  std::vector<std::vector<engine::ItemBatch>> fine_input = {
+      engine::ChunkItems(photons, /*batch_size=*/64, /*adopt=*/true)};
+  std::vector<std::vector<engine::ItemBatch>> direct_input = fine_input;
+  Status status = engine::RunBatchStreams({fine_agg}, &fine_input);
+  if (status.ok()) status = engine::RunBatchStreams({direct}, &direct_input);
   if (!status.ok()) {
     std::fprintf(stderr, "execution failed: %s\n",
                  status.ToString().c_str());

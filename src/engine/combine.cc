@@ -4,6 +4,23 @@
 
 namespace streamshare::engine {
 
+namespace {
+
+/// Output batch size of the combination's flushes.
+constexpr size_t kOutputChunk = 64;
+
+/// Evaluates the join conditions and, when they hold, the return clause
+/// for one tuple of bound items, appending each output as an item.
+Status AppendJoined(const wxquery::AnalyzedQuery& query,
+                    const ReturnEnv& env, ItemBatch* out) {
+  SS_ASSIGN_OR_RETURN(bool joined,
+                      EvaluateReturnCondition(query.join_conditions, env));
+  if (!joined) return Status::Ok();
+  return AppendReturnOutputs(*query.flwr->return_expr, env, out);
+}
+
+}  // namespace
+
 CombinePortOp::CombinePortOp(std::string label, CombineOp* parent,
                              size_t index)
     : Operator(std::move(label)), parent_(parent), index_(index) {}
@@ -12,8 +29,11 @@ void CombinePortOp::AppendHardSuccessors(std::vector<Operator*>* out) {
   out->push_back(parent_);
 }
 
-Status CombinePortOp::Process(const ItemPtr& item) {
-  return parent_->BufferItem(index_, item);
+Status CombinePortOp::ProcessBatch(ItemBatch* batch) {
+  for (size_t i = 0; i < batch->size(); ++i) {
+    parent_->buffers_[index_].push_back(batch->Materialize(i));
+  }
+  return Status::Ok();
 }
 
 Status CombinePortOp::OnFinish() { return parent_->PortFinished(); }
@@ -24,14 +44,9 @@ CombineOp::CombineOp(std::string label,
   buffers_.resize(query_->bindings.size());
 }
 
-Status CombineOp::Process(const ItemPtr&) {
+Status CombineOp::ProcessBatch(ItemBatch*) {
   return Status::Internal(
       "CombineOp receives items only through its ports");
-}
-
-Status CombineOp::BufferItem(size_t index, const ItemPtr& item) {
-  buffers_[index].push_back(item);
-  return Status::Ok();
 }
 
 Status CombineOp::PortFinished() {
@@ -58,37 +73,26 @@ Status CombineOp::EvaluateAll() {
   // FLWR's nested-loop order.
   std::vector<size_t> index(buffers_.size(), 0);
   ReturnEnv env;
+  Status failure;
   while (true) {
     for (size_t b = 0; b < buffers_.size(); ++b) {
       env.items[query_->bindings[b].var] = buffers_[b][index[b]].get();
     }
-    SS_ASSIGN_OR_RETURN(
-        bool joined,
-        EvaluateReturnCondition(query_->join_conditions, env));
-    if (joined) {
-      std::vector<ReturnOutput> outputs;
-      SS_RETURN_IF_ERROR(
-          EvaluateReturn(*query_->flwr->return_expr, env, &outputs));
-      for (ReturnOutput& output : outputs) {
-        if (auto* node =
-                std::get_if<std::unique_ptr<xml::XmlNode>>(&output)) {
-          SS_RETURN_IF_ERROR(Emit(MakeItem(std::move(*node))));
-        } else {
-          auto wrapper = std::make_unique<xml::XmlNode>("value");
-          wrapper->set_text(std::get<std::string>(output));
-          SS_RETURN_IF_ERROR(Emit(MakeItem(std::move(wrapper))));
-        }
-      }
+    failure = AppendJoined(*query_, env, &scratch_);
+    if (!failure.ok()) break;
+    // Flush in chunks: a combination may produce millions of tuples.
+    if (scratch_.size() >= kOutputChunk) {
+      SS_RETURN_IF_ERROR(FlushScratch(&scratch_));
     }
-    // Advance the odometer (innermost = last binding fastest).
+    // Advance the odometer (innermost = last binding fastest); done once
+    // the outermost binding wraps.
     size_t b = buffers_.size();
-    while (b > 0) {
-      --b;
-      if (++index[b] < buffers_[b].size()) break;
-      index[b] = 0;
-      if (b == 0) return Status::Ok();
+    while (b > 0 && ++index[b - 1] == buffers_[b - 1].size()) {
+      index[--b] = 0;
     }
+    if (b == 0) break;
   }
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 }  // namespace streamshare::engine

@@ -40,7 +40,8 @@ class CombinePortOp : public Operator {
   void AppendHardSuccessors(std::vector<Operator*>* out) override;
 
  protected:
-  Status Process(const ItemPtr& item) override;
+  /// Buffers the materialized slots into the combiner.
+  Status ProcessBatch(ItemBatch* batch) override;
   Status OnFinish() override;
 
  private:
@@ -62,19 +63,20 @@ class CombineOp : public Operator {
  protected:
   /// Items are never pushed into the combiner directly — only through
   /// its ports.
-  Status Process(const ItemPtr& item) override;
+  Status ProcessBatch(ItemBatch* batch) override;
 
  private:
   friend class CombinePortOp;
 
-  Status BufferItem(size_t index, const ItemPtr& item);
   Status PortFinished();
-  /// Nested-loop evaluation over all buffered inputs.
+  /// Nested-loop evaluation over all buffered inputs. Outputs leave in
+  /// unstamped batches (the combination runs at end of stream).
   Status EvaluateAll();
 
   std::shared_ptr<const wxquery::AnalyzedQuery> query_;
   std::vector<std::vector<ItemPtr>> buffers_;
   size_t finished_ports_ = 0;
+  ItemBatch scratch_;
 };
 
 }  // namespace streamshare::engine

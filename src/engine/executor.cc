@@ -1,5 +1,8 @@
 #include "engine/executor.h"
 
+#include <algorithm>
+#include <span>
+
 #include "engine/latency.h"
 #include "obs/event_log.h"
 
@@ -20,118 +23,17 @@ Status WrapOperatorFailure(Status status, std::string_view action,
   return status.WithContext(OperatorContext(action, op));
 }
 
-Status RunStream(Operator* entry, const std::vector<ItemPtr>& items) {
-  const bool stamping = latency::Enabled();
-  for (const ItemPtr& item : items) {
-    // DOM pushes are synchronous, so the ingress stamp travels as the
-    // thread-local ambient; the scope clears it before Finish below, so
-    // window flushes emitted at end-of-stream stay unstamped.
-    latency::ItemStamp stamp;
-    if (stamping) stamp.ingress_us = latency::NowUs();
-    latency::AmbientScope scope(stamp);
-    Status status = entry->Push(item);
-    if (!status.ok()) {
-      return WrapOperatorFailure(std::move(status), "push", *entry);
-    }
-  }
-  Status status = entry->Finish();
-  if (!status.ok()) {
-    return WrapOperatorFailure(std::move(status), "finish", *entry);
-  }
-  return Status::Ok();
-}
-
-Status RunStreams(const std::vector<Operator*>& entries,
-                  const std::vector<std::vector<ItemPtr>>& item_lists,
-                  bool finish) {
-  if (entries.size() != item_lists.size()) {
-    return Status::InvalidArgument(
-        "RunStreams: entries and item lists differ in count");
-  }
-  // Round-robin over the streams that still have items: exhausted streams
-  // drop out of `active` instead of being re-tested every round.
-  std::vector<size_t> cursors(entries.size(), 0);
-  std::vector<size_t> active;
-  active.reserve(entries.size());
-  for (size_t s = 0; s < entries.size(); ++s) {
-    if (!item_lists[s].empty()) active.push_back(s);
-  }
-  const bool stamping = latency::Enabled();
-  while (!active.empty()) {
-    size_t write = 0;
-    for (size_t idx = 0; idx < active.size(); ++idx) {
-      size_t s = active[idx];
-      latency::ItemStamp stamp;
-      if (stamping) stamp.ingress_us = latency::NowUs();
-      latency::AmbientScope scope(stamp);
-      Status status = entries[s]->Push(item_lists[s][cursors[s]++]);
-      if (!status.ok()) {
-        return WrapOperatorFailure(std::move(status), "push", *entries[s]);
-      }
-      if (cursors[s] < item_lists[s].size()) active[write++] = s;
-    }
-    active.resize(write);
-  }
-  if (finish) {
-    for (Operator* entry : entries) {
-      Status status = entry->Finish();
-      if (!status.ok()) {
-        return WrapOperatorFailure(std::move(status), "finish", *entry);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status RunStreamsBatched(const std::vector<Operator*>& entries,
-                         const std::vector<std::vector<ItemPtr>>& item_lists,
-                         size_t batch_size, bool adopt, bool finish) {
-  if (entries.size() != item_lists.size()) {
-    return Status::InvalidArgument(
-        "RunStreamsBatched: entries and item lists differ in count");
-  }
+std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
+                                  size_t batch_size, bool adopt) {
   if (batch_size == 0) batch_size = 1;
-  std::vector<size_t> cursors(entries.size(), 0);
-  std::vector<size_t> active;
-  active.reserve(entries.size());
-  for (size_t s = 0; s < entries.size(); ++s) {
-    if (!item_lists[s].empty()) active.push_back(s);
+  std::vector<ItemBatch> batches;
+  batches.reserve((items.size() + batch_size - 1) / batch_size);
+  for (size_t i = 0; i < items.size(); i += batch_size) {
+    batches.push_back(ItemBatch::FromItems(
+        std::span(items).subspan(i, std::min(batch_size, items.size() - i)),
+        adopt));
   }
-  const bool stamping = latency::Enabled();
-  ItemBatch batch;
-  while (!active.empty()) {
-    size_t write = 0;
-    for (size_t idx = 0; idx < active.size(); ++idx) {
-      size_t s = active[idx];
-      const std::vector<ItemPtr>& items = item_lists[s];
-      size_t end = std::min(items.size(), cursors[s] + batch_size);
-      batch.clear();
-      batch.reserve(end - cursors[s]);
-      // One ingress tick per chunk: the whole chunk enters the pipeline
-      // at this instant, and a single clock read keeps stamping overhead
-      // off the per-item fast path.
-      uint64_t now = stamping ? latency::NowUs() : 0;
-      for (; cursors[s] < end; ++cursors[s]) {
-        batch.AppendItem(items[cursors[s]], adopt);
-        if (stamping) batch.slot(batch.size() - 1).stamp.ingress_us = now;
-      }
-      Status status = entries[s]->PushBatch(&batch);
-      if (!status.ok()) {
-        return WrapOperatorFailure(std::move(status), "push", *entries[s]);
-      }
-      if (cursors[s] < items.size()) active[write++] = s;
-    }
-    active.resize(write);
-  }
-  if (finish) {
-    for (Operator* entry : entries) {
-      Status status = entry->Finish();
-      if (!status.ok()) {
-        return WrapOperatorFailure(std::move(status), "finish", *entry);
-      }
-    }
-  }
-  return Status::Ok();
+  return batches;
 }
 
 Status RunBatchStreams(const std::vector<Operator*>& entries,
@@ -153,13 +55,7 @@ Status RunBatchStreams(const std::vector<Operator*>& entries,
     for (size_t idx = 0; idx < active.size(); ++idx) {
       size_t s = active[idx];
       ItemBatch& batch = (*batch_lists)[s][cursors[s]++];
-      if (stamping) {
-        uint64_t now = latency::NowUs();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          ItemBatch::Slot& slot = batch.slot(i);
-          if (!slot.stamp.stamped()) slot.stamp.ingress_us = now;
-        }
-      }
+      if (stamping) batch.StampIngress(latency::NowUs());
       Status status = entries[s]->PushBatch(&batch);
       if (!status.ok()) {
         return WrapOperatorFailure(std::move(status), "push", *entries[s]);

@@ -1,6 +1,7 @@
-// Driving a deployed operator network: owns operators, feeds source items,
-// and propagates end-of-stream. The operator graph is a forest rooted at
-// per-stream entry operators; fan-out happens wherever a stream is shared.
+// Driving a deployed operator network: owns operators, feeds source
+// batches, and propagates end-of-stream. The operator graph is a forest
+// rooted at per-stream entry operators; fan-out happens wherever a stream
+// is shared.
 
 #ifndef STREAMSHARE_ENGINE_EXECUTOR_H_
 #define STREAMSHARE_ENGINE_EXECUTOR_H_
@@ -44,32 +45,21 @@ class OperatorGraph {
   std::vector<std::unique_ptr<Operator>> operators_;
 };
 
-/// Feeds `items` into `entry` one by one, then signals end of stream.
-Status RunStream(Operator* entry, const std::vector<ItemPtr>& items);
+/// Chunks DOM items into consecutive batches of `batch_size` (0 counts
+/// as 1), adopting photon-conforming items into compact records when
+/// `adopt` is true. The one place DOM items become batches.
+std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
+                                  size_t batch_size, bool adopt);
 
-/// Interleaves several sources round-robin (approximating concurrent
-/// streams of equal rate). When `finish` is true (the default), signals
-/// end of stream afterwards — a single-shot run. Pass false to keep the
-/// streams live (continuous operation with more feeds to come); note that
-/// end-of-stream is a one-shot signal per operator, so finishing is only
-/// meaningful once.
-Status RunStreams(const std::vector<Operator*>& entries,
-                  const std::vector<std::vector<ItemPtr>>& item_lists,
-                  bool finish = true);
-
-/// Batched drive of the same streams: chunks each stream's items into
-/// ItemBatches of `batch_size` (adopting photon-conforming items into
-/// compact records when `adopt` is true) and round-robins whole chunks
-/// across streams. Per-stream order and all sink aggregates match
-/// RunStreams; only the cross-stream interleave granularity differs
-/// (chunks instead of single items).
-Status RunStreamsBatched(const std::vector<Operator*>& entries,
-                         const std::vector<std::vector<ItemPtr>>& item_lists,
-                         size_t batch_size, bool adopt, bool finish = true);
-
-/// Round-robins pre-built per-stream batch lists (generator- or
-/// decoder-fed runs that never had a DOM to chunk). Batches are consumed
-/// in place: pushing may fill their lazy materialization caches.
+/// The feed loop: round-robins the per-stream batch lists across
+/// `entries` (one batch per stream per round, per-stream order
+/// preserved). With stamping enabled, every fed batch costs one clock
+/// read, which stamps its still-unstamped slots. When `finish` is true
+/// (the default), signals end of stream afterwards — a single-shot run.
+/// Pass false to keep the streams live (continuous operation with more
+/// feeds to come); end of stream is a one-shot signal per operator.
+/// Batches are consumed in place: pushing may fill their lazy
+/// materialization caches.
 Status RunBatchStreams(const std::vector<Operator*>& entries,
                        std::vector<std::vector<ItemBatch>>* batch_lists,
                        bool finish = true);

@@ -9,8 +9,6 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
-thread_local ItemStamp t_ambient;
-
 }  // namespace
 
 uint64_t NowUs() {
@@ -27,11 +25,5 @@ bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
 }
-
-const ItemStamp& Ambient() { return t_ambient; }
-
-void SetAmbient(const ItemStamp& stamp) { t_ambient = stamp; }
-
-void ClearAmbient() { t_ambient = ItemStamp(); }
 
 }  // namespace streamshare::engine::latency

@@ -1,11 +1,11 @@
 // The measured-latency plane. Every item is stamped with an ingress tick
-// when it enters the system (at the generator feed), and the stamp rides
-// with the item — in its batch slot on the record path, in a thread-local
-// ambient on the synchronous DOM push path, and as a varint frame
-// extension on the transport wire — accumulating queue-residency and
-// transport time along the way. Sinks turn arriving stamps into per-query
-// end-to-end histograms with stage attribution (pipeline / queue-wait /
-// transport).
+// when it enters the system (one clock read per fed batch), and the stamp
+// rides with the item — in its batch slot between operators (an output
+// slot inherits the stamp of the input slot that produced it) and as a
+// varint frame extension on the transport wire — accumulating
+// queue-residency and transport time along the way. Sinks turn arriving
+// stamps into per-query end-to-end histograms with stage attribution
+// (pipeline / queue-wait / transport).
 //
 // Stamps are metrics only: they are excluded from content hashes and
 // never change what a query outputs (an ARCHITECTURE invariant the fuzz
@@ -41,7 +41,7 @@ struct ItemStamp {
 uint64_t NowUs();
 
 /// Runtime master switch, default on. Stamping costs one clock read per
-/// item at the feed and one per queue/wire hop; the perf_smoke CI gate
+/// fed batch and one per queue/wire hop; the perf_smoke CI gate
 /// holds the overhead under 5%.
 bool Enabled();
 void SetEnabled(bool on);
@@ -61,30 +61,6 @@ class ScopedEnabled {
 
  private:
   bool previous_;
-};
-
-/// Ambient stamp of the item currently being pushed on this thread. The
-/// DOM path pushes items one by one through a synchronous operator
-/// cascade, so the stamp of the item under evaluation — and of anything
-/// it causes to be emitted, window flushes included — is a thread-local,
-/// not a slot field. Returns an unstamped ItemStamp outside a push.
-const ItemStamp& Ambient();
-void SetAmbient(const ItemStamp& stamp);
-void ClearAmbient();
-
-/// Sets the ambient stamp for one item push and restores the previous
-/// ambient on destruction (batch fallbacks nest inside feed loops).
-class AmbientScope {
- public:
-  explicit AmbientScope(const ItemStamp& stamp) : previous_(Ambient()) {
-    SetAmbient(stamp);
-  }
-  ~AmbientScope() { SetAmbient(previous_); }
-  AmbientScope(const AmbientScope&) = delete;
-  AmbientScope& operator=(const AmbientScope&) = delete;
-
- private:
-  ItemStamp previous_;
 };
 
 }  // namespace streamshare::engine::latency

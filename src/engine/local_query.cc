@@ -66,7 +66,11 @@ Result<LocalQueryResult> RunLocalQuery(const wxquery::AnalyzedQuery& query,
   auto* sink = graph.Add<SinkOp>("local:sink", /*keep_items=*/true);
   restructure->AddDownstream(sink);
 
-  SS_RETURN_IF_ERROR(RunStream(entry, items));
+  // Opaque slots: a local query evaluates its items on their trees.
+  constexpr size_t kBatchSize = 64;
+  std::vector<std::vector<ItemBatch>> batches = {
+      ChunkItems(items, kBatchSize, /*adopt=*/false)};
+  SS_RETURN_IF_ERROR(RunBatchStreams({entry}, &batches));
 
   LocalQueryResult result;
   result.wrapper_tag = query.wrapper_tag;

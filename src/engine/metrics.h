@@ -45,21 +45,17 @@ class Metrics {
   void AddBytes(network::LinkId link, uint64_t bytes) {
     bytes_per_link_[link] += bytes;
   }
-  void AddWork(network::NodeId peer, double work_units) {
-    work_per_peer_[peer] += work_units;
-    items_per_peer_[peer] += 1;
-  }
-  /// N invocations of AddWork in one call (a batch push). Loops the
-  /// floating-point adds instead of multiplying, so a batch of n items
-  /// bills bit-identically to n single pushes.
+  /// Bills `n` operator invocations of `work_units` each (a pushed batch
+  /// of n items). Loops the floating-point adds instead of multiplying,
+  /// so a batch of n items bills bit-identically to n one-item batches.
   void AddWorkN(network::NodeId peer, double work_units, size_t n) {
     double& work = work_per_peer_[peer];
     for (size_t i = 0; i < n; ++i) work += work_units;
     items_per_peer_[peer] += n;
   }
   /// Adds already-aggregated measurements — merging a shard whose raw
-  /// vectors arrived over a cross-process report channel, where AddWork's
-  /// one-invocation-per-call accounting does not apply.
+  /// vectors arrived over a cross-process report channel, where AddWorkN's
+  /// one-invocation-per-item accounting does not apply.
   void AddMeasured(network::NodeId peer, double work_units,
                    uint64_t invocations) {
     work_per_peer_[peer] += work_units;

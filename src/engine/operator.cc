@@ -26,13 +26,6 @@ Status Operator::Finish() {
   return Status::Ok();
 }
 
-Status Operator::Emit(const ItemPtr& item) {
-  for (Operator* downstream : downstreams_) {
-    SS_RETURN_IF_ERROR(downstream->Push(item));
-  }
-  return Status::Ok();
-}
-
 Status Operator::EmitBatch(ItemBatch* batch) {
   for (Operator* downstream : downstreams_) {
     SS_RETURN_IF_ERROR(downstream->PushBatch(batch));
@@ -40,11 +33,13 @@ Status Operator::EmitBatch(ItemBatch* batch) {
   return Status::Ok();
 }
 
-Status SelectOp::Process(const ItemPtr& item) {
-  SS_ASSIGN_OR_RETURN(bool keep,
-                      predicate::EvaluateConjunction(predicates_, *item));
-  if (keep) return Emit(item);
-  return Status::Ok();
+Status Operator::FlushScratch(ItemBatch* scratch, Status failure) {
+  if (!scratch->empty()) {
+    Status emitted = EmitBatch(scratch);
+    scratch->clear();
+    if (!emitted.ok()) return emitted;
+  }
+  return failure;
 }
 
 Status SelectOp::ProcessBatch(ItemBatch* batch) {
@@ -52,7 +47,6 @@ Status SelectOp::ProcessBatch(ItemBatch* batch) {
     compiled_ = CompilePredicates(predicates_);
     compiled_valid_ = true;
   }
-  scratch_.clear();
   Status failure;
   for (size_t i = 0; i < batch->size(); ++i) {
     const ItemBatch::Slot& slot = batch->slot(i);
@@ -66,14 +60,7 @@ Status SelectOp::ProcessBatch(ItemBatch* batch) {
     }
     if (*keep) scratch_.AppendSlot(slot);
   }
-  // Flush the passers gathered so far even when evaluation failed, so the
-  // sink sees exactly the prefix the per-item path delivers before an
-  // abort; a downstream failure on those items takes precedence (it is
-  // the earlier item's error).
-  Status emitted = EmitBatch(&scratch_);
-  scratch_.clear();
-  if (!emitted.ok()) return emitted;
-  return failure;
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 namespace {
@@ -121,16 +108,11 @@ std::unique_ptr<xml::XmlNode> ProjectTree(
 
 }  // namespace
 
-Status ProjectOp::Process(const ItemPtr& item) {
-  return Emit(MakeItem(ProjectTree(*item, output_paths_)));
-}
-
 Status ProjectOp::ProcessBatch(ItemBatch* batch) {
   if (!mask_valid_) {
     keep_mask_ = CompileProjectionMask(output_paths_);
     mask_valid_ = true;
   }
-  scratch_.clear();
   scratch_.reserve(batch->size());
   for (size_t i = 0; i < batch->size(); ++i) {
     const ItemBatch::Slot& slot = batch->slot(i);
@@ -144,14 +126,7 @@ Status ProjectOp::ProcessBatch(ItemBatch* batch) {
     // the same logical item, so its latency stamp rides along.
     scratch_.slot(scratch_.size() - 1).stamp = slot.stamp;
   }
-  Status emitted = EmitBatch(&scratch_);
-  scratch_.clear();
-  return emitted;
-}
-
-Status LinkOp::Process(const ItemPtr& item) {
-  link_metrics_->AddBytes(link_, item->SerializedSize());
-  return Emit(item);
+  return FlushScratch(&scratch_);
 }
 
 Status LinkOp::ProcessBatch(ItemBatch* batch) {
@@ -288,23 +263,11 @@ void SinkOp::RecordLatency(const latency::ItemStamp& stamp,
   if (++unflushed_ >= kLatencyFlushInterval) FlushLatency();
 }
 
-Status SinkOp::Process(const ItemPtr& item) {
-  ++item_count_;
-  total_bytes_ += item->SerializedSize();
-  if (hash_items_) {
-    content_hash_ += HashItemContent(*item);
-  }
-  if (keep_items_) items_.push_back(item);
-  // The DOM push path carries the stamp in the thread-local ambient.
-  RecordLatency(latency::Ambient(), latency::NowUs());
-  return Status::Ok();
-}
-
 Status SinkOp::ProcessBatch(ItemBatch* batch) {
   item_count_ += batch->size();
   // One arrival tick for the whole batch — the slots are delivered by
   // this very call, so they share an arrival instant the same way a fed
-  // chunk shares its ingress tick. Keeps the clock off the per-item path.
+  // batch shares its ingress tick. Keeps the clock off the per-item path.
   uint64_t now = lat_e2e_ != nullptr && latency::Enabled()
                      ? latency::NowUs()
                      : 0;

@@ -1,9 +1,12 @@
-// Push-based streaming operators. An operator receives items via Push,
-// transforms them, and emits results to its downstream operators; fan-out
-// (the paper's stream duplication at a super-peer) is simply multiple
-// downstreams sharing the immutable items. Each operator is placed on a
-// peer and bills work units to the deployment's Metrics on every
-// invocation, so measured per-peer CPU load falls out of execution.
+// Push-based streaming operators. An operator receives ItemBatches via
+// PushBatch, transforms them, and emits result batches to its downstream
+// operators; fan-out (the paper's stream duplication at a super-peer) is
+// simply multiple downstreams sharing the immutable items. A slot is a
+// compact photon record or an opaque DOM item; an all-opaque run is the
+// DOM evaluation the differential oracle diffs the record path against.
+// Each operator is placed on a peer and bills work units to the
+// deployment's Metrics for every item it receives, so measured per-peer
+// CPU load falls out of execution.
 
 #ifndef STREAMSHARE_ENGINE_OPERATOR_H_
 #define STREAMSHARE_ENGINE_OPERATOR_H_
@@ -73,7 +76,7 @@ class Operator {
     if (metrics_ == from) metrics_ = to;
   }
 
-  /// Bills `work_per_item` units to `peer` in `metrics` on every Push.
+  /// Bills `work_per_item` units to `peer` in `metrics` per pushed item.
   void SetAccounting(Metrics* metrics, network::NodeId peer,
                      double work_per_item) {
     metrics_ = metrics;
@@ -82,17 +85,10 @@ class Operator {
   }
   network::NodeId peer() const { return peer_; }
 
-  /// Feeds one item through this operator.
-  Status Push(const ItemPtr& item) {
-    if (metrics_ != nullptr) metrics_->AddWork(peer_, work_per_item_);
-    return Process(item);
-  }
-
-  /// Feeds a batch of items. Billing is identical to size() Push calls
-  /// (AddWorkN loops the adds); ProcessBatch gives operators a whole-batch
-  /// hot path over the compact record slots. The batch stays owned by the
-  /// caller: receivers may materialize slots (filling the lazy XML cache)
-  /// but must not reshape the batch itself.
+  /// Feeds a batch of items, billing `work_per_item` once per item
+  /// (AddWorkN loops the adds). The batch stays owned by the caller:
+  /// receivers may materialize slots (filling the lazy XML cache) but must
+  /// not reshape the batch itself.
   Status PushBatch(ItemBatch* batch) {
     if (batch->empty()) return Status::Ok();
     if (metrics_ != nullptr) {
@@ -111,30 +107,24 @@ class Operator {
   virtual size_t OpenWindowCount() const { return 0; }
 
  protected:
-  virtual Status Process(const ItemPtr& item) = 0;
-  /// Batch hook. The default materializes each slot and loops Process, so
-  /// operators that genuinely need tree structure (window contents,
-  /// combine, restructure) keep exact per-item semantics. Vectorized
-  /// overrides that buffer output slots must flush the buffered results
-  /// downstream *before* returning an error, so a failing run delivers
-  /// exactly the prefix the per-item path would have.
-  virtual Status ProcessBatch(ItemBatch* batch) {
-    for (size_t i = 0; i < batch->size(); ++i) {
-      // The per-item fallback re-enters the synchronous DOM push path;
-      // surface the slot's latency stamp as the thread-local ambient so
-      // sinks (and window flushes triggered by this item) still see it.
-      latency::AmbientScope stamp(batch->slot(i).stamp);
-      SS_RETURN_IF_ERROR(Process(batch->Materialize(i)));
-    }
-    return Status::Ok();
-  }
-  /// Flush hook for stateful operators; may Emit.
+  /// Processes one non-empty batch. Operators that emit collect their
+  /// outputs into a scratch batch; each output slot carries the stamp of
+  /// the input slot that produced it. The scratch batch is flushed
+  /// downstream *before* an error returns, so a failing run delivers
+  /// exactly the outputs of the slots before the failing one (a
+  /// downstream failure on those takes precedence: it is the earlier
+  /// slot's error).
+  virtual Status ProcessBatch(ItemBatch* batch) = 0;
+  /// Flush hook for stateful operators; outputs emitted here have no
+  /// single originating slot and stay unstamped.
   virtual Status OnFinish() { return Status::Ok(); }
 
-  /// Forwards an item to all downstreams.
-  Status Emit(const ItemPtr& item);
   /// Forwards a batch to all downstreams.
   Status EmitBatch(ItemBatch* batch);
+  /// Emits `scratch` (when non-empty) and clears it, then returns
+  /// `failure` unless the emit itself failed — the flush-before-error
+  /// rule of ProcessBatch.
+  Status FlushScratch(ItemBatch* scratch, Status failure = Status::Ok());
 
  private:
   std::string label_;
@@ -164,7 +154,6 @@ class SelectOp : public Operator {
   }
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Evaluates the conjunction compiled against the photon schema over
   /// record slots, falling back to tree evaluation for opaque slots.
   Status ProcessBatch(ItemBatch* batch) override;
@@ -194,7 +183,6 @@ class ProjectOp : public Operator {
   }
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Projects record slots by mask intersection (no allocation), opaque
   /// slots by the tree rebuild.
   Status ProcessBatch(ItemBatch* batch) override;
@@ -228,7 +216,6 @@ class LinkOp : public Operator {
   network::LinkId link() const { return link_; }
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Bills record sizes without materializing, then forwards the batch.
   Status ProcessBatch(ItemBatch* batch) override;
 
@@ -281,7 +268,6 @@ class SinkOp : public Operator {
   uint64_t stamp_regressions() const { return stamp_regressions_; }
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Counts, sizes and hashes straight off the record slots; materializes
   /// a tree only when the sink keeps items.
   Status ProcessBatch(ItemBatch* batch) override;
@@ -334,7 +320,6 @@ class PassOp : public Operator {
   explicit PassOp(std::string label) : Operator(std::move(label)) {}
 
  protected:
-  Status Process(const ItemPtr& item) override { return Emit(item); }
   Status ProcessBatch(ItemBatch* batch) override { return EmitBatch(batch); }
 };
 

@@ -24,18 +24,14 @@ struct ParallelOptions {
   /// (pills count as one item; a batch is admitted whole once any space
   /// is free).
   size_t queue_capacity = 1024;
-  /// Items per ItemBatch handoff: the feeder and every queue port flush
-  /// once they have buffered this many.
+  /// Items per ItemBatch: DOM feeds are chunked to this size, and every
+  /// queue port flushes once it has buffered this many.
   size_t batch_size = 64;
   /// Cap on worker threads; 0 means std::thread::hardware_concurrency().
   /// Peer partitions beyond the cap are coalesced along the worker DAG
   /// (CoalesceWorkers), so one thread drives several peers instead of
   /// oversubscribing the machine.
   size_t max_workers = 0;
-  /// Convert photon-conforming items into compact records while feeding
-  /// (the batched hot path). Off, every slot stays an opaque tree and
-  /// operators take the same evaluation path as the serial executor.
-  bool adopt_records = true;
 };
 
 /// Per-worker observability for one Run (queue pressure, partition

@@ -220,8 +220,10 @@ PhotonRecord PhotonRecord::Project(uint16_t keep_mask) const {
   return projected;
 }
 
-void ItemBatch::AppendItem(const ItemPtr& item, bool adopt) {
+void ItemBatch::AppendItem(const ItemPtr& item, bool adopt,
+                           const latency::ItemStamp& stamp) {
   Slot slot;
+  slot.stamp = stamp;
   if (adopt && PhotonRecord::FromXml(*item, &slot.record)) {
     slot.is_record = true;
   }
@@ -235,6 +237,13 @@ const ItemPtr& ItemBatch::Materialize(size_t i) {
   Slot& slot = slots_[i];
   if (slot.item == nullptr) slot.item = MakeItem(slot.record.MaterializeXml());
   return slot.item;
+}
+
+void ItemBatch::MakeOpaque() {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Materialize(i);
+    slots_[i].is_record = false;
+  }
 }
 
 ItemBatch ItemBatch::FromItems(std::span<const ItemPtr> items, bool adopt) {

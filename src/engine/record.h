@@ -193,16 +193,30 @@ class ItemBatch {
     slot.is_record = true;
     slots_.push_back(std::move(slot));
   }
-  /// Appends an XML item; with `adopt`, photon-conforming items are
-  /// converted to records (the item pointer is kept as the ready-made
-  /// materialization, so adopting never loses the original tree).
-  void AppendItem(const ItemPtr& item, bool adopt);
+  /// Appends an XML item carrying `stamp`; with `adopt`,
+  /// photon-conforming items are converted to records (the item pointer
+  /// is kept as the ready-made materialization, so adopting never loses
+  /// the original tree).
+  void AppendItem(const ItemPtr& item, bool adopt,
+                  const latency::ItemStamp& stamp = {});
   /// Appends a copy of another batch's slot (forwarding).
   void AppendSlot(const Slot& slot) { slots_.push_back(slot); }
 
   /// The XML tree of slot `i`, materializing (and caching) record slots
   /// on first use.
   const ItemPtr& Materialize(size_t i);
+
+  /// Stamps every still-unstamped slot with ingress tick `now` — the
+  /// feed's one clock read per batch.
+  void StampIngress(uint64_t now) {
+    for (Slot& slot : slots_) {
+      if (!slot.stamp.stamped()) slot.stamp.ingress_us = now;
+    }
+  }
+
+  /// Materializes every record slot and marks it opaque, so operators
+  /// evaluate the whole batch on trees (the DOM reference configuration).
+  void MakeOpaque();
 
   /// Wraps a list of DOM items (see AppendItem for `adopt`).
   static ItemBatch FromItems(std::span<const ItemPtr> items, bool adopt);

@@ -217,8 +217,8 @@ RestructureOp::RestructureOp(
 
 RestructureOp::~RestructureOp() = default;
 
-Status RestructureOp::EvaluateTree(const xml::XmlNode& item,
-                                   ItemBatch* out) {
+Status RestructureOp::EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
+                                   const latency::ItemStamp& stamp) {
   ReturnEnv env;
   if (binding_->window.has_value() && !binding_->aggregate.has_value()) {
     // Window-contents query: the incoming item is a <window> wrapper; the
@@ -244,57 +244,26 @@ Status RestructureOp::EvaluateTree(const xml::XmlNode& item,
   } else {
     env.items[binding_->var] = &item;
   }
-
-  std::vector<ReturnOutput> outputs;
-  SS_RETURN_IF_ERROR(
-      EvaluateReturn(*query_->flwr->return_expr, env, &outputs));
-  for (ReturnOutput& output : outputs) {
-    if (auto* node = std::get_if<std::unique_ptr<xml::XmlNode>>(&output)) {
-      out->AppendItem(MakeItem(std::move(*node)), /*adopt=*/false);
-    } else {
-      // A bare text output at top level (e.g. "return $a") is wrapped so
-      // the result stream stays element-structured.
-      auto wrapper = std::make_unique<xml::XmlNode>("value");
-      wrapper->set_text(std::get<std::string>(output));
-      out->AppendItem(MakeItem(std::move(wrapper)), /*adopt=*/false);
-    }
-  }
-  return Status::Ok();
-}
-
-Status RestructureOp::Process(const ItemPtr& item) {
-  ItemBatch out;
-  SS_RETURN_IF_ERROR(EvaluateTree(*item, &out));
-  for (size_t i = 0; i < out.size(); ++i) {
-    SS_RETURN_IF_ERROR(Emit(out.slot(i).item));
-  }
-  return Status::Ok();
+  return AppendReturnOutputs(*query_->flwr->return_expr, env, out, stamp);
 }
 
 Status RestructureOp::ProcessBatch(ItemBatch* batch) {
-  scratch_.clear();
-  Status failure = Status::Ok();
-  for (size_t i = 0; i < batch->size(); ++i) {
+  Status failure;
+  for (size_t i = 0; i < batch->size() && failure.ok(); ++i) {
     ItemBatch::Slot& slot = batch->slot(i);
-    size_t first_output = scratch_.size();
-    if (program_ != nullptr && slot.is_record) {
-      program_->Run(slot.record, nullptr, &scratch_);
-    } else {
-      failure = EvaluateTree(*batch->Materialize(i), &scratch_);
-    }
     // Every restructured output derives from this one input item, so its
-    // latency stamp carries over (including any outputs emitted before an
-    // evaluation error — the per-item path delivers that prefix too).
-    for (size_t j = first_output; j < scratch_.size(); ++j) {
-      scratch_.slot(j).stamp = slot.stamp;
+    // latency stamp carries over.
+    if (program_ != nullptr && slot.is_record) {
+      size_t first_output = scratch_.size();
+      program_->Run(slot.record, nullptr, &scratch_);
+      for (size_t j = first_output; j < scratch_.size(); ++j) {
+        scratch_.slot(j).stamp = slot.stamp;
+      }
+    } else {
+      failure = EvaluateTree(*batch->Materialize(i), &scratch_, slot.stamp);
     }
-    if (!failure.ok()) break;
   }
-  if (!scratch_.empty()) {
-    SS_RETURN_IF_ERROR(EmitBatch(&scratch_));
-    scratch_.clear();
-  }
-  return failure;
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 }  // namespace streamshare::engine

@@ -36,7 +36,6 @@ class RestructureOp : public Operator {
   struct CompiledReturn;
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Record slots run the compiled return program (when the query shape
   /// admits one); opaque slots take the DOM evaluation. Buffered outputs
   /// are flushed downstream before any error returns.
@@ -44,8 +43,9 @@ class RestructureOp : public Operator {
 
  private:
   /// DOM-path evaluation of one input item, appending each produced
-  /// result item to `out` (exactly the items Process would Emit).
-  Status EvaluateTree(const xml::XmlNode& item, ItemBatch* out);
+  /// result item to `out` with `stamp`.
+  Status EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
+                      const latency::ItemStamp& stamp);
 
   std::shared_ptr<const wxquery::AnalyzedQuery> query_;
   const wxquery::StreamBinding* binding_;  // single-input queries

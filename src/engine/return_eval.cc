@@ -186,4 +186,20 @@ Status EvaluateReturn(const Expr& expr, const ReturnEnv& env,
   return Status::Ok();
 }
 
+Status AppendReturnOutputs(const wxquery::Expr& expr, const ReturnEnv& env,
+                           ItemBatch* out, const latency::ItemStamp& stamp) {
+  std::vector<ReturnOutput> outputs;
+  SS_RETURN_IF_ERROR(EvaluateReturn(expr, env, &outputs));
+  for (ReturnOutput& output : outputs) {
+    if (auto* node = std::get_if<std::unique_ptr<xml::XmlNode>>(&output)) {
+      out->AppendItem(MakeItem(std::move(*node)), /*adopt=*/false, stamp);
+    } else {
+      auto wrapper = std::make_unique<xml::XmlNode>("value");
+      wrapper->set_text(std::get<std::string>(output));
+      out->AppendItem(MakeItem(std::move(wrapper)), /*adopt=*/false, stamp);
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace streamshare::engine

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/record.h"
 #include "wxquery/ast.h"
 #include "xml/xml_node.h"
 
@@ -44,6 +45,13 @@ Result<bool> EvaluateReturnCondition(
 /// Evaluates `expr` under `env`, appending outputs.
 Status EvaluateReturn(const wxquery::Expr& expr, const ReturnEnv& env,
                       std::vector<ReturnOutput>* outputs);
+
+/// Evaluates `expr` under `env` and appends each top-level output to
+/// `out` as one opaque item carrying `stamp`; a bare text output is
+/// wrapped in <value> so the result stream stays element-structured.
+Status AppendReturnOutputs(const wxquery::Expr& expr, const ReturnEnv& env,
+                           ItemBatch* out,
+                           const latency::ItemStamp& stamp = {});
 
 }  // namespace streamshare::engine
 

@@ -124,7 +124,8 @@ void WindowAggOp::Accumulate(WindowState* window, const Decimal& value) {
   }
 }
 
-Status WindowAggOp::EmitWindow(int64_t seq, const WindowState& window) {
+void WindowAggOp::AppendWindow(int64_t seq, const WindowState& window,
+                               const latency::ItemStamp& stamp) {
   AggItem agg;
   agg.seq = seq;
   if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
@@ -135,84 +136,63 @@ Status WindowAggOp::EmitWindow(int64_t seq, const WindowState& window) {
     agg.sum = window.sum;
     agg.count = window.count;
   }
-  return Emit(MakeAggItem(agg));
+  scratch_.AppendItem(MakeAggItem(agg), /*adopt=*/false, stamp);
 }
 
-Status WindowAggOp::Process(const ItemPtr& item) {
-  Result<WindowTracker::Update> update = [&]() {
-    if (tracker_.window().type == WindowType::kCount) {
-      return tracker_.OnItemCount();
-    }
-    Result<Decimal> ref =
-        predicate::ExtractValue(*item, tracker_.window().reference);
-    if (!ref.ok()) {
-      return Result<WindowTracker::Update>(ref.status().WithContext(
-          "time-based window reference element"));
-    }
-    return tracker_.OnPosition(*ref);
-  }();
-  SS_RETURN_IF_ERROR(update.status());
+namespace {
 
-  for (int64_t seq : update->closed) {
-    SS_RETURN_IF_ERROR(EmitWindow(seq, open_[seq]));  // empty windows too
+/// Advances `tracker` past one item; `reference` yields the item's
+/// reference value (read only by time-based windows).
+template <typename ReferenceFn>
+Result<WindowTracker::Update> Advance(WindowTracker* tracker,
+                                      ReferenceFn reference) {
+  if (tracker->window().type == WindowType::kCount) {
+    return tracker->OnItemCount();
+  }
+  Result<Decimal> ref = reference();
+  if (!ref.ok()) {
+    return ref.status().WithContext("time-based window reference element");
+  }
+  return tracker->OnPosition(*ref);
+}
+
+}  // namespace
+
+Status WindowAggOp::ProcessSlot(const ItemBatch::Slot& slot) {
+  // Record slots read the compiled schema lookups; opaque slots evaluate
+  // the path on their tree. Both yield the same values and statuses.
+  auto value_of = [&slot](const xml::Path& path, int node,
+                          const std::string& path_string) {
+    return slot.is_record ? ExtractRecordValue(slot.record, node, path_string)
+                          : predicate::ExtractValue(*slot.item, path);
+  };
+  auto reference = [&] {
+    return value_of(tracker_.window().reference, ref_node_, ref_path_);
+  };
+  SS_ASSIGN_OR_RETURN(WindowTracker::Update update,
+                      Advance(&tracker_, reference));
+  for (int64_t seq : update.closed) {
+    AppendWindow(seq, open_[seq], slot.stamp);  // empty windows too
     open_.erase(seq);
   }
   SS_ASSIGN_OR_RETURN(Decimal value, [&]() -> Result<Decimal> {
     if (func_ == AggregateFunc::kCount && aggregated_element_.empty()) {
       return Decimal::FromInt(1);  // count(*) style
     }
-    return predicate::ExtractValue(*item, aggregated_element_);
+    return value_of(aggregated_element_, agg_node_, agg_path_);
   }());
-  for (int64_t seq : update->contains) {
-    Accumulate(&open_[seq], value);
-  }
-  return Status::Ok();
-}
-
-Status WindowAggOp::ProcessRecord(const PhotonRecord& record) {
-  Result<WindowTracker::Update> update = [&]() {
-    if (tracker_.window().type == WindowType::kCount) {
-      return tracker_.OnItemCount();
-    }
-    Result<Decimal> ref = ExtractRecordValue(record, ref_node_, ref_path_);
-    if (!ref.ok()) {
-      return Result<WindowTracker::Update>(ref.status().WithContext(
-          "time-based window reference element"));
-    }
-    return tracker_.OnPosition(*ref);
-  }();
-  SS_RETURN_IF_ERROR(update.status());
-
-  for (int64_t seq : update->closed) {
-    SS_RETURN_IF_ERROR(EmitWindow(seq, open_[seq]));  // empty windows too
-    open_.erase(seq);
-  }
-  SS_ASSIGN_OR_RETURN(Decimal value, [&]() -> Result<Decimal> {
-    if (func_ == AggregateFunc::kCount && aggregated_element_.empty()) {
-      return Decimal::FromInt(1);  // count(*) style
-    }
-    return ExtractRecordValue(record, agg_node_, agg_path_);
-  }());
-  for (int64_t seq : update->contains) {
+  for (int64_t seq : update.contains) {
     Accumulate(&open_[seq], value);
   }
   return Status::Ok();
 }
 
 Status WindowAggOp::ProcessBatch(ItemBatch* batch) {
-  for (size_t i = 0; i < batch->size(); ++i) {
-    const ItemBatch::Slot& slot = batch->slot(i);
-    // Window emissions ride the per-item Emit path; scope the triggering
-    // slot's stamp so a window that closes here is attributed to the item
-    // that closed it (matching the per-item fallback's semantics).
-    latency::AmbientScope stamp(slot.stamp);
-    if (slot.is_record) {
-      SS_RETURN_IF_ERROR(ProcessRecord(slot.record));
-    } else {
-      SS_RETURN_IF_ERROR(Process(batch->Materialize(i)));
-    }
+  Status failure;
+  for (size_t i = 0; i < batch->size() && failure.ok(); ++i) {
+    failure = ProcessSlot(batch->slot(i));
   }
-  return Status::Ok();
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 Status WindowAggOp::OnFinish() {
@@ -221,11 +201,11 @@ Status WindowAggOp::OnFinish() {
   for (int64_t seq : tracker_.Flush()) {
     auto it = open_.find(seq);
     if (it != open_.end() && it->second.count > 0) {
-      SS_RETURN_IF_ERROR(EmitWindow(seq, it->second));
+      AppendWindow(seq, it->second, latency::ItemStamp());
     }
   }
   open_.clear();
-  return Status::Ok();
+  return FlushScratch(&scratch_);
 }
 
 WindowContentsOp::WindowContentsOp(std::string label, WindowSpec window,
@@ -242,7 +222,8 @@ size_t WindowContentsOp::OpenWindowCount() const {
   return open;
 }
 
-Status WindowContentsOp::EmitWindow(int64_t seq) {
+void WindowContentsOp::AppendWindow(int64_t seq,
+                                    const latency::ItemStamp& stamp) {
   auto node = std::make_unique<xml::XmlNode>("window");
   node->AddLeaf("seq", std::to_string(seq));
   auto it = open_.find(seq);
@@ -252,41 +233,39 @@ Status WindowContentsOp::EmitWindow(int64_t seq) {
     }
     open_.erase(it);
   }
-  return Emit(MakeItem(std::move(node)));
+  scratch_.AppendItem(MakeItem(std::move(node)), /*adopt=*/false, stamp);
 }
 
-Status WindowContentsOp::Process(const ItemPtr& item) {
-  Result<WindowTracker::Update> update = [&]() {
-    if (tracker_.window().type == WindowType::kCount) {
-      return tracker_.OnItemCount();
+Status WindowContentsOp::ProcessBatch(ItemBatch* batch) {
+  Status failure;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    const ItemPtr& item = batch->Materialize(i);
+    Result<WindowTracker::Update> update = Advance(&tracker_, [&] {
+      return predicate::ExtractValue(*item, tracker_.window().reference);
+    });
+    if (!update.ok()) {
+      failure = update.status();
+      break;
     }
-    Result<Decimal> ref =
-        predicate::ExtractValue(*item, tracker_.window().reference);
-    if (!ref.ok()) {
-      return Result<WindowTracker::Update>(ref.status().WithContext(
-          "time-based window reference element"));
+    for (int64_t seq : update->closed) {
+      AppendWindow(seq, batch->slot(i).stamp);
     }
-    return tracker_.OnPosition(*ref);
-  }();
-  SS_RETURN_IF_ERROR(update.status());
-  for (int64_t seq : update->closed) {
-    SS_RETURN_IF_ERROR(EmitWindow(seq));
+    for (int64_t seq : update->contains) {
+      open_[seq].push_back(item);
+    }
   }
-  for (int64_t seq : update->contains) {
-    open_[seq].push_back(item);
-  }
-  return Status::Ok();
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 Status WindowContentsOp::OnFinish() {
   for (int64_t seq : tracker_.Flush()) {
     auto it = open_.find(seq);
     if (it != open_.end() && !it->second.empty()) {
-      SS_RETURN_IF_ERROR(EmitWindow(seq));
+      AppendWindow(seq, latency::ItemStamp());
     }
   }
   open_.clear();
-  return Status::Ok();
+  return FlushScratch(&scratch_);
 }
 
 AggCombineOp::AggCombineOp(std::string label, AggregateFunc func,
@@ -319,15 +298,54 @@ size_t AggCombineOp::OpenWindowCount() const {
   return open;
 }
 
-Status AggCombineOp::Process(const ItemPtr& item) {
-  SS_ASSIGN_OR_RETURN(AggItem agg, ParseAggItem(*item));
-  if (first_fine_seen_ < 0) first_fine_seen_ = agg.seq;
-  max_fine_seen_ = std::max(max_fine_seen_, agg.seq);
-  buffer_[agg.seq] = agg;
-  return TryEmit();
+Status AggCombineOp::ProcessBatch(ItemBatch* batch) {
+  Status failure;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    Result<AggItem> agg = ParseAggItem(*batch->Materialize(i));
+    if (!agg.ok()) {
+      failure = agg.status();
+      break;
+    }
+    if (first_fine_seen_ < 0) first_fine_seen_ = agg->seq;
+    max_fine_seen_ = std::max(max_fine_seen_, agg->seq);
+    buffer_[agg->seq] = *agg;
+    AppendComplete(batch->slot(i).stamp);
+  }
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
-Status AggCombineOp::TryEmit() {
+AggItem AggCombineOp::Recombine(int64_t seq) const {
+  const bool extremum =
+      func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax;
+  const int64_t parts = coarse_size_steps_ / fine_size_steps_;
+  const int64_t base = seq * coarse_step_steps_;
+  AggItem coarse;
+  coarse.seq = seq;
+  Decimal sum;
+  int64_t count = 0;
+  for (int64_t t = 0; t < parts; ++t) {
+    auto it = buffer_.find(base + t * fine_size_steps_);
+    if (it == buffer_.end()) continue;
+    const AggItem& fine = it->second;
+    if (!extremum) {
+      if (fine.sum.has_value()) sum = sum + *fine.sum;
+      if (fine.count.has_value()) count += *fine.count;
+    } else if (fine.value.has_value()) {  // empty fine windows carry none
+      if (!coarse.value.has_value() ||
+          (func_ == AggregateFunc::kMin ? *fine.value < *coarse.value
+                                        : *fine.value > *coarse.value)) {
+        coarse.value = fine.value;
+      }
+    }
+  }
+  if (!extremum) {
+    coarse.sum = sum;
+    coarse.count = count;
+  }
+  return coarse;
+}
+
+void AggCombineOp::AppendComplete(const latency::ItemStamp& stamp) {
   const int64_t parts = coarse_size_steps_ / fine_size_steps_;
   while (true) {
     // Fine windows needed for coarse window next_coarse_.
@@ -348,34 +366,10 @@ Status AggCombineOp::TryEmit() {
       ++next_coarse_;
       continue;
     }
-    if (!all_present) return Status::Ok();
+    if (!all_present) return;
 
-    AggItem coarse;
-    coarse.seq = next_coarse_;
-    if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
-      for (int64_t t = 0; t < parts; ++t) {
-        const AggItem& fine = buffer_[base + t * fine_size_steps_];
-        if (!fine.value.has_value()) continue;  // empty fine window
-        if (!coarse.value.has_value()) {
-          coarse.value = fine.value;
-        } else if (func_ == AggregateFunc::kMin) {
-          if (*fine.value < *coarse.value) coarse.value = fine.value;
-        } else {
-          if (*fine.value > *coarse.value) coarse.value = fine.value;
-        }
-      }
-    } else {
-      Decimal sum;
-      int64_t count = 0;
-      for (int64_t t = 0; t < parts; ++t) {
-        const AggItem& fine = buffer_[base + t * fine_size_steps_];
-        if (fine.sum.has_value()) sum = sum + *fine.sum;
-        if (fine.count.has_value()) count += *fine.count;
-      }
-      coarse.sum = sum;
-      coarse.count = count;
-    }
-    SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
+    scratch_.AppendItem(MakeAggItem(Recombine(next_coarse_)),
+                        /*adopt=*/false, stamp);
     ++next_coarse_;
     // Evict fine windows below the next coarse window's first need.
     buffer_.erase(buffer_.begin(),
@@ -389,65 +383,41 @@ Status AggCombineOp::OnFinish() {
   // data; here the trailing fine windows were flushed as partials (or
   // dropped when empty), so combining whatever parts are present yields
   // the same partial coarse values. Empty trailing windows stay silent.
-  const int64_t parts = coarse_size_steps_ / fine_size_steps_;
   while (next_coarse_ * coarse_step_steps_ <= max_fine_seen_) {
-    int64_t base = next_coarse_ * coarse_step_steps_;
-    AggItem coarse;
-    coarse.seq = next_coarse_;
-    if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
-      for (int64_t t = 0; t < parts; ++t) {
-        auto it = buffer_.find(base + t * fine_size_steps_);
-        if (it == buffer_.end() || !it->second.value.has_value()) continue;
-        const Decimal& value = *it->second.value;
-        if (!coarse.value.has_value()) {
-          coarse.value = value;
-        } else if (func_ == AggregateFunc::kMin) {
-          if (value < *coarse.value) coarse.value = value;
-        } else {
-          if (value > *coarse.value) coarse.value = value;
-        }
-      }
-      if (coarse.value.has_value()) {
-        SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
-      }
-    } else {
-      Decimal sum;
-      int64_t count = 0;
-      for (int64_t t = 0; t < parts; ++t) {
-        auto it = buffer_.find(base + t * fine_size_steps_);
-        if (it == buffer_.end()) continue;
-        if (it->second.sum.has_value()) sum = sum + *it->second.sum;
-        if (it->second.count.has_value()) count += *it->second.count;
-      }
-      if (count > 0) {
-        coarse.sum = sum;
-        coarse.count = count;
-        SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
-      }
+    AggItem coarse = Recombine(next_coarse_);
+    if (coarse.value.has_value() || coarse.count.value_or(0) > 0) {
+      scratch_.AppendItem(MakeAggItem(coarse), /*adopt=*/false);
     }
     ++next_coarse_;
   }
   buffer_.clear();
-  return Status::Ok();
+  return FlushScratch(&scratch_);
 }
 
-Status AggFilterOp::Process(const ItemPtr& item) {
-  SS_ASSIGN_OR_RETURN(AggItem agg, ParseAggItem(*item));
-  Result<Decimal> value = agg.Finalize(func_);
-  if (!value.ok()) {
-    if (value.status().IsOutOfRange()) return Status::Ok();  // empty window
-    return value.status();
-  }
-  for (const predicate::AtomicPredicate& pred : predicates_) {
-    if (pred.rhs_var.has_value()) {
-      return Status::Unsupported(
-          "aggregate filters only compare against constants");
-    }
-    if (!predicate::Compare(*value, pred.op, pred.constant)) {
+Status AggFilterOp::ProcessBatch(ItemBatch* batch) {
+  Status failure;
+  for (size_t i = 0; i < batch->size() && failure.ok(); ++i) {
+    failure = [&]() -> Status {
+      SS_ASSIGN_OR_RETURN(AggItem agg, ParseAggItem(*batch->Materialize(i)));
+      Result<Decimal> value = agg.Finalize(func_);
+      if (!value.ok()) {
+        // Empty windows have no value to filter on and are dropped.
+        return value.status().IsOutOfRange() ? Status::Ok() : value.status();
+      }
+      for (const predicate::AtomicPredicate& pred : predicates_) {
+        if (pred.rhs_var.has_value()) {
+          return Status::Unsupported(
+              "aggregate filters only compare against constants");
+        }
+        if (!predicate::Compare(*value, pred.op, pred.constant)) {
+          return Status::Ok();
+        }
+      }
+      scratch_.AppendSlot(batch->slot(i));
       return Status::Ok();
-    }
+    }();
   }
-  return Emit(item);
+  return FlushScratch(&scratch_, std::move(failure));
 }
 
 }  // namespace streamshare::engine

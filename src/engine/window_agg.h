@@ -68,9 +68,8 @@ class WindowAggOp : public Operator {
   size_t OpenWindowCount() const override;
 
  protected:
-  Status Process(const ItemPtr& item) override;
   /// Record slots update the trackers straight from the compiled field
-  /// lookups (no tree); opaque slots take the per-item path.
+  /// lookups (no tree); opaque slots evaluate the paths on their tree.
   Status ProcessBatch(ItemBatch* batch) override;
   Status OnFinish() override;
 
@@ -81,9 +80,13 @@ class WindowAggOp : public Operator {
     std::optional<Decimal> extremum;
   };
 
-  Status EmitWindow(int64_t seq, const WindowState& window);
+  /// Appends window `seq`'s <wagg> item to scratch_ with `stamp`.
+  void AppendWindow(int64_t seq, const WindowState& window,
+                    const latency::ItemStamp& stamp);
   void Accumulate(WindowState* window, const Decimal& value);
-  Status ProcessRecord(const PhotonRecord& record);
+  /// Advances the windows past one input slot; windows it closes are
+  /// attributed to it (carry its stamp).
+  Status ProcessSlot(const ItemBatch::Slot& slot);
 
   properties::AggregateFunc func_;
   xml::Path aggregated_element_;
@@ -95,6 +98,7 @@ class WindowAggOp : public Operator {
   std::string ref_path_;
   int agg_node_ = -1;
   std::string agg_path_;
+  ItemBatch scratch_;
 };
 
 /// Emits the *contents* of each completed data window as one
@@ -110,14 +114,17 @@ class WindowContentsOp : public Operator {
   size_t OpenWindowCount() const override;
 
  protected:
-  Status Process(const ItemPtr& item) override;
+  Status ProcessBatch(ItemBatch* batch) override;
   Status OnFinish() override;
 
  private:
-  Status EmitWindow(int64_t seq);
+  /// Appends window `seq`'s <window> item to scratch_ with `stamp` and
+  /// drops its members.
+  void AppendWindow(int64_t seq, const latency::ItemStamp& stamp);
 
   WindowTracker tracker_;
   std::map<int64_t, std::vector<ItemPtr>> open_;
+  ItemBatch scratch_;
 };
 
 /// Recombines a fine-grained aggregate stream (window Δ, step µ) into a
@@ -133,11 +140,16 @@ class AggCombineOp : public Operator {
   size_t OpenWindowCount() const override;
 
  protected:
-  Status Process(const ItemPtr& item) override;
+  Status ProcessBatch(ItemBatch* batch) override;
   Status OnFinish() override;
 
  private:
-  Status TryEmit();
+  /// Folds the buffered fine windows of coarse window `seq` (absent parts
+  /// skipped) into one min/max or sum/count item.
+  AggItem Recombine(int64_t seq) const;
+  /// Appends every coarse window whose fine parts are all buffered,
+  /// stamped with `stamp` (the fine item that completed them).
+  void AppendComplete(const latency::ItemStamp& stamp);
 
   properties::AggregateFunc func_;
   // All in units of the fine step µ.
@@ -148,6 +160,7 @@ class AggCombineOp : public Operator {
   int64_t next_coarse_ = 0;
   int64_t first_fine_seen_ = -1;
   int64_t max_fine_seen_ = -1;
+  ItemBatch scratch_;
 };
 
 /// Filters an aggregate stream on the (finalized) aggregate value — the
@@ -162,11 +175,12 @@ class AggFilterOp : public Operator {
         predicates_(std::move(predicates)) {}
 
  protected:
-  Status Process(const ItemPtr& item) override;
+  Status ProcessBatch(ItemBatch* batch) override;
 
  private:
   properties::AggregateFunc func_;
   std::vector<predicate::AtomicPredicate> predicates_;
+  ItemBatch scratch_;
 };
 
 }  // namespace streamshare::engine

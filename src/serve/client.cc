@@ -345,7 +345,7 @@ Status ServeClient::AccumulateResult(const transport::Frame& frame) {
     // codec must stay in lockstep with the daemon's encoder).
     return Status::Ok();
   }
-  // Mirror SinkOp::Process exactly so live observations diff cleanly
+  // Mirror SinkOp::ProcessBatch exactly so live observations diff cleanly
   // against a batch run's sink.
   query.items += 1;
   query.bytes += item->SerializedSize();

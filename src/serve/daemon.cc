@@ -397,12 +397,12 @@ Status ServeDaemon::FeedItems(uint64_t count) {
 
 Status ServeDaemon::FeedRange(uint64_t from, uint64_t to) {
   if (to <= from) return Status::Ok();
-  std::map<std::string, std::vector<engine::ItemPtr>> items;
+  sharing::StreamShareSystem::BatchesByStream batches;
   for (size_t s = 0; s < scenario_.streams.size(); ++s) {
-    items[scenario_.streams[s].name] =
-        generators_[s].Generate(to - from);
+    batches[scenario_.streams[s].name] = generators_[s].GenerateBatches(
+        to - from, options_.system.parallel.batch_size);
   }
-  return system_->Feed(items);
+  return system_->Feed(&batches);
 }
 
 void ServeDaemon::RequestDrain(bool final_drain) {

@@ -827,74 +827,71 @@ Status StreamShareSystem::DeployPlan(
 
 namespace {
 
-Status CollectEntries(
-    const std::map<std::string, engine::Operator*>& stream_entries,
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream,
-    std::vector<engine::Operator*>* entries,
-    std::vector<std::vector<engine::ItemPtr>>* item_lists) {
+StreamShareSystem::BatchesByStream ChunkStreams(
+    const StreamShareSystem::ItemsByStream& items_by_stream,
+    size_t batch_size) {
+  StreamShareSystem::BatchesByStream batches;
   for (const auto& [name, items] : items_by_stream) {
-    auto it = stream_entries.find(name);
-    if (it == stream_entries.end()) {
-      return Status::NotFound("stream '" + name + "' is not registered");
-    }
-    entries->push_back(it->second);
-    item_lists->push_back(items);
+    batches[name] = engine::ChunkItems(items, batch_size, /*adopt=*/true);
   }
-  return Status::Ok();
+  return batches;
 }
 
 }  // namespace
 
-Status StreamShareSystem::Run(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
-                                    &entries, &item_lists));
-  return Execute(entries, item_lists, /*finish=*/true);
+Status StreamShareSystem::Run(const ItemsByStream& items_by_stream) {
+  BatchesByStream batches =
+      ChunkStreams(items_by_stream, config_.parallel.batch_size);
+  return Run(&batches);
 }
 
-Status StreamShareSystem::RunBatches(
-    std::map<std::string, std::vector<engine::ItemBatch>>*
-        batches_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  if (config_.executor != ExecutorKind::kSerial) {
-    return Status::InvalidArgument(
-        "RunBatches supports the serial executor only");
-  }
+Status StreamShareSystem::Run(BatchesByStream* batches_by_stream) {
+  return Execute(batches_by_stream, /*finish=*/true);
+}
+
+Status StreamShareSystem::Feed(const ItemsByStream& items_by_stream) {
+  BatchesByStream batches =
+      ChunkStreams(items_by_stream, config_.parallel.batch_size);
+  return Feed(&batches);
+}
+
+Status StreamShareSystem::Feed(BatchesByStream* batches_by_stream) {
+  return Execute(batches_by_stream, /*finish=*/false);
+}
+
+Status StreamShareSystem::Shutdown() {
+  BatchesByStream none;
+  for (const auto& [name, entry] : stream_entries_) none[name];
+  return Execute(&none, /*finish=*/true);
+}
+
+Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
+                                  bool finish) {
   std::vector<engine::Operator*> entries;
   std::vector<std::vector<engine::ItemBatch>> batch_lists;
   for (auto& [name, batches] : *batches_by_stream) {
-    auto it = stream_entries_.find(name);
-    if (it == stream_entries_.end()) {
-      return Status::NotFound("no registered stream named '" + name + "'");
+    const RegisteredStream* original = registry_.FindOriginal(name);
+    if (original == nullptr) {
+      return Status::NotFound("stream '" + name + "' is not registered");
     }
-    entries.push_back(it->second);
-    batch_lists.push_back(std::move(batches));
+    entries.push_back(stream_entries_.at(name));
+    // A stream whose source peer failed no longer produces: its batches
+    // are dropped, so a harness can keep feeding one map across a failure
+    // (its entry stays, so a finishing run still ends it).
+    batch_lists.emplace_back();
+    if (!original->retired) batch_lists.back() = std::move(batches);
   }
-  return engine::RunBatchStreams(entries, &batch_lists, /*finish=*/true);
-}
-
-Status StreamShareSystem::Execute(
-    const std::vector<engine::Operator*>& entries,
-    const std::vector<std::vector<engine::ItemPtr>>& item_lists,
-    bool finish) {
   engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  if (config_.executor == ExecutorKind::kSerial) {
-    if (config_.record_path) {
-      return engine::RunStreamsBatched(entries, item_lists,
-                                       config_.parallel.batch_size,
-                                       /*adopt=*/true, finish);
+  if (!config_.record_path) {
+    for (std::vector<engine::ItemBatch>& batches : batch_lists) {
+      for (engine::ItemBatch& batch : batches) batch.MakeOpaque();
     }
-    return engine::RunStreams(entries, item_lists, finish);
+  }
+  if (config_.executor == ExecutorKind::kSerial) {
+    return engine::RunBatchStreams(entries, &batch_lists, finish);
   }
   transport::RunnerOptions options;
   options.parallel = config_.parallel;
-  // The record-path master switch wins over the per-executor knob.
-  options.parallel.adopt_records =
-      options.parallel.adopt_records && config_.record_path;
   std::unique_ptr<transport::Transport> transport;
   if (config_.executor == ExecutorKind::kTransport) {
     if (config_.transport == "loopback") {
@@ -913,7 +910,7 @@ Status StreamShareSystem::Execute(
     }
   }
   transport::PartitionedRunner runner(transport.get(), options);
-  Status status = runner.Run(entries, item_lists, finish);
+  Status status = runner.Run(entries, &batch_lists, finish);
   run_stats_ = runner.run_stats();
   // Liveness detection: a sender that exhausted its credit-wait retries
   // observed a stalled-or-gone receiver. Promote the symptom into
@@ -932,32 +929,6 @@ Status StreamShareSystem::Execute(
     }
   }
   return status;
-}
-
-Status StreamShareSystem::Feed(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  // A stream whose source peer failed no longer produces: its batches are
-  // dropped so the harness can keep feeding one item map across a failure.
-  for (const auto& [name, items] : items_by_stream) {
-    const RegisteredStream* original = registry_.FindOriginal(name);
-    if (original == nullptr) {
-      return Status::NotFound("stream '" + name + "' is not registered");
-    }
-    if (original->retired) continue;
-    entries.push_back(stream_entries_.at(name));
-    item_lists.push_back(items);
-  }
-  return Execute(entries, item_lists, /*finish=*/false);
-}
-
-Status StreamShareSystem::Shutdown() {
-  for (const auto& [name, entry] : stream_entries_) {
-    SS_RETURN_IF_ERROR(entry->Finish());
-  }
-  return Status::Ok();
 }
 
 int StreamShareSystem::accepted_count() const {

@@ -67,7 +67,7 @@ struct SystemConfig {
   /// Executor Run() and Feed() use.
   ExecutorKind executor = ExecutorKind::kSerial;
   /// Queue capacity / dispatch batching / worker cap for the partitioned
-  /// executors (the serial record path batches by batch_size too).
+  /// executors; every executor chunks fed DOM items by batch_size.
   engine::ParallelOptions parallel;
   /// Indexed candidate lookup: Subscribe consults a CandidateIndex
   /// (hash buckets on (variant stream, route node), dominance-grouped by
@@ -76,11 +76,11 @@ struct SystemConfig {
   /// way (ARCHITECTURE.md invariant 10); false keeps the flat BFS as the
   /// differential oracle reference.
   bool candidate_index = true;
-  /// Master switch for the compact-record hot path: serial runs chunk
-  /// items into batches and adopt photon-conforming items into
-  /// PhotonRecords, and the parallel/transport executors do the same
-  /// while feeding. Off, every run drives items one by one through the
-  /// DOM evaluation path — the differential oracle's reference mode.
+  /// Master switch for the compact-record hot path: fed DOM items are
+  /// adopted into PhotonRecords when photon-conforming. Off, every fed
+  /// slot becomes an opaque DOM item (record slots of fed batches are
+  /// materialized), so operators evaluate on trees — the differential
+  /// oracle's reference mode, on the same batch execution path.
   bool record_path = true;
   /// Transport kTransport runs over: "loopback" (in-process frame pipes,
   /// the default) or "tcp" (one localhost TCP connection per
@@ -105,7 +105,7 @@ struct SystemConfig {
   /// Measured-latency plane: stamp every item at ingress and record
   /// per-query end-to-end latency histograms at the sinks (exported as
   /// latency.query.* / latency.audit.* metrics). Stamping never changes
-  /// results — only metrics — but costs one clock read per item, so
+  /// results — only metrics — but costs one clock read per fed batch, so
   /// throughput benchmarks may switch it off.
   bool measure_latency = true;
 };
@@ -279,38 +279,38 @@ class StreamShareSystem {
   /// everywhere, not whatever the registry walk happens to hit.
   Status CheckActiveSubscription(int query_id) const;
 
-  /// Single-shot run on the configured executor: feeds items of the
-  /// named original streams through the deployed network (round-robin
-  /// across streams), then signals end of stream — window operators flush
-  /// their partial windows. Every executor produces the serial results
-  /// and merged metrics. Use Feed/Shutdown instead for continuous
-  /// operation across multiple batches.
-  Status Run(const std::map<std::string, std::vector<engine::ItemPtr>>&
-                 items_by_stream);
+  /// Items or batches of named original streams, the input of Run and
+  /// Feed.
+  using ItemsByStream = std::map<std::string, std::vector<engine::ItemPtr>>;
+  using BatchesByStream =
+      std::map<std::string, std::vector<engine::ItemBatch>>;
 
-  /// Single-shot serial run fed straight from pre-built record batches
-  /// (PhotonGenerator::GenerateBatches or a decoder) — the end-to-end
-  /// compact path that never builds a source DOM. Batches are consumed
-  /// in place (their lazy materialization caches may fill). Serial
-  /// executor only.
-  Status RunBatches(
-      std::map<std::string, std::vector<engine::ItemBatch>>*
-          batches_by_stream);
+  /// Single-shot run on the configured executor: feeds the named original
+  /// streams through the deployed network (round-robin across streams),
+  /// then signals end of stream — window operators flush their partial
+  /// windows. Every executor produces the serial results and merged
+  /// metrics. DOM items are chunked at parallel.batch_size; batches
+  /// (PhotonGenerator::GenerateBatches or a decoder — the compact path
+  /// that never builds a source DOM) are consumed in place. Use
+  /// Feed/Shutdown instead for continuous operation across multiple
+  /// feeds.
+  Status Run(const ItemsByStream& items_by_stream);
+  Status Run(BatchesByStream* batches_by_stream);
 
   /// Per-worker queue stats and cross-edge traffic of the most recent
   /// partitioned run (kParallel or kTransport); empty before one. Its
   /// transport name is empty unless that run went over the wire.
   const transport::RunStats& run_stats() const { return run_stats_; }
 
-  /// Continuous operation: feeds a batch without signalling end of
+  /// Continuous operation: feeds like Run without signalling end of
   /// stream. Subscriptions may be registered and deregistered between
-  /// batches; window state carries across.
-  Status Feed(const std::map<std::string, std::vector<engine::ItemPtr>>&
-                  items_by_stream);
+  /// feeds; window state carries across.
+  Status Feed(const ItemsByStream& items_by_stream);
+  Status Feed(BatchesByStream* batches_by_stream);
 
-  /// Ends all streams: flushes buffered window state to every active
-  /// subscription. One-shot; after shutdown no further Feed is
-  /// meaningful.
+  /// Ends all streams on the configured executor: flushes buffered window
+  /// state to every active subscription. One-shot; after shutdown no
+  /// further Feed is meaningful.
   Status Shutdown();
 
   const network::Topology& topology() const { return topology_; }
@@ -457,12 +457,11 @@ class StreamShareSystem {
   /// flowing), or its upstream chain does.
   bool StreamSevered(network::StreamId id,
                      const std::vector<bool>& severed) const;
-  /// Shared body of Run and Feed: drives `item_lists[s]` into
-  /// `entries[s]` on the configured executor; `finish` signals end of
-  /// stream afterwards.
-  Status Execute(const std::vector<engine::Operator*>& entries,
-                 const std::vector<std::vector<engine::ItemPtr>>& item_lists,
-                 bool finish);
+  /// The one driver behind Run, Feed and Shutdown: resolves the named
+  /// original streams to their entry operators (NotFound for an unknown
+  /// name) and feeds each its batches on the configured executor;
+  /// `finish` signals end of stream afterwards.
+  Status Execute(BatchesByStream* batches_by_stream, bool finish);
 
   network::Topology topology_;
   SystemConfig config_;

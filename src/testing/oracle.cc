@@ -265,8 +265,8 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
       GenerateItems(scenario);
 
   // --- Reference: stream sharing, serial executor, kept results. The
-  // reference always runs the per-item DOM path, so when the other modes
-  // run the record path the N-way diff is also the DOM-vs-record
+  // reference always evaluates opaque (DOM) slots, so when the other
+  // modes run the record path the N-way diff is also the DOM-vs-record
   // differential. -------------------------------------------------------
   SystemConfig serial_config;
   serial_config.keep_results = true;

@@ -104,8 +104,8 @@ struct OracleOptions {
   /// Drive the non-reference modes over the compact-record hot path
   /// (default). The serial reference always evaluates on DOM trees, so
   /// with this on every equivalence diff doubles as a DOM-vs-record
-  /// differential. Off (the fuzz tool's --dom-path), every mode runs the
-  /// DOM path — the pre-record behavior.
+  /// differential. Off (the fuzz tool's --dom-path), every mode feeds
+  /// opaque DOM slots through the same batch execution path.
   bool record_path = true;
 
   /// Transport knobs under test: the credit window / timeout / retry

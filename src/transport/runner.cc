@@ -29,7 +29,6 @@ namespace streamshare::transport {
 
 namespace {
 
-using engine::ItemPtr;
 using engine::LinkQueue;
 using engine::Metrics;
 using engine::Operator;
@@ -133,15 +132,6 @@ class QueuePortOp final : public Operator {
   }
 
  protected:
-  Status Process(const ItemPtr& item) override {
-    pending_.AppendItem(item, /*adopt=*/false);
-    // A DOM-path emit carries its latency stamp in the thread-local
-    // ambient; persist it on the slot before the batch crosses threads.
-    pending_.slot(pending_.size() - 1).stamp = engine::latency::Ambient();
-    if (pending_.size() >= buffer_limit_) Flush();
-    return Status::Ok();
-  }
-
   Status ProcessBatch(engine::ItemBatch* batch) override {
     for (size_t i = 0; i < batch->size(); ++i) {
       pending_.AppendSlot(batch->slot(i));
@@ -173,26 +163,6 @@ class TransportPortOp final : public Operator {
         edge_(edge) {}
 
  protected:
-  Status Process(const ItemPtr& item) override {
-    buffer_.clear();
-    obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
-    const bool tracing = recorder.enabled();
-    uint64_t start = tracing ? recorder.NowMicros() : 0;
-    encoder_->Encode(*item, &buffer_);
-    if (tracing) {
-      recorder.RecordComplete(
-          "codec.encode", "transport", start, recorder.NowMicros() - start,
-          {obs::TraceArg::Num("bytes",
-                              static_cast<double>(buffer_.size()))});
-    }
-    ++edge_->items;
-    edge_->encoded_bytes += buffer_.size();
-    // DOM-path emits carry the latency stamp in the thread-local ambient;
-    // it crosses the wire as the v2 frame extension.
-    return sender_->SendItem(target_index_, buffer_,
-                             engine::latency::Ambient());
-  }
-
   /// Record slots encode straight from the record's schema walk — same
   /// wire bytes and dictionary state as encoding the materialized tree,
   /// minus the tree.
@@ -257,7 +227,7 @@ struct WorkerRt {
   std::set<Operator*> root_set;
   std::vector<ChannelRt*> inbound;
   std::vector<ChannelRt*> outbound;
-  /// Indices into entries/item_lists this worker is fed.
+  /// Indices into entries/batch_lists this worker is fed.
   std::vector<size_t> entry_streams;
   size_t expected_pills = 0;
   /// Worker-local metrics shard per original Metrics sink.
@@ -273,7 +243,7 @@ struct WorkerRt {
 struct RunContext {
   const PartitionPlan& plan;
   const std::vector<Operator*>& entries;
-  const std::vector<std::vector<ItemPtr>>& item_lists;
+  std::vector<std::vector<engine::ItemBatch>>* batch_lists;
   std::vector<WorkerRt>& workers;
   const engine::ParallelOptions& options;
   bool finish;
@@ -340,50 +310,36 @@ void ReceiveChannel(RunContext* ctx, WorkerRt* w, ChannelRt* ch) {
   w->queue->Push(LinkQueue::Entry{});
 }
 
-/// The feeder: pushes the entry streams `streams` into their workers'
-/// queues (round-robin across streams, per-stream order preserved), then
-/// one pill into every worker it fed. Items are adopted into compact
-/// records while buffering; each full batch crosses the queue as one
-/// entry (one lock, one wakeup).
+/// The feeder: forwards the entry streams' batches `streams` into their
+/// workers' queues (round-robin across streams, one batch per stream per
+/// round, per-stream order preserved), then one pill into every worker it
+/// fed. Each batch crosses the queue as one entry (one lock, one wakeup)
+/// and costs one clock read for its ingress stamp.
 void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
-  const size_t batch_size = ctx->options.batch_size;
   std::vector<LinkQueue*> queues(streams.size());
-  std::vector<engine::ItemBatch> buffers(streams.size());
   std::vector<size_t> cursors(streams.size(), 0);
   std::vector<size_t> active;
   for (size_t i = 0; i < streams.size(); ++i) {
     queues[i] =
         ctx->workers[ctx->plan.WorkerOf(ctx->entries[streams[i]])].queue.get();
-    buffers[i].reserve(batch_size);
-    if (!ctx->item_lists[streams[i]].empty()) active.push_back(i);
+    if (!(*ctx->batch_lists)[streams[i]].empty()) active.push_back(i);
   }
   const bool stamping = engine::latency::Enabled();
   while (!active.empty() && !ctx->abort.aborted()) {
     size_t write = 0;
     for (size_t idx = 0; idx < active.size(); ++idx) {
       size_t i = active[idx];
-      const std::vector<ItemPtr>& items = ctx->item_lists[streams[i]];
-      buffers[i].AppendItem(items[cursors[i]++], ctx->options.adopt_records);
-      if (stamping) {
-        buffers[i].slot(buffers[i].size() - 1).stamp.ingress_us =
-            engine::latency::NowUs();
-      }
-      if (buffers[i].size() >= batch_size) {
+      std::vector<engine::ItemBatch>& batches =
+          (*ctx->batch_lists)[streams[i]];
+      engine::ItemBatch& batch = batches[cursors[i]++];
+      if (!batch.empty()) {
+        if (stamping) batch.StampIngress(engine::latency::NowUs());
         queues[i]->Push(
-            LinkQueue::Entry{ctx->entries[streams[i]], std::move(buffers[i])});
-        buffers[i] = engine::ItemBatch();
-        buffers[i].reserve(batch_size);
+            LinkQueue::Entry{ctx->entries[streams[i]], std::move(batch)});
       }
-      if (cursors[i] < items.size()) active[write++] = i;
+      if (cursors[i] < batches.size()) active[write++] = i;
     }
     active.resize(write);
-  }
-  if (!ctx->abort.aborted()) {
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (buffers[i].empty()) continue;
-      queues[i]->Push(
-          LinkQueue::Entry{ctx->entries[streams[i]], std::move(buffers[i])});
-    }
   }
   std::set<LinkQueue*> fed(queues.begin(), queues.end());
   for (LinkQueue* queue : fed) queue->Push(LinkQueue::Entry{});
@@ -649,13 +605,13 @@ PartitionedRunner::PartitionedRunner(Transport* transport,
 
 Status PartitionedRunner::Run(
     const std::vector<Operator*>& entries,
-    const std::vector<std::vector<ItemPtr>>& item_lists, bool finish) {
+    std::vector<std::vector<engine::ItemBatch>>* batch_lists, bool finish) {
   run_stats_ = RunStats{};
   const bool wire = transport_ != nullptr;
   if (wire) run_stats_.transport = transport_->name();
-  if (entries.size() != item_lists.size()) {
+  if (entries.size() != batch_lists->size()) {
     return Status::InvalidArgument(
-        "PartitionedRunner::Run: entries and item lists differ in count");
+        "PartitionedRunner::Run: entries and batch lists differ in count");
   }
   if (options_.mode == RunnerOptions::Mode::kProcesses &&
       (!wire || !transport_->SupportsProcesses())) {
@@ -854,7 +810,7 @@ Status PartitionedRunner::Run(
     run_stats_.workers[w].operator_count = workers[w].operator_count;
   }
 
-  RunContext ctx{plan,     entries, item_lists, workers, options_.parallel,
+  RunContext ctx{plan,    entries, batch_lists, workers, options_.parallel,
                  finish, {}};
   Status run_status;
   if (options_.mode == RunnerOptions::Mode::kThreads) {

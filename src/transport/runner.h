@@ -94,10 +94,11 @@ class PartitionedRunner {
   /// Wire channels over `transport`, which must outlive the runner.
   PartitionedRunner(Transport* transport, RunnerOptions options);
 
-  /// Feeds `item_lists[s]` into `entries[s]` (round-robin across streams,
-  /// per-stream order preserved), then signals end of stream — the same
-  /// single-shot contract as engine::RunStreams(..., finish=true), with
-  /// results identical to it. The graph is restored to its serial wiring
+  /// Feeds `batch_lists[s]` into `entries[s]` (round-robin across
+  /// streams, per-stream order preserved; the batches are consumed), then
+  /// signals end of stream — the same single-shot contract as
+  /// engine::RunBatchStreams(..., finish=true), with results identical to
+  /// it. The graph is restored to its serial wiring
   /// before returning, so serial and partitioned runs can alternate on
   /// one deployment. In kProcesses mode, metrics, sink counts, and content
   /// hashes measured in the children are merged into this process's
@@ -106,7 +107,7 @@ class PartitionedRunner {
   /// churn); only kThreads supports it — a forked child takes its
   /// operator state to the grave.
   Status Run(const std::vector<engine::Operator*>& entries,
-             const std::vector<std::vector<engine::ItemPtr>>& item_lists,
+             std::vector<std::vector<engine::ItemBatch>>* batch_lists,
              bool finish = true);
 
   const RunStats& run_stats() const { return run_stats_; }

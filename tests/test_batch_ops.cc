@@ -1,9 +1,11 @@
-// Batch-vs-item equivalence: every operator's PushBatch must be
-// observationally identical to pushing the same items one at a time —
-// same emitted items byte-for-byte, same sink counts/bytes/hashes, same
-// link traffic, same billed work, and the same error Status (with the
-// prefix emitted before the failure delivered downstream). Exercised over
-// mixed batches of compact record slots and opaque fallback slots.
+// Record-vs-DOM equivalence on the one batch execution path: the
+// reference is the item-wise DOM evaluation — opaque slots, one item per
+// batch — and every operator must be observationally identical to it on
+// record slots and on larger batches: same emitted items byte-for-byte,
+// same sink counts/bytes/hashes, same link traffic, same billed work, and
+// the same error Status (with the prefix emitted before the failure
+// delivered downstream). Exercised over mixed batches of compact record
+// slots and opaque slots.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "network/topology.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_writer.h"
+#include "item_feed.h"
 
 namespace streamshare::engine {
 namespace {
@@ -120,18 +123,12 @@ void ExpectBatchMatchesItemwise(size_t batch_size, bool adopt) {
 
   Pipeline itemwise;
   BuildPipeline(&itemwise, /*keep_items=*/true);
-  for (const ItemPtr& item : items) {
-    ASSERT_TRUE(itemwise.entry->Push(item).ok());
-  }
+  ASSERT_TRUE(PushItems(itemwise.entry, items).ok());
   ASSERT_TRUE(itemwise.entry->Finish().ok());
 
   Pipeline batched;
   BuildPipeline(&batched, /*keep_items=*/true);
-  for (size_t i = 0; i < items.size(); i += batch_size) {
-    ItemBatch batch;
-    for (size_t j = i; j < std::min(items.size(), i + batch_size); ++j) {
-      batch.AppendItem(items[j], adopt);
-    }
+  for (ItemBatch& batch : ChunkItems(items, batch_size, adopt)) {
     ASSERT_TRUE(batched.entry->PushBatch(&batch).ok());
   }
   ASSERT_TRUE(batched.entry->Finish().ok());
@@ -144,8 +141,8 @@ TEST(BatchOpsTest, PipelineMatchesItemwiseOnRecordSlots) {
 }
 
 TEST(BatchOpsTest, PipelineMatchesItemwiseOnOpaqueSlots) {
-  // adopt=false forces every slot down the DOM fallback inside the same
-  // batch machinery.
+  // adopt=false keeps every slot on the DOM evaluation; only the batch
+  // size differs from the reference.
   ExpectBatchMatchesItemwise(/*batch_size=*/64, /*adopt=*/false);
 }
 
@@ -153,7 +150,7 @@ TEST(BatchOpsTest, PipelineMatchesItemwiseOnSingleItemBatches) {
   ExpectBatchMatchesItemwise(/*batch_size=*/1, /*adopt=*/true);
 }
 
-TEST(BatchOpsTest, RunStreamsBatchedMatchesRunStreams) {
+TEST(BatchOpsTest, RunBatchStreamsMatchesAcrossChunkings) {
   std::vector<std::vector<ItemPtr>> streams = {MixedItems(120, 3),
                                                MixedItems(77, 4)};
 
@@ -162,16 +159,18 @@ TEST(BatchOpsTest, RunStreamsBatchedMatchesRunStreams) {
   Pipeline a2;
   BuildPipeline(&a2, /*keep_items=*/false);
   // Both streams feed the same entry (fan-in at the tap point).
-  ASSERT_TRUE(RunStreams({a.entry, a.entry}, streams).ok());
-  ASSERT_TRUE(RunStreamsBatched({a2.entry, a2.entry}, streams,
-                                /*batch_size=*/32, /*adopt=*/true)
-                  .ok());
+  std::vector<std::vector<ItemBatch>> opaque =
+      ChunkStreams(streams, /*batch_size=*/1, /*adopt=*/false);
+  ASSERT_TRUE(RunBatchStreams({a.entry, a.entry}, &opaque).ok());
+  std::vector<std::vector<ItemBatch>> records =
+      ChunkStreams(streams, /*batch_size=*/32, /*adopt=*/true);
+  ASSERT_TRUE(RunBatchStreams({a2.entry, a2.entry}, &records).ok());
   ExpectSameObservations(a, a2);
 }
 
 TEST(BatchOpsTest, WindowAggBatchMatchesItemwise) {
   // WindowAggOp consumes record fields without materializing; aggregate
-  // output and open-window state must match the per-item path. (Pure
+  // output and open-window state must match the item-wise DOM path. (Pure
   // photons: the aggregated element must exist in every input item.)
   workload::PhotonGenConfig config;
   config.seed = 9;
@@ -194,9 +193,7 @@ TEST(BatchOpsTest, WindowAggBatchMatchesItemwise) {
   WindowAggOp* item_agg = nullptr;
   SinkOp* item_sink = nullptr;
   build(&item_graph, &item_agg, &item_sink);
-  for (const ItemPtr& item : items) {
-    ASSERT_TRUE(item_agg->Push(item).ok());
-  }
+  ASSERT_TRUE(PushItems(item_agg, items).ok());
 
   OperatorGraph batch_graph;
   WindowAggOp* batch_agg = nullptr;
@@ -219,10 +216,10 @@ TEST(BatchOpsTest, WindowAggBatchMatchesItemwise) {
 }
 
 TEST(BatchOpsTest, BatchErrorMatchesItemwiseErrorAndFlushesPrefix) {
-  // A malformed photon (non-decimal en) rides as an opaque slot; the
-  // select's tree evaluation raises ParseError on it. The batch path must
-  // (a) report the identical Status and (b) have delivered the passing
-  // prefix downstream before returning it.
+  // A malformed photon (non-decimal en) rides as an opaque slot even in
+  // an adopting batch; the select's tree evaluation raises ParseError on
+  // it. The record batch must (a) report the identical Status and (b)
+  // have delivered the passing prefix downstream before returning it.
   auto make_good = [](const char* en) {
     auto node = std::make_unique<xml::XmlNode>("photon");
     node->AddLeaf("en", en);
@@ -250,11 +247,7 @@ TEST(BatchOpsTest, BatchErrorMatchesItemwiseErrorAndFlushesPrefix) {
   SelectOp* item_select = nullptr;
   SinkOp* item_sink = nullptr;
   build(&item_graph, &item_select, &item_sink);
-  Status item_status = Status::Ok();
-  for (const ItemPtr& item : items) {
-    item_status = item_select->Push(item);
-    if (!item_status.ok()) break;
-  }
+  Status item_status = PushItems(item_select, items);
 
   OperatorGraph batch_graph;
   SelectOp* batch_select = nullptr;
@@ -290,7 +283,7 @@ TEST(BatchOpsTest, StructuralOperandErrorIdenticalAcrossPaths) {
   };
 
   OperatorGraph item_graph;
-  Status item_status = build(&item_graph)->Push(make_photon());
+  Status item_status = PushItems(build(&item_graph), {make_photon()});
 
   OperatorGraph batch_graph;
   ItemBatch batch;

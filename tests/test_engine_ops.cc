@@ -7,6 +7,7 @@
 #include "engine/operator.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
+#include "item_feed.h"
 
 namespace streamshare::engine {
 namespace {
@@ -38,7 +39,7 @@ TEST(SelectOpTest, FiltersByConjunction) {
   auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
   select->AddDownstream(sink);
 
-  ASSERT_TRUE(RunStream(select, {Photon("120.0", "1.5"),
+  ASSERT_TRUE(RunItems(select, {Photon("120.0", "1.5"),
                                  Photon("250.0", "1.5"),
                                  Photon("120.0", "0.5")})
                   .ok());
@@ -53,7 +54,7 @@ TEST(SelectOpTest, EmptyConjunctionPassesEverything) {
   auto* sink = graph.Add<SinkOp>("sink");
   select->AddDownstream(sink);
   ASSERT_TRUE(
-      RunStream(select, {Photon("1", "1"), Photon("2", "2")}).ok());
+      RunItems(select, {Photon("1", "1"), Photon("2", "2")}).ok());
   EXPECT_EQ(sink->item_count(), 2u);
 }
 
@@ -64,7 +65,7 @@ TEST(ProjectOpTest, KeepsCoveredSubtreesAndAncestors) {
   auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
   project->AddDownstream(sink);
 
-  ASSERT_TRUE(RunStream(project, {Photon("120.0", "1.5")}).ok());
+  ASSERT_TRUE(RunItems(project, {Photon("120.0", "1.5")}).ok());
   ASSERT_EQ(sink->item_count(), 1u);
   const xml::XmlNode& item = *sink->items()[0];
   EXPECT_EQ(xml::WriteCompact(item),
@@ -78,7 +79,7 @@ TEST(ProjectOpTest, AncestorPathKeepsWholeSubtree) {
       graph.Add<ProjectOp>("proj", std::vector<xml::Path>{P("coord")});
   auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
   project->AddDownstream(sink);
-  ASSERT_TRUE(RunStream(project, {Photon("120.0", "1.5")}).ok());
+  ASSERT_TRUE(RunItems(project, {Photon("120.0", "1.5")}).ok());
   const xml::XmlNode& item = *sink->items()[0];
   EXPECT_NE(item.FirstChild("coord"), nullptr);
   EXPECT_NE(item.FirstChild("coord")->FirstChild("det"), nullptr);
@@ -91,7 +92,7 @@ TEST(ProjectOpTest, NothingMatchingYieldsEmptyItemShell) {
       graph.Add<ProjectOp>("proj", std::vector<xml::Path>{P("missing")});
   auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
   project->AddDownstream(sink);
-  ASSERT_TRUE(RunStream(project, {Photon("1", "2")}).ok());
+  ASSERT_TRUE(RunItems(project, {Photon("1", "2")}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]), "<photon/>");
 }
 
@@ -109,7 +110,7 @@ TEST(LinkOpTest, CountsSerializedBytes) {
 
   ItemPtr item = Photon("120.0", "1.5");
   size_t size = item->SerializedSize();
-  ASSERT_TRUE(RunStream(transport, {item, item}).ok());
+  ASSERT_TRUE(RunItems(transport, {item, item}).ok());
   EXPECT_EQ(metrics.BytesOnLink(link), 2 * size);
   EXPECT_EQ(sink->item_count(), 2u);
 }
@@ -121,7 +122,7 @@ TEST(OperatorTest, FanOutDeliversToAllDownstreams) {
   auto* sink2 = graph.Add<SinkOp>("s2");
   pass->AddDownstream(sink1);
   pass->AddDownstream(sink2);
-  ASSERT_TRUE(RunStream(pass, {Photon("1", "1")}).ok());
+  ASSERT_TRUE(RunItems(pass, {Photon("1", "1")}).ok());
   EXPECT_EQ(sink1->item_count(), 1u);
   EXPECT_EQ(sink2->item_count(), 1u);
 }
@@ -138,7 +139,7 @@ TEST(OperatorTest, WorkAccountingBillsPerInvocation) {
   auto* sink = graph.Add<SinkOp>("sink");
   select->AddDownstream(sink);
   ASSERT_TRUE(
-      RunStream(select, {Photon("1", "1"), Photon("2", "2")}).ok());
+      RunItems(select, {Photon("1", "1"), Photon("2", "2")}).ok());
   EXPECT_DOUBLE_EQ(metrics.WorkAtPeer(a), 3.0);
   EXPECT_EQ(metrics.OperatorInvocationsAtPeer(a), 2u);
 }
@@ -159,11 +160,13 @@ TEST(ExecutorTest, RunStreamsInterleavesSources) {
   auto* sink = graph.Add<SinkOp>("sink");
   a->AddDownstream(sink);
   b->AddDownstream(sink);
-  ASSERT_TRUE(RunStreams({a, b}, {{Photon("1", "1"), Photon("2", "2")},
-                                  {Photon("3", "3")}})
-                  .ok());
+  std::vector<std::vector<ItemBatch>> streams = {
+      ChunkItems({Photon("1", "1"), Photon("2", "2")}, 1, /*adopt=*/false),
+      ChunkItems({Photon("3", "3")}, 1, /*adopt=*/false)};
+  ASSERT_TRUE(RunBatchStreams({a, b}, &streams).ok());
   EXPECT_EQ(sink->item_count(), 3u);
-  EXPECT_TRUE(RunStreams({a}, {{}, {}}).IsInvalidArgument());
+  std::vector<std::vector<ItemBatch>> mismatched(2);
+  EXPECT_TRUE(RunBatchStreams({a}, &mismatched).IsInvalidArgument());
 }
 
 TEST(MetricsTest, DerivedRates) {
@@ -173,7 +176,7 @@ TEST(MetricsTest, DerivedRates) {
   network::LinkId link = topology.AddLink(a, b).value();
   Metrics metrics(topology);
   metrics.AddBytes(link, 25000);  // 25 kB over 10 s = 20 kbps
-  metrics.AddWork(a, 100.0);      // 100 units over 10 s = 5% of 200
+  metrics.AddWorkN(a, 100.0, 1);  // 100 units over 10 s = 5% of 200
   EXPECT_DOUBLE_EQ(metrics.LinkKbps(link, 10.0), 20.0);
   EXPECT_DOUBLE_EQ(metrics.PeerCpuPercent(a, 10.0, 200.0), 5.0);
   EXPECT_DOUBLE_EQ(metrics.LinkKbps(link, 0.0), 0.0);

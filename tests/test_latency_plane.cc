@@ -1,8 +1,9 @@
-// The measured-latency plane: stamp lifecycle (enable switch, ambient
-// scope), queue-residency crediting, sink-side recording with stage
-// attribution, the stamp's ride across the transport wire (v2 frame
-// extension, fault-tolerant), and the system-level audit pairing each
-// query's measured p50 with its plan's predicted latency.
+// The measured-latency plane: stamp lifecycle (enable switch),
+// queue-residency crediting, sink-side recording with stage attribution,
+// the stamp's ride across the transport wire (v2 frame extension,
+// fault-tolerant), and the system-level audit pairing each query's
+// measured p50 with its plan's predicted latency. Window-emission stamp
+// attribution is tested with the runner (test_transport_runner.cc).
 
 #include <gtest/gtest.h>
 
@@ -22,13 +23,13 @@
 #include "transport/loopback.h"
 #include "workload/paper_queries.h"
 #include "workload/scenario.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
 
 using engine::ItemBatch;
 using engine::ItemPtr;
-using engine::latency::AmbientScope;
 using engine::latency::ItemStamp;
 using engine::latency::NowUs;
 using engine::latency::ScopedEnabled;
@@ -76,23 +77,6 @@ TEST(LatencyStampTest, ScopedEnabledIsConjunctive) {
     EXPECT_FALSE(engine::latency::Enabled());
   }
   EXPECT_TRUE(engine::latency::Enabled());
-}
-
-TEST(LatencyStampTest, AmbientScopeRestoresPreviousStamp) {
-  ItemStamp outer;
-  outer.ingress_us = 111;
-  {
-    AmbientScope outer_scope(outer);
-    EXPECT_EQ(engine::latency::Ambient().ingress_us, 111u);
-    ItemStamp inner;
-    inner.ingress_us = 222;
-    {
-      AmbientScope inner_scope(inner);
-      EXPECT_EQ(engine::latency::Ambient().ingress_us, 222u);
-    }
-    EXPECT_EQ(engine::latency::Ambient().ingress_us, 111u);
-  }
-  EXPECT_FALSE(engine::latency::Ambient().stamped());
 }
 
 // --- Queue residency ----------------------------------------------------
@@ -152,7 +136,7 @@ TEST(SinkLatencyTest, SerialRunStampsAndRecordsEveryItem) {
 
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 50; ++i) fed.push_back(Leaf("n", std::to_string(i)));
-  ASSERT_TRUE(engine::RunStream(entry, fed).ok());
+  ASSERT_TRUE(engine::RunItems(entry, fed).ok());
 
   EXPECT_EQ(sink->item_count(), 50u);
   EXPECT_EQ(sink->stamped_count(), 50u);
@@ -175,7 +159,7 @@ TEST(SinkLatencyTest, DisabledStampingRecordsNothing) {
 
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 10; ++i) fed.push_back(Leaf("n", std::to_string(i)));
-  ASSERT_TRUE(engine::RunStream(entry, fed).ok());
+  ASSERT_TRUE(engine::RunItems(entry, fed).ok());
   EXPECT_EQ(sink->item_count(), 10u);
   EXPECT_EQ(sink->stamped_count(), 0u);
   ASSERT_NE(sink->latency_histogram(), nullptr);

@@ -137,8 +137,10 @@ TEST(RunStreamsTest, SkipsExhaustedStreamsRoundRobin) {
   std::vector<ItemPtr> a_items, b_items;
   for (int i = 0; i < 5; ++i) a_items.push_back(Leaf("a", std::to_string(i)));
   for (int i = 0; i < 2; ++i) b_items.push_back(Leaf("b", std::to_string(i)));
-  ASSERT_TRUE(
-      engine::RunStreams({sink_a, sink_b}, {a_items, b_items}).ok());
+  std::vector<std::vector<engine::ItemBatch>> streams = {
+      engine::ChunkItems(a_items, 1, /*adopt=*/false),
+      engine::ChunkItems(b_items, 1, /*adopt=*/false)};
+  ASSERT_TRUE(engine::RunBatchStreams({sink_a, sink_b}, &streams).ok());
   ASSERT_EQ(sink_a->item_count(), 5u);
   ASSERT_EQ(sink_b->item_count(), 2u);
   for (int i = 0; i < 5; ++i) {

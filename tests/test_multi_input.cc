@@ -7,9 +7,11 @@
 #include "engine/combine.h"
 #include "predicate/eval.h"
 #include "engine/executor.h"
+#include "obs/event_log.h"
 #include "sharing/system.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_writer.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
@@ -42,10 +44,10 @@ TEST(CombineOpTest, CartesianProductInNestedLoopOrder) {
   auto* sink = graph.Add<engine::SinkOp>("sink", true);
   combiner->AddDownstream(sink);
 
-  ASSERT_TRUE(port0->Push(Item("i", "a", 1)).ok());
-  ASSERT_TRUE(port0->Push(Item("i", "a", 2)).ok());
-  ASSERT_TRUE(port1->Push(Item("j", "b", 10)).ok());
-  ASSERT_TRUE(port1->Push(Item("j", "b", 20)).ok());
+  ASSERT_TRUE(PushItems(port0, {Item("i", "a", 1)}).ok());
+  ASSERT_TRUE(PushItems(port0, {Item("i", "a", 2)}).ok());
+  ASSERT_TRUE(PushItems(port1, {Item("j", "b", 10)}).ok());
+  ASSERT_TRUE(PushItems(port1, {Item("j", "b", 20)}).ok());
   ASSERT_TRUE(port0->Finish().ok());
   EXPECT_EQ(sink->item_count(), 0u);  // waits for all inputs
   ASSERT_TRUE(port1->Finish().ok());
@@ -73,8 +75,12 @@ TEST(CombineOpTest, JoinConditionsFilterTuples) {
   auto* sink = graph.Add<engine::SinkOp>("sink", true);
   combiner->AddDownstream(sink);
 
-  for (int a : {1, 2, 3}) ASSERT_TRUE(port0->Push(Item("i", "a", a)).ok());
-  for (int b : {2, 3, 4}) ASSERT_TRUE(port1->Push(Item("j", "b", b)).ok());
+  for (int a : {1, 2, 3}) {
+    ASSERT_TRUE(PushItems(port0, {Item("i", "a", a)}).ok());
+  }
+  for (int b : {2, 3, 4}) {
+    ASSERT_TRUE(PushItems(port1, {Item("j", "b", b)}).ok());
+  }
   ASSERT_TRUE(port0->Finish().ok());
   ASSERT_TRUE(port1->Finish().ok());
 
@@ -93,7 +99,7 @@ TEST(CombineOpTest, EmptyInputYieldsEmptyProduct) {
   auto* port1 = graph.Add<engine::CombinePortOp>("p1", combiner, 1);
   auto* sink = graph.Add<engine::SinkOp>("sink", true);
   combiner->AddDownstream(sink);
-  ASSERT_TRUE(port0->Push(Item("i", "a", 1)).ok());
+  ASSERT_TRUE(PushItems(port0, {Item("i", "a", 1)}).ok());
   ASSERT_TRUE(port0->Finish().ok());
   ASSERT_TRUE(port1->Finish().ok());
   EXPECT_EQ(sink->item_count(), 0u);
@@ -163,6 +169,41 @@ TEST_F(MultiInputSystemTest, CoincidenceQueryEndToEnd) {
   }
   EXPECT_EQ(result->sink->item_count(), expected);
   EXPECT_GT(expected, 0u);
+}
+
+// An end-of-stream failure during continuous operation (the daemon's
+// path: Feed, then Shutdown) is wrapped like any run's: "finish <entry>"
+// context and an error event naming the action.
+TEST_F(MultiInputSystemTest, ShutdownFailureCarriesFinishContext) {
+  auto system = MakeSystem();
+  // No join condition: the combination at end of stream is the full
+  // cartesian product, which 2300 x 2300 items push past the combiner's
+  // 5M-tuple guard.
+  const char* product =
+      "<pairs> { for $p in stream(\"photons\")/photons/photon "
+      "for $q in stream(\"photons2\")/photons/photon "
+      "return <pair> { $p/en } { $q/en } </pair> } </pairs>";
+  ASSERT_TRUE(
+      system->RegisterQuery(product, 1, sharing::Strategy::kStreamSharing)
+          .ok());
+  ASSERT_TRUE(system->Feed(MakeItems(2300)).ok());
+
+  auto events = std::make_shared<obs::MemorySink>();
+  obs::EventLog::Default().SetSink(events);
+  Status status = system->Shutdown();
+  obs::EventLog::Default().SetSink(nullptr);  // restore the silent default
+
+  ASSERT_TRUE(status.IsOutOfRange()) << status.ToString();
+  EXPECT_EQ(status.message().rfind("finish ", 0), 0u) << status.ToString();
+  bool saw_finish = false;
+  for (const obs::LogEvent& event : events->TakeEvents()) {
+    for (const obs::LogField& field : event.fields) {
+      if (field.key == "action" && field.value == "finish") {
+        saw_finish = true;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_finish);
 }
 
 TEST_F(MultiInputSystemTest, PerInputSharingStillApplies) {

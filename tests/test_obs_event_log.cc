@@ -13,6 +13,7 @@
 #include "engine/executor.h"
 #include "obs/event_log.h"
 #include "transport/runner.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
@@ -112,7 +113,7 @@ class AlwaysFailOp final : public engine::Operator {
       : engine::Operator(std::move(label)) {}
 
  protected:
-  Status Process(const ItemPtr&) override {
+  Status ProcessBatch(engine::ItemBatch*) override {
     return Status::Internal("injected failure");
   }
 };
@@ -128,14 +129,15 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   auto* serial_entry = serial_graph.Add<engine::PassOp>("entry[q7]");
   auto* serial_fail = serial_graph.Add<AlwaysFailOp>("boom");
   serial_entry->AddDownstream(serial_fail);
-  Status serial_status = engine::RunStream(serial_entry, items);
+  Status serial_status = engine::RunItems(serial_entry, items);
 
   engine::OperatorGraph parallel_graph;
   auto* parallel_entry = parallel_graph.Add<engine::PassOp>("entry[q7]");
   auto* parallel_fail = parallel_graph.Add<AlwaysFailOp>("boom");
   parallel_entry->AddDownstream(parallel_fail);
   transport::PartitionedRunner runner;
-  Status parallel_status = runner.Run({parallel_entry}, {items});
+  auto batches = engine::ChunkStreams({items});
+  Status parallel_status = runner.Run({parallel_entry}, &batches);
 
   ASSERT_FALSE(serial_status.ok());
   ASSERT_FALSE(parallel_status.ok());
@@ -158,7 +160,7 @@ TEST(EventLogTest, OperatorFailureEmitsStructuredErrorEvent) {
   entry->AddDownstream(fail);
   std::vector<ItemPtr> items;
   items.push_back(Leaf("n", "x"));
-  Status status = engine::RunStream(entry, items);
+  Status status = engine::RunItems(entry, items);
   EventLog::Default().SetSink(nullptr);  // restore the silent default
 
   ASSERT_FALSE(status.ok());

@@ -15,6 +15,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
 #include "transport/runner.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
@@ -290,7 +291,8 @@ TEST(MetricsRegistryTest, ParallelRunnerCountersStayConsistent) {
   for (int i = 0; i < 500; ++i) fed.push_back(Leaf("n", std::to_string(i)));
 
   transport::PartitionedRunner runner;
-  ASSERT_TRUE(runner.Run({entry}, {fed}).ok());
+  auto fed_batches = engine::ChunkStreams({fed});
+  ASSERT_TRUE(runner.Run({entry}, &fed_batches).ok());
 
   const uint64_t items_delta = items->Value() - items_before;
   const uint64_t batches_delta = batches->Value() - batches_before;

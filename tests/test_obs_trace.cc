@@ -17,6 +17,7 @@
 #include "engine/executor.h"
 #include "obs/trace.h"
 #include "transport/runner.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
@@ -405,7 +406,8 @@ TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
   std::vector<ItemPtr> items;
   for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
   transport::PartitionedRunner runner;
-  Status status = runner.Run({entry}, {items});
+  auto batches = engine::ChunkStreams({items});
+  Status status = runner.Run({entry}, &batches);
 
   recorder.SetEnabled(false);
   ASSERT_TRUE(status.ok());

@@ -180,6 +180,19 @@ TEST(ItemBatchTest, MaterializationIsCachedPerSlot) {
   EXPECT_EQ(batch.Materialize(0).get(), first.get());
 }
 
+TEST(ItemBatchTest, MakeOpaqueMaterializesRecordSlotsKeepingStamps) {
+  ItemBatch batch;
+  workload::PhotonGenerator gen(workload::PhotonGenConfig{});
+  PhotonRecord record = gen.NextRecord();
+  batch.AppendRecord(record);
+  batch.slot(0).stamp.ingress_us = 42;
+  batch.MakeOpaque();
+  ASSERT_FALSE(batch.slot(0).is_record);
+  ASSERT_NE(batch.slot(0).item, nullptr);
+  EXPECT_TRUE(batch.slot(0).item->Equals(*record.MaterializeXml()));
+  EXPECT_EQ(batch.slot(0).stamp.ingress_us, 42u);
+}
+
 TEST(PhotonRecordTest, ProjectionMatchesTreeProjection) {
   PhotonRecord record;
   ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));

@@ -10,6 +10,7 @@
 #include "engine/window_agg.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
+#include "item_feed.h"
 
 namespace streamshare::engine {
 namespace {
@@ -41,7 +42,7 @@ TEST(RestructureTest, BuildsReturnElements) {
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
 
-  ASSERT_TRUE(RunStream(restructure, {Photon("120.5", "1.5")}).ok());
+  ASSERT_TRUE(RunItems(restructure, {Photon("120.5", "1.5")}).ok());
   ASSERT_EQ(sink->item_count(), 1u);
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
             "<vela><ra>120.5</ra><en>1.5</en></vela>");
@@ -56,7 +57,7 @@ TEST(RestructureTest, WholeItemOutput) {
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
   ItemPtr photon = Photon("1.0", "2.0");
-  ASSERT_TRUE(RunStream(restructure, {photon}).ok());
+  ASSERT_TRUE(RunItems(restructure, {photon}).ok());
   ASSERT_EQ(sink->item_count(), 1u);
   EXPECT_TRUE(sink->items()[0]->Equals(*photon));
 }
@@ -72,7 +73,7 @@ TEST(RestructureTest, ConditionalBranches) {
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
   ASSERT_TRUE(
-      RunStream(restructure, {Photon("1", "1.5"), Photon("2", "0.5")})
+      RunItems(restructure, {Photon("1", "1.5"), Photon("2", "0.5")})
           .ok());
   ASSERT_EQ(sink->item_count(), 2u);
   EXPECT_EQ(sink->items()[0]->name(), "hard");
@@ -89,7 +90,7 @@ TEST(RestructureTest, SequenceEmitsMultipleItems) {
   auto* restructure = graph.Add<RestructureOp>("r", query);
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
-  ASSERT_TRUE(RunStream(restructure, {Photon("7.0", "1.0")}).ok());
+  ASSERT_TRUE(RunItems(restructure, {Photon("7.0", "1.0")}).ok());
   ASSERT_EQ(sink->item_count(), 2u);
   EXPECT_EQ(sink->items()[0]->name(), "a");
   EXPECT_EQ(sink->items()[1]->name(), "b");
@@ -105,7 +106,7 @@ TEST(RestructureTest, NestedElementConstructors) {
   auto* restructure = graph.Add<RestructureOp>("r", query);
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
-  ASSERT_TRUE(RunStream(restructure, {Photon("3.0", "1.0")}).ok());
+  ASSERT_TRUE(RunItems(restructure, {Photon("3.0", "1.0")}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
             "<hit><pos><ra>3.0</ra></pos><meta><src/></meta></hit>");
 }
@@ -129,7 +130,7 @@ TEST(RestructureTest, AggregateValueOutput) {
   empty.sum = Decimal();
   empty.count = 0;
   ASSERT_TRUE(
-      RunStream(restructure, {MakeAggItem(window), MakeAggItem(empty)})
+      RunItems(restructure, {MakeAggItem(window), MakeAggItem(empty)})
           .ok());
   // The empty window is skipped; the full one yields avg 1.5.
   ASSERT_EQ(sink->item_count(), 1u);
@@ -151,7 +152,7 @@ TEST(RestructureTest, PathOutputWithMultipleMatches) {
   item->AddLeaf("n", "1");
   item->AddLeaf("tag", "x");
   item->AddLeaf("tag", "y");
-  ASSERT_TRUE(RunStream(restructure, {MakeItem(std::move(item))}).ok());
+  ASSERT_TRUE(RunItems(restructure, {MakeItem(std::move(item))}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
             "<all><tag>x</tag><tag>y</tag></all>");
 }
@@ -169,7 +170,7 @@ TEST(RestructureTest, OutputPathConditionsFilterSubtrees) {
   item->AddLeaf("n", "1");
   item->AddChild("reading")->AddLeaf("v", "5");
   item->AddChild("reading")->AddLeaf("v", "15");
-  ASSERT_TRUE(RunStream(restructure, {MakeItem(std::move(item))}).ok());
+  ASSERT_TRUE(RunItems(restructure, {MakeItem(std::move(item))}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
             "<big><reading><v>15</v></reading></big>");
 }
@@ -198,7 +199,7 @@ TEST(RestructureTest, MidPathConditionsFilterAtTheirStep) {
   auto* b = item->AddChild("sensor");
   b->AddLeaf("quality", "2");
   b->AddChild("reading")->AddLeaf("v", "99");
-  ASSERT_TRUE(RunStream(restructure, {MakeItem(std::move(item))}).ok());
+  ASSERT_TRUE(RunItems(restructure, {MakeItem(std::move(item))}).ok());
   ASSERT_EQ(sink->item_count(), 1u);
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
             "<good><reading><v>12</v></reading></good>");
@@ -213,7 +214,7 @@ TEST(RestructureTest, MissingElementsYieldEmptyOutput) {
   auto* restructure = graph.Add<RestructureOp>("r", query);
   auto* sink = graph.Add<SinkOp>("s", true);
   restructure->AddDownstream(sink);
-  ASSERT_TRUE(RunStream(restructure, {Photon("1", "1")}).ok());
+  ASSERT_TRUE(RunItems(restructure, {Photon("1", "1")}).ok());
   // No det/dx in the item: the constructed element is simply empty.
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]), "<v/>");
 }

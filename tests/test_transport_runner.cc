@@ -18,11 +18,14 @@
 #include "engine/executor.h"
 #include "engine/metrics.h"
 #include "engine/operator.h"
+#include "engine/window_agg.h"
 #include "network/topology.h"
 #include "transport/loopback.h"
 #include "transport/runner.h"
 #include "transport/tcp.h"
+#include "workload/photon_gen.h"
 #include "workload/scenario.h"
+#include "item_feed.h"
 
 // fork() and TSAN don't mix: TSAN's runtime owns threads the child
 // can't inherit safely. Process-mode cases run everywhere else.
@@ -224,13 +227,19 @@ class FailAfterOp final : public Operator {
       : Operator(std::move(label)), remaining_(fail_after) {}
 
  protected:
-  Status Process(const ItemPtr& item) override {
-    if (remaining_-- <= 0) return Status::Internal("injected failure");
-    return Emit(item);
+  Status ProcessBatch(engine::ItemBatch* batch) override {
+    for (size_t i = 0; i < batch->size(); ++i) {
+      if (remaining_-- <= 0) {
+        return FlushScratch(&scratch_, Status::Internal("injected failure"));
+      }
+      scratch_.AppendSlot(batch->slot(i));
+    }
+    return FlushScratch(&scratch_);
   }
 
  private:
   int remaining_;
+  engine::ItemBatch scratch_;
 };
 
 /// entry(p0) → link(p0→p1) → fail(p1) → sink: the failing operator lives
@@ -264,7 +273,8 @@ Status RunCrossEdgeFailure(const RunnerCase& test_case) {
   RunnerOptions options;
   options.mode = test_case.mode;
   PartitionedRunner runner(transport.get(), options);
-  return runner.Run({entry}, {items});
+  auto batches = engine::ChunkStreams({items});
+  return runner.Run({entry}, &batches);
 }
 
 /// entry(p0) → link(p0→p1) → remote pass(p1) → sink: the one edge
@@ -300,6 +310,91 @@ void BuildSmallGraph(SmallGraph* g) {
 }
 
 // --- The suite, over memory channels and the loopback transport --------
+
+/// Forwards every batch, recording the ingress tick each slot carries.
+class StampProbeOp final : public Operator {
+ public:
+  using Operator::Operator;
+  std::vector<uint64_t> ingress;
+
+ protected:
+  Status ProcessBatch(engine::ItemBatch* batch) override {
+    for (size_t i = 0; i < batch->size(); ++i) {
+      ingress.push_back(batch->slot(i).stamp.ingress_us);
+    }
+    return EmitBatch(batch);
+  }
+};
+
+/// avg(en) over tumbling count windows of 3 (p0) → link(p0→p1) → stamp
+/// probe (p1) → sink (p1): window emissions cross the one worker edge.
+struct WindowStampGraph {
+  engine::OperatorGraph graph;
+  std::unique_ptr<engine::Metrics> metrics;
+  Operator* entry = nullptr;
+  StampProbeOp* probe = nullptr;
+  engine::SinkOp* sink = nullptr;
+};
+
+void BuildWindowStampGraph(WindowStampGraph* g) {
+  network::Topology topology;
+  network::NodeId p0 = topology.AddPeer("SP0");
+  network::NodeId p1 = topology.AddPeer("SP1");
+  Result<network::LinkId> link = topology.AddLink(p0, p1);
+  ASSERT_TRUE(link.ok());
+  g->metrics = std::make_unique<engine::Metrics>(topology);
+  auto* agg = g->graph.Add<engine::WindowAggOp>(
+      "agg", properties::AggregateFunc::kAvg,
+      xml::Path::Parse("en").value(),
+      properties::WindowSpec::Count(3).value());
+  auto* link_op =
+      g->graph.Add<engine::LinkOp>("link", g->metrics.get(), *link);
+  g->probe = g->graph.Add<StampProbeOp>("probe");
+  g->sink = g->graph.Add<engine::SinkOp>("sink");
+  g->sink->EnableLatencyRecording("runner_window_stamps");
+  agg->SetAccounting(g->metrics.get(), p0, 1.0);
+  link_op->SetAccounting(g->metrics.get(), p0, 0.5);
+  g->probe->SetAccounting(g->metrics.get(), p1, 1.0);
+  g->sink->SetAccounting(g->metrics.get(), p1, 1.0);
+  agg->AddDownstream(link_op);
+  link_op->AddDownstream(g->probe);
+  g->probe->AddDownstream(g->sink);
+  g->entry = agg;
+}
+
+/// One stream of one batch of 8 photons, slot i stamped at tick 1000 + i
+/// (the feed keeps pre-set stamps); record or opaque slots.
+std::vector<std::vector<engine::ItemBatch>> StampedPhotons(bool records) {
+  workload::PhotonGenerator generator(workload::PhotonGenConfig{});
+  std::vector<engine::ItemBatch> batches = generator.GenerateBatches(8, 8);
+  engine::ItemBatch& batch = batches.front();
+  if (!records) batch.MakeOpaque();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch.slot(i).stamp.ingress_us = 1000 + i;
+  }
+  return {std::move(batches)};
+}
+
+/// Windows 0 and 1 close mid-batch, on slots 3 and 6, and carry those
+/// slots' ticks; window 2 is flushed at end of stream and stays
+/// unstamped.
+void ExpectWindowStamps(const WindowStampGraph& g) {
+  EXPECT_EQ(g.probe->ingress, (std::vector<uint64_t>{1003, 1006, 0}));
+  EXPECT_EQ(g.sink->item_count(), 3u);
+  EXPECT_EQ(g.sink->stamped_count(), 2u);
+  EXPECT_EQ(g.sink->stamp_regressions(), 0u);
+}
+
+TEST(WindowStampTest, EmissionsCarryClosingSlotStampSerially) {
+  for (bool records : {true, false}) {
+    SCOPED_TRACE(records ? "record slots" : "opaque slots");
+    WindowStampGraph g;
+    BuildWindowStampGraph(&g);
+    auto batches = StampedPhotons(records);
+    ASSERT_TRUE(engine::RunBatchStreams({g.entry}, &batches).ok());
+    ExpectWindowStamps(g);
+  }
+}
 
 class PartitionedRunnerTest : public ::testing::TestWithParam<RunnerCase> {
  protected:
@@ -366,7 +461,7 @@ TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
   engine::Operator* serial_entry = nullptr;
   engine::SinkOp* serial_sink = nullptr;
   build(&serial_graph, &serial_metrics, &serial_entry, &serial_sink);
-  ASSERT_TRUE(engine::RunStream(serial_entry, items).ok());
+  ASSERT_TRUE(engine::RunItems(serial_entry, items).ok());
 
   engine::OperatorGraph graph;
   engine::Metrics metrics(topology);
@@ -384,7 +479,8 @@ TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
   options.parallel.queue_capacity = 8;  // force some backpressure
   auto transport = MakeTransport(test_case());
   PartitionedRunner runner(transport.get(), options);
-  ASSERT_TRUE(runner.Run({entry}, {items}).ok());
+  auto batches = engine::ChunkStreams({items});
+  ASSERT_TRUE(runner.Run({entry}, &batches).ok());
   EXPECT_EQ(runner.run_stats().workers.size(), 2u);
 
   std::vector<std::vector<Operator*>> after;
@@ -428,7 +524,8 @@ TEST_P(PartitionedRunnerTest, OperatorFailurePropagates) {
 
     auto transport = MakeTransport(test_case());
     PartitionedRunner runner(transport.get(), RunnerOptions{});
-    Status status = runner.Run({entry}, {items});
+    auto batches = engine::ChunkStreams({items});
+    Status status = runner.Run({entry}, &batches);
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
         << status.ToString();
@@ -445,8 +542,25 @@ TEST_P(PartitionedRunnerTest, EmptyStreamStillFinishes) {
   BuildSmallGraph(&g);
   auto transport = MakeTransport(test_case());
   PartitionedRunner runner(transport.get(), RunnerOptions{});
-  ASSERT_TRUE(runner.Run({g.entry}, {{}}).ok());
+  auto batches = engine::ChunkStreams({{}});
+  ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
   EXPECT_EQ(g.sink->item_count(), 0u);
+}
+
+TEST_P(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
+  for (bool records : {true, false}) {
+    SCOPED_TRACE(records ? "record slots" : "opaque slots");
+    WindowStampGraph g;
+    BuildWindowStampGraph(&g);
+    RunnerOptions options;
+    options.parallel.max_workers = 2;  // keep the edge on 1-core runners
+    auto transport = MakeTransport(test_case());
+    PartitionedRunner runner(transport.get(), options);
+    auto batches = StampedPhotons(records);
+    ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
+    EXPECT_EQ(runner.run_stats().workers.size(), 2u);
+    ExpectWindowStamps(g);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Channels, PartitionedRunnerTest,
@@ -483,7 +597,8 @@ TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
   options.faults.drop_period = 10;
   LoopbackTransport transport;
   PartitionedRunner runner(&transport, options);
-  Status status = runner.Run({g.entry}, {items});
+  auto batches = engine::ChunkStreams({items});
+  Status status = runner.Run({g.entry}, &batches);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("loss"), std::string::npos)
       << status.ToString();
@@ -500,7 +615,8 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
   options.faults.duplicate_period = 4;
   LoopbackTransport transport;
   PartitionedRunner runner(&transport, options);
-  ASSERT_TRUE(runner.Run({g.entry}, {items}).ok());
+  auto batches = engine::ChunkStreams({items});
+  ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
 
   // Duplicates were discarded before delivery: results are untouched.
   ASSERT_EQ(g.sink->item_count(), 60u);
@@ -524,7 +640,8 @@ TEST(TransportRunnerTest, ProcessModeRequiresForkSafeTransport) {
     SmallGraph g;
     BuildSmallGraph(&g);
     PartitionedRunner runner(transport, options);
-    Status status = runner.Run({g.entry}, {{Leaf("n", "x")}});
+    auto batches = engine::ChunkStreams({{Leaf("n", "x")}});
+    Status status = runner.Run({g.entry}, &batches);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();

@@ -11,6 +11,7 @@
 
 #include "engine/executor.h"
 #include "properties/window.h"
+#include "item_feed.h"
 
 namespace streamshare::engine {
 namespace {
@@ -103,7 +104,7 @@ TEST(WindowAggTest, TumblingCountWindowSums) {
 
   std::vector<ItemPtr> items;
   for (int i = 1; i <= 7; ++i) items.push_back(TimedItem(i, i));
-  ASSERT_TRUE(RunStream(agg, items).ok());
+  ASSERT_TRUE(RunItems(agg, items).ok());
 
   std::vector<AggItem> results = Collect(*sink);
   // Windows [1,2,3] and [4,5,6] complete; the partial [7] flushes at end.
@@ -123,7 +124,7 @@ TEST(WindowAggTest, SlidingCountWindowOverlaps) {
   agg->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 1; i <= 8; ++i) items.push_back(TimedItem(i, 1.0));
-  ASSERT_TRUE(RunStream(agg, items).ok());
+  ASSERT_TRUE(RunItems(agg, items).ok());
   std::vector<AggItem> results = Collect(*sink);
   // Windows at items [0,4), [2,6), [4,8) complete with 4 items each; the
   // final partial [6,8) flushes with 2.
@@ -144,7 +145,7 @@ TEST(WindowAggTest, SamplingCountWindowSkipsItems) {
   agg->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 8; ++i) items.push_back(TimedItem(i, i));
-  ASSERT_TRUE(RunStream(agg, items).ok());
+  ASSERT_TRUE(RunItems(agg, items).ok());
   std::vector<AggItem> results = Collect(*sink);
   ASSERT_GE(results.size(), 2u);
   EXPECT_EQ(*results[0].count, 2);
@@ -162,7 +163,7 @@ TEST(WindowAggTest, TimeWindowsAnchoredAtZero) {
 
   // Items at t = 5, 15, 25, 35: window 0 = [0,20) holds {5,15},
   // window 1 = [10,30) holds {15,25}, window 2 = [20,40) holds {25,35}.
-  ASSERT_TRUE(RunStream(agg, {TimedItem(5, 1), TimedItem(15, 2),
+  ASSERT_TRUE(RunItems(agg, {TimedItem(5, 1), TimedItem(15, 2),
                               TimedItem(25, 3), TimedItem(35, 4)})
                   .ok());
   std::vector<AggItem> results = Collect(*sink);
@@ -183,7 +184,7 @@ TEST(WindowAggTest, EmptyTimeWindowsAreEmittedForContinuity) {
   agg->AddDownstream(sink);
   // A gap: items at t=5 and t=35; windows [10,20) and [20,30) are empty.
   ASSERT_TRUE(
-      RunStream(agg, {TimedItem(5, 1), TimedItem(35, 2)}).ok());
+      RunItems(agg, {TimedItem(5, 1), TimedItem(35, 2)}).ok());
   std::vector<AggItem> results = Collect(*sink);
   ASSERT_EQ(results.size(), 4u);  // [0,10) [10,20) [20,30) + flush [30,40)
   EXPECT_EQ(*results[1].count, 0);
@@ -201,7 +202,7 @@ TEST(WindowAggTest, StreamStartingLateFastForwards) {
   agg->AddDownstream(sink);
   // First item at t = 1000: no flood of empty windows for [0,1000).
   ASSERT_TRUE(
-      RunStream(agg, {TimedItem(1000, 1), TimedItem(1011, 2)}).ok());
+      RunItems(agg, {TimedItem(1000, 1), TimedItem(1011, 2)}).ok());
   std::vector<AggItem> results = Collect(*sink);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].seq, 100);
@@ -215,8 +216,8 @@ TEST(WindowAggTest, UnsortedTimeStreamIsRejected) {
       WindowSpec::Diff(P("t"), Decimal::FromInt(10)).value());
   auto* sink = graph.Add<SinkOp>("sink");
   agg->AddDownstream(sink);
-  ASSERT_TRUE(agg->Push(TimedItem(20, 1)).ok());
-  Status status = agg->Push(TimedItem(10, 2));
+  ASSERT_TRUE(PushItems(agg, {TimedItem(20, 1)}).ok());
+  Status status = PushItems(agg, {TimedItem(10, 2)});
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
 }
 
@@ -232,8 +233,8 @@ TEST(WindowAggTest, MinMaxCarryExtremum) {
   max_agg->AddDownstream(max_sink);
   std::vector<ItemPtr> items{TimedItem(1, 5), TimedItem(2, 2),
                              TimedItem(3, 9)};
-  ASSERT_TRUE(RunStream(min_agg, items).ok());
-  ASSERT_TRUE(RunStream(max_agg, items).ok());
+  ASSERT_TRUE(RunItems(min_agg, items).ok());
+  ASSERT_TRUE(RunItems(max_agg, items).ok());
   EXPECT_EQ(*Collect(*min_sink)[0].value, Decimal::Parse("2.0").value());
   EXPECT_EQ(*Collect(*max_sink)[0].value, Decimal::Parse("9.0").value());
 }
@@ -265,8 +266,8 @@ TEST(AggCombineTest, PaperFig5Recombination) {
   for (int t = 0; t < 400; t += 3) {
     items.push_back(TimedItem(t, (t * 7) % 13));
   }
-  ASSERT_TRUE(RunStream(fine_agg, items).ok());
-  ASSERT_TRUE(RunStream(direct_agg, items).ok());
+  ASSERT_TRUE(RunItems(fine_agg, items).ok());
+  ASSERT_TRUE(RunItems(direct_agg, items).ok());
 
   std::vector<AggItem> combined = Collect(*combined_sink);
   std::vector<AggItem> direct = Collect(*direct_sink);
@@ -313,8 +314,8 @@ TEST_P(CombineSweep, RecombinationMatchesDirectAggregation) {
     for (int t = 0; t < 600; t += 2) {
       items.push_back(TimedItem(t + 0.5, (t * 11) % 17));
     }
-    ASSERT_TRUE(RunStream(fine_agg, items).ok());
-    ASSERT_TRUE(RunStream(direct, items).ok());
+    ASSERT_TRUE(RunItems(fine_agg, items).ok());
+    ASSERT_TRUE(RunItems(direct, items).ok());
     std::vector<AggItem> combined = Collect(*cs);
     std::vector<AggItem> reference = Collect(*ds);
     ASSERT_GT(combined.size(), 0u);
@@ -367,7 +368,7 @@ TEST(AggFilterTest, FiltersOnFinalizedValue) {
   empty.sum = Decimal();
   empty.count = 0;  // empty window → drop silently
 
-  ASSERT_TRUE(RunStream(filter, {MakeAggItem(high), MakeAggItem(low),
+  ASSERT_TRUE(RunItems(filter, {MakeAggItem(high), MakeAggItem(low),
                                  MakeAggItem(empty)})
                   .ok());
   ASSERT_EQ(sink->item_count(), 1u);

@@ -10,6 +10,7 @@
 #include "sharing/system.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_writer.h"
+#include "item_feed.h"
 
 namespace streamshare {
 namespace {
@@ -33,7 +34,7 @@ TEST(WindowContentsOpTest, TumblingCountWindows) {
   auto* sink = graph.Add<engine::SinkOp>("sink", true);
   contents->AddDownstream(sink);
 
-  ASSERT_TRUE(engine::RunStream(contents, {Item(1, 10), Item(2, 20),
+  ASSERT_TRUE(engine::RunItems(contents, {Item(1, 10), Item(2, 20),
                                            Item(3, 30), Item(4, 40),
                                            Item(5, 50)})
                   .ok());
@@ -54,7 +55,7 @@ TEST(WindowContentsOpTest, SlidingWindowsDuplicateMembers) {
   contents->AddDownstream(sink);
   std::vector<engine::ItemPtr> items;
   for (int i = 0; i < 8; ++i) items.push_back(Item(i, i));
-  ASSERT_TRUE(engine::RunStream(contents, items).ok());
+  ASSERT_TRUE(engine::RunItems(contents, items).ok());
   ASSERT_GE(sink->item_count(), 3u);
   // Window 0 = items 0..3, window 1 = items 2..5: items 2,3 appear in
   // both.
@@ -74,7 +75,7 @@ TEST(WindowContentsOpTest, TimeWindowsEmitEmptyForContinuity) {
   auto* sink = graph.Add<engine::SinkOp>("sink", true);
   contents->AddDownstream(sink);
   ASSERT_TRUE(
-      engine::RunStream(contents, {Item(5, 1), Item(25, 2)}).ok());
+      engine::RunItems(contents, {Item(5, 1), Item(25, 2)}).ok());
   // [0,10) full, [10,20) empty, flushed [20,30).
   ASSERT_EQ(sink->item_count(), 3u);
   EXPECT_EQ(sink->items()[1]->Children("m").size(), 0u);
