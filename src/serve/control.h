@@ -233,6 +233,13 @@ struct ResultFrame {
   std::string_view item;     // encoded item bytes
 };
 
+/// Appends the header of a RESULT frame body to `out`; the encoded item
+/// follows it. EncodeResultFrame is this plus the item, so the daemon
+/// can encode the item straight after the header in a reused buffer.
+void AppendResultFrameHeader(std::string* out, int64_t query_id,
+                             uint64_t seq, uint64_t delivery_us,
+                             uint64_t send_us);
+
 /// Encodes header + `encoded_item` into a RESULT frame body.
 std::string EncodeResultFrame(int64_t query_id, uint64_t seq,
                               uint64_t delivery_us, uint64_t send_us,

@@ -458,6 +458,10 @@ void ServeDaemon::ExportMetrics(obs::MetricsRegistry* registry) const {
         static_cast<double>(snapshot.wal_recovered_records));
   gauge("serve.wal.torn_tail_truncations",
         static_cast<double>(snapshot.wal_torn_tail_truncations));
+  gauge("serve.net.sends", static_cast<double>(snapshot.net_sends));
+  gauge("serve.net.frames_out",
+        static_cast<double>(snapshot.net_frames_out));
+  gauge("serve.net.bytes_out", static_cast<double>(snapshot.net_bytes_out));
   // The engine/network/latency planes of the hosted system. Only safe
   // once the loop has stopped mutating it (call after Join).
   if (system_ != nullptr && !loop_thread_.joinable()) {
@@ -514,34 +518,39 @@ Status ServeDaemon::LoopOnce() {
   }
 
   // Only the clients that were polled: any accepted above come after them
-  // and have no pollfd yet.
-  std::vector<size_t> closed;
+  // and have no pollfd yet. A client that fails is detached and closed
+  // at once, so nothing later in the pass forwards to it.
   for (size_t i = 0; i + 1 < fds.size(); ++i) {
     ClientState* client = clients_[i].get();
     short revents = fds[i + 1].revents;
-    if (revents == 0) continue;
-    if ((revents & POLLOUT) != 0) {
-      Status flush = client->conn.FlushSome();
-      if (!flush.ok()) {
-        DetachClient(client, /*unsubscribe=*/true);
-        closed.push_back(i);
-        continue;
-      }
-    }
     if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      Status handled = HandleReadable(client);
-      if (!handled.ok()) {
-        // A vanished client implicitly unsubscribes everything it was
-        // serving (refcounted stream GC); protocol garbage does too.
-        DetachClient(client, /*unsubscribe=*/true);
-        closed.push_back(i);
-      }
+      // A vanished client implicitly unsubscribes everything it was
+      // serving (refcounted stream GC); protocol garbage does too.
+      if (!HandleReadable(client).ok()) DropClient(client);
     }
   }
-  for (auto it = closed.rbegin(); it != closed.rend(); ++it) {
-    clients_.erase(clients_.begin() + static_cast<long>(*it));
+  // The pass's one flush point and the loop's only write site:
+  // everything queued for a client — its ACKs, the RESULT frames any
+  // feed of the pass forwarded to it, and what an earlier pass's flush
+  // could not fit into the socket (POLLOUT above wakes the loop for it)
+  // — leaves in as few send() calls as the socket accepts. Frames are
+  // queued only after their mutation's WAL sync, so a flush can never
+  // expose a mutation that is not durable.
+  for (const std::unique_ptr<ClientState>& client : clients_) {
+    if (!client->conn.open() || !client->conn.has_pending_output()) {
+      continue;
+    }
+    if (!client->conn.FlushSome().ok()) DropClient(client.get());
   }
-  if (!closed.empty()) {
+  NoteNetCounters();
+  size_t before = clients_.size();
+  clients_.erase(
+      std::remove_if(clients_.begin(), clients_.end(),
+                     [](const std::unique_ptr<ClientState>& client) {
+                       return !client->conn.open();
+                     }),
+      clients_.end());
+  if (clients_.size() != before) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.attached_clients = clients_.size();
   }
@@ -953,10 +962,9 @@ ControlResponse ServeDaemon::DoFeed(const ControlRequest& request) {
   if (!wal_error_.ok()) {
     return ErrorResponse(request.request_id, wal_error_);
   }
-  Status forwarded = ForwardNewResults();
-  if (!forwarded.ok()) {
-    return ErrorResponse(request.request_id, forwarded);
-  }
+  // Queues the deliveries; a subscriber whose connection fails is
+  // dropped at the pass's flush point and does not fail this feed.
+  ForwardNewResults();
   FeedReply reply;
   reply.items_fed = items_fed_;
   return OkResponse(request.request_id, EncodeFeedReply(reply));
@@ -983,9 +991,10 @@ ControlResponse ServeDaemon::DoDetach(ClientState* client) {
   return OkResponse(0, std::string());
 }
 
-Status ServeDaemon::ForwardNewResults() {
+void ServeDaemon::ForwardNewResults() {
   // Note the observation tick of every delivery that appeared since the
-  // last scan (the "ingress" of the forwarding plane).
+  // last scan (the "ingress" of the forwarding plane); the same tick
+  // stamps every frame of this forwarding pass.
   uint64_t now = NowUs();
   for (const RegistrationResult& registration :
        system_->registrations()) {
@@ -996,41 +1005,36 @@ Status ServeDaemon::ForwardNewResults() {
       channel.observed_us.push_back(now);
     }
   }
-  // A client whose connection failed keeps the others from losing their
-  // deliveries; the first failure is still reported.
-  Status first_error = Status::Ok();
+  std::string body;  // one frame body at a time, reused
   for (std::unique_ptr<ClientState>& client : clients_) {
     for (auto& [query_id, attachment] : client->subs) {
-      Status forwarded = ForwardTo(client.get(), query_id, &attachment);
-      if (!forwarded.ok()) {
-        if (first_error.ok()) first_error = std::move(forwarded);
-        break;
-      }
+      ForwardTo(client.get(), query_id, &attachment, now, &body);
     }
   }
-  return first_error;
 }
 
-Status ServeDaemon::ForwardTo(ClientState* client, int query_id,
-                              Attachment* attachment) {
-  if (!system_->IsActive(query_id)) return Status::Ok();
+void ServeDaemon::ForwardTo(ClientState* client, int query_id,
+                            Attachment* attachment, uint64_t now,
+                            std::string* body) {
+  if (!system_->IsActive(query_id)) return;
   const engine::SinkOp* sink = system_->registrations()[query_id].sink;
-  if (sink == nullptr) return Status::Ok();
+  if (sink == nullptr) return;
   const std::vector<engine::ItemPtr>& items = sink->items();
   const QueryChannel& channel = channels_[query_id];
   uint64_t forwarded = 0;
-  std::string encoded;
   while (attachment->next_index < items.size()) {
     uint64_t index = attachment->next_index;
-    encoded.clear();
-    client->encoder.Encode(*items[index], &encoded);
     uint64_t delivery_us = index < channel.observed_us.size()
                                ? channel.observed_us[index]
-                               : NowUs();
-    std::string body = EncodeResultFrame(query_id, index, delivery_us,
-                                         NowUs(), encoded);
-    SS_RETURN_IF_ERROR(client->conn.QueueFrame(
-        transport::FrameType::kResult, body, transport::kWireVersion));
+                               : now;
+    // Header and encoded item into the reused body, which QueueFrame
+    // copies once into the send buffer. It cannot fail: while the loop
+    // runs, a connection closes only in DropClient, which clears subs.
+    body->clear();
+    AppendResultFrameHeader(body, query_id, index, delivery_us, now);
+    client->encoder.Encode(*items[index], body);
+    (void)client->conn.QueueFrame(transport::FrameType::kResult, *body,
+                                  transport::kWireVersion);
     ++attachment->next_index;
     ++forwarded;
   }
@@ -1039,7 +1043,24 @@ Status ServeDaemon::ForwardTo(ClientState* client, int query_id,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.results_forwarded += forwarded;
   }
-  return Status::Ok();
+}
+
+void ServeDaemon::DropClient(ClientState* client) {
+  DetachClient(client, /*unsubscribe=*/true);
+  client->conn.Close();
+}
+
+void ServeDaemon::NoteNetCounters() {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  for (const std::unique_ptr<ClientState>& client : clients_) {
+    const FrameConn& conn = client->conn;
+    stats_.net_sends += conn.sends() - client->noted_sends;
+    stats_.net_frames_out += conn.frames_out() - client->noted_frames_out;
+    stats_.net_bytes_out += conn.bytes_sent() - client->noted_bytes_out;
+    client->noted_sends = conn.sends();
+    client->noted_frames_out = conn.frames_out();
+    client->noted_bytes_out = conn.bytes_sent();
+  }
 }
 
 void ServeDaemon::DetachClient(ClientState* client, bool unsubscribe) {
@@ -1099,9 +1120,8 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     // compaction checkpoint must not resurrect a flushed-and-ended
     // deployment on the next start.
     SS_RETURN_IF_ERROR(system_->Shutdown());
-    // Best effort, like the EOS below: a client that closed before the
-    // loop noticed must not fail the drain of the others.
-    (void)ForwardNewResults();
+    // The flushed deliveries leave with the EOS below.
+    ForwardNewResults();
     if (durable()) {
       wal_.Close();
       std::remove(WalPathOrDefault().c_str());
@@ -1137,6 +1157,7 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     (void)client->conn.FlushAll(/*timeout_ms=*/2000);
     client->conn.Close();
   }
+  NoteNetCounters();
   clients_.clear();
 
   obs::EventLog& log = obs::EventLog::Default();

@@ -103,6 +103,11 @@ struct DaemonStats {
   uint64_t wal_compactions = 0;
   uint64_t wal_recovered_records = 0;
   uint64_t wal_torn_tail_truncations = 0;
+  /// Serve plane sends to clients (serve.net.* metrics), summed over
+  /// every connection: send() calls, frames queued, bytes written.
+  uint64_t net_sends = 0;
+  uint64_t net_frames_out = 0;
+  uint64_t net_bytes_out = 0;
 };
 
 class ServeDaemon {
@@ -157,6 +162,10 @@ class ServeDaemon {
     /// connection (the one that subscribed or re-attached it).
     std::map<int, Attachment> subs;
     uint64_t results_forwarded = 0;
+    /// conn's counters as last folded into stats_ (NoteNetCounters).
+    uint64_t noted_sends = 0;
+    uint64_t noted_frames_out = 0;
+    uint64_t noted_bytes_out = 0;
   };
 
   /// Per-query forwarding bookkeeping shared across client lives.
@@ -220,14 +229,21 @@ class ServeDaemon {
   ControlResponse DoDetach(ClientState* client);
 
   /// Notes deliveries that appeared at the sinks since the last scan and
-  /// forwards them to the attached clients. A client whose connection
-  /// fails does not stop the others; the first failure is returned.
-  Status ForwardNewResults();
-  Status ForwardTo(ClientState* client, int query_id,
-                   Attachment* attachment);
+  /// queues them as RESULT frames to the attached clients; they leave at
+  /// the pass's flush point (LoopOnce) or with the drain's EOS.
+  void ForwardNewResults();
+  /// Queues `client`'s undelivered results of one query, stamped `now`;
+  /// `body` is the pass's reused scratch for one frame body.
+  void ForwardTo(ClientState* client, int query_id, Attachment* attachment,
+                 uint64_t now, std::string* body);
   /// Drops a client's attachments; with `unsubscribe` the queries leave
   /// the system too (refcounted GC) — the implicit-disconnect semantics.
   void DetachClient(ClientState* client, bool unsubscribe);
+  /// A failed client: detached with unsubscribe and closed. LoopOnce
+  /// erases closed clients at the end of the pass.
+  void DropClient(ClientState* client);
+  /// Folds every client's send counters since the last call into stats_.
+  void NoteNetCounters();
   Status PerformDrain(bool final_drain);
   Checkpoint BuildCheckpoint() const;
 

@@ -43,10 +43,13 @@ FrameConn::FrameConn(FrameConn&& other) noexcept
     : fd_(other.fd_),
       label_(std::move(other.label_)),
       rx_buffer_(std::move(other.rx_buffer_)),
+      rx_parsed_(other.rx_parsed_),
       tx_buffer_(std::move(other.tx_buffer_)),
-      current_frame_(std::move(other.current_frame_)),
+      tx_sent_(other.tx_sent_),
       bytes_sent_(other.bytes_sent_),
-      bytes_received_(other.bytes_received_) {
+      bytes_received_(other.bytes_received_),
+      sends_(other.sends_),
+      frames_out_(other.frames_out_) {
   other.fd_ = -1;
 }
 
@@ -56,10 +59,13 @@ FrameConn& FrameConn::operator=(FrameConn&& other) noexcept {
     fd_ = other.fd_;
     label_ = std::move(other.label_);
     rx_buffer_ = std::move(other.rx_buffer_);
+    rx_parsed_ = other.rx_parsed_;
     tx_buffer_ = std::move(other.tx_buffer_);
-    current_frame_ = std::move(other.current_frame_);
+    tx_sent_ = other.tx_sent_;
     bytes_sent_ = other.bytes_sent_;
     bytes_received_ = other.bytes_received_;
+    sends_ = other.sends_;
+    frames_out_ = other.frames_out_;
     other.fd_ = -1;
   }
   return *this;
@@ -76,28 +82,40 @@ Status FrameConn::QueueFrame(transport::FrameType type,
                              std::string_view body, uint8_t version) {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
   transport::AppendFrame(&tx_buffer_, type, body, version);
-  return FlushSome();
+  ++frames_out_;
+  return Status::Ok();
 }
 
 Status FrameConn::FlushSome() {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
-  while (!tx_buffer_.empty()) {
+  Status status = Status::Ok();
+  while (tx_sent_ < tx_buffer_.size()) {
     // MSG_NOSIGNAL: a vanished peer must surface as a Status, not a
     // process-killing SIGPIPE.
-    ssize_t n = ::send(fd_, tx_buffer_.data(), tx_buffer_.size(),
-                       MSG_NOSIGNAL);
+    ++sends_;
+    ssize_t n = ::send(fd_, tx_buffer_.data() + tx_sent_,
+                       tx_buffer_.size() - tx_sent_, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::Ok();
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EPIPE || errno == ECONNRESET) {
-        return Status::Unavailable(label_ + ": peer closed connection");
+        status = Status::Unavailable(label_ + ": peer closed connection");
+      } else {
+        status = Errno(label_ + ": send");
       }
-      return Errno(label_ + ": send");
+      break;
     }
     bytes_sent_ += static_cast<uint64_t>(n);
-    tx_buffer_.erase(0, static_cast<size_t>(n));
+    tx_sent_ += static_cast<size_t>(n);
   }
-  return Status::Ok();
+  if (tx_sent_ == tx_buffer_.size()) {
+    tx_buffer_.clear();
+    tx_sent_ = 0;
+  } else if (tx_sent_ >= tx_buffer_.size() / 2) {
+    tx_buffer_.erase(0, tx_sent_);
+    tx_sent_ = 0;
+  }
+  return status;
 }
 
 Status FrameConn::FlushAll(int timeout_ms) {
@@ -105,7 +123,7 @@ Status FrameConn::FlushAll(int timeout_ms) {
       Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (true) {
     SS_RETURN_IF_ERROR(FlushSome());
-    if (tx_buffer_.empty()) return Status::Ok();
+    if (!has_pending_output()) return Status::Ok();
     auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (left.count() <= 0) {
@@ -121,6 +139,10 @@ Status FrameConn::FlushAll(int timeout_ms) {
 
 Status FrameConn::ReadSome() {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
+  // Drop the frames TryParse already returned — once per read, so a
+  // read carrying many frames is parsed in linear time.
+  rx_buffer_.erase(0, rx_parsed_);
+  rx_parsed_ = 0;
   char chunk[16384];
   while (true) {
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -144,22 +166,16 @@ Status FrameConn::ReadSome() {
 
 Result<ConnEvent> FrameConn::TryParse(transport::Frame* frame) {
   size_t consumed = 0;
-  transport::ParseResult parsed =
-      transport::ParseFrame(rx_buffer_, frame, &consumed);
+  transport::ParseResult parsed = transport::ParseFrame(
+      std::string_view(rx_buffer_).substr(rx_parsed_), frame, &consumed);
   switch (parsed) {
     case transport::ParseResult::kFrame:
-    case transport::ParseResult::kUnsupported: {
-      // Move the frame bytes into the scratch buffer so the body view
-      // stays valid after rx_buffer_ shifts.
-      current_frame_.assign(rx_buffer_, 0, consumed);
-      rx_buffer_.erase(0, consumed);
-      size_t body_offset = current_frame_.size() - frame->body.size();
-      frame->body = std::string_view(current_frame_)
-                        .substr(body_offset, frame->body.size());
+    case transport::ParseResult::kUnsupported:
+      // The body aliases rx_buffer_, which only ReadSome shifts.
+      rx_parsed_ += consumed;
       return parsed == transport::ParseResult::kUnsupported
                  ? ConnEvent::kUnsupported
                  : ConnEvent::kFrame;
-    }
     case transport::ParseResult::kNeedMore:
       return ConnEvent::kNeedMore;
     case transport::ParseResult::kMalformed:

@@ -41,17 +41,18 @@ class FrameConn {
   int fd() const { return fd_; }
   const std::string& label() const { return label_; }
 
-  /// Appends one frame to the send buffer and attempts to flush without
-  /// blocking. Bytes that do not fit stay buffered; call FlushSome when
-  /// the fd polls writable.
+  /// Appends one frame to the send buffer. Nothing is written to the
+  /// socket until FlushSome/FlushAll, so a caller that queues many
+  /// frames pays one send() for all of them.
   Status QueueFrame(transport::FrameType type, std::string_view body,
                     uint8_t version = transport::kBaseWireVersion);
 
-  /// Writes as much buffered output as the socket accepts right now.
+  /// Writes as much buffered output as the socket accepts right now;
+  /// the only path that writes to the socket.
   Status FlushSome();
   /// Blocks until the send buffer is empty (or `timeout_ms` passes).
   Status FlushAll(int timeout_ms);
-  bool has_pending_output() const { return !tx_buffer_.empty(); }
+  bool has_pending_output() const { return tx_sent_ < tx_buffer_.size(); }
 
   /// Appends freshly received bytes to the parse buffer. Returns
   /// Unavailable on orderly peer close (EOF), Ok when bytes were read or
@@ -59,8 +60,9 @@ class FrameConn {
   Status ReadSome();
 
   /// Parses the next frame out of the receive buffer. On kFrame and
-  /// kUnsupported, `frame` is filled (body aliases an internal buffer
-  /// valid until the next TryParse/Recv call) and the bytes consumed.
+  /// kUnsupported, `frame` is filled (body aliases the receive buffer,
+  /// valid until the next TryParse/RecvFrame/ReadSome call) and the
+  /// bytes consumed.
   Result<ConnEvent> TryParse(transport::Frame* frame);
 
   /// Blocking receive of the next frame (kUnsupported surfaces as a
@@ -71,17 +73,26 @@ class FrameConn {
 
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
+  /// send() system calls made, including ones that would block.
+  uint64_t sends() const { return sends_; }
+  /// Frames queued for sending.
+  uint64_t frames_out() const { return frames_out_; }
 
  private:
   int fd_ = -1;
   std::string label_;
+  /// Received bytes; [0, rx_parsed_) are frames TryParse already
+  /// returned. ReadSome drops them before appending.
   std::string rx_buffer_;
+  size_t rx_parsed_ = 0;
+  /// Queued bytes; [0, tx_sent_) already went out. FlushSome drops them
+  /// once they are at least half the buffer, so draining is linear.
   std::string tx_buffer_;
-  /// Scratch holding the bytes of the frame most recently returned by
-  /// TryParse, so its body stays valid after rx_buffer_ shifts.
-  std::string current_frame_;
+  size_t tx_sent_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
+  uint64_t sends_ = 0;
+  uint64_t frames_out_ = 0;
 };
 
 /// Listening localhost socket. Port 0 binds an ephemeral port.

@@ -2,20 +2,32 @@
 // through the real planner, delivery forwarding, double-unsubscribe
 // NotFound semantics, E6 admission rejection leaving the deployment
 // untouched, detach/re-attach catch-up, implicit unsubscribe on
-// disconnect, and the unsupported-frame answer path.
+// disconnect, the unsupported-frame answer path, and the forwarding
+// plane's frame order, send coalescing and backpressure.
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/operator.h"
 #include "gtest/gtest.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/net.h"
 #include "serve/wal.h"
+#include "transport/codec.h"
 #include "workload/scenario.h"
+#include "xml/xml_node.h"
 
 namespace streamshare::serve {
 namespace {
@@ -51,6 +63,159 @@ ServeClient MakeClient(const ServeDaemon& daemon,
   options.name = name;
   return ServeClient(options);
 }
+
+/// A bare control connection that sees every frame, for tests that pin
+/// frame order, pipeline requests or stop reading. RESULT frames fold
+/// into `results` exactly as ServeClient folds them.
+struct RawClient {
+  FrameConn conn;
+  transport::ItemDecoder decoder;
+  uint64_t next_request_id = 1;
+  std::map<int64_t, ClientQueryResults> results;
+  uint64_t results_seen = 0;
+  /// Every query's deliveries arrived as seq 0, 1, 2, ...
+  bool seq_in_order = true;
+
+  /// Dials the daemon; a nonzero `rcvbuf` shrinks the receive buffer
+  /// before the connection is made.
+  static std::unique_ptr<RawClient> Connect(int port, int rcvbuf = 0) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return nullptr;
+    if (rcvbuf != 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd);
+      return nullptr;
+    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    auto client = std::make_unique<RawClient>();
+    client->conn = FrameConn(fd, "raw-client");
+    return client;
+  }
+
+  Status Send(ControlRequest request) {
+    request.request_id = next_request_id++;
+    SS_RETURN_IF_ERROR(conn.QueueFrame(transport::FrameType::kControl,
+                                       EncodeRequest(request)));
+    return conn.FlushAll(30000);
+  }
+
+  /// Reads up to the next ACK (or EOS, which returns an empty
+  /// response); `results_before` counts the RESULT frames ahead of it.
+  Result<ControlResponse> ReadAck(uint64_t* results_before = nullptr) {
+    uint64_t before = results_seen;
+    while (true) {
+      transport::Frame frame;
+      SS_ASSIGN_OR_RETURN(ConnEvent event, conn.RecvFrame(&frame, 30000));
+      if (event != ConnEvent::kFrame) {
+        return Status::Internal("unsupported frame from the daemon");
+      }
+      if (frame.type == transport::FrameType::kResult) {
+        SS_RETURN_IF_ERROR(Accumulate(frame.body));
+        continue;
+      }
+      if (results_before != nullptr) {
+        *results_before = results_seen - before;
+      }
+      if (frame.type == transport::FrameType::kEos) {
+        return ControlResponse();
+      }
+      if (frame.type != transport::FrameType::kControlAck) {
+        return Status::Internal("unexpected frame type " +
+                                std::to_string(frame.raw_type));
+      }
+      return DecodeResponse(frame.body);
+    }
+  }
+
+  /// Send + ReadAck; a non-OK response comes back as its status.
+  Result<ControlResponse> Call(ControlRequest request,
+                               uint64_t* results_before = nullptr) {
+    SS_RETURN_IF_ERROR(Send(std::move(request)));
+    SS_ASSIGN_OR_RETURN(ControlResponse response, ReadAck(results_before));
+    SS_RETURN_IF_ERROR(ResponseStatus(response));
+    return response;
+  }
+
+  Status Hello() {
+    ControlRequest request;
+    request.verb = Verb::kHello;
+    request.client_name = "raw";
+    return Call(request).status();
+  }
+
+  /// Subscribes every scenario query in one batch; returns the accepted
+  /// query ids.
+  Result<std::vector<int64_t>> SubscribeAll(
+      const workload::ScenarioSpec& scenario) {
+    ControlRequest request;
+    request.verb = Verb::kSubscribeBatch;
+    for (const workload::QuerySpec& query : scenario.queries) {
+      request.batch.push_back({query.text, query.target, /*strategy=*/2});
+    }
+    SS_ASSIGN_OR_RETURN(ControlResponse response, Call(request));
+    SS_ASSIGN_OR_RETURN(SubscribeBatchReply reply,
+                        DecodeSubscribeBatchReply(response.payload));
+    std::vector<int64_t> accepted;
+    for (const SubscribeReply& entry : reply.entries) {
+      if (entry.accepted) accepted.push_back(entry.query_id);
+    }
+    return accepted;
+  }
+
+  static ControlRequest FeedRequest(uint64_t items) {
+    ControlRequest request;
+    request.verb = Verb::kFeed;
+    request.feed_items = items;
+    return request;
+  }
+
+  Result<StatsReply> Stats(uint64_t* results_before = nullptr) {
+    ControlRequest request;
+    request.verb = Verb::kStats;
+    SS_ASSIGN_OR_RETURN(ControlResponse response,
+                        Call(request, results_before));
+    return DecodeStatsReply(response.payload);
+  }
+
+  Status Accumulate(std::string_view body) {
+    SS_ASSIGN_OR_RETURN(ResultFrame result, DecodeResultFrame(body));
+    std::unique_ptr<xml::XmlNode> item;
+    SS_RETURN_IF_ERROR(decoder.Decode(result.item, &item));
+    ClientQueryResults& query = results[result.query_id];
+    if (result.seq != query.next_seq) seq_in_order = false;
+    query.items += 1;
+    query.bytes += item->SerializedSize();
+    query.content_hash += engine::HashItemContent(*item);
+    query.next_seq = result.seq + 1;
+    ++results_seen;
+    return Status::Ok();
+  }
+
+  /// Every query's sink counters in `stats` equal what arrived here.
+  void ExpectMatches(const StatsReply& stats) const {
+    uint64_t sink_total = 0;
+    for (const QueryStat& query : stats.queries) {
+      auto it = results.find(query.query_id);
+      ClientQueryResults got =
+          it == results.end() ? ClientQueryResults() : it->second;
+      EXPECT_EQ(got.items, query.items) << "query " << query.query_id;
+      EXPECT_EQ(got.bytes, query.bytes) << "query " << query.query_id;
+      EXPECT_EQ(got.content_hash, query.content_hash)
+          << "query " << query.query_id;
+      sink_total += query.items;
+    }
+    EXPECT_EQ(results_seen, sink_total);
+  }
+};
 
 TEST(ServeDaemon, SubscribeFeedForwardsDeliveriesMatchingSinks) {
   workload::ScenarioSpec scenario = SmallScenario();
@@ -479,6 +644,164 @@ TEST(ServeDaemon, ReoptimizeInterleavesWithLiveSubscribeAndFeed) {
   });
   subscriber.join();
   reoptimizer.join();
+
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+  EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
+}
+
+TEST(ServeDaemon, FeedResultsPrecedeTheAckInFewSends) {
+  workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/20);
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  auto raw = RawClient::Connect(daemon->port());
+  ASSERT_NE(raw, nullptr);
+  ASSERT_TRUE(raw->Hello().ok());
+  auto accepted = raw->SubscribeAll(scenario);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_FALSE(accepted->empty());
+  uint64_t acks = 2;
+
+  constexpr uint64_t kFeeds = 10;
+  for (uint64_t feed = 0; feed < kFeeds; ++feed) {
+    uint64_t results_before = 0;
+    auto fed = raw->Call(RawClient::FeedRequest(10), &results_before);
+    ASSERT_TRUE(fed.ok()) << fed.status();
+    // Nothing of this feed trails its ACK: the sinks hold exactly what
+    // arrived ahead of it.
+    uint64_t stragglers = 0;
+    auto stats = raw->Stats(&stragglers);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stragglers, 0u) << "feed " << feed;
+    raw->ExpectMatches(*stats);
+    EXPECT_EQ(stats->results_forwarded, raw->results_seen);
+    acks += 2;
+  }
+  EXPECT_TRUE(raw->seq_in_order);
+  EXPECT_GT(raw->results_seen, 5 * kFeeds)
+      << "too few deliveries for the send count to mean anything";
+
+  ControlRequest drain;
+  drain.verb = Verb::kDrain;
+  drain.final_drain = true;
+  ASSERT_TRUE(raw->Call(drain).ok());
+  ++acks;
+  ASSERT_TRUE(raw->ReadAck().ok());  // the EOS, after any flushed windows
+  daemon->Join();
+  EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
+
+  DaemonStats stats = daemon->stats();
+  EXPECT_EQ(stats.net_frames_out, raw->results_seen + acks + 1);
+  EXPECT_EQ(stats.net_bytes_out, raw->conn.bytes_received());
+  // One send() per answered request; a feed's pass and the drain's EOS
+  // may take a second when their output outgrows the socket buffer.
+  EXPECT_LE(stats.net_sends, acks + kFeeds + 2);
+  obs::MetricsRegistry registry;
+  daemon->ExportMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("serve.net.sends")->Value(),
+            static_cast<double>(stats.net_sends));
+  EXPECT_EQ(registry.GetGauge("serve.net.frames_out")->Value(),
+            static_cast<double>(stats.net_frames_out));
+  EXPECT_EQ(registry.GetGauge("serve.net.bytes_out")->Value(),
+            static_cast<double>(stats.net_bytes_out));
+}
+
+TEST(ServeDaemon, StalledSubscriberIsBufferedWithoutStallingOthers) {
+  // Whole-item queries: many result bytes for little engine work.
+  workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/0);
+  for (network::NodeId target : {1, 4, 5, 6, 9, 10, 11, 14}) {
+    scenario.queries.push_back(
+        {"<all> { for $p in stream(\"photons\")/photons/photon "
+         "return $p } </all>",
+         target});
+  }
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  // The subscriber's small receive buffer fills after a few frames.
+  auto subscriber = RawClient::Connect(daemon->port(), /*rcvbuf=*/4096);
+  ASSERT_NE(subscriber, nullptr);
+  ASSERT_TRUE(subscriber->Hello().ok());
+  auto accepted = subscriber->SubscribeAll(scenario);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_FALSE(accepted->empty());
+  ServeClient feeder = MakeClient(*daemon, "feeder");
+  ASSERT_TRUE(feeder.Connect().ok());
+  uint64_t requests = 3;
+
+  // The subscriber stops reading while the feeder keeps feeding. Until
+  // some flush meets a full socket, every pass makes one send() per
+  // client it answered or forwarded to: at most requests + feeds. The
+  // kernel buffers a few MB first (the daemon's send buffer autotunes).
+  uint64_t feeds = 0;
+  bool backed_up = false;
+  while (!backed_up && feeds < 400) {
+    auto fed = feeder.Feed(200);
+    ASSERT_TRUE(fed.ok()) << fed.status();
+    ++feeds;
+    ++requests;
+    backed_up = daemon->stats().net_sends > requests + feeds;
+  }
+  ASSERT_TRUE(backed_up) << "the subscriber's socket never filled";
+  for (int more = 0; more < 3; ++more) {
+    ASSERT_TRUE(feeder.Feed(200).ok());
+  }
+
+  // Resumed, the subscriber gets every queued frame intact, ahead of
+  // its Stats ACK.
+  auto stats = subscriber->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(subscriber->seq_in_order);
+  subscriber->ExpectMatches(*stats);
+  EXPECT_EQ(stats->results_forwarded, subscriber->results_seen);
+
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+  EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
+}
+
+TEST(ServeDaemon, BrokenSubscriberDoesNotFailAnotherClientsFeed) {
+  workload::ScenarioSpec scenario = SmallScenario();
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  // The feeder connects first, so the loop serves it ahead of the
+  // subscriber within a pass.
+  auto feeder = RawClient::Connect(daemon->port());
+  auto subscriber = RawClient::Connect(daemon->port());
+  ASSERT_NE(feeder, nullptr);
+  ASSERT_NE(subscriber, nullptr);
+  ASSERT_TRUE(feeder->Hello().ok());
+  ASSERT_TRUE(subscriber->Hello().ok());
+  auto accepted = subscriber->SubscribeAll(scenario);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_FALSE(accepted->empty());
+
+  // Two pipelined feeds around the subscriber's socket going away: the
+  // daemon forwards into a broken connection while serving them.
+  ASSERT_TRUE(feeder->Send(RawClient::FeedRequest(100)).ok());
+  ASSERT_EQ(::shutdown(subscriber->conn.fd(), SHUT_RDWR), 0);
+  ASSERT_TRUE(feeder->Send(RawClient::FeedRequest(100)).ok());
+  for (int feed = 0; feed < 2; ++feed) {
+    auto ack = feeder->ReadAck();
+    ASSERT_TRUE(ack.ok()) << ack.status();
+    // Both feeds were applied and made durable; their ACKs say so.
+    EXPECT_TRUE(ResponseStatus(*ack).ok()) << ResponseStatus(*ack);
+  }
+
+  // The broken subscriber's queries are collected as on disconnect.
+  bool collected = false;
+  for (int i = 0; i < 100 && !collected; ++i) {
+    auto stats = feeder->Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    collected = true;
+    for (const QueryStat& query : stats->queries) {
+      if (query.active) collected = false;
+    }
+  }
+  EXPECT_TRUE(collected) << "the broken subscriber's queries stayed";
+  EXPECT_EQ(daemon->stats().unsubscribed, accepted->size());
+  EXPECT_EQ(daemon->stats().items_fed, 200u);
 
   daemon->RequestDrain(/*final_drain=*/true);
   daemon->Join();
