@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/codec.h"
 #include "engine/record.h"
-#include "transport/codec.h"
 #include "transport/wire.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_writer.h"
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   uint64_t encoded_bytes = 0;
   auto encode_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    transport::ItemEncoder encoder;
+    engine::ItemEncoder encoder;
     encoded_bytes = 0;
     for (size_t i = 0; i < photons.size(); ++i) {
       encoded[i].clear();
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   bool identical = true;
   auto decode_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    transport::ItemDecoder decoder;
+    engine::ItemDecoder decoder;
     for (size_t i = 0; i < encoded.size(); ++i) {
       std::unique_ptr<xml::XmlNode> node;
       Status status = decoder.Decode(encoded[i], &node);
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   uint64_t record_encoded_bytes = 0;
   auto record_encode_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    transport::ItemEncoder encoder;
+    engine::ItemEncoder encoder;
     record_encoded_bytes = 0;
     for (size_t i = 0; i < records.size(); ++i) {
       encoded[i].clear();
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
 
   auto record_decode_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    transport::ItemDecoder decoder;
+    engine::ItemDecoder decoder;
     for (size_t i = 0; i < encoded.size(); ++i) {
       engine::ItemBatch::Slot slot;
       Status status = decoder.DecodeSlot(encoded[i], &slot);

@@ -1,68 +1,128 @@
-#include "transport/codec.h"
+#include "engine/codec.h"
 
 #include <algorithm>
 
 #include "common/decimal.h"
 #include "common/string_util.h"
-#include "transport/wire.h"
+#include "common/varint.h"
 
-namespace streamshare::transport {
+namespace streamshare::engine {
 
-using engine::PhotonRecord;
-using engine::PhotonSchema;
+namespace {
+
+// One node's header after its name tag: text length, raw text, child
+// count. The children follow it.
+void PutNodeRest(std::string* out, std::string_view text,
+                 uint64_t child_count) {
+  PutVarint(out, text.size());
+  out->append(text);
+  PutVarint(out, child_count);
+}
+
+// The two tag forms of a name.
+void PutNameReference(std::string* out, uint64_t id) {
+  PutVarint(out, (id + 1) << 1);
+}
+void PutNameLiteral(std::string* out, std::string_view name) {
+  PutVarint(out, (static_cast<uint64_t>(name.size()) << 1) | 1);
+  out->append(name);
+}
+
+// The pre-order walks every encoding shares: `node(name, text,
+// child_count)` once per node, children right after their parent.
+template <typename NodeFn>
+void WalkTree(const xml::XmlNode& tree, const NodeFn& node) {
+  node(tree.name(), tree.text(), tree.children().size());
+  for (const auto& child : tree.children()) WalkTree(*child, node);
+}
+
+template <typename NodeFn>
+void WalkRecord(const PhotonRecord& record, int at, const NodeFn& node) {
+  int field = PhotonSchema::FieldOf(at);
+  uint64_t child_count = 0;
+  for (int child : PhotonSchema::Children(at)) {
+    if (record.has_node(child)) ++child_count;
+  }
+  node(PhotonSchema::Name(at),
+       field >= 0 ? record.text(field) : std::string_view(), child_count);
+  for (int child : PhotonSchema::Children(at)) {
+    if (record.has_node(child)) WalkRecord(record, child, node);
+  }
+}
+
+}  // namespace
 
 void ItemEncoder::Encode(const xml::XmlNode& node, std::string* out) {
   out->reserve(out->size() + node.SerializedSize());
-  EncodeNode(node, out);
-}
-
-void ItemEncoder::EncodeName(std::string_view name, std::string* out) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) {
-    PutVarint(out, (it->second + 1) << 1);
-  } else {
-    PutVarint(out, (static_cast<uint64_t>(name.size()) << 1) | 1);
-    out->append(name);
-    if (ids_.size() < kMaxDictionaryNames) {
-      ids_.emplace(std::string(name), ids_.size());
-    }
-  }
-}
-
-void ItemEncoder::EncodeNode(const xml::XmlNode& node, std::string* out) {
-  EncodeName(node.name(), out);
-  PutVarint(out, node.text().size());
-  out->append(node.text());
-  PutVarint(out, node.children().size());
-  for (const auto& child : node.children()) {
-    EncodeNode(*child, out);
-  }
+  WalkTree(node, [&](std::string_view name, std::string_view text,
+                     uint64_t child_count) {
+    EncodeNode(name, text, child_count, out);
+  });
 }
 
 void ItemEncoder::EncodeRecord(const PhotonRecord& record, std::string* out) {
   out->reserve(out->size() + record.SerializedSize());
-  EncodeRecordNode(record, PhotonSchema::kPhoton, out);
+  WalkRecord(record, PhotonSchema::kPhoton,
+             [&](std::string_view name, std::string_view text,
+                 uint64_t child_count) {
+               EncodeNode(name, text, child_count, out);
+             });
 }
 
-void ItemEncoder::EncodeRecordNode(const PhotonRecord& record, int node,
-                                   std::string* out) {
-  EncodeName(PhotonSchema::Name(node), out);
-  int field = PhotonSchema::FieldOf(node);
-  std::string_view text =
-      field >= 0 ? record.text(field) : std::string_view();
-  PutVarint(out, text.size());
-  out->append(text);
-  uint64_t child_count = 0;
-  for (int child : PhotonSchema::Children(node)) {
-    if (record.has_node(child)) ++child_count;
+void ItemEncoder::EncodeNode(std::string_view name, std::string_view text,
+                             uint64_t child_count, std::string* out) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) {
+    PutNameReference(out, it->second);
+  } else {
+    PutNameLiteral(out, name);
+    if (ids_.size() < kMaxDictionaryNames) {
+      ids_.emplace(std::string(name), ids_.size());
+    }
   }
-  PutVarint(out, child_count);
-  for (int child : PhotonSchema::Children(node)) {
-    if (record.has_node(child)) EncodeRecordNode(record, child, out);
-  }
+  PutNodeRest(out, text, child_count);
 }
 
 void ItemEncoder::Reset() { ids_.clear(); }
+
+void ItemWriter::Begin(std::string* out) {
+  out_ = out;
+  names_.clear();
+  xml_size_ = 0;
+  content_hash_ = kContentHashSeed;
+}
+
+void ItemWriter::Node(std::string_view name, std::string_view text,
+                      uint64_t child_count) {
+  auto known = std::find(names_.begin(), names_.end(), name);
+  if (known != names_.end()) {
+    PutNameReference(out_, static_cast<uint64_t>(known - names_.begin()));
+  } else {
+    PutNameLiteral(out_, name);
+    if (names_.size() < kMaxDictionaryNames) names_.push_back(name);
+  }
+  PutNodeRest(out_, text, child_count);
+  // XmlNode::SerializedSize: an element with neither text nor children
+  // serializes as one empty tag.
+  xml_size_ += xml::XmlNode::TagBytes(name.size(),
+                                      child_count == 0 && text.empty()) +
+               xml::XmlNode::EscapedTextBytes(text);
+  content_hash_ = MixContentHash(content_hash_, name);
+  content_hash_ = MixContentHash(content_hash_, text);
+}
+
+void ItemWriter::Record(const PhotonRecord& record, int node) {
+  WalkRecord(record, node,
+             [this](std::string_view name, std::string_view text,
+                    uint64_t child_count) { Node(name, text, child_count); });
+}
+
+void ItemWriter::Tree(const xml::XmlNode& node) {
+  WalkTree(node, [this](std::string_view name, std::string_view text,
+                        uint64_t child_count) {
+    Node(name, text, child_count);
+  });
+}
 
 Status ItemDecoder::Decode(std::string_view data,
                            std::unique_ptr<xml::XmlNode>* out) {
@@ -191,7 +251,7 @@ bool ItemDecoder::DecodeRecordBody(std::string_view* data, int node,
 }
 
 Status ItemDecoder::DecodeSlot(std::string_view data,
-                               engine::ItemBatch::Slot* out) {
+                               ItemBatch::Slot* out) {
   const size_t dict_before = names_.size();
   std::string_view cursor = data;
   std::string_view root;
@@ -210,11 +270,11 @@ Status ItemDecoder::DecodeSlot(std::string_view data,
   names_.resize(dict_before);
   std::unique_ptr<xml::XmlNode> node;
   SS_RETURN_IF_ERROR(Decode(data, &node));
-  out->item = engine::MakeItem(std::move(node));
+  out->item = MakeItem(std::move(node));
   out->is_record = false;
   return Status::Ok();
 }
 
 void ItemDecoder::Reset() { names_.clear(); }
 
-}  // namespace streamshare::transport
+}  // namespace streamshare::engine

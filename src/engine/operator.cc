@@ -7,15 +7,6 @@
 
 namespace streamshare::engine {
 
-namespace {
-
-size_t SlotSerializedSize(const ItemBatch::Slot& slot) {
-  return slot.is_record ? slot.record.SerializedSize()
-                        : slot.item->SerializedSize();
-}
-
-}  // namespace
-
 Status Operator::Finish() {
   if (finished_) return Status::Ok();
   finished_ = true;
@@ -53,12 +44,13 @@ Status SelectOp::ProcessBatch(ItemBatch* batch) {
     Result<bool> keep =
         slot.is_record
             ? EvalCompiledPredicates(compiled_, slot.record)
-            : predicate::EvaluateConjunction(predicates_, *slot.item);
+            : predicate::EvaluateConjunction(predicates_,
+                                             *batch->Materialize(i));
     if (!keep.ok()) {
       failure = keep.status();
       break;
     }
-    if (*keep) scratch_.AppendSlot(slot);
+    if (*keep) scratch_.AppendSlot(*batch, i);
   }
   return FlushScratch(&scratch_, std::move(failure));
 }
@@ -119,8 +111,9 @@ Status ProjectOp::ProcessBatch(ItemBatch* batch) {
     if (slot.is_record) {
       scratch_.AppendRecord(slot.record.Project(keep_mask_));
     } else {
-      scratch_.AppendItem(MakeItem(ProjectTree(*slot.item, output_paths_)),
-                          /*adopt=*/false);
+      scratch_.AppendItem(
+          MakeItem(ProjectTree(*batch->Materialize(i), output_paths_)),
+          /*adopt=*/false);
     }
     // Append* builds a fresh (unstamped) slot; the projected item is still
     // the same logical item, so its latency stamp rides along.
@@ -134,38 +127,6 @@ Status LinkOp::ProcessBatch(ItemBatch* batch) {
     link_metrics_->AddBytes(link_, SlotSerializedSize(batch->slot(i)));
   }
   return EmitBatch(batch);
-}
-
-namespace {
-
-/// Order-sensitive FNV-1a over one subtree's structure (name, text,
-/// children). Sinks sum these per item, so the aggregate is insensitive
-/// to cross-stream arrival order — which execution modes do not fix —
-/// while any changed or missing item changes the sum.
-uint64_t MixBytes(uint64_t hash, std::string_view bytes) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kPrime;
-  }
-  hash ^= 0xff;  // separator, so ("ab","c") != ("a","bc")
-  hash *= kPrime;
-  return hash;
-}
-
-uint64_t HashSubtree(const xml::XmlNode& node, uint64_t hash) {
-  hash = MixBytes(hash, node.name());
-  hash = MixBytes(hash, node.text());
-  for (const auto& child : node.children()) {
-    hash = HashSubtree(*child, hash);
-  }
-  return hash;
-}
-
-}  // namespace
-
-uint64_t HashItemContent(const xml::XmlNode& item) {
-  return HashSubtree(item, 14695981039346656037ull);
 }
 
 void SinkOp::EnableLatencyRecording(const std::string& query) {
@@ -274,14 +235,39 @@ Status SinkOp::ProcessBatch(ItemBatch* batch) {
   for (size_t i = 0; i < batch->size(); ++i) {
     const ItemBatch::Slot& slot = batch->slot(i);
     total_bytes_ += SlotSerializedSize(slot);
-    if (hash_items_) {
-      content_hash_ += slot.is_record ? slot.record.ContentHash()
-                                      : HashItemContent(*slot.item);
-    }
-    if (keep_items_) items_.push_back(batch->Materialize(i));
+    if (hash_items_) content_hash_ += SlotContentHash(slot);
+    if (keep_items_) Retain(*batch, i);
     RecordLatency(slot.stamp, now);
   }
   return Status::Ok();
+}
+
+void SinkOp::Retain(const ItemBatch& batch, size_t i) {
+  const ItemBatch::Slot& slot = batch.slot(i);
+  if (slot.is_encoded()) {
+    log_.append(batch.encoded(i));
+  } else {
+    writer_.Begin(&log_);
+    if (slot.is_record) {
+      writer_.Record(slot.record, PhotonSchema::kPhoton);
+    } else {
+      writer_.Tree(*slot.item);
+    }
+  }
+  log_ends_.push_back(log_.size());
+}
+
+std::string_view SinkOp::retained(size_t i) const {
+  size_t begin = i == 0 ? 0 : log_ends_[i - 1];
+  return std::string_view(log_).substr(begin, log_ends_[i] - begin);
+}
+
+const std::vector<ItemPtr>& SinkOp::items() const {
+  materialized_.reserve(log_ends_.size());
+  for (size_t i = materialized_.size(); i < log_ends_.size(); ++i) {
+    materialized_.push_back(DecodeEncodedItem(retained(i)));
+  }
+  return materialized_;
 }
 
 }  // namespace streamshare::engine

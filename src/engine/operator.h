@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/codec.h"
 #include "engine/item.h"
 #include "engine/latency.h"
 #include "engine/metrics.h"
@@ -224,7 +225,9 @@ class LinkOp : public Operator {
   network::LinkId link_;
 };
 
-/// Terminal collector: counts items and (optionally) keeps them.
+/// Terminal collector: counts items and (optionally) keeps them. Kept
+/// deliveries are stored once each, in the codec's self-contained form,
+/// in one contiguous log (bytes plus end offsets).
 class SinkOp : public Operator {
  public:
   explicit SinkOp(std::string label, bool keep_items = false)
@@ -232,7 +235,21 @@ class SinkOp : public Operator {
 
   uint64_t item_count() const { return item_count_; }
   uint64_t total_bytes() const { return total_bytes_; }
-  const std::vector<ItemPtr>& items() const { return items_; }
+
+  /// Deliveries kept so far (0 unless keep_items).
+  size_t retained_results() const { return log_ends_.size(); }
+  /// Kept delivery `i` in the self-contained encoding: any Reset()
+  /// ItemDecoder reads it on its own.
+  std::string_view retained(size_t i) const;
+  /// Memory the log holds: encoded bytes plus one 8-byte end offset per
+  /// kept delivery.
+  size_t retained_bytes() const {
+    return log_.size() + log_ends_.size() * sizeof(uint64_t);
+  }
+  /// The kept deliveries as trees, decoded on demand: each delivery is
+  /// decoded once, later calls decode only what arrived since. For tests,
+  /// the oracle and benches — the serve daemon ships the encoded log.
+  const std::vector<ItemPtr>& items() const;
 
   /// Starts folding every received item into content_hash() (an
   /// order-insensitive structural hash). Off by default so the hot path
@@ -268,8 +285,8 @@ class SinkOp : public Operator {
   uint64_t stamp_regressions() const { return stamp_regressions_; }
 
  protected:
-  /// Counts, sizes and hashes straight off the record slots; materializes
-  /// a tree only when the sink keeps items.
+  /// Counts, sizes and hashes straight off the slots, and appends kept
+  /// deliveries to the log, without materializing a tree.
   Status ProcessBatch(ItemBatch* batch) override;
   /// Folds any batched latency observations into the shared histograms.
   Status OnFinish() override;
@@ -293,13 +310,19 @@ class SinkOp : public Operator {
   /// (slots of one batch share their arrival instant, like a fed chunk
   /// shares its ingress tick).
   void RecordLatency(const latency::ItemStamp& stamp, uint64_t now);
+  /// Appends slot `i` of `batch` to the log.
+  void Retain(const ItemBatch& batch, size_t i);
 
   bool keep_items_;
   bool hash_items_ = false;
   uint64_t item_count_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t content_hash_ = 0;
-  std::vector<ItemPtr> items_;
+  std::string log_;
+  std::vector<uint64_t> log_ends_;
+  ItemWriter writer_;
+  /// items()' cache: the first materialized_.size() kept deliveries.
+  mutable std::vector<ItemPtr> materialized_;
   obs::Histogram* lat_e2e_ = nullptr;
   obs::Histogram* lat_pipeline_ = nullptr;
   obs::Histogram* lat_queue_ = nullptr;
@@ -322,11 +345,6 @@ class PassOp : public Operator {
  protected:
   Status ProcessBatch(ItemBatch* batch) override { return EmitBatch(batch); }
 };
-
-/// Order-sensitive structural hash of one item (names, texts, children in
-/// pre-order). Sinks sum these per item into an order-insensitive
-/// aggregate; PhotonRecord::ContentHash() matches this exactly.
-uint64_t HashItemContent(const xml::XmlNode& item);
 
 }  // namespace streamshare::engine
 

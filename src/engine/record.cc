@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/string_util.h"
+#include "engine/codec.h"
 #include "predicate/eval.h"
 
 namespace streamshare::engine {
@@ -31,23 +32,35 @@ constexpr int kNodeOf[PhotonSchema::kFieldCount] = {
     PhotonSchema::kDx,  PhotonSchema::kDy, PhotonSchema::kEn,
     PhotonSchema::kDetTime};
 
-// Same constants and mixing as operator.cc's sink hash, so
-// PhotonRecord::ContentHash() equals HashItemContent() of the
-// materialized tree byte for byte.
-constexpr uint64_t kFnvSeed = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+}  // namespace
 
-uint64_t MixBytes(uint64_t hash, std::string_view bytes) {
+uint64_t MixContentHash(uint64_t hash, std::string_view bytes) {
+  constexpr uint64_t kPrime = 1099511628211ull;
   for (char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
+    hash *= kPrime;
   }
-  hash ^= 0xff;
-  hash *= kFnvPrime;
+  hash ^= 0xff;  // separator, so ("ab","c") != ("a","bc")
+  hash *= kPrime;
+  return hash;
+}
+
+namespace {
+
+uint64_t HashSubtree(const xml::XmlNode& node, uint64_t hash) {
+  hash = MixContentHash(hash, node.name());
+  hash = MixContentHash(hash, node.text());
+  for (const auto& child : node.children()) {
+    hash = HashSubtree(*child, hash);
+  }
   return hash;
 }
 
 }  // namespace
+
+uint64_t HashItemContent(const xml::XmlNode& item) {
+  return HashSubtree(item, kContentHashSeed);
+}
 
 std::string_view PhotonSchema::Name(int node) { return kNames[node]; }
 
@@ -163,11 +176,6 @@ std::unique_ptr<xml::XmlNode> PhotonRecord::MaterializeXml() const {
   return BuildNode(*this, PhotonSchema::kPhoton);
 }
 
-std::unique_ptr<xml::XmlNode> PhotonRecord::MaterializeSubtree(
-    int node) const {
-  return BuildNode(*this, node);
-}
-
 size_t PhotonRecord::SerializedSize() const {
   if (size_cache_ != 0) return size_cache_;
   size_t size = 0;
@@ -197,9 +205,10 @@ size_t PhotonRecord::SerializedSize() const {
 namespace {
 
 uint64_t HashNode(const PhotonRecord& rec, int node, uint64_t hash) {
-  hash = MixBytes(hash, PhotonSchema::Name(node));
+  hash = MixContentHash(hash, PhotonSchema::Name(node));
   int field = PhotonSchema::FieldOf(node);
-  hash = MixBytes(hash, field >= 0 ? rec.text(field) : std::string_view());
+  hash = MixContentHash(hash,
+                        field >= 0 ? rec.text(field) : std::string_view());
   for (int child : PhotonSchema::Children(node)) {
     if (rec.has_node(child)) hash = HashNode(rec, child, hash);
   }
@@ -209,7 +218,7 @@ uint64_t HashNode(const PhotonRecord& rec, int node, uint64_t hash) {
 }  // namespace
 
 uint64_t PhotonRecord::ContentHash() const {
-  return HashNode(*this, PhotonSchema::kPhoton, kFnvSeed);
+  return HashNode(*this, PhotonSchema::kPhoton, kContentHashSeed);
 }
 
 PhotonRecord PhotonRecord::Project(uint16_t keep_mask) const {
@@ -233,17 +242,64 @@ void ItemBatch::AppendItem(const ItemPtr& item, bool adopt,
   slots_.push_back(std::move(slot));
 }
 
+void ItemBatch::AppendSlot(const ItemBatch& from, size_t i) {
+  slots_.push_back(from.slots_[i]);
+  if (slots_.back().is_encoded()) {
+    slots_.back().encoded_offset = static_cast<uint32_t>(arena_.size());
+    arena_.append(from.encoded(i));
+  }
+}
+
+void ItemBatch::AppendEncoded(size_t offset, size_t xml_size,
+                              uint64_t content_hash,
+                              const latency::ItemStamp& stamp) {
+  Slot slot;
+  slot.encoded_offset = static_cast<uint32_t>(offset);
+  slot.encoded_size = static_cast<uint32_t>(arena_.size() - offset);
+  slot.xml_size = static_cast<uint32_t>(xml_size);
+  slot.content_hash = content_hash;
+  slot.stamp = stamp;
+  slots_.push_back(std::move(slot));
+}
+
 const ItemPtr& ItemBatch::Materialize(size_t i) {
   Slot& slot = slots_[i];
-  if (slot.item == nullptr) slot.item = MakeItem(slot.record.MaterializeXml());
+  if (slot.item != nullptr) return slot.item;
+  if (slot.is_record) {
+    slot.item = MakeItem(slot.record.MaterializeXml());
+  } else {
+    slot.item = DecodeEncodedItem(encoded(i));
+  }
   return slot.item;
+}
+
+ItemPtr DecodeEncodedItem(std::string_view bytes) {
+  ItemDecoder decoder;
+  std::unique_ptr<xml::XmlNode> node;
+  // The bytes were written in this process, so they always decode.
+  Status decoded = decoder.Decode(bytes, &node);
+  assert(decoded.ok());
+  (void)decoded;
+  return MakeItem(std::move(node));
 }
 
 void ItemBatch::MakeOpaque() {
   for (size_t i = 0; i < slots_.size(); ++i) {
     Materialize(i);
     slots_[i].is_record = false;
+    slots_[i].encoded_size = 0;
   }
+}
+
+size_t SlotSerializedSize(const ItemBatch::Slot& slot) {
+  if (slot.is_record) return slot.record.SerializedSize();
+  return slot.is_encoded() ? slot.xml_size : slot.item->SerializedSize();
+}
+
+uint64_t SlotContentHash(const ItemBatch::Slot& slot) {
+  if (slot.is_record) return slot.record.ContentHash();
+  return slot.is_encoded() ? slot.content_hash
+                           : HashItemContent(*slot.item);
 }
 
 ItemBatch ItemBatch::FromItems(std::span<const ItemPtr> items, bool adopt) {

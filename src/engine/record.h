@@ -12,18 +12,26 @@
 // content hash are computed straight from the mask and texts — all
 // byte-identical to what the DOM path produces, which the differential
 // oracle enforces. Items that do not conform (wagg aggregates, window
-// contents, restructured results, malformed photons) ride along in the
-// same batch as opaque XML slots and take the operators' DOM path.
+// contents, malformed photons) ride along in the same batch as opaque XML
+// slots and take the operators' DOM path.
 //
-// XML trees are materialized lazily: only sinks that keep items, window
-// contents, restructuring and other tree-shaped consumers pay for a DOM,
-// and a slot caches its materialization so fan-out shares one tree.
+// Results a compiled return program builds from record slots travel as a
+// third kind, encoded slots: the item in the codec's self-contained form
+// (engine/codec.h ItemWriter) in the batch's byte arena, with its XML
+// serialized size and content hash next to it, so links bill, sinks hash
+// and sinks keep it without ever building a tree.
+//
+// XML trees are materialized lazily: only window contents, restructuring
+// on the DOM path and other tree-shaped consumers pay for a DOM, and a
+// slot caches its materialization so fan-out shares one tree.
 
 #ifndef STREAMSHARE_ENGINE_RECORD_H_
 #define STREAMSHARE_ENGINE_RECORD_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -36,6 +44,18 @@
 #include "xml/xml_node.h"
 
 namespace streamshare::engine {
+
+/// The item content hash: FNV-1a over each node's name, then its text,
+/// in pre-order, starting from kContentHashSeed. HashItemContent,
+/// PhotonRecord::ContentHash and the codec's ItemWriter all mix through
+/// this, so the three agree exactly.
+inline constexpr uint64_t kContentHashSeed = 14695981039346656037ull;
+uint64_t MixContentHash(uint64_t hash, std::string_view bytes);
+
+/// Order-sensitive structural hash of one item (names, texts, children in
+/// pre-order). Sinks sum these per item into an order-insensitive
+/// aggregate.
+uint64_t HashItemContent(const xml::XmlNode& item);
 
 /// Static tables of the photon schema. Node ids are document order.
 struct PhotonSchema {
@@ -129,10 +149,6 @@ class PhotonRecord {
   /// serialize as): present nodes in document order, leaf texts verbatim.
   std::unique_ptr<xml::XmlNode> MaterializeXml() const;
 
-  /// Rebuilds the subtree rooted at one present schema node (the tree a
-  /// DOM path evaluation would select and clone). `node` must be present.
-  std::unique_ptr<xml::XmlNode> MaterializeSubtree(int node) const;
-
   /// Serialized size in bytes, matching XmlNode::SerializedSize() of the
   /// materialized tree. Cached (records are immutable once flowing).
   size_t SerializedSize() const;
@@ -157,31 +173,49 @@ class PhotonRecord {
   Field fields_[PhotonSchema::kFieldCount];
 };
 
-/// A batch of stream items: each slot is either a PhotonRecord or an
-/// opaque XML item, with a lazily-filled materialization cache on record
-/// slots so fan-out consumers share one DOM tree. Batches flow by pointer
+/// A batch of stream items: each slot is a PhotonRecord, an opaque XML
+/// item, or an encoded result, with a lazily-filled materialization cache
+/// so fan-out consumers share one DOM tree. Batches flow by pointer
 /// through one worker at a time; receivers may Materialize (filling the
 /// cache) but must not otherwise mutate a batch they were pushed.
+///
+/// Only RestructureOp's compiled programs emit encoded slots, and only
+/// sinks, links and the partitioned runner's ports consume them; anything
+/// that needs the tree reads it through Materialize.
 class ItemBatch {
  public:
   struct Slot {
     PhotonRecord record;  // meaningful iff is_record
-    /// The opaque item (is_record false), or the cached materialization
-    /// of `record` (is_record true; null until first Materialize).
+    /// The opaque item (neither record nor encoded), or the cached
+    /// materialization of a record or encoded slot (null until first
+    /// Materialize).
     ItemPtr item;
     bool is_record = false;
+    /// Encoded slot (encoded_size != 0): the item's self-contained
+    /// encoding sits at [encoded_offset, encoded_offset + encoded_size)
+    /// of the batch's arena; xml_size and content_hash are its
+    /// XmlNode::SerializedSize() and HashItemContent().
+    uint32_t encoded_offset = 0;
+    uint32_t encoded_size = 0;
+    uint32_t xml_size = 0;
+    uint64_t content_hash = 0;
     /// Measured-latency stamp (latency.h). Unstamped by default; the
     /// executors stamp freshly fed slots, AppendSlot forwards the stamp,
     /// and operators that build new slots copy it explicitly. Excluded
     /// from content hashes and equality — stamps never change results.
     latency::ItemStamp stamp;
+
+    bool is_encoded() const { return encoded_size != 0; }
   };
 
   ItemBatch() = default;
 
   size_t size() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
-  void clear() { slots_.clear(); }
+  void clear() {
+    slots_.clear();
+    arena_.clear();
+  }
   void reserve(size_t n) { slots_.reserve(n); }
 
   const Slot& slot(size_t i) const { return slots_[i]; }
@@ -199,11 +233,32 @@ class ItemBatch {
   /// the original tree).
   void AppendItem(const ItemPtr& item, bool adopt,
                   const latency::ItemStamp& stamp = {});
-  /// Appends a copy of another batch's slot (forwarding).
-  void AppendSlot(const Slot& slot) { slots_.push_back(slot); }
+  /// Appends a standalone record or opaque slot (a decoded wire item).
+  void AppendSlot(const Slot& slot) {
+    assert(!slot.is_encoded());
+    slots_.push_back(slot);
+  }
+  /// Appends a copy of slot `i` of `from` (forwarding); an encoded slot's
+  /// bytes are copied into this batch's arena.
+  void AppendSlot(const ItemBatch& from, size_t i);
 
-  /// The XML tree of slot `i`, materializing (and caching) record slots
-  /// on first use.
+  /// The byte arena encoded slots point into. A producer appends one
+  /// item's encoding to it, then calls AppendEncoded with the arena size
+  /// from before the append.
+  std::string* arena() { return &arena_; }
+  /// Appends an encoded slot for the item written to the arena from
+  /// `offset` to its end.
+  void AppendEncoded(size_t offset, size_t xml_size, uint64_t content_hash,
+                     const latency::ItemStamp& stamp);
+  /// The self-contained encoding of encoded slot `i`.
+  std::string_view encoded(size_t i) const {
+    const Slot& slot = slots_[i];
+    return std::string_view(arena_).substr(slot.encoded_offset,
+                                           slot.encoded_size);
+  }
+
+  /// The XML tree of slot `i`, materializing (and caching) record and
+  /// encoded slots on first use — the one place encoded slots decode.
   const ItemPtr& Materialize(size_t i);
 
   /// Stamps every still-unstamped slot with ingress tick `now` — the
@@ -214,8 +269,9 @@ class ItemBatch {
     }
   }
 
-  /// Materializes every record slot and marks it opaque, so operators
-  /// evaluate the whole batch on trees (the DOM reference configuration).
+  /// Materializes every record and encoded slot and marks it opaque, so
+  /// operators evaluate the whole batch on trees (the DOM reference
+  /// configuration).
   void MakeOpaque();
 
   /// Wraps a list of DOM items (see AppendItem for `adopt`).
@@ -223,7 +279,17 @@ class ItemBatch {
 
  private:
   std::vector<Slot> slots_;
+  std::string arena_;
 };
+
+/// Decodes one self-contained item encoding this process wrote (an
+/// encoded slot, a sink's log entry).
+ItemPtr DecodeEncodedItem(std::string_view bytes);
+
+/// XmlNode::SerializedSize() of a slot's item, without materializing it.
+size_t SlotSerializedSize(const ItemBatch::Slot& slot);
+/// HashItemContent() of a slot's item, without materializing it.
+uint64_t SlotContentHash(const ItemBatch::Slot& slot);
 
 /// One atomic predicate compiled against the photon schema: path lookups
 /// become node-id checks, constants stay exact decimals. Evaluation over

@@ -33,7 +33,8 @@ struct CompiledCond {
 /// A return expression compiled to run directly over PhotonRecords. Only
 /// shapes whose DOM evaluation this reproduces byte-for-byte (including
 /// which errors can arise — none) are compiled; everything else keeps the
-/// DOM path.
+/// DOM path. A program writes its results in the codec's self-contained
+/// encoding, node by node, as encoded slots: no tree is ever built.
 struct RestructureOp::CompiledReturn {
   enum class Kind { kElement, kSequence, kIf, kPathOutput, kWholeItem };
   Kind kind = Kind::kSequence;
@@ -46,73 +47,112 @@ struct RestructureOp::CompiledReturn {
   // kPathOutput: resolved schema node, -1 when the path never matches
   int node = -1;
 
-  void Run(const PhotonRecord& record, xml::XmlNode* parent,
-           ItemBatch* out) const {
+  /// Top level: appends each node this expression produces for `record`
+  /// to `out` as one encoded result slot carrying `stamp`.
+  void Emit(const PhotonRecord& record, ItemWriter* writer,
+            ItemBatch* out, const latency::ItemStamp& stamp) const {
     switch (kind) {
-      case Kind::kElement: {
-        auto element = std::make_unique<xml::XmlNode>(tag);
+      case Kind::kSequence:
         for (const CompiledReturn& child : children) {
-          child.Run(record, element.get(), nullptr);
-        }
-        if (parent != nullptr) {
-          parent->AddChild(std::move(element));
-        } else {
-          out->AppendItem(MakeItem(std::move(element)), /*adopt=*/false);
+          child.Emit(record, writer, out, stamp);
         }
         return;
+      case Kind::kIf:
+        Branch(record).Emit(record, writer, out, stamp);
+        return;
+      case Kind::kPathOutput:
+        if (!Produces(record)) return;
+        [[fallthrough]];
+      case Kind::kElement:
+      case Kind::kWholeItem: {
+        size_t offset = out->arena()->size();
+        writer->Begin(out->arena());
+        Write(record, writer);
+        out->AppendEncoded(offset, writer->xml_size(),
+                           writer->content_hash(), stamp);
+        return;
+      }
+    }
+  }
+
+ private:
+  /// Nodes this expression produces for `record` — an element's child
+  /// count, which the encoding states before the children.
+  uint64_t Count(const PhotonRecord& record) const {
+    switch (kind) {
+      case Kind::kSequence: {
+        uint64_t count = 0;
+        for (const CompiledReturn& child : children) {
+          count += child.Count(record);
+        }
+        return count;
+      }
+      case Kind::kIf:
+        return Branch(record).Count(record);
+      case Kind::kPathOutput:
+        return Produces(record) ? 1 : 0;
+      case Kind::kElement:
+      case Kind::kWholeItem:
+        return 1;
+    }
+    return 0;
+  }
+
+  /// Writes the nodes this expression produces (inside an item).
+  void Write(const PhotonRecord& record,
+             ItemWriter* writer) const {
+    switch (kind) {
+      case Kind::kElement: {
+        uint64_t child_count = 0;
+        for (const CompiledReturn& child : children) {
+          child_count += child.Count(record);
+        }
+        writer->Node(tag, std::string_view(), child_count);
+        [[fallthrough]];
       }
       case Kind::kSequence:
         for (const CompiledReturn& child : children) {
-          child.Run(record, parent, out);
+          child.Write(record, writer);
         }
         return;
-      case Kind::kIf: {
-        bool satisfied = true;
-        for (const CompiledCond& cond : conditions) {
-          int lhs_field =
-              cond.lhs_node >= 0 ? PhotonSchema::FieldOf(cond.lhs_node) : -1;
-          if (lhs_field < 0 || !record.has_field(lhs_field)) {
-            satisfied = false;  // NotFound
-            break;
-          }
-          Decimal rhs = cond.constant;
-          if (cond.rhs_node != -2) {
-            int rhs_field =
-                cond.rhs_node >= 0 ? PhotonSchema::FieldOf(cond.rhs_node)
-                                   : -1;
-            if (rhs_field < 0 || !record.has_field(rhs_field)) {
-              satisfied = false;
-              break;
-            }
-            rhs = record.value(rhs_field) + cond.constant;
-          }
-          if (!predicate::Compare(record.value(lhs_field), cond.op, rhs)) {
-            satisfied = false;
-            break;
-          }
-        }
-        children[satisfied ? 0 : 1].Run(record, parent, out);
+      case Kind::kIf:
+        Branch(record).Write(record, writer);
         return;
-      }
       case Kind::kPathOutput:
-        if (node >= 0 && record.has_node(node)) {
-          if (parent != nullptr) {
-            parent->AddChild(record.MaterializeSubtree(node));
-          } else {
-            out->AppendItem(MakeItem(record.MaterializeSubtree(node)),
-                            /*adopt=*/false);
-          }
-        }
+        if (Produces(record)) writer->Record(record, node);
         return;
       case Kind::kWholeItem:
-        if (parent != nullptr) {
-          parent->AddChild(record.MaterializeXml());
-        } else {
-          out->AppendItem(MakeItem(record.MaterializeXml()),
-                          /*adopt=*/false);
-        }
+        writer->Record(record, PhotonSchema::kPhoton);
         return;
     }
+  }
+
+  bool Produces(const PhotonRecord& record) const {
+    return node >= 0 && record.has_node(node);
+  }
+
+  /// The branch of a kIf the record's condition selects.
+  const CompiledReturn& Branch(const PhotonRecord& record) const {
+    for (const CompiledCond& cond : conditions) {
+      int lhs_field =
+          cond.lhs_node >= 0 ? PhotonSchema::FieldOf(cond.lhs_node) : -1;
+      if (lhs_field < 0 || !record.has_field(lhs_field)) {
+        return children[1];  // NotFound
+      }
+      Decimal rhs = cond.constant;
+      if (cond.rhs_node != -2) {
+        int rhs_field =
+            cond.rhs_node >= 0 ? PhotonSchema::FieldOf(cond.rhs_node) : -1;
+        if (rhs_field < 0 || !record.has_field(rhs_field)) {
+          return children[1];
+        }
+        rhs = record.value(rhs_field) + cond.constant;
+      }
+      if (!predicate::Compare(record.value(lhs_field), cond.op, rhs)) {
+        return children[1];
+      }
+    }
+    return children[0];
   }
 };
 
@@ -254,11 +294,7 @@ Status RestructureOp::ProcessBatch(ItemBatch* batch) {
     // Every restructured output derives from this one input item, so its
     // latency stamp carries over.
     if (program_ != nullptr && slot.is_record) {
-      size_t first_output = scratch_.size();
-      program_->Run(slot.record, nullptr, &scratch_);
-      for (size_t j = first_output; j < scratch_.size(); ++j) {
-        scratch_.slot(j).stamp = slot.stamp;
-      }
+      program_->Emit(slot.record, &writer_, &scratch_, slot.stamp);
     } else {
       failure = EvaluateTree(*batch->Materialize(i), &scratch_, slot.stamp);
     }

@@ -27,6 +27,9 @@ namespace streamshare::engine {
 /// into a record program: record slots then produce their result trees
 /// straight from the record fields — no input materialization, no path
 /// navigation, no subtree cloning — byte-identical to the DOM evaluation.
+/// Their results leave as encoded slots (record.h), written straight into
+/// the codec's self-contained form with their XML size and content hash,
+/// so no result tree is built at all.
 class RestructureOp : public Operator {
  public:
   RestructureOp(std::string label,
@@ -53,6 +56,7 @@ class RestructureOp : public Operator {
   /// evaluation (window contents, aggregates, nested FLWR, step
   /// conditions, off-schema structural conditions).
   std::unique_ptr<CompiledReturn> program_;
+  ItemWriter writer_;
   ItemBatch scratch_;
 };
 

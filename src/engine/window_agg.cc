@@ -413,7 +413,7 @@ Status AggFilterOp::ProcessBatch(ItemBatch* batch) {
           return Status::Ok();
         }
       }
-      scratch_.AppendSlot(batch->slot(i));
+      scratch_.AppendSlot(*batch, i);
       return Status::Ok();
     }();
   }

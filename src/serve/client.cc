@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "engine/codec.h"
 #include "engine/latency.h"
 #include "engine/operator.h"
 #include "xml/xml_node.h"
@@ -41,7 +42,6 @@ Status ServeClient::Connect() {
   DialOptions dial = options_.dial;
   dial.timeout_ms = options_.timeout_ms;
   SS_ASSIGN_OR_RETURN(conn_, ConnectTcp(options_.host, options_.port, dial));
-  decoder_.Reset();
   ControlRequest hello;
   hello.verb = Verb::kHello;
   hello.protocol = kServeProtocolVersion;
@@ -334,17 +334,18 @@ Result<ControlResponse> ServeClient::Call(const ControlRequest& request) {
 Status ServeClient::AccumulateResult(const transport::Frame& frame) {
   uint64_t received_us = NowUs();
   SS_ASSIGN_OR_RETURN(ResultFrame result, DecodeResultFrame(frame.body));
-  std::unique_ptr<xml::XmlNode> item;
-  SS_RETURN_IF_ERROR(decoder_.Decode(result.item, &item));
   ClientQueryResults& query = results_[result.query_id];
   if (result.seq < query.next_seq) {
     // Re-delivery of a sequence this observation already holds (a
     // reconnect that resumed below next_seq). The sink history is
     // deterministic and append-only, so the bytes are identical to what
-    // was counted the first time — drop it after the decode above (the
-    // codec must stay in lockstep with the daemon's encoder).
+    // was counted the first time.
     return Status::Ok();
   }
+  // Every RESULT body is self-contained: it decodes on its own.
+  engine::ItemDecoder decoder;
+  std::unique_ptr<xml::XmlNode> item;
+  SS_RETURN_IF_ERROR(decoder.Decode(result.item, &item));
   // Mirror SinkOp::ProcessBatch exactly so live observations diff cleanly
   // against a batch run's sink.
   query.items += 1;

@@ -4,8 +4,9 @@
 // accumulated on the fly into per-query observations (count, bytes,
 // order-insensitive content hash — computed exactly like engine::SinkOp
 // so a client-side observation is directly comparable to a batch run's
-// sink). The item decoder mirrors the daemon's per-connection encoder in
-// lockstep, so reconnecting means a fresh codec on both sides.
+// sink). Every RESULT body is self-contained (protocol 3): the client
+// decodes each one on its own, so it holds no codec state across frames
+// or connections.
 
 #ifndef STREAMSHARE_SERVE_CLIENT_H_
 #define STREAMSHARE_SERVE_CLIENT_H_
@@ -20,7 +21,6 @@
 #include "common/status.h"
 #include "serve/control.h"
 #include "serve/net.h"
-#include "transport/codec.h"
 
 namespace streamshare::serve {
 
@@ -71,8 +71,7 @@ class ServeClient {
   ServeClient& operator=(const ServeClient&) = delete;
 
   /// Connects and performs the Hello handshake. Reconnecting (after a
-  /// daemon restart) keeps the accumulated results; the item codec
-  /// resets on both ends with the connection.
+  /// daemon restart) keeps the accumulated results.
   Status Connect();
   void Close();
 
@@ -162,7 +161,6 @@ class ServeClient {
 
   ClientOptions options_;
   FrameConn conn_;
-  transport::ItemDecoder decoder_;
   HelloReply hello_;
   uint64_t next_request_id_ = 1;
   std::map<int64_t, ClientQueryResults> results_;

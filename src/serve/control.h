@@ -8,7 +8,8 @@
 //   RESULT      varint query id | varint seq | varint flags |
 //               varint send tick µs | varint (send − delivery tick) |
 //               varint daemon-residency µs | varint transport µs |
-//               encoded item (transport/codec.h, per-connection encoder)
+//               encoded item (engine/codec.h, self-contained: a
+//               name dictionary of its own, decodable on its own)
 //
 // Requests and responses correlate by request id (client-chosen,
 // monotonically increasing per connection); RESULT frames interleave
@@ -40,7 +41,10 @@ namespace streamshare::serve {
 /// Bumped when a verb payload changes incompatibly. Hello carries it;
 /// a daemon rejects clients speaking a different version.
 /// v2: StatsReply grew the serve.wal.* durability counters.
-inline constexpr uint64_t kServeProtocolVersion = 2;
+/// v3: every RESULT item is self-contained (its own name dictionary), so
+/// a client decodes each body on its own; a v2 client, which keeps one
+/// dictionary per connection, would misread them.
+inline constexpr uint64_t kServeProtocolVersion = 3;
 
 enum class Verb : uint8_t {
   kHello = 1,        // protocol handshake; first request on a connection
@@ -230,12 +234,13 @@ struct ResultFrame {
   uint64_t delivery_us = 0;  // daemon tick when the sink delivery was seen
   uint64_t residency_us = 0; // forward − delivery (daemon queueing)
   uint64_t transport_us = 0; // accumulated wire time (client adds its hop)
-  std::string_view item;     // encoded item bytes
+  std::string_view item;     // self-contained encoded item bytes
 };
 
 /// Appends the header of a RESULT frame body to `out`; the encoded item
 /// follows it. EncodeResultFrame is this plus the item, so the daemon
-/// can encode the item straight after the header in a reused buffer.
+/// can append a sink's stored encoding straight after the header in a
+/// reused buffer.
 void AppendResultFrameHeader(std::string* out, int64_t query_id,
                              uint64_t seq, uint64_t delivery_us,
                              uint64_t send_us);

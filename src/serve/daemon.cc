@@ -462,6 +462,8 @@ void ServeDaemon::ExportMetrics(obs::MetricsRegistry* registry) const {
   gauge("serve.net.frames_out",
         static_cast<double>(snapshot.net_frames_out));
   gauge("serve.net.bytes_out", static_cast<double>(snapshot.net_bytes_out));
+  gauge("serve.forward.channels",
+        static_cast<double>(snapshot.forward_channels));
   // The engine/network/latency planes of the hosted system. Only safe
   // once the loop has stopped mutating it (call after Join).
   if (system_ != nullptr && !loop_thread_.joinable()) {
@@ -866,6 +868,7 @@ ControlResponse ServeDaemon::DoUnsubscribe(ClientState* client,
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.unsubscribed;
+    stats_.forward_channels = channels_.size();
   }
   return OkResponse(request.request_id, std::string());
 }
@@ -992,57 +995,48 @@ ControlResponse ServeDaemon::DoDetach(ClientState* client) {
 }
 
 void ServeDaemon::ForwardNewResults() {
-  // Note the observation tick of every delivery that appeared since the
-  // last scan (the "ingress" of the forwarding plane); the same tick
-  // stamps every frame of this forwarding pass.
+  // One tick per forwarding pass: it is when the pass observed the
+  // deliveries that appeared since the last one (the "ingress" of the
+  // forwarding plane), and it stamps every frame of the pass. Only
+  // attached queries are scanned — nobody forwards the others.
   uint64_t now = NowUs();
-  for (const RegistrationResult& registration :
-       system_->registrations()) {
-    if (registration.sink == nullptr || !registration.accepted) continue;
-    QueryChannel& channel = channels_[registration.query_id];
-    size_t delivered = registration.sink->items().size();
-    while (channel.observed_us.size() < delivered) {
-      channel.observed_us.push_back(now);
-    }
-  }
   std::string body;  // one frame body at a time, reused
+  uint64_t forwarded = 0;
   for (std::unique_ptr<ClientState>& client : clients_) {
     for (auto& [query_id, attachment] : client->subs) {
-      ForwardTo(client.get(), query_id, &attachment, now, &body);
+      forwarded += ForwardTo(client.get(), query_id, &attachment, now, &body);
     }
   }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.results_forwarded += forwarded;
+  stats_.forward_channels = channels_.size();
 }
 
-void ServeDaemon::ForwardTo(ClientState* client, int query_id,
-                            Attachment* attachment, uint64_t now,
-                            std::string* body) {
-  if (!system_->IsActive(query_id)) return;
+uint64_t ServeDaemon::ForwardTo(ClientState* client, int query_id,
+                                Attachment* attachment, uint64_t now,
+                                std::string* body) {
+  if (!system_->IsActive(query_id)) return 0;
   const engine::SinkOp* sink = system_->registrations()[query_id].sink;
-  if (sink == nullptr) return;
-  const std::vector<engine::ItemPtr>& items = sink->items();
-  const QueryChannel& channel = channels_[query_id];
-  uint64_t forwarded = 0;
-  while (attachment->next_index < items.size()) {
-    uint64_t index = attachment->next_index;
-    uint64_t delivery_us = index < channel.observed_us.size()
-                               ? channel.observed_us[index]
-                               : now;
-    // Header and encoded item into the reused body, which QueueFrame
-    // copies once into the send buffer. It cannot fail: while the loop
-    // runs, a connection closes only in DropClient, which clears subs.
+  if (sink == nullptr) return 0;
+  std::vector<uint64_t>& observed_us = channels_[query_id].observed_us;
+  const uint64_t delivered = sink->retained_results();
+  observed_us.resize(delivered, now);
+  const uint64_t first = attachment->next_index;
+  if (first >= delivered) return 0;
+  for (uint64_t index = first; index < delivered; ++index) {
+    // Header and the sink's stored encoding into the reused body, which
+    // QueueFrame copies once into the send buffer. It cannot fail: while
+    // the loop runs, a connection closes only in DropClient, which
+    // clears subs.
     body->clear();
-    AppendResultFrameHeader(body, query_id, index, delivery_us, now);
-    client->encoder.Encode(*items[index], body);
+    AppendResultFrameHeader(body, query_id, index, observed_us[index], now);
+    body->append(sink->retained(index));
     (void)client->conn.QueueFrame(transport::FrameType::kResult, *body,
                                   transport::kWireVersion);
-    ++attachment->next_index;
-    ++forwarded;
   }
-  if (forwarded != 0) {
-    client->results_forwarded += forwarded;
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.results_forwarded += forwarded;
-  }
+  attachment->next_index = delivered;
+  client->results_forwarded += delivered - first;
+  return delivered - first;
 }
 
 void ServeDaemon::DropClient(ClientState* client) {
@@ -1078,6 +1072,7 @@ void ServeDaemon::DetachClient(ClientState* client, bool unsubscribe) {
         channels_.erase(query_id);
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.unsubscribed;
+        stats_.forward_channels = channels_.size();
       }
     }
   }

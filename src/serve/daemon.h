@@ -3,7 +3,8 @@
 // single-threaded poll loop that multiplexes the CONTROL plane (Hello /
 // Subscribe / Unsubscribe / FailPeer / CutLink / Stats / Feed / Drain /
 // Detach), the RESULTS plane (per-query sink deliveries forwarded to
-// attached clients through the item codec with latency stamps), and the
+// attached clients with latency stamps, straight from each sink's log of
+// self-contained encoded results), and the
 // scenario's deterministic photon generators.
 //
 // Every state mutation — control verb or feed tick — happens on the loop
@@ -47,7 +48,6 @@
 #include "serve/net.h"
 #include "serve/wal.h"
 #include "sharing/system.h"
-#include "transport/codec.h"
 #include "workload/photon_gen.h"
 #include "workload/scenario.h"
 
@@ -75,8 +75,8 @@ struct DaemonOptions {
   /// rename) and starts an empty log, keeping recovery cost bounded.
   uint64_t wal_compact_bytes = 1 << 20;
   ResumeFlavor resume = ResumeFlavor::kReplay;
-  /// Engine configuration. keep_results is forced on (sinks are the
-  /// delivery log RESULT forwarding reads from).
+  /// Engine configuration. keep_results is forced on (each sink's encoded
+  /// log is what RESULT forwarding ships).
   sharing::SystemConfig system;
   /// Poll granularity of the event loop; bounds drain-signal latency.
   int poll_interval_ms = 50;
@@ -108,6 +108,10 @@ struct DaemonStats {
   uint64_t net_sends = 0;
   uint64_t net_frames_out = 0;
   uint64_t net_bytes_out = 0;
+  /// Queries the daemon keeps forwarding state for: those some client
+  /// has attached at some point and nobody has unsubscribed since — a
+  /// detach keeps it (serve.forward.channels).
+  uint64_t forward_channels = 0;
 };
 
 class ServeDaemon {
@@ -155,7 +159,6 @@ class ServeDaemon {
 
   struct ClientState {
     FrameConn conn;
-    transport::ItemEncoder encoder;
     std::string name;
     bool hello_done = false;
     /// query id -> forwarding cursor. A query is attached to at most one
@@ -168,10 +171,11 @@ class ServeDaemon {
     uint64_t noted_bytes_out = 0;
   };
 
-  /// Per-query forwarding bookkeeping shared across client lives.
+  /// Per-query forwarding bookkeeping shared across client lives, for
+  /// the queries some client has attached and nobody has unsubscribed.
   struct QueryChannel {
-    /// Tick (NowUs) at which each sink delivery was first observed by
-    /// the loop; parallel to the sink's kept items.
+    /// Tick (NowUs) of the forwarding pass that first observed each sink
+    /// delivery; parallel to the sink's kept results.
     std::vector<uint64_t> observed_us;
   };
 
@@ -228,14 +232,18 @@ class ServeDaemon {
                           const ControlRequest& request);
   ControlResponse DoDetach(ClientState* client);
 
-  /// Notes deliveries that appeared at the sinks since the last scan and
-  /// queues them as RESULT frames to the attached clients; they leave at
-  /// the pass's flush point (LoopOnce) or with the drain's EOS.
+  /// Scans the sinks of the attached queries for deliveries that appeared
+  /// since the last scan and queues them as RESULT frames to their
+  /// clients; they leave at the pass's flush point (LoopOnce) or with the
+  /// drain's EOS.
   void ForwardNewResults();
-  /// Queues `client`'s undelivered results of one query, stamped `now`;
-  /// `body` is the pass's reused scratch for one frame body.
-  void ForwardTo(ClientState* client, int query_id, Attachment* attachment,
-                 uint64_t now, std::string* body);
+  /// Notes one query's new deliveries as observed at `now` and queues
+  /// `client`'s undelivered results of it, stamped `now`; `body` is the
+  /// pass's reused scratch for one frame body. Returns the number of
+  /// results queued.
+  uint64_t ForwardTo(ClientState* client, int query_id,
+                     Attachment* attachment, uint64_t now,
+                     std::string* body);
   /// Drops a client's attachments; with `unsubscribe` the queries leave
   /// the system too (refcounted GC) — the implicit-disconnect semantics.
   void DetachClient(ClientState* client, bool unsubscribe);

@@ -1021,6 +1021,18 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->GetGauge("network.peer." + name + ".health")
         ->Set(static_cast<double>(state_.health().status(peer)));
   }
+  // The kept-result logs, summed over every query's sink: what retention
+  // costs in memory, growing with uptime while keep_results is on.
+  uint64_t retained_bytes = 0, retained_results = 0;
+  for (const RegistrationResult& registration : registrations_) {
+    if (registration.sink == nullptr) continue;
+    retained_bytes += registration.sink->retained_bytes();
+    retained_results += registration.sink->retained_results();
+  }
+  registry->GetGauge("engine.sink.retained_bytes")
+      ->Set(static_cast<double>(retained_bytes));
+  registry->GetGauge("engine.sink.retained_results")
+      ->Set(static_cast<double>(retained_results));
   // Transport measurements of the most recent kTransport run: measured
   // traffic per topology link, next to the committed bandwidth u_b(e)
   // the cost model predicted for that link.

@@ -56,8 +56,10 @@ struct SystemConfig {
   /// Reject subscriptions whose best plan overloads a peer or connection
   /// (the paper's capacity-limited experiment).
   bool enforce_limits = false;
-  /// Keep result items in query sinks (tests/examples; benches leave this
-  /// off to bound memory).
+  /// Keep every delivered result in its query's sink, as a log of
+  /// self-contained encoded items (SinkOp). The serve daemon forces it on
+  /// (the log is what it forwards); tests, the oracle and some benches
+  /// turn it on to compare results. The log grows with every delivery.
   bool keep_results = false;
   /// Hierarchical organization (paper §6): when non-empty, assigns every
   /// peer to a subnet and stream-sharing registrations search the query's

@@ -17,13 +17,13 @@
 #include <utility>
 #include <vector>
 
+#include "engine/codec.h"
 #include "engine/executor.h"
 #include "engine/latency.h"
 #include "engine/link_queue.h"
 #include "engine/metrics.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "transport/codec.h"
 
 namespace streamshare::transport {
 
@@ -134,7 +134,7 @@ class QueuePortOp final : public Operator {
  protected:
   Status ProcessBatch(engine::ItemBatch* batch) override {
     for (size_t i = 0; i < batch->size(); ++i) {
-      pending_.AppendSlot(batch->slot(i));
+      pending_.AppendSlot(*batch, i);
       if (pending_.size() >= buffer_limit_) Flush();
     }
     return Status::Ok();
@@ -154,7 +154,7 @@ class QueuePortOp final : public Operator {
 class TransportPortOp final : public Operator {
  public:
   TransportPortOp(Operator* target, uint64_t target_index,
-                  ChannelSender* sender, ItemEncoder* encoder,
+                  ChannelSender* sender, engine::ItemEncoder* encoder,
                   EdgeTrafficStats* edge)
       : Operator("transport-port:" + target->label()),
         target_index_(target_index),
@@ -165,7 +165,8 @@ class TransportPortOp final : public Operator {
  protected:
   /// Record slots encode straight from the record's schema walk — same
   /// wire bytes and dictionary state as encoding the materialized tree,
-  /// minus the tree.
+  /// minus the tree. Encoded result slots go through their tree: the
+  /// link's dictionary differs from their self-contained one.
   Status ProcessBatch(engine::ItemBatch* batch) override {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
     for (size_t i = 0; i < batch->size(); ++i) {
@@ -176,7 +177,7 @@ class TransportPortOp final : public Operator {
       if (slot.is_record) {
         encoder_->EncodeRecord(slot.record, &buffer_);
       } else {
-        encoder_->Encode(*slot.item, &buffer_);
+        encoder_->Encode(*batch->Materialize(i), &buffer_);
       }
       if (tracing) {
         recorder.RecordComplete(
@@ -196,7 +197,7 @@ class TransportPortOp final : public Operator {
  private:
   uint64_t target_index_;
   ChannelSender* sender_;
-  ItemEncoder* encoder_;
+  engine::ItemEncoder* encoder_;
   EdgeTrafficStats* edge_;
   std::string buffer_;
 };
@@ -213,7 +214,7 @@ struct ChannelRt {
   /// Null on a memory channel.
   std::unique_ptr<ChannelSender> sender;
   std::unique_ptr<ChannelReceiver> receiver;
-  ItemEncoder encoder;
+  engine::ItemEncoder encoder;
 };
 
 struct WorkerRt {
@@ -258,7 +259,7 @@ void ReceiveChannel(RunContext* ctx, WorkerRt* w, ChannelRt* ch) {
   obs::ScopedShard pinned(w->index);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
   const PartitionPlan& plan = ctx->plan;
-  ItemDecoder decoder;
+  engine::ItemDecoder decoder;
   while (true) {
     ChannelReceiver::Incoming in;
     Status status = ch->receiver->Recv(&in);

@@ -5,7 +5,7 @@
 //
 // where the length covers version, type, and body. Frame bodies:
 //
-//   DATA v1  varint seq | varint target op index | encoded item (codec.h)
+//   DATA v1  varint seq | varint target op index | encoded item (engine/codec.h)
 //   DATA v2  varint seq | varint target | varint flags |
 //            varint send tick µs | varint (send tick − ingress tick) |
 //            varint queue µs | varint transport µs | encoded item
@@ -36,6 +36,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "common/varint.h"
 
 namespace streamshare::transport {
 
@@ -71,16 +72,9 @@ enum class FrameType : uint8_t {
 inline constexpr uint8_t kMaxKnownFrameType =
     static_cast<uint8_t>(FrameType::kResult);
 
-/// Appends `value` LEB128-encoded (7 bits per byte, high bit = more).
-void PutVarint(std::string* out, uint64_t value);
-
-/// Decodes a varint from [*pos, end). Advances *pos past it. False on
-/// truncated or over-long (>10 byte) input.
-bool GetVarint(const uint8_t** pos, const uint8_t* end, uint64_t* value);
-
-/// Convenience over a string_view cursor: decodes a varint from the front
-/// of *data and strips it. False on malformed input.
-bool GetVarint(std::string_view* data, uint64_t* value);
+// The varints every frame is built from (common/varint.h).
+using ::streamshare::GetVarint;
+using ::streamshare::PutVarint;
 
 /// Appends one whole frame (length prefix, version, type, body).
 void AppendFrame(std::string* out, FrameType type, std::string_view body,

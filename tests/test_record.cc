@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "engine/codec.h"
 #include "engine/operator.h"
 #include "engine/record.h"
-#include "transport/codec.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_node.h"
 #include "xml/xml_writer.h"
@@ -219,8 +219,8 @@ TEST(PhotonRecordTest, ProjectionMatchesTreeProjection) {
 
 TEST(RecordCodecTest, EncodeRecordMatchesTreeEncodingByteForByte) {
   workload::PhotonGenerator gen(workload::PhotonGenConfig{});
-  transport::ItemEncoder record_encoder;
-  transport::ItemEncoder tree_encoder;
+  engine::ItemEncoder record_encoder;
+  engine::ItemEncoder tree_encoder;
   std::string record_bytes;
   std::string tree_bytes;
   for (int i = 0; i < 50; ++i) {
@@ -237,8 +237,8 @@ TEST(RecordCodecTest, MixedRecordAndTreeEncodingSharesOneDictionary) {
   // Alternating record- and tree-encoded photons through ONE encoder must
   // decode cleanly: both paths register dictionary names identically.
   workload::PhotonGenerator gen(workload::PhotonGenConfig{});
-  transport::ItemEncoder encoder;
-  transport::ItemDecoder decoder;
+  engine::ItemEncoder encoder;
+  engine::ItemDecoder decoder;
   for (int i = 0; i < 20; ++i) {
     PhotonRecord record = gen.NextRecord();
     std::string bytes;
@@ -256,8 +256,8 @@ TEST(RecordCodecTest, MixedRecordAndTreeEncodingSharesOneDictionary) {
 }
 
 TEST(RecordCodecTest, DecodeSlotFallsBackToTreeForNonPhotons) {
-  transport::ItemEncoder encoder;
-  transport::ItemDecoder decoder;
+  engine::ItemEncoder encoder;
+  engine::ItemDecoder decoder;
 
   auto wagg = std::make_unique<xml::XmlNode>("wagg");
   wagg->AddLeaf("seq", "3");
@@ -287,15 +287,15 @@ TEST(RecordCodecTest, DecodeSlotRejectsCorruptFramesLikeDecode) {
   // A corrupt body must raise the same error through DecodeSlot as
   // through the generic Decode — the record automaton's rollback re-runs
   // the tree path, it never invents its own error.
-  transport::ItemEncoder encoder;
+  engine::ItemEncoder encoder;
   PhotonRecord record;
   ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));
   std::string bytes;
   encoder.EncodeRecord(record, &bytes);
   std::string corrupt = bytes.substr(0, bytes.size() / 2);
 
-  transport::ItemDecoder slot_decoder;
-  transport::ItemDecoder tree_decoder;
+  engine::ItemDecoder slot_decoder;
+  engine::ItemDecoder tree_decoder;
   ItemBatch::Slot slot;
   Status via_slot = slot_decoder.DecodeSlot(corrupt, &slot);
   std::unique_ptr<xml::XmlNode> tree;

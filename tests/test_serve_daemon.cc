@@ -19,13 +19,13 @@
 #include <thread>
 #include <vector>
 
+#include "engine/codec.h"
 #include "engine/operator.h"
 #include "gtest/gtest.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/net.h"
 #include "serve/wal.h"
-#include "transport/codec.h"
 #include "workload/scenario.h"
 #include "xml/xml_node.h"
 
@@ -69,12 +69,15 @@ ServeClient MakeClient(const ServeDaemon& daemon,
 /// into `results` exactly as ServeClient folds them.
 struct RawClient {
   FrameConn conn;
-  transport::ItemDecoder decoder;
+  engine::ItemDecoder decoder;
   uint64_t next_request_id = 1;
   std::map<int64_t, ClientQueryResults> results;
   uint64_t results_seen = 0;
   /// Every query's deliveries arrived as seq 0, 1, 2, ...
   bool seq_in_order = true;
+  /// query id -> seq -> the decoded delivery.
+  std::map<int64_t, std::map<uint64_t, std::unique_ptr<xml::XmlNode>>>
+      trees;
 
   /// Dials the daemon; a nonzero `rcvbuf` shrinks the receive buffer
   /// before the connection is made.
@@ -171,6 +174,21 @@ struct RawClient {
     return accepted;
   }
 
+  /// Re-attaches to `query_id`, forwarding from delivery `resume_from`.
+  Status Attach(int64_t query_id, uint64_t resume_from) {
+    ControlRequest request;
+    request.verb = Verb::kSubscribe;
+    request.attach_query_plus1 = static_cast<uint64_t>(query_id) + 1;
+    request.resume_from = resume_from;
+    return Call(request).status();
+  }
+
+  Status Detach() {
+    ControlRequest request;
+    request.verb = Verb::kDetach;
+    return Call(request).status();
+  }
+
   static ControlRequest FeedRequest(uint64_t items) {
     ControlRequest request;
     request.verb = Verb::kFeed;
@@ -189,6 +207,7 @@ struct RawClient {
   Status Accumulate(std::string_view body) {
     SS_ASSIGN_OR_RETURN(ResultFrame result, DecodeResultFrame(body));
     std::unique_ptr<xml::XmlNode> item;
+    decoder.Reset();  // every RESULT body is self-contained
     SS_RETURN_IF_ERROR(decoder.Decode(result.item, &item));
     ClientQueryResults& query = results[result.query_id];
     if (result.seq != query.next_seq) seq_in_order = false;
@@ -197,6 +216,7 @@ struct RawClient {
     query.content_hash += engine::HashItemContent(*item);
     query.next_seq = result.seq + 1;
     ++results_seen;
+    trees[result.query_id][result.seq] = std::move(item);
     return Status::Ok();
   }
 
@@ -806,6 +826,99 @@ TEST(ServeDaemon, BrokenSubscriberDoesNotFailAnotherClientsFeed) {
   daemon->RequestDrain(/*final_drain=*/true);
   daemon->Join();
   EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
+}
+
+TEST(ServeDaemon, MidLogAttachDecodesEveryResultBodyOnItsOwn) {
+  workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/20);
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  auto first = RawClient::Connect(daemon->port());
+  ASSERT_NE(first, nullptr);
+  ASSERT_TRUE(first->Hello().ok());
+  auto accepted = first->SubscribeAll(scenario);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_TRUE(first->Call(RawClient::FeedRequest(200)).ok());
+  // The query with the most deliveries, attached from the middle of its
+  // log by a connection that has seen no frame before.
+  int64_t query = -1;
+  uint64_t delivered = 0;
+  for (const auto& [id, results] : first->results) {
+    if (results.items > delivered) {
+      query = id;
+      delivered = results.items;
+    }
+  }
+  ASSERT_GT(delivered, 4u);
+  ASSERT_TRUE(first->Detach().ok());
+
+  const uint64_t mid = delivered / 2;
+  auto late = RawClient::Connect(daemon->port());
+  ASSERT_NE(late, nullptr);
+  ASSERT_TRUE(late->Hello().ok());
+  ASSERT_TRUE(late->Attach(query, mid).ok());
+  ASSERT_TRUE(late->Call(RawClient::FeedRequest(20)).ok());
+  const auto& got = late->trees[query];
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.begin()->first, mid);
+  // Each body decoded with a reset decoder, and it is the very delivery
+  // the first connection decoded at that sequence.
+  for (uint64_t seq = mid; seq < delivered; ++seq) {
+    ASSERT_EQ(got.count(seq), 1u) << "seq " << seq;
+    EXPECT_TRUE(got.at(seq)->Equals(*first->trees[query].at(seq)))
+        << "seq " << seq;
+  }
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+}
+
+TEST(ServeDaemon, Protocol2HelloIsRefused) {
+  workload::ScenarioSpec scenario = SmallScenario();
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  auto raw = RawClient::Connect(daemon->port());
+  ASSERT_NE(raw, nullptr);
+  // A protocol-2 client keeps one codec dictionary per connection and
+  // would misread self-contained RESULT bodies.
+  ControlRequest old_hello;
+  old_hello.verb = Verb::kHello;
+  old_hello.protocol = 2;
+  old_hello.client_name = "v2";
+  Status refused = raw->Call(old_hello).status();
+  EXPECT_TRUE(refused.IsUnsupported()) << refused;
+  EXPECT_NE(refused.message().find("serve protocol 2"), std::string::npos)
+      << refused.message();
+  ControlRequest feed = RawClient::FeedRequest(1);
+  EXPECT_TRUE(raw->Call(feed).status().IsInvalidArgument())
+      << "a refused Hello must not open the connection";
+  EXPECT_TRUE(raw->Hello().ok());
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+}
+
+TEST(ServeDaemon, FeedAfterUnsubscribeDoesNotRecreateTheQueryChannel) {
+  workload::ScenarioSpec scenario = SmallScenario();
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  ServeClient client = MakeClient(*daemon, "churner");
+  ASSERT_TRUE(client.Connect().ok());
+  auto q0 = client.Subscribe(scenario.queries[0].text,
+                             scenario.queries[0].target);
+  auto q1 = client.Subscribe(scenario.queries[1].text,
+                             scenario.queries[1].target);
+  ASSERT_TRUE(q0.ok() && q0->accepted);
+  ASSERT_TRUE(q1.ok() && q1->accepted);
+  ASSERT_TRUE(client.Feed(50).ok());
+  EXPECT_EQ(daemon->stats().forward_channels, 2u);
+  ASSERT_TRUE(client.Unsubscribe(q1->query_id).ok());
+  EXPECT_EQ(daemon->stats().forward_channels, 1u);
+  // The next forwarding pass scans only attached queries: the departed
+  // one's channel stays gone.
+  ASSERT_TRUE(client.Feed(50).ok());
+  EXPECT_EQ(daemon->stats().forward_channels, 1u);
+  EXPECT_GT(client.results(q0->query_id).items, 0u);
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
 }
 
 TEST(ServeDaemon, RestartableDrainNeedsCheckpointPath) {

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "transport/codec.h"
+#include "engine/codec.h"
 #include "transport/wire.h"
 #include "xml/xml_node.h"
 #include "xml/xml_writer.h"
@@ -21,8 +21,8 @@ namespace streamshare {
 namespace {
 
 using transport::FrameType;
-using transport::ItemDecoder;
-using transport::ItemEncoder;
+using engine::ItemDecoder;
+using engine::ItemEncoder;
 
 TEST(VarintTest, RoundTripsBoundaryValues) {
   const uint64_t values[] = {0,
@@ -287,7 +287,7 @@ TEST(ItemCodecTest, RejectsTrailingBytesAndTruncation) {
 TEST(ItemCodecTest, RejectsOverDeepNesting) {
   auto root = std::make_unique<xml::XmlNode>("n");
   xml::XmlNode* tip = root.get();
-  for (size_t i = 0; i < transport::kMaxDecodeDepth + 10; ++i) {
+  for (size_t i = 0; i < engine::kMaxDecodeDepth + 10; ++i) {
     tip = tip->AddChild("n");
   }
   ItemEncoder encoder;

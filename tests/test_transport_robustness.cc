@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "transport/codec.h"
+#include "engine/codec.h"
 #include "transport/flow.h"
 #include "transport/loopback.h"
 #include "xml/xml_node.h"
@@ -25,8 +25,8 @@ using transport::ChannelSender;
 using transport::FaultPlan;
 using transport::FlowOptions;
 using transport::FrameType;
-using transport::ItemDecoder;
-using transport::ItemEncoder;
+using engine::ItemDecoder;
+using engine::ItemEncoder;
 using transport::LoopbackTransport;
 using transport::PipePair;
 
@@ -46,7 +46,7 @@ std::unique_ptr<xml::XmlNode> RoundTrip(const xml::XmlNode& node,
 TEST(CodecRobustnessTest, DeeplyNestedItemRoundTrips) {
   // A chain nested well past any realistic schema but inside the decoder's
   // safety rail.
-  constexpr size_t kDepth = transport::kMaxDecodeDepth - 1;
+  constexpr size_t kDepth = engine::kMaxDecodeDepth - 1;
   xml::XmlNode root("d0");
   xml::XmlNode* tip = &root;
   for (size_t i = 1; i < kDepth; ++i) {
@@ -62,7 +62,7 @@ TEST(CodecRobustnessTest, DeeplyNestedItemRoundTrips) {
 }
 
 TEST(CodecRobustnessTest, OverDeepItemFailsToDecodeCleanly) {
-  constexpr size_t kDepth = transport::kMaxDecodeDepth + 8;
+  constexpr size_t kDepth = engine::kMaxDecodeDepth + 8;
   xml::XmlNode root("d");
   xml::XmlNode* tip = &root;
   for (size_t i = 1; i < kDepth; ++i) tip = tip->AddChild("d");
@@ -96,7 +96,7 @@ TEST(CodecRobustnessTest, NamesPastDictionaryCapStillRoundTrip) {
   // More distinct names than the per-link dictionary holds: the overflow
   // names travel literally every time, but stay correct, and both ends
   // agree on the dictionary size.
-  constexpr size_t kNames = transport::kMaxDictionaryNames + 64;
+  constexpr size_t kNames = engine::kMaxDictionaryNames + 64;
   ItemEncoder encoder;
   ItemDecoder decoder;
 
@@ -113,8 +113,8 @@ TEST(CodecRobustnessTest, NamesPastDictionaryCapStillRoundTrip) {
     ASSERT_NE(decoded, nullptr);
     ASSERT_TRUE(decoded->Equals(item));
   }
-  EXPECT_EQ(encoder.dictionary_size(), transport::kMaxDictionaryNames);
-  EXPECT_EQ(decoder.dictionary_size(), transport::kMaxDictionaryNames);
+  EXPECT_EQ(encoder.dictionary_size(), engine::kMaxDictionaryNames);
+  EXPECT_EQ(decoder.dictionary_size(), engine::kMaxDictionaryNames);
 
   // Repeats of both dictionary and overflow names still decode.
   xml::XmlNode again("batch");
