@@ -4,7 +4,8 @@
 // three identically-deployed systems — the serial executor on record
 // slots, the serial executor with record_path off (every slot an opaque
 // DOM item: serial_dom_items_per_s, and record_speedup = serial over
-// that), and the parallel executor — verifies the outputs are
+// that), and the parallel executor on the same record batches as the
+// serial run (speedup = parallel over serial) — verifies the outputs are
 // bit-identical, and prints items/s for all three plus queue blocking
 // totals.
 //
@@ -78,19 +79,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The serial record run is fed straight from generator record batches
-  // (no source DOM at all); the DOM and parallel runs get materialized
-  // item lists from identically-seeded generators, so all three runs see
-  // the same logical stream.
+  // The serial and parallel runs are fed the same generator record
+  // batches (no source DOM at all; a run consumes its batches, so each
+  // gets its own identically-seeded copy); the DOM run gets a
+  // materialized item list from an identically-seeded generator, so all
+  // three runs see the same logical stream.
   std::map<std::string, std::vector<engine::ItemPtr>> items;
   std::map<std::string, std::vector<engine::ItemBatch>> batches;
+  std::map<std::string, std::vector<engine::ItemBatch>> parallel_batches;
   size_t total_items = 0;
   for (const workload::StreamSpec& stream : scenario.streams) {
     workload::PhotonGenerator generator(stream.gen);
     items[stream.name] = generator.Generate(items_per_stream);
-    workload::PhotonGenerator record_generator(stream.gen);
-    batches[stream.name] = record_generator.GenerateBatches(
-        items_per_stream, config.parallel.batch_size);
+    for (auto* fed : {&batches, &parallel_batches}) {
+      workload::PhotonGenerator record_generator(stream.gen);
+      (*fed)[stream.name] = record_generator.GenerateBatches(
+          items_per_stream, config.parallel.batch_size);
+    }
     total_items += items_per_stream;
   }
 
@@ -123,7 +128,7 @@ int main(int argc, char** argv) {
   }
 
   start = Clock::now();
-  status = (*parallel)->Run(items);
+  status = (*parallel)->Run(&parallel_batches);
   double parallel_s = SecondsSince(start);
   if (!status.ok()) {
     std::fprintf(stderr, "parallel run failed: %s\n",

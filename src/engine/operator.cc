@@ -262,6 +262,12 @@ std::string_view SinkOp::retained(size_t i) const {
   return std::string_view(log_).substr(begin, log_ends_[i] - begin);
 }
 
+void SinkOp::DropRetained() {
+  std::string().swap(log_);
+  std::vector<uint64_t>().swap(log_ends_);
+  std::vector<ItemPtr>().swap(materialized_);
+}
+
 const std::vector<ItemPtr>& SinkOp::items() const {
   materialized_.reserve(log_ends_.size());
   for (size_t i = materialized_.size(); i < log_ends_.size(); ++i) {

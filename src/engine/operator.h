@@ -250,6 +250,11 @@ class SinkOp : public Operator {
   /// decoded once, later calls decode only what arrived since. For tests,
   /// the oracle and benches — the serve daemon ships the encoded log.
   const std::vector<ItemPtr>& items() const;
+  /// Frees the kept deliveries (and their decoded trees); item_count(),
+  /// total_bytes() and content_hash() are unaffected. Called when the
+  /// sink's query is unsubscribed: nothing forwards a departed query's
+  /// results.
+  void DropRetained();
 
   /// Starts folding every received item into content_hash() (an
   /// order-insensitive structural hash). Off by default so the hot path

@@ -162,7 +162,7 @@ Status StreamShareSystem::Unsubscribe(int query_id) {
   ParkWirings(query_id, &deployment, registrations_[query_id].plan,
               nullptr);
   GcStreams();
-  ++plan_epoch_;
+  registrations_[query_id].sink->DropRetained();
   obs::EventLog& log = obs::EventLog::Default();
   if (log.ShouldLog(obs::Severity::kInfo)) {
     log.Log(obs::Severity::kInfo, "recover", "query unsubscribed",
@@ -313,7 +313,6 @@ Result<recover::RecoveryReport> StreamShareSystem::RecoverAfter(
   //    consumer in this event (cascades up reuse chains).
   lost_total += GcStreams();
   report.lost_windows = lost_total;
-  ++plan_epoch_;
 
   // 5. Snapshot every surviving sink: the epoch boundary the oracle
   //    compares post-recovery output against.

@@ -91,10 +91,10 @@ class ServeClient {
   /// `resume_from` (use results(query_id).next_seq after a reconnect).
   Result<SubscribeReply> Attach(int64_t query_id, uint64_t resume_from);
 
-  /// Registers a batch of fresh queries in one request. Sequential
-  /// semantics (same ids/plans/results as one Subscribe per entry); the
-  /// reply carries per-entry outcomes plus the daemon's clustering
-  /// counters.
+  /// Registers a batch of fresh queries in one round trip: the daemon
+  /// runs one Subscribe per entry, in order, and the reply carries the
+  /// per-entry outcomes. A hard error (say, a parse error) fails the call;
+  /// the entries before it stay installed.
   Result<SubscribeBatchReply> SubscribeBatch(
       const std::vector<ControlRequest::BatchEntry>& entries);
 

@@ -163,7 +163,6 @@ Result<ControlRequest> DecodeRequest(std::string_view body) {
       if (!GetVarint(&body, &count)) {
         return Truncated("subscribe-batch request");
       }
-      request.batch.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         ControlRequest::BatchEntry entry;
         uint64_t strategy = 0;
@@ -370,7 +369,6 @@ Result<StatsReply> DecodeStatsReply(std::string_view payload) {
     return Truncated("stats reply");
   }
   reply.draining = draining != 0;
-  reply.queries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     QueryStat query;
     uint64_t accepted = 0, active = 0;
@@ -398,8 +396,6 @@ std::string EncodeSubscribeBatchReply(const SubscribeBatchReply& reply) {
     PutVarint(&out, entry.forward_from);
     PutString(&out, entry.reject_reason);
   }
-  PutVarint(&out, reply.analyze_cache_hits);
-  PutVarint(&out, reply.plan_memo_hits);
   return out;
 }
 
@@ -410,7 +406,6 @@ Result<SubscribeBatchReply> DecodeSubscribeBatchReply(
   if (!GetVarint(&payload, &count)) {
     return Truncated("subscribe-batch reply");
   }
-  reply.entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     SubscribeReply entry;
     uint64_t accepted = 0;
@@ -422,10 +417,6 @@ Result<SubscribeBatchReply> DecodeSubscribeBatchReply(
     }
     entry.accepted = accepted != 0;
     reply.entries.push_back(std::move(entry));
-  }
-  if (!GetVarint(&payload, &reply.analyze_cache_hits) ||
-      !GetVarint(&payload, &reply.plan_memo_hits)) {
-    return Truncated("subscribe-batch reply counters");
   }
   return reply;
 }

@@ -44,7 +44,9 @@ namespace streamshare::serve {
 /// v3: every RESULT item is self-contained (its own name dictionary), so
 /// a client decodes each body on its own; a v2 client, which keeps one
 /// dictionary per connection, would misread them.
-inline constexpr uint64_t kServeProtocolVersion = 3;
+/// v4: SubscribeBatchReply lost its clustering counters; the batch verb
+/// is N sequential registrations.
+inline constexpr uint64_t kServeProtocolVersion = 4;
 
 enum class Verb : uint8_t {
   kHello = 1,        // protocol handshake; first request on a connection
@@ -57,7 +59,7 @@ enum class Verb : uint8_t {
   kDrain = 8,        // stop admitting; checkpoint (restartable) or flush
   kDetach = 9,       // drop this connection's attachments, keep the
                      // subscriptions installed (re-attach later)
-  kSubscribeBatch = 10,  // register many queries in one planned pass
+  kSubscribeBatch = 10,  // register many queries in one round trip
   kReoptimize = 11,  // background re-optimization pass (plan migration)
 };
 
@@ -95,8 +97,9 @@ struct ControlRequest {
   // kDrain
   bool final_drain = false;
 
-  // kSubscribeBatch: the queries, registered in order with sequential
-  // semantics (identical ids/plans/results to one kSubscribe per entry).
+  // kSubscribeBatch: the queries, registered in order exactly as one
+  // kSubscribe per entry (a hard error stops the batch; the registered
+  // prefix stays).
   struct BatchEntry {
     std::string query_text;
     int64_t vq = 0;
@@ -191,9 +194,6 @@ struct StatsReply {
 struct SubscribeBatchReply {
   /// One entry per batch query, in request order.
   std::vector<SubscribeReply> entries;
-  /// Clustering counters (sharing::StreamShareSystem::BatchStats).
-  uint64_t analyze_cache_hits = 0;
-  uint64_t plan_memo_hits = 0;
 };
 
 struct ReoptimizeReply {

@@ -80,14 +80,8 @@ Status ServeDaemon::Start() {
   return Status::Ok();
 }
 
-std::string ServeDaemon::WalPathOrDefault() const {
-  return options_.wal_path.empty()
-             ? DefaultWalPath(options_.checkpoint_path)
-             : options_.wal_path;
-}
-
 Status ServeDaemon::RecoverDurableState() {
-  const std::string wal_path = WalPathOrDefault();
+  const std::string wal_path = DefaultWalPath(options_.checkpoint_path);
 
   Checkpoint checkpoint;
   bool have_checkpoint = false;
@@ -226,6 +220,12 @@ Status ServeDaemon::ApplyWalRecords(const std::vector<WalRecord>& records) {
   return Status::Ok();
 }
 
+void ServeDaemon::LogMutation(LogEvent event) {
+  event.at_items = items_fed_;
+  event_log_.push_back(event);
+  DurableAppend(WalRecord::Event(std::move(event)));
+}
+
 void ServeDaemon::DurableAppend(const WalRecord& record) {
   if (!durable() || !wal_error_.ok()) return;
   WalCounters before = wal_.counters();
@@ -251,8 +251,9 @@ Status ServeDaemon::CompactWal() {
   header.scenario_fingerprint = ScenarioFingerprint(scenario_);
   header.epoch = epoch_;
   header.base_generation = generation_;
-  SS_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Create(WalPathOrDefault(),
-                                                  header));
+  SS_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Create(
+                                DefaultWalPath(options_.checkpoint_path),
+                                header));
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.wal_compactions;
   return Status::Ok();
@@ -714,49 +715,10 @@ ControlResponse ServeDaemon::DoSubscribe(ClientState* client,
     return OkResponse(request.request_id, EncodeSubscribeReply(reply));
   }
 
-  Result<RegistrationResult> result = system_->RegisterQuery(
-      request.query_text, static_cast<network::NodeId>(request.vq),
-      StrategyFromByte(request.strategy));
-  if (!result.ok()) {
-    // Parse/analysis failure: no query id was consumed, nothing to log.
-    return ErrorResponse(request.request_id, result.status());
-  }
-  // Accepted or admission-rejected, the registration consumed a query
-  // id — log it (and make it durable before the ACK) so a replay
-  // reassigns identical ids.
-  LogEvent event;
-  event.kind = LogEvent::Kind::kSubscribe;
-  event.at_items = items_fed_;
-  event.query_text = request.query_text;
-  event.vq = request.vq;
-  event.strategy = request.strategy;
-  event_log_.push_back(event);
-  DurableAppend(WalRecord::Event(std::move(event)));
-
-  SubscribeReply reply;
-  reply.query_id = result->query_id;
-  reply.accepted = result->accepted;
-  reply.reject_reason = result->reject_reason;
-  if (result->accepted && result->sink != nullptr) {
-    result->sink->EnableContentHash();
-    Attachment attachment;
-    attachment.next_index =
-        std::min(request.resume_from,
-                 static_cast<uint64_t>(result->sink->item_count()));
-    reply.forward_from = attachment.next_index;
-    client->subs[result->query_id] = attachment;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (result->accepted) {
-      ++stats_.admitted;
-    } else {
-      // The E6 admission-control path: a structured rejection, with the
-      // deployment untouched and the daemon still serving.
-      ++stats_.rejected;
-    }
-  }
-  return OkResponse(request.request_id, EncodeSubscribeReply(reply));
+  Result<SubscribeReply> reply = RegisterAndAttach(
+      client, request.query_text, request.vq, request.strategy);
+  if (!reply.ok()) return ErrorResponse(request.request_id, reply.status());
+  return OkResponse(request.request_id, EncodeSubscribeReply(*reply));
 }
 
 ControlResponse ServeDaemon::DoSubscribeBatch(
@@ -765,62 +727,59 @@ ControlResponse ServeDaemon::DoSubscribeBatch(
     return ErrorResponse(request.request_id,
                          Status::Unavailable("daemon is draining"));
   }
-  std::vector<sharing::StreamShareSystem::BatchQuery> queries;
-  queries.reserve(request.batch.size());
-  for (const ControlRequest::BatchEntry& entry : request.batch) {
-    sharing::StreamShareSystem::BatchQuery query;
-    query.text = entry.query_text;
-    query.vq = static_cast<network::NodeId>(entry.vq);
-    query.strategy = StrategyFromByte(entry.strategy);
-    queries.push_back(std::move(query));
-  }
-  sharing::StreamShareSystem::BatchStats batch_stats;
-  Result<std::vector<RegistrationResult>> results =
-      system_->SubscribeBatch(queries, &batch_stats);
-  // Every registration that consumed a query id — the whole batch, or
-  // the installed prefix before a hard error — logs as a plain
-  // subscribe: batch == sequential is the determinism invariant, so a
-  // replay through individual registrations rebuilds identical state.
-  for (int i = 0; i < batch_stats.registered; ++i) {
-    LogEvent event;
-    event.kind = LogEvent::Kind::kSubscribe;
-    event.at_items = items_fed_;
-    event.query_text = request.batch[i].query_text;
-    event.vq = request.batch[i].vq;
-    event.strategy = request.batch[i].strategy;
-    event_log_.push_back(event);
-    DurableAppend(WalRecord::Event(std::move(event)));
-  }
-  if (!results.ok()) {
-    return ErrorResponse(request.request_id, results.status());
-  }
-
+  // N sequential registrations, each planned against what the earlier
+  // ones deployed. A hard error stops the batch; the registrations before
+  // it stay installed and logged, exactly as N Subscribe verbs would.
   SubscribeBatchReply reply;
-  reply.analyze_cache_hits =
-      static_cast<uint64_t>(batch_stats.analyze_cache_hits);
-  reply.plan_memo_hits = static_cast<uint64_t>(batch_stats.plan_memo_hits);
-  reply.entries.reserve(results->size());
-  uint64_t admitted = 0, rejected = 0;
-  for (const RegistrationResult& result : *results) {
-    SubscribeReply entry;
-    entry.query_id = result.query_id;
-    entry.accepted = result.accepted;
-    entry.reject_reason = result.reject_reason;
-    if (result.accepted && result.sink != nullptr) {
-      result.sink->EnableContentHash();
-      client->subs[result.query_id] = Attachment{};
-      ++admitted;
+  reply.entries.reserve(request.batch.size());
+  for (const ControlRequest::BatchEntry& entry : request.batch) {
+    Result<SubscribeReply> registered = RegisterAndAttach(
+        client, entry.query_text, entry.vq, entry.strategy);
+    if (!registered.ok()) {
+      return ErrorResponse(request.request_id, registered.status());
     }
-    if (!result.accepted) ++rejected;
-    reply.entries.push_back(std::move(entry));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.admitted += admitted;
-    stats_.rejected += rejected;
+    reply.entries.push_back(std::move(registered).value());
   }
   return OkResponse(request.request_id,
                     EncodeSubscribeBatchReply(reply));
+}
+
+Result<SubscribeReply> ServeDaemon::RegisterAndAttach(
+    ClientState* client, const std::string& query_text, int64_t vq,
+    uint8_t strategy) {
+  // A parse/analysis failure consumes no query id: nothing to log.
+  SS_ASSIGN_OR_RETURN(
+      RegistrationResult result,
+      system_->RegisterQuery(query_text, static_cast<network::NodeId>(vq),
+                             StrategyFromByte(strategy)));
+  // Accepted or admission-rejected, the registration consumed a query
+  // id — log it (and make it durable before the ACK) so a replay
+  // reassigns identical ids.
+  LogEvent event;
+  event.kind = LogEvent::Kind::kSubscribe;
+  event.query_text = query_text;
+  event.vq = vq;
+  event.strategy = strategy;
+  LogMutation(std::move(event));
+
+  SubscribeReply reply;
+  reply.query_id = result.query_id;
+  reply.accepted = result.accepted;
+  reply.reject_reason = result.reject_reason;
+  if (result.accepted && result.sink != nullptr) {
+    // A fresh sink has delivered nothing: forwarding starts at 0.
+    result.sink->EnableContentHash();
+    client->subs[result.query_id] = Attachment{};
+  }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (result.accepted) {
+    ++stats_.admitted;
+  } else {
+    // The E6 admission-control path: a structured rejection, with the
+    // deployment untouched and the daemon still serving.
+    ++stats_.rejected;
+  }
+  return reply;
 }
 
 ControlResponse ServeDaemon::DoReoptimize(const ControlRequest& request) {
@@ -835,10 +794,8 @@ ControlResponse ServeDaemon::DoReoptimize(const ControlRequest& request) {
   }
   LogEvent event;
   event.kind = LogEvent::Kind::kReoptimize;
-  event.at_items = items_fed_;
   event.max_migrations = request.max_migrations;
-  event_log_.push_back(event);
-  DurableAppend(WalRecord::Event(std::move(event)));
+  LogMutation(std::move(event));
   ReoptimizeReply reply;
   reply.examined = static_cast<uint64_t>(report->examined);
   reply.migrated = static_cast<uint64_t>(report->migrated);
@@ -852,25 +809,26 @@ ControlResponse ServeDaemon::DoReoptimize(const ControlRequest& request) {
 ControlResponse ServeDaemon::DoUnsubscribe(ClientState* client,
                                            const ControlRequest& request) {
   int query_id = static_cast<int>(request.query_id);
-  Status status = system_->Unsubscribe(query_id);
+  Status status = UnsubscribeQuery(query_id);
   if (!status.ok()) return ErrorResponse(request.request_id, status);
-  LogEvent event;
-  event.kind = LogEvent::Kind::kUnsubscribe;
-  event.at_items = items_fed_;
-  event.query_id = request.query_id;
-  event_log_.push_back(event);
-  DurableAppend(WalRecord::Event(std::move(event)));
   client->subs.erase(query_id);
   for (const std::unique_ptr<ClientState>& other : clients_) {
     other->subs.erase(query_id);
   }
-  channels_.erase(query_id);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.unsubscribed;
-    stats_.forward_channels = channels_.size();
-  }
   return OkResponse(request.request_id, std::string());
+}
+
+Status ServeDaemon::UnsubscribeQuery(int query_id) {
+  SS_RETURN_IF_ERROR(system_->Unsubscribe(query_id));
+  LogEvent event;
+  event.kind = LogEvent::Kind::kUnsubscribe;
+  event.query_id = query_id;
+  LogMutation(std::move(event));
+  channels_.erase(query_id);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.unsubscribed;
+  stats_.forward_channels = channels_.size();
+  return Status::Ok();
 }
 
 ControlResponse ServeDaemon::DoFailPeer(const ControlRequest& request) {
@@ -880,10 +838,8 @@ ControlResponse ServeDaemon::DoFailPeer(const ControlRequest& request) {
                                          report.status());
   LogEvent event;
   event.kind = LogEvent::Kind::kFailPeer;
-  event.at_items = items_fed_;
   event.peer = request.peer;
-  event_log_.push_back(event);
-  DurableAppend(WalRecord::Event(std::move(event)));
+  LogMutation(std::move(event));
   RecoveryReply reply;
   reply.replans = report->replans;
   reply.lost_queries = report->lost_queries;
@@ -900,11 +856,9 @@ ControlResponse ServeDaemon::DoCutLink(const ControlRequest& request) {
                                          report.status());
   LogEvent event;
   event.kind = LogEvent::Kind::kCutLink;
-  event.at_items = items_fed_;
   event.link_a = request.link_a;
   event.link_b = request.link_b;
-  event_log_.push_back(event);
-  DurableAppend(WalRecord::Event(std::move(event)));
+  LogMutation(std::move(event));
   RecoveryReply reply;
   reply.replans = report->replans;
   reply.lost_queries = report->lost_queries;
@@ -1059,21 +1013,11 @@ void ServeDaemon::NoteNetCounters() {
 
 void ServeDaemon::DetachClient(ClientState* client, bool unsubscribe) {
   if (unsubscribe) {
+    // A query that is no longer active, or widened a stream, stays as
+    // it is: Unsubscribe refuses it without side effects.
     for (const auto& [query_id, attachment] : client->subs) {
       (void)attachment;
-      if (!system_->IsActive(query_id)) continue;
-      if (system_->Unsubscribe(query_id).ok()) {
-        LogEvent event;
-        event.kind = LogEvent::Kind::kUnsubscribe;
-        event.at_items = items_fed_;
-        event.query_id = query_id;
-        event_log_.push_back(event);
-        DurableAppend(WalRecord::Event(std::move(event)));
-        channels_.erase(query_id);
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.unsubscribed;
-        stats_.forward_channels = channels_.size();
-      }
+      (void)UnsubscribeQuery(query_id);
     }
   }
   client->subs.clear();
@@ -1119,7 +1063,7 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     ForwardNewResults();
     if (durable()) {
       wal_.Close();
-      std::remove(WalPathOrDefault().c_str());
+      std::remove(DefaultWalPath(options_.checkpoint_path).c_str());
       std::remove(options_.checkpoint_path.c_str());
     }
   } else {
@@ -1137,7 +1081,7 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
         SaveCheckpoint(options_.checkpoint_path, BuildCheckpoint()));
     crashpoint::MaybeCrash(crashpoint::kCkptPostRenamePreWalReset);
     wal_.Close();
-    std::remove(WalPathOrDefault().c_str());
+    std::remove(DefaultWalPath(options_.checkpoint_path).c_str());
   }
 
   for (std::unique_ptr<ClientState>& client : clients_) {

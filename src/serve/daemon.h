@@ -64,12 +64,11 @@ struct DaemonOptions {
   /// Path of the drain checkpoint. Empty disables durability entirely:
   /// no checkpoint, no write-ahead log, and Drain with final=false is
   /// rejected. Set, the daemon is crash-consistent — every acknowledged
-  /// control mutation is fsync'd to the WAL beside this path before its
-  /// ACK leaves the process, and startup recovers checkpoint + WAL tail
-  /// (a torn final record is detected and truncated).
+  /// control mutation is fsync'd to the WAL beside this path
+  /// (DefaultWalPath(checkpoint_path)) before its ACK leaves the
+  /// process, and startup recovers checkpoint + WAL tail (a torn final
+  /// record is detected and truncated).
   std::string checkpoint_path;
-  /// Write-ahead log path; empty derives DefaultWalPath(checkpoint_path).
-  std::string wal_path;
   /// Compaction threshold: when the WAL exceeds this many record bytes,
   /// the loop folds it into a fresh checkpoint (write-temp → fsync →
   /// rename) and starts an empty log, keeping recovery cost bounded.
@@ -180,7 +179,6 @@ class ServeDaemon {
   };
 
   bool durable() const { return !options_.checkpoint_path.empty(); }
-  std::string WalPathOrDefault() const;
   /// Startup with durability on: load checkpoint + scan WAL, validate
   /// generations, replay both, fold into a fresh checkpoint when the WAL
   /// carried records, and open an empty log for this life.
@@ -195,6 +193,10 @@ class ServeDaemon {
   /// leave) — handlers return the error response, HandleRequest drops it
   /// and surfaces wal_error_ instead.
   void DurableAppend(const WalRecord& record);
+  /// The one way an acknowledged control mutation is recorded: stamps
+  /// `event` at the current feed offset, appends it to the event log and
+  /// makes it durable.
+  void LogMutation(LogEvent event);
   /// Folds the WAL into a fresh checkpoint and restarts the log.
   Status CompactWal();
 
@@ -221,9 +223,19 @@ class ServeDaemon {
                               const ControlRequest& request);
   ControlResponse DoSubscribeBatch(ClientState* client,
                                    const ControlRequest& request);
+  /// Subscribe's and the batch's one registration step: registers the
+  /// query, logs the registration when it consumed a query id (accepted
+  /// or admission-rejected) and attaches an accepted query to `client`.
+  /// A parse or analysis error consumes no id and logs nothing.
+  Result<SubscribeReply> RegisterAndAttach(ClientState* client,
+                                           const std::string& query_text,
+                                           int64_t vq, uint8_t strategy);
   ControlResponse DoReoptimize(const ControlRequest& request);
   ControlResponse DoUnsubscribe(ClientState* client,
                                 const ControlRequest& request);
+  /// Unsubscribes `query_id` from the system, logs it and drops its
+  /// forwarding state; the caller drops the client attachments.
+  Status UnsubscribeQuery(int query_id);
   ControlResponse DoFailPeer(const ControlRequest& request);
   ControlResponse DoCutLink(const ControlRequest& request);
   ControlResponse DoStats(const ControlRequest& request);

@@ -104,7 +104,6 @@ Status StreamShareSystem::RegisterStream(
       graph_.Add<engine::PassOp>("source:" + name);
   taps_[id].taps = {entry};
   stream_entries_[name] = entry;
-  ++plan_epoch_;
   obs::EventLog& log = obs::EventLog::Default();
   if (log.ShouldLog(obs::Severity::kInfo)) {
     log.Log(obs::Severity::kInfo, "sharing", "stream registered",
@@ -144,34 +143,6 @@ Status StreamShareSystem::SetAvgIncrement(const std::string& stream,
 
 Result<RegistrationResult> StreamShareSystem::RegisterQuery(
     std::string_view query_text, NodeId vq, Strategy strategy) {
-  return RegisterQueryImpl(query_text, vq, strategy, /*batch=*/nullptr);
-}
-
-Result<std::vector<RegistrationResult>> StreamShareSystem::SubscribeBatch(
-    const std::vector<BatchQuery>& queries, BatchStats* stats) {
-  BatchContext batch;
-  batch.stats.queries = static_cast<int>(queries.size());
-  std::vector<RegistrationResult> results;
-  results.reserve(queries.size());
-  for (const BatchQuery& query : queries) {
-    Result<RegistrationResult> result =
-        RegisterQueryImpl(query.text, query.vq, query.strategy, &batch);
-    if (!result.ok()) {
-      // Sequential semantics: the installed prefix stays; the stats tell
-      // the caller how many registrations consumed a query id.
-      if (stats != nullptr) *stats = batch.stats;
-      return result.status();
-    }
-    ++batch.stats.registered;
-    results.push_back(std::move(result).value());
-  }
-  if (stats != nullptr) *stats = batch.stats;
-  return results;
-}
-
-Result<RegistrationResult> StreamShareSystem::RegisterQueryImpl(
-    std::string_view query_text, NodeId vq, Strategy strategy,
-    BatchContext* batch) {
   if (vq < 0 || vq >= static_cast<NodeId>(topology_.peer_count())) {
     return Status::InvalidArgument("query target peer out of range");
   }
@@ -187,64 +158,28 @@ Result<RegistrationResult> StreamShareSystem::RegisterQueryImpl(
   result.vq = vq;
   result.strategy = strategy;
 
-  // Template clustering: identical texts in a batch analyze once
-  // (ParseAndAnalyze is a pure function of the text).
-  std::shared_ptr<const wxquery::AnalyzedQuery> query;
-  if (batch != nullptr) {
-    auto it = batch->analyzed.find(query_text);
-    if (it != batch->analyzed.end()) {
-      query = it->second;
-      ++batch->stats.analyze_cache_hits;
-    }
-  }
-  if (query == nullptr) {
-    SS_ASSIGN_OR_RETURN(wxquery::AnalyzedQuery analyzed,
-                        wxquery::ParseAndAnalyze(query_text));
-    query = std::make_shared<const wxquery::AnalyzedQuery>(
-        std::move(analyzed));
-    if (batch != nullptr) {
-      batch->analyzed.emplace(std::string(query_text), query);
-    }
-  }
+  SS_ASSIGN_OR_RETURN(wxquery::AnalyzedQuery analyzed,
+                      wxquery::ParseAndAnalyze(query_text));
+  auto query =
+      std::make_shared<const wxquery::AnalyzedQuery>(std::move(analyzed));
 
-  // Intra-batch plan reuse: planning is a deterministic function of
-  // (query, vq, strategy) and planner-visible state; a memo entry stamped
-  // with the current plan epoch yields exactly what re-planning would.
-  const std::tuple<std::string, NodeId, int> memo_key(
-      std::string(query_text), vq, static_cast<int>(strategy));
-  bool memo_hit = false;
-  if (batch != nullptr) {
-    auto it = batch->plans.find(memo_key);
-    if (it != batch->plans.end() && it->second.epoch == plan_epoch_) {
-      result.plan = it->second.plan;
-      result.search = it->second.search;
-      memo_hit = true;
-      ++batch->stats.plan_memo_hits;
+  Result<EvaluationPlan> plan = [&]() -> Result<EvaluationPlan> {
+    switch (strategy) {
+      case Strategy::kDataShipping:
+        return planner_->DataShipping(*query, vq);
+      case Strategy::kQueryShipping:
+        return planner_->QueryShipping(*query, vq);
+      case Strategy::kStreamSharing:
+        if (hierarchical_planner_ != nullptr) {
+          return hierarchical_planner_->Subscribe(*query, vq,
+                                                  &result.search);
+        }
+        return planner_->Subscribe(*query, vq, &result.search);
     }
-  }
-  if (!memo_hit) {
-    Result<EvaluationPlan> plan = [&]() -> Result<EvaluationPlan> {
-      switch (strategy) {
-        case Strategy::kDataShipping:
-          return planner_->DataShipping(*query, vq);
-        case Strategy::kQueryShipping:
-          return planner_->QueryShipping(*query, vq);
-        case Strategy::kStreamSharing:
-          if (hierarchical_planner_ != nullptr) {
-            return hierarchical_planner_->Subscribe(*query, vq,
-                                                    &result.search);
-          }
-          return planner_->Subscribe(*query, vq, &result.search);
-      }
-      return Status::Internal("unknown strategy");
-    }();
-    SS_RETURN_IF_ERROR(plan.status());
-    result.plan = std::move(plan).value();
-    if (batch != nullptr) {
-      batch->plans[memo_key] =
-          BatchContext::PlanMemo{result.plan, result.search, plan_epoch_};
-    }
-  }
+    return Status::Internal("unknown strategy");
+  }();
+  SS_RETURN_IF_ERROR(plan.status());
+  result.plan = std::move(plan).value();
 
   if (config_.enforce_limits && !result.plan.Feasible()) {
     result.accepted = false;
@@ -256,9 +191,6 @@ Result<RegistrationResult> StreamShareSystem::RegisterQueryImpl(
         DeployPlan(result.plan, query, vq, strategy, &result));
     result.accepted = true;
     queries_.push_back(query);
-    // An accepted deployment commits resources and may register streams:
-    // any batch plan memo is now stale.
-    ++plan_epoch_;
   }
 
   auto end = std::chrono::steady_clock::now();
@@ -326,60 +258,6 @@ Status StreamShareSystem::CheckActiveSubscription(int query_id) const {
   }
   return Status::NotFound("query " + std::to_string(query_id) +
                           " was already unsubscribed");
-}
-
-Status StreamShareSystem::UnregisterQuery(int query_id) {
-  SS_RETURN_IF_ERROR(CheckActiveSubscription(query_id));
-  QueryDeployment& deployment = deployments_[query_id];
-  if (deployment.widened_a_stream) {
-    return Status::InvalidArgument(
-        "query " + std::to_string(query_id) +
-        " widened a shared stream; widening is irreversible while later "
-        "subscriptions may rely on the widened content");
-  }
-  // The query's own streams must have no remaining consumers (active
-  // subscriptions, or deferred chains of departed ones).
-  for (const QueryDeployment::InputWiring& wiring : deployment.inputs) {
-    if (wiring.registered_stream < 0) continue;
-    for (size_t other = 0; other < deployments_.size(); ++other) {
-      if (static_cast<int>(other) == query_id ||
-          !deployments_[other].active) {
-        continue;
-      }
-      for (const QueryDeployment::InputWiring& consumer :
-           deployments_[other].inputs) {
-        if (consumer.reused_stream == wiring.registered_stream) {
-          return Status::InvalidArgument(
-              "stream #" + std::to_string(wiring.registered_stream) +
-              " registered by query " + std::to_string(query_id) +
-              " is still consumed by query " + std::to_string(other) +
-              "; deregister consumers first");
-        }
-      }
-    }
-    if (registry_.stream(wiring.registered_stream).consumers > 0) {
-      return Status::InvalidArgument(
-          "stream #" + std::to_string(wiring.registered_stream) +
-          " registered by query " + std::to_string(query_id) +
-          " still feeds a departed subscription's deferred chain; "
-          "deregister consumers first");
-    }
-  }
-
-  // With no consumers left, every wiring dismantles immediately: private
-  // chains detach from the shared taps, the query's streams retire, and
-  // the plan's committed resources are released per input.
-  deployment.active = false;
-  ParkWirings(query_id, &deployment, registrations_[query_id].plan,
-              nullptr);
-  GcStreams();
-  ++plan_epoch_;
-  obs::EventLog& log = obs::EventLog::Default();
-  if (log.ShouldLog(obs::Severity::kInfo)) {
-    log.Log(obs::Severity::kInfo, "sharing", "query deregistered",
-            {obs::F("query", query_id)});
-  }
-  return Status::Ok();
 }
 
 Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
@@ -506,7 +384,6 @@ Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
     }
     lost_here += GcStreams();
     report.lost_windows += lost_here;
-    ++plan_epoch_;
     if (restored) {
       ++report.migrated;
       report.cost_after += reg.plan.TotalCost();
@@ -1023,6 +900,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
   }
   // The kept-result logs, summed over every query's sink: what retention
   // costs in memory, growing with uptime while keep_results is on.
+  // Unsubscribed queries hold none (Unsubscribe drops their logs).
   uint64_t retained_bytes = 0, retained_results = 0;
   for (const RegistrationResult& registration : registrations_) {
     if (registration.sink == nullptr) continue;

@@ -165,38 +165,6 @@ class StreamShareSystem {
                                            network::NodeId vq,
                                            Strategy strategy);
 
-  /// One query of a registration batch.
-  struct BatchQuery {
-    std::string text;
-    network::NodeId vq = -1;
-    Strategy strategy = Strategy::kStreamSharing;
-  };
-  /// Work-saving counters of one SubscribeBatch call.
-  struct BatchStats {
-    int queries = 0;
-    /// Identical query texts parsed/analyzed once.
-    int analyze_cache_hits = 0;
-    /// (text, vq, strategy) triples re-planned from the batch memo — valid
-    /// only while no accepted registration changed planner-visible state.
-    int plan_memo_hits = 0;
-    /// Registrations that consumed a query id (accepted or
-    /// admission-rejected). On a mid-batch hard error this is the length
-    /// of the installed prefix — the batch behaves exactly like the
-    /// sequential calls it replaces, so earlier registrations remain.
-    int registered = 0;
-  };
-
-  /// Registers a batch of queries. Semantically identical to calling
-  /// RegisterQuery on each element in order — same installed plans, same
-  /// acceptance decisions, same sink results — but clusters the batch:
-  /// duplicate texts are analyzed once, and plans are reused across
-  /// template-identical queries as long as no intervening acceptance
-  /// invalidated them. Stops at the first hard error (parse failure,
-  /// unregistered stream); admission-control rejections are per-query
-  /// results, not errors, and do not stop the batch.
-  Result<std::vector<RegistrationResult>> SubscribeBatch(
-      const std::vector<BatchQuery>& queries, BatchStats* stats = nullptr);
-
   /// Outcome of one background re-optimization pass.
   struct ReoptimizeReport {
     /// Active stream-sharing queries whose plan was re-evaluated.
@@ -227,23 +195,15 @@ class StreamShareSystem {
   /// is epoch-safe at feed boundaries, exactly like recovery.
   Result<ReoptimizeReport> Reoptimize(int max_migrations = -1);
 
-  /// Deregisters a continuous query: detaches its operator chains from the
-  /// shared streams, retires the streams it registered, and releases the
-  /// bandwidth and load its plan committed. Fails with kInvalidArgument
-  /// when another active subscription still consumes one of the query's
-  /// streams (deregister the consumers first), or when the query's plan
-  /// widened a stream (widening is irreversible while consumers may rely
-  /// on the widened content).
-  Status UnregisterQuery(int query_id);
-
-  /// Refcounted deregistration: the query leaves immediately, but a shared
-  /// stream it registered keeps flowing while other subscriptions still
-  /// consume it — only the query's private tail is cut. Once the last
-  /// consumer of such a stream leaves, the stream and its whole deferred
-  /// chain are garbage-collected (cascading up the reuse chain) and the
-  /// resources released. Unlike UnregisterQuery this never refuses for
-  /// live consumers; it still refuses for queries that widened a stream
-  /// (widening is irreversible).
+  /// Deregisters a continuous query, refcounted: the query leaves
+  /// immediately, but a shared stream it registered keeps flowing while
+  /// other subscriptions still consume it — only the query's private tail
+  /// is cut. Once the last consumer of such a stream leaves, the stream
+  /// and its whole deferred chain are garbage-collected (cascading up the
+  /// reuse chain) and the resources released. The query's sink drops its
+  /// kept results; its counts, bytes and content hash stay. Refuses for
+  /// queries that widened a stream (widening is irreversible while later
+  /// subscriptions may rely on the widened content).
   Status Unsubscribe(int query_id);
 
   /// Declares a super-peer dead (operator intervention, or promotion of a
@@ -270,14 +230,14 @@ class StreamShareSystem {
     return recovery_reports_;
   }
 
-  /// True while the query is deployed (false after UnregisterQuery or for
-  /// rejected registrations).
+  /// True while the query is deployed (false after Unsubscribe, after a
+  /// recovery tore it down, or for rejected registrations).
   bool IsActive(int query_id) const;
 
   /// NotFound with a message naming why `query_id` is not an active
   /// subscription — never registered, rejected at admission, or already
-  /// removed — or Ok while it is deployed. UnregisterQuery and
-  /// Unsubscribe both gate on this, so a double-unsubscribe is NotFound
+  /// removed — or Ok while it is deployed. Unsubscribe and the daemon's
+  /// re-attach gate on this, so a double-unsubscribe is NotFound
   /// everywhere, not whatever the registry walk happens to hit.
   Status CheckActiveSubscription(int query_id) const;
 
@@ -390,30 +350,6 @@ class StreamShareSystem {
     std::vector<std::pair<network::NodeId, double>> added_load;
   };
 
-  /// Per-batch caches shared across the registrations of one
-  /// SubscribeBatch call (see BatchStats).
-  struct BatchContext {
-    std::map<std::string, std::shared_ptr<const wxquery::AnalyzedQuery>,
-             std::less<>>
-        analyzed;
-    struct PlanMemo {
-      EvaluationPlan plan;
-      SearchStats search;
-      /// plan_epoch_ at memo time; a mismatch means planner-visible state
-      /// changed and the memo entry is dead.
-      uint64_t epoch = 0;
-    };
-    std::map<std::tuple<std::string, network::NodeId, int>, PlanMemo> plans;
-    BatchStats stats;
-  };
-
-  /// RegisterQuery body; `batch` (may be null) carries the intra-batch
-  /// caches of SubscribeBatch.
-  Result<RegistrationResult> RegisterQueryImpl(std::string_view query_text,
-                                               network::NodeId vq,
-                                               Strategy strategy,
-                                               BatchContext* batch);
-
   Status DeployPlan(const EvaluationPlan& plan,
                     std::shared_ptr<const wxquery::AnalyzedQuery> query,
                     network::NodeId vq, Strategy strategy,
@@ -499,9 +435,6 @@ class StreamShareSystem {
   std::vector<ParkedWiring> parked_;
   std::vector<recover::RecoveryReport> recovery_reports_;
   transport::RunStats run_stats_;
-  /// Bumped whenever planner-visible state changes (deployments, GC,
-  /// recovery, re-optimization); guards SubscribeBatch's plan memo.
-  uint64_t plan_epoch_ = 0;
 };
 
 }  // namespace streamshare::sharing

@@ -10,6 +10,8 @@
 // the parent's threads still exist), so under TSAN the fork-heavy cases
 // skip — the same policy test_transport_runner.cc uses.
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -19,7 +21,9 @@
 
 #include "gtest/gtest.h"
 #include "serve/crash_oracle.h"
+#include "serve/client.h"
 #include "serve/crashpoint.h"
+#include "serve/daemon.h"
 #include "serve/serve_oracle.h"
 #include "serve/wal.h"
 #include "workload/scenario.h"
@@ -204,6 +208,102 @@ TEST(CrashRecovery, ChurnedWorkloadSurvivesAMidAppendKill) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->crashes, 1u);
   ExpectSameHistory(*report, *reference, "churned");
+  RemoveStateDir(state_dir);
+}
+
+// A SubscribeBatch whose middle entry does not parse: the ACK carries
+// the parse error, the entries before it stay installed and are in the
+// WAL, and a daemon restarted from what a kill -9 leaves on disk assigns
+// the same query ids.
+TEST(CrashRecovery, SubscribeBatchHardErrorKeepsTheLoggedPrefix) {
+  const workload::ScenarioSpec scenario = SmallScenario();
+  const std::string state_dir = MakeStateDir();
+  ASSERT_FALSE(state_dir.empty());
+  DaemonOptions options;
+  options.checkpoint_path = state_dir + "/checkpoint";
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds[0]);
+    ServeDaemon daemon(scenario, options);
+    int32_t port = daemon.Start().ok() ? daemon.port() : -1;
+    ssize_t wrote = ::write(fds[1], &port, sizeof(port));
+    ::close(fds[1]);
+    if (wrote == static_cast<ssize_t>(sizeof(port)) && port > 0) {
+      daemon.Join();  // serves until the parent's SIGKILL
+    }
+    ::_exit(1);
+  }
+  ::close(fds[1]);
+  // Whatever fails below, the child does not outlive the test.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid <= 0) return;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  } reaper{child};
+  int32_t port = -1;
+  ASSERT_EQ(::read(fds[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  ::close(fds[0]);
+  ASSERT_GT(port, 0);
+
+  ClientOptions client_options;
+  client_options.port = port;
+  client_options.name = "batcher";
+  ServeClient client(client_options);
+  ASSERT_TRUE(client.Connect().ok());
+  const std::vector<ControlRequest::BatchEntry> entries = {
+      {scenario.queries[0].text, scenario.queries[0].target, 2},
+      {scenario.queries[1].text, scenario.queries[1].target, 2},
+      {"this is not wxquery", 1, 2},
+      {scenario.queries[2].text, scenario.queries[2].target, 2},
+  };
+  auto batched = client.SubscribeBatch(entries);
+  ASSERT_FALSE(batched.ok());
+  EXPECT_TRUE(batched.status().IsParseError()) << batched.status();
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->queries.size(), 2u);
+
+  ::kill(child, SIGKILL);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  reaper.pid = -1;
+  ASSERT_TRUE(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL);
+
+  // The prefix, and nothing past the bad entry, is in the log.
+  auto wal = RecoverWal(DefaultWalPath(options.checkpoint_path));
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_EQ(wal->records.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(wal->records[i].kind, WalRecord::Kind::kEvent);
+    EXPECT_EQ(wal->records[i].event.kind, LogEvent::Kind::kSubscribe);
+    EXPECT_EQ(wal->records[i].event.query_text, entries[i].query_text);
+  }
+
+  ServeDaemon restarted(scenario, options);
+  ASSERT_TRUE(restarted.Start().ok());
+  client_options.port = restarted.port();
+  ServeClient again(client_options);
+  ASSERT_TRUE(again.Connect().ok());
+  auto after = again.Stats();
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after->queries.size(), before->queries.size());
+  for (size_t q = 0; q < before->queries.size(); ++q) {
+    EXPECT_EQ(after->queries[q].query_id, before->queries[q].query_id);
+    EXPECT_EQ(after->queries[q].accepted, before->queries[q].accepted);
+    EXPECT_EQ(after->queries[q].active, before->queries[q].active);
+  }
+  again.Close();
+  restarted.RequestDrain(/*final_drain=*/true);
+  restarted.Join();
+  EXPECT_TRUE(restarted.loop_status().ok()) << restarted.loop_status();
   RemoveStateDir(state_dir);
 }
 

@@ -126,7 +126,7 @@ TEST_F(LiveRegistrationTest, MidStreamChurn) {
   ASSERT_TRUE(RunBatch(400).ok());
   uint64_t a_phase1 = a->sink->item_count();
 
-  ASSERT_TRUE(system_->UnregisterQuery(a->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(a->query_id).ok());
   ASSERT_TRUE(RunBatch(400).ok());
   EXPECT_EQ(a->sink->item_count(), a_phase1);  // no longer fed
 

@@ -356,6 +356,23 @@ TEST(ServeDaemon, AdmissionRejectionIsStructuredAndNonDisruptive) {
   ASSERT_TRUE(rejected);
   EXPECT_FALSE(reason.empty());
 
+  // A batch runs on past rejections: every entry gets its own structured
+  // answer and consumes its own id.
+  const std::vector<ControlRequest::BatchEntry> more(
+      3, {scenario.queries[0].text, scenario.queries[0].target,
+          /*strategy=*/0});
+  auto batched = client.SubscribeBatch(more);
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  ASSERT_EQ(batched->entries.size(), more.size());
+  for (size_t i = 0; i < more.size(); ++i) {
+    EXPECT_FALSE(batched->entries[i].accepted) << "entry " << i;
+    EXPECT_EQ(batched->entries[i].reject_reason, reason) << "entry " << i;
+    if (i > 0) {
+      EXPECT_EQ(batched->entries[i].query_id,
+                batched->entries[i - 1].query_id + 1);
+    }
+  }
+
   // The installed population is untouched and still serving: the first
   // query keeps receiving deliveries after the rejection.
   ASSERT_TRUE(client.Feed(50).ok());
@@ -544,7 +561,7 @@ TEST(ServeDaemon, SubscribeBatchMatchesSequentialSubscribes) {
   ASSERT_TRUE(seq_client.Connect().ok());
 
   // The scenario's queries plus a repeat of the first template at a
-  // different target — the repeat must hit the batch's analysis cache.
+  // different target.
   std::vector<ControlRequest::BatchEntry> entries;
   for (const workload::QuerySpec& query : scenario.queries) {
     entries.push_back({query.text, query.target, /*strategy=*/2});
@@ -559,8 +576,6 @@ TEST(ServeDaemon, SubscribeBatchMatchesSequentialSubscribes) {
   auto batched = batch_client.SubscribeBatch(entries);
   ASSERT_TRUE(batched.ok()) << batched.status();
   ASSERT_EQ(batched->entries.size(), entries.size());
-  EXPECT_GT(batched->analyze_cache_hits, 0u)
-      << "the repeated template missed the batch analysis cache";
 
   constexpr uint64_t kItems = 200;
   ASSERT_TRUE(batch_client.Feed(kItems).ok());
@@ -748,22 +763,31 @@ TEST(ServeDaemon, StalledSubscriberIsBufferedWithoutStallingOthers) {
   ASSERT_FALSE(accepted->empty());
   ServeClient feeder = MakeClient(*daemon, "feeder");
   ASSERT_TRUE(feeder.Connect().ok());
-  uint64_t requests = 3;
 
-  // The subscriber stops reading while the feeder keeps feeding. Until
-  // some flush meets a full socket, every pass makes one send() per
-  // client it answered or forwarded to: at most requests + feeds. The
+  // The subscriber stops reading while the feeder keeps feeding; the
   // kernel buffers a few MB first (the daemon's send buffer autotunes).
+  // Each feed forwards far more than kAckSlack bytes of results to the
+  // subscriber. Once its socket is full, the daemon's bytes out grow by
+  // little more than the feeder's ACKs across a feed. The feeder's Stats round trip after each
+  // feed makes the daemon fold that feed's pass into its counters first.
+  constexpr uint64_t kAckSlack = 1024;
+  uint64_t bytes_out = daemon->stats().net_bytes_out;
   uint64_t feeds = 0;
   bool backed_up = false;
   while (!backed_up && feeds < 400) {
+    const uint64_t forwarded = daemon->stats().results_forwarded;
     auto fed = feeder.Feed(200);
     ASSERT_TRUE(fed.ok()) << fed.status();
+    ASSERT_TRUE(feeder.Stats().ok());
     ++feeds;
-    ++requests;
-    backed_up = daemon->stats().net_sends > requests + feeds;
+    const DaemonStats now = daemon->stats();
+    ASSERT_GT(now.results_forwarded, forwarded) << "feed " << feeds;
+    backed_up = now.net_bytes_out - bytes_out < kAckSlack;
+    bytes_out = now.net_bytes_out;
   }
   ASSERT_TRUE(backed_up) << "the subscriber's socket never filled";
+  // The first feed meets an empty socket: its results leave.
+  EXPECT_GT(feeds, 1u);
   for (int more = 0; more < 3; ++more) {
     ASSERT_TRUE(feeder.Feed(200).ok());
   }
@@ -919,6 +943,64 @@ TEST(ServeDaemon, FeedAfterUnsubscribeDoesNotRecreateTheQueryChannel) {
   EXPECT_GT(client.results(q0->query_id).items, 0u);
   daemon->RequestDrain(/*final_drain=*/true);
   daemon->Join();
+}
+
+TEST(ServeDaemon, UnsubscribeFreesTheResultLogAndKeepsStatsRows) {
+  workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/20);
+  DaemonOptions options;
+  options.checkpoint_path =
+      ::testing::TempDir() + "/serve_unsubscribe_log.ckpt";
+  std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
+  auto daemon = StartDaemon(scenario, options);
+  ASSERT_NE(daemon, nullptr);
+  ServeClient client = MakeClient(*daemon, "churner");
+  ASSERT_TRUE(client.Connect().ok());
+  std::vector<ControlRequest::BatchEntry> entries;
+  for (const workload::QuerySpec& query : scenario.queries) {
+    entries.push_back({query.text, query.target, /*strategy=*/2});
+  }
+  auto batched = client.SubscribeBatch(entries);
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  ASSERT_TRUE(client.Feed(200).ok());
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  // Every other accepted query leaves.
+  for (size_t i = 0; i < batched->entries.size(); i += 2) {
+    if (!batched->entries[i].accepted) continue;
+    ASSERT_TRUE(client.Unsubscribe(batched->entries[i].query_id).ok());
+  }
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after->queries.size(), before->queries.size());
+  uint64_t delivered = 0, active_delivered = 0;
+  for (size_t q = 0; q < after->queries.size(); ++q) {
+    const QueryStat& was = before->queries[q];
+    const QueryStat& is = after->queries[q];
+    EXPECT_EQ(is.accepted, was.accepted) << "query " << q;
+    EXPECT_EQ(is.items, was.items) << "query " << q;
+    EXPECT_EQ(is.bytes, was.bytes) << "query " << q;
+    EXPECT_EQ(is.content_hash, was.content_hash) << "query " << q;
+    delivered += is.items;
+    if (is.active) active_delivered += is.items;
+  }
+  ASSERT_LT(active_delivered, delivered)
+      << "the departed queries delivered nothing; the check is vacuous";
+
+  // A restartable drain flushes no window, so the logs hold exactly what
+  // the feed delivered: the active queries' share.
+  ASSERT_TRUE(client.Drain(/*final_drain=*/false).ok());
+  ASSERT_TRUE(client.WaitEos(10000).ok());
+  daemon->Join();
+  EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
+  obs::MetricsRegistry registry;
+  daemon->ExportMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("engine.sink.retained_results")->Value(),
+            static_cast<double>(active_delivered));
+  std::remove(options.checkpoint_path.c_str());
+  std::remove(DefaultWalPath(options.checkpoint_path).c_str());
 }
 
 TEST(ServeDaemon, RestartableDrainNeedsCheckpointPath) {

@@ -1,6 +1,9 @@
-// Tests for subscription deregistration: chain detachment, stream
-// retirement, resource release, consumer protection, and correctness of
-// the surviving subscriptions.
+// Tests for subscription deregistration (Unsubscribe): chain
+// detachment, stream retirement, resource release, the departed sink's
+// freed delivery log, and correctness of the surviving subscriptions.
+// Unsubscribing a query whose stream others still consume is covered by
+// RecoveryTest (SharedStreamSurvivesFirstUnsubscribe and
+// LastUnsubscribeGarbageCollects).
 
 #include <gtest/gtest.h>
 
@@ -64,7 +67,7 @@ TEST_F(UnregisterTest, ReleasesResourcesAndRetiresStreams) {
   double used = TotalBandwidth();
   EXPECT_GT(used, 0.0);
 
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
   EXPECT_FALSE(system_->IsActive(q1->query_id));
   EXPECT_NEAR(TotalBandwidth(), 0.0, 1e-9);
   // The derived stream is retired: a fresh identical query cannot reuse
@@ -82,30 +85,43 @@ TEST_F(UnregisterTest, DetachedQueriesReceiveNothing) {
   Result<sharing::RegistrationResult> drop = system_->RegisterQuery(
       workload::kQuery3, 3, sharing::Strategy::kStreamSharing);
   ASSERT_TRUE(drop.ok());
-  ASSERT_TRUE(system_->UnregisterQuery(drop->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(drop->query_id).ok());
 
   ASSERT_TRUE(Run(1500).ok());
   EXPECT_GT(keep->sink->item_count(), 0u);
   EXPECT_EQ(drop->sink->item_count(), 0u);
 }
 
-TEST_F(UnregisterTest, ConsumersBlockDeregistration) {
-  Result<sharing::RegistrationResult> q1 = system_->RegisterQuery(
-      workload::kQuery1, 1, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(q1.ok());
-  Result<sharing::RegistrationResult> q2 = system_->RegisterQuery(
+TEST_F(UnregisterTest, UnsubscribeFreesTheDepartedSinksLog) {
+  Result<sharing::RegistrationResult> keep = system_->RegisterQuery(
       workload::kQuery2, 7, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(q2.ok());
-  ASSERT_GT(q2->plan.inputs[0].reused_stream, 0);  // q2 consumes q1's
+  ASSERT_TRUE(keep.ok());
+  Result<sharing::RegistrationResult> drop = system_->RegisterQuery(
+      workload::kQuery3, 3, sharing::Strategy::kStreamSharing);
+  ASSERT_TRUE(drop.ok());
+  drop->sink->EnableContentHash();
+  ASSERT_TRUE(Run(1500).ok());
+  // Decoded once, so the tree cache has to go too.
+  ASSERT_GT(drop->sink->items().size(), 0u);
+  const uint64_t items = drop->sink->item_count();
+  const uint64_t bytes = drop->sink->total_bytes();
+  const uint64_t hash = drop->sink->content_hash();
+  const size_t kept = keep->sink->retained_results();
+  ASSERT_GT(kept, 0u);
 
-  Status blocked = system_->UnregisterQuery(q1->query_id);
-  EXPECT_TRUE(blocked.IsInvalidArgument()) << blocked;
-  EXPECT_TRUE(system_->IsActive(q1->query_id));
-
-  // Consumers-first order works.
-  ASSERT_TRUE(system_->UnregisterQuery(q2->query_id).ok());
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
-  EXPECT_NEAR(TotalBandwidth(), 0.0, 1e-9);
+  ASSERT_TRUE(system_->Unsubscribe(drop->query_id).ok());
+  EXPECT_EQ(drop->sink->retained_results(), 0u);
+  EXPECT_EQ(drop->sink->retained_bytes(), 0u);
+  EXPECT_TRUE(drop->sink->items().empty());
+  // What the query delivered while it was subscribed still counts.
+  EXPECT_EQ(drop->sink->item_count(), items);
+  EXPECT_EQ(drop->sink->total_bytes(), bytes);
+  EXPECT_EQ(drop->sink->content_hash(), hash);
+  EXPECT_EQ(keep->sink->retained_results(), kept);
+  obs::MetricsRegistry registry;
+  system_->ExportMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("engine.sink.retained_results")->Value(),
+            static_cast<double>(kept));
 }
 
 TEST_F(UnregisterTest, SurvivingQueriesUnaffected) {
@@ -117,22 +133,22 @@ TEST_F(UnregisterTest, SurvivingQueriesUnaffected) {
   ASSERT_TRUE(q3.ok());
   // q3 reuses q1's stream, so remove q3 (the leaf) and verify q1 still
   // produces exactly its own results.
-  ASSERT_TRUE(system_->UnregisterQuery(q3->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q3->query_id).ok());
   ASSERT_TRUE(Run(1000).ok());
   EXPECT_GT(q1->sink->item_count(), 0u);
   EXPECT_EQ(q3->sink->item_count(), 0u);
 }
 
 TEST_F(UnregisterTest, InvalidIdsRejected) {
-  EXPECT_TRUE(system_->UnregisterQuery(-1).IsNotFound());
-  EXPECT_TRUE(system_->UnregisterQuery(99).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(-1).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(99).IsNotFound());
   EXPECT_FALSE(system_->IsActive(0));
   Result<sharing::RegistrationResult> q1 = system_->RegisterQuery(
       workload::kQuery1, 1, sharing::Strategy::kStreamSharing);
   ASSERT_TRUE(q1.ok());
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
   // Double deregistration is rejected.
-  EXPECT_TRUE(system_->UnregisterQuery(q1->query_id).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(q1->query_id).IsNotFound());
 }
 
 TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
@@ -142,8 +158,8 @@ TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
   ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
 
   // Every not-an-active-subscription shape answers NotFound, with a
-  // message naming why, on the recovery-aware Unsubscribe path and the
-  // plain UnregisterQuery path alike.
+  // message naming why, from Unsubscribe and from the predicate it
+  // shares with the daemon's re-attach.
   Status removed = system_->Unsubscribe(q1->query_id);
   EXPECT_TRUE(removed.IsNotFound()) << removed;
   EXPECT_NE(removed.message().find("already unsubscribed"),
@@ -155,10 +171,7 @@ TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
   EXPECT_NE(never.message().find("never registered"), std::string::npos)
       << never.message();
 
-  EXPECT_TRUE(system_->UnregisterQuery(q1->query_id).IsNotFound());
-  EXPECT_TRUE(system_->UnregisterQuery(777).IsNotFound());
-
-  // CheckActiveSubscription is the shared predicate behind both.
+  // CheckActiveSubscription is the shared predicate.
   EXPECT_TRUE(system_->CheckActiveSubscription(q1->query_id).IsNotFound());
   EXPECT_TRUE(system_->CheckActiveSubscription(-1).IsNotFound());
 }
@@ -193,7 +206,7 @@ TEST_F(UnregisterTest, WideningQueriesCannotUnregister) {
   ASSERT_TRUE(widener.ok());
   ASSERT_TRUE(widener->plan.inputs[0].widening.has_value());
   EXPECT_TRUE(
-      system_->UnregisterQuery(widener->query_id).IsInvalidArgument());
+      system_->Unsubscribe(widener->query_id).IsInvalidArgument());
 }
 
 }  // namespace
