@@ -1,9 +1,8 @@
 // Measured-latency plane on the 4×4 grid workload: per-query end-to-end
-// p50/p99 under (a) the partitioned runner on memory channels and (b)
-// the tcp transport with one OS process per partition (histogram shards
-// merged through the report pipe), plus a serial stamping-overhead pair
-// (the same record-path run with measure_latency on and off) that CI
-// gates on.
+// p50/p99 under the tcp transport with one OS process per partition
+// (histogram shards merged through the report pipe), plus a serial
+// stamping-overhead pair (the same record-path run with measure_latency
+// on and off) that CI gates on.
 //
 // Output is `key=value` lines; pipe through tools/bench_to_json to
 // persist BENCH_latency.json:
@@ -15,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "obs/metrics_registry.h"
 #include "workload/scenario.h"
@@ -92,10 +92,12 @@ int main(int argc, char** argv) {
     return batches;
   };
 
-  std::printf("# grid, %d queries, %zu items/stream\n", query_count,
-              items_per_stream);
+  std::printf("# grid, %d queries, %zu items/stream, %u hw threads\n",
+              query_count, items_per_stream,
+              std::thread::hardware_concurrency());
   std::printf("bench=latency\n");
   std::printf("workload=grid4x4\n");
+  std::printf("hw_threads=%u\n", std::thread::hardware_concurrency());
   std::printf("queries=%d\n", query_count);
   std::printf("items_total=%zu\n", total_items);
 
@@ -140,41 +142,13 @@ int main(int argc, char** argv) {
                     : 0.0);
   }
 
-  // --- Thread mode: the peer-partitioned runner on memory channels,
-  // shared address space, sinks observe straight into the process-local
-  // histograms.
-  obs::MetricsRegistry::Default().ResetAll();
-  {
-    sharing::SystemConfig thread_config = config;
-    thread_config.executor = sharing::ExecutorKind::kParallel;
-    Result<std::unique_ptr<sharing::StreamShareSystem>> system =
-        Deploy(scenario, thread_config);
-    if (!system.ok()) {
-      std::fprintf(stderr, "deploy failed: %s\n",
-                   system.status().ToString().c_str());
-      return 1;
-    }
-    Clock::time_point start = Clock::now();
-    Status status = (*system)->Run(items);
-    double elapsed = SecondsSince(start);
-    if (!status.ok()) {
-      std::fprintf(stderr, "thread run failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("thread_items_per_s=%.1f\n",
-                static_cast<double>(total_items) / elapsed);
-    PrintQueryLatencies(**system, "thread");
-  }
-
   // --- tcp-process mode: one OS process per partition; each child's
   // histogram shard travels back over the report pipe and is merged into
   // this process's registry, so the same sink accessors work.
   obs::MetricsRegistry::Default().ResetAll();
   {
     sharing::SystemConfig tcp_config = config;
-    tcp_config.executor = sharing::ExecutorKind::kTransport;
-    tcp_config.transport = "tcp";
+    tcp_config.executor = sharing::ExecutorKind::kTcp;
     tcp_config.transport_processes = true;
     Result<std::unique_ptr<sharing::StreamShareSystem>> system =
         Deploy(scenario, tcp_config);

@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "workload/query_gen.h"
@@ -136,7 +137,10 @@ int main(int argc, char** argv) {
                                : 10000;
   constexpr uint64_t kSeed = 19;
 
-  std::printf("# Registration-cost scaling, 4x4 grid, stream sharing.\n");
+  std::printf("# Registration-cost scaling, 4x4 grid, stream sharing, %u "
+              "hw threads.\n",
+              std::thread::hardware_concurrency());
+  std::printf("hw_threads=%u\n", std::thread::hardware_concurrency());
   std::printf(
       "# pooled_indexed: discrete constant pool, candidate index on — the "
       "gated curve.\n");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 namespace streamshare::engine {
 
@@ -292,7 +293,6 @@ Status PlanPeerPartitions(const std::vector<Operator*>& entries,
 
   plan->worker_peers.assign(plan->worker_count, {});
   plan->worker_operator_count.assign(plan->worker_count, 0);
-  plan->worker_downstream.assign(plan->worker_count, {});
   for (size_t i = 0; i < ops.size(); ++i) {
     size_t w = worker_of[i];
     ++plan->worker_operator_count[w];
@@ -311,91 +311,9 @@ Status PlanPeerPartitions(const std::vector<Operator*>& entries,
       if (worker_of[i] == worker_of[j]) continue;
       if (!seen_edges.emplace(i, j).second) continue;
       plan->cross_edges.push_back(PartitionPlan::CrossEdge{i, j});
-      plan->worker_downstream[worker_of[i]].insert(worker_of[j]);
     }
   }
   return Status::Ok();
-}
-
-void CoalesceWorkers(PartitionPlan* plan, size_t max_workers) {
-  if (max_workers == 0 || plan->worker_count <= max_workers) return;
-  size_t n = plan->worker_count;
-
-  // Topological order of the worker handoff DAG (Kahn). The planner
-  // guarantees acyclicity; leftovers are appended defensively.
-  std::vector<size_t> indegree(n, 0);
-  for (size_t w = 0; w < n; ++w) {
-    for (size_t d : plan->worker_downstream[w]) ++indegree[d];
-  }
-  std::vector<size_t> topo;
-  topo.reserve(n);
-  for (size_t w = 0; w < n; ++w) {
-    if (indegree[w] == 0) topo.push_back(w);
-  }
-  for (size_t head = 0; head < topo.size(); ++head) {
-    for (size_t d : plan->worker_downstream[topo[head]]) {
-      if (--indegree[d] == 0) topo.push_back(d);
-    }
-  }
-  if (topo.size() < n) {
-    std::vector<bool> placed(n, false);
-    for (size_t w : topo) placed[w] = true;
-    for (size_t w = 0; w < n; ++w) {
-      if (!placed[w]) topo.push_back(w);
-    }
-  }
-
-  // Cut the topo order into contiguous segments balanced by operator
-  // count. Every edge goes to an equal-or-later topo position, so mapping
-  // contiguous positions to one segment keeps the quotient a DAG.
-  size_t total = 0;
-  for (size_t w = 0; w < n; ++w) total += plan->worker_operator_count[w];
-  std::vector<size_t> segment_of(n, 0);
-  size_t seg = 0, acc = 0, remaining = total;
-  size_t quota = (total + max_workers - 1) / max_workers;
-  for (size_t w : topo) {
-    if (acc >= quota && seg + 1 < max_workers) {
-      ++seg;
-      acc = 0;
-      size_t segs_left = max_workers - seg;
-      quota = (remaining + segs_left - 1) / segs_left;
-    }
-    segment_of[w] = seg;
-    acc += plan->worker_operator_count[w];
-    remaining -= plan->worker_operator_count[w];
-  }
-
-  // Remap to dense worker ids in first-use order over the operators (the
-  // same id discipline the planner uses) and rebuild the derived fields.
-  std::map<size_t, size_t> to_new;
-  for (size_t i = 0; i < plan->ops.size(); ++i) {
-    size_t s = segment_of[plan->worker_of[i]];
-    plan->worker_of[i] = to_new.emplace(s, to_new.size()).first->second;
-  }
-  plan->worker_count = to_new.size();
-
-  plan->worker_peers.assign(plan->worker_count, {});
-  plan->worker_operator_count.assign(plan->worker_count, 0);
-  plan->worker_downstream.assign(plan->worker_count, {});
-  for (size_t i = 0; i < plan->ops.size(); ++i) {
-    size_t w = plan->worker_of[i];
-    ++plan->worker_operator_count[w];
-    if (plan->peer_key[i] >= 0 &&
-        std::find(plan->worker_peers[w].begin(), plan->worker_peers[w].end(),
-                  plan->peer_key[i]) == plan->worker_peers[w].end()) {
-      plan->worker_peers[w].push_back(plan->peer_key[i]);
-    }
-  }
-  plan->cross_edges.clear();
-  std::set<std::pair<size_t, size_t>> seen_edges;
-  for (size_t i = 0; i < plan->ops.size(); ++i) {
-    for (size_t j : plan->succ[i]) {
-      if (plan->worker_of[i] == plan->worker_of[j]) continue;
-      if (!seen_edges.emplace(i, j).second) continue;
-      plan->cross_edges.push_back(PartitionPlan::CrossEdge{i, j});
-      plan->worker_downstream[plan->worker_of[i]].insert(plan->worker_of[j]);
-    }
-  }
 }
 
 }  // namespace streamshare::engine

@@ -11,7 +11,6 @@
 #define STREAMSHARE_ENGINE_PARTITION_H_
 
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -24,14 +23,9 @@ struct ParallelOptions {
   /// (pills count as one item; a batch is admitted whole once any space
   /// is free).
   size_t queue_capacity = 1024;
-  /// Items per ItemBatch: DOM feeds are chunked to this size, and every
-  /// queue port flushes once it has buffered this many.
+  /// Items per ItemBatch: DOM feeds are chunked to this size, and a
+  /// worker dispatches at most this many queue entries per pop.
   size_t batch_size = 64;
-  /// Cap on worker threads; 0 means std::thread::hardware_concurrency().
-  /// Peer partitions beyond the cap are coalesced along the worker DAG
-  /// (CoalesceWorkers), so one thread drives several peers instead of
-  /// oversubscribing the machine.
-  size_t max_workers = 0;
 };
 
 /// Per-worker observability for one Run (queue pressure, partition
@@ -85,8 +79,6 @@ struct PartitionPlan {
   /// acyclic).
   std::vector<std::vector<network::NodeId>> worker_peers;
   std::vector<size_t> worker_operator_count;
-  /// Workers each worker feeds across at least one cross edge.
-  std::vector<std::set<size_t>> worker_downstream;
 
   size_t WorkerOf(Operator* op) const {
     return worker_of[op_index.at(op)];
@@ -98,16 +90,6 @@ struct PartitionPlan {
 /// their own ports into the cross edges.
 Status PlanPeerPartitions(const std::vector<Operator*>& entries,
                           PartitionPlan* plan);
-
-/// Merges the plan's workers down to at most `max_workers` (no-op when
-/// already within the cap or `max_workers` is 0). Workers are cut into
-/// contiguous segments of a topological order of the worker handoff DAG,
-/// balanced by operator count, so every surviving handoff edge still
-/// points down a DAG and the pill protocol stays deadlock-free. The
-/// runner applies this against ParallelOptions::max_workers on memory
-/// channels only; over a transport every worker models a distinct peer,
-/// which is semantic, not a tuning knob.
-void CoalesceWorkers(PartitionPlan* plan, size_t max_workers);
 
 }  // namespace streamshare::engine
 

@@ -2,7 +2,7 @@
 // localhost TCP and reports what each query delivered to the client —
 // field-for-field comparable with a batch run's sinks (same counts, same
 // bytes, same order-insensitive content hash). This is the harness the
-// serve e2e tests, the serve_smoke CI job, and the fuzz oracle's fifth
+// serve e2e tests, the serve_smoke CI job, and the fuzz oracle's serve
 // arm all share: if the daemon's forwarding plane, codec handshake,
 // admission control, churn verbs, or drain/resume logic drop, duplicate,
 // or corrupt a single item, the report diverges from the serial

@@ -769,24 +769,18 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
   }
   transport::RunnerOptions options;
   options.parallel = config_.parallel;
-  std::unique_ptr<transport::Transport> transport;
-  if (config_.executor == ExecutorKind::kTransport) {
-    if (config_.transport == "loopback") {
-      transport = std::make_unique<transport::LoopbackTransport>();
-    } else if (config_.transport == "tcp") {
-      transport = std::make_unique<transport::TcpTransport>(config_.tcp);
-    } else {
-      return Status::InvalidArgument("unknown transport '" +
-                                     config_.transport +
-                                     "' (expected loopback or tcp)");
-    }
-    options.flow = config_.flow;
-    options.faults = config_.faults;
-    if (config_.transport_processes) {
-      options.mode = transport::RunnerOptions::Mode::kProcesses;
-    }
+  options.flow = config_.flow;
+  options.faults = config_.faults;
+  if (config_.transport_processes) {
+    options.mode = transport::RunnerOptions::Mode::kProcesses;
   }
-  transport::PartitionedRunner runner(transport.get(), options);
+  std::unique_ptr<transport::Transport> transport;
+  if (config_.executor == ExecutorKind::kTcp) {
+    transport = std::make_unique<transport::TcpTransport>(config_.tcp);
+  } else {
+    transport = std::make_unique<transport::LoopbackTransport>();
+  }
+  transport::PartitionedRunner runner(*transport, options);
   Status status = runner.Run(entries, &batch_lists, finish);
   run_stats_ = runner.run_stats();
   // Liveness detection: a sender that exhausted its credit-wait retries
@@ -911,7 +905,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
       ->Set(static_cast<double>(retained_bytes));
   registry->GetGauge("engine.sink.retained_results")
       ->Set(static_cast<double>(retained_results));
-  // Transport measurements of the most recent kTransport run: measured
+  // Transport measurements of the most recent partitioned run: measured
   // traffic per topology link, next to the committed bandwidth u_b(e)
   // the cost model predicted for that link.
   if (!run_stats_.transport.empty()) {

@@ -42,13 +42,12 @@ std::string_view StrategyToString(Strategy strategy);
 
 /// How Run() and Feed() drive the deployed operator network: serial on
 /// the calling thread (the default and the correctness oracle), or on
-/// transport::PartitionedRunner — partitioned by super-peer across worker
-/// threads, with cross-peer edges on memory channels (kParallel: bounded
-/// queues on the peer boundaries) or on wire channels over a transport
-/// (kTransport: binary codec + credit-based flow control; with
-/// config.transport = "tcp" and transport_processes, each partition
-/// becomes its own OS process).
-enum class ExecutorKind { kSerial, kParallel, kTransport };
+/// transport::PartitionedRunner — partitioned by super-peer, with every
+/// cross-peer edge a wire channel (binary codec + credit-based flow
+/// control) over in-process loopback pipes (kLoopback) or localhost TCP
+/// connections (kTcp; with transport_processes, each partition becomes
+/// its own OS process).
+enum class ExecutorKind { kSerial, kLoopback, kTcp };
 
 struct SystemConfig {
   cost::CostParams cost_params;
@@ -68,8 +67,8 @@ struct SystemConfig {
   HierarchicalOptions hierarchy;
   /// Executor Run() and Feed() use.
   ExecutorKind executor = ExecutorKind::kSerial;
-  /// Queue capacity / dispatch batching / worker cap for the partitioned
-  /// executors; every executor chunks fed DOM items by batch_size.
+  /// Queue capacity / dispatch batching for the partitioned executors;
+  /// every executor chunks fed DOM items by batch_size.
   engine::ParallelOptions parallel;
   /// Indexed candidate lookup: Subscribe consults a CandidateIndex
   /// (hash buckets on (variant stream, route node), dominance-grouped by
@@ -84,17 +83,13 @@ struct SystemConfig {
   /// materialized), so operators evaluate on trees — the differential
   /// oracle's reference mode, on the same batch execution path.
   bool record_path = true;
-  /// Transport kTransport runs over: "loopback" (in-process frame pipes,
-  /// the default) or "tcp" (one localhost TCP connection per
-  /// cross-worker channel).
-  std::string transport = "loopback";
   /// Run each worker partition as its own OS process instead of a
-  /// thread. Requires a transport whose pipes survive fork ("tcp").
+  /// thread. Requires a transport whose pipes survive fork (kTcp).
   bool transport_processes = false;
-  /// Credit window / timeouts and fault injection for kTransport runs.
+  /// Credit window / timeouts and fault injection for partitioned runs.
   transport::FlowOptions flow;
   transport::FaultPlan faults;
-  /// Connect retry/backoff for the "tcp" transport.
+  /// Connect retry/backoff for kTcp.
   transport::TcpOptions tcp;
   /// Resume mode: the system is (re)started mid-stream — item positions do
   /// not begin at zero. Every deployed window operator anchors at the first
@@ -260,8 +255,8 @@ class StreamShareSystem {
   Status Run(BatchesByStream* batches_by_stream);
 
   /// Per-worker queue stats and cross-edge traffic of the most recent
-  /// partitioned run (kParallel or kTransport); empty before one. Its
-  /// transport name is empty unless that run went over the wire.
+  /// partitioned run (kLoopback or kTcp); empty before one, so its
+  /// transport name is empty until then.
   const transport::RunStats& run_stats() const { return run_stats_; }
 
   /// Continuous operation: feeds like Run without signalling end of

@@ -302,35 +302,27 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     if (derived) ++report.shared_reuses;
   }
 
-  // --- The other three executor modes. ---------------------------------
+  // --- The partitioned executor modes. --------------------------------
   struct ModeSpec {
     const char* name;
     ExecutorKind executor;
-    const char* transport;
     bool processes;
   };
   std::vector<ModeSpec> mode_specs;
-  if (options.run_parallel) {
-    mode_specs.push_back({"parallel", ExecutorKind::kParallel, "", false});
-  }
   if (options.run_loopback) {
     mode_specs.push_back(
-        {"transport-loopback", ExecutorKind::kTransport, "loopback",
-         false});
+        {"transport-loopback", ExecutorKind::kLoopback, false});
   }
   if (options.run_tcp) {
-    mode_specs.push_back({"transport-tcp", ExecutorKind::kTransport, "tcp",
-                          options.tcp_processes});
+    mode_specs.push_back(
+        {"transport-tcp", ExecutorKind::kTcp, options.tcp_processes});
   }
 
   for (const ModeSpec& spec : mode_specs) {
     SystemConfig config;  // no keep_results: counts/bytes/hashes suffice
     config.executor = spec.executor;
     config.record_path = options.record_path;
-    if (spec.transport[0] != '\0') {
-      config.transport = spec.transport;
-      config.transport_processes = spec.processes;
-    }
+    config.transport_processes = spec.processes;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem built,
         BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
@@ -635,27 +627,25 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     struct ChurnSpec {
       const char* name;
       ExecutorKind executor;
-      const char* transport;
       /// Disable the candidate index (the flat-BFS churn differential:
       /// install/GC/recovery index maintenance must keep planning
       /// outcomes identical through failures).
       bool flat = false;
     };
     std::vector<ChurnSpec> churn_specs = {
-        {"serial+churn", ExecutorKind::kSerial, ""}};
-    if (options.run_parallel) {
+        {"serial+churn", ExecutorKind::kSerial}};
+    // Threads, not processes: segmented Feed needs the window state to
+    // live in one address space across segments.
+    if (options.run_loopback) {
       churn_specs.push_back(
-          {"parallel+churn", ExecutorKind::kParallel, ""});
+          {"transport-loopback+churn", ExecutorKind::kLoopback});
     }
     if (options.run_tcp) {
-      // Threads, not processes: segmented Feed needs the window state to
-      // live in one address space across segments.
-      churn_specs.push_back(
-          {"transport-tcp+churn", ExecutorKind::kTransport, "tcp"});
+      churn_specs.push_back({"transport-tcp+churn", ExecutorKind::kTcp});
     }
     if (options.run_flat_bfs) {
       churn_specs.push_back(
-          {"serial-flat+churn", ExecutorKind::kSerial, "", true});
+          {"serial-flat+churn", ExecutorKind::kSerial, true});
     }
 
     std::vector<ChurnRun> runs;
@@ -665,7 +655,6 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
       config.record_path = options.record_path &&
                            spec.executor != ExecutorKind::kSerial;
       config.candidate_index = !spec.flat;
-      if (spec.transport[0] != '\0') config.transport = spec.transport;
       SS_ASSIGN_OR_RETURN(
           ChurnRun run,
           RunChurned(scenario, items, config, spec.name, options));

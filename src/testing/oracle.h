@@ -1,17 +1,17 @@
-// The differential oracle. One scenario is executed four ways — serial
-// (the reference), parallel workers, transport over loopback pipes, and
-// transport over localhost TCP — and every query's sink observations
-// (item count, byte count, order-insensitive content hash) are N-way
-// diffed. Separately the *sharing* oracle checks the paper's core claim:
-// the stream-sharing deployment delivers item-identical results to an
-// independent data-shipping evaluation of the same subscriptions, and the
-// plan Subscribe chose never costs more than the no-sharing baseline plan
-// it was allowed to fall back to.
+// The differential oracle. One scenario is executed three ways — serial
+// (the reference), the partitioned runner over loopback pipes, and the
+// partitioned runner over localhost TCP — and every query's sink
+// observations (item count, byte count, order-insensitive content hash)
+// are N-way diffed. Separately the *sharing* oracle checks the paper's
+// core claim: the stream-sharing deployment delivers item-identical
+// results to an independent data-shipping evaluation of the same
+// subscriptions, and the plan Subscribe chose never costs more than the
+// no-sharing baseline plan it was allowed to fall back to.
 //
 // Scenarios carrying churn events additionally exercise the *recovery*
 // oracle: the same workload is replayed with peers killed / links cut at
-// fixed item offsets (serial, parallel, and transport-TCP), and the
-// invariant is "gap, not garbage" — every subscription re-planned at the
+// fixed item offsets (serial, transport-loopback, and transport-TCP), and
+// the invariant is "gap, not garbage" — every subscription re-planned at the
 // last failure must produce post-recovery output item-identical to a
 // fresh no-failure run restricted to the post-recovery epochs, every
 // untouched subscription must match the clean reference exactly, and
@@ -53,14 +53,13 @@ struct ModeObservation {
 };
 
 struct OracleOptions {
-  bool run_parallel = true;
   bool run_loopback = true;
   bool run_tcp = true;
   /// Fork one OS process per partition in the TCP mode (slower; exercises
   /// the cross-process sink-report path).
   bool tcp_processes = false;
 
-  /// Fifth arm: run the scenario through a live streamshare_serve daemon
+  /// Serve arm: run the scenario through a live streamshare_serve daemon
   /// + client over localhost TCP (subscriptions via the CONTROL plane,
   /// deliveries via RESULT frames) and diff the client-side accumulation
   /// against the serial reference — churned scenarios diff against the

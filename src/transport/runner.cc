@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -55,7 +54,7 @@ struct ParallelSeries {
   }
 };
 
-/// Registry series fed once per wire run from the aggregated channel
+/// Registry series fed once per run from the aggregated channel
 /// stats.
 struct TransportSeries {
   obs::Counter* items_sent;
@@ -105,52 +104,11 @@ class AbortState {
   std::atomic<bool> aborted_{false};
 };
 
-/// Sending half of a cross edge over a memory channel: accumulates
-/// emitted slots into a pending ItemBatch and hands the whole batch to
-/// the target worker's queue as one entry — one lock acquisition and one
-/// wakeup per batch. Lives on the source worker's thread; never bills
-/// engine metrics (the replaced edge's target still does its own
-/// accounting when the target worker pushes into it).
-class QueuePortOp final : public Operator {
- public:
-  QueuePortOp(Operator* target, LinkQueue* queue, size_t buffer_limit,
-              EdgeTrafficStats* edge)
-      : Operator("queue-port:" + target->label()),
-        target_(target),
-        queue_(queue),
-        buffer_limit_(buffer_limit),
-        edge_(edge) {
-    pending_.reserve(buffer_limit_);
-  }
-
-  void Flush() {
-    if (pending_.empty()) return;
-    edge_->items += pending_.size();
-    queue_->Push(LinkQueue::Entry{target_, std::move(pending_)});
-    pending_ = engine::ItemBatch();
-    pending_.reserve(buffer_limit_);
-  }
-
- protected:
-  Status ProcessBatch(engine::ItemBatch* batch) override {
-    for (size_t i = 0; i < batch->size(); ++i) {
-      pending_.AppendSlot(*batch, i);
-      if (pending_.size() >= buffer_limit_) Flush();
-    }
-    return Status::Ok();
-  }
-
- private:
-  Operator* target_;
-  LinkQueue* queue_;
-  size_t buffer_limit_;
-  EdgeTrafficStats* edge_;
-  engine::ItemBatch pending_;
-};
-
-/// Sending half of a cross edge over a wire channel: encodes the item
-/// with the channel's dictionary and ships it to the target's operator
-/// index. Never bills engine metrics, like QueuePortOp.
+/// Sending half of a cross edge: encodes the item with the channel's
+/// dictionary and ships it to the target's operator index. Lives on the
+/// source worker's thread; never bills engine metrics (the replaced
+/// edge's target still does its own accounting when the target worker
+/// pushes into it).
 class TransportPortOp final : public Operator {
  public:
   TransportPortOp(Operator* target, uint64_t target_index,
@@ -202,16 +160,12 @@ class TransportPortOp final : public Operator {
   std::string buffer_;
 };
 
-/// One channel between a pair of workers. A memory channel is its ports
-/// plus the target worker's queue. A wire channel's sender end (and the
-/// shared per-channel encoder) is driven by the source worker's thread,
-/// its receiver end by one receiver thread on the target worker.
+/// One channel between a pair of workers. Its sender end (and the shared
+/// per-channel encoder) is driven by the source worker's thread, its
+/// receiver end by one receiver thread on the target worker.
 struct ChannelRt {
   size_t source_worker = 0;
   size_t target_worker = 0;
-  LinkQueue* target_queue = nullptr;
-  std::vector<QueuePortOp*> memory_ports;
-  /// Null on a memory channel.
   std::unique_ptr<ChannelSender> sender;
   std::unique_ptr<ChannelReceiver> receiver;
   engine::ItemEncoder encoder;
@@ -251,7 +205,7 @@ struct RunContext {
   AbortState abort;
 };
 
-/// Receiver thread: one per inbound wire channel. Decodes DATA frames
+/// Receiver thread: one per inbound channel. Decodes DATA frames
 /// into the worker's bounded queue and grants a credit only after the
 /// push went through — that handoff is what extends queue backpressure
 /// across the wire. Ends with one poison pill, whatever happened.
@@ -346,7 +300,7 @@ void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
   for (LinkQueue* queue : fed) queue->Push(LinkQueue::Entry{});
 }
 
-/// One worker: receiver threads for its inbound wire channels around the
+/// One worker: receiver threads for its inbound channels around the
 /// dispatch loop, Finish() on its boundary operators once every producer's
 /// pill arrived, then end of stream (or the first error) down every
 /// outbound channel.
@@ -371,9 +325,7 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
 
   std::vector<std::thread> receivers;
   for (ChannelRt* ch : w->inbound) {
-    if (ch->receiver != nullptr) {
-      receivers.emplace_back(ReceiveChannel, ctx, w, ch);
-    }
+    receivers.emplace_back(ReceiveChannel, ctx, w, ch);
   }
 
   const size_t batch_size = ctx->options.batch_size;
@@ -423,13 +375,6 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
     }
   }
   for (ChannelRt* ch : w->outbound) {
-    if (ch->sender == nullptr) {
-      if (!abort.aborted()) {
-        for (QueuePortOp* port : ch->memory_ports) port->Flush();
-      }
-      ch->target_queue->Push(LinkQueue::Entry{});
-      continue;
-    }
     Status status = abort.aborted()
                         ? ch->sender->SendError(abort.Snapshot().ToString())
                         : ch->sender->SendEos();
@@ -440,9 +385,7 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
   // frames when this worker's fds close. A process-mode exit that skips
   // this can turn into a TCP reset that destroys the peer's still-buffered
   // EOS.
-  for (ChannelRt* ch : w->outbound) {
-    if (ch->sender != nullptr) ch->sender->DrainUntilPeerClose();
-  }
+  for (ChannelRt* ch : w->outbound) ch->sender->DrainUntilPeerClose();
   for (std::thread& receiver : receivers) receiver.join();
 }
 
@@ -592,10 +535,7 @@ Status StatusFromReport(uint64_t code, std::string message) {
 
 }  // namespace
 
-PartitionedRunner::PartitionedRunner(RunnerOptions options)
-    : PartitionedRunner(nullptr, std::move(options)) {}
-
-PartitionedRunner::PartitionedRunner(Transport* transport,
+PartitionedRunner::PartitionedRunner(Transport& transport,
                                      RunnerOptions options)
     : transport_(transport), options_(std::move(options)) {
   if (options_.parallel.queue_capacity == 0) {
@@ -608,16 +548,15 @@ Status PartitionedRunner::Run(
     const std::vector<Operator*>& entries,
     std::vector<std::vector<engine::ItemBatch>>* batch_lists, bool finish) {
   run_stats_ = RunStats{};
-  const bool wire = transport_ != nullptr;
-  if (wire) run_stats_.transport = transport_->name();
+  run_stats_.transport = transport_.name();
   if (entries.size() != batch_lists->size()) {
     return Status::InvalidArgument(
         "PartitionedRunner::Run: entries and batch lists differ in count");
   }
   if (options_.mode == RunnerOptions::Mode::kProcesses &&
-      (!wire || !transport_->SupportsProcesses())) {
+      !transport_.SupportsProcesses()) {
     return Status::InvalidArgument(
-        std::string("transport '") + (wire ? transport_->name() : "memory") +
+        std::string("transport '") + transport_.name() +
         "' cannot span processes; use Mode::kThreads");
   }
   if (!finish && options_.mode == RunnerOptions::Mode::kProcesses) {
@@ -629,27 +568,17 @@ Status PartitionedRunner::Run(
 
   PartitionPlan plan;
   SS_RETURN_IF_ERROR(engine::PlanPeerPartitions(entries, &plan));
-  if (!wire) {
-    size_t max_workers =
-        options_.parallel.max_workers != 0
-            ? options_.parallel.max_workers
-            : std::max(1u, std::thread::hardware_concurrency());
-    engine::CoalesceWorkers(&plan, max_workers);
-  }
 
   // Content hashes make cross-mode result comparison cheap, and in
   // multi-process mode they are how sink contents survive the report
-  // pipe at all. Memory runs leave sinks as configured: hashing every
-  // result would tax the in-process hot path.
+  // pipe at all.
   std::vector<SinkBaseline> sinks;
-  if (wire) {
-    for (size_t i = 0; i < plan.ops.size(); ++i) {
-      if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
-        sink->EnableContentHash();
-        sinks.push_back(SinkBaseline{i, sink, sink->item_count(),
-                                     sink->total_bytes(),
-                                     sink->content_hash()});
-      }
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
+      sink->EnableContentHash();
+      sinks.push_back(SinkBaseline{i, sink, sink->item_count(),
+                                   sink->total_bytes(),
+                                   sink->content_hash()});
     }
   }
 
@@ -676,7 +605,7 @@ Status PartitionedRunner::Run(
     w.AddRoot(entries[s]);
   }
 
-  // --- One channel per worker pair with cross traffic; wire pipes are
+  // --- One channel per worker pair with cross traffic; pipes are
   // created up front (before any fork). ---
   std::vector<std::unique_ptr<ChannelRt>> channels;
   std::map<std::pair<size_t, size_t>, ChannelRt*> channel_of;
@@ -688,17 +617,14 @@ Status PartitionedRunner::Run(
     auto channel = std::make_unique<ChannelRt>();
     channel->source_worker = src;
     channel->target_worker = dst;
-    channel->target_queue = workers[dst].queue.get();
-    if (wire) {
-      std::string label =
-          "w" + std::to_string(src) + "->w" + std::to_string(dst);
-      PipePair pair;
-      SS_RETURN_IF_ERROR(transport_->CreatePipe(label, &pair));
-      channel->sender = std::make_unique<ChannelSender>(
-          label, std::move(pair.ends[0]), options_.flow, options_.faults);
-      channel->receiver = std::make_unique<ChannelReceiver>(
-          label, std::move(pair.ends[1]), options_.flow, options_.faults);
-    }
+    std::string label =
+        "w" + std::to_string(src) + "->w" + std::to_string(dst);
+    PipePair pair;
+    SS_RETURN_IF_ERROR(transport_.CreatePipe(label, &pair));
+    channel->sender = std::make_unique<ChannelSender>(
+        label, std::move(pair.ends[0]), options_.flow, options_.faults);
+    channel->receiver = std::make_unique<ChannelReceiver>(
+        label, std::move(pair.ends[1]), options_.flow, options_.faults);
     workers[src].outbound.push_back(channel.get());
     workers[dst].inbound.push_back(channel.get());
     channel_of[key] = channel.get();
@@ -724,7 +650,7 @@ Status PartitionedRunner::Run(
     run_stats_.edges.push_back(stats);
   }
 
-  // --- Splice a port of the channel's kind into every cross edge. ---
+  // --- Splice a port into every cross edge. ---
   struct Splice {
     Operator* source;
     Operator* original;
@@ -738,18 +664,9 @@ Status PartitionedRunner::Run(
     Operator* target = plan.ops[edge.target];
     size_t dst = plan.worker_of[edge.target];
     ChannelRt* channel = channel_of[{plan.worker_of[edge.source], dst}];
-    std::unique_ptr<Operator> port;
-    if (wire) {
-      port = std::make_unique<TransportPortOp>(
-          target, edge.target, channel->sender.get(), &channel->encoder,
-          &run_stats_.edges[e]);
-    } else {
-      auto queue_port = std::make_unique<QueuePortOp>(
-          target, channel->target_queue, options_.parallel.batch_size,
-          &run_stats_.edges[e]);
-      channel->memory_ports.push_back(queue_port.get());
-      port = std::move(queue_port);
-    }
+    std::unique_ptr<Operator> port = std::make_unique<TransportPortOp>(
+        target, edge.target, channel->sender.get(), &channel->encoder,
+        &run_stats_.edges[e]);
     source->ReplaceDownstream(target, port.get());
     workers[dst].AddRoot(target);
     splices.push_back(Splice{source, target, std::move(port)});
@@ -791,8 +708,8 @@ Status PartitionedRunner::Run(
 
   obs::TraceSpan run_span(&obs::TraceRecorder::Default(), "parallel.run",
                           "engine");
-  run_span.AddArg(obs::TraceArg::Str(
-      "channel", wire ? std::string(transport_->name()) : "memory"));
+  run_span.AddArg(
+      obs::TraceArg::Str("channel", std::string(transport_.name())));
   run_span.AddArg(
       obs::TraceArg::Num("workers", static_cast<double>(worker_count)));
   run_span.AddArg(
@@ -832,7 +749,7 @@ Status PartitionedRunner::Run(
         original->MergeFrom(*shard);
       }
     }
-    for (size_t c = 0; wire && c < channels.size(); ++c) {
+    for (size_t c = 0; c < channels.size(); ++c) {
       AddChannelStats(&run_stats_.channels[c].stats,
                       channels[c]->sender->stats());
       ChannelStats receiver_side;
@@ -1224,7 +1141,7 @@ Status PartitionedRunner::Run(
     rebind.op->RebindMetrics(rebind.shard, rebind.original);
   }
 
-  if (wire && obs::Enabled()) {
+  if (obs::Enabled()) {
     const TransportSeries& series = TransportSeries::Get();
     uint64_t items = 0, encoded = 0;
     for (const EdgeTrafficStats& edge : run_stats_.edges) {

@@ -3,18 +3,13 @@
 // operators independently and exchanges streams with its neighbours. The
 // operator graph is partitioned with engine::PlanPeerPartitions, one
 // channel connects every pair of workers joined by a cross edge, and each
-// worker drains a bounded LinkQueue. A channel is one of two kinds:
+// worker drains a bounded LinkQueue. Every channel runs over a Transport:
+// a port on the source worker encodes every item and ships it through a
+// flow-controlled channel (flow.h); a receiver thread on the target
+// worker decodes into the queue, and EOS or the first error travels down
+// the channel at the end. Every worker models a distinct super-peer.
 //
-//   memory  (no transport) a port on the source worker moves whole
-//           ItemBatches into the target worker's queue — no codec, no
-//           receiver thread, one poison pill at end of stream. Workers
-//           are coalesced to ParallelOptions::max_workers.
-//   wire    (a Transport) a port encodes every item and ships it through
-//           a flow-controlled channel (flow.h); a receiver thread on the
-//           target worker decodes into the queue, and EOS or the first
-//           error travels down the channel at the end.
-//
-// Wire channels run in one of two modes:
+// The runner works in one of two modes:
 //
 //   kThreads    every worker is a thread of this process (any transport;
 //               this is how the TCP stack runs under TSAN)
@@ -66,11 +61,10 @@ struct EdgeTrafficStats {
   /// a LinkOp; -1 otherwise.
   int link = -1;
   uint64_t items = 0;
-  uint64_t encoded_bytes = 0;  ///< codec output (0 on a memory channel)
+  uint64_t encoded_bytes = 0;  ///< codec output
 };
 
-/// Traffic of one worker-pair channel in the last run (sender side; all
-/// zero on a memory channel).
+/// Traffic of one worker-pair channel in the last run (sender side).
 struct ChannelTrafficStats {
   size_t source_worker = 0;
   size_t target_worker = 0;
@@ -79,7 +73,7 @@ struct ChannelTrafficStats {
 
 /// Everything the last Run measured, for System::ExportMetrics.
 struct RunStats {
-  /// Transport the wire channels ran over; empty on memory channels.
+  /// Transport the channels ran over; empty before the first run.
   std::string transport;
   size_t process_count = 0;  ///< children forked (0 in thread mode)
   std::vector<EdgeTrafficStats> edges;
@@ -89,10 +83,9 @@ struct RunStats {
 
 class PartitionedRunner {
  public:
-  /// Memory channels on every cross edge (kThreads only).
-  explicit PartitionedRunner(RunnerOptions options = RunnerOptions());
-  /// Wire channels over `transport`, which must outlive the runner.
-  PartitionedRunner(Transport* transport, RunnerOptions options);
+  /// Channels over `transport`, which must outlive the runner.
+  explicit PartitionedRunner(Transport& transport,
+                             RunnerOptions options = RunnerOptions());
 
   /// Feeds `batch_lists[s]` into `entries[s]` (round-robin across
   /// streams, per-stream order preserved; the batches are consumed), then
@@ -113,7 +106,7 @@ class PartitionedRunner {
   const RunStats& run_stats() const { return run_stats_; }
 
  private:
-  Transport* transport_;  ///< null: memory channels
+  Transport& transport_;
   RunnerOptions options_;
   RunStats run_stats_;
 };

@@ -42,7 +42,6 @@ FuzzScenario TeardownScenario() {
 
 TEST(FuzzRegression, TcpProcessTeardownDeliversEos) {
   OracleOptions options;
-  options.run_parallel = false;
   options.run_loopback = false;
   options.tcp_processes = true;
   FuzzScenario scenario = TeardownScenario();

@@ -97,7 +97,7 @@ TEST(OracleTest, CleanSeedsPassAllModes) {
 }
 
 TEST(OracleTest, ServeArmMatchesSerialReference) {
-  // The fifth arm: the same scenario hosted by a live daemon, every
+  // The serve arm: the same scenario hosted by a live daemon, every
   // subscription installed over the CONTROL plane, deliveries streamed
   // back over real localhost TCP. A clean seed must agree with the
   // serial reference byte for byte; a churned seed diffs against the
@@ -105,8 +105,7 @@ TEST(OracleTest, ServeArmMatchesSerialReference) {
   // events through its verbs).
   OracleOptions options;
   options.run_serve = true;
-  options.run_parallel = false;  // speed; the serve arm is under test
-  options.run_loopback = false;
+  options.run_loopback = false;  // speed; the serve arm is under test
   options.run_tcp = false;
   GeneratorOptions gen;
   gen.churn_probability = 0.5;
@@ -156,7 +155,7 @@ uint64_t FindInjectableSeed(const OracleOptions& options) {
 TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   OracleOptions options;
   options.run_tcp = false;  // loopback already covers the transport path
-  options.inject_divergence_mode = "parallel";
+  options.inject_divergence_mode = "transport-loopback";
   options.inject_min_window = 1;
 
   uint64_t seed = FindInjectableSeed(options);
@@ -166,7 +165,7 @@ TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_FALSE(report->ok());
   EXPECT_FALSE(report->equivalence_ok);
-  EXPECT_NE(report->failure.find("parallel"), std::string::npos)
+  EXPECT_NE(report->failure.find("transport-loopback"), std::string::npos)
       << report->failure;
 
   // Shrink to a minimal scenario that still trips the same oracle.

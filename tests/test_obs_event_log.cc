@@ -1,7 +1,7 @@
 // Structured event log: field formatting, severity filtering, the
 // canonical FormatLogEvent rendering, and the satellite guarantee that
-// the serial and parallel executors wrap an operator failure into the
-// exact same error string (and emit the same structured error event).
+// the serial executor and the partitioned runner wrap an operator
+// failure into the exact same error string (and emit the same structured error event).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "engine/executor.h"
 #include "obs/event_log.h"
+#include "transport/loopback.h"
 #include "transport/runner.h"
 #include "item_feed.h"
 
@@ -135,7 +136,8 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   auto* parallel_entry = parallel_graph.Add<engine::PassOp>("entry[q7]");
   auto* parallel_fail = parallel_graph.Add<AlwaysFailOp>("boom");
   parallel_entry->AddDownstream(parallel_fail);
-  transport::PartitionedRunner runner;
+  transport::LoopbackTransport loopback;
+  transport::PartitionedRunner runner(loopback);
   auto batches = engine::ChunkStreams({items});
   Status parallel_status = runner.Run({parallel_entry}, &batches);
 

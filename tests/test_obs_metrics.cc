@@ -1,7 +1,7 @@
 // Metrics registry: shard-merge associativity, histogram bucket edges,
 // gauge semantics, snapshot/reset behavior, and counter consistency under
-// genuinely concurrent increments (raw threads and the parallel
-// executor's pinned-shard instrumentation).
+// genuinely concurrent increments (raw threads and the partitioned
+// runner's pinned-shard instrumentation).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "engine/executor.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
+#include "transport/loopback.h"
 #include "transport/runner.h"
 #include "item_feed.h"
 
@@ -290,7 +291,8 @@ TEST(MetricsRegistryTest, ParallelRunnerCountersStayConsistent) {
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 500; ++i) fed.push_back(Leaf("n", std::to_string(i)));
 
-  transport::PartitionedRunner runner;
+  transport::LoopbackTransport loopback;
+  transport::PartitionedRunner runner(loopback);
   auto fed_batches = engine::ChunkStreams({fed});
   ASSERT_TRUE(runner.Run({entry}, &fed_batches).ok());
 

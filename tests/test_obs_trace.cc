@@ -16,6 +16,7 @@
 
 #include "engine/executor.h"
 #include "obs/trace.h"
+#include "transport/loopback.h"
 #include "transport/runner.h"
 #include "item_feed.h"
 
@@ -405,7 +406,8 @@ TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
   entry->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
-  transport::PartitionedRunner runner;
+  transport::LoopbackTransport loopback;
+  transport::PartitionedRunner runner(loopback);
   auto batches = engine::ChunkStreams({items});
   Status status = runner.Run({entry}, &batches);
 

@@ -1,8 +1,7 @@
-// The partitioned runner's contract, on every channel kind: results and
-// merged metrics identical to a serial run, serial-wiring restore,
-// backpressure on tiny queues (and, over the wire, tiny credit windows)
-// without deadlock, clean error propagation across workers, and measured
-// cross-edge traffic. The suite runs over memory channels and over the
+// The partitioned runner's contract: results and merged metrics identical
+// to a serial run, serial-wiring restore, backpressure on tiny queues and
+// tiny credit windows without deadlock, clean error propagation across
+// workers, and measured cross-edge traffic. The suite runs over the
 // loopback transport; the TCP transport — threads, and outside TSAN one
 // fork()ed OS process per worker, whose sink content hashes must survive
 // the cross-process report — and the wire's fault injection are covered
@@ -56,20 +55,19 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-/// One channel kind / mode combination under test.
+/// One transport / mode combination under test.
 struct RunnerCase {
   const char* label;
-  const char* transport;  // "" (memory channels) | "loopback" | "tcp"
+  const char* transport;  // "loopback" | "tcp"
   RunnerOptions::Mode mode;
 
-  bool wire() const { return transport[0] != '\0'; }
+  bool tcp() const { return std::string(transport) == "tcp"; }
   bool processes() const { return mode == RunnerOptions::Mode::kProcesses; }
 };
 
-// Names the case in test output (Channels/...Test.Name/memory).
+// Names the case in test output (Channels/...Test.Name/loopback).
 void PrintTo(const RunnerCase& c, std::ostream* os) { *os << c.label; }
 
-const RunnerCase kMemory{"memory", "", RunnerOptions::Mode::kThreads};
 const RunnerCase kLoopback{"loopback", "loopback",
                            RunnerOptions::Mode::kThreads};
 
@@ -83,24 +81,16 @@ std::vector<RunnerCase> TcpCases() {
 }
 
 std::unique_ptr<transport::Transport> MakeTransport(const RunnerCase& c) {
-  if (!c.wire()) return nullptr;
-  if (std::string(c.transport) == "tcp") {
-    return std::make_unique<TcpTransport>();
-  }
+  if (c.tcp()) return std::make_unique<TcpTransport>();
   return std::make_unique<LoopbackTransport>();
 }
 
 sharing::SystemConfig ConfigFor(const RunnerCase& c) {
   sharing::SystemConfig config;
   config.keep_results = true;
-  config.executor = c.wire() ? sharing::ExecutorKind::kTransport
-                             : sharing::ExecutorKind::kParallel;
-  if (c.wire()) config.transport = c.transport;
+  config.executor =
+      c.tcp() ? sharing::ExecutorKind::kTcp : sharing::ExecutorKind::kLoopback;
   config.transport_processes = c.processes();
-  // Pin the worker cap: the default (hardware_concurrency) would coalesce
-  // everything into one worker on a single-core runner, and these tests
-  // are about multi-worker equivalence.
-  config.parallel.max_workers = 8;
   return config;
 }
 
@@ -189,7 +179,7 @@ transport::RunStats ExpectMatchesSerial(const RunnerCase& test_case,
 
 /// Checks the traffic a run over the extended workload must have
 /// measured: partitioned across several workers, with items on the cross
-/// edges — encoded, one DATA frame each, when they crossed a wire.
+/// edges — encoded, one DATA frame each.
 void ExpectCrossTraffic(const RunnerCase& test_case,
                         const transport::RunStats& stats) {
   SCOPED_TRACE(test_case.label);
@@ -207,14 +197,9 @@ void ExpectCrossTraffic(const RunnerCase& test_case,
   for (const transport::ChannelTrafficStats& channel : stats.channels) {
     frames += channel.stats.frames_sent;
   }
-  if (test_case.wire()) {
-    EXPECT_GT(encoded_bytes, 0u);
-    EXPECT_EQ(frames, items_crossed)
-        << "every cross-edge item travels as exactly one DATA frame";
-  } else {
-    EXPECT_EQ(encoded_bytes, 0u) << "memory channels never encode";
-    EXPECT_EQ(frames, 0u);
-  }
+  EXPECT_GT(encoded_bytes, 0u);
+  EXPECT_EQ(frames, items_crossed)
+      << "every cross-edge item travels as exactly one DATA frame";
   EXPECT_EQ(stats.process_count,
             test_case.processes() ? stats.workers.size() : 0u);
 }
@@ -272,7 +257,7 @@ Status RunCrossEdgeFailure(const RunnerCase& test_case) {
   auto transport = MakeTransport(test_case);
   RunnerOptions options;
   options.mode = test_case.mode;
-  PartitionedRunner runner(transport.get(), options);
+  PartitionedRunner runner(*transport, options);
   auto batches = engine::ChunkStreams({items});
   return runner.Run({entry}, &batches);
 }
@@ -309,7 +294,7 @@ void BuildSmallGraph(SmallGraph* g) {
   g->sink = sink;
 }
 
-// --- The suite, over memory channels and the loopback transport --------
+// --- The suite, over the loopback transport -------------------------------
 
 /// Forwards every batch, recording the ingress tick each slot carries.
 class StampProbeOp final : public Operator {
@@ -416,7 +401,6 @@ TEST_P(PartitionedRunnerTest, TinyQueueBackpressureWithoutDeadlock) {
   config.parallel.batch_size = 1;
   config.flow.initial_credits = 2;
   transport::RunStats stats = ExpectMatchesSerial(test_case(), config);
-  if (!test_case().wire()) return;
   uint64_t stalls = 0;
   for (const auto& channel : stats.channels) {
     stalls += channel.stats.credit_stalls;
@@ -475,10 +459,9 @@ TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
   }
 
   RunnerOptions options;
-  options.parallel.max_workers = 4;     // don't coalesce on 1-core runners
   options.parallel.queue_capacity = 8;  // force some backpressure
   auto transport = MakeTransport(test_case());
-  PartitionedRunner runner(transport.get(), options);
+  PartitionedRunner runner(*transport, options);
   auto batches = engine::ChunkStreams({items});
   ASSERT_TRUE(runner.Run({entry}, &batches).ok());
   EXPECT_EQ(runner.run_stats().workers.size(), 2u);
@@ -523,7 +506,7 @@ TEST_P(PartitionedRunnerTest, OperatorFailurePropagates) {
     for (int i = 0; i < 1000; ++i) items.push_back(Leaf("n", "x"));
 
     auto transport = MakeTransport(test_case());
-    PartitionedRunner runner(transport.get(), RunnerOptions{});
+    PartitionedRunner runner(*transport);
     auto batches = engine::ChunkStreams({items});
     Status status = runner.Run({entry}, &batches);
     ASSERT_FALSE(status.ok());
@@ -541,7 +524,7 @@ TEST_P(PartitionedRunnerTest, EmptyStreamStillFinishes) {
   SmallGraph g;
   BuildSmallGraph(&g);
   auto transport = MakeTransport(test_case());
-  PartitionedRunner runner(transport.get(), RunnerOptions{});
+  PartitionedRunner runner(*transport);
   auto batches = engine::ChunkStreams({{}});
   ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
   EXPECT_EQ(g.sink->item_count(), 0u);
@@ -552,10 +535,8 @@ TEST_P(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
     SCOPED_TRACE(records ? "record slots" : "opaque slots");
     WindowStampGraph g;
     BuildWindowStampGraph(&g);
-    RunnerOptions options;
-    options.parallel.max_workers = 2;  // keep the edge on 1-core runners
     auto transport = MakeTransport(test_case());
-    PartitionedRunner runner(transport.get(), options);
+    PartitionedRunner runner(*transport);
     auto batches = StampedPhotons(records);
     ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
     EXPECT_EQ(runner.run_stats().workers.size(), 2u);
@@ -564,9 +545,9 @@ TEST_P(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Channels, PartitionedRunnerTest,
-                         ::testing::Values(kMemory, kLoopback));
+                         ::testing::Values(kLoopback));
 
-// --- Wire-only behaviour ---------------------------------------------------
+// --- TCP and fault injection -----------------------------------------------
 
 TEST(TransportRunnerTest, MatchesSerialOverTcp) {
   for (const RunnerCase& test_case : TcpCases()) {
@@ -596,7 +577,7 @@ TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
   RunnerOptions options;
   options.faults.drop_period = 10;
   LoopbackTransport transport;
-  PartitionedRunner runner(&transport, options);
+  PartitionedRunner runner(transport, options);
   auto batches = engine::ChunkStreams({items});
   Status status = runner.Run({g.entry}, &batches);
   ASSERT_FALSE(status.ok());
@@ -614,7 +595,7 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
   RunnerOptions options;
   options.faults.duplicate_period = 4;
   LoopbackTransport transport;
-  PartitionedRunner runner(&transport, options);
+  PartitionedRunner runner(transport, options);
   auto batches = engine::ChunkStreams({items});
   ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
 
@@ -634,18 +615,14 @@ TEST(TransportRunnerTest, ProcessModeRequiresForkSafeTransport) {
   RunnerOptions options;
   options.mode = RunnerOptions::Mode::kProcesses;
   LoopbackTransport loopback;  // SupportsProcesses() == false
-  for (transport::Transport* transport :
-       {static_cast<transport::Transport*>(&loopback),
-        static_cast<transport::Transport*>(nullptr)}) {
-    SmallGraph g;
-    BuildSmallGraph(&g);
-    PartitionedRunner runner(transport, options);
-    auto batches = engine::ChunkStreams({{Leaf("n", "x")}});
-    Status status = runner.Run({g.entry}, &batches);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
-        << status.ToString();
-  }
+  SmallGraph g;
+  BuildSmallGraph(&g);
+  PartitionedRunner runner(loopback, options);
+  auto batches = engine::ChunkStreams({{Leaf("n", "x")}});
+  Status status = runner.Run({g.entry}, &batches);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
 }
 
 }  // namespace

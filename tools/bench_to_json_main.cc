@@ -3,7 +3,7 @@
 // values that parse fully as numbers are emitted as JSON numbers,
 // everything else as strings. Used by CI to persist the perf trajectory:
 //
-//   ./bench/bench_parallel_speedup | ./tools/bench_to_json BENCH_engine.json
+//   ./bench/bench_engine | ./tools/bench_to_json BENCH_engine.json
 
 #include <cctype>
 #include <cstdio>

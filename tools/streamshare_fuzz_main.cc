@@ -1,14 +1,14 @@
 // streamshare_fuzz — differential fuzzing driver. Generates seeded
 // scenarios, runs each one through the oracle (serial reference vs
-// parallel vs transport-loopback vs transport-TCP, plus the sharing-vs-
-// baseline oracle) and reports divergences. On failure the scenario is
-// shrunk to a minimal reproducer and written out as replayable JSON plus
-// a ready-to-commit C++ regression test.
+// transport-loopback vs transport-TCP, plus the sharing-vs-baseline
+// oracle) and reports divergences. On failure the scenario is shrunk to
+// a minimal reproducer and written out as replayable JSON plus a
+// ready-to-commit C++ regression test.
 //
 //   streamshare_fuzz [--seeds=N] [--seed-base=B] [--seed=S]
 //                    [--scenario=FILE] [--out-dir=DIR] [--metrics=FILE]
-//                    [--no-parallel] [--no-loopback] [--no-tcp]
-//                    [--tcp-processes] [--no-shrink] [--churn=P]
+//                    [--no-loopback] [--no-tcp] [--tcp-processes]
+//                    [--no-shrink] [--churn=P]
 //                    [--sweep-flow] [--dom-path] [--serve] [--crash]
 //                    [--inject-mode=MODE] [--inject-min-window=N]
 //                    [--inject-churn-mode=MODE]
@@ -27,7 +27,7 @@
 // only the production defaults. --dom-path turns the compact-record hot
 // path off in every mode (by default the non-reference modes run it, so
 // each equivalence diff is also a DOM-vs-record differential). --serve
-// adds the fifth oracle arm: every scenario also runs through a live
+// adds the serve oracle arm: every scenario also runs through a live
 // streamshare_serve daemon + client over localhost TCP and the
 // client-side deliveries must match the serial reference byte for byte.
 // Real sockets per scenario make it the slowest arm — CI gates it to a
@@ -101,7 +101,7 @@ int Usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--seed-base=B] [--seed=S] "
                "[--scenario=FILE] [--out-dir=DIR] [--metrics=FILE] "
-               "[--no-parallel] [--no-loopback] [--no-tcp] "
+               "[--no-loopback] [--no-tcp] "
                "[--tcp-processes] [--no-shrink] [--churn=P] "
                "[--sweep-flow] [--dom-path] [--serve] [--crash] [--flat-bfs] "
                "[--inject-mode=MODE] [--inject-min-window=N] "
@@ -182,8 +182,6 @@ int main(int argc, char** argv) {
       options.out_dir = value;
     } else if (ParseFlag(argv[i], "--metrics", &value)) {
       options.metrics_path = value;
-    } else if (std::strcmp(argv[i], "--no-parallel") == 0) {
-      options.oracle.run_parallel = false;
     } else if (std::strcmp(argv[i], "--no-loopback") == 0) {
       options.oracle.run_loopback = false;
     } else if (std::strcmp(argv[i], "--no-tcp") == 0) {

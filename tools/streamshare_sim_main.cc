@@ -4,16 +4,17 @@
 //   streamshare_sim [--scenario=extended|grid] [--strategy=data|query|share]
 //                   [--queries=N] [--items=N] [--seed=N] [--widening]
 //                   [--hierarchical] [--enforce-limits]
-//                   [--executor=serial|parallel] [--transport=loopback|tcp]
-//                   [--transport-threads] [--fail-peer=ID@OFFSET]
+//                   [--transport=loopback|tcp] [--transport-threads]
+//                   [--fail-peer=ID@OFFSET]
 //                   [--cut-link=A-B@OFFSET] [--trace=FILE]
 //                   [--metrics=FILE] [--explain] [--log]
 //                   [--latency-report] [--no-stamping] [--query-stats]
 //
-// --transport runs the deployed network over the transport layer (binary
-// codec + credit-based flow control) instead of in-process pointer
-// handoff; with tcp every super-peer partition becomes its own OS
-// process exchanging frames over localhost sockets
+// --transport runs the deployed network partitioned by super-peer over
+// the transport layer (binary codec + credit-based flow control) instead
+// of serially on the calling thread, and prints each worker's queue
+// stats and each channel's traffic; with tcp every super-peer partition
+// becomes its own OS process exchanging frames over localhost sockets
 // (--transport-threads keeps tcp in one process, e.g. under TSAN).
 //
 // --fail-peer / --cut-link (repeatable) inject failures mid-run: after
@@ -69,8 +70,7 @@ struct Options {
   bool widening = false;
   bool enforce_limits = false;
   bool hierarchical = false;
-  bool parallel = false;
-  std::string transport;  // empty = no transport layer
+  std::string transport;  // empty = serial executor
   bool transport_threads = false;
   bool explain = false;
   bool log = false;
@@ -130,7 +130,7 @@ int Usage(const char* program) {
       "usage: %s [--scenario=extended|grid] "
       "[--strategy=data|query|share] [--queries=N] [--items=N] "
       "[--seed=N] [--widening] [--hierarchical] [--enforce-limits] "
-      "[--executor=serial|parallel] [--transport=loopback|tcp] "
+      "[--transport=loopback|tcp] "
       "[--transport-threads] [--fail-peer=ID@OFFSET] "
       "[--cut-link=A-B@OFFSET] [--trace=FILE] [--metrics=FILE] "
       "[--explain] [--log] [--latency-report] [--no-stamping] "
@@ -171,14 +171,6 @@ int main(int argc, char** argv) {
       options.hierarchical = true;
     } else if (std::strcmp(argv[i], "--enforce-limits") == 0) {
       options.enforce_limits = true;
-    } else if (ParseFlag(argv[i], "--executor", &value)) {
-      if (value == "serial") {
-        options.parallel = false;
-      } else if (value == "parallel") {
-        options.parallel = true;
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (ParseFlag(argv[i], "--transport", &value)) {
       if (value != "loopback" && value != "tcp") return Usage(argv[0]);
       options.transport = value;
@@ -235,16 +227,14 @@ int main(int argc, char** argv) {
   // Query stats need the delivery log (and RunScenario hashes kept
   // sinks), so the observation matches what a live client accumulates.
   config.keep_results = options.query_stats;
-  if (options.parallel) {
-    config.executor = sharing::ExecutorKind::kParallel;
-  }
   if (!options.transport.empty()) {
     // TCP defaults to one OS process per super-peer partition; loopback
     // pipes cannot cross fork() and always run worker threads. Churn
     // needs segmented feeding, which keeps window state in one address
     // space — it forces thread mode too.
-    config.executor = sharing::ExecutorKind::kTransport;
-    config.transport = options.transport;
+    config.executor = options.transport == "tcp"
+                          ? sharing::ExecutorKind::kTcp
+                          : sharing::ExecutorKind::kLoopback;
     config.transport_processes = options.transport == "tcp" &&
                                  !options.transport_threads &&
                                  options.churn.empty();
@@ -311,13 +301,13 @@ int main(int argc, char** argv) {
               metrics.TotalWork(),
               run->system->registry().streams().size());
 
-  if (options.parallel) {
+  if (!options.transport.empty()) {
+    const transport::RunStats& tstats = run->system->run_stats();
     std::printf("\n%-8s %10s %10s %16s %16s %10s\n", "worker", "peers",
                 "entries", "prod blocked ms", "cons blocked ms",
                 "max depth");
-    const auto& worker_stats = run->system->run_stats().workers;
-    for (size_t w = 0; w < worker_stats.size(); ++w) {
-      const engine::ParallelWorkerStats& stats = worker_stats[w];
+    for (size_t w = 0; w < tstats.workers.size(); ++w) {
+      const engine::ParallelWorkerStats& stats = tstats.workers[w];
       std::string peers;
       for (size_t i = 0; i < stats.peers.size(); ++i) {
         if (i > 0) peers += ",";
@@ -330,10 +320,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(stats.consumer_blocked_ns) / 1e6,
                   static_cast<unsigned long long>(stats.max_queue_depth));
     }
-  }
 
-  if (!options.transport.empty()) {
-    const transport::RunStats& tstats = run->system->run_stats();
     std::printf("\ntransport=%s processes=%zu\n", tstats.transport.c_str(),
                 tstats.process_count);
     std::printf("%-12s %12s %12s %12s %10s\n", "channel", "frames",
