@@ -2,7 +2,7 @@
 // p50/p99 under the tcp transport with one OS process per partition
 // (histogram shards merged through the report pipe), plus a serial
 // stamping-overhead pair (the same record-path run with measure_latency
-// on and off) that CI gates on.
+// on and off, the median of seven paired trials) that CI gates on.
 //
 // Output is `key=value` lines; pipe through tools/bench_to_json to
 // persist BENCH_latency.json:
@@ -11,10 +11,12 @@
 //
 // Usage: bench_latency [items_per_stream] [query_count]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics_registry.h"
 #include "workload/scenario.h"
@@ -27,6 +29,17 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The q-quantile of `values` (q in [0,1]), interpolated linearly
+/// between the order statistics; 0 for an empty list.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  double rank = q * static_cast<double>(values.size() - 1);
+  size_t lower = static_cast<size_t>(rank);
+  size_t upper = std::min(lower + 1, values.size() - 1);
+  return values[lower] + (rank - lower) * (values[upper] - values[lower]);
 }
 
 Result<std::unique_ptr<sharing::StreamShareSystem>> Deploy(
@@ -103,14 +116,16 @@ int main(int argc, char** argv) {
 
   // --- Stamping-overhead pair: identical serial record-path runs, one
   // clock read per fed batch apart. CI gates on the relative difference, so
-  // the measurement must beat scheduler noise: interleave the two
-  // configurations across trials and take each one's best rate (the
-  // least-perturbed run is the closest to the true cost of the code).
+  // the measurement must beat scheduler noise: each trial runs the two
+  // configurations back to back (alternating which goes first), and the
+  // overhead is the median of the per-trial paired overheads. A pair
+  // shares one stretch of host speed; the best run of each side could
+  // come from different stretches.
   {
     constexpr int kTrials = 7;
-    double stamped_rate = 0.0, unstamped_rate = 0.0;
+    std::vector<double> stamped_rates, unstamped_rates, overheads;
     for (int trial = 0; trial < kTrials; ++trial) {
-      for (bool stamping : {false, true}) {
+      for (bool stamping : {trial % 2 == 1, trial % 2 == 0}) {
         sharing::SystemConfig serial_config = config;
         serial_config.measure_latency = stamping;
         Result<std::unique_ptr<sharing::StreamShareSystem>> system =
@@ -130,16 +145,21 @@ int main(int argc, char** argv) {
           return 1;
         }
         double rate = static_cast<double>(total_items) / elapsed;
-        (stamping ? stamped_rate : unstamped_rate) =
-            std::max(stamping ? stamped_rate : unstamped_rate, rate);
+        (stamping ? stamped_rates : unstamped_rates).push_back(rate);
       }
+      double unstamped = unstamped_rates.back();
+      overheads.push_back(
+          unstamped > 0 ? (unstamped - stamped_rates.back()) / unstamped * 100
+                        : 0.0);
     }
-    std::printf("stamped_items_per_s=%.1f\n", stamped_rate);
-    std::printf("unstamped_items_per_s=%.1f\n", unstamped_rate);
-    std::printf("stamping_overhead_pct=%.2f\n",
-                unstamped_rate > 0
-                    ? (unstamped_rate - stamped_rate) / unstamped_rate * 100
-                    : 0.0);
+    std::printf("stamped_items_per_s=%.1f\n", Quantile(stamped_rates, 0.5));
+    std::printf("unstamped_items_per_s=%.1f\n",
+                Quantile(unstamped_rates, 0.5));
+    std::printf("stamping_overhead_pct=%.2f\n", Quantile(overheads, 0.5));
+    std::printf("stamping_overhead_pct_q1=%.2f\n",
+                Quantile(overheads, 0.25));
+    std::printf("stamping_overhead_pct_q3=%.2f\n",
+                Quantile(overheads, 0.75));
   }
 
   // --- tcp-process mode: one OS process per partition; each child's

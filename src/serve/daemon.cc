@@ -149,7 +149,20 @@ Status ServeDaemon::RecoverDurableState() {
   }
   size_t applied_records = 0;
   if (use_wal_records) {
-    SS_RETURN_IF_ERROR(ApplyWalRecords(wal.records));
+    // The tail continues the checkpoint's history: its events at their
+    // logged offsets, and consecutive feed records coalesce into one
+    // range (only an event splits it).
+    std::vector<LogEvent> events;
+    uint64_t fed = items_fed_;
+    for (WalRecord& record : wal.records) {
+      if (record.kind == WalRecord::Kind::kEvent) {
+        fed = std::max(fed, record.event.at_items);
+        events.push_back(std::move(record.event));
+      } else {
+        fed = std::max(fed, record.items_fed);
+      }
+    }
+    SS_RETURN_IF_ERROR(ReplayHistory(events, fed));
     applied_records = wal.records.size();
     // The log may outlive the checkpoint by whole service lives (every
     // life without a compaction extends the same base).
@@ -175,48 +188,6 @@ Status ServeDaemon::RecoverDurableState() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.wal_recovered_records += applied_records;
   stats_.wal_torn_tail_truncations += torn_truncations;
-  return Status::Ok();
-}
-
-Status ServeDaemon::ApplyWalRecords(const std::vector<WalRecord>& records) {
-  if (options_.resume == ResumeFlavor::kReplay) {
-    // Same interleaving as ReplayEvents, continued past the checkpoint:
-    // regenerate the fed ranges and apply each logged mutation at the
-    // offset it originally ran at.
-    uint64_t fed = items_fed_;
-    for (const WalRecord& record : records) {
-      uint64_t at = record.kind == WalRecord::Kind::kFeed
-                        ? record.items_fed
-                        : record.event.at_items;
-      if (at > fed) {
-        SS_RETURN_IF_ERROR(FeedRange(fed, at));
-        fed = at;
-      }
-      if (record.kind == WalRecord::Kind::kEvent) {
-        SS_RETURN_IF_ERROR(ApplyLoggedEvent(record.event));
-        event_log_.push_back(record.event);
-      }
-    }
-    items_fed_ = fed;
-    return Status::Ok();
-  }
-
-  // Gap flavor: events only, then skip the generators past the furthest
-  // fed offset (windows re-anchor; see ReplayEvents).
-  uint64_t fed = items_fed_;
-  for (const WalRecord& record : records) {
-    if (record.kind == WalRecord::Kind::kEvent) {
-      SS_RETURN_IF_ERROR(ApplyLoggedEvent(record.event));
-      event_log_.push_back(record.event);
-      if (record.event.at_items > fed) fed = record.event.at_items;
-    } else if (record.items_fed > fed) {
-      fed = record.items_fed;
-    }
-  }
-  for (workload::PhotonGenerator& generator : generators_) {
-    for (uint64_t i = items_fed_; i < fed; ++i) generator.NextRecord();
-  }
-  items_fed_ = fed;
   return Status::Ok();
 }
 
@@ -288,69 +259,67 @@ Status ServeDaemon::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
   Status built = BuildFreshSystem();
   options_.system = saved;
   SS_RETURN_IF_ERROR(built);
-  SS_RETURN_IF_ERROR(ReplayEvents(checkpoint));
-  event_log_ = checkpoint.events;
-  items_fed_ = checkpoint.items_fed;
+  // pgcopydb's catchup: under kReplay the regenerated item history with
+  // the logged control events interleaved at their recorded offsets puts
+  // the engine (open windows included) in the exact pre-drain state, and
+  // the sinks re-accumulate the full delivery log so re-attached clients
+  // can catch up from any sequence they already hold. Under kGap the
+  // installed population (query ids included) matches the drained
+  // daemon; window operators start empty and re-anchor.
+  SS_RETURN_IF_ERROR(ReplayHistory(checkpoint.events, checkpoint.items_fed));
+  if (options_.resume == ResumeFlavor::kGap) return Status::Ok();
+  return VerifyDeliveries(checkpoint);
+}
+
+Status ServeDaemon::ReplayHistory(const std::vector<LogEvent>& events,
+                                  uint64_t to) {
+  const uint64_t start_us = NowUs();
+  const uint64_t from = items_fed_;
+  const bool replay = options_.resume == ResumeFlavor::kReplay;
+  for (const LogEvent& event : events) {
+    if (replay && event.at_items > items_fed_) {
+      SS_RETURN_IF_ERROR(FeedRange(items_fed_, event.at_items));
+      items_fed_ = event.at_items;
+    }
+    SS_RETURN_IF_ERROR(ApplyLoggedEvent(event));
+    event_log_.push_back(event);
+  }
+  if (replay) {
+    SS_RETURN_IF_ERROR(FeedRange(items_fed_, to));
+  } else {
+    // The post-restart stream continues where the last life stopped.
+    for (workload::PhotonGenerator& generator : generators_) {
+      for (uint64_t i = items_fed_; i < to; ++i) generator.NextRecord();
+    }
+  }
+  items_fed_ = std::max(items_fed_, to);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (replay) stats_.recovery_replay_items += items_fed_ - from;
+  stats_.recovery_replayed_events += events.size();
+  stats_.recovery_replay_us += NowUs() - start_us;
   return Status::Ok();
 }
 
-Status ServeDaemon::ReplayEvents(const Checkpoint& checkpoint) {
-  if (options_.resume == ResumeFlavor::kReplay) {
-    // pgcopydb's catchup: regenerate the fed item history and interleave
-    // the logged control events at their recorded offsets — the engine
-    // (open windows included) lands in the exact pre-drain state, and
-    // the sinks re-accumulate the full delivery log so re-attached
-    // clients can catch up from any sequence they already hold.
-    uint64_t fed = 0;
-    for (const LogEvent& event : checkpoint.events) {
-      if (event.at_items > fed) {
-        SS_RETURN_IF_ERROR(FeedRange(fed, event.at_items));
-        fed = event.at_items;
-      }
-      SS_RETURN_IF_ERROR(ApplyLoggedEvent(event));
+Status ServeDaemon::VerifyDeliveries(const Checkpoint& checkpoint) const {
+  const std::vector<RegistrationResult>& registrations =
+      system_->registrations();
+  for (const DeliverySnapshot& snapshot : checkpoint.deliveries) {
+    if (snapshot.query_id < 0 ||
+        static_cast<size_t>(snapshot.query_id) >= registrations.size()) {
+      return Status::Internal(
+          "checkpoint names query " + std::to_string(snapshot.query_id) +
+          " the replay never registered");
     }
-    if (checkpoint.items_fed > fed) {
-      SS_RETURN_IF_ERROR(FeedRange(fed, checkpoint.items_fed));
-    }
-    // Consistency check: the replayed deliveries must reproduce the
-    // drained daemon's per-query counts and hashes exactly.
-    const std::vector<RegistrationResult>& registrations =
-        system_->registrations();
-    for (const DeliverySnapshot& snapshot : checkpoint.deliveries) {
-      if (snapshot.query_id < 0 ||
-          static_cast<size_t>(snapshot.query_id) >= registrations.size()) {
-        return Status::Internal(
-            "checkpoint names query " +
-            std::to_string(snapshot.query_id) +
-            " the replay never registered");
-      }
-      const engine::SinkOp* sink =
-          registrations[snapshot.query_id].sink;
-      uint64_t items = sink == nullptr ? 0 : sink->item_count();
-      uint64_t hash = sink == nullptr ? 0 : sink->content_hash();
-      if (items != snapshot.items || hash != snapshot.content_hash) {
-        return Status::Internal(
-            "replay diverged on query " +
-            std::to_string(snapshot.query_id) + ": checkpoint items=" +
-            std::to_string(snapshot.items) + " hash=" +
-            std::to_string(snapshot.content_hash) + ", replay items=" +
-            std::to_string(items) + " hash=" + std::to_string(hash));
-      }
-    }
-    return Status::Ok();
-  }
-
-  // Gap flavor: reinstall the control history without item history. The
-  // installed population (query ids included) matches the drained
-  // daemon; window operators start empty and re-anchor.
-  for (const LogEvent& event : checkpoint.events) {
-    SS_RETURN_IF_ERROR(ApplyLoggedEvent(event));
-  }
-  // Advance the generators past the already-consumed prefix so the
-  // post-restart stream continues where the drained daemon stopped.
-  for (workload::PhotonGenerator& generator : generators_) {
-    for (uint64_t i = 0; i < checkpoint.items_fed; ++i) {
-      generator.NextRecord();
+    const engine::SinkOp* sink = registrations[snapshot.query_id].sink;
+    uint64_t items = sink == nullptr ? 0 : sink->item_count();
+    uint64_t hash = sink == nullptr ? 0 : sink->content_hash();
+    if (items != snapshot.items || hash != snapshot.content_hash) {
+      return Status::Internal(
+          "replay diverged on query " + std::to_string(snapshot.query_id) +
+          ": checkpoint items=" + std::to_string(snapshot.items) +
+          " hash=" + std::to_string(snapshot.content_hash) +
+          ", replay items=" + std::to_string(items) +
+          " hash=" + std::to_string(hash));
     }
   }
   return Status::Ok();
@@ -396,14 +365,29 @@ Status ServeDaemon::FeedItems(uint64_t count) {
   return Status::Ok();
 }
 
+namespace {
+
+/// Full batches per stream one FeedRange step generates and feeds. A
+/// replay of the whole history holds this many slots per stream at a
+/// time; engine output does not depend on how the range is cut.
+constexpr uint64_t kFeedChunkBatches = 16;
+
+}  // namespace
+
 Status ServeDaemon::FeedRange(uint64_t from, uint64_t to) {
-  if (to <= from) return Status::Ok();
-  sharing::StreamShareSystem::BatchesByStream batches;
-  for (size_t s = 0; s < scenario_.streams.size(); ++s) {
-    batches[scenario_.streams[s].name] = generators_[s].GenerateBatches(
-        to - from, options_.system.parallel.batch_size);
+  const uint64_t batch_size =
+      std::max<uint64_t>(1, options_.system.parallel.batch_size);
+  const uint64_t chunk = kFeedChunkBatches * batch_size;
+  for (uint64_t at = from; at < to; at += chunk) {
+    const uint64_t count = std::min(chunk, to - at);
+    sharing::StreamShareSystem::BatchesByStream batches;
+    for (size_t s = 0; s < scenario_.streams.size(); ++s) {
+      batches[scenario_.streams[s].name] =
+          generators_[s].GenerateBatches(count, batch_size);
+    }
+    SS_RETURN_IF_ERROR(system_->Feed(&batches));
   }
-  return system_->Feed(&batches);
+  return Status::Ok();
 }
 
 void ServeDaemon::RequestDrain(bool final_drain) {
@@ -459,6 +443,12 @@ void ServeDaemon::ExportMetrics(obs::MetricsRegistry* registry) const {
         static_cast<double>(snapshot.wal_recovered_records));
   gauge("serve.wal.torn_tail_truncations",
         static_cast<double>(snapshot.wal_torn_tail_truncations));
+  gauge("serve.recovery.replay_items",
+        static_cast<double>(snapshot.recovery_replay_items));
+  gauge("serve.recovery.replayed_events",
+        static_cast<double>(snapshot.recovery_replayed_events));
+  gauge("serve.recovery.replay_us",
+        static_cast<double>(snapshot.recovery_replay_us));
   gauge("serve.net.sends", static_cast<double>(snapshot.net_sends));
   gauge("serve.net.frames_out",
         static_cast<double>(snapshot.net_frames_out));

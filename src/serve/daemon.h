@@ -102,6 +102,12 @@ struct DaemonStats {
   uint64_t wal_compactions = 0;
   uint64_t wal_recovered_records = 0;
   uint64_t wal_torn_tail_truncations = 0;
+  /// This life's startup replay (serve.recovery.* metrics): items per
+  /// stream regenerated and fed (0 under kGap, which only skips the
+  /// generators), logged events re-applied, and the replay's wall time.
+  uint64_t recovery_replay_items = 0;
+  uint64_t recovery_replayed_events = 0;
+  uint64_t recovery_replay_us = 0;
   /// Serve plane sends to clients (serve.net.* metrics), summed over
   /// every connection: send() calls, frames queued, bytes written.
   uint64_t net_sends = 0;
@@ -183,10 +189,6 @@ class ServeDaemon {
   /// generations, replay both, fold into a fresh checkpoint when the WAL
   /// carried records, and open an empty log for this life.
   Status RecoverDurableState();
-  /// Replays recovered WAL records on top of the checkpoint state (feed
-  /// ranges interleaved for kReplay; events only + generator skip for
-  /// kGap).
-  Status ApplyWalRecords(const std::vector<WalRecord>& records);
   /// Appends one record to the WAL and fsyncs; called before the ACK of
   /// the operation it records. A failure here is fatal to the loop (the
   /// mutation is applied but cannot be made durable, so no ACK may ever
@@ -202,12 +204,24 @@ class ServeDaemon {
 
   Status BuildFreshSystem();
   Status RestoreFromCheckpoint(const Checkpoint& checkpoint);
-  Status ReplayEvents(const Checkpoint& checkpoint);
+  /// The one recovery replay, for the checkpoint's history and the WAL
+  /// tail alike: applies `events` in order, each at its recorded feed
+  /// offset, and brings the fed history up to `to` items per stream.
+  /// kReplay feeds the regenerated items before each event (FeedRange:
+  /// bounded chunks, never the whole history at once); kGap only skips
+  /// the generators past them. Appends the events to event_log_ and
+  /// leaves items_fed_ at `to`.
+  Status ReplayHistory(const std::vector<LogEvent>& events, uint64_t to);
+  /// kReplay's consistency check after a checkpoint restore: the
+  /// replayed sinks reproduce the checkpoint's per-query counts and
+  /// hashes exactly.
+  Status VerifyDeliveries(const Checkpoint& checkpoint) const;
   Status ApplyLoggedEvent(const LogEvent& event);
   /// Feeds `count` freshly generated items per stream (advances
   /// items_fed_).
   Status FeedItems(uint64_t count);
-  /// Regenerates and feeds items [from, to) per stream (replay path).
+  /// Generates and feeds items [from, to) per stream, at most
+  /// kFeedChunkBatches full batches per stream at a time.
   Status FeedRange(uint64_t from, uint64_t to);
 
   void LoopMain();

@@ -5,6 +5,8 @@
 // oracle, whose forked daemon child arms one crashpoint per service
 // life, SIGKILLs itself there, and is respawned from checkpoint + WAL.
 // The client-side per-query observations must match field for field.
+// One more case kills a forked daemon between lives and compares the
+// peak memory of its WAL-tail and checkpoint-restored recoveries.
 //
 // fork() and TSAN don't mix (the child inherits a runtime that thinks
 // the parent's threads still exist), so under TSAN the fork-heavy cases
@@ -16,6 +18,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,6 +41,16 @@
 #endif
 #ifndef STREAMSHARE_TSAN
 #define STREAMSHARE_TSAN 0
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define STREAMSHARE_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define STREAMSHARE_ASAN 1
+#endif
+#endif
+#ifndef STREAMSHARE_ASAN
+#define STREAMSHARE_ASAN 0
 #endif
 
 namespace streamshare::serve {
@@ -211,6 +225,80 @@ TEST(CrashRecovery, ChurnedWorkloadSurvivesAMidAppendKill) {
   RemoveStateDir(state_dir);
 }
 
+/// A daemon in a forked child, started (recovery included) by the time
+/// Spawn returns. Whatever fails, the child does not outlive the test.
+class ForkedDaemon {
+ public:
+  ForkedDaemon() = default;
+  ForkedDaemon(const ForkedDaemon&) = delete;
+  ForkedDaemon& operator=(const ForkedDaemon&) = delete;
+  ~ForkedDaemon() { Kill9(); }
+
+  /// Forks the child, which serves until Kill9; false if it did not
+  /// start.
+  bool Spawn(const workload::ScenarioSpec& scenario,
+             const DaemonOptions& options) {
+    int fds[2];
+    if (::pipe(fds) != 0) return false;
+    pid_ = ::fork();
+    if (pid_ < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return false;
+    }
+    if (pid_ == 0) {
+      ::close(fds[0]);
+      ServeDaemon daemon(scenario, options);
+      int32_t port = daemon.Start().ok() ? daemon.port() : -1;
+      ssize_t wrote = ::write(fds[1], &port, sizeof(port));
+      ::close(fds[1]);
+      if (wrote == static_cast<ssize_t>(sizeof(port)) && port > 0) {
+        daemon.Join();  // serves until the parent's SIGKILL
+      }
+      ::_exit(1);
+    }
+    ::close(fds[1]);
+    int32_t port = -1;
+    bool read_port = ::read(fds[0], &port, sizeof(port)) ==
+                     static_cast<ssize_t>(sizeof(port));
+    ::close(fds[0]);
+    port_ = read_port ? port : -1;
+    return port_ > 0;
+  }
+
+  int port() const { return port_; }
+
+  /// Peak resident set (VmHWM) of the child so far, in KiB; 0 if
+  /// unreadable.
+  uint64_t PeakRssKb() const {
+    std::ifstream status("/proc/" + std::to_string(pid_) + "/status");
+    std::string key;
+    while (status >> key) {
+      if (key == "VmHWM:") {
+        uint64_t kb = 0;
+        status >> kb;
+        return kb;
+      }
+      status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return 0;
+  }
+
+  /// SIGKILLs and reaps the child; true if it died of that signal.
+  bool Kill9() {
+    if (pid_ <= 0) return false;
+    ::kill(pid_, SIGKILL);
+    int wstatus = 0;
+    bool reaped = ::waitpid(pid_, &wstatus, 0) == pid_;
+    pid_ = -1;
+    return reaped && WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL;
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int port_ = -1;
+};
+
 // A SubscribeBatch whose middle entry does not parse: the ACK carries
 // the parse error, the entries before it stay installed and are in the
 // WAL, and a daemon restarted from what a kill -9 leaves on disk assigns
@@ -222,39 +310,11 @@ TEST(CrashRecovery, SubscribeBatchHardErrorKeepsTheLoggedPrefix) {
   DaemonOptions options;
   options.checkpoint_path = state_dir + "/checkpoint";
 
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    ::close(fds[0]);
-    ServeDaemon daemon(scenario, options);
-    int32_t port = daemon.Start().ok() ? daemon.port() : -1;
-    ssize_t wrote = ::write(fds[1], &port, sizeof(port));
-    ::close(fds[1]);
-    if (wrote == static_cast<ssize_t>(sizeof(port)) && port > 0) {
-      daemon.Join();  // serves until the parent's SIGKILL
-    }
-    ::_exit(1);
-  }
-  ::close(fds[1]);
-  // Whatever fails below, the child does not outlive the test.
-  struct Reaper {
-    pid_t pid;
-    ~Reaper() {
-      if (pid <= 0) return;
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  } reaper{child};
-  int32_t port = -1;
-  ASSERT_EQ(::read(fds[0], &port, sizeof(port)),
-            static_cast<ssize_t>(sizeof(port)));
-  ::close(fds[0]);
-  ASSERT_GT(port, 0);
+  ForkedDaemon child;
+  ASSERT_TRUE(child.Spawn(scenario, options));
 
   ClientOptions client_options;
-  client_options.port = port;
+  client_options.port = child.port();
   client_options.name = "batcher";
   ServeClient client(client_options);
   ASSERT_TRUE(client.Connect().ok());
@@ -271,11 +331,7 @@ TEST(CrashRecovery, SubscribeBatchHardErrorKeepsTheLoggedPrefix) {
   ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_EQ(before->queries.size(), 2u);
 
-  ::kill(child, SIGKILL);
-  int wstatus = 0;
-  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
-  reaper.pid = -1;
-  ASSERT_TRUE(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL);
+  ASSERT_TRUE(child.Kill9());
 
   // The prefix, and nothing past the bad entry, is in the log.
   auto wal = RecoverWal(DefaultWalPath(options.checkpoint_path));
@@ -304,6 +360,75 @@ TEST(CrashRecovery, SubscribeBatchHardErrorKeepsTheLoggedPrefix) {
   restarted.RequestDrain(/*final_drain=*/true);
   restarted.Join();
   EXPECT_TRUE(restarted.loop_status().ok()) << restarted.loop_status();
+  RemoveStateDir(state_dir);
+}
+
+// Replay memory does not grow with the history. Life 2 replays ~20k
+// items per stream from the WAL tail and folds them into a checkpoint;
+// life 3 restores that checkpoint with no WAL records. Both regenerate
+// the same history and rebuild the same sink logs, so the restored
+// life must peak no higher than the WAL-tail one: replaying the
+// checkpoint's history in one piece (every regenerated slot of both
+// streams live at once) peaked ~1.5x higher. AddressSanitizer inflates
+// RSS, so it skips.
+TEST(CrashRecovery, CheckpointRestoreReplaysInBoundedMemory) {
+#if STREAMSHARE_ASAN
+  GTEST_SKIP() << "AddressSanitizer inflates the resident set";
+#endif
+  constexpr uint64_t kFeeds = 40;
+  constexpr uint64_t kItemsPerFeed = 500;
+  const workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/100);
+  const std::string state_dir = MakeStateDir();
+  ASSERT_FALSE(state_dir.empty());
+  DaemonOptions options;
+  options.checkpoint_path = state_dir + "/checkpoint";
+  ClientOptions client_options;
+  client_options.name = "history";
+
+  // Life 1 serves the history. The client detaches, so nothing is
+  // forwarded; the sinks still log every delivery.
+  {
+    ForkedDaemon serving;
+    ASSERT_TRUE(serving.Spawn(scenario, options));
+    client_options.port = serving.port();
+    ServeClient client(client_options);
+    ASSERT_TRUE(client.Connect().ok());
+    std::vector<ControlRequest::BatchEntry> entries;
+    for (const workload::QuerySpec& query : scenario.queries) {
+      entries.push_back({query.text, query.target, /*strategy=*/2});
+    }
+    ASSERT_TRUE(client.SubscribeBatch(entries).ok());
+    ASSERT_TRUE(client.Detach().ok());
+    for (uint64_t i = 0; i < kFeeds; ++i) {
+      ASSERT_TRUE(client.Feed(kItemsPerFeed).ok());
+    }
+    ASSERT_TRUE(serving.Kill9());
+  }
+
+  // Lives 2 and 3: each recovers the whole history before it listens.
+  auto recovered_peak_kb = [&](const char* label) -> uint64_t {
+    SCOPED_TRACE(label);
+    ForkedDaemon life;
+    EXPECT_TRUE(life.Spawn(scenario, options));
+    uint64_t peak_kb = life.PeakRssKb();
+    client_options.port = life.port();
+    ServeClient client(client_options);
+    EXPECT_TRUE(client.Connect().ok());
+    auto stats = client.Stats();
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    if (stats.ok()) {
+      EXPECT_EQ(stats->items_fed, kFeeds * kItemsPerFeed);
+    }
+    EXPECT_TRUE(life.Kill9());
+    return peak_kb;
+  };
+  const uint64_t wal_tail_kb = recovered_peak_kb("wal-tail life");
+  const uint64_t restored_kb = recovered_peak_kb("checkpoint life");
+  ASSERT_GT(wal_tail_kb, 0u);
+  EXPECT_LE(static_cast<double>(restored_kb), 1.1 * wal_tail_kb)
+      << "checkpoint life VmHWM " << restored_kb << " KiB vs WAL-tail life "
+      << wal_tail_kb << " KiB";
   RemoveStateDir(state_dir);
 }
 

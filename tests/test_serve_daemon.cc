@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -1001,6 +1002,161 @@ TEST(ServeDaemon, UnsubscribeFreesTheResultLogAndKeepsStatsRows) {
             static_cast<double>(active_delivered));
   std::remove(options.checkpoint_path.c_str());
   std::remove(DefaultWalPath(options.checkpoint_path).c_str());
+}
+
+/// Copies the checkpoint and WAL a running daemon has made durable: what
+/// a kill -9 would leave on disk, since every ACK follows its fsync.
+void CopyDurableState(const std::string& from, const std::string& to) {
+  for (const auto& [src, dst] :
+       {std::pair(from, to), std::pair(DefaultWalPath(from),
+                                       DefaultWalPath(to))}) {
+    std::ifstream in(src, std::ios::binary);
+    std::ofstream(dst, std::ios::binary) << in.rdbuf();
+  }
+}
+
+void RemoveDurableState(const std::string& checkpoint_path) {
+  std::remove(checkpoint_path.c_str());
+  std::remove(DefaultWalPath(checkpoint_path).c_str());
+}
+
+/// The replay test's history: 677 items per stream in nine feeds, the
+/// first larger than a replay chunk, with three Subscribes and one
+/// Unsubscribe spread over it.
+Status PlayReplayHistory(ServeClient* client,
+                         const workload::ScenarioSpec& scenario) {
+  auto subscribe = [&](size_t q) -> Result<int64_t> {
+    SS_ASSIGN_OR_RETURN(SubscribeReply reply,
+                        client->Subscribe(scenario.queries[q].text,
+                                          scenario.queries[q].target));
+    if (!reply.accepted) return Status::Internal("query rejected");
+    return reply.query_id;
+  };
+  SS_ASSIGN_OR_RETURN(int64_t first, subscribe(0));
+  SS_RETURN_IF_ERROR(subscribe(1).status());
+  SS_RETURN_IF_ERROR(client->Feed(301).status());
+  for (int i = 0; i < 5; ++i) SS_RETURN_IF_ERROR(client->Feed(13).status());
+  SS_RETURN_IF_ERROR(subscribe(2).status());
+  SS_RETURN_IF_ERROR(client->Feed(203).status());
+  SS_RETURN_IF_ERROR(client->Unsubscribe(first));
+  SS_RETURN_IF_ERROR(client->Feed(97).status());
+  return client->Feed(11).status();
+}
+
+void ExpectSameStatsRows(const StatsReply& got, const StatsReply& want) {
+  EXPECT_EQ(got.items_fed, want.items_fed);
+  ASSERT_EQ(got.queries.size(), want.queries.size());
+  for (size_t q = 0; q < want.queries.size(); ++q) {
+    const QueryStat& is = got.queries[q];
+    const QueryStat& was = want.queries[q];
+    EXPECT_EQ(is.query_id, was.query_id) << "query " << q;
+    EXPECT_EQ(is.accepted, was.accepted) << "query " << q;
+    EXPECT_EQ(is.active, was.active) << "query " << q;
+    EXPECT_EQ(is.items, was.items) << "query " << q;
+    EXPECT_EQ(is.bytes, was.bytes) << "query " << q;
+    EXPECT_EQ(is.content_hash, was.content_hash) << "query " << q;
+  }
+}
+
+// Recovery replays the history in bounded chunks and merges the WAL
+// tail's consecutive feed records; neither may change a result. Batches
+// of 8 make a replay chunk 128 items per stream, so the history spans
+// several chunks and none of its feed offsets falls on a batch or chunk
+// boundary. After a WAL-tail restart, and then a restart from the
+// checkpoint that one folded, every per-query Stats row equals the
+// uninterrupted daemon's, and so does a live feed afterwards.
+TEST(ServeDaemon, ChunkedReplayMatchesTheUninterruptedDaemon) {
+  const workload::ScenarioSpec scenario = SmallScenario();
+  constexpr uint64_t kHistoryItems = 677;
+  constexpr uint64_t kHistoryEvents = 4;
+  constexpr uint64_t kHistoryRecords = kHistoryEvents + 9;  // + feeds
+  DaemonOptions options;
+  options.system.parallel.batch_size = 8;
+  const std::string base = ::testing::TempDir() + "/serve_chunked_replay";
+  DaemonOptions live_options = options;
+  live_options.checkpoint_path = base + ".live.ckpt";
+  DaemonOptions wal_tail_options = options;
+  wal_tail_options.checkpoint_path = base + ".wal_tail.ckpt";
+  DaemonOptions restored_options = options;
+  restored_options.checkpoint_path = base + ".restored.ckpt";
+  for (const DaemonOptions* durable :
+       {&live_options, &wal_tail_options, &restored_options}) {
+    RemoveDurableState(durable->checkpoint_path);
+  }
+
+  auto reference = StartDaemon(scenario, options);
+  auto live = StartDaemon(scenario, live_options);
+  ASSERT_NE(reference, nullptr);
+  ASSERT_NE(live, nullptr);
+  ServeClient reference_client = MakeClient(*reference, "reference");
+  ServeClient live_client = MakeClient(*live, "live");
+  ASSERT_TRUE(reference_client.Connect().ok());
+  ASSERT_TRUE(live_client.Connect().ok());
+  Status played = PlayReplayHistory(&reference_client, scenario);
+  ASSERT_TRUE(played.ok()) << played;
+  played = PlayReplayHistory(&live_client, scenario);
+  ASSERT_TRUE(played.ok()) << played;
+  auto want = reference_client.Stats();
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(want->items_fed, kHistoryItems);
+  uint64_t delivered = 0;
+  for (const QueryStat& query : want->queries) delivered += query.items;
+  ASSERT_GT(delivered, 0u) << "the history delivers nothing to compare";
+  auto live_stats = live_client.Stats();
+  ASSERT_TRUE(live_stats.ok()) << live_stats.status();
+  ExpectSameStatsRows(*live_stats, *want);
+
+  // Restarts the daemon from `options`' durable files; expects it to
+  // have replayed the whole history and to match the reference.
+  auto restart = [&](const DaemonOptions& durable,
+                     uint64_t wal_records) -> std::unique_ptr<ServeDaemon> {
+    auto daemon = StartDaemon(scenario, durable);
+    if (daemon == nullptr) return nullptr;
+    EXPECT_EQ(daemon->stats().wal_recovered_records, wal_records);
+    obs::MetricsRegistry registry;
+    daemon->ExportMetrics(&registry);
+    EXPECT_EQ(registry.GetGauge("serve.recovery.replay_items")->Value(),
+              static_cast<double>(kHistoryItems));
+    EXPECT_EQ(registry.GetGauge("serve.recovery.replayed_events")->Value(),
+              static_cast<double>(kHistoryEvents));
+    ServeClient client = MakeClient(*daemon, "recovered");
+    EXPECT_TRUE(client.Connect().ok());
+    auto stats = client.Stats();
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    if (stats.ok()) ExpectSameStatsRows(*stats, *want);
+    return daemon;
+  };
+  std::unique_ptr<ServeDaemon> wal_tail;
+  {
+    SCOPED_TRACE("wal-tail restart");
+    CopyDurableState(live_options.checkpoint_path,
+                     wal_tail_options.checkpoint_path);
+    wal_tail = restart(wal_tail_options, kHistoryRecords);
+    ASSERT_NE(wal_tail, nullptr);
+  }
+  SCOPED_TRACE("checkpoint restart");
+  // The WAL-tail restart folded the tail into a checkpoint and left an
+  // empty log.
+  CopyDurableState(wal_tail_options.checkpoint_path,
+                   restored_options.checkpoint_path);
+  auto restored = restart(restored_options, 0);
+  ASSERT_NE(restored, nullptr);
+
+  // Live again: one more feed larger than a chunk delivers the same.
+  ServeClient restored_client = MakeClient(*restored, "restored");
+  ASSERT_TRUE(restored_client.Connect().ok());
+  ASSERT_TRUE(reference_client.Feed(150).ok());
+  ASSERT_TRUE(restored_client.Feed(150).ok());
+  want = reference_client.Stats();
+  ASSERT_TRUE(want.ok()) << want.status();
+  auto restored_stats = restored_client.Stats();
+  ASSERT_TRUE(restored_stats.ok()) << restored_stats.status();
+  ExpectSameStatsRows(*restored_stats, *want);
+
+  for (const DaemonOptions* durable :
+       {&live_options, &wal_tail_options, &restored_options}) {
+    RemoveDurableState(durable->checkpoint_path);
+  }
 }
 
 TEST(ServeDaemon, RestartableDrainNeedsCheckpointPath) {
