@@ -119,7 +119,7 @@ Result<StreamEstimate> CostModel::EstimateStream(
   static obs::Counter* calls =
       obs::MetricsRegistry::Default().GetCounter(
           "cost.estimate_stream.calls");
-  if (obs::Enabled()) calls->Add(1);
+  calls->Add(1);
   const StreamStatistics* stats = statistics_->Find(props.stream_name);
   if (stats == nullptr) {
     return Status::NotFound("no statistics registered for stream '" +
@@ -291,7 +291,7 @@ double PlanCost(const std::vector<ResourceUsage>& connections,
                 const std::vector<ResourceUsage>& peers, double gamma) {
   static obs::Counter* calls =
       obs::MetricsRegistry::Default().GetCounter("cost.plan_cost.calls");
-  if (obs::Enabled()) calls->Add(1);
+  calls->Add(1);
   auto term = [](const ResourceUsage& usage) {
     double overload = usage.added - usage.available;
     double penalty =

@@ -38,7 +38,7 @@ std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
 
 Status RunBatchStreams(const std::vector<Operator*>& entries,
                        std::vector<std::vector<ItemBatch>>* batch_lists,
-                       bool finish) {
+                       bool finish, bool stamp) {
   if (entries.size() != batch_lists->size()) {
     return Status::InvalidArgument(
         "RunBatchStreams: entries and batch lists differ in count");
@@ -49,13 +49,12 @@ Status RunBatchStreams(const std::vector<Operator*>& entries,
   for (size_t s = 0; s < entries.size(); ++s) {
     if (!(*batch_lists)[s].empty()) active.push_back(s);
   }
-  const bool stamping = latency::Enabled();
   while (!active.empty()) {
     size_t write = 0;
     for (size_t idx = 0; idx < active.size(); ++idx) {
       size_t s = active[idx];
       ItemBatch& batch = (*batch_lists)[s][cursors[s]++];
-      if (stamping) batch.StampIngress(latency::NowUs());
+      if (stamp) batch.StampIngress(latency::NowUs());
       Status status = entries[s]->PushBatch(&batch);
       if (!status.ok()) {
         return WrapOperatorFailure(std::move(status), "push", *entries[s]);

@@ -53,16 +53,18 @@ std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
 
 /// The feed loop: round-robins the per-stream batch lists across
 /// `entries` (one batch per stream per round, per-stream order
-/// preserved). With stamping enabled, every fed batch costs one clock
-/// read, which stamps its still-unstamped slots. When `finish` is true
-/// (the default), signals end of stream afterwards — a single-shot run.
-/// Pass false to keep the streams live (continuous operation with more
-/// feeds to come); end of stream is a one-shot signal per operator.
+/// preserved). When `stamp` is true (the default), every fed batch costs
+/// one clock read, which stamps its still-unstamped slots; the stamps
+/// then carry the measured-latency plane (engine/latency.h) to the sinks.
+/// When `finish` is true (the default), signals end of stream afterwards
+/// — a single-shot run. Pass false to keep the streams live (continuous
+/// operation with more feeds to come); end of stream is a one-shot
+/// signal per operator.
 /// Batches are consumed in place: pushing may fill their lazy
 /// materialization caches.
 Status RunBatchStreams(const std::vector<Operator*>& entries,
                        std::vector<std::vector<ItemBatch>>* batch_lists,
-                       bool finish = true);
+                       bool finish = true, bool stamp = true);
 
 }  // namespace streamshare::engine
 

@@ -1,15 +1,8 @@
 #include "engine/latency.h"
 
-#include <atomic>
 #include <chrono>
 
 namespace streamshare::engine::latency {
-
-namespace {
-
-std::atomic<bool> g_enabled{true};
-
-}  // namespace
 
 uint64_t NowUs() {
   auto now = std::chrono::steady_clock::now().time_since_epoch();
@@ -18,12 +11,6 @@ uint64_t NowUs() {
   // 0 means "unstamped"; the steady clock could in principle read 0 in
   // the first microsecond after boot.
   return us == 0 ? 1 : us;
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void SetEnabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace streamshare::engine::latency

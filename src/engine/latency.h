@@ -7,6 +7,12 @@
 // stamps into per-query end-to-end histograms with stage attribution
 // (pipeline / queue-wait / transport).
 //
+// Stamping is decided once, by whoever feeds: engine::RunBatchStreams
+// and the partitioned runner take a `stamp` argument, which
+// StreamShareSystem sets from SystemConfig::measure_latency. Every later
+// stage acts only on stamped slots, so an unstamped run takes no further
+// clock reads.
+//
 // Stamps are metrics only: they are excluded from content hashes and
 // never change what a query outputs (an ARCHITECTURE invariant the fuzz
 // oracle enforces by diffing a stamped run against an unstamped one).
@@ -39,29 +45,6 @@ struct ItemStamp {
 /// which is system-wide — ticks taken in fork-per-worker transport
 /// children compare directly against the parent's. Never returns 0.
 uint64_t NowUs();
-
-/// Runtime master switch, default on. Stamping costs one clock read per
-/// fed batch and one per queue/wire hop; the perf_smoke CI gate
-/// holds the overhead under 5%.
-bool Enabled();
-void SetEnabled(bool on);
-
-/// Conjunctive scoped override: enables stamping only if it was already
-/// enabled AND `on` is true; restores the previous state on destruction.
-/// System run paths wrap runs in this so SystemConfig::measure_latency
-/// composes with a process-wide --no-stamping.
-class ScopedEnabled {
- public:
-  explicit ScopedEnabled(bool on) : previous_(Enabled()) {
-    SetEnabled(previous_ && on);
-  }
-  ~ScopedEnabled() { SetEnabled(previous_); }
-  ScopedEnabled(const ScopedEnabled&) = delete;
-  ScopedEnabled& operator=(const ScopedEnabled&) = delete;
-
- private:
-  bool previous_;
-};
 
 }  // namespace streamshare::engine::latency
 

@@ -45,7 +45,7 @@ void LinkQueue::ResetStats() {
 }
 
 void LinkQueue::Push(Entry entry) {
-  if (entry.enqueued_us == 0 && latency::Enabled()) {
+  if (entry.enqueued_us == 0 && residency_us_ != nullptr) {
     entry.enqueued_us = latency::NowUs();
   }
   size_t weight = Weight(entry);
@@ -69,7 +69,7 @@ void LinkQueue::Push(Entry entry) {
 
 void LinkQueue::PushBatch(std::vector<Entry>* batch) {
   if (batch->empty()) return;
-  if (latency::Enabled()) {
+  if (residency_us_ != nullptr) {
     uint64_t now = latency::NowUs();
     for (Entry& entry : *batch) {
       if (entry.enqueued_us == 0) entry.enqueued_us = now;
@@ -123,16 +123,14 @@ void LinkQueue::PopBatch(std::vector<Entry>* out, size_t max_items) {
   // Queue residency: how long each just-dequeued entry sat in the queue.
   // Credited to every stamped slot (stage attribution at the sink) and
   // observed once per entry on the residency histogram.
-  if (!latency::Enabled()) return;
+  if (residency_us_ == nullptr) return;
   uint64_t now = latency::NowUs();
   for (size_t e = first_taken; e < out->size(); ++e) {
     Entry& entry = (*out)[e];
     if (entry.enqueued_us == 0) continue;
     uint64_t wait_us = now > entry.enqueued_us ? now - entry.enqueued_us : 0;
     entry.enqueued_us = 0;
-    if (residency_us_ != nullptr) {
-      residency_us_->Observe(static_cast<double>(wait_us));
-    }
+    residency_us_->Observe(static_cast<double>(wait_us));
     if (entry.target == nullptr) continue;
     for (size_t i = 0; i < entry.batch.size(); ++i) {
       ItemBatch::Slot& slot = entry.batch.slot(i);

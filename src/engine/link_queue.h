@@ -44,9 +44,10 @@ class LinkQueue {
   struct Entry {
     Operator* target = nullptr;
     ItemBatch batch;
-    /// latency::NowUs() when the entry was enqueued (0 with stamping
-    /// off). PopBatch turns it into queue residency: credited to every
-    /// stamped slot's queue_us and observed on the residency histogram.
+    /// latency::NowUs() when the entry was enqueued (0 on a queue
+    /// without a residency histogram). PopBatch turns it into queue
+    /// residency: credited to every stamped slot's queue_us and observed
+    /// on the residency histogram.
     uint64_t enqueued_us = 0;
   };
 
@@ -88,9 +89,11 @@ class LinkQueue {
   /// Call only while no producer or consumer is active.
   void ResetStats();
 
-  /// Installs a queue-residency histogram (µs per dequeued entry).
-  /// Optional; null disables observation. The executor that owns the
-  /// queue names it (e.g. engine.queue.worker.<i>.residency_us).
+  /// Installs a queue-residency histogram (µs per dequeued entry). The
+  /// queue takes enqueue/dequeue ticks only while it has one, so an
+  /// executor installs it exactly when its run stamps; null (the
+  /// default) means no ticks and no queue_us crediting. The executor
+  /// names it (e.g. engine.queue.worker.<i>.residency_us).
   void SetResidencyHistogram(obs::Histogram* histogram) {
     residency_us_ = histogram;
   }

@@ -192,9 +192,7 @@ Status SinkOp::OnFinish() {
 
 void SinkOp::RecordLatency(const latency::ItemStamp& stamp,
                            uint64_t now) {
-  if (lat_e2e_ == nullptr || !stamp.stamped() || !latency::Enabled()) {
-    return;
-  }
+  if (lat_e2e_ == nullptr || !stamp.stamped()) return;
   uint64_t e2e = now > stamp.ingress_us ? now - stamp.ingress_us : 0;
   // Pipeline time is what remains of the end-to-end span after the
   // explicitly measured queue-wait and transport stages.
@@ -229,9 +227,7 @@ Status SinkOp::ProcessBatch(ItemBatch* batch) {
   // One arrival tick for the whole batch — the slots are delivered by
   // this very call, so they share an arrival instant the same way a fed
   // batch shares its ingress tick. Keeps the clock off the per-item path.
-  uint64_t now = lat_e2e_ != nullptr && latency::Enabled()
-                     ? latency::NowUs()
-                     : 0;
+  uint64_t now = lat_e2e_ != nullptr ? latency::NowUs() : 0;
   for (size_t i = 0; i < batch->size(); ++i) {
     const ItemBatch::Slot& slot = batch->slot(i);
     total_bytes_ += SlotSerializedSize(slot);

@@ -32,7 +32,7 @@ bool MatchPredicatesEdgeLocal(const PredicateGraph& stream_graph,
   static obs::Counter* calls =
       obs::MetricsRegistry::Default().GetCounter(
           "matching.predicates.edge_local");
-  if (obs::Enabled()) calls->Add(1);
+  calls->Add(1);
   obs::TraceSpan span(&obs::TraceRecorder::Default(),
                       "MatchPredicates.edge_local", "matching");
   const auto& nodes = stream_graph.nodes();
@@ -69,7 +69,7 @@ bool MatchPredicatesComplete(const PredicateGraph& stream_graph,
   static obs::Counter* calls =
       obs::MetricsRegistry::Default().GetCounter(
           "matching.predicates.complete");
-  if (obs::Enabled()) calls->Add(1);
+  calls->Add(1);
   obs::TraceSpan span(&obs::TraceRecorder::Default(),
                       "MatchPredicates.complete", "matching");
   return sub_graph.Implies(stream_graph);

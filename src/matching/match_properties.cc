@@ -78,8 +78,7 @@ bool MatchProperties(const InputStreamProperties& stream,
   static obs::Counter* matches =
       obs::MetricsRegistry::Default().GetCounter(
           "matching.properties.matched");
-  const bool count = obs::Enabled();
-  if (count) calls->Add(1);
+  calls->Add(1);
   obs::TraceSpan span(&obs::TraceRecorder::Default(), "MatchProperties",
                       "matching");
   if (span.active()) {
@@ -103,7 +102,7 @@ bool MatchProperties(const InputStreamProperties& stream,
     }
     if (!matched) return false;
   }
-  if (count) matches->Add(1);
+  matches->Add(1);
   return true;
 }
 

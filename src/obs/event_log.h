@@ -17,7 +17,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/obs.h"
 
 namespace streamshare::obs {
 

@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/obs.h"
 
 namespace streamshare::obs {
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/obs.h"
 
 namespace streamshare::obs {
 

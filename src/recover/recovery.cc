@@ -113,10 +113,10 @@ bool StreamShareSystem::TryDismantle(ParkedWiring* parked,
   return true;
 }
 
-void StreamShareSystem::ParkWirings(int query_id,
-                                    QueryDeployment* deployment,
-                                    const EvaluationPlan& plan,
-                                    uint64_t* lost_windows) {
+void StreamShareSystem::ParkWirings(int query_id, uint64_t* lost_windows) {
+  QueryDeployment* deployment = &deployments_[query_id];
+  const EvaluationPlan& plan = registrations_[query_id].plan;
+  deployment->active = false;
   for (size_t i = 0; i < deployment->inputs.size(); ++i) {
     ParkedWiring parked;
     parked.query_id = query_id;
@@ -130,6 +130,52 @@ void StreamShareSystem::ParkWirings(int query_id,
     }
   }
   deployment->inputs.clear();
+}
+
+Planner StreamShareSystem::EpochSafePlanner() const {
+  PlannerOptions options = config_.planner;
+  options.epoch_safe_only = true;
+  options.enable_widening = false;
+  Planner planner(&topology_, &state_, &registry_, cost_model_.get(),
+                  options);
+  planner.set_candidate_index(candidate_index_.get());
+  return planner;
+}
+
+Status StreamShareSystem::ReplanOntoSink(const Planner& planner,
+                                         int query_id,
+                                         uint64_t* lost_windows) {
+  QueryDeployment& deployment = deployments_[query_id];
+  RegistrationResult& reg = registrations_[query_id];
+  ParkWirings(query_id, lost_windows);
+  SearchStats search;
+  Result<EvaluationPlan> plan = [&]() -> Result<EvaluationPlan> {
+    switch (reg.strategy) {
+      case Strategy::kDataShipping:
+        return planner.DataShipping(*deployment.query, reg.vq);
+      case Strategy::kQueryShipping:
+        return planner.QueryShipping(*deployment.query, reg.vq);
+      case Strategy::kStreamSharing:
+        return planner.Subscribe(*deployment.query, reg.vq, &search);
+    }
+    return Status::Internal("unknown strategy");
+  }();
+  SS_RETURN_IF_ERROR(plan.status());
+  if (config_.enforce_limits && !plan->Feasible()) {
+    return Status::Overload(
+        "no evaluation plan without overload on the surviving topology");
+  }
+  engine::SinkOp* sink = reg.sink;
+  Status built =
+      BuildDeployment(*plan, deployment.query, reg.vq, reg.strategy,
+                      query_id, /*resume=*/true, &sink, &deployment);
+  if (!built.ok()) {
+    deployment.active = false;
+    return built;
+  }
+  reg.plan = std::move(plan).value();
+  if (reg.strategy == Strategy::kStreamSharing) reg.search = std::move(search);
+  return Status::Ok();
 }
 
 uint64_t StreamShareSystem::GcStreams() {
@@ -158,9 +204,7 @@ Status StreamShareSystem::Unsubscribe(int query_id) {
         " widened a shared stream; widening is irreversible while later "
         "subscriptions may rely on the widened content");
   }
-  deployment.active = false;
-  ParkWirings(query_id, &deployment, registrations_[query_id].plan,
-              nullptr);
+  ParkWirings(query_id, nullptr);
   GcStreams();
   registrations_[query_id].sink->DropRetained();
   obs::EventLog& log = obs::EventLog::Default();
@@ -232,76 +276,33 @@ Result<recover::RecoveryReport> StreamShareSystem::RecoverAfter(
   // 3. Tear down and re-plan, in query-id order so earlier recovered
   //    queries' re-registered (epoch-safe) streams are reusable by later
   //    ones.
-  PlannerOptions recovery_options = config_.planner;
-  recovery_options.epoch_safe_only = true;
-  recovery_options.enable_widening = false;
-  Planner recovery_planner(&topology_, &state_, &registry_,
-                           cost_model_.get(), recovery_options);
-  recovery_planner.set_candidate_index(candidate_index_.get());
+  const Planner recovery_planner = EpochSafePlanner();
   uint64_t lost_total = 0;
   for (const Affected& a : affected) {
-    QueryDeployment& deployment = deployments_[a.query_id];
-    RegistrationResult& reg = registrations_[a.query_id];
+    const RegistrationResult& reg = registrations_[a.query_id];
     recover::QueryRecovery outcome;
     outcome.query_id = a.query_id;
     outcome.old_cost = reg.plan.TotalCost();
 
     uint64_t lost_here = 0;
-    deployment.active = false;
-    ParkWirings(a.query_id, &deployment, reg.plan, &lost_here);
-
     if (a.dead_target) {
+      ParkWirings(a.query_id, &lost_here);
       outcome.outcome = recover::QueryRecovery::Outcome::kDeadTarget;
       outcome.detail =
           "target super-peer " + topology_.peer(reg.vq).name + " failed";
       ++report.dead_targets;
     } else {
       ++report.orphaned_queries;
-      SearchStats search;
-      Result<EvaluationPlan> plan = [&]() -> Result<EvaluationPlan> {
-        switch (reg.strategy) {
-          case Strategy::kDataShipping:
-            return recovery_planner.DataShipping(*deployment.query,
-                                                 reg.vq);
-          case Strategy::kQueryShipping:
-            return recovery_planner.QueryShipping(*deployment.query,
-                                                  reg.vq);
-          case Strategy::kStreamSharing:
-            return recovery_planner.Subscribe(*deployment.query, reg.vq,
-                                              &search);
-        }
-        return Status::Internal("unknown strategy");
-      }();
-      if (!plan.ok()) {
-        outcome.outcome = recover::QueryRecovery::Outcome::kLost;
-        outcome.detail = plan.status().message();
-        ++report.lost_queries;
-      } else if (config_.enforce_limits && !plan->Feasible()) {
-        outcome.outcome = recover::QueryRecovery::Outcome::kLost;
-        outcome.detail =
-            "no evaluation plan without overload on the surviving "
-            "topology";
-        ++report.lost_queries;
+      Status replanned =
+          ReplanOntoSink(recovery_planner, a.query_id, &lost_here);
+      if (replanned.ok()) {
+        outcome.outcome = recover::QueryRecovery::Outcome::kReplanned;
+        outcome.new_cost = reg.plan.TotalCost();
+        ++report.replans;
       } else {
-        engine::SinkOp* sink = reg.sink;
-        Status built = BuildDeployment(*plan, deployment.query, reg.vq,
-                                       reg.strategy, a.query_id,
-                                       /*resume=*/true, &sink,
-                                       &deployment);
-        if (!built.ok()) {
-          outcome.outcome = recover::QueryRecovery::Outcome::kLost;
-          outcome.detail = built.message();
-          deployment.active = false;
-          ++report.lost_queries;
-        } else {
-          reg.plan = std::move(plan).value();
-          if (reg.strategy == Strategy::kStreamSharing) {
-            reg.search = std::move(search);
-          }
-          outcome.outcome = recover::QueryRecovery::Outcome::kReplanned;
-          outcome.new_cost = reg.plan.TotalCost();
-          ++report.replans;
-        }
+        outcome.outcome = recover::QueryRecovery::Outcome::kLost;
+        outcome.detail = replanned.message();
+        ++report.lost_queries;
       }
     }
     outcome.lost_windows = lost_here;
@@ -327,16 +328,14 @@ Result<recover::RecoveryReport> StreamShareSystem::RecoverAfter(
     report.snapshots[static_cast<int>(q)] = snapshot;
   }
 
-  if (obs::Enabled()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    registry.GetCounter("recover.replans")->Add(report.replans);
-    registry.GetCounter("recover.orphaned_queries")
-        ->Add(report.orphaned_queries);
-    registry.GetCounter("recover.dead_target_queries")
-        ->Add(report.dead_targets);
-    registry.GetCounter("recover.lost_queries")->Add(report.lost_queries);
-    registry.GetCounter("recover.lost_windows")->Add(report.lost_windows);
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  registry.GetCounter("recover.replans")->Add(report.replans);
+  registry.GetCounter("recover.orphaned_queries")
+      ->Add(report.orphaned_queries);
+  registry.GetCounter("recover.dead_target_queries")
+      ->Add(report.dead_targets);
+  registry.GetCounter("recover.lost_queries")->Add(report.lost_queries);
+  registry.GetCounter("recover.lost_windows")->Add(report.lost_windows);
   obs::EventLog& log = obs::EventLog::Default();
   if (log.ShouldLog(obs::Severity::kWarn)) {
     log.Log(obs::Severity::kWarn, "recover", "recovery completed",

@@ -854,15 +854,16 @@ Result<EvaluationPlan> Planner::Subscribe(
     // defer the new stream's props copy until the search settles.
     bool best_needs_props = false;
 
-    // A candidate replaces the incumbent if it is strictly better by C —
-    // preferring feasible plans when configured (the overload test). Exact
+    // A candidate replaces the incumbent if it is feasible where the
+    // incumbent overloads a peer or connection (an overloading plan wins
+    // only when no feasible one exists, and the system then rejects the
+    // query), else if it is strictly better by C. Exact
     // ties break deterministically toward the lower stream id, then the
     // lower tap node, so the chosen plan is independent of examination
     // order — the property that keeps the indexed and flat search paths
     // bit-identical (ARCHITECTURE.md invariant 10).
     auto better = [&](const InputPlan& candidate, const InputPlan& incumbent) {
-      if (options_.prefer_feasible &&
-          candidate.feasible != incumbent.feasible) {
+      if (candidate.feasible != incumbent.feasible) {
         return candidate.feasible;
       }
       if (candidate.cost != incumbent.cost) {

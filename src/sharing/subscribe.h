@@ -41,9 +41,6 @@ struct PlannerOptions {
   /// are explored. When false, the BFS also walks topology neighbors
   /// (ablation A1).
   bool prune_search = true;
-  /// When true, plans that overload a peer or connection are only chosen
-  /// if no feasible plan exists (and the system will reject the query).
-  bool prefer_feasible = true;
   /// Stream widening (paper §6, future work): when a candidate stream
   /// does not contain everything a new subscription needs, consider
   /// relaxing the deployed stream's selection/projection so that it does,

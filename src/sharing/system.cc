@@ -7,7 +7,6 @@
 #include <set>
 
 #include "engine/combine.h"
-#include "engine/latency.h"
 #include "engine/restructure.h"
 #include "engine/window_agg.h"
 #include "obs/event_log.h"
@@ -203,22 +202,20 @@ Result<RegistrationResult> StreamShareSystem::RegisterQuery(
       static_cast<double>(result.search.plans_generated)));
   span.AddArg(obs::TraceArg::Str("accepted",
                                  result.accepted ? "true" : "false"));
-  if (obs::Enabled()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    static obs::Histogram* micros = registry.GetHistogram(
-        "sharing.subscribe.micros",
-        obs::Histogram::ExponentialBounds(10, 4, 10));
-    static obs::Histogram* costs = registry.GetHistogram(
-        "sharing.plan.cost",
-        obs::Histogram::ExponentialBounds(0.001, 4, 14));
-    static obs::Counter* accepted =
-        registry.GetCounter("sharing.queries.accepted");
-    static obs::Counter* rejected =
-        registry.GetCounter("sharing.queries.rejected");
-    micros->Observe(result.registration_micros);
-    costs->Observe(result.plan.TotalCost());
-    (result.accepted ? accepted : rejected)->Add(1);
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  static obs::Histogram* micros = registry.GetHistogram(
+      "sharing.subscribe.micros",
+      obs::Histogram::ExponentialBounds(10, 4, 10));
+  static obs::Histogram* costs = registry.GetHistogram(
+      "sharing.plan.cost",
+      obs::Histogram::ExponentialBounds(0.001, 4, 14));
+  static obs::Counter* accepted =
+      registry.GetCounter("sharing.queries.accepted");
+  static obs::Counter* rejected =
+      registry.GetCounter("sharing.queries.rejected");
+  micros->Observe(result.registration_micros);
+  costs->Observe(result.plan.TotalCost());
+  (result.accepted ? accepted : rejected)->Add(1);
   obs::EventLog& log = obs::EventLog::Default();
   if (log.ShouldLog(obs::Severity::kInfo)) {
     std::vector<obs::LogField> fields = {
@@ -263,15 +260,10 @@ Status StreamShareSystem::CheckActiveSubscription(int query_id) const {
 Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
     int max_migrations) {
   ReoptimizeReport report;
-  // Re-optimization uses the recovery planner profile: epoch-safe reuse
-  // only (a migrated query must depend only on post-migration items) and
-  // no widening (irreversible, so never triggered in the background).
-  PlannerOptions reopt_options = config_.planner;
-  reopt_options.epoch_safe_only = true;
-  reopt_options.enable_widening = false;
-  Planner planner(&topology_, &state_, &registry_, cost_model_.get(),
-                  reopt_options);
-  planner.set_candidate_index(candidate_index_.get());
+  // Re-optimization uses the recovery planner profile, so a migrated
+  // query depends only on post-migration items and no background pass
+  // ever widens a stream.
+  const Planner planner = EpochSafePlanner();
 
   for (int query_id = 0;
        query_id < static_cast<int>(deployments_.size()); ++query_id) {
@@ -363,25 +355,7 @@ Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
     // consumer. Gap-not-garbage: the query resumes at the next window
     // boundary.
     uint64_t lost_here = 0;
-    deployment.active = false;
-    ParkWirings(query_id, &deployment, reg.plan, &lost_here);
-    SearchStats search;
-    Result<EvaluationPlan> plan =
-        planner.Subscribe(*deployment.query, reg.vq, &search);
-    bool restored = false;
-    if (plan.ok() && (!config_.enforce_limits || plan->Feasible())) {
-      engine::SinkOp* sink = reg.sink;
-      Status built = BuildDeployment(*plan, deployment.query, reg.vq,
-                                     reg.strategy, query_id,
-                                     /*resume=*/true, &sink, &deployment);
-      if (built.ok()) {
-        reg.plan = std::move(plan).value();
-        reg.search = std::move(search);
-        restored = true;
-      } else {
-        deployment.active = false;
-      }
-    }
+    bool restored = ReplanOntoSink(planner, query_id, &lost_here).ok();
     lost_here += GcStreams();
     report.lost_windows += lost_here;
     if (restored) {
@@ -392,13 +366,11 @@ Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
     }
   }
 
-  if (obs::Enabled()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    registry.GetCounter("sharing.reoptimize.passes")->Add(1);
-    registry.GetCounter("sharing.reoptimize.migrated")->Add(report.migrated);
-    registry.GetCounter("sharing.reoptimize.lost_windows")
-        ->Add(report.lost_windows);
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  registry.GetCounter("sharing.reoptimize.passes")->Add(1);
+  registry.GetCounter("sharing.reoptimize.migrated")->Add(report.migrated);
+  registry.GetCounter("sharing.reoptimize.lost_windows")
+      ->Add(report.lost_windows);
   obs::EventLog& log = obs::EventLog::Default();
   if (log.ShouldLog(obs::Severity::kInfo)) {
     log.Log(obs::Severity::kInfo, "sharing", "reoptimize pass",
@@ -758,14 +730,14 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
     batch_lists.emplace_back();
     if (!original->retired) batch_lists.back() = std::move(batches);
   }
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
   if (!config_.record_path) {
     for (std::vector<engine::ItemBatch>& batches : batch_lists) {
       for (engine::ItemBatch& batch : batches) batch.MakeOpaque();
     }
   }
   if (config_.executor == ExecutorKind::kSerial) {
-    return engine::RunBatchStreams(entries, &batch_lists, finish);
+    return engine::RunBatchStreams(entries, &batch_lists, finish,
+                                   config_.measure_latency);
   }
   transport::RunnerOptions options;
   options.parallel = config_.parallel;
@@ -781,7 +753,8 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
     transport = std::make_unique<transport::LoopbackTransport>();
   }
   transport::PartitionedRunner runner(*transport, options);
-  Status status = runner.Run(entries, &batch_lists, finish);
+  Status status =
+      runner.Run(entries, &batch_lists, finish, config_.measure_latency);
   run_stats_ = runner.run_stats();
   // Liveness detection: a sender that exhausted its credit-wait retries
   // observed a stalled-or-gone receiver. Promote the symptom into

@@ -101,9 +101,12 @@ struct SystemConfig {
   bool resume_mode = false;
   /// Measured-latency plane: stamp every item at ingress and record
   /// per-query end-to-end latency histograms at the sinks (exported as
-  /// latency.query.* / latency.audit.* metrics). Stamping never changes
-  /// results — only metrics — but costs one clock read per fed batch, so
-  /// throughput benchmarks may switch it off.
+  /// latency.query.* / latency.audit.* metrics). The one switch for
+  /// stamping: Execute hands it to the feeder, and everything downstream
+  /// (queue residency, the wire's stamp extension, sink recording) acts
+  /// only on stamped items. Stamping never changes results — only
+  /// metrics — but costs one clock read per fed batch, so throughput
+  /// benchmarks may switch it off.
   bool measure_latency = true;
 };
 
@@ -374,11 +377,26 @@ class StreamShareSystem {
   /// cuts only the private tail. Returns true when fully dismantled.
   /// `lost_windows`, when non-null, accumulates open windows destroyed.
   bool TryDismantle(ParkedWiring* parked, uint64_t* lost_windows);
-  /// Moves every wiring of `deployment` into parked_ (dismantling the
-  /// ones nothing depends on), releasing resources per the plan inputs in
-  /// `plan`. The deployment's wiring list is cleared.
-  void ParkWirings(int query_id, QueryDeployment* deployment,
-                   const EvaluationPlan& plan, uint64_t* lost_windows);
+  /// Marks `query_id` inactive and moves every wiring of its deployment
+  /// into parked_ (dismantling the ones nothing depends on), releasing
+  /// resources per its registered plan's inputs. The deployment's wiring
+  /// list is cleared.
+  void ParkWirings(int query_id, uint64_t* lost_windows);
+  /// The planner profile of every mid-stream rebuild: config_.planner
+  /// restricted to epoch-safe reuse (a rebuilt query must depend only on
+  /// post-rebuild items) and without widening (irreversible).
+  Planner EpochSafePlanner() const;
+  /// The epoch-safe stream handover that failure recovery and
+  /// re-optimization share: parks `query_id`, re-plans it with `planner`
+  /// (an EpochSafePlanner) under its registered strategy against the
+  /// post-park state, refuses an overloading plan under enforce_limits,
+  /// and rebuilds onto the query's existing sink in resume mode. On
+  /// success the registration takes the new plan (and search stats);
+  /// otherwise the query stays inactive and the status says why. Open
+  /// windows lost to parking accumulate in *lost_windows; collecting
+  /// what lost its last consumer (GcStreams) is the caller's.
+  Status ReplanOntoSink(const Planner& planner, int query_id,
+                        uint64_t* lost_windows);
   /// Fixed point over parked_: dismantles every parked wiring whose
   /// registered stream lost its last consumer; cascades up reuse chains.
   uint64_t GcStreams();

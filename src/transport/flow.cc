@@ -94,7 +94,7 @@ Status ChannelSender::SendItem(uint64_t target,
   body.reserve(encoded_item.size() + 48);
   PutVarint(&body, seq);
   PutVarint(&body, target);
-  if (stamp.stamped() && engine::latency::Enabled()) {
+  if (stamp.stamped()) {
     // The v2 stamp extension, stateless per frame: the ingress tick is
     // delta-encoded against this frame's own send tick (small varint),
     // so an injected duplicate or drop cannot desynchronize decoding.

@@ -202,6 +202,7 @@ struct RunContext {
   std::vector<WorkerRt>& workers;
   const engine::ParallelOptions& options;
   bool finish;
+  bool stamp;
   AbortState abort;
 };
 
@@ -269,7 +270,7 @@ void ReceiveChannel(RunContext* ctx, WorkerRt* w, ChannelRt* ch) {
 /// workers' queues (round-robin across streams, one batch per stream per
 /// round, per-stream order preserved), then one pill into every worker it
 /// fed. Each batch crosses the queue as one entry (one lock, one wakeup)
-/// and costs one clock read for its ingress stamp.
+/// and, when the run stamps, costs one clock read for its ingress stamp.
 void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
   std::vector<LinkQueue*> queues(streams.size());
   std::vector<size_t> cursors(streams.size(), 0);
@@ -279,7 +280,6 @@ void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
         ctx->workers[ctx->plan.WorkerOf(ctx->entries[streams[i]])].queue.get();
     if (!(*ctx->batch_lists)[streams[i]].empty()) active.push_back(i);
   }
-  const bool stamping = engine::latency::Enabled();
   while (!active.empty() && !ctx->abort.aborted()) {
     size_t write = 0;
     for (size_t idx = 0; idx < active.size(); ++idx) {
@@ -288,7 +288,7 @@ void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
           (*ctx->batch_lists)[streams[i]];
       engine::ItemBatch& batch = batches[cursors[i]++];
       if (!batch.empty()) {
-        if (stamping) batch.StampIngress(engine::latency::NowUs());
+        if (ctx->stamp) batch.StampIngress(engine::latency::NowUs());
         queues[i]->Push(
             LinkQueue::Entry{ctx->entries[streams[i]], std::move(batch)});
       }
@@ -320,7 +320,6 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
     recorder.SetThreadName(std::move(name));
   }
   const ParallelSeries& series = ParallelSeries::Get();
-  const bool count_metrics = obs::Enabled();
   AbortState& abort = ctx->abort;
 
   std::vector<std::thread> receivers;
@@ -351,12 +350,10 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
             {obs::TraceArg::Num("items",
                                 static_cast<double>(entry.batch.size()))});
       }
-      if (count_metrics) {
-        series.items->AddToShard(w->index, entry.batch.size());
-        series.batches->AddToShard(w->index, 1);
-        series.batch_items->ObserveToShard(
-            w->index, static_cast<double>(entry.batch.size()));
-      }
+      series.items->AddToShard(w->index, entry.batch.size());
+      series.batches->AddToShard(w->index, 1);
+      series.batch_items->ObserveToShard(
+          w->index, static_cast<double>(entry.batch.size()));
       if (!status.ok()) {
         abort.Record(engine::WrapOperatorFailure(std::move(status), "push",
                                                  *entry.target));
@@ -546,7 +543,8 @@ PartitionedRunner::PartitionedRunner(Transport& transport,
 
 Status PartitionedRunner::Run(
     const std::vector<Operator*>& entries,
-    std::vector<std::vector<engine::ItemBatch>>* batch_lists, bool finish) {
+    std::vector<std::vector<engine::ItemBatch>>* batch_lists, bool finish,
+    bool stamp) {
   run_stats_ = RunStats{};
   run_stats_.transport = transport_.name();
   if (entries.size() != batch_lists->size()) {
@@ -590,7 +588,7 @@ Status PartitionedRunner::Run(
     workers[w].operator_count = plan.worker_operator_count[w];
     workers[w].queue =
         std::make_unique<LinkQueue>(options_.parallel.queue_capacity);
-    if (engine::latency::Enabled() && obs::Enabled()) {
+    if (stamp) {
       // Registered before any fork, so process-mode children observe into
       // a histogram the parent also owns and can merge reports into.
       workers[w].queue->SetResidencyHistogram(
@@ -728,8 +726,8 @@ Status PartitionedRunner::Run(
     run_stats_.workers[w].operator_count = workers[w].operator_count;
   }
 
-  RunContext ctx{plan,    entries, batch_lists, workers, options_.parallel,
-                 finish, {}};
+  RunContext ctx{plan,   entries, batch_lists, workers, options_.parallel,
+                 finish, stamp,   {}};
   Status run_status;
   if (options_.mode == RunnerOptions::Mode::kThreads) {
     // --- Thread mode: one thread per worker, the calling thread feeds. ---
@@ -1141,27 +1139,25 @@ Status PartitionedRunner::Run(
     rebind.op->RebindMetrics(rebind.shard, rebind.original);
   }
 
-  if (obs::Enabled()) {
-    const TransportSeries& series = TransportSeries::Get();
-    uint64_t items = 0, encoded = 0;
-    for (const EdgeTrafficStats& edge : run_stats_.edges) {
-      items += edge.items;
-      encoded += edge.encoded_bytes;
-    }
-    uint64_t frames = 0, wire = 0, stalls = 0, duplicates = 0;
-    for (const ChannelTrafficStats& channel : run_stats_.channels) {
-      frames += channel.stats.frames_sent;
-      wire += channel.stats.bytes_sent;
-      stalls += channel.stats.credit_stalls;
-      duplicates += channel.stats.duplicates_discarded;
-    }
-    series.items_sent->Add(items);
-    series.encoded_bytes->Add(encoded);
-    series.frames_sent->Add(frames);
-    series.wire_bytes->Add(wire);
-    series.credit_stalls->Add(stalls);
-    series.duplicates_discarded->Add(duplicates);
+  const TransportSeries& series = TransportSeries::Get();
+  uint64_t items = 0, encoded = 0;
+  for (const EdgeTrafficStats& edge : run_stats_.edges) {
+    items += edge.items;
+    encoded += edge.encoded_bytes;
   }
+  uint64_t frames = 0, wire = 0, stalls = 0, duplicates = 0;
+  for (const ChannelTrafficStats& channel : run_stats_.channels) {
+    frames += channel.stats.frames_sent;
+    wire += channel.stats.bytes_sent;
+    stalls += channel.stats.credit_stalls;
+    duplicates += channel.stats.duplicates_discarded;
+  }
+  series.items_sent->Add(items);
+  series.encoded_bytes->Add(encoded);
+  series.frames_sent->Add(frames);
+  series.wire_bytes->Add(wire);
+  series.credit_stalls->Add(stalls);
+  series.duplicates_discarded->Add(duplicates);
   return run_status;
 }
 

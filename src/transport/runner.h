@@ -98,10 +98,12 @@ class PartitionedRunner {
   /// objects before returning. With finish=false the workers skip
   /// Finish() so windowed state survives for a later segment (mid-run
   /// churn); only kThreads supports it — a forked child takes its
-  /// operator state to the grave.
+  /// operator state to the grave. `stamp` is engine::RunBatchStreams'
+  /// stamping decision; with it the workers' queues also observe their
+  /// residency on engine.queue.worker.<w>.residency_us.
   Status Run(const std::vector<engine::Operator*>& entries,
              std::vector<std::vector<engine::ItemBatch>>* batch_lists,
-             bool finish = true);
+             bool finish = true, bool stamp = true);
 
   const RunStats& run_stats() const { return run_stats_; }
 

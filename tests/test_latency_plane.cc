@@ -1,5 +1,5 @@
-// The measured-latency plane: stamp lifecycle (enable switch),
-// queue-residency crediting, sink-side recording with stage attribution,
+// The measured-latency plane: stamp primitives, queue-residency
+// crediting, sink-side recording with stage attribution,
 // the stamp's ride across the transport wire (v2 frame extension,
 // fault-tolerant), and the system-level audit pairing each query's
 // measured p50 with its plan's predicted latency. Window-emission stamp
@@ -32,7 +32,6 @@ using engine::ItemBatch;
 using engine::ItemPtr;
 using engine::latency::ItemStamp;
 using engine::latency::NowUs;
-using engine::latency::ScopedEnabled;
 using transport::ChannelReceiver;
 using transport::ChannelSender;
 using transport::FaultPlan;
@@ -63,22 +62,6 @@ TEST(LatencyStampTest, DefaultStampIsUnstamped) {
   EXPECT_TRUE(stamp.stamped());
 }
 
-TEST(LatencyStampTest, ScopedEnabledIsConjunctive) {
-  ASSERT_TRUE(engine::latency::Enabled());  // default on
-  {
-    ScopedEnabled off(false);
-    EXPECT_FALSE(engine::latency::Enabled());
-    {
-      // An inner "on" cannot re-enable what an outer scope disabled —
-      // a sub-run cannot accidentally stamp inside an unstamped run.
-      ScopedEnabled on(true);
-      EXPECT_FALSE(engine::latency::Enabled());
-    }
-    EXPECT_FALSE(engine::latency::Enabled());
-  }
-  EXPECT_TRUE(engine::latency::Enabled());
-}
-
 // --- Queue residency ----------------------------------------------------
 
 TEST(LinkQueueResidencyTest, PopCreditsWaitToStampedSlotsAndHistogram) {
@@ -107,22 +90,26 @@ TEST(LinkQueueResidencyTest, PopCreditsWaitToStampedSlotsAndHistogram) {
   EXPECT_GE(residency.Max(), 5000.0);
 }
 
+// An unstamped run installs no residency histogram (the runner does so
+// only when it stamps), and such a queue takes no ticks at all.
 TEST(LinkQueueResidencyTest, DisabledStampingLeavesEntriesUntouched) {
-  ScopedEnabled off(false);
   engine::LinkQueue queue(64);
-  obs::Histogram residency(obs::Histogram::ExponentialBounds(50, 1.6, 24));
-  queue.SetResidencyHistogram(&residency);
 
   engine::LinkQueue::Entry entry;
   engine::OperatorGraph graph;
   entry.target = graph.Add<engine::SinkOp>("sink");
   entry.batch.AppendItem(Leaf("n", "1"), /*adopt=*/false);
-  queue.Push(std::move(entry));
+  entry.batch.AppendItem(Leaf("n", "2"), /*adopt=*/false);
+  entry.batch.slot(0).stamp.ingress_us = NowUs();
+  std::vector<engine::LinkQueue::Entry> pushed;
+  pushed.push_back(std::move(entry));
+  queue.PushBatch(&pushed);
   std::vector<engine::LinkQueue::Entry> out;
   queue.PopBatch(&out, 16);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].enqueued_us, 0u);
-  EXPECT_EQ(residency.Count(), 0u);
+  EXPECT_EQ(out[0].batch.slot(0).stamp.queue_us, 0u);
+  EXPECT_FALSE(out[0].batch.slot(1).stamp.stamped());
 }
 
 // --- Sink recording -----------------------------------------------------
@@ -149,8 +136,52 @@ TEST(SinkLatencyTest, SerialRunStampsAndRecordsEveryItem) {
   EXPECT_GE(histogram->Quantile(0.99), histogram->Quantile(0.50));
 }
 
+// One batch mixing repeated, unstamped and out-of-order stamps: every
+// stamped arrival counts once, stage histograms see only the nonzero
+// stages, and each fall of the ingress tick is one regression. The stage
+// values are the stamps' own, independent of the arrival tick, so their
+// sums are exact.
+TEST(SinkLatencyTest, MixedStampsCountEveryStampedArrival) {
+  engine::OperatorGraph graph;
+  auto* sink = graph.Add<engine::SinkOp>("sink");
+  sink->EnableLatencyRecording("latency_plane_unit_mixed");
+  const uint64_t t = NowUs();
+  const ItemStamp a{t - 1000, 100, 0};
+  const ItemStamp b{t - 900, 0, 700};
+  const ItemStamp c{t - 2000, 100, 300};  // older than a: a regression
+  const std::vector<ItemStamp> stamps = {a, a, b, b, b, a, ItemStamp{}, c};
+  ItemBatch batch;
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    batch.AppendItem(Leaf("n", std::to_string(i)), /*adopt=*/false);
+    batch.slot(i).stamp = stamps[i];
+  }
+  ASSERT_TRUE(sink->PushBatch(&batch).ok());
+  ASSERT_TRUE(sink->Finish().ok());
+
+  EXPECT_EQ(sink->item_count(), 8u);
+  EXPECT_EQ(sink->stamped_count(), 7u);
+  // a→b rises; b→a and a→c fall (the unstamped slot is skipped).
+  EXPECT_EQ(sink->stamp_regressions(), 2u);
+  EXPECT_EQ(sink->latency_histogram()->Count(), 7u);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::Histogram* queue = registry.FindHistogram(
+      "latency.query.latency_plane_unit_mixed.stage.queue_us");
+  const obs::Histogram* wire = registry.FindHistogram(
+      "latency.query.latency_plane_unit_mixed.stage.transport_us");
+  ASSERT_NE(queue, nullptr);
+  ASSERT_NE(wire, nullptr);
+  EXPECT_EQ(queue->Count(), 4u);  // a ×3, c
+  EXPECT_EQ(queue->Sum(), 400.0);
+  EXPECT_EQ(queue->Max(), 100.0);
+  EXPECT_EQ(queue->BucketValue(queue->BucketFor(100.0)), 4u);
+  EXPECT_EQ(wire->Count(), 4u);  // b ×3, c
+  EXPECT_EQ(wire->Sum(), 2400.0);
+  EXPECT_EQ(wire->Max(), 700.0);
+  EXPECT_EQ(wire->BucketValue(wire->BucketFor(700.0)), 3u);
+  EXPECT_EQ(wire->BucketValue(wire->BucketFor(300.0)), 1u);
+}
+
 TEST(SinkLatencyTest, DisabledStampingRecordsNothing) {
-  ScopedEnabled off(false);
   engine::OperatorGraph graph;
   auto* entry = graph.Add<engine::PassOp>("entry");
   auto* sink = graph.Add<engine::SinkOp>("sink");
@@ -159,7 +190,11 @@ TEST(SinkLatencyTest, DisabledStampingRecordsNothing) {
 
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 10; ++i) fed.push_back(Leaf("n", std::to_string(i)));
-  ASSERT_TRUE(engine::RunItems(entry, fed).ok());
+  std::vector<std::vector<ItemBatch>> batches = {
+      engine::ChunkItems(fed, /*batch_size=*/1, /*adopt=*/false)};
+  ASSERT_TRUE(engine::RunBatchStreams({entry}, &batches, /*finish=*/true,
+                                      /*stamp=*/false)
+                  .ok());
   EXPECT_EQ(sink->item_count(), 10u);
   EXPECT_EQ(sink->stamped_count(), 0u);
   ASSERT_NE(sink->latency_histogram(), nullptr);
@@ -218,17 +253,6 @@ TEST(WireStampTest, UnstampedItemsStayOnTheBaseWire) {
   EXPECT_FALSE(in.stamp.stamped());
   EXPECT_EQ(in.stamp.queue_us, 0u);
   EXPECT_EQ(in.stamp.transport_us, 0u);
-}
-
-TEST(WireStampTest, DisabledStampingSendsBaseFramesEvenWhenStamped) {
-  ScopedEnabled off(false);
-  Channel channel = MakeChannel();
-  ItemStamp stamp;
-  stamp.ingress_us = NowUs();
-  ASSERT_TRUE(channel.sender->SendItem(0, "x", stamp).ok());
-  ChannelReceiver::Incoming in;
-  ASSERT_TRUE(channel.receiver->Recv(&in).ok());
-  EXPECT_FALSE(in.stamp.stamped());
 }
 
 TEST(WireStampTest, StampsSurviveInjectedDuplicates) {

@@ -13,7 +13,6 @@
 
 #include "engine/executor.h"
 #include "obs/metrics_registry.h"
-#include "obs/obs.h"
 #include "transport/loopback.h"
 #include "transport/runner.h"
 #include "item_feed.h"
@@ -272,7 +271,6 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
 // batches increment, one histogram observation, and its item count summed
 // into items.
 TEST(MetricsRegistryTest, ParallelRunnerCountersStayConsistent) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability disabled";
   MetricsRegistry& registry = MetricsRegistry::Default();
   Counter* items = registry.GetCounter("engine.parallel.items");
   Counter* batches = registry.GetCounter("engine.parallel.batches");

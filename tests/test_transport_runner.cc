@@ -8,7 +8,9 @@
 // by the TransportRunnerTest cases at the end.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <atomic>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -19,9 +21,11 @@
 #include "engine/operator.h"
 #include "engine/window_agg.h"
 #include "network/topology.h"
+#include "obs/metrics_registry.h"
 #include "transport/loopback.h"
 #include "transport/runner.h"
 #include "transport/tcp.h"
+#include "transport/wire.h"
 #include "workload/photon_gen.h"
 #include "workload/scenario.h"
 #include "item_feed.h"
@@ -609,6 +613,135 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
     discarded += channel.stats.duplicates_discarded;
   }
   EXPECT_EQ(discarded, 15u);  // every 4th of 60 frames
+}
+
+/// Wraps a transport and counts the DATA frames its pipes send at the
+/// base wire version (v1) and with the stamp extension (v2). The counters
+/// live in a MAP_SHARED page, so sends from fork()ed workers count too.
+class FrameVersionTransport final : public transport::Transport {
+ public:
+  struct Counts {
+    std::atomic<uint64_t> base{0};
+    std::atomic<uint64_t> stamped{0};
+  };
+
+  explicit FrameVersionTransport(std::unique_ptr<transport::Transport> inner)
+      : inner_(std::move(inner)) {
+    void* page = ::mmap(nullptr, sizeof(Counts), PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(page, MAP_FAILED);
+    counts_ = new (page) Counts();
+  }
+  ~FrameVersionTransport() override { ::munmap(counts_, sizeof(Counts)); }
+
+  const Counts& counts() const { return *counts_; }
+  const char* name() const override { return inner_->name(); }
+  bool SupportsProcesses() const override {
+    return inner_->SupportsProcesses();
+  }
+  Status CreatePipe(const std::string& label,
+                    transport::PipePair* pair) override {
+    SS_RETURN_IF_ERROR(inner_->CreatePipe(label, pair));
+    for (auto& end : pair->ends) {
+      end = std::make_unique<CountingEnd>(std::move(end), counts_);
+    }
+    return Status::Ok();
+  }
+
+ private:
+  class CountingEnd final : public transport::PipeEnd {
+   public:
+    CountingEnd(std::unique_ptr<transport::PipeEnd> inner, Counts* counts)
+        : inner_(std::move(inner)), counts_(counts) {}
+    using PipeEnd::RecvFrame;
+    using PipeEnd::SendFrame;
+    Status SendFrame(transport::FrameType type, std::string_view body,
+                     uint8_t version) override {
+      if (type == transport::FrameType::kData) {
+        (version == transport::kBaseWireVersion ? counts_->base
+                                                : counts_->stamped)
+            .fetch_add(1);
+      }
+      return inner_->SendFrame(type, body, version);
+    }
+    Status RecvFrame(transport::FrameType* type, std::string* body,
+                     int timeout_ms, uint8_t* version) override {
+      return inner_->RecvFrame(type, body, timeout_ms, version);
+    }
+    void Close() override { inner_->Close(); }
+    uint64_t wire_bytes_sent() const override {
+      return inner_->wire_bytes_sent();
+    }
+
+   private:
+    std::unique_ptr<transport::PipeEnd> inner_;
+    Counts* counts_;
+  };
+
+  std::unique_ptr<transport::Transport> inner_;
+  Counts* counts_ = nullptr;
+};
+
+/// Observations on engine.queue.worker.<w>.residency_us so far (0 while
+/// the series does not exist).
+uint64_t ResidencyCount(size_t worker) {
+  const obs::Histogram* histogram =
+      obs::MetricsRegistry::Default().FindHistogram(
+          "engine.queue.worker." + std::to_string(worker) + ".residency_us");
+  return histogram == nullptr ? 0 : histogram->Count();
+}
+
+// The runner's `stamp` argument is the whole stamping decision: an
+// unstamped run delivers no stamped item, its queues observe no
+// residency, and its DATA frames stay at the base wire version — on
+// every transport and mode. The stamped run of the same graph is the
+// positive control.
+TEST(TransportRunnerTest, UnstampedRunsStampNothingOnAnyTransport) {
+  constexpr uint64_t kItems = 200;
+  std::vector<RunnerCase> cases = {kLoopback};
+  for (const RunnerCase& c : TcpCases()) cases.push_back(c);
+  for (const RunnerCase& test_case : cases) {
+    for (bool stamp : {true, false}) {
+      SCOPED_TRACE(std::string(test_case.label) +
+                   (stamp ? " stamped" : " unstamped"));
+      SmallGraph g;
+      BuildSmallGraph(&g);
+      g.sink->EnableLatencyRecording("runner_stamp_switch");
+      const uint64_t recorded_before = g.sink->latency_histogram()->Count();
+      const uint64_t residency_before = ResidencyCount(0) + ResidencyCount(1);
+
+      std::vector<ItemPtr> items;
+      for (uint64_t i = 0; i < kItems; ++i) {
+        items.push_back(Leaf("n", std::to_string(i)));
+      }
+      FrameVersionTransport transport(MakeTransport(test_case));
+      RunnerOptions options;
+      options.mode = test_case.mode;
+      PartitionedRunner runner(transport, options);
+      auto batches = engine::ChunkStreams({items}, /*batch_size=*/16);
+      ASSERT_TRUE(runner.Run({g.entry}, &batches, /*finish=*/true, stamp)
+                      .ok());
+
+      ASSERT_EQ(g.sink->item_count(), kItems);
+      const uint64_t recorded =
+          g.sink->latency_histogram()->Count() - recorded_before;
+      const uint64_t residency =
+          ResidencyCount(0) + ResidencyCount(1) - residency_before;
+      const uint64_t v1 = transport.counts().base.load();
+      const uint64_t v2 = transport.counts().stamped.load();
+      EXPECT_EQ(v1 + v2, kItems);
+      if (stamp) {
+        EXPECT_EQ(recorded, kItems);
+        EXPECT_GT(residency, 0u);
+        EXPECT_EQ(v2, kItems);
+      } else {
+        EXPECT_EQ(recorded, 0u);
+        EXPECT_EQ(g.sink->stamped_count(), 0u);
+        EXPECT_EQ(residency, 0u);
+        EXPECT_EQ(v2, 0u);
+      }
+    }
+  }
 }
 
 TEST(TransportRunnerTest, ProcessModeRequiresForkSafeTransport) {
