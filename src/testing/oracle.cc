@@ -1057,6 +1057,17 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     options.metrics->GetCounter("fuzz.scenarios")->Add(1);
     options.metrics->GetCounter("fuzz.queries")
         ->Add(scenario.queries.size());
+    // Coverage: what the scenario actually exercised, so a sweep's totals
+    // show the harness built and observed the same systems.
+    options.metrics->GetCounter("fuzz.accepted")->Add(report.accepted);
+    options.metrics->GetCounter("fuzz.results")->Add(report.total_results);
+    options.metrics->GetCounter("fuzz.shared_reuses")
+        ->Add(report.shared_reuses);
+    options.metrics->GetCounter("fuzz.churn_replans")
+        ->Add(report.churn_replans);
+    options.metrics->GetCounter("fuzz.churn_lost")->Add(report.churn_lost);
+    options.metrics->GetCounter("fuzz.stamped_results")
+        ->Add(report.stamped_results);
     if (!report.equivalence_ok) {
       options.metrics->GetCounter("fuzz.divergences")->Add(1);
     }

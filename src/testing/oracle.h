@@ -116,7 +116,9 @@ struct OracleOptions {
   /// When set, per-scenario divergence counters are folded in:
   /// fuzz.scenarios, fuzz.queries, fuzz.divergences,
   /// fuzz.sharing_violations, fuzz.recovery_violations,
-  /// fuzz.index_violations, fuzz.infra_failures.
+  /// fuzz.index_violations, fuzz.infra_failures; and the coverage
+  /// totals fuzz.accepted, fuzz.results, fuzz.shared_reuses,
+  /// fuzz.churn_replans, fuzz.churn_lost, fuzz.stamped_results.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
