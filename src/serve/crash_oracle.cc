@@ -53,16 +53,6 @@ bool IsAlreadyApplied(const Status& status) {
   _exit(daemon.loop_status().ok() ? 0 : 67);
 }
 
-Status FeedTo(ServeClient* client, size_t* fed, size_t target,
-              size_t chunk) {
-  while (*fed < target) {
-    size_t n = std::min(chunk, target - *fed);
-    SS_ASSIGN_OR_RETURN(FeedReply reply, client->Feed(n));
-    *fed = reply.items_fed;
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<CrashRunReport> RunCrashScenario(
@@ -74,13 +64,6 @@ Result<CrashRunReport> RunCrashScenario(
   const std::string checkpoint_path = options.state_dir + "/checkpoint";
   std::remove(checkpoint_path.c_str());
   std::remove(DefaultWalPath(checkpoint_path).c_str());
-
-  std::vector<workload::ChurnEvent> churn = options.churn;
-  std::stable_sort(churn.begin(), churn.end(),
-                   [](const workload::ChurnEvent& a,
-                      const workload::ChurnEvent& b) {
-                     return a.at_offset < b.at_offset;
-                   });
 
   DaemonOptions daemon_options;
   daemon_options.port = 0;
@@ -246,31 +229,31 @@ Result<CrashRunReport> RunCrashScenario(
     }));
   }
 
-  size_t churn_index = 0;
-  size_t total = options.items_per_stream;
-  auto run_until = [&](size_t stop) -> Status {
-    while (churn_index < churn.size() &&
-           std::min(churn[churn_index].at_offset, total) <= stop) {
-      size_t at = std::min(churn[churn_index].at_offset, total);
-      SS_RETURN_IF_ERROR(guarded([&]() -> Status {
-        return FeedTo(&client, &fed, at, options.feed_chunk);
-      }));
-      const workload::ChurnEvent& event = churn[churn_index];
-      SS_RETURN_IF_ERROR(guarded([&]() -> Status {
-        Status applied =
-            event.kind == workload::ChurnEvent::Kind::kFailPeer
-                ? client.FailPeer(event.peer).status()
-                : client.CutLink(event.link_a, event.link_b).status();
-        if (IsAlreadyApplied(applied)) return Status::Ok();
-        return applied;
-      }));
-      ++churn_index;
-    }
+  // The feed step counts what the daemon acknowledged, not what the
+  // walk asked for: after a restart `fed` is the recovered durable offset.
+  auto feed = [&](size_t, size_t to) -> Status {
     return guarded([&]() -> Status {
-      return FeedTo(&client, &fed, stop, options.feed_chunk);
+      while (fed < to) {
+        SS_ASSIGN_OR_RETURN(
+            FeedReply reply,
+            client.Feed(std::min(options.feed_chunk, to - fed)));
+        fed = reply.items_fed;
+      }
+      return Status::Ok();
     });
   };
-  SS_RETURN_IF_ERROR(run_until(total));
+  auto apply = [&](const workload::ChurnEvent& event) -> Status {
+    return guarded([&]() -> Status {
+      Status applied =
+          event.kind == workload::ChurnEvent::Kind::kFailPeer
+              ? client.FailPeer(event.peer).status()
+              : client.CutLink(event.link_a, event.link_b).status();
+      if (IsAlreadyApplied(applied)) return Status::Ok();
+      return applied;
+    });
+  };
+  workload::ChurnWalk walk(options.churn, options.items_per_stream);
+  SS_RETURN_IF_ERROR(walk.RunToEnd(feed, apply));
 
   SS_RETURN_IF_ERROR(guarded([&]() -> Status {
     SS_ASSIGN_OR_RETURN(DrainReply drained,

@@ -9,32 +9,6 @@
 
 namespace streamshare::serve {
 
-namespace {
-
-/// Feeds items in chunks up to `target` items per stream. Deliveries
-/// arrive interleaved with each Feed ACK, so the client accumulates them
-/// inside Feed() itself.
-Status FeedTo(ServeClient* client, size_t* fed, size_t target,
-              size_t chunk) {
-  while (*fed < target) {
-    size_t n = std::min(chunk, target - *fed);
-    SS_ASSIGN_OR_RETURN(FeedReply reply, client->Feed(n));
-    (void)reply;
-    *fed += n;
-  }
-  return Status::Ok();
-}
-
-Status ApplyChurn(ServeClient* client,
-                  const workload::ChurnEvent& event) {
-  if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
-    return client->FailPeer(event.peer).status();
-  }
-  return client->CutLink(event.link_a, event.link_b).status();
-}
-
-}  // namespace
-
 Result<ServeRunReport> RunScenarioThroughDaemon(
     const workload::ScenarioSpec& scenario,
     const ServeRunOptions& options) {
@@ -48,13 +22,6 @@ Result<ServeRunReport> RunScenarioThroughDaemon(
     std::remove(options.checkpoint_path.c_str());
     std::remove(DefaultWalPath(options.checkpoint_path).c_str());
   }
-
-  std::vector<workload::ChurnEvent> churn = options.churn;
-  std::stable_sort(churn.begin(), churn.end(),
-                   [](const workload::ChurnEvent& a,
-                      const workload::ChurnEvent& b) {
-                     return a.at_offset < b.at_offset;
-                   });
 
   DaemonOptions daemon_options;
   daemon_options.port = 0;
@@ -81,24 +48,26 @@ Result<ServeRunReport> RunScenarioThroughDaemon(
     subscriptions.push_back(std::move(reply));
   }
 
-  ServeRunReport report;
-  size_t fed = 0;
-  size_t churn_index = 0;
-  size_t total = options.items_per_stream;
-
-  auto run_until = [&](size_t stop) -> Status {
-    while (churn_index < churn.size() &&
-           std::min(churn[churn_index].at_offset, total) <= stop) {
-      size_t at = std::min(churn[churn_index].at_offset, total);
-      SS_RETURN_IF_ERROR(FeedTo(&client, &fed, at, options.feed_chunk));
-      SS_RETURN_IF_ERROR(ApplyChurn(&client, churn[churn_index]));
-      ++churn_index;
+  // Feeds in chunks; deliveries arrive interleaved with each Feed ACK, so
+  // the client accumulates them inside Feed() itself.
+  auto feed = [&](size_t from, size_t to) -> Status {
+    for (size_t at = from; at < to; at += options.feed_chunk) {
+      SS_RETURN_IF_ERROR(
+          client.Feed(std::min(options.feed_chunk, to - at)).status());
     }
-    return FeedTo(&client, &fed, stop, options.feed_chunk);
+    return Status::Ok();
+  };
+  auto apply = [&](const workload::ChurnEvent& event) -> Status {
+    if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
+      return client.FailPeer(event.peer).status();
+    }
+    return client.CutLink(event.link_a, event.link_b).status();
   };
 
-  if (options.drain_at > 0 && options.drain_at < total) {
-    SS_RETURN_IF_ERROR(run_until(options.drain_at));
+  ServeRunReport report;
+  workload::ChurnWalk walk(options.churn, options.items_per_stream);
+  if (options.drain_at > 0 && options.drain_at < options.items_per_stream) {
+    SS_RETURN_IF_ERROR(walk.RunTo(options.drain_at, feed, apply));
 
     // Restartable drain: checkpoint, EOS to every client, loop exit.
     SS_ASSIGN_OR_RETURN(DrainReply drained,
@@ -134,7 +103,7 @@ Result<ServeRunReport> RunScenarioThroughDaemon(
     }
   }
 
-  SS_RETURN_IF_ERROR(run_until(total));
+  SS_RETURN_IF_ERROR(walk.RunToEnd(feed, apply));
 
   // Final drain flushes every in-flight window and forwards the tail.
   SS_ASSIGN_OR_RETURN(DrainReply drained,

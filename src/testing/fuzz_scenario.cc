@@ -152,8 +152,8 @@ std::string FuzzScenario::ToString() const {
            std::to_string(queries[q].target) + ": " +
            queries[q].ToQueryText() + "\n";
   }
-  for (const FuzzChurnEvent& event : churn) {
-    if (event.kind == FuzzChurnEvent::Kind::kFailPeer) {
+  for (const workload::ChurnEvent& event : churn) {
+    if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
       out += "  churn fail-peer SP" + std::to_string(event.peer);
     } else {
       out += "  churn cut-link " + std::to_string(event.link_a) + "-" +
@@ -454,16 +454,16 @@ FuzzScenario GenerateScenario(uint64_t seed,
         link_candidates = safe_links;
       }
       if (peer_candidates.empty() && link_candidates.empty()) break;
-      FuzzChurnEvent event;
+      workload::ChurnEvent event;
       event.at_offset = offset;
       bool fail_peer = !peer_candidates.empty() &&
                        (link_candidates.empty() || rng.Chance(0.5));
       if (fail_peer) {
-        event.kind = FuzzChurnEvent::Kind::kFailPeer;
+        event.kind = workload::ChurnEvent::Kind::kFailPeer;
         event.peer = peer_candidates[rng.Below(peer_candidates.size())];
         failed[event.peer] = true;
       } else {
-        event.kind = FuzzChurnEvent::Kind::kCutLink;
+        event.kind = workload::ChurnEvent::Kind::kCutLink;
         auto link = link_candidates[rng.Below(link_candidates.size())];
         event.link_a = link.first;
         event.link_b = link.second;

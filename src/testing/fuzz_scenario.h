@@ -23,6 +23,7 @@
 #include "network/topology.h"
 #include "properties/window.h"
 #include "workload/photon_gen.h"
+#include "workload/scenario.h"
 
 namespace streamshare::testing {
 
@@ -112,23 +113,6 @@ struct FuzzTopologySpec {
   Result<network::Topology> Build() const;
 };
 
-/// One mid-run failure. After `at_offset` items per stream have been fed,
-/// the harness calls System::FailPeer (kFailPeer) or System::CutLink
-/// (kCutLink) and keeps feeding — the recovery oracle then checks that
-/// every surviving subscription matches a fresh no-failure run over the
-/// post-recovery epochs. Events are kept sorted by offset and mutually
-/// independent (no peer fails twice, no link is cut twice or after an
-/// endpoint died), so replaying them in order can never hit the
-/// "already dead / already down" argument errors.
-struct FuzzChurnEvent {
-  enum class Kind { kFailPeer, kCutLink };
-
-  Kind kind = Kind::kFailPeer;
-  int peer = 0;              // kFailPeer
-  int link_a = 0, link_b = 0;  // kCutLink
-  size_t at_offset = 0;
-};
-
 /// A complete differential-test scenario.
 struct FuzzScenario {
   uint64_t seed = 0;
@@ -137,8 +121,16 @@ struct FuzzScenario {
   std::vector<workload::SkyBox> boxes;
   std::vector<FuzzStreamSpec> streams;
   std::vector<FuzzQuerySpec> queries;
-  /// Mid-run failures, sorted by offset; empty for a clean scenario.
-  std::vector<FuzzChurnEvent> churn;
+  /// Mid-run failures; empty for a clean scenario. After `at_offset`
+  /// items per stream the harness calls FailPeer or CutLink and keeps
+  /// feeding — the recovery oracle then checks that every surviving
+  /// subscription matches a fresh no-failure run over the post-recovery
+  /// epochs. Every arm applies them in workload::ChurnWalk order, so a
+  /// hand-edited list need not be sorted. The generator keeps them sorted
+  /// and mutually independent (no peer fails twice, no link is cut twice
+  /// or after an endpoint died), so replaying them can never hit the
+  /// "already dead / already down" argument errors.
+  std::vector<workload::ChurnEvent> churn;
   size_t items_per_stream = 200;
 
   std::string ToString() const;

@@ -27,31 +27,26 @@ using sharing::RegistrationResult;
 using sharing::StreamShareSystem;
 using sharing::SystemConfig;
 
-/// The photon DTD statistics every scenario stream carries (mirrors
-/// workload::BuildSystem's ranges; the generator varies rates and hot
-/// regions, not the DTD).
-Status InstallStatistics(StreamShareSystem* system,
-                         const FuzzStreamSpec& stream,
-                         const workload::PhotonGenConfig& gen) {
-  auto path = [](const char* text) {
-    return xml::Path::Parse(text).value();
-  };
-  SS_RETURN_IF_ERROR(system->SetRange(stream.name, path("coord/cel/ra"),
-                                      {0.0, 360.0}));
-  SS_RETURN_IF_ERROR(system->SetRange(stream.name, path("coord/cel/dec"),
-                                      {-90.0, 90.0}));
-  SS_RETURN_IF_ERROR(
-      system->SetRange(stream.name, path("en"), {gen.en_min, gen.en_max}));
-  SS_RETURN_IF_ERROR(
-      system->SetRange(stream.name, path("phc"), {0.0, 255.0}));
-  SS_RETURN_IF_ERROR(
-      system->SetRange(stream.name, path("coord/det/dx"), {0.0, 511.0}));
-  SS_RETURN_IF_ERROR(
-      system->SetRange(stream.name, path("coord/det/dy"), {0.0, 511.0}));
-  SS_RETURN_IF_ERROR(
-      system->SetRange(stream.name, path("det_time"), {0.0, 1e9}));
-  return system->SetAvgIncrement(stream.name, path("det_time"),
-                                 gen.det_time_increment_mean);
+/// The oracle's scenario as the workload module sees it: the fuzz form
+/// rendered down to a ScenarioSpec. Every arm — in-process or hosted by a
+/// daemon — builds its system from this one spec through
+/// workload::BuildSystem, so the planners all see the same statistics.
+Result<workload::ScenarioSpec> ToScenarioSpec(
+    const FuzzScenario& scenario) {
+  workload::ScenarioSpec spec;
+  spec.name = "fuzz-" + std::to_string(scenario.seed);
+  SS_ASSIGN_OR_RETURN(spec.topology, scenario.topology.Build());
+  for (const FuzzStreamSpec& stream : scenario.streams) {
+    workload::StreamSpec out;
+    out.name = stream.name;
+    out.source = stream.source;
+    out.gen = StreamGenConfig(scenario, stream);
+    spec.streams.push_back(std::move(out));
+  }
+  for (const FuzzQuerySpec& query : scenario.queries) {
+    spec.queries.push_back({query.ToQueryText(), query.target});
+  }
+  return spec;
 }
 
 struct BuiltSystem {
@@ -62,34 +57,23 @@ struct BuiltSystem {
   std::vector<int> registration_index;
 };
 
-/// Builds a system for the scenario, registers every stream and query
-/// under `strategy`, and enables content hashing on all sinks. Keeps
-/// results only when asked (the two serial systems that item-diff).
-/// The transport knobs under test ride along in every config so the
-/// transport-mode runs exercise them.
-Result<BuiltSystem> BuildAndRegister(const FuzzScenario& scenario,
+/// Builds a system for the scenario, registers every query under
+/// `strategy`, and enables content hashing on all sinks. Keeps results
+/// only when asked (the two serial systems that item-diff). The transport
+/// knobs under test ride along in every config so the transport-mode runs
+/// exercise them.
+Result<BuiltSystem> BuildAndRegister(const workload::ScenarioSpec& spec,
                                      sharing::Strategy strategy,
                                      SystemConfig config,
                                      const OracleOptions& options) {
   config.flow = options.flow;
   config.tcp = options.tcp;
-  SS_ASSIGN_OR_RETURN(network::Topology topology,
-                      scenario.topology.Build());
   BuiltSystem built;
-  built.system =
-      std::make_unique<StreamShareSystem>(std::move(topology), config);
-  for (const FuzzStreamSpec& stream : scenario.streams) {
-    workload::PhotonGenConfig gen = StreamGenConfig(scenario, stream);
-    SS_RETURN_IF_ERROR(built.system->RegisterStream(
-        stream.name, workload::PhotonGenerator::Schema(),
-        gen.frequency_hz, stream.source));
-    SS_RETURN_IF_ERROR(
-        InstallStatistics(built.system.get(), stream, gen));
-  }
-  for (const FuzzQuerySpec& query : scenario.queries) {
+  SS_ASSIGN_OR_RETURN(built.system, workload::BuildSystem(spec, config));
+  for (const workload::QuerySpec& query : spec.queries) {
     QueryObservation observation;
-    Result<RegistrationResult> result = built.system->RegisterQuery(
-        query.ToQueryText(), query.target, strategy);
+    Result<RegistrationResult> result =
+        built.system->RegisterQuery(query.text, query.target, strategy);
     if (!result.ok()) {
       observation.registration_error = result.status().ToString();
       built.registration_index.push_back(-1);
@@ -101,16 +85,6 @@ Result<BuiltSystem> BuildAndRegister(const FuzzScenario& scenario,
     built.registrations.push_back(std::move(observation));
   }
   return built;
-}
-
-std::map<std::string, std::vector<engine::ItemPtr>> GenerateItems(
-    const FuzzScenario& scenario) {
-  std::map<std::string, std::vector<engine::ItemPtr>> items;
-  for (const FuzzStreamSpec& stream : scenario.streams) {
-    workload::PhotonGenerator generator(StreamGenConfig(scenario, stream));
-    items[stream.name] = generator.Generate(scenario.items_per_stream);
-  }
-  return items;
 }
 
 /// Folds the post-run sink state into the registration observations.
@@ -134,28 +108,6 @@ std::string DescribeQuery(const FuzzScenario& scenario, size_t q) {
          scenario.queries[q].ToQueryText() + "]";
 }
 
-// ------------------------------------------------------- churn machinery
-
-/// Per-stream sub-batches [from, to) of the full item lists.
-std::map<std::string, std::vector<engine::ItemPtr>> SliceItems(
-    const std::map<std::string, std::vector<engine::ItemPtr>>& items,
-    size_t from, size_t to) {
-  std::map<std::string, std::vector<engine::ItemPtr>> slice;
-  for (const auto& [name, list] : items) {
-    size_t hi = std::min(to, list.size());
-    size_t lo = std::min(from, hi);
-    slice[name].assign(list.begin() + lo, list.begin() + hi);
-  }
-  return slice;
-}
-
-Status ApplyChurn(StreamShareSystem* system, const FuzzChurnEvent& event) {
-  if (event.kind == FuzzChurnEvent::Kind::kFailPeer) {
-    return system->FailPeer(event.peer).status();
-  }
-  return system->CutLink(event.link_a, event.link_b).status();
-}
-
 /// One churned execution: the scenario's items fed in segments with the
 /// churn events applied at their offsets, plus what every sink held right
 /// after each recovery completed (the epoch boundaries the invariants
@@ -169,76 +121,36 @@ struct ChurnRun {
   std::vector<int> registration_index;
 };
 
-Result<ChurnRun> RunChurned(
-    const FuzzScenario& scenario,
-    const std::map<std::string, std::vector<engine::ItemPtr>>& items,
-    SystemConfig config, const char* name, const OracleOptions& options) {
+Result<ChurnRun> RunChurned(const FuzzScenario& scenario,
+                            const workload::ScenarioSpec& spec,
+                            const workload::StreamItems& items,
+                            SystemConfig config, const char* name,
+                            const OracleOptions& options) {
   SS_ASSIGN_OR_RETURN(
       BuiltSystem built,
-      BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
-                       config, options));
+      BuildAndRegister(spec, sharing::Strategy::kStreamSharing, config,
+                       options));
   ChurnRun run;
-  size_t fed = 0;
-  for (const FuzzChurnEvent& event : scenario.churn) {
-    size_t upto = std::min(event.at_offset, scenario.items_per_stream);
-    if (upto > fed) {
-      SS_RETURN_IF_ERROR(
-          built.system->Feed(SliceItems(items, fed, upto))
-              .WithContext(name));
-      fed = upto;
-    }
-    SS_RETURN_IF_ERROR(ApplyChurn(built.system.get(), event)
-                           .WithContext(name));
-    ModeObservation snapshot;
-    Observe(built, &snapshot);
-    run.after_event.push_back(std::move(snapshot.queries));
-  }
-  if (fed < scenario.items_per_stream) {
-    SS_RETURN_IF_ERROR(
-        built.system->Feed(SliceItems(items, fed,
-                                      scenario.items_per_stream))
-            .WithContext(name));
-  }
+  workload::ChurnWalk walk(scenario.churn, scenario.items_per_stream);
+  SS_RETURN_IF_ERROR(walk.RunToEnd(
+      [&](size_t from, size_t to) {
+        return built.system->Feed(workload::SliceItems(items, from, to))
+            .WithContext(name);
+      },
+      [&](const workload::ChurnEvent& event) -> Status {
+        SS_RETURN_IF_ERROR(workload::ApplyChurn(built.system.get(), event)
+                               .WithContext(name));
+        ModeObservation snapshot;
+        Observe(built, &snapshot);
+        run.after_event.push_back(std::move(snapshot.queries));
+        return Status::Ok();
+      }));
   SS_RETURN_IF_ERROR(built.system->Shutdown().WithContext(name));
   run.final_mode.mode = name;
   Observe(built, &run.final_mode);
   run.reports = built.system->recovery_reports();
   run.registration_index = built.registration_index;
   return run;
-}
-
-/// The serve arm hosts a ScenarioSpec, not a FuzzScenario; render the
-/// fuzz form down. workload::BuildSystem installs the same statistics as
-/// InstallStatistics above (identical ranges, en from the gen config), so
-/// the daemon's planner sees exactly what the in-process arms saw.
-Result<workload::ScenarioSpec> ToScenarioSpec(
-    const FuzzScenario& scenario) {
-  workload::ScenarioSpec spec;
-  spec.name = "fuzz-" + std::to_string(scenario.seed);
-  SS_ASSIGN_OR_RETURN(spec.topology, scenario.topology.Build());
-  for (const FuzzStreamSpec& stream : scenario.streams) {
-    workload::StreamSpec out;
-    out.name = stream.name;
-    out.source = stream.source;
-    out.gen = StreamGenConfig(scenario, stream);
-    spec.streams.push_back(std::move(out));
-  }
-  for (const FuzzQuerySpec& query : scenario.queries) {
-    spec.queries.push_back({query.ToQueryText(), query.target});
-  }
-  return spec;
-}
-
-workload::ChurnEvent ToWorkloadChurn(const FuzzChurnEvent& event) {
-  workload::ChurnEvent out;
-  out.kind = event.kind == FuzzChurnEvent::Kind::kFailPeer
-                 ? workload::ChurnEvent::Kind::kFailPeer
-                 : workload::ChurnEvent::Kind::kCutLink;
-  out.peer = event.peer;
-  out.link_a = event.link_a;
-  out.link_b = event.link_b;
-  out.at_offset = event.at_offset;
-  return out;
 }
 
 bool SameObservation(const QueryObservation& a, const QueryObservation& b) {
@@ -261,8 +173,9 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     if (report.failure.empty()) report.failure = std::move(message);
   };
 
-  std::map<std::string, std::vector<engine::ItemPtr>> items =
-      GenerateItems(scenario);
+  SS_ASSIGN_OR_RETURN(workload::ScenarioSpec spec, ToScenarioSpec(scenario));
+  const workload::StreamItems items =
+      workload::GenerateItems(spec, scenario.items_per_stream);
 
   // --- Reference: stream sharing, serial executor, kept results. The
   // reference always evaluates opaque (DOM) slots, so when the other
@@ -273,7 +186,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   serial_config.record_path = false;
   SS_ASSIGN_OR_RETURN(
       BuiltSystem reference,
-      BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
+      BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                        serial_config, options));
   SS_RETURN_IF_ERROR(reference.system->Run(items));
   ModeObservation reference_mode;
@@ -318,22 +231,22 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         {"transport-tcp", ExecutorKind::kTcp, options.tcp_processes});
   }
 
-  for (const ModeSpec& spec : mode_specs) {
+  for (const ModeSpec& mode_spec : mode_specs) {
     SystemConfig config;  // no keep_results: counts/bytes/hashes suffice
-    config.executor = spec.executor;
+    config.executor = mode_spec.executor;
     config.record_path = options.record_path;
-    config.transport_processes = spec.processes;
+    config.transport_processes = mode_spec.processes;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem built,
-        BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
+        BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                          config, options));
-    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(spec.name));
+    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(mode_spec.name));
     ModeObservation mode;
-    mode.mode = spec.name;
+    mode.mode = mode_spec.name;
     Observe(built, &mode);
 
     if (!options.inject_divergence_mode.empty() &&
-        options.inject_divergence_mode == spec.name) {
+        options.inject_divergence_mode == mode_spec.name) {
       // Deliberate equivalence bug (self-test): aggregation queries with
       // a big enough window report one item too few and a skewed hash.
       for (size_t q = 0; q < mode.queries.size(); ++q) {
@@ -388,7 +301,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     unstamped_config.measure_latency = false;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem unstamped,
-        BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
+        BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                          unstamped_config, options));
     SS_RETURN_IF_ERROR(
         unstamped.system->Run(items).WithContext("serial-unstamped"));
@@ -435,7 +348,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   // --- Sharing oracle: item-identical to data shipping, C(P) no worse. --
   SS_ASSIGN_OR_RETURN(
       BuiltSystem baseline,
-      BuildAndRegister(scenario, sharing::Strategy::kDataShipping,
+      BuildAndRegister(spec, sharing::Strategy::kDataShipping,
                        serial_config, options));
   SS_RETURN_IF_ERROR(baseline.system->Run(items));
 
@@ -520,7 +433,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     flat_config.candidate_index = false;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem flat,
-        BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
+        BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                          flat_config, options));
     const auto& indexed_regs = reference.system->registrations();
     const auto& flat_regs = flat.system->registrations();
@@ -649,17 +562,18 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     }
 
     std::vector<ChurnRun> runs;
-    for (const ChurnSpec& spec : churn_specs) {
+    for (const ChurnSpec& churn_spec : churn_specs) {
       SystemConfig config;
-      config.executor = spec.executor;
+      config.executor = churn_spec.executor;
       config.record_path = options.record_path &&
-                           spec.executor != ExecutorKind::kSerial;
-      config.candidate_index = !spec.flat;
+                           churn_spec.executor != ExecutorKind::kSerial;
+      config.candidate_index = !churn_spec.flat;
       SS_ASSIGN_OR_RETURN(
           ChurnRun run,
-          RunChurned(scenario, items, config, spec.name, options));
+          RunChurned(scenario, spec, items, config, churn_spec.name,
+                     options));
       if (!options.inject_churn_mode.empty() &&
-          options.inject_churn_mode == spec.name) {
+          options.inject_churn_mode == churn_spec.name) {
         // Planted recovery bug (self-test): the mode under-reports — a
         // failure that only exists while churn events remain, so the
         // shrinker must preserve them.
@@ -816,24 +730,26 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
       any_final_replan = any_final_replan || final_replanned[q];
     }
     if (any_final_replan) {
-      size_t resume_from = std::min(scenario.churn.back().at_offset,
-                                    scenario.items_per_stream);
       SystemConfig restricted_config;
       restricted_config.resume_mode = true;
       restricted_config.record_path = false;  // pure DOM reference
       SS_ASSIGN_OR_RETURN(
           BuiltSystem restricted,
-          BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
+          BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                            restricted_config, options));
-      for (const FuzzChurnEvent& event : scenario.churn) {
-        SS_RETURN_IF_ERROR(ApplyChurn(restricted.system.get(), event)
-                               .WithContext("restricted reference"));
-      }
-      SS_RETURN_IF_ERROR(
-          restricted.system
-              ->Feed(SliceItems(items, resume_from,
-                                scenario.items_per_stream))
-              .WithContext("restricted reference"));
+      // The same walk as the churned runs, but the items before the last
+      // event (in walk order) are never fed: the fresh run starts there.
+      workload::ChurnWalk walk(scenario.churn, scenario.items_per_stream);
+      const size_t resume_from = walk.last_offset();
+      auto feed = [&](size_t from, size_t to) -> Status {
+        if (from < resume_from) return Status::Ok();
+        return restricted.system->Feed(workload::SliceItems(items, from, to));
+      };
+      auto apply = [&](const workload::ChurnEvent& event) {
+        return workload::ApplyChurn(restricted.system.get(), event);
+      };
+      SS_RETURN_IF_ERROR(walk.RunToEnd(feed, apply)
+                             .WithContext("restricted reference"));
       SS_RETURN_IF_ERROR(restricted.system->Shutdown().WithContext(
           "restricted reference"));
       ModeObservation restricted_mode;
@@ -879,15 +795,11 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     // A subscription the planner cannot even parse comes back from the
     // daemon as a failed call, not an observation; nothing to diff.
     if (!registration_errors) {
-      SS_ASSIGN_OR_RETURN(workload::ScenarioSpec spec,
-                          ToScenarioSpec(scenario));
       serve::ServeRunOptions serve_options;
       serve_options.items_per_stream = scenario.items_per_stream;
       serve_options.feed_chunk = 13;  // ragged on purpose
       serve_options.system.record_path = options.record_path;
-      for (const FuzzChurnEvent& event : scenario.churn) {
-        serve_options.churn.push_back(ToWorkloadChurn(event));
-      }
+      serve_options.churn = scenario.churn;
       SS_ASSIGN_OR_RETURN(
           serve::ServeRunReport serve_run,
           serve::RunScenarioThroughDaemon(spec, serve_options));
@@ -956,15 +868,11 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
           registration_errors || !query.registration_error.empty();
     }
     if (!registration_errors) {
-      SS_ASSIGN_OR_RETURN(workload::ScenarioSpec spec,
-                          ToScenarioSpec(scenario));
       serve::CrashRunOptions crash_options;
       crash_options.items_per_stream = scenario.items_per_stream;
       crash_options.feed_chunk = 13;
       crash_options.system.record_path = options.record_path;
-      for (const FuzzChurnEvent& event : scenario.churn) {
-        crash_options.churn.push_back(ToWorkloadChurn(event));
-      }
+      crash_options.churn = scenario.churn;
       // Derive which lives die where from the scenario seed: 1-3 armed
       // lives, each at a seed-chosen crashpoint, hit counts 1-4 so the
       // same point can pass a few times before firing (startup folds hit

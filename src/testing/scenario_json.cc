@@ -339,9 +339,9 @@ std::string ToJson(const FuzzScenario& scenario) {
   if (!scenario.churn.empty()) {
     out << "  \"churn\": [";
     for (size_t i = 0; i < scenario.churn.size(); ++i) {
-      const FuzzChurnEvent& event = scenario.churn[i];
+      const workload::ChurnEvent& event = scenario.churn[i];
       if (i > 0) out << ", ";
-      if (event.kind == FuzzChurnEvent::Kind::kFailPeer) {
+      if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
         out << "{\"kind\": \"fail-peer\", \"peer\": " << event.peer;
       } else {
         out << "{\"kind\": \"cut-link\", \"link_a\": " << event.link_a
@@ -449,18 +449,19 @@ Result<FuzzScenario> FromJson(std::string_view json) {
   }
 
   // Optional for compatibility: reproducers written before churn existed
-  // have no "churn" field and replay as clean scenarios.
+  // have no "churn" field and replay as clean scenarios. Events may come
+  // in any order: every arm replays them through workload::ChurnWalk.
   if (root.object.count("churn") != 0) {
     SS_ASSIGN_OR_RETURN(const JsonValue* churn, Field(root, "churn"));
     for (const JsonValue& entry : churn->array) {
-      FuzzChurnEvent event;
+      workload::ChurnEvent event;
       SS_ASSIGN_OR_RETURN(std::string kind, StrField(entry, "kind"));
       if (kind == "fail-peer") {
-        event.kind = FuzzChurnEvent::Kind::kFailPeer;
+        event.kind = workload::ChurnEvent::Kind::kFailPeer;
         SS_ASSIGN_OR_RETURN(double peer, NumField(entry, "peer"));
         event.peer = static_cast<int>(peer);
       } else if (kind == "cut-link") {
-        event.kind = FuzzChurnEvent::Kind::kCutLink;
+        event.kind = workload::ChurnEvent::Kind::kCutLink;
         SS_ASSIGN_OR_RETURN(double a, NumField(entry, "link_a"));
         SS_ASSIGN_OR_RETURN(double b, NumField(entry, "link_b"));
         event.link_a = static_cast<int>(a);

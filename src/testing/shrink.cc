@@ -115,7 +115,7 @@ class Shrinker {
       candidate.items_per_stream = scenario_.items_per_stream / 2;
       // Scale churn offsets along so events stay mid-run instead of
       // collecting past the (shrunken) end of the stream.
-      for (FuzzChurnEvent& event : candidate.churn) {
+      for (workload::ChurnEvent& event : candidate.churn) {
         event.at_offset /= 2;
       }
       if (!Try(candidate)) break;
@@ -193,7 +193,7 @@ class Shrinker {
         if (q.target == p) used = true;
       }
       for (const auto& e : scenario_.churn) {
-        if (e.kind == FuzzChurnEvent::Kind::kFailPeer) {
+        if (e.kind == workload::ChurnEvent::Kind::kFailPeer) {
           if (e.peer == p) used = true;
         } else if (e.link_a == p || e.link_b == p) {
           used = true;

@@ -131,13 +131,18 @@ Result<std::unique_ptr<sharing::StreamShareSystem>> BuildSystem(
   return system;
 }
 
-namespace {
+StreamItems GenerateItems(const ScenarioSpec& scenario,
+                          size_t items_per_stream) {
+  StreamItems items;
+  for (const StreamSpec& stream : scenario.streams) {
+    PhotonGenerator generator(stream.gen);
+    items[stream.name] = generator.Generate(items_per_stream);
+  }
+  return items;
+}
 
-/// Per-stream sub-batches [from, to) of the full item lists.
-std::map<std::string, std::vector<engine::ItemPtr>> SliceItems(
-    const std::map<std::string, std::vector<engine::ItemPtr>>& items,
-    size_t from, size_t to) {
-  std::map<std::string, std::vector<engine::ItemPtr>> slice;
+StreamItems SliceItems(const StreamItems& items, size_t from, size_t to) {
+  StreamItems slice;
   for (const auto& [name, list] : items) {
     size_t hi = std::min(to, list.size());
     size_t lo = std::min(from, hi);
@@ -146,7 +151,42 @@ std::map<std::string, std::vector<engine::ItemPtr>> SliceItems(
   return slice;
 }
 
-}  // namespace
+Status ApplyChurn(sharing::StreamShareSystem* system,
+                  const ChurnEvent& event) {
+  if (event.kind == ChurnEvent::Kind::kFailPeer) {
+    return system->FailPeer(event.peer).status();
+  }
+  return system->CutLink(event.link_a, event.link_b).status();
+}
+
+ChurnWalk::ChurnWalk(std::vector<ChurnEvent> events,
+                     size_t items_per_stream)
+    : events_(std::move(events)), items_per_stream_(items_per_stream) {
+  for (ChurnEvent& event : events_) {
+    event.at_offset = std::min(event.at_offset, items_per_stream_);
+  }
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const ChurnEvent& a, const ChurnEvent& b) {
+                     return a.at_offset < b.at_offset;
+                   });
+}
+
+Status ChurnWalk::RunTo(size_t stop, const FeedStep& feed,
+                        const ApplyStep& apply) {
+  stop = std::min(stop, items_per_stream_);
+  auto feed_to = [&](size_t to) -> Status {
+    if (to <= fed_) return Status::Ok();
+    SS_RETURN_IF_ERROR(feed(fed_, to));
+    fed_ = to;
+    return Status::Ok();
+  };
+  while (next_ < events_.size() && events_[next_].at_offset <= stop) {
+    SS_RETURN_IF_ERROR(feed_to(events_[next_].at_offset));
+    SS_RETURN_IF_ERROR(apply(events_[next_]));
+    ++next_;
+  }
+  return feed_to(stop);
+}
 
 Result<ScenarioRun> RunScenario(const ScenarioSpec& scenario,
                                 sharing::Strategy strategy,
@@ -173,38 +213,26 @@ Result<ScenarioRun> RunScenario(const ScenarioSpec& scenario,
       ++run.rejected;
     }
   }
-  std::map<std::string, std::vector<engine::ItemPtr>> items;
-  double duration = 0.0;
   for (const StreamSpec& stream : scenario.streams) {
-    PhotonGenerator generator(stream.gen);
-    items[stream.name] = generator.Generate(items_per_stream);
-    duration = std::max(duration, static_cast<double>(items_per_stream) /
-                                      stream.gen.frequency_hz);
+    run.duration_s =
+        std::max(run.duration_s, static_cast<double>(items_per_stream) /
+                                     stream.gen.frequency_hz);
   }
+  StreamItems items = GenerateItems(scenario, items_per_stream);
   if (churn.empty()) {
     SS_RETURN_IF_ERROR(run.system->Run(items));
-  } else {
-    size_t fed = 0;
-    for (const ChurnEvent& event : churn) {
-      size_t upto = std::min(event.at_offset, items_per_stream);
-      if (upto > fed) {
-        SS_RETURN_IF_ERROR(run.system->Feed(SliceItems(items, fed, upto)));
-        fed = upto;
-      }
-      if (event.kind == ChurnEvent::Kind::kFailPeer) {
-        SS_RETURN_IF_ERROR(run.system->FailPeer(event.peer).status());
-      } else {
-        SS_RETURN_IF_ERROR(
-            run.system->CutLink(event.link_a, event.link_b).status());
-      }
-    }
-    if (fed < items_per_stream) {
-      SS_RETURN_IF_ERROR(
-          run.system->Feed(SliceItems(items, fed, items_per_stream)));
-    }
-    SS_RETURN_IF_ERROR(run.system->Shutdown());
+    return run;
   }
-  run.duration_s = duration;
+  ChurnWalk walk(churn, items_per_stream);
+  SS_RETURN_IF_ERROR(walk.RunToEnd(
+      [&](size_t from, size_t to) {
+        return run.system->Feed(SliceItems(items, from, to));
+      },
+      [&](const ChurnEvent& event) {
+        run.churn.push_back(event);
+        return ApplyChurn(run.system.get(), event);
+      }));
+  SS_RETURN_IF_ERROR(run.system->Shutdown());
   return run;
 }
 

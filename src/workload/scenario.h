@@ -12,6 +12,8 @@
 #ifndef STREAMSHARE_WORKLOAD_SCENARIO_H_
 #define STREAMSHARE_WORKLOAD_SCENARIO_H_
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,19 +64,9 @@ ScenarioSpec GridScenario(uint64_t seed = 13, size_t query_count = 100,
 Result<std::unique_ptr<sharing::StreamShareSystem>> BuildSystem(
     const ScenarioSpec& scenario, sharing::SystemConfig config);
 
-struct ScenarioRun {
-  std::unique_ptr<sharing::StreamShareSystem> system;
-  /// Simulated stream duration in seconds (items / frequency).
-  double duration_s = 0.0;
-  int accepted = 0;
-  int rejected = 0;
-  int registration_failures = 0;  // parse/analysis errors (should be 0)
-};
-
-/// One mid-run failure injected into RunScenario: after `at_offset` items
-/// per stream, FailPeer (kFailPeer) or CutLink (kCutLink) fires and the
-/// remaining items keep flowing through the re-planned deployment. The
-/// recovery reports land in system->recovery_reports().
+/// One mid-run failure: after `at_offset` items per stream, FailPeer
+/// (kFailPeer) or CutLink (kCutLink) fires and the remaining items keep
+/// flowing through the re-planned deployment.
 struct ChurnEvent {
   enum class Kind { kFailPeer, kCutLink };
 
@@ -84,10 +76,68 @@ struct ChurnEvent {
   size_t at_offset = 0;
 };
 
+/// Each stream's items, keyed by stream name.
+using StreamItems = std::map<std::string, std::vector<engine::ItemPtr>>;
+
+/// Generates `items_per_stream` photons for every stream of the scenario.
+StreamItems GenerateItems(const ScenarioSpec& scenario,
+                          size_t items_per_stream);
+
+/// Per-stream sub-batches [from, to) of `items`.
+StreamItems SliceItems(const StreamItems& items, size_t from, size_t to);
+
+/// Applies one churn event to an in-process system.
+Status ApplyChurn(sharing::StreamShareSystem* system,
+                  const ChurnEvent& event);
+
+/// The one rule for when churn happens. Events apply in ascending
+/// `at_offset` order (a stable sort: events at the same offset keep their
+/// list order), each after exactly min(at_offset, items_per_stream) items
+/// per stream. RunTo(stop) feeds up to each pending event at or before
+/// `stop`, applies it, and then feeds up to `stop`; a later RunTo resumes
+/// where the last one stopped. The caller supplies both steps: `feed`
+/// gets only non-empty ranges [from, to) of items per stream, `apply`
+/// gets each event with its offset clamped.
+class ChurnWalk {
+ public:
+  using FeedStep = std::function<Status(size_t from, size_t to)>;
+  using ApplyStep = std::function<Status(const ChurnEvent& event)>;
+
+  ChurnWalk(std::vector<ChurnEvent> events, size_t items_per_stream);
+
+  Status RunTo(size_t stop, const FeedStep& feed, const ApplyStep& apply);
+  Status RunToEnd(const FeedStep& feed, const ApplyStep& apply) {
+    return RunTo(items_per_stream_, feed, apply);
+  }
+
+  /// The offset of the last event in walk order (0 without events).
+  size_t last_offset() const {
+    return events_.empty() ? 0 : events_.back().at_offset;
+  }
+
+ private:
+  std::vector<ChurnEvent> events_;  // walk order, offsets clamped
+  size_t items_per_stream_;
+  size_t next_ = 0;
+  size_t fed_ = 0;
+};
+
+struct ScenarioRun {
+  std::unique_ptr<sharing::StreamShareSystem> system;
+  /// Simulated stream duration in seconds (items / frequency).
+  double duration_s = 0.0;
+  int accepted = 0;
+  int rejected = 0;
+  int registration_failures = 0;  // parse/analysis errors (should be 0)
+  /// The churn events as applied, in walk order: recovery report i of
+  /// the system belongs to churn[i].
+  std::vector<ChurnEvent> churn;
+};
+
 /// Builds the system, registers all queries under `strategy`, generates
 /// `items_per_stream` photons per stream, and runs them through the
-/// deployed network. With `churn` events (sorted by offset) the items are
-/// fed in segments with each failure applied at its offset; churn is
+/// deployed network. With `churn` events the items are fed in segments
+/// by a ChurnWalk, each failure applied at its offset; churn is
 /// incompatible with transport_processes (per-segment Feed needs window
 /// state in one address space).
 Result<ScenarioRun> RunScenario(const ScenarioSpec& scenario,

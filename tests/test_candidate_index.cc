@@ -37,7 +37,7 @@ namespace {
 using sharing::RegistrationResult;
 using sharing::StreamShareSystem;
 using sharing::SystemConfig;
-using testing::FuzzChurnEvent;
+using workload::ChurnEvent;
 using testing::FuzzScenario;
 using testing::FuzzStreamSpec;
 
@@ -172,8 +172,8 @@ TEST_P(CandidateIndexSweep, IndexedAndFlatPlanIdentically) {
   // Churn: both systems take the same failures; recovery retires severed
   // streams and re-registers replanned ones, and the index must track
   // every one of those mutations.
-  for (const FuzzChurnEvent& event : scenario.churn) {
-    if (event.kind == FuzzChurnEvent::Kind::kFailPeer) {
+  for (const ChurnEvent& event : scenario.churn) {
+    if (event.kind == ChurnEvent::Kind::kFailPeer) {
       auto a = (*indexed)->FailPeer(event.peer);
       auto b = (*flat)->FailPeer(event.peer);
       ASSERT_EQ(a.ok(), b.ok());

@@ -81,12 +81,12 @@ TEST(ChurnGeneratorTest, EventsAreIndependentAndMidBand) {
       sources.insert(stream.source);
     }
     size_t previous = 0;
-    for (const FuzzChurnEvent& event : scenario.churn) {
+    for (const workload::ChurnEvent& event : scenario.churn) {
       EXPECT_GE(event.at_offset, previous) << "seed " << seed;
       previous = event.at_offset;
       EXPECT_GE(event.at_offset, scenario.items_per_stream / 4);
       EXPECT_LE(event.at_offset, (scenario.items_per_stream * 3) / 4);
-      if (event.kind == FuzzChurnEvent::Kind::kFailPeer) {
+      if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
         EXPECT_TRUE(failed.insert(event.peer).second)
             << "seed " << seed << ": peer fails twice";
         EXPECT_EQ(sources.count(event.peer), 0u)
@@ -231,7 +231,7 @@ TEST(ChurnShrinkTest, OffsetsScaleWithItemReduction) {
   if (minimal.items_per_stream < original_items) {
     // Offsets shrank along with the item count instead of collecting
     // past the end of the stream.
-    for (const FuzzChurnEvent& event : minimal.churn) {
+    for (const workload::ChurnEvent& event : minimal.churn) {
       EXPECT_LE(event.at_offset, minimal.items_per_stream);
     }
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "testing/fuzz_scenario.h"
 #include "testing/oracle.h"
@@ -138,6 +139,79 @@ TEST(OracleTest, SweepExercisesSharing) {
     reuses += report->shared_reuses;
   }
   EXPECT_GT(reuses, 0);
+}
+
+// --- Out-of-order churn in a hand-edited reproducer ------------------------
+
+// Two minimized reproducers whose churn lists are out of order. When the
+// in-process arms applied events in list order while the serve arm sorted
+// them, the first tore its query down one item later in serial+churn than
+// in the daemon (a false serve divergence), and in the second the
+// restricted reference resumed from the list's last event rather than the
+// one applied last (a false recovery divergence).
+constexpr const char* kOutOfOrderChurn[] = {
+    R"json({
+  "seed": "12",
+  "topology": {"peers": 3, "bandwidth_kbps": 100000, "max_load": 100000, "links": [[0, 1], [0, 2]]},
+  "boxes": [[27.868695176977532, 51.000319329328455, 39.650259620289248, 65.705011452496805], [203.65209952544168, 237.23274104856102, 13.388189935694214, 25.397316704035404], [32.664180788623263, 77.155665700614151, -82.922639684954504, -60.274990434819223], [44.76508497622028, 75.666796476584167, -76.724638596663439, -65.252460054074987]],
+  "streams": [
+    {"name": "photons2", "source": 0, "gen_seed": "5020336113244016093", "frequency_hz": 122, "det_time_increment_mean": 0.625, "hot_weights": [1.25, 1.5, 0, 0.5]}
+  ],
+  "queries": [
+    {"kind": "selection", "stream": "photons2", "target": 1, "ra_min": null, "ra_max": null, "dec_min": null, "dec_max": null, "en_threshold": null, "det_skew": null, "projection": [], "window_type": "diff", "window_size": 40, "window_step": 20, "agg_func": "avg", "agg_filter": null}
+  ],
+  "churn": [{"kind": "fail-peer", "peer": 2, "at_offset": 3}, {"kind": "fail-peer", "peer": 1, "at_offset": 2}],
+  "items_per_stream": 4
+})json",
+    R"json({
+  "seed": "11",
+  "topology": {"peers": 4, "bandwidth_kbps": 100000, "max_load": 100000, "links": [[0, 1], [0, 2], [2, 3], [0, 3]]},
+  "boxes": [[57.798936516096319, 83.985533058689086, 33.761179495103718, 43.153738237136935], [33.243590231468559, 45.89274479444164, 53.62742340048851, 77.32317932246238], [33.516295222255813, 42.58534905957135, 54.299237725029165, 71.453370455073426], [34.809135330760348, 42.671415112049402, 56.61414767638648, 74.758689466021139]],
+  "streams": [
+    {"name": "photons2", "source": 3, "gen_seed": "468087485239368515", "frequency_hz": 90, "det_time_increment_mean": 0.875, "hot_weights": [0.25, 0.25, 0.25, 0.25]}
+  ],
+  "queries": [
+    {"kind": "selection", "stream": "photons2", "target": 2, "ra_min": null, "ra_max": null, "dec_min": null, "dec_max": null, "en_threshold": null, "det_skew": null, "projection": [], "window_type": "diff", "window_size": 40, "window_step": 20, "agg_func": "avg", "agg_filter": null}
+  ],
+  "churn": [{"kind": "cut-link", "link_a": 0, "link_b": 1, "at_offset": 9}, {"kind": "cut-link", "link_a": 2, "link_b": 3, "at_offset": 8}],
+  "items_per_stream": 15
+})json",
+};
+
+TEST(OracleTest, OutOfOrderChurnReplaysLikeSorted) {
+  OracleOptions options;
+  options.run_serve = true;
+  options.run_loopback = false;  // speed; the order rule is under test
+  options.run_tcp = false;
+  for (const char* json : kOutOfOrderChurn) {
+    Result<FuzzScenario> scenario = FromJson(json);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    ASSERT_GT(scenario->churn[0].at_offset, scenario->churn[1].at_offset);
+    auto report = RunOracle(*scenario, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << "seed " << scenario->seed << ": "
+                              << report->failure;
+
+    // And the list replays exactly like its sorted form, in every arm.
+    FuzzScenario sorted = *scenario;
+    std::swap(sorted.churn[0], sorted.churn[1]);
+    auto sorted_report = RunOracle(sorted, options);
+    ASSERT_TRUE(sorted_report.ok()) << sorted_report.status().ToString();
+    ASSERT_EQ(report->modes.size(), sorted_report->modes.size());
+    for (size_t m = 0; m < report->modes.size(); ++m) {
+      const ModeObservation& mode = report->modes[m];
+      const ModeObservation& sorted_mode = sorted_report->modes[m];
+      EXPECT_EQ(mode.mode, sorted_mode.mode);
+      ASSERT_EQ(mode.queries.size(), sorted_mode.queries.size());
+      for (size_t q = 0; q < mode.queries.size(); ++q) {
+        EXPECT_EQ(mode.queries[q].items, sorted_mode.queries[q].items)
+            << mode.mode << " q" << q;
+        EXPECT_EQ(mode.queries[q].content_hash,
+                  sorted_mode.queries[q].content_hash)
+            << mode.mode << " q" << q;
+      }
+    }
+  }
 }
 
 // --- The acceptance demo: injected bug → caught → shrunk → reproducer ----

@@ -6,7 +6,6 @@
 // property: no duplicate deliveries, subscriptions survive the restart.
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,67 +25,31 @@ struct BatchObservation {
 };
 
 /// Batch reference mirroring exactly what the daemon hosts: same
-/// registration order, same generated items, churn applied at the same
-/// per-stream offsets, windows flushed at the end.
+/// registration order, same generated items, churn applied by the same
+/// walk, windows flushed at the end.
 std::vector<BatchObservation> RunBatch(
     const workload::ScenarioSpec& scenario, size_t items_per_stream,
     const std::vector<workload::ChurnEvent>& churn = {}) {
   sharing::SystemConfig config;
   config.keep_results = true;
-  auto built = workload::BuildSystem(scenario, config);
-  EXPECT_TRUE(built.ok()) << built.status();
-  std::unique_ptr<sharing::StreamShareSystem> system = std::move(*built);
+  Result<workload::ScenarioRun> run =
+      workload::RunScenario(scenario, sharing::Strategy::kStreamSharing,
+                            config, items_per_stream, churn);
+  EXPECT_TRUE(run.ok()) << run.status();
+  if (!run.ok()) return {};
+  EXPECT_EQ(run->registration_failures, 0);
 
   std::vector<BatchObservation> observations;
-  for (const workload::QuerySpec& query : scenario.queries) {
-    auto result = system->RegisterQuery(query.text, query.target,
-                                        sharing::Strategy::kStreamSharing);
-    EXPECT_TRUE(result.ok()) << result.status();
+  for (const sharing::RegistrationResult& registration :
+       run->system->registrations()) {
     BatchObservation observation;
-    observation.accepted = result.ok() && result->accepted;
-    if (observation.accepted) result->sink->EnableContentHash();
+    observation.accepted = registration.accepted;
+    if (observation.accepted) {
+      observation.items = registration.sink->item_count();
+      observation.bytes = registration.sink->total_bytes();
+      observation.content_hash = registration.sink->content_hash();
+    }
     observations.push_back(observation);
-  }
-
-  std::map<std::string, std::vector<engine::ItemPtr>> items;
-  for (const workload::StreamSpec& stream : scenario.streams) {
-    workload::PhotonGenerator generator(stream.gen);
-    items[stream.name] = generator.Generate(items_per_stream);
-  }
-  size_t fed = 0;
-  for (const workload::ChurnEvent& event : churn) {
-    size_t upto = std::min(event.at_offset, items_per_stream);
-    if (upto > fed) {
-      std::map<std::string, std::vector<engine::ItemPtr>> slice;
-      for (const auto& [name, list] : items) {
-        slice[name].assign(list.begin() + fed, list.begin() + upto);
-      }
-      EXPECT_TRUE(system->Feed(slice).ok());
-      fed = upto;
-    }
-    if (event.kind == workload::ChurnEvent::Kind::kFailPeer) {
-      EXPECT_TRUE(system->FailPeer(event.peer).status().ok());
-    } else {
-      EXPECT_TRUE(system->CutLink(event.link_a, event.link_b).status().ok());
-    }
-  }
-  {
-    std::map<std::string, std::vector<engine::ItemPtr>> slice;
-    for (const auto& [name, list] : items) {
-      slice[name].assign(list.begin() + fed, list.end());
-    }
-    EXPECT_TRUE(system->Feed(slice).ok());
-  }
-  EXPECT_TRUE(system->Shutdown().ok());
-
-  const std::vector<sharing::RegistrationResult>& registrations =
-      system->registrations();
-  for (size_t i = 0; i < observations.size(); ++i) {
-    if (!observations[i].accepted) continue;
-    const engine::SinkOp* sink = registrations[i].sink;
-    observations[i].items = sink->item_count();
-    observations[i].bytes = sink->total_bytes();
-    observations[i].content_hash = sink->content_hash();
   }
   return observations;
 }

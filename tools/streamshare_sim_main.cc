@@ -41,7 +41,6 @@
 //
 // Exit code 0 on success.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -239,11 +238,6 @@ int main(int argc, char** argv) {
                                  !options.transport_threads &&
                                  options.churn.empty();
   }
-  std::stable_sort(options.churn.begin(), options.churn.end(),
-                   [](const workload::ChurnEvent& a,
-                      const workload::ChurnEvent& b) {
-                     return a.at_offset < b.at_offset;
-                   });
   if (options.hierarchical) {
     // Quadrants for the grid; halves for the extended example.
     size_t peers = scenario.topology.peer_count();
@@ -342,8 +336,7 @@ int main(int argc, char** argv) {
     std::printf("\n=== recovery ===\n");
     const auto& reports = run->system->recovery_reports();
     for (size_t i = 0; i < reports.size(); ++i) {
-      std::printf("event %zu @item %zu:\n%s", i,
-                  options.churn[i].at_offset,
+      std::printf("event %zu @item %zu:\n%s", i, run->churn[i].at_offset,
                   reports[i].ToString().c_str());
     }
   }
