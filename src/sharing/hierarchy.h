@@ -13,19 +13,11 @@
 
 namespace streamshare::sharing {
 
-struct HierarchicalOptions {
-  /// Escalate to a global search when the subnet-local search reuses
-  /// nothing but the original stream. Disabling trades plan quality for
-  /// strictly subnet-local registration effort.
-  bool fallback_to_global = true;
-};
-
 class HierarchicalPlanner {
  public:
   HierarchicalPlanner(const Planner* planner,
-                      const network::SubnetPartition* partition,
-                      HierarchicalOptions options = {})
-      : planner_(planner), partition_(partition), options_(options) {}
+                      const network::SubnetPartition* partition)
+      : planner_(planner), partition_(partition) {}
 
   /// Algorithm 1 with a subnet-restricted search.
   Result<EvaluationPlan> Subscribe(const wxquery::AnalyzedQuery& query,
@@ -35,7 +27,6 @@ class HierarchicalPlanner {
  private:
   const Planner* planner_;
   const network::SubnetPartition* partition_;
-  HierarchicalOptions options_;
 };
 
 }  // namespace streamshare::sharing

@@ -60,7 +60,7 @@ StreamShareSystem::StreamShareSystem(network::Topology topology,
       partition_ = std::make_unique<network::SubnetPartition>(
           std::move(partition).value());
       hierarchical_planner_ = std::make_unique<HierarchicalPlanner>(
-          planner_.get(), partition_.get(), config_.hierarchy);
+          planner_.get(), partition_.get());
     }
     // An invalid assignment silently falls back to flat planning; the
     // constructor cannot report errors, and flat plans are always valid.

@@ -62,9 +62,9 @@ struct SystemConfig {
   bool keep_results = false;
   /// Hierarchical organization (paper §6): when non-empty, assigns every
   /// peer to a subnet and stream-sharing registrations search the query's
-  /// subnet first, escalating per `hierarchy` options.
+  /// subnet first, escalating to the global search when the subnet offers
+  /// no derived stream to reuse.
   std::vector<int> subnet_assignment;
-  HierarchicalOptions hierarchy;
   /// Executor Run() and Feed() use.
   ExecutorKind executor = ExecutorKind::kSerial;
   /// Queue capacity / dispatch batching for the partitioned executors;

@@ -102,44 +102,6 @@ TEST(HierarchyTest, SubnetSearchVisitsFewerNodes) {
   EXPECT_LT(hierarchical->second, flat->second * 1.5 + 0.1);
 }
 
-TEST(HierarchyTest, DisabledFallbackStaysSubnetLocal) {
-  // Without global fallback, a query whose only shareable streams live in
-  // another subnet must settle for the original stream.
-  workload::ScenarioSpec scenario = workload::GridScenario(29, 0);
-  sharing::SystemConfig config;
-  config.subnet_assignment.resize(16);
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      config.subnet_assignment[r * 4 + c] =
-          (r >= 2 ? 2 : 0) + (c >= 2 ? 1 : 0);
-    }
-  }
-  config.hierarchy.fallback_to_global = false;
-  Result<std::unique_ptr<sharing::StreamShareSystem>> built =
-      workload::BuildSystem(scenario, config);
-  ASSERT_TRUE(built.ok());
-  auto& system = *built;
-
-  const char* query =
-      "<o> { for $p in stream(\"photons\")/photons/photon "
-      "where $p/en >= 1.0 return <h> { $p/en } </h> } </o>";
-  // First registration in subnet 3 (bottom-right, SP15) creates a stream
-  // whose route stays on the SP0→SP15 diagonal side.
-  Result<sharing::RegistrationResult> first = system->RegisterQuery(
-      query, 15, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(first.ok());
-  // An identical query in subnet 0 at SP5: the shareable stream's route
-  // (0→…→15) may clip other subnets, but whether it is visible depends on
-  // subnet-local availability only. SP5's subnet is {0,1,4,5}; the route
-  // passes through nodes of that subnet only near the source.
-  Result<sharing::RegistrationResult> second = system->RegisterQuery(
-      query, 5, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(second.ok());
-  // With fallback disabled, the search never left subnet 0 ∪ {source}:
-  // visited nodes must be few.
-  EXPECT_LE(second->search.nodes_visited, 5);
-}
-
 TEST(HierarchyTest, HierarchicalResultsStillCorrect) {
   workload::ScenarioSpec scenario =
       workload::ExtendedExampleScenario(23, 10);
