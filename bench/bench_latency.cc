@@ -2,7 +2,7 @@
 // p50/p99 under the tcp transport with one OS process per partition
 // (histogram shards merged through the report pipe), plus a serial
 // stamping-overhead pair (the same record-path run with measure_latency
-// on and off, the median of seven paired trials) that CI gates on.
+// on and off, the median of fifteen paired trials) that CI gates on.
 //
 // Output is `key=value` lines; pipe through tools/bench_to_json to
 // persist BENCH_latency.json:
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   // shares one stretch of host speed; the best run of each side could
   // come from different stretches.
   {
-    constexpr int kTrials = 7;
+    constexpr int kTrials = 15;
     std::vector<double> stamped_rates, unstamped_rates, overheads;
     for (int trial = 0; trial < kTrials; ++trial) {
       for (bool stamping : {trial % 2 == 1, trial % 2 == 0}) {
