@@ -1,6 +1,5 @@
 #include "testing/oracle.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>

@@ -208,16 +208,16 @@ ChurnEvent CutAt(network::NodeId a, network::NodeId b, size_t at_offset) {
   return event;
 }
 
-/// Records every feed and apply call a walk makes, in order.
+/// Records every feed and apply call a walk makes, in order. The steps
+/// capture `this`, so a recorder must not be copied.
 struct WalkRecorder {
   std::vector<std::string> calls;
-
-  Status Feed(size_t from, size_t to) {
+  ChurnWalk::FeedStep feed = [this](size_t from, size_t to) {
     calls.push_back("feed " + std::to_string(from) + "-" +
                     std::to_string(to));
     return Status::Ok();
-  }
-  Status Apply(const ChurnEvent& event) {
+  };
+  ChurnWalk::ApplyStep apply = [this](const ChurnEvent& event) {
     calls.push_back(
         (event.kind == ChurnEvent::Kind::kFailPeer
              ? "fail " + std::to_string(event.peer)
@@ -225,17 +225,7 @@ struct WalkRecorder {
                    std::to_string(event.link_b)) +
         "@" + std::to_string(event.at_offset));
     return Status::Ok();
-  }
-  Status RunTo(ChurnWalk* walk, size_t stop) {
-    return walk->RunTo(
-        stop, [this](size_t from, size_t to) { return Feed(from, to); },
-        [this](const ChurnEvent& event) { return Apply(event); });
-  }
-  Status RunToEnd(ChurnWalk* walk) {
-    return walk->RunToEnd(
-        [this](size_t from, size_t to) { return Feed(from, to); },
-        [this](const ChurnEvent& event) { return Apply(event); });
-  }
+  };
 };
 
 using Calls = std::vector<std::string>;
@@ -243,7 +233,7 @@ using Calls = std::vector<std::string>;
 TEST(ChurnWalkTest, NoEventsFeedsEverythingOnce) {
   ChurnWalk walk({}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls, Calls({"feed 0-100"}));
   EXPECT_EQ(walk.last_offset(), 0u);
 }
@@ -251,14 +241,14 @@ TEST(ChurnWalkTest, NoEventsFeedsEverythingOnce) {
 TEST(ChurnWalkTest, EventAtOffsetZeroAppliesBeforeAnyItem) {
   ChurnWalk walk({FailAt(1, 0)}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls, Calls({"fail 1@0", "feed 0-100"}));
 }
 
 TEST(ChurnWalkTest, EventsAtTheSameOffsetKeepListOrder) {
   ChurnWalk walk({CutAt(2, 3, 40), FailAt(1, 40)}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls,
             Calls({"feed 0-40", "cut 2-3@40", "fail 1@40", "feed 40-100"}));
 }
@@ -266,7 +256,7 @@ TEST(ChurnWalkTest, EventsAtTheSameOffsetKeepListOrder) {
 TEST(ChurnWalkTest, OffsetPastTheEndIsClamped) {
   ChurnWalk walk({FailAt(1, 250)}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls, Calls({"feed 0-100", "fail 1@100"}));
   EXPECT_EQ(walk.last_offset(), 100u);
 }
@@ -274,7 +264,7 @@ TEST(ChurnWalkTest, OffsetPastTheEndIsClamped) {
 TEST(ChurnWalkTest, OutOfOrderEventsApplyByOffset) {
   ChurnWalk walk({FailAt(2, 60), FailAt(1, 30)}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls, Calls({"feed 0-30", "fail 1@30", "feed 30-60",
                                    "fail 2@60", "feed 60-100"}));
   EXPECT_EQ(walk.last_offset(), 60u);
@@ -285,20 +275,20 @@ TEST(ChurnWalkTest, StopMidWalkThenResume) {
   // walk on. An event exactly at the stop applies before the stop.
   ChurnWalk walk({FailAt(1, 30), FailAt(2, 45), FailAt(3, 70)}, 100);
   WalkRecorder recorder;
-  ASSERT_TRUE(recorder.RunTo(&walk, 45).ok());
+  ASSERT_TRUE(walk.RunTo(45, recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls,
             Calls({"feed 0-30", "fail 1@30", "feed 30-45", "fail 2@45"}));
   recorder.calls.clear();
-  ASSERT_TRUE(recorder.RunToEnd(&walk).ok());
+  ASSERT_TRUE(walk.RunToEnd(recorder.feed, recorder.apply).ok());
   EXPECT_EQ(recorder.calls, Calls({"feed 45-70", "fail 3@70", "feed 70-100"}));
 }
 
 TEST(ChurnWalkTest, FailedStepStopsTheWalk) {
   ChurnWalk walk({FailAt(1, 30)}, 100);
   WalkRecorder recorder;
-  Status status = walk.RunToEnd(
-      [&](size_t from, size_t to) { return recorder.Feed(from, to); },
-      [](const ChurnEvent&) { return Status::Internal("peer refused"); });
+  Status status = walk.RunToEnd(recorder.feed, [](const ChurnEvent&) {
+    return Status::Internal("peer refused");
+  });
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(recorder.calls, Calls({"feed 0-30"}));
 }
