@@ -1,6 +1,6 @@
 // Measured-latency plane on the 4×4 grid workload: per-query end-to-end
-// p50/p99 under the tcp transport with one OS process per partition
-// (histogram shards merged through the report pipe), plus a serial
+// p50/p99 under the tcp transport (one worker thread per partition, the
+// channels real localhost sockets), plus a serial
 // stamping-overhead pair (the same record-path run with measure_latency
 // on and off, the median of fifteen paired trials) that CI gates on.
 //
@@ -162,14 +162,12 @@ int main(int argc, char** argv) {
                 Quantile(overheads, 0.75));
   }
 
-  // --- tcp-process mode: one OS process per partition; each child's
-  // histogram shard travels back over the report pipe and is merged into
-  // this process's registry, so the same sink accessors work.
+  // --- tcp transport: one worker thread per partition; the stamping
+  // runs above share the registry's latency series, so zero it first.
   obs::MetricsRegistry::Default().ResetAll();
   {
     sharing::SystemConfig tcp_config = config;
     tcp_config.executor = sharing::ExecutorKind::kTcp;
-    tcp_config.transport_processes = true;
     Result<std::unique_ptr<sharing::StreamShareSystem>> system =
         Deploy(scenario, tcp_config);
     if (!system.ok()) {
@@ -181,13 +179,13 @@ int main(int argc, char** argv) {
     Status status = (*system)->Run(items);
     double elapsed = SecondsSince(start);
     if (!status.ok()) {
-      std::fprintf(stderr, "tcp-process run failed: %s\n",
+      std::fprintf(stderr, "tcp run failed: %s\n",
                    status.ToString().c_str());
       return 1;
     }
-    std::printf("tcpproc_items_per_s=%.1f\n",
+    std::printf("tcp_items_per_s=%.1f\n",
                 static_cast<double>(total_items) / elapsed);
-    PrintQueryLatencies(**system, "tcpproc");
+    PrintQueryLatencies(**system, "tcp");
   }
   return 0;
 }

@@ -53,14 +53,6 @@ class Metrics {
     for (size_t i = 0; i < n; ++i) work += work_units;
     items_per_peer_[peer] += n;
   }
-  /// Adds already-aggregated measurements — merging a shard whose raw
-  /// vectors arrived over a cross-process report channel, where AddWorkN's
-  /// one-invocation-per-item accounting does not apply.
-  void AddMeasured(network::NodeId peer, double work_units,
-                   uint64_t invocations) {
-    work_per_peer_[peer] += work_units;
-    items_per_peer_[peer] += invocations;
-  }
 
   uint64_t BytesOnLink(network::LinkId link) const {
     return bytes_per_link_[link];

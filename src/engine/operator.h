@@ -258,24 +258,15 @@ class SinkOp : public Operator {
 
   /// Starts folding every received item into content_hash() (an
   /// order-insensitive structural hash). Off by default so the hot path
-  /// of ordinary runs is unchanged; the transport runner enables it to
-  /// compare results across execution modes.
+  /// of ordinary runs is unchanged; the transport runner enables it so
+  /// a partitioned run's results compare against a serial run's by hash.
   void EnableContentHash() { hash_items_ = true; }
   uint64_t content_hash() const { return content_hash_; }
 
-  /// Folds counts collected by another process's copy of this sink (the
-  /// transport layer's multi-process mode reports them back over a pipe).
-  void MergeCounts(uint64_t item_count, uint64_t total_bytes,
-                   uint64_t content_hash) {
-    item_count_ += item_count;
-    total_bytes_ += total_bytes;
-    content_hash_ += content_hash;
-  }
-
   /// Starts recording measured end-to-end latency of stamped arrivals
   /// into latency.query.<query>.{e2e_us,stage.*_us} histograms in the
-  /// default registry (sharded; fork-per-worker children report them back
-  /// through the transport pipe protocol). Stage attribution: queue-wait
+  /// default registry (the sink batches observations locally and folds
+  /// them in with Histogram::MergeCounts). Stage attribution: queue-wait
   /// and transport time accumulate in the stamp on the way here, pipeline
   /// time is the end-to-end remainder. Unstamped items are skipped.
   void EnableLatencyRecording(const std::string& query);

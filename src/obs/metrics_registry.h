@@ -122,9 +122,8 @@ class Histogram {
                                     double q, double max_value);
 
   /// Folds externally collected counts into the calling thread's shard —
-  /// the cross-process merge path: a fork-per-worker transport child
-  /// snapshots its histograms into the report pipe and the parent folds
-  /// them here. `buckets` must have bucket_count() entries.
+  /// how a SinkOp flushes the latency observations it batched locally.
+  /// `buckets` must have bucket_count() entries.
   void MergeCounts(const std::vector<uint64_t>& buckets, uint64_t count,
                    double sum, double max_value);
 

@@ -743,9 +743,6 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
   options.parallel = config_.parallel;
   options.flow = config_.flow;
   options.faults = config_.faults;
-  if (config_.transport_processes) {
-    options.mode = transport::RunnerOptions::Mode::kProcesses;
-  }
   std::unique_ptr<transport::Transport> transport;
   if (config_.executor == ExecutorKind::kTcp) {
     transport = std::make_unique<transport::TcpTransport>(config_.tcp);
@@ -918,8 +915,6 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
         ->Set(static_cast<double>(stalls));
     registry->GetGauge("transport.run.credit_stall_ns")
         ->Set(static_cast<double>(stall_ns));
-    registry->GetGauge("transport.run.processes")
-        ->Set(static_cast<double>(run_stats_.process_count));
   }
   // Batching configuration in effect, so a metrics snapshot records the
   // knobs a run's queue/blocking numbers were measured under.
@@ -942,8 +937,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
         ->Set(static_cast<double>(stats.max_queue_depth));
   }
   // Measured end-to-end latency per query. The sink histograms record
-  // microseconds (merged across worker processes in transport-process
-  // mode); the summary quantiles re-export as millisecond gauges so a
+  // microseconds; the summary quantiles re-export as millisecond gauges so a
   // JSON/CSV snapshot carries per-query p50/p95/p99 without the reader
   // having to interpolate buckets itself.
   for (const RegistrationResult& registration : registrations_) {

@@ -45,8 +45,7 @@ std::string_view StrategyToString(Strategy strategy);
 /// transport::PartitionedRunner — partitioned by super-peer, with every
 /// cross-peer edge a wire channel (binary codec + credit-based flow
 /// control) over in-process loopback pipes (kLoopback) or localhost TCP
-/// connections (kTcp; with transport_processes, each partition becomes
-/// its own OS process).
+/// connections (kTcp). Either way every partition runs as a thread.
 enum class ExecutorKind { kSerial, kLoopback, kTcp };
 
 struct SystemConfig {
@@ -83,9 +82,6 @@ struct SystemConfig {
   /// materialized), so operators evaluate on trees — the differential
   /// oracle's reference mode, on the same batch execution path.
   bool record_path = true;
-  /// Run each worker partition as its own OS process instead of a
-  /// thread. Requires a transport whose pipes survive fork (kTcp).
-  bool transport_processes = false;
   /// Credit window / timeouts and fault injection for partitioned runs.
   transport::FlowOptions flow;
   transport::FaultPlan faults;

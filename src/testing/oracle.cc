@@ -218,23 +218,19 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   struct ModeSpec {
     const char* name;
     ExecutorKind executor;
-    bool processes;
   };
   std::vector<ModeSpec> mode_specs;
   if (options.run_loopback) {
-    mode_specs.push_back(
-        {"transport-loopback", ExecutorKind::kLoopback, false});
+    mode_specs.push_back({"transport-loopback", ExecutorKind::kLoopback});
   }
   if (options.run_tcp) {
-    mode_specs.push_back(
-        {"transport-tcp", ExecutorKind::kTcp, options.tcp_processes});
+    mode_specs.push_back({"transport-tcp", ExecutorKind::kTcp});
   }
 
   for (const ModeSpec& mode_spec : mode_specs) {
     SystemConfig config;  // no keep_results: counts/bytes/hashes suffice
     config.executor = mode_spec.executor;
     config.record_path = options.record_path;
-    config.transport_processes = mode_spec.processes;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem built,
         BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
@@ -546,8 +542,6 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     };
     std::vector<ChurnSpec> churn_specs = {
         {"serial+churn", ExecutorKind::kSerial}};
-    // Threads, not processes: segmented Feed needs the window state to
-    // live in one address space across segments.
     if (options.run_loopback) {
       churn_specs.push_back(
           {"transport-loopback+churn", ExecutorKind::kLoopback});

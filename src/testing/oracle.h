@@ -55,9 +55,6 @@ struct ModeObservation {
 struct OracleOptions {
   bool run_loopback = true;
   bool run_tcp = true;
-  /// Fork one OS process per partition in the TCP mode (slower; exercises
-  /// the cross-process sink-report path).
-  bool tcp_processes = false;
 
   /// Serve arm: run the scenario through a live streamshare_serve daemon
   /// + client over localhost TCP (subscriptions via the CONTROL plane,

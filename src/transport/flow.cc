@@ -204,8 +204,8 @@ Status ChannelReceiver::Recv(Incoming* out) {
             out->stamp.ingress_us =
                 send_tick > ingress_delta ? send_tick - ingress_delta : 1;
             out->stamp.queue_us = queue_us;
-            // This hop's wire time; the steady clock is system-wide, so
-            // the send tick of a fork-per-worker peer compares directly.
+            // This hop's wire time; both ends read the one steady
+            // clock, so the send tick compares directly.
             out->stamp.transport_us =
                 transport_us + (now > send_tick ? now - send_tick : 0);
           }

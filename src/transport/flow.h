@@ -112,10 +112,9 @@ class ChannelSender {
   /// closes its end (bounded by the send timeout). This leaves the pipe's
   /// receive buffer empty at close time — a TCP socket closed with unread
   /// data aborts the connection (RST) and can destroy the peer's
-  /// still-buffered EOS; the cross-process runner hit exactly that race.
+  /// still-buffered EOS; tests/regression/repro_tcp_teardown.cc covers
+  /// that race.
   void DrainUntilPeerClose();
-
-  void Close() { end_->Close(); }
 
   const ChannelStats& stats() const { return stats_; }
   const std::string& label() const { return label_; }

@@ -1,7 +1,7 @@
 // In-process transport: frames are handed between ends as moved strings
 // under a mutex — no serialization to a wire, no byte copies beyond the
-// frame body itself. The default transport; also what lets the whole
-// flow-control protocol run under TSAN in one process.
+// frame body itself. The default transport: the whole flow-control
+// protocol without a socket.
 
 #ifndef STREAMSHARE_TRANSPORT_LOOPBACK_H_
 #define STREAMSHARE_TRANSPORT_LOOPBACK_H_
@@ -14,7 +14,6 @@ class LoopbackTransport final : public Transport {
  public:
   const char* name() const override { return "loopback"; }
   Status CreatePipe(const std::string& label, PipePair* pair) override;
-  bool SupportsProcesses() const override { return false; }
 };
 
 }  // namespace streamshare::transport

@@ -1,17 +1,12 @@
 #include "transport/runner.h"
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -80,9 +75,8 @@ struct TransportSeries {
   }
 };
 
-/// Prefix marking an error a worker merely relayed from upstream; the
-/// multi-process merge prefers the originating worker's error over the
-/// relays that cascaded from it.
+/// Prefix marking an error a worker merely relayed from upstream, so a
+/// reader can tell a relay from the error that originated the failure.
 constexpr std::string_view kRelayPrefix = "upstream worker failure: ";
 
 class AbortState {
@@ -182,8 +176,8 @@ struct WorkerRt {
   std::set<Operator*> root_set;
   std::vector<ChannelRt*> inbound;
   std::vector<ChannelRt*> outbound;
-  /// Indices into entries/batch_lists this worker is fed.
-  std::vector<size_t> entry_streams;
+  /// Whether the feeder sends this worker entry batches (and one pill).
+  bool fed = false;
   size_t expected_pills = 0;
   /// Worker-local metrics shard per original Metrics sink.
   std::map<Metrics*, std::unique_ptr<Metrics>> shards;
@@ -193,8 +187,7 @@ struct WorkerRt {
   }
 };
 
-/// Everything the threads of one run share. In process mode each child
-/// works on its own post-fork copy.
+/// Everything the threads of one run share.
 struct RunContext {
   const PartitionPlan& plan;
   const std::vector<Operator*>& entries;
@@ -260,37 +253,34 @@ void ReceiveChannel(RunContext* ctx, WorkerRt* w, ChannelRt* ch) {
     ch->receiver->GrantCredit(1);
   }
   // Close promptly: the sender side holds its end open until this close
-  // arrives (DrainUntilPeerClose), which keeps TCP teardown orderly when
-  // each worker is its own process.
+  // arrives (DrainUntilPeerClose), which keeps TCP teardown orderly.
   ch->receiver->Close();
   w->queue->Push(LinkQueue::Entry{});
 }
 
-/// The feeder: forwards the entry streams' batches `streams` into their
-/// workers' queues (round-robin across streams, one batch per stream per
-/// round, per-stream order preserved), then one pill into every worker it
-/// fed. Each batch crosses the queue as one entry (one lock, one wakeup)
-/// and, when the run stamps, costs one clock read for its ingress stamp.
-void FeedStreams(RunContext* ctx, const std::vector<size_t>& streams) {
-  std::vector<LinkQueue*> queues(streams.size());
-  std::vector<size_t> cursors(streams.size(), 0);
+/// The feeder: forwards every entry stream's batches into its worker's
+/// queue (round-robin across streams, one batch per stream per round,
+/// per-stream order preserved), then one pill into every worker it fed.
+/// Each batch crosses the queue as one entry (one lock, one wakeup) and,
+/// when the run stamps, costs one clock read for its ingress stamp.
+void FeedStreams(RunContext* ctx) {
+  const size_t stream_count = ctx->entries.size();
+  std::vector<LinkQueue*> queues(stream_count);
+  std::vector<size_t> cursors(stream_count, 0);
   std::vector<size_t> active;
-  for (size_t i = 0; i < streams.size(); ++i) {
-    queues[i] =
-        ctx->workers[ctx->plan.WorkerOf(ctx->entries[streams[i]])].queue.get();
-    if (!(*ctx->batch_lists)[streams[i]].empty()) active.push_back(i);
+  for (size_t i = 0; i < stream_count; ++i) {
+    queues[i] = ctx->workers[ctx->plan.WorkerOf(ctx->entries[i])].queue.get();
+    if (!(*ctx->batch_lists)[i].empty()) active.push_back(i);
   }
   while (!active.empty() && !ctx->abort.aborted()) {
     size_t write = 0;
     for (size_t idx = 0; idx < active.size(); ++idx) {
       size_t i = active[idx];
-      std::vector<engine::ItemBatch>& batches =
-          (*ctx->batch_lists)[streams[i]];
+      std::vector<engine::ItemBatch>& batches = (*ctx->batch_lists)[i];
       engine::ItemBatch& batch = batches[cursors[i]++];
       if (!batch.empty()) {
         if (ctx->stamp) batch.StampIngress(engine::latency::NowUs());
-        queues[i]->Push(
-            LinkQueue::Entry{ctx->entries[streams[i]], std::move(batch)});
+        queues[i]->Push(LinkQueue::Entry{ctx->entries[i], std::move(batch)});
       }
       if (cursors[i] < batches.size()) active[write++] = i;
     }
@@ -379,155 +369,10 @@ void RunWorker(RunContext* ctx, WorkerRt* w) {
   }
   // Only after EOS went down every wire: wait (bounded) for each peer to
   // acknowledge by closing its end, so no channel still has unread CREDIT
-  // frames when this worker's fds close. A process-mode exit that skips
-  // this can turn into a TCP reset that destroys the peer's still-buffered
-  // EOS.
+  // frames when its fds close. A close that skips this can turn into a TCP
+  // reset that destroys the peer's still-buffered EOS.
   for (ChannelRt* ch : w->outbound) ch->sender->DrainUntilPeerClose();
   for (std::thread& receiver : receivers) receiver.join();
-}
-
-// --- Cross-process report blob -----------------------------------------
-//
-// A child serializes everything it measured into one varint-framed blob
-// and writes it to its report pipe before _exit(0):
-//
-//   varint version (2)
-//   varint status code | string message
-//   varint #metric shards | per shard: varint #links, varint bytes each;
-//                           varint #peers, double work + varint items each
-//   varint #sinks   | per sink:    varint op index, Δitems, Δbytes, Δhash
-//   varint #edges   | per edge:    varint edge index, items, encoded bytes
-//   varint #channel halves | per half: varint channel index, 10 varints
-//                            (ChannelStats fields in declaration order)
-//   queue stats: 4 varints (entries, producer ns, consumer ns, max depth)
-//   varint #histograms | per histogram (v2): string name,
-//                        varint #bounds + double each,
-//                        varint count, double sum, double max,
-//                        varint #buckets + varint each
-//
-// Shard order is the deterministic first-seen order of the rebind pass,
-// which parent and child share (the child is a fork of the parent taken
-// after that pass), so no names or ids travel with the shards. The
-// histogram section carries names: it ships every non-empty registry
-// histogram (latency and queue-residency series), and the child calls
-// MetricsRegistry::ResetAll right after fork so the counts are pure
-// run-deltas the parent can MergeCounts without double counting.
-
-void PutDouble(std::string* out, double value) {
-  char bytes[sizeof(double)];
-  std::memcpy(bytes, &value, sizeof(double));
-  out->append(bytes, sizeof(double));
-}
-
-bool GetDouble(std::string_view* data, double* value) {
-  if (data->size() < sizeof(double)) return false;
-  std::memcpy(value, data->data(), sizeof(double));
-  data->remove_prefix(sizeof(double));
-  return true;
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutVarint(out, s.size());
-  out->append(s);
-}
-
-bool GetString(std::string_view* data, std::string* s) {
-  uint64_t size = 0;
-  if (!GetVarint(data, &size) || size > data->size()) return false;
-  s->assign(data->substr(0, size));
-  data->remove_prefix(size);
-  return true;
-}
-
-void PutChannelStats(std::string* out, const ChannelStats& s) {
-  PutVarint(out, s.frames_sent);
-  PutVarint(out, s.bytes_sent);
-  PutVarint(out, s.items_delivered);
-  PutVarint(out, s.credit_stalls);
-  PutVarint(out, s.credit_stall_ns);
-  PutVarint(out, s.retries);
-  PutVarint(out, s.faults_dropped);
-  PutVarint(out, s.faults_duplicated);
-  PutVarint(out, s.faults_delayed);
-  PutVarint(out, s.duplicates_discarded);
-  PutVarint(out, s.faults_credits_dropped);
-  PutVarint(out, s.deadline_failures);
-}
-
-bool GetChannelStats(std::string_view* data, ChannelStats* s) {
-  return GetVarint(data, &s->frames_sent) &&
-         GetVarint(data, &s->bytes_sent) &&
-         GetVarint(data, &s->items_delivered) &&
-         GetVarint(data, &s->credit_stalls) &&
-         GetVarint(data, &s->credit_stall_ns) &&
-         GetVarint(data, &s->retries) &&
-         GetVarint(data, &s->faults_dropped) &&
-         GetVarint(data, &s->faults_duplicated) &&
-         GetVarint(data, &s->faults_delayed) &&
-         GetVarint(data, &s->duplicates_discarded) &&
-         GetVarint(data, &s->faults_credits_dropped) &&
-         GetVarint(data, &s->deadline_failures);
-}
-
-/// Adds every field of `from` into `into` (the two halves of a channel
-/// report disjoint fields, so a plain field-wise sum recombines them).
-void AddChannelStats(ChannelStats* into, const ChannelStats& from) {
-  into->frames_sent += from.frames_sent;
-  into->bytes_sent += from.bytes_sent;
-  into->items_delivered += from.items_delivered;
-  into->credit_stalls += from.credit_stalls;
-  into->credit_stall_ns += from.credit_stall_ns;
-  into->retries += from.retries;
-  into->faults_dropped += from.faults_dropped;
-  into->faults_duplicated += from.faults_duplicated;
-  into->faults_delayed += from.faults_delayed;
-  into->duplicates_discarded += from.duplicates_discarded;
-  into->faults_credits_dropped += from.faults_credits_dropped;
-  into->deadline_failures += from.deadline_failures;
-}
-
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadAll(int fd, std::string* out) {
-  char chunk[16384];
-  while (true) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return true;
-    out->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-inline constexpr uint64_t kReportVersion = 2;
-
-struct SinkBaseline {
-  size_t op_index = 0;
-  engine::SinkOp* sink = nullptr;
-  uint64_t items = 0;
-  uint64_t bytes = 0;
-  uint64_t hash = 0;
-};
-
-Status StatusFromReport(uint64_t code, std::string message) {
-  if (code == 0) return Status::Ok();
-  if (code > static_cast<uint64_t>(StatusCode::kUnavailable)) {
-    code = static_cast<uint64_t>(StatusCode::kInternal);
-  }
-  return Status(static_cast<StatusCode>(code), std::move(message));
 }
 
 }  // namespace
@@ -551,32 +396,14 @@ Status PartitionedRunner::Run(
     return Status::InvalidArgument(
         "PartitionedRunner::Run: entries and batch lists differ in count");
   }
-  if (options_.mode == RunnerOptions::Mode::kProcesses &&
-      !transport_.SupportsProcesses()) {
-    return Status::InvalidArgument(
-        std::string("transport '") + transport_.name() +
-        "' cannot span processes; use Mode::kThreads");
-  }
-  if (!finish && options_.mode == RunnerOptions::Mode::kProcesses) {
-    return Status::Unsupported(
-        "PartitionedRunner: segmented runs (finish=false) need operator "
-        "state to survive between segments, which forked worker "
-        "processes cannot provide; use Mode::kThreads");
-  }
 
   PartitionPlan plan;
   SS_RETURN_IF_ERROR(engine::PlanPeerPartitions(entries, &plan));
 
-  // Content hashes make cross-mode result comparison cheap, and in
-  // multi-process mode they are how sink contents survive the report
-  // pipe at all.
-  std::vector<SinkBaseline> sinks;
-  for (size_t i = 0; i < plan.ops.size(); ++i) {
-    if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
+  // Content hashes make cross-executor result comparison cheap.
+  for (Operator* op : plan.ops) {
+    if (auto* sink = dynamic_cast<engine::SinkOp*>(op)) {
       sink->EnableContentHash();
-      sinks.push_back(SinkBaseline{i, sink, sink->item_count(),
-                                   sink->total_bytes(),
-                                   sink->content_hash()});
     }
   }
 
@@ -589,8 +416,6 @@ Status PartitionedRunner::Run(
     workers[w].queue =
         std::make_unique<LinkQueue>(options_.parallel.queue_capacity);
     if (stamp) {
-      // Registered before any fork, so process-mode children observe into
-      // a histogram the parent also owns and can merge reports into.
       workers[w].queue->SetResidencyHistogram(
           obs::MetricsRegistry::Default().GetHistogram(
               "engine.queue.worker." + std::to_string(w) + ".residency_us",
@@ -599,12 +424,11 @@ Status PartitionedRunner::Run(
   }
   for (size_t s = 0; s < entries.size(); ++s) {
     WorkerRt& w = workers[plan.WorkerOf(entries[s])];
-    w.entry_streams.push_back(s);
+    w.fed = true;
     w.AddRoot(entries[s]);
   }
 
-  // --- One channel per worker pair with cross traffic; pipes are
-  // created up front (before any fork). ---
+  // --- One channel per worker pair with cross traffic. ---
   std::vector<std::unique_ptr<ChannelRt>> channels;
   std::map<std::pair<size_t, size_t>, ChannelRt*> channel_of;
   for (const PartitionPlan::CrossEdge& edge : plan.cross_edges) {
@@ -629,8 +453,8 @@ Status PartitionedRunner::Run(
     channels.push_back(std::move(channel));
   }
   for (size_t w = 0; w < worker_count; ++w) {
-    workers[w].expected_pills = workers[w].inbound.size() +
-                                (workers[w].entry_streams.empty() ? 0 : 1);
+    workers[w].expected_pills =
+        workers[w].inbound.size() + (workers[w].fed ? 1 : 0);
   }
 
   // Edge stats live in run_stats_ so the ports can fill them in place;
@@ -671,17 +495,13 @@ Status PartitionedRunner::Run(
   }
 
   // --- Rebind metrics to per-worker shards (the hot path stays lock- and
-  // atomic-free). The (original, shard) pair order is deterministic
-  // first-seen order; children report shards in the same order, so the
-  // report needs no metric identities. ---
+  // atomic-free). ---
   struct Rebind {
     Operator* op;
     Metrics* original;
     Metrics* shard;
   };
   std::vector<Rebind> rebinds;
-  std::vector<std::vector<std::pair<Metrics*, Metrics*>>> ordered_shards(
-      worker_count);
   {
     std::vector<Metrics*> targets;
     for (size_t i = 0; i < plan.ops.size(); ++i) {
@@ -695,8 +515,6 @@ Status PartitionedRunner::Run(
                    .emplace(original, std::make_unique<Metrics>(
                                           Metrics::ShardLike(*original)))
                    .first;
-          ordered_shards[plan.worker_of[i]].emplace_back(original,
-                                                         it->second.get());
         }
         plan.ops[i]->RebindMetrics(original, it->second.get());
         rebinds.push_back(Rebind{plan.ops[i], original, it->second.get()});
@@ -713,422 +531,45 @@ Status PartitionedRunner::Run(
   run_span.AddArg(
       obs::TraceArg::Num("operators", static_cast<double>(plan.ops.size())));
 
+  // --- One thread per worker; the calling thread feeds. ---
+  RunContext ctx{plan,   entries, batch_lists, workers, options_.parallel,
+                 finish, stamp,   {}};
+  std::vector<std::thread> threads;
+  threads.reserve(worker_count);
+  for (size_t w = 0; w < worker_count; ++w) {
+    threads.emplace_back(RunWorker, &ctx, &workers[w]);
+  }
+  FeedStreams(&ctx);
+  for (std::thread& thread : threads) thread.join();
+  Status run_status = ctx.abort.Snapshot();
+
+  for (WorkerRt& worker : workers) {
+    for (auto& [original, shard] : worker.shards) {
+      original->MergeFrom(*shard);
+    }
+  }
+  // Send-side counts from the sender half, deliveries from the receiver.
   run_stats_.channels.reserve(channels.size());
   for (const auto& channel : channels) {
     ChannelTrafficStats stats;
     stats.source_worker = channel->source_worker;
     stats.target_worker = channel->target_worker;
+    stats.stats = channel->sender->stats();
+    stats.stats.items_delivered = channel->receiver->stats().items_delivered;
+    stats.stats.duplicates_discarded =
+        channel->receiver->stats().duplicates_discarded;
     run_stats_.channels.push_back(stats);
   }
   run_stats_.workers.resize(worker_count);
   for (size_t w = 0; w < worker_count; ++w) {
-    run_stats_.workers[w].peers = workers[w].peers;
-    run_stats_.workers[w].operator_count = workers[w].operator_count;
-  }
-
-  RunContext ctx{plan,   entries, batch_lists, workers, options_.parallel,
-                 finish, stamp,   {}};
-  Status run_status;
-  if (options_.mode == RunnerOptions::Mode::kThreads) {
-    // --- Thread mode: one thread per worker, the calling thread feeds. ---
-    std::vector<std::thread> threads;
-    threads.reserve(worker_count);
-    for (size_t w = 0; w < worker_count; ++w) {
-      threads.emplace_back(RunWorker, &ctx, &workers[w]);
-    }
-    std::vector<size_t> all_streams(entries.size());
-    for (size_t s = 0; s < entries.size(); ++s) all_streams[s] = s;
-    FeedStreams(&ctx, all_streams);
-    for (std::thread& thread : threads) thread.join();
-    run_status = ctx.abort.Snapshot();
-
-    for (WorkerRt& worker : workers) {
-      for (auto& [original, shard] : worker.shards) {
-        original->MergeFrom(*shard);
-      }
-    }
-    for (size_t c = 0; c < channels.size(); ++c) {
-      AddChannelStats(&run_stats_.channels[c].stats,
-                      channels[c]->sender->stats());
-      ChannelStats receiver_side;
-      receiver_side.items_delivered =
-          channels[c]->receiver->stats().items_delivered;
-      receiver_side.duplicates_discarded =
-          channels[c]->receiver->stats().duplicates_discarded;
-      AddChannelStats(&run_stats_.channels[c].stats, receiver_side);
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      run_stats_.workers[w].entries_received =
-          workers[w].queue->pushed_count();
-      run_stats_.workers[w].producer_blocked_ns =
-          workers[w].queue->producer_blocked_ns();
-      run_stats_.workers[w].consumer_blocked_ns =
-          workers[w].queue->consumer_blocked_ns();
-      run_stats_.workers[w].max_queue_depth = workers[w].queue->max_depth();
-    }
-  } else {
-    // --- Process mode: fork one child per worker. All pipes (transport
-    // channels and report pipes) exist before the first fork; every
-    // process then closes the ends it does not own, so EOF semantics
-    // stay exact when a process exits. ---
-    run_stats_.process_count = worker_count;
-    std::vector<int> report_read(worker_count, -1);
-    std::vector<int> report_write(worker_count, -1);
-    auto close_reports = [&] {
-      for (size_t w = 0; w < worker_count; ++w) {
-        if (report_read[w] >= 0) ::close(report_read[w]);
-        if (report_write[w] >= 0) ::close(report_write[w]);
-        report_read[w] = report_write[w] = -1;
-      }
-    };
-    for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
-      int fds[2];
-      if (::pipe(fds) != 0) {
-        run_status = Status::Internal(std::string("pipe: ") +
-                                      std::strerror(errno));
-        break;
-      }
-      report_read[w] = fds[0];
-      report_write[w] = fds[1];
-    }
-
-    std::vector<pid_t> children(worker_count, -1);
-    for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
-      pid_t pid = ::fork();
-      if (pid < 0) {
-        run_status = Status::Internal(std::string("fork: ") +
-                                      std::strerror(errno));
-        break;
-      }
-      if (pid == 0) {
-        // === child: worker w ===
-        for (size_t x = 0; x < worker_count; ++x) {
-          if (report_read[x] >= 0) ::close(report_read[x]);
-          if (x != w && report_write[x] >= 0) ::close(report_write[x]);
-        }
-        for (auto& channel : channels) {
-          if (channel->source_worker != w) channel->sender->Close();
-          if (channel->target_worker != w) channel->receiver->Close();
-        }
-        // Zero the inherited registry (identities survive, so cached
-        // histogram pointers stay valid): everything this child observes
-        // from here on is a pure run-delta its report can hand the parent
-        // to MergeCounts without double counting the pre-fork totals.
-        obs::MetricsRegistry::Default().ResetAll();
-
-        std::thread feeder;
-        if (!workers[w].entry_streams.empty()) {
-          feeder = std::thread(FeedStreams, &ctx,
-                               std::cref(workers[w].entry_streams));
-        }
-        RunWorker(&ctx, &workers[w]);
-        if (feeder.joinable()) feeder.join();
-        Status status = ctx.abort.Snapshot();
-
-        std::string report;
-        PutVarint(&report, kReportVersion);
-        PutVarint(&report, static_cast<uint64_t>(status.code()));
-        PutString(&report, status.ok() ? "" : status.message());
-
-        PutVarint(&report, ordered_shards[w].size());
-        for (const auto& [original, shard] : ordered_shards[w]) {
-          (void)original;
-          PutVarint(&report, shard->link_count());
-          for (size_t i = 0; i < shard->link_count(); ++i) {
-            PutVarint(&report, shard->BytesOnLink(
-                                   static_cast<network::LinkId>(i)));
-          }
-          PutVarint(&report, shard->peer_count());
-          for (size_t i = 0; i < shard->peer_count(); ++i) {
-            network::NodeId peer = static_cast<network::NodeId>(i);
-            PutDouble(&report, shard->WorkAtPeer(peer));
-            PutVarint(&report, shard->OperatorInvocationsAtPeer(peer));
-          }
-        }
-
-        uint64_t sink_count = 0;
-        for (const SinkBaseline& s : sinks) {
-          if (plan.worker_of[s.op_index] == w) ++sink_count;
-        }
-        PutVarint(&report, sink_count);
-        for (const SinkBaseline& s : sinks) {
-          if (plan.worker_of[s.op_index] != w) continue;
-          PutVarint(&report, s.op_index);
-          PutVarint(&report, s.sink->item_count() - s.items);
-          PutVarint(&report, s.sink->total_bytes() - s.bytes);
-          PutVarint(&report, s.sink->content_hash() - s.hash);
-        }
-
-        uint64_t edge_count = 0;
-        for (const EdgeTrafficStats& e : run_stats_.edges) {
-          if (e.source_worker == w) ++edge_count;
-        }
-        PutVarint(&report, edge_count);
-        for (size_t e = 0; e < run_stats_.edges.size(); ++e) {
-          if (run_stats_.edges[e].source_worker != w) continue;
-          PutVarint(&report, e);
-          PutVarint(&report, run_stats_.edges[e].items);
-          PutVarint(&report, run_stats_.edges[e].encoded_bytes);
-        }
-
-        uint64_t half_count = 0;
-        for (const auto& channel : channels) {
-          if (channel->source_worker == w) ++half_count;
-          if (channel->target_worker == w) ++half_count;
-        }
-        PutVarint(&report, half_count);
-        for (size_t c = 0; c < channels.size(); ++c) {
-          if (channels[c]->source_worker == w) {
-            PutVarint(&report, c);
-            PutChannelStats(&report, channels[c]->sender->stats());
-          }
-          if (channels[c]->target_worker == w) {
-            PutVarint(&report, c);
-            ChannelStats receiver_side;
-            receiver_side.items_delivered =
-                channels[c]->receiver->stats().items_delivered;
-            receiver_side.duplicates_discarded =
-                channels[c]->receiver->stats().duplicates_discarded;
-            PutChannelStats(&report, receiver_side);
-          }
-        }
-
-        PutVarint(&report, workers[w].queue->pushed_count());
-        PutVarint(&report, workers[w].queue->producer_blocked_ns());
-        PutVarint(&report, workers[w].queue->consumer_blocked_ns());
-        PutVarint(&report, workers[w].queue->max_depth());
-
-        {
-          std::vector<obs::MetricSnapshot> metrics =
-              obs::MetricsRegistry::Default().Snapshot();
-          uint64_t histogram_count = 0;
-          for (const obs::MetricSnapshot& m : metrics) {
-            if (m.kind == obs::MetricSnapshot::Kind::kHistogram &&
-                m.count > 0) {
-              ++histogram_count;
-            }
-          }
-          PutVarint(&report, histogram_count);
-          for (const obs::MetricSnapshot& m : metrics) {
-            if (m.kind != obs::MetricSnapshot::Kind::kHistogram ||
-                m.count == 0) {
-              continue;
-            }
-            PutString(&report, m.name);
-            PutVarint(&report, m.bounds.size());
-            for (double bound : m.bounds) PutDouble(&report, bound);
-            PutVarint(&report, m.count);
-            PutDouble(&report, m.sum);
-            PutDouble(&report, m.max);
-            PutVarint(&report, m.buckets.size());
-            for (uint64_t bucket : m.buckets) PutVarint(&report, bucket);
-          }
-        }
-
-        WriteAll(report_write[w], report);
-        ::close(report_write[w]);
-        ::_exit(0);
-      }
-      children[w] = pid;
-    }
-
-    // Parent: drop every pipe end the children own copies of, then
-    // collect the reports. Closing the channel ends here is essential —
-    // it makes a crashed child observable as EOF instead of a hang.
-    for (auto& channel : channels) {
-      channel->sender->Close();
-      channel->receiver->Close();
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (report_write[w] >= 0) {
-        ::close(report_write[w]);
-        report_write[w] = -1;
-      }
-    }
-
-    std::vector<Status> statuses(worker_count);
-    std::map<size_t, engine::SinkOp*> sink_by_index;
-    for (const SinkBaseline& s : sinks) sink_by_index[s.op_index] = s.sink;
-
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (children[w] < 0) {
-        statuses[w] = Status::Internal("worker " + std::to_string(w) +
-                                       ": never forked");
-        continue;
-      }
-      std::string blob;
-      bool read_ok = ReadAll(report_read[w], &blob);
-      ::close(report_read[w]);
-      report_read[w] = -1;
-
-      auto report_error = [&](const std::string& what) {
-        statuses[w] = Status::Internal(
-            "worker " + std::to_string(w) + ": " + what +
-            " (worker process crashed or was killed?)");
-      };
-      if (!read_ok) {
-        report_error("report pipe read failed");
-        continue;
-      }
-      std::string_view data = blob;
-      uint64_t version = 0, code = 0;
-      std::string message;
-      if (!GetVarint(&data, &version) || version != kReportVersion ||
-          !GetVarint(&data, &code) || !GetString(&data, &message)) {
-        report_error("truncated or malformed report");
-        continue;
-      }
-      statuses[w] = StatusFromReport(code, std::move(message));
-
-      bool ok = true;
-      uint64_t shard_count = 0;
-      ok = ok && GetVarint(&data, &shard_count) &&
-           shard_count == ordered_shards[w].size();
-      for (size_t i = 0; ok && i < shard_count; ++i) {
-        Metrics* original = ordered_shards[w][i].first;
-        uint64_t link_count = 0, peer_count = 0;
-        ok = GetVarint(&data, &link_count) &&
-             link_count == original->link_count();
-        for (uint64_t l = 0; ok && l < link_count; ++l) {
-          uint64_t bytes = 0;
-          ok = GetVarint(&data, &bytes);
-          if (ok) {
-            original->AddBytes(static_cast<network::LinkId>(l), bytes);
-          }
-        }
-        ok = ok && GetVarint(&data, &peer_count) &&
-             peer_count == original->peer_count();
-        for (uint64_t p = 0; ok && p < peer_count; ++p) {
-          double work = 0.0;
-          uint64_t invocations = 0;
-          ok = GetDouble(&data, &work) && GetVarint(&data, &invocations);
-          if (ok) {
-            original->AddMeasured(static_cast<network::NodeId>(p), work,
-                                  invocations);
-          }
-        }
-      }
-
-      uint64_t sink_count = 0;
-      ok = ok && GetVarint(&data, &sink_count);
-      for (uint64_t i = 0; ok && i < sink_count; ++i) {
-        uint64_t op_index = 0, d_items = 0, d_bytes = 0, d_hash = 0;
-        ok = GetVarint(&data, &op_index) && GetVarint(&data, &d_items) &&
-             GetVarint(&data, &d_bytes) && GetVarint(&data, &d_hash);
-        auto it = sink_by_index.find(op_index);
-        ok = ok && it != sink_by_index.end();
-        if (ok) it->second->MergeCounts(d_items, d_bytes, d_hash);
-      }
-
-      uint64_t edge_count = 0;
-      ok = ok && GetVarint(&data, &edge_count);
-      for (uint64_t i = 0; ok && i < edge_count; ++i) {
-        uint64_t edge = 0, items = 0, encoded_bytes = 0;
-        ok = GetVarint(&data, &edge) && GetVarint(&data, &items) &&
-             GetVarint(&data, &encoded_bytes) &&
-             edge < run_stats_.edges.size();
-        if (ok) {
-          run_stats_.edges[edge].items = items;
-          run_stats_.edges[edge].encoded_bytes = encoded_bytes;
-        }
-      }
-
-      uint64_t half_count = 0;
-      ok = ok && GetVarint(&data, &half_count);
-      for (uint64_t i = 0; ok && i < half_count; ++i) {
-        uint64_t channel = 0;
-        ChannelStats half;
-        ok = GetVarint(&data, &channel) && GetChannelStats(&data, &half) &&
-             channel < run_stats_.channels.size();
-        if (ok) AddChannelStats(&run_stats_.channels[channel].stats, half);
-      }
-
-      uint64_t entries_received = 0, producer_ns = 0, consumer_ns = 0,
-               max_depth = 0;
-      ok = ok && GetVarint(&data, &entries_received) &&
-           GetVarint(&data, &producer_ns) &&
-           GetVarint(&data, &consumer_ns) && GetVarint(&data, &max_depth);
-      if (ok) {
-        run_stats_.workers[w].entries_received = entries_received;
-        run_stats_.workers[w].producer_blocked_ns = producer_ns;
-        run_stats_.workers[w].consumer_blocked_ns = consumer_ns;
-        run_stats_.workers[w].max_queue_depth = max_depth;
-      }
-
-      uint64_t histogram_count = 0;
-      ok = ok && GetVarint(&data, &histogram_count);
-      for (uint64_t i = 0; ok && i < histogram_count; ++i) {
-        std::string name;
-        uint64_t bound_count = 0;
-        ok = GetString(&data, &name) && GetVarint(&data, &bound_count) &&
-             bound_count <= 4096;
-        std::vector<double> bounds;
-        bounds.reserve(ok ? bound_count : 0);
-        for (uint64_t b = 0; ok && b < bound_count; ++b) {
-          double edge = 0.0;
-          ok = GetDouble(&data, &edge);
-          bounds.push_back(edge);
-        }
-        uint64_t count = 0, bucket_count = 0;
-        double sum = 0.0, max_value = 0.0;
-        ok = ok && GetVarint(&data, &count) && GetDouble(&data, &sum) &&
-             GetDouble(&data, &max_value) &&
-             GetVarint(&data, &bucket_count) && bucket_count <= 4096;
-        std::vector<uint64_t> buckets;
-        buckets.reserve(ok ? bucket_count : 0);
-        for (uint64_t b = 0; ok && b < bucket_count; ++b) {
-          uint64_t value = 0;
-          ok = GetVarint(&data, &value);
-          buckets.push_back(value);
-        }
-        if (ok) {
-          // Usually already registered pre-fork (same-process identity);
-          // the bounds only matter for a series the parent never saw.
-          obs::MetricsRegistry::Default()
-              .GetHistogram(name, std::move(bounds))
-              ->MergeCounts(buckets, count, sum, max_value);
-        }
-      }
-      if (!ok && statuses[w].ok()) {
-        report_error("truncated or malformed report");
-      }
-    }
-    close_reports();
-
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (children[w] < 0) continue;
-      int wstatus = 0;
-      while (::waitpid(children[w], &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      if (statuses[w].ok() &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        statuses[w] = Status::Internal(
-            "worker " + std::to_string(w) +
-            ": process exited abnormally (status " +
-            std::to_string(wstatus) + ")");
-      }
-    }
-
-    // Prefer the error that originated a failure over the relays other
-    // workers recorded when the ERROR frame cascaded to them.
-    if (run_status.ok()) {
-      for (const Status& status : statuses) {
-        if (!status.ok() &&
-            status.message().compare(0, kRelayPrefix.size(),
-                                     kRelayPrefix) != 0) {
-          run_status = status;
-          break;
-        }
-      }
-      if (run_status.ok()) {
-        for (const Status& status : statuses) {
-          if (!status.ok()) {
-            run_status = status;
-            break;
-          }
-        }
-      }
-    }
+    engine::ParallelWorkerStats& stats = run_stats_.workers[w];
+    const LinkQueue& queue = *workers[w].queue;
+    stats.peers = workers[w].peers;
+    stats.operator_count = workers[w].operator_count;
+    stats.entries_received = queue.pushed_count();
+    stats.producer_blocked_ns = queue.producer_blocked_ns();
+    stats.consumer_blocked_ns = queue.consumer_blocked_ns();
+    stats.max_queue_depth = queue.max_depth();
   }
 
   // --- Restore the serial wiring and metrics bindings. ---

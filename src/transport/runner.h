@@ -7,25 +7,17 @@
 // a port on the source worker encodes every item and ships it through a
 // flow-controlled channel (flow.h); a receiver thread on the target
 // worker decodes into the queue, and EOS or the first error travels down
-// the channel at the end. Every worker models a distinct super-peer.
+// the channel at the end. Every worker models a distinct super-peer and
+// runs as one thread of this process, over any transport (so the TCP
+// stack runs under TSAN too).
 //
-// The runner works in one of two modes:
+// The calling thread feeds the entry streams, and every worker finishes
+// its boundary operators once the pills of all its producers arrived.
+// Metrics are sharded per worker for the run and merged back at the end.
 //
-//   kThreads    every worker is a thread of this process (any transport;
-//               this is how the TCP stack runs under TSAN)
-//   kProcesses  every worker fork()s into its own OS process (requires a
-//               transport whose pipes survive fork, i.e. TCP); children
-//               report metrics shards, sink counts, and traffic stats
-//               back over a pipe and the parent merges them
-//
-// Either way the calling thread (a helper thread of each child in process
-// mode) feeds the entry streams, and every worker finishes its boundary
-// operators once the pills of all its producers arrived. Metrics are
-// sharded per worker for the run and merged back at the end.
-//
-// Operator indices from the partition plan double as cross-process
-// operator ids: discovery order is deterministic, so parent and children
-// agree on every index without any registration protocol.
+// Operator indices from the partition plan double as the wire's operator
+// ids: a DATA frame names its target by index, so the two ends of a
+// channel need no registration protocol.
 
 #ifndef STREAMSHARE_TRANSPORT_RUNNER_H_
 #define STREAMSHARE_TRANSPORT_RUNNER_H_
@@ -46,9 +38,6 @@ struct RunnerOptions {
   /// Applied to every channel's sender (drop/delay/duplicate frames);
   /// wired to the robustness tests.
   FaultPlan faults;
-
-  enum class Mode { kThreads, kProcesses };
-  Mode mode = Mode::kThreads;
 };
 
 /// Traffic of one cross-worker edge in the last run.
@@ -75,7 +64,6 @@ struct ChannelTrafficStats {
 struct RunStats {
   /// Transport the channels ran over; empty before the first run.
   std::string transport;
-  size_t process_count = 0;  ///< children forked (0 in thread mode)
   std::vector<EdgeTrafficStats> edges;
   std::vector<ChannelTrafficStats> channels;
   std::vector<engine::ParallelWorkerStats> workers;
@@ -91,14 +79,10 @@ class PartitionedRunner {
   /// streams, per-stream order preserved; the batches are consumed), then
   /// signals end of stream — the same single-shot contract as
   /// engine::RunBatchStreams(..., finish=true), with results identical to
-  /// it. The graph is restored to its serial wiring
-  /// before returning, so serial and partitioned runs can alternate on
-  /// one deployment. In kProcesses mode, metrics, sink counts, and content
-  /// hashes measured in the children are merged into this process's
-  /// objects before returning. With finish=false the workers skip
-  /// Finish() so windowed state survives for a later segment (mid-run
-  /// churn); only kThreads supports it — a forked child takes its
-  /// operator state to the grave. `stamp` is engine::RunBatchStreams'
+  /// it. The graph is restored to its serial wiring before returning, so
+  /// serial and partitioned runs can alternate on one deployment. With
+  /// finish=false the workers skip Finish() so windowed state survives for
+  /// a later segment (mid-run churn). `stamp` is engine::RunBatchStreams'
   /// stamping decision; with it the workers' queues also observe their
   /// residency on engine.queue.worker.<w>.residency_us.
   Status Run(const std::vector<engine::Operator*>& entries,

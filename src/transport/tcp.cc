@@ -120,11 +120,9 @@ class TcpPipeEnd final : public PipeEnd {
   }
 
   void Close() override {
-    // Plain close, no shutdown(): after fork() the parent closes its fd
-    // copies while the children keep theirs, and shutdown() would tear
-    // down the shared connection for everyone. Each end is driven by one
-    // thread, so nobody is blocked on this fd when it closes; the peer
-    // sees EOF once the last fd referring to this end is gone.
+    // Plain close: each end is driven by one thread, so nobody is
+    // blocked on this fd when it closes; the peer sees EOF once it is
+    // gone.
     if (fd_ >= 0) {
       ::close(fd_);
       fd_ = -1;

@@ -1,9 +1,9 @@
 // Localhost TCP transport. Every pipe is one TCP connection on
 // 127.0.0.1 (an ephemeral listener per pipe, closed after the
-// connect/accept handshake), so the two ends survive fork() into
-// different processes — this is what backs `streamshare_sim
-// --transport=tcp` running each super-peer partition as its own OS
-// process.
+// connect/accept handshake), so every frame crosses a real socket with
+// its kernel buffering, partial reads and teardown — this is what backs
+// `streamshare_sim --transport=tcp`, one worker thread per super-peer
+// partition.
 
 #ifndef STREAMSHARE_TRANSPORT_TCP_H_
 #define STREAMSHARE_TRANSPORT_TCP_H_
@@ -28,7 +28,6 @@ class TcpTransport final : public Transport {
 
   const char* name() const override { return "tcp"; }
   Status CreatePipe(const std::string& label, PipePair* pair) override;
-  bool SupportsProcesses() const override { return true; }
 
  private:
   TcpOptions options_;

@@ -16,8 +16,7 @@
 namespace streamshare::transport {
 
 /// One end of a duplex frame pipe. Each end is driven by exactly one
-/// thread (or, after fork, one process); the two ends may live in
-/// different threads or processes depending on the transport.
+/// thread; the two ends usually live in different threads.
 class PipeEnd {
  public:
   virtual ~PipeEnd() = default;
@@ -65,10 +64,6 @@ class Transport {
 
   /// Creates a connected pipe. `label` names it in errors.
   virtual Status CreatePipe(const std::string& label, PipePair* pair) = 0;
-
-  /// True if the two ends of a pipe stay usable when split across
-  /// fork()ed processes (each process keeping one end).
-  virtual bool SupportsProcesses() const = 0;
 };
 
 }  // namespace streamshare::transport

@@ -137,9 +137,7 @@ struct ScenarioRun {
 /// Builds the system, registers all queries under `strategy`, generates
 /// `items_per_stream` photons per stream, and runs them through the
 /// deployed network. With `churn` events the items are fed in segments
-/// by a ChurnWalk, each failure applied at its offset; churn is
-/// incompatible with transport_processes (per-segment Feed needs window
-/// state in one address space).
+/// by a ChurnWalk, each failure applied at its offset.
 Result<ScenarioRun> RunScenario(const ScenarioSpec& scenario,
                                 sharing::Strategy strategy,
                                 sharing::SystemConfig config,

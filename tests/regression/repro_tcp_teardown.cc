@@ -1,19 +1,20 @@
-// Regression: found by the differential fuzzer's cross-process TCP sweep
-// (streamshare_fuzz --tcp-processes, first seen at seed 24, ~20% flaky).
+// Regression: found by the differential fuzzer's TCP sweep (seed 24,
+// ~20% flaky), back when each TCP worker could run as its own process.
 //
-// A worker process that exited right after EOS closed its channel socket
-// with unread CREDIT frames in the receive buffer; TCP turns that close
-// into a reset, which can destroy the peer's still-buffered EOS frame —
-// surfacing as "peer closed connection" on the receiving worker. The fix
-// makes receivers close their end on EOS and senders drain in-flight
-// credits until that close before letting their fds go.
+// A worker that let its channel socket go right after EOS closed it with
+// unread CREDIT frames in the receive buffer; TCP turns that close into a
+// reset, which can destroy the peer's still-buffered EOS frame — surfacing
+// as "peer closed connection" on the receiving worker. The fix makes
+// receivers close their end on EOS and senders drain in-flight credits
+// until that close before letting their fds go. Worker threads close
+// their sockets the same way, so the teardown path stays covered here.
 //
 // Hand-minimized scenario: one stream, one remote subscription, so there
 // is exactly one cross-worker channel. The item count stays under the
 // initial credit window — then the sender never reads a single CREDIT and
-// every grant is sitting unread at process exit, maximizing the chance of
-// a reset. Repeated runs make the race likely enough to catch (each
-// pre-fix run failed ~1 in 5).
+// every grant is sitting unread at teardown, maximizing the chance of a
+// reset. Repeated runs make the race likely enough to catch (each pre-fix
+// run failed ~1 in 5).
 
 #include <gtest/gtest.h>
 
@@ -40,10 +41,9 @@ FuzzScenario TeardownScenario() {
   return scenario;
 }
 
-TEST(FuzzRegression, TcpProcessTeardownDeliversEos) {
+TEST(FuzzRegression, TcpTeardownDeliversEos) {
   OracleOptions options;
   options.run_loopback = false;
-  options.tcp_processes = true;
   FuzzScenario scenario = TeardownScenario();
   for (int run = 0; run < 20; ++run) {
     auto report = RunOracle(scenario, options);

@@ -2,13 +2,11 @@
 // to a serial run, serial-wiring restore, backpressure on tiny queues and
 // tiny credit windows without deadlock, clean error propagation across
 // workers, and measured cross-edge traffic. The suite runs over the
-// loopback transport; the TCP transport — threads, and outside TSAN one
-// fork()ed OS process per worker, whose sink content hashes must survive
-// the cross-process report — and the wire's fault injection are covered
+// loopback transport; the TCP transport (one worker thread per partition,
+// over real localhost sockets) and the wire's fault injection are covered
 // by the TransportRunnerTest cases at the end.
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
 
 #include <atomic>
 #include <memory>
@@ -30,19 +28,6 @@
 #include "workload/scenario.h"
 #include "item_feed.h"
 
-// fork() and TSAN don't mix: TSAN's runtime owns threads the child
-// can't inherit safely. Process-mode cases run everywhere else.
-#if defined(__SANITIZE_THREAD__)
-#define STREAMSHARE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define STREAMSHARE_TSAN 1
-#endif
-#endif
-#ifndef STREAMSHARE_TSAN
-#define STREAMSHARE_TSAN 0
-#endif
-
 namespace streamshare {
 namespace {
 
@@ -59,30 +44,19 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-/// One transport / mode combination under test.
+/// One transport under test.
 struct RunnerCase {
   const char* label;
   const char* transport;  // "loopback" | "tcp"
-  RunnerOptions::Mode mode;
 
   bool tcp() const { return std::string(transport) == "tcp"; }
-  bool processes() const { return mode == RunnerOptions::Mode::kProcesses; }
 };
 
 // Names the case in test output (Channels/...Test.Name/loopback).
 void PrintTo(const RunnerCase& c, std::ostream* os) { *os << c.label; }
 
-const RunnerCase kLoopback{"loopback", "loopback",
-                           RunnerOptions::Mode::kThreads};
-
-std::vector<RunnerCase> TcpCases() {
-  std::vector<RunnerCase> cases = {
-      {"tcp_threads", "tcp", RunnerOptions::Mode::kThreads}};
-#if !STREAMSHARE_TSAN
-  cases.push_back({"tcp_processes", "tcp", RunnerOptions::Mode::kProcesses});
-#endif
-  return cases;
-}
+const RunnerCase kLoopback{"loopback", "loopback"};
+const RunnerCase kTcpThreads{"tcp_threads", "tcp"};
 
 std::unique_ptr<transport::Transport> MakeTransport(const RunnerCase& c) {
   if (c.tcp()) return std::make_unique<TcpTransport>();
@@ -94,7 +68,6 @@ sharing::SystemConfig ConfigFor(const RunnerCase& c) {
   config.keep_results = true;
   config.executor =
       c.tcp() ? sharing::ExecutorKind::kTcp : sharing::ExecutorKind::kLoopback;
-  config.transport_processes = c.processes();
   return config;
 }
 
@@ -141,12 +114,9 @@ transport::RunStats ExpectMatchesSerial(const RunnerCase& test_case,
     EXPECT_EQ(expect->total_bytes(), got->total_bytes())
         << "query " << q << " result bytes diverged";
     if (expect->item_count() > 0) ++sinks_with_output;
-    // Order-insensitive content hash: in process mode the items
-    // themselves stayed in the children and only the hash came back.
     EXPECT_EQ(expect->content_hash(), got->content_hash())
         << "query " << q << " content hash diverged";
-    if (config.transport_processes) continue;
-    // In-process runs keep the items: identical item for item, in order.
+    // Identical item for item, in order.
     EXPECT_EQ(expect->items().size(), got->items().size());
     for (size_t i = 0;
          i < expect->items().size() && i < got->items().size(); ++i) {
@@ -204,8 +174,6 @@ void ExpectCrossTraffic(const RunnerCase& test_case,
   EXPECT_GT(encoded_bytes, 0u);
   EXPECT_EQ(frames, items_crossed)
       << "every cross-edge item travels as exactly one DATA frame";
-  EXPECT_EQ(stats.process_count,
-            test_case.processes() ? stats.workers.size() : 0u);
 }
 
 /// An operator that fails after a fixed number of items — exercises error
@@ -233,8 +201,7 @@ class FailAfterOp final : public Operator {
 
 /// entry(p0) → link(p0→p1) → fail(p1) → sink: the failing operator lives
 /// downstream of the one cross edge, so its error must travel back out
-/// of the worker (and, in process mode, out of the child process)
-/// without wedging any channel.
+/// of the worker without wedging any channel.
 Status RunCrossEdgeFailure(const RunnerCase& test_case) {
   network::Topology topology;
   network::NodeId p0 = topology.AddPeer("SP0");
@@ -259,9 +226,7 @@ Status RunCrossEdgeFailure(const RunnerCase& test_case) {
   for (int i = 0; i < 500; ++i) items.push_back(Leaf("n", "x"));
 
   auto transport = MakeTransport(test_case);
-  RunnerOptions options;
-  options.mode = test_case.mode;
-  PartitionedRunner runner(*transport, options);
+  PartitionedRunner runner(*transport);
   auto batches = engine::ChunkStreams({items});
   return runner.Run({entry}, &batches);
 }
@@ -554,21 +519,16 @@ INSTANTIATE_TEST_SUITE_P(Channels, PartitionedRunnerTest,
 // --- TCP and fault injection -----------------------------------------------
 
 TEST(TransportRunnerTest, MatchesSerialOverTcp) {
-  for (const RunnerCase& test_case : TcpCases()) {
-    transport::RunStats stats =
-        ExpectMatchesSerial(test_case, ConfigFor(test_case));
-    ExpectCrossTraffic(test_case, stats);
-  }
+  transport::RunStats stats =
+      ExpectMatchesSerial(kTcpThreads, ConfigFor(kTcpThreads));
+  ExpectCrossTraffic(kTcpThreads, stats);
 }
 
 TEST(TransportRunnerTest, OperatorFailurePropagatesOverTcp) {
-  for (const RunnerCase& test_case : TcpCases()) {
-    SCOPED_TRACE(test_case.label);
-    Status status = RunCrossEdgeFailure(test_case);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
-        << status.ToString();
-  }
+  Status status = RunCrossEdgeFailure(kTcpThreads);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
@@ -616,8 +576,8 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
 }
 
 /// Wraps a transport and counts the DATA frames its pipes send at the
-/// base wire version (v1) and with the stamp extension (v2). The counters
-/// live in a MAP_SHARED page, so sends from fork()ed workers count too.
+/// base wire version (v1) and with the stamp extension (v2). Worker
+/// threads send concurrently, so the counters are atomics.
 class FrameVersionTransport final : public transport::Transport {
  public:
   struct Counts {
@@ -626,24 +586,15 @@ class FrameVersionTransport final : public transport::Transport {
   };
 
   explicit FrameVersionTransport(std::unique_ptr<transport::Transport> inner)
-      : inner_(std::move(inner)) {
-    void* page = ::mmap(nullptr, sizeof(Counts), PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    EXPECT_NE(page, MAP_FAILED);
-    counts_ = new (page) Counts();
-  }
-  ~FrameVersionTransport() override { ::munmap(counts_, sizeof(Counts)); }
+      : inner_(std::move(inner)) {}
 
-  const Counts& counts() const { return *counts_; }
+  const Counts& counts() const { return counts_; }
   const char* name() const override { return inner_->name(); }
-  bool SupportsProcesses() const override {
-    return inner_->SupportsProcesses();
-  }
   Status CreatePipe(const std::string& label,
                     transport::PipePair* pair) override {
     SS_RETURN_IF_ERROR(inner_->CreatePipe(label, pair));
     for (auto& end : pair->ends) {
-      end = std::make_unique<CountingEnd>(std::move(end), counts_);
+      end = std::make_unique<CountingEnd>(std::move(end), &counts_);
     }
     return Status::Ok();
   }
@@ -679,7 +630,7 @@ class FrameVersionTransport final : public transport::Transport {
   };
 
   std::unique_ptr<transport::Transport> inner_;
-  Counts* counts_ = nullptr;
+  Counts counts_;
 };
 
 /// Observations on engine.queue.worker.<w>.residency_us so far (0 while
@@ -694,13 +645,11 @@ uint64_t ResidencyCount(size_t worker) {
 // The runner's `stamp` argument is the whole stamping decision: an
 // unstamped run delivers no stamped item, its queues observe no
 // residency, and its DATA frames stay at the base wire version — on
-// every transport and mode. The stamped run of the same graph is the
-// positive control.
+// every transport. The stamped run of the same graph is the positive
+// control.
 TEST(TransportRunnerTest, UnstampedRunsStampNothingOnAnyTransport) {
   constexpr uint64_t kItems = 200;
-  std::vector<RunnerCase> cases = {kLoopback};
-  for (const RunnerCase& c : TcpCases()) cases.push_back(c);
-  for (const RunnerCase& test_case : cases) {
+  for (const RunnerCase& test_case : {kLoopback, kTcpThreads}) {
     for (bool stamp : {true, false}) {
       SCOPED_TRACE(std::string(test_case.label) +
                    (stamp ? " stamped" : " unstamped"));
@@ -715,9 +664,7 @@ TEST(TransportRunnerTest, UnstampedRunsStampNothingOnAnyTransport) {
         items.push_back(Leaf("n", std::to_string(i)));
       }
       FrameVersionTransport transport(MakeTransport(test_case));
-      RunnerOptions options;
-      options.mode = test_case.mode;
-      PartitionedRunner runner(transport, options);
+      PartitionedRunner runner(transport);
       auto batches = engine::ChunkStreams({items}, /*batch_size=*/16);
       ASSERT_TRUE(runner.Run({g.entry}, &batches, /*finish=*/true, stamp)
                       .ok());
@@ -742,20 +689,6 @@ TEST(TransportRunnerTest, UnstampedRunsStampNothingOnAnyTransport) {
       }
     }
   }
-}
-
-TEST(TransportRunnerTest, ProcessModeRequiresForkSafeTransport) {
-  RunnerOptions options;
-  options.mode = RunnerOptions::Mode::kProcesses;
-  LoopbackTransport loopback;  // SupportsProcesses() == false
-  SmallGraph g;
-  BuildSmallGraph(&g);
-  PartitionedRunner runner(loopback, options);
-  auto batches = engine::ChunkStreams({{Leaf("n", "x")}});
-  Status status = runner.Run({g.entry}, &batches);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
-      << status.ToString();
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 //
 //   streamshare_fuzz [--seeds=N] [--seed-base=B] [--seed=S]
 //                    [--scenario=FILE] [--out-dir=DIR] [--metrics=FILE]
-//                    [--no-loopback] [--no-tcp] [--tcp-processes]
-//                    [--no-shrink] [--churn=P]
+//                    [--no-loopback] [--no-tcp] [--no-shrink] [--churn=P]
 //                    [--sweep-flow] [--dom-path] [--serve] [--crash]
 //                    [--inject-mode=MODE] [--inject-min-window=N]
 //                    [--inject-churn-mode=MODE]
@@ -101,8 +100,7 @@ int Usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--seed-base=B] [--seed=S] "
                "[--scenario=FILE] [--out-dir=DIR] [--metrics=FILE] "
-               "[--no-loopback] [--no-tcp] "
-               "[--tcp-processes] [--no-shrink] [--churn=P] "
+               "[--no-loopback] [--no-tcp] [--no-shrink] [--churn=P] "
                "[--sweep-flow] [--dom-path] [--serve] [--crash] [--flat-bfs] "
                "[--inject-mode=MODE] [--inject-min-window=N] "
                "[--inject-churn-mode=MODE]\n",
@@ -129,13 +127,18 @@ int RunOne(const FuzzScenario& scenario, const Options& options) {
                static_cast<unsigned long long>(scenario.seed),
                report->failure.c_str());
 
+  // The shrink candidates and the final re-run are not fuzzed scenarios:
+  // they run without the registry so the fuzz.* totals count each seed
+  // once.
+  OracleOptions rerun = options.oracle;
+  rerun.metrics = nullptr;
   FuzzScenario minimal = scenario;
   if (options.shrink) {
     ShrinkStats stats;
     minimal = Shrink(
         scenario,
         [&](const FuzzScenario& candidate) {
-          auto r = RunOracle(candidate, options.oracle);
+          auto r = RunOracle(candidate, rerun);
           return r.ok() && !r->ok();
         },
         /*max_rounds=*/4, &stats);
@@ -147,7 +150,7 @@ int RunOne(const FuzzScenario& scenario, const Options& options) {
                  stats.predicate_runs, stats.accepted_steps);
   }
 
-  auto final_report = RunOracle(minimal, options.oracle);
+  auto final_report = RunOracle(minimal, rerun);
   const std::string failure =
       final_report.ok() ? final_report->failure : report->failure;
   auto path = WriteReproducer(minimal, options.out_dir, failure);
@@ -186,8 +189,6 @@ int main(int argc, char** argv) {
       options.oracle.run_loopback = false;
     } else if (std::strcmp(argv[i], "--no-tcp") == 0) {
       options.oracle.run_tcp = false;
-    } else if (std::strcmp(argv[i], "--tcp-processes") == 0) {
-      options.oracle.tcp_processes = true;
     } else if (std::strcmp(argv[i], "--dom-path") == 0) {
       options.oracle.record_path = false;
     } else if (std::strcmp(argv[i], "--serve") == 0) {

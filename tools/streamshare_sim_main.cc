@@ -4,8 +4,7 @@
 //   streamshare_sim [--scenario=extended|grid] [--strategy=data|query|share]
 //                   [--queries=N] [--items=N] [--seed=N] [--widening]
 //                   [--hierarchical] [--enforce-limits]
-//                   [--transport=loopback|tcp] [--transport-threads]
-//                   [--fail-peer=ID@OFFSET]
+//                   [--transport=loopback|tcp] [--fail-peer=ID@OFFSET]
 //                   [--cut-link=A-B@OFFSET] [--trace=FILE]
 //                   [--metrics=FILE] [--explain] [--log]
 //                   [--latency-report] [--no-stamping] [--query-stats]
@@ -13,16 +12,16 @@
 // --transport runs the deployed network partitioned by super-peer over
 // the transport layer (binary codec + credit-based flow control) instead
 // of serially on the calling thread, and prints each worker's queue
-// stats and each channel's traffic; with tcp every super-peer partition
-// becomes its own OS process exchanging frames over localhost sockets
-// (--transport-threads keeps tcp in one process, e.g. under TSAN).
+// stats and each channel's traffic. Every super-peer partition is a
+// worker thread; with tcp the workers exchange frames over localhost
+// sockets.
 //
 // --fail-peer / --cut-link (repeatable) inject failures mid-run: after
 // OFFSET items per stream the peer dies / the link goes down, the
 // orphaned subscriptions are re-planned against the surviving topology,
 // and the remaining items keep flowing. A recovery report per event
 // (re-planned queries with old vs new C(P), lost queries, destroyed
-// windows) is printed after the run. Churn forces tcp into thread mode.
+// windows) is printed after the run.
 //
 // Observability: --trace writes a Chrome trace_event JSON (load it in
 // chrome://tracing or Perfetto), --metrics writes a registry snapshot
@@ -70,7 +69,6 @@ struct Options {
   bool enforce_limits = false;
   bool hierarchical = false;
   std::string transport;  // empty = serial executor
-  bool transport_threads = false;
   bool explain = false;
   bool log = false;
   bool latency_report = false;
@@ -129,8 +127,7 @@ int Usage(const char* program) {
       "usage: %s [--scenario=extended|grid] "
       "[--strategy=data|query|share] [--queries=N] [--items=N] "
       "[--seed=N] [--widening] [--hierarchical] [--enforce-limits] "
-      "[--transport=loopback|tcp] "
-      "[--transport-threads] [--fail-peer=ID@OFFSET] "
+      "[--transport=loopback|tcp] [--fail-peer=ID@OFFSET] "
       "[--cut-link=A-B@OFFSET] [--trace=FILE] [--metrics=FILE] "
       "[--explain] [--log] [--latency-report] [--no-stamping] "
       "[--query-stats]\n",
@@ -173,8 +170,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--transport", &value)) {
       if (value != "loopback" && value != "tcp") return Usage(argv[0]);
       options.transport = value;
-    } else if (std::strcmp(argv[i], "--transport-threads") == 0) {
-      options.transport_threads = true;
     } else if (ParseFlag(argv[i], "--fail-peer", &value)) {
       workload::ChurnEvent event;
       if (!ParseFailPeer(value, &event)) return Usage(argv[0]);
@@ -227,16 +222,9 @@ int main(int argc, char** argv) {
   // sinks), so the observation matches what a live client accumulates.
   config.keep_results = options.query_stats;
   if (!options.transport.empty()) {
-    // TCP defaults to one OS process per super-peer partition; loopback
-    // pipes cannot cross fork() and always run worker threads. Churn
-    // needs segmented feeding, which keeps window state in one address
-    // space — it forces thread mode too.
     config.executor = options.transport == "tcp"
                           ? sharing::ExecutorKind::kTcp
                           : sharing::ExecutorKind::kLoopback;
-    config.transport_processes = options.transport == "tcp" &&
-                                 !options.transport_threads &&
-                                 options.churn.empty();
   }
   if (options.hierarchical) {
     // Quadrants for the grid; halves for the extended example.
@@ -315,8 +303,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.max_queue_depth));
     }
 
-    std::printf("\ntransport=%s processes=%zu\n", tstats.transport.c_str(),
-                tstats.process_count);
+    std::printf("\ntransport=%s\n", tstats.transport.c_str());
     std::printf("%-12s %12s %12s %12s %10s\n", "channel", "frames",
                 "wire bytes", "items", "stalls");
     for (const transport::ChannelTrafficStats& channel : tstats.channels) {
