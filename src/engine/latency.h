@@ -41,9 +41,8 @@ struct ItemStamp {
   bool stamped() const { return ingress_us != 0; }
 };
 
-/// Microseconds on the steady clock. On Linux this is CLOCK_MONOTONIC,
-/// which is system-wide — ticks taken in fork-per-worker transport
-/// children compare directly against the parent's. Never returns 0.
+/// Microseconds on the steady clock (CLOCK_MONOTONIC on Linux), so ticks
+/// taken on different worker threads compare directly. Never returns 0.
 uint64_t NowUs();
 
 }  // namespace streamshare::engine::latency

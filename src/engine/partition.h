@@ -49,8 +49,7 @@ struct ParallelWorkerStats {
 /// The partition of one operator graph: which worker drives each
 /// operator, and which edges cross workers. Operator indices are
 /// discovery order (BFS from the entries) — deterministic for a given
-/// deployment, so two processes that built the same deployment agree on
-/// every index.
+/// deployment, so a DATA frame can name its target operator by index.
 struct PartitionPlan {
   /// Discovered operators in discovery order; the index into this vector
   /// is the operator's stable id.

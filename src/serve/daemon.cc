@@ -174,16 +174,10 @@ Status ServeDaemon::RecoverDurableState() {
   // current — only the (possibly missing or torn) log needs recreating.
   generation_ = have_checkpoint ? checkpoint.generation : 0;
   if (!have_checkpoint || applied_records != 0) {
-    ++generation_;
-    SS_RETURN_IF_ERROR(
-        SaveCheckpoint(options_.checkpoint_path, BuildCheckpoint()));
+    SS_RETURN_IF_ERROR(SaveNextCheckpoint());
   }
   crashpoint::MaybeCrash(crashpoint::kCkptPostRenamePreWalReset);
-  WalHeader header;
-  header.scenario_fingerprint = ScenarioFingerprint(scenario_);
-  header.epoch = epoch_;
-  header.base_generation = generation_;
-  SS_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Create(wal_path, header));
+  SS_RETURN_IF_ERROR(ResetWal());
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.wal_recovered_records += applied_records;
@@ -214,10 +208,20 @@ void ServeDaemon::DurableAppend(const WalRecord& record) {
 }
 
 Status ServeDaemon::CompactWal() {
-  ++generation_;
-  SS_RETURN_IF_ERROR(
-      SaveCheckpoint(options_.checkpoint_path, BuildCheckpoint()));
+  SS_RETURN_IF_ERROR(SaveNextCheckpoint());
   crashpoint::MaybeCrash(crashpoint::kCkptPostRenamePreWalReset);
+  SS_RETURN_IF_ERROR(ResetWal());
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.wal_compactions;
+  return Status::Ok();
+}
+
+Status ServeDaemon::SaveNextCheckpoint() {
+  ++generation_;
+  return SaveCheckpoint(options_.checkpoint_path, BuildCheckpoint());
+}
+
+Status ServeDaemon::ResetWal() {
   WalHeader header;
   header.scenario_fingerprint = ScenarioFingerprint(scenario_);
   header.epoch = epoch_;
@@ -225,8 +229,6 @@ Status ServeDaemon::CompactWal() {
   SS_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Create(
                                 DefaultWalPath(options_.checkpoint_path),
                                 header));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.wal_compactions;
   return Status::Ok();
 }
 
@@ -1066,9 +1068,7 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     // run (flushing here would emit partials an uninterrupted run
     // never emits).
     crashpoint::MaybeCrash(crashpoint::kDrainPreCheckpoint);
-    ++generation_;
-    SS_RETURN_IF_ERROR(
-        SaveCheckpoint(options_.checkpoint_path, BuildCheckpoint()));
+    SS_RETURN_IF_ERROR(SaveNextCheckpoint());
     crashpoint::MaybeCrash(crashpoint::kCkptPostRenamePreWalReset);
     wal_.Close();
     std::remove(DefaultWalPath(options_.checkpoint_path).c_str());

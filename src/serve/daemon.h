@@ -201,6 +201,11 @@ class ServeDaemon {
   void LogMutation(LogEvent event);
   /// Folds the WAL into a fresh checkpoint and restarts the log.
   Status CompactWal();
+  /// The one checkpoint save: bumps generation_ and writes the current
+  /// state as that generation (fsync + rename, checkpoint.h).
+  Status SaveNextCheckpoint();
+  /// Replaces the WAL with an empty log extending generation_.
+  Status ResetWal();
 
   Status BuildFreshSystem();
   Status RestoreFromCheckpoint(const Checkpoint& checkpoint);

@@ -12,7 +12,6 @@
 #include "obs/event_log.h"
 #include "sharing/latency_audit.h"
 #include "obs/trace.h"
-#include "transport/loopback.h"
 #include "transport/tcp.h"
 
 namespace streamshare::sharing {
@@ -743,13 +742,8 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
   options.parallel = config_.parallel;
   options.flow = config_.flow;
   options.faults = config_.faults;
-  std::unique_ptr<transport::Transport> transport;
-  if (config_.executor == ExecutorKind::kTcp) {
-    transport = std::make_unique<transport::TcpTransport>(config_.tcp);
-  } else {
-    transport = std::make_unique<transport::LoopbackTransport>();
-  }
-  transport::PartitionedRunner runner(*transport, options);
+  transport::TcpTransport transport(config_.tcp);
+  transport::PartitionedRunner runner(transport, options);
   Status status =
       runner.Run(entries, &batch_lists, finish, config_.measure_latency);
   run_stats_ = runner.run_stats();
@@ -900,12 +894,15 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
               static_cast<network::LinkId>(link)));
     }
     uint64_t wire_bytes = 0, frames = 0, stalls = 0, stall_ns = 0;
+    uint64_t duplicates = 0, credits_dropped = 0;
     for (const transport::ChannelTrafficStats& channel :
          run_stats_.channels) {
       wire_bytes += channel.stats.bytes_sent;
       frames += channel.stats.frames_sent;
       stalls += channel.stats.credit_stalls;
       stall_ns += channel.stats.credit_stall_ns;
+      duplicates += channel.stats.duplicates_discarded;
+      credits_dropped += channel.stats.faults_credits_dropped;
     }
     registry->GetGauge("transport.run.wire_bytes")
         ->Set(static_cast<double>(wire_bytes));
@@ -915,6 +912,10 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
         ->Set(static_cast<double>(stalls));
     registry->GetGauge("transport.run.credit_stall_ns")
         ->Set(static_cast<double>(stall_ns));
+    registry->GetGauge("transport.run.duplicates_discarded")
+        ->Set(static_cast<double>(duplicates));
+    registry->GetGauge("transport.run.credits_dropped")
+        ->Set(static_cast<double>(credits_dropped));
   }
   // Batching configuration in effect, so a metrics snapshot records the
   // knobs a run's queue/blocking numbers were measured under.

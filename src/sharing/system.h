@@ -44,9 +44,9 @@ std::string_view StrategyToString(Strategy strategy);
 /// the calling thread (the default and the correctness oracle), or on
 /// transport::PartitionedRunner — partitioned by super-peer, with every
 /// cross-peer edge a wire channel (binary codec + credit-based flow
-/// control) over in-process loopback pipes (kLoopback) or localhost TCP
-/// connections (kTcp). Either way every partition runs as a thread.
-enum class ExecutorKind { kSerial, kLoopback, kTcp };
+/// control) over localhost TCP connections (kTcp), every partition a
+/// thread of this process.
+enum class ExecutorKind { kSerial, kTcp };
 
 struct SystemConfig {
   cost::CostParams cost_params;
@@ -254,7 +254,7 @@ class StreamShareSystem {
   Status Run(BatchesByStream* batches_by_stream);
 
   /// Per-worker queue stats and cross-edge traffic of the most recent
-  /// partitioned run (kLoopback or kTcp); empty before one, so its
+  /// partitioned run (kTcp); empty before one, so its
   /// transport name is empty until then.
   const transport::RunStats& run_stats() const { return run_stats_; }
 

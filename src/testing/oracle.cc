@@ -214,34 +214,22 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     if (derived) ++report.shared_reuses;
   }
 
-  // --- The partitioned executor modes. --------------------------------
-  struct ModeSpec {
-    const char* name;
-    ExecutorKind executor;
-  };
-  std::vector<ModeSpec> mode_specs;
-  if (options.run_loopback) {
-    mode_specs.push_back({"transport-loopback", ExecutorKind::kLoopback});
-  }
+  // --- The partitioned executor mode. ---------------------------------
   if (options.run_tcp) {
-    mode_specs.push_back({"transport-tcp", ExecutorKind::kTcp});
-  }
-
-  for (const ModeSpec& mode_spec : mode_specs) {
+    constexpr const char* kTcpMode = "transport-tcp";
     SystemConfig config;  // no keep_results: counts/bytes/hashes suffice
-    config.executor = mode_spec.executor;
+    config.executor = ExecutorKind::kTcp;
     config.record_path = options.record_path;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem built,
         BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
                          config, options));
-    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(mode_spec.name));
+    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(kTcpMode));
     ModeObservation mode;
-    mode.mode = mode_spec.name;
+    mode.mode = kTcpMode;
     Observe(built, &mode);
 
-    if (!options.inject_divergence_mode.empty() &&
-        options.inject_divergence_mode == mode_spec.name) {
+    if (options.inject_divergence_mode == kTcpMode) {
       // Deliberate equivalence bug (self-test): aggregation queries with
       // a big enough window report one item too few and a skewed hash.
       for (size_t q = 0; q < mode.queries.size(); ++q) {
@@ -542,10 +530,6 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     };
     std::vector<ChurnSpec> churn_specs = {
         {"serial+churn", ExecutorKind::kSerial}};
-    if (options.run_loopback) {
-      churn_specs.push_back(
-          {"transport-loopback+churn", ExecutorKind::kLoopback});
-    }
     if (options.run_tcp) {
       churn_specs.push_back({"transport-tcp+churn", ExecutorKind::kTcp});
     }
@@ -773,79 +757,90 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     }
   }
 
-  // --- Serve arm: the same scenario hosted by a live daemon, every
-  // subscription installed over the CONTROL plane, every delivery
-  // accumulated client-side from RESULT frames over real TCP. The diff
-  // target is the serial reference — or, when the scenario churns, the
-  // serial churned run, since the daemon applies the same events through
-  // its FailPeer/CutLink verbs. ----------------------------------------
-  if (options.run_serve) {
-    bool registration_errors = false;
-    for (const QueryObservation& query : reference_mode.queries) {
-      registration_errors =
-          registration_errors || !query.registration_error.empty();
-    }
-    // A subscription the planner cannot even parse comes back from the
-    // daemon as a failed call, not an observation; nothing to diff.
-    if (!registration_errors) {
-      serve::ServeRunOptions serve_options;
-      serve_options.items_per_stream = scenario.items_per_stream;
-      serve_options.feed_chunk = 13;  // ragged on purpose
-      serve_options.system.record_path = options.record_path;
-      serve_options.churn = scenario.churn;
-      SS_ASSIGN_OR_RETURN(
-          serve::ServeRunReport serve_run,
-          serve::RunScenarioThroughDaemon(spec, serve_options));
-
-      const char* expected_name =
-          scenario.churn.empty() ? "serial" : "serial+churn";
-      const std::vector<QueryObservation>* expected =
-          &reference_mode.queries;
-      for (const ModeObservation& mode : report.modes) {
-        if (mode.mode == expected_name) expected = &mode.queries;
-      }
-
-      ModeObservation serve_mode;
-      serve_mode.mode = "serve";
-      for (const serve::ServeQueryObservation& observed :
-           serve_run.queries) {
-        QueryObservation query;
-        query.accepted = observed.accepted;
-        query.items = observed.items;
-        query.bytes = observed.bytes;
-        query.content_hash = observed.content_hash;
-        serve_mode.queries.push_back(std::move(query));
-      }
-
-      if (serve_mode.queries.size() != expected->size()) {
-        report.serve_ok = false;
-        fail("serve arm: daemon answered " +
-             std::to_string(serve_mode.queries.size()) +
-             " subscriptions for " + std::to_string(expected->size()) +
-             " queries");
-      } else {
-        for (size_t q = 0; q < expected->size(); ++q) {
-          if ((*expected)[q].accepted != serve_mode.queries[q].accepted) {
-            report.serve_ok = false;
-            fail("serve arm: admission outcome diverged on " +
-                 DescribeQuery(scenario, q) + " — " + expected_name +
-                 " accepted=" +
-                 std::to_string((*expected)[q].accepted) + ", serve " +
-                 std::to_string(serve_mode.queries[q].accepted));
-            continue;
-          }
-          if (!SameObservation((*expected)[q], serve_mode.queries[q])) {
-            report.serve_ok = false;
-            fail("serve arm: deliveries diverged on " +
-                 DescribeQuery(scenario, q) + " — " + expected_name +
-                 " " + ObservationString((*expected)[q]) + ", serve " +
-                 ObservationString(serve_mode.queries[q]));
+  // --- The daemon arms (serve, crash) share one diff. Its target is the
+  // serial reference — or, when the scenario churns, the serial churned
+  // run, since the daemon applies the same events through its
+  // FailPeer/CutLink verbs. A subscription the planner cannot even parse
+  // comes back from the daemon as a failed call, not an observation, so a
+  // scenario with a registration error has nothing to diff. -------------
+  bool registration_errors = false;
+  for (const QueryObservation& query : reference_mode.queries) {
+    registration_errors =
+        registration_errors || !query.registration_error.empty();
+  }
+  struct DaemonArm {
+    const char* mode;      // mode name and message prefix
+    const char* daemon;    // who answered, in the count message
+    const char* actual;    // the arm's side of a diff
+    const char* diverged;  // what a content mismatch diverged
+    std::string suffix;    // appended to every message
+    bool* ok;
+  };
+  auto diff_daemon_arm =
+      [&](const DaemonArm& arm,
+          const std::vector<serve::ServeQueryObservation>& observed) {
+        const char* expected_name =
+            scenario.churn.empty() ? "serial" : "serial+churn";
+        const std::vector<QueryObservation>* expected =
+            &reference_mode.queries;
+        for (const ModeObservation& mode : report.modes) {
+          if (mode.mode == expected_name) expected = &mode.queries;
+        }
+        ModeObservation arm_mode;
+        arm_mode.mode = arm.mode;
+        for (const serve::ServeQueryObservation& query : observed) {
+          QueryObservation observation;
+          observation.accepted = query.accepted;
+          observation.items = query.items;
+          observation.bytes = query.bytes;
+          observation.content_hash = query.content_hash;
+          arm_mode.queries.push_back(std::move(observation));
+        }
+        auto arm_fail = [&](const std::string& message) {
+          *arm.ok = false;
+          fail(std::string(arm.mode) + " arm: " + message + arm.suffix);
+        };
+        const std::vector<QueryObservation>& actual = arm_mode.queries;
+        if (actual.size() != expected->size()) {
+          arm_fail(std::string(arm.daemon) + " answered " +
+                   std::to_string(actual.size()) + " subscriptions for " +
+                   std::to_string(expected->size()) + " queries");
+        } else {
+          for (size_t q = 0; q < expected->size(); ++q) {
+            if ((*expected)[q].accepted != actual[q].accepted) {
+              arm_fail("admission outcome diverged on " +
+                       DescribeQuery(scenario, q) + " — " + expected_name +
+                       " accepted=" +
+                       std::to_string((*expected)[q].accepted) + ", " +
+                       arm.actual + " " + std::to_string(actual[q].accepted));
+              continue;
+            }
+            if (!SameObservation((*expected)[q], actual[q])) {
+              arm_fail(std::string(arm.diverged) + " diverged on " +
+                       DescribeQuery(scenario, q) + " — " + expected_name +
+                       " " + ObservationString((*expected)[q]) + ", " +
+                       arm.actual + " " + ObservationString(actual[q]));
+            }
           }
         }
-      }
-      // Appended only now: `expected` may point into report.modes.
-      report.modes.push_back(std::move(serve_mode));
-    }
+        // Appended only now: `expected` may point into report.modes.
+        report.modes.push_back(std::move(arm_mode));
+      };
+
+  // --- Serve arm: the same scenario hosted by a live daemon, every
+  // subscription installed over the CONTROL plane, every delivery
+  // accumulated client-side from RESULT frames over real TCP. ----------
+  if (options.run_serve && !registration_errors) {
+    serve::ServeRunOptions serve_options;
+    serve_options.items_per_stream = scenario.items_per_stream;
+    serve_options.feed_chunk = 13;  // ragged on purpose
+    serve_options.system.record_path = options.record_path;
+    serve_options.churn = scenario.churn;
+    SS_ASSIGN_OR_RETURN(serve::ServeRunReport serve_run,
+                        serve::RunScenarioThroughDaemon(spec, serve_options));
+    diff_daemon_arm({"serve", "daemon", "serve", "deliveries", "",
+                     &report.serve_ok},
+                    serve_run.queries);
   }
 
   // --- Crash arm: the serve workload again, but the daemon lives in a
@@ -854,104 +849,47 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   // run completes across however many deaths it takes. The recovered
   // history must equal the same reference the serve arm diffs against —
   // a crash indistinguishable from a drain for acked operations. -------
-  if (options.run_crash) {
-    bool registration_errors = false;
-    for (const QueryObservation& query : reference_mode.queries) {
-      registration_errors =
-          registration_errors || !query.registration_error.empty();
+  if (options.run_crash && !registration_errors) {
+    serve::CrashRunOptions crash_options;
+    crash_options.items_per_stream = scenario.items_per_stream;
+    crash_options.feed_chunk = 13;
+    crash_options.system.record_path = options.record_path;
+    crash_options.churn = scenario.churn;
+    // Derive which lives die where from the scenario seed: 1-3 armed
+    // lives, each at a seed-chosen crashpoint, hit counts 1-4 so the
+    // same point can pass a few times before firing (startup folds hit
+    // checkpoint points once per recovery).
+    const std::vector<std::string>& points = serve::crashpoint::AllPoints();
+    DetRng crash_rng(scenario.seed ^ 0xc4a5ed0ull);
+    int armed = static_cast<int>(crash_rng.Between(1, 3));
+    for (int i = 0; i < armed; ++i) {
+      const std::string& point = points[crash_rng.Below(points.size())];
+      int hits = static_cast<int>(crash_rng.Between(1, 4));
+      crash_options.crash_specs.push_back(point + ":" +
+                                          std::to_string(hits));
     }
-    if (!registration_errors) {
-      serve::CrashRunOptions crash_options;
-      crash_options.items_per_stream = scenario.items_per_stream;
-      crash_options.feed_chunk = 13;
-      crash_options.system.record_path = options.record_path;
-      crash_options.churn = scenario.churn;
-      // Derive which lives die where from the scenario seed: 1-3 armed
-      // lives, each at a seed-chosen crashpoint, hit counts 1-4 so the
-      // same point can pass a few times before firing (startup folds hit
-      // checkpoint points once per recovery).
-      const std::vector<std::string>& points =
-          serve::crashpoint::AllPoints();
-      DetRng crash_rng(scenario.seed ^ 0xc4a5ed0ull);
-      int armed = static_cast<int>(crash_rng.Between(1, 3));
-      for (int i = 0; i < armed; ++i) {
-        const std::string& point = points[crash_rng.Below(points.size())];
-        int hits = static_cast<int>(crash_rng.Between(1, 4));
-        crash_options.crash_specs.push_back(point + ":" +
-                                            std::to_string(hits));
-      }
-      char state_template[] = "/tmp/ss-crash-XXXXXX";
-      char* state_dir = ::mkdtemp(state_template);
-      if (state_dir == nullptr) {
-        return Status::Internal("mkdtemp failed for the crash arm");
-      }
-      crash_options.state_dir = state_dir;
-      Result<serve::CrashRunReport> crash_run =
-          serve::RunCrashScenario(spec, crash_options);
-      std::remove((crash_options.state_dir + "/checkpoint").c_str());
-      std::remove(
-          serve::DefaultWalPath(crash_options.state_dir + "/checkpoint")
-              .c_str());
-      ::rmdir(state_dir);
-      SS_RETURN_IF_ERROR(crash_run.status());
-      report.crash_lives = crash_run->lives;
-      report.crash_crashes = crash_run->crashes;
-
-      const char* expected_name =
-          scenario.churn.empty() ? "serial" : "serial+churn";
-      const std::vector<QueryObservation>* expected =
-          &reference_mode.queries;
-      for (const ModeObservation& mode : report.modes) {
-        if (mode.mode == expected_name) expected = &mode.queries;
-      }
-
-      ModeObservation crash_mode;
-      crash_mode.mode = "crash";
-      for (const serve::ServeQueryObservation& observed :
-           crash_run->queries) {
-        QueryObservation query;
-        query.accepted = observed.accepted;
-        query.items = observed.items;
-        query.bytes = observed.bytes;
-        query.content_hash = observed.content_hash;
-        crash_mode.queries.push_back(std::move(query));
-      }
-
-      if (crash_mode.queries.size() != expected->size()) {
-        report.crash_ok = false;
-        fail("crash arm: recovered daemon answered " +
-             std::to_string(crash_mode.queries.size()) +
-             " subscriptions for " + std::to_string(expected->size()) +
-             " queries (" + std::to_string(crash_run->crashes) +
-             " crashes over " + std::to_string(crash_run->lives) +
-             " lives)");
-      } else {
-        for (size_t q = 0; q < expected->size(); ++q) {
-          if ((*expected)[q].accepted != crash_mode.queries[q].accepted) {
-            report.crash_ok = false;
-            fail("crash arm: admission outcome diverged on " +
-                 DescribeQuery(scenario, q) + " — " + expected_name +
-                 " accepted=" +
-                 std::to_string((*expected)[q].accepted) + ", recovered " +
-                 std::to_string(crash_mode.queries[q].accepted) + " (" +
-                 std::to_string(crash_run->crashes) + " crashes over " +
-                 std::to_string(crash_run->lives) + " lives)");
-            continue;
-          }
-          if (!SameObservation((*expected)[q], crash_mode.queries[q])) {
-            report.crash_ok = false;
-            fail("crash arm: recovered history diverged on " +
-                 DescribeQuery(scenario, q) + " — " + expected_name + " " +
-                 ObservationString((*expected)[q]) + ", recovered " +
-                 ObservationString(crash_mode.queries[q]) + " (" +
-                 std::to_string(crash_run->crashes) + " crashes over " +
-                 std::to_string(crash_run->lives) + " lives)");
-          }
-        }
-      }
-      // Appended only now: `expected` may point into report.modes.
-      report.modes.push_back(std::move(crash_mode));
+    char state_template[] = "/tmp/ss-crash-XXXXXX";
+    char* state_dir = ::mkdtemp(state_template);
+    if (state_dir == nullptr) {
+      return Status::Internal("mkdtemp failed for the crash arm");
     }
+    crash_options.state_dir = state_dir;
+    Result<serve::CrashRunReport> crash_run =
+        serve::RunCrashScenario(spec, crash_options);
+    std::remove((crash_options.state_dir + "/checkpoint").c_str());
+    std::remove(serve::DefaultWalPath(crash_options.state_dir + "/checkpoint")
+                    .c_str());
+    ::rmdir(state_dir);
+    SS_RETURN_IF_ERROR(crash_run.status());
+    report.crash_lives = crash_run->lives;
+    report.crash_crashes = crash_run->crashes;
+    diff_daemon_arm({"crash", "recovered daemon", "recovered",
+                     "recovered history",
+                     " (" + std::to_string(crash_run->crashes) +
+                         " crashes over " + std::to_string(crash_run->lives) +
+                         " lives)",
+                     &report.crash_ok},
+                    crash_run->queries);
   }
 
   if (options.metrics != nullptr) {

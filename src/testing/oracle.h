@@ -1,6 +1,6 @@
-// The differential oracle. One scenario is executed three ways — serial
-// (the reference), the partitioned runner over loopback pipes, and the
-// partitioned runner over localhost TCP — and every query's sink
+// The differential oracle. One scenario is executed two ways — serial
+// (the reference) and the partitioned runner over localhost TCP — and
+// every query's sink
 // observations (item count, byte count, order-insensitive content hash)
 // are N-way diffed. Separately the *sharing* oracle checks the paper's
 // core claim: the stream-sharing deployment delivers item-identical
@@ -10,7 +10,7 @@
 //
 // Scenarios carrying churn events additionally exercise the *recovery*
 // oracle: the same workload is replayed with peers killed / links cut at
-// fixed item offsets (serial, transport-loopback, and transport-TCP), and
+// fixed item offsets (serial and transport-TCP), and
 // the invariant is "gap, not garbage" — every subscription re-planned at the
 // last failure must produce post-recovery output item-identical to a
 // fresh no-failure run restricted to the post-recovery epochs, every
@@ -53,7 +53,6 @@ struct ModeObservation {
 };
 
 struct OracleOptions {
-  bool run_loopback = true;
   bool run_tcp = true;
 
   /// Serve arm: run the scenario through a live streamshare_serve daemon

@@ -49,32 +49,6 @@ struct ParallelSeries {
   }
 };
 
-/// Registry series fed once per run from the aggregated channel
-/// stats.
-struct TransportSeries {
-  obs::Counter* items_sent;
-  obs::Counter* frames_sent;
-  obs::Counter* encoded_bytes;
-  obs::Counter* wire_bytes;
-  obs::Counter* credit_stalls;
-  obs::Counter* duplicates_discarded;
-
-  static const TransportSeries& Get() {
-    static const TransportSeries series = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-      return TransportSeries{
-          registry.GetCounter("transport.items_sent"),
-          registry.GetCounter("transport.frames_sent"),
-          registry.GetCounter("transport.encoded_bytes"),
-          registry.GetCounter("transport.wire_bytes"),
-          registry.GetCounter("transport.credit_stalls"),
-          registry.GetCounter("transport.duplicates_discarded"),
-      };
-    }();
-    return series;
-  }
-};
-
 /// Prefix marking an error a worker merely relayed from upstream, so a
 /// reader can tell a relay from the error that originated the failure.
 constexpr std::string_view kRelayPrefix = "upstream worker failure: ";
@@ -558,6 +532,8 @@ Status PartitionedRunner::Run(
     stats.stats.items_delivered = channel->receiver->stats().items_delivered;
     stats.stats.duplicates_discarded =
         channel->receiver->stats().duplicates_discarded;
+    stats.stats.faults_credits_dropped =
+        channel->receiver->stats().faults_credits_dropped;
     run_stats_.channels.push_back(stats);
   }
   run_stats_.workers.resize(worker_count);
@@ -580,25 +556,6 @@ Status PartitionedRunner::Run(
     rebind.op->RebindMetrics(rebind.shard, rebind.original);
   }
 
-  const TransportSeries& series = TransportSeries::Get();
-  uint64_t items = 0, encoded = 0;
-  for (const EdgeTrafficStats& edge : run_stats_.edges) {
-    items += edge.items;
-    encoded += edge.encoded_bytes;
-  }
-  uint64_t frames = 0, wire = 0, stalls = 0, duplicates = 0;
-  for (const ChannelTrafficStats& channel : run_stats_.channels) {
-    frames += channel.stats.frames_sent;
-    wire += channel.stats.bytes_sent;
-    stalls += channel.stats.credit_stalls;
-    duplicates += channel.stats.duplicates_discarded;
-  }
-  series.items_sent->Add(items);
-  series.encoded_bytes->Add(encoded);
-  series.frames_sent->Add(frames);
-  series.wire_bytes->Add(wire);
-  series.credit_stalls->Add(stalls);
-  series.duplicates_discarded->Add(duplicates);
   return run_status;
 }
 

@@ -8,8 +8,8 @@
 // flow-controlled channel (flow.h); a receiver thread on the target
 // worker decodes into the queue, and EOS or the first error travels down
 // the channel at the end. Every worker models a distinct super-peer and
-// runs as one thread of this process, over any transport (so the TCP
-// stack runs under TSAN too).
+// runs as one thread of this process (so the TCP stack runs under TSAN
+// too).
 //
 // The calling thread feeds the entry streams, and every worker finishes
 // its boundary operators once the pills of all its producers arrived.

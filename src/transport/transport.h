@@ -45,9 +45,7 @@ class PipeEnd {
   /// Unavailable, its SendFrame may fail. Idempotent.
   virtual void Close() = 0;
 
-  /// Bytes this end has put on the wire (frame overhead included). The
-  /// loopback transport hands frames over without a byte copy and
-  /// truthfully reports 0.
+  /// Bytes this end has put on the wire (frame overhead included).
   virtual uint64_t wire_bytes_sent() const = 0;
 };
 

@@ -43,7 +43,6 @@ FuzzScenario TeardownScenario() {
 
 TEST(FuzzRegression, TcpTeardownDeliversEos) {
   OracleOptions options;
-  options.run_loopback = false;
   FuzzScenario scenario = TeardownScenario();
   for (int run = 0; run < 20; ++run) {
     auto report = RunOracle(scenario, options);

@@ -140,7 +140,7 @@ TEST(ChurnJsonTest, RejectsUnknownChurnKind) {
 
 TEST(ChurnOracleTest, ChurnedSeedsPassAllInvariants) {
   // Replays churned scenarios through every churned mode (serial,
-  // transport-loopback, transport-tcp) and checks cross-mode agreement plus the
+  // transport-tcp) and checks cross-mode agreement plus the
   // gap-not-garbage epoch invariants. Seeds chosen to cover both a
   // re-planned and a torn-down recovery (see the report fields asserted).
   int replans = 0, lost = 0;
@@ -199,9 +199,8 @@ TEST(ChurnShrinkTest, DropsChurnWhenTheBugIsClean) {
   // recovery is NOT part of the failure.
   FuzzScenario scenario = FirstChurnScenario();
   OracleOptions options;
-  options.inject_divergence_mode = "transport-loopback";
+  options.inject_divergence_mode = "transport-tcp";
   options.inject_min_window = 0;
-  options.run_tcp = false;
   auto still_fails = [&](const FuzzScenario& candidate) {
     auto r = RunOracle(candidate, options);
     return r.ok() && !r->ok();
@@ -220,7 +219,6 @@ TEST(ChurnShrinkTest, OffsetsScaleWithItemReduction) {
   OracleOptions options;
   options.inject_churn_mode = "serial+churn";
   options.run_tcp = false;
-  options.run_loopback = false;
   auto still_fails = [&](const FuzzScenario& candidate) {
     auto r = RunOracle(candidate, options);
     return r.ok() && !r->ok();

@@ -10,7 +10,7 @@
 //
 // fork() and TSAN don't mix (the child inherits a runtime that thinks
 // the parent's threads still exist), so under TSAN the fork-heavy cases
-// skip — the same policy test_transport_runner.cc uses.
+// skip.
 
 #include <signal.h>
 #include <sys/wait.h>

@@ -106,8 +106,7 @@ TEST(OracleTest, ServeArmMatchesSerialReference) {
   // events through its verbs).
   OracleOptions options;
   options.run_serve = true;
-  options.run_loopback = false;  // speed; the serve arm is under test
-  options.run_tcp = false;
+  options.run_tcp = false;  // speed; the serve arm is under test
   GeneratorOptions gen;
   gen.churn_probability = 0.5;
   int serve_modes = 0;
@@ -130,7 +129,6 @@ TEST(OracleTest, SweepExercisesSharing) {
   // oracle is vacuous.
   OracleOptions options;
   options.run_tcp = false;  // speed; sharing is mode-independent
-  options.run_loopback = false;
   int reuses = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     auto report = RunOracle(GenerateScenario(seed), options);
@@ -181,8 +179,7 @@ constexpr const char* kOutOfOrderChurn[] = {
 TEST(OracleTest, OutOfOrderChurnReplaysLikeSorted) {
   OracleOptions options;
   options.run_serve = true;
-  options.run_loopback = false;  // speed; the order rule is under test
-  options.run_tcp = false;
+  options.run_tcp = false;  // speed; the order rule is under test
   for (const char* json : kOutOfOrderChurn) {
     Result<FuzzScenario> scenario = FromJson(json);
     ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
@@ -228,8 +225,7 @@ uint64_t FindInjectableSeed(const OracleOptions& options) {
 
 TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   OracleOptions options;
-  options.run_tcp = false;  // loopback already covers the transport path
-  options.inject_divergence_mode = "transport-loopback";
+  options.inject_divergence_mode = "transport-tcp";
   options.inject_min_window = 1;
 
   uint64_t seed = FindInjectableSeed(options);
@@ -239,7 +235,7 @@ TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_FALSE(report->ok());
   EXPECT_FALSE(report->equivalence_ok);
-  EXPECT_NE(report->failure.find("transport-loopback"), std::string::npos)
+  EXPECT_NE(report->failure.find("transport-tcp"), std::string::npos)
       << report->failure;
 
   // Shrink to a minimal scenario that still trips the same oracle.

@@ -20,7 +20,7 @@
 #include "sharing/latency_audit.h"
 #include "sharing/system.h"
 #include "transport/flow.h"
-#include "transport/loopback.h"
+#include "transport/tcp.h"
 #include "workload/paper_queries.h"
 #include "workload/scenario.h"
 #include "item_feed.h"
@@ -37,8 +37,8 @@ using transport::ChannelSender;
 using transport::FaultPlan;
 using transport::FlowOptions;
 using transport::FrameType;
-using transport::LoopbackTransport;
 using transport::PipePair;
+using transport::TcpTransport;
 
 ItemPtr Leaf(const std::string& name, const std::string& text) {
   auto node = std::make_unique<xml::XmlNode>(name);
@@ -209,7 +209,7 @@ struct Channel {
 };
 
 Channel MakeChannel(FaultPlan faults = {}) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   PipePair pair;
   Status status = transport.CreatePipe("chan", &pair);
   EXPECT_TRUE(status.ok()) << status.ToString();

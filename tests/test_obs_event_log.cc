@@ -12,8 +12,8 @@
 #include "common/status.h"
 #include "engine/executor.h"
 #include "obs/event_log.h"
-#include "transport/loopback.h"
 #include "transport/runner.h"
+#include "transport/tcp.h"
 #include "item_feed.h"
 
 namespace streamshare {
@@ -136,8 +136,8 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   auto* parallel_entry = parallel_graph.Add<engine::PassOp>("entry[q7]");
   auto* parallel_fail = parallel_graph.Add<AlwaysFailOp>("boom");
   parallel_entry->AddDownstream(parallel_fail);
-  transport::LoopbackTransport loopback;
-  transport::PartitionedRunner runner(loopback);
+  transport::TcpTransport tcp;
+  transport::PartitionedRunner runner(tcp);
   auto batches = engine::ChunkStreams({items});
   Status parallel_status = runner.Run({parallel_entry}, &batches);
 

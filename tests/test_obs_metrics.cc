@@ -13,8 +13,8 @@
 
 #include "engine/executor.h"
 #include "obs/metrics_registry.h"
-#include "transport/loopback.h"
 #include "transport/runner.h"
+#include "transport/tcp.h"
 #include "item_feed.h"
 
 namespace streamshare {
@@ -289,8 +289,8 @@ TEST(MetricsRegistryTest, ParallelRunnerCountersStayConsistent) {
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 500; ++i) fed.push_back(Leaf("n", std::to_string(i)));
 
-  transport::LoopbackTransport loopback;
-  transport::PartitionedRunner runner(loopback);
+  transport::TcpTransport tcp;
+  transport::PartitionedRunner runner(tcp);
   auto fed_batches = engine::ChunkStreams({fed});
   ASSERT_TRUE(runner.Run({entry}, &fed_batches).ok());
 

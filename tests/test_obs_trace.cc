@@ -16,8 +16,8 @@
 
 #include "engine/executor.h"
 #include "obs/trace.h"
-#include "transport/loopback.h"
 #include "transport/runner.h"
+#include "transport/tcp.h"
 #include "item_feed.h"
 
 namespace streamshare {
@@ -406,8 +406,8 @@ TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
   entry->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
-  transport::LoopbackTransport loopback;
-  transport::PartitionedRunner runner(loopback);
+  transport::TcpTransport tcp;
+  transport::PartitionedRunner runner(tcp);
   auto batches = engine::ChunkStreams({items});
   Status status = runner.Run({entry}, &batches);
 

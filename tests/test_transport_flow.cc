@@ -1,5 +1,5 @@
 // Transport pipes and the credit-based flow-control protocol: basic
-// send/recv and close semantics on both transports, in-order delivery
+// send/recv and close semantics on localhost TCP, in-order delivery
 // between two threads, credit starvation surfacing as DeadlineExceeded,
 // and each injected fault producing its documented symptom (drop → data
 // loss error, duplicate → discarded and counted, delay → just late).
@@ -13,7 +13,6 @@
 
 #include "common/status.h"
 #include "transport/flow.h"
-#include "transport/loopback.h"
 #include "transport/tcp.h"
 #include "transport/wire.h"
 
@@ -25,27 +24,16 @@ using transport::ChannelSender;
 using transport::FaultPlan;
 using transport::FlowOptions;
 using transport::FrameType;
-using transport::LoopbackTransport;
 using transport::PipePair;
 using transport::TcpTransport;
 using transport::Transport;
 
-// --- PipeEnd basics, parameterized over both transports ------------------
+// --- PipeEnd basics --------------------------------------------------------
 
-class PipeEndTest : public ::testing::TestWithParam<const char*> {
- protected:
-  std::unique_ptr<Transport> Make() {
-    if (std::string(GetParam()) == "tcp") {
-      return std::make_unique<TcpTransport>();
-    }
-    return std::make_unique<LoopbackTransport>();
-  }
-};
-
-TEST_P(PipeEndTest, FramesCrossInBothDirections) {
-  auto transport = Make();
+TEST(PipeEndTest, FramesCrossInBothDirections) {
+  TcpTransport transport;
   PipePair pair;
-  ASSERT_TRUE(transport->CreatePipe("t", &pair).ok());
+  ASSERT_TRUE(transport.CreatePipe("t", &pair).ok());
 
   ASSERT_TRUE(pair.ends[0]->SendFrame(FrameType::kData, "ping").ok());
   FrameType type;
@@ -60,10 +48,10 @@ TEST_P(PipeEndTest, FramesCrossInBothDirections) {
   EXPECT_EQ(body, "pong");
 }
 
-TEST_P(PipeEndTest, RecvTimesOutOnSilence) {
-  auto transport = Make();
+TEST(PipeEndTest, RecvTimesOutOnSilence) {
+  TcpTransport transport;
   PipePair pair;
-  ASSERT_TRUE(transport->CreatePipe("t", &pair).ok());
+  ASSERT_TRUE(transport.CreatePipe("t", &pair).ok());
   FrameType type;
   std::string body;
   Status status = pair.ends[1]->RecvFrame(&type, &body, 20);
@@ -71,10 +59,10 @@ TEST_P(PipeEndTest, RecvTimesOutOnSilence) {
       << status.ToString();
 }
 
-TEST_P(PipeEndTest, PeerCloseDrainsThenReportsUnavailable) {
-  auto transport = Make();
+TEST(PipeEndTest, PeerCloseDrainsThenReportsUnavailable) {
+  TcpTransport transport;
   PipePair pair;
-  ASSERT_TRUE(transport->CreatePipe("t", &pair).ok());
+  ASSERT_TRUE(transport.CreatePipe("t", &pair).ok());
   ASSERT_TRUE(pair.ends[0]->SendFrame(FrameType::kData, "last").ok());
   pair.ends[0]->Close();
 
@@ -86,9 +74,6 @@ TEST_P(PipeEndTest, PeerCloseDrainsThenReportsUnavailable) {
   Status status = pair.ends[1]->RecvFrame(&type, &body, 2000);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, PipeEndTest,
-                         ::testing::Values("loopback", "tcp"));
 
 TEST(TcpPipeTest, ReportsWireBytes) {
   TcpTransport transport;
@@ -150,7 +135,7 @@ ReceiveResult DrainChannel(ChannelReceiver* receiver) {
 }
 
 TEST(FlowControlTest, DeliversInOrderWithSmallCreditWindow) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   FlowOptions options;
   options.initial_credits = 4;  // force many credit round trips
   Channel channel = MakeChannel(&transport, options);
@@ -181,7 +166,7 @@ TEST(FlowControlTest, DeliversInOrderWithSmallCreditWindow) {
 }
 
 TEST(FlowControlTest, CreditStarvationHitsDeadline) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   FlowOptions options;
   options.initial_credits = 1;
   options.send_timeout_ms = 10;
@@ -198,7 +183,7 @@ TEST(FlowControlTest, CreditStarvationHitsDeadline) {
 }
 
 TEST(FlowControlTest, DroppedFrameSurfacesAsDataLoss) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   FaultPlan faults;
   faults.drop_period = 3;  // drop every 3rd DATA frame
   Channel channel = MakeChannel(&transport, {}, faults);
@@ -218,7 +203,7 @@ TEST(FlowControlTest, DroppedFrameSurfacesAsDataLoss) {
 }
 
 TEST(FlowControlTest, DuplicatesAreDiscardedAndCounted) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   FaultPlan faults;
   faults.duplicate_period = 2;  // every 2nd DATA frame goes out twice
   Channel channel = MakeChannel(&transport, {}, faults);
@@ -246,7 +231,7 @@ TEST(FlowControlTest, DuplicatesAreDiscardedAndCounted) {
 }
 
 TEST(FlowControlTest, DelayedFramesStillArrive) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   FaultPlan faults;
   faults.delay_period = 4;
   faults.delay_ms = 5;
@@ -270,7 +255,7 @@ TEST(FlowControlTest, DelayedFramesStillArrive) {
 }
 
 TEST(FlowControlTest, ErrorFramePropagatesMessage) {
-  LoopbackTransport transport;
+  TcpTransport transport;
   Channel channel = MakeChannel(&transport, {});
   ASSERT_TRUE(channel.sender->SendItem(2, "payload").ok());
   ASSERT_TRUE(channel.sender->SendError("upstream exploded").ok());

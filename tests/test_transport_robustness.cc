@@ -14,7 +14,7 @@
 #include "common/status.h"
 #include "engine/codec.h"
 #include "transport/flow.h"
-#include "transport/loopback.h"
+#include "transport/tcp.h"
 #include "xml/xml_node.h"
 
 namespace streamshare {
@@ -27,8 +27,8 @@ using transport::FlowOptions;
 using transport::FrameType;
 using engine::ItemDecoder;
 using engine::ItemEncoder;
-using transport::LoopbackTransport;
 using transport::PipePair;
+using transport::TcpTransport;
 
 std::unique_ptr<xml::XmlNode> RoundTrip(const xml::XmlNode& node,
                                         ItemEncoder* encoder,
@@ -137,7 +137,7 @@ TEST(CodecRobustnessTest, LargePayloadRoundTripsOverChannel) {
     big.AddChild("row")->set_text(std::to_string(i));
   }
 
-  LoopbackTransport transport;
+  TcpTransport transport;
   PipePair pair;
   ASSERT_TRUE(transport.CreatePipe("big", &pair).ok());
   ChannelSender sender("big", std::move(pair.ends[0]), FlowOptions{}, {});
@@ -146,11 +146,21 @@ TEST(CodecRobustnessTest, LargePayloadRoundTripsOverChannel) {
   ItemEncoder encoder;
   std::string wire;
   encoder.Encode(big, &wire);
-  ASSERT_TRUE(sender.SendItem(3, wire).ok());
-  ASSERT_TRUE(sender.SendEos().ok());
-
+  // The frame outgrows the socket buffers, so it is sent from its own
+  // thread while this one receives.
+  Status send_status;
+  std::thread sender_thread([&] {
+    send_status = sender.SendItem(3, wire);
+    if (send_status.ok()) send_status = sender.SendEos();
+  });
   ChannelReceiver::Incoming incoming;
-  ASSERT_TRUE(receiver.Recv(&incoming).ok());
+  ChannelReceiver::Incoming eos;
+  Status recv_status = receiver.Recv(&incoming);
+  Status eos_status = recv_status.ok() ? receiver.Recv(&eos) : recv_status;
+  sender_thread.join();
+
+  ASSERT_TRUE(send_status.ok()) << send_status.ToString();
+  ASSERT_TRUE(recv_status.ok()) << recv_status.ToString();
   ASSERT_EQ(incoming.type, FrameType::kData);
   EXPECT_EQ(incoming.target, 3u);
   ItemDecoder decoder;
@@ -158,8 +168,8 @@ TEST(CodecRobustnessTest, LargePayloadRoundTripsOverChannel) {
   Status status = decoder.Decode(incoming.item_bytes, &decoded);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(decoded->Equals(big));
-  ASSERT_TRUE(receiver.Recv(&incoming).ok());
-  EXPECT_EQ(incoming.type, FrameType::kEos);
+  ASSERT_TRUE(eos_status.ok()) << eos_status.ToString();
+  EXPECT_EQ(eos.type, FrameType::kEos);
 }
 
 // --- Credit-drop fault ----------------------------------------------------
@@ -169,7 +179,7 @@ TEST(CreditFaultTest, DroppedFinalCreditFailsWithDeadlineNotHang) {
   // The receiver drops the grant for the final in-flight item, so the
   // sender's next SendItem must exhaust its retries and fail with
   // DeadlineExceeded — bounded, visible, no hang.
-  LoopbackTransport transport;
+  TcpTransport transport;
   PipePair pair;
   ASSERT_TRUE(transport.CreatePipe("fault", &pair).ok());
   FlowOptions options;
@@ -212,7 +222,7 @@ TEST(CreditFaultTest, DroppedFinalCreditFailsWithDeadlineNotHang) {
 TEST(CreditFaultTest, OccasionalCreditLossIsAbsorbedByLaterGrants) {
   // With a wider window, a periodically dropped CREDIT only thins the
   // window; later grants keep the stream moving and everything arrives.
-  LoopbackTransport transport;
+  TcpTransport transport;
   PipePair pair;
   ASSERT_TRUE(transport.CreatePipe("thin", &pair).ok());
   FlowOptions options;

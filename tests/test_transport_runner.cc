@@ -1,16 +1,14 @@
 // The partitioned runner's contract: results and merged metrics identical
 // to a serial run, serial-wiring restore, backpressure on tiny queues and
 // tiny credit windows without deadlock, clean error propagation across
-// workers, and measured cross-edge traffic. The suite runs over the
-// loopback transport; the TCP transport (one worker thread per partition,
-// over real localhost sockets) and the wire's fault injection are covered
-// by the TransportRunnerTest cases at the end.
+// workers, and measured cross-edge traffic. Every run crosses localhost
+// TCP, one worker thread per partition; the wire's fault injection is
+// covered by the TransportRunnerTest cases at the end.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "engine/window_agg.h"
 #include "network/topology.h"
 #include "obs/metrics_registry.h"
-#include "transport/loopback.h"
 #include "transport/runner.h"
 #include "transport/tcp.h"
 #include "transport/wire.h"
@@ -33,7 +30,6 @@ namespace {
 
 using engine::ItemPtr;
 using engine::Operator;
-using transport::LoopbackTransport;
 using transport::PartitionedRunner;
 using transport::RunnerOptions;
 using transport::TcpTransport;
@@ -44,30 +40,10 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-/// One transport under test.
-struct RunnerCase {
-  const char* label;
-  const char* transport;  // "loopback" | "tcp"
-
-  bool tcp() const { return std::string(transport) == "tcp"; }
-};
-
-// Names the case in test output (Channels/...Test.Name/loopback).
-void PrintTo(const RunnerCase& c, std::ostream* os) { *os << c.label; }
-
-const RunnerCase kLoopback{"loopback", "loopback"};
-const RunnerCase kTcpThreads{"tcp_threads", "tcp"};
-
-std::unique_ptr<transport::Transport> MakeTransport(const RunnerCase& c) {
-  if (c.tcp()) return std::make_unique<TcpTransport>();
-  return std::make_unique<LoopbackTransport>();
-}
-
-sharing::SystemConfig ConfigFor(const RunnerCase& c) {
+sharing::SystemConfig TcpConfig() {
   sharing::SystemConfig config;
   config.keep_results = true;
-  config.executor =
-      c.tcp() ? sharing::ExecutorKind::kTcp : sharing::ExecutorKind::kLoopback;
+  config.executor = sharing::ExecutorKind::kTcp;
   return config;
 }
 
@@ -76,9 +52,7 @@ sharing::SystemConfig ConfigFor(const RunnerCase& c) {
 /// systems and demands identical sink contents and equal merged metrics —
 /// the acceptance bar from the paper repro: the distribution mechanism
 /// must be invisible in the results. Returns the partitioned run's stats.
-transport::RunStats ExpectMatchesSerial(const RunnerCase& test_case,
-                                        const sharing::SystemConfig& config) {
-  SCOPED_TRACE(test_case.label);
+transport::RunStats ExpectMatchesSerial(const sharing::SystemConfig& config) {
   workload::ScenarioSpec scenario =
       workload::ExtendedExampleScenario(/*seed=*/11, /*query_count=*/25);
 
@@ -154,10 +128,8 @@ transport::RunStats ExpectMatchesSerial(const RunnerCase& test_case,
 /// Checks the traffic a run over the extended workload must have
 /// measured: partitioned across several workers, with items on the cross
 /// edges — encoded, one DATA frame each.
-void ExpectCrossTraffic(const RunnerCase& test_case,
-                        const transport::RunStats& stats) {
-  SCOPED_TRACE(test_case.label);
-  EXPECT_EQ(stats.transport, test_case.transport);
+void ExpectCrossTraffic(const transport::RunStats& stats) {
+  EXPECT_EQ(stats.transport, "tcp");
   EXPECT_GT(stats.workers.size(), 1u);
   EXPECT_FALSE(stats.edges.empty());
   EXPECT_FALSE(stats.channels.empty());
@@ -202,7 +174,7 @@ class FailAfterOp final : public Operator {
 /// entry(p0) → link(p0→p1) → fail(p1) → sink: the failing operator lives
 /// downstream of the one cross edge, so its error must travel back out
 /// of the worker without wedging any channel.
-Status RunCrossEdgeFailure(const RunnerCase& test_case) {
+Status RunCrossEdgeFailure() {
   network::Topology topology;
   network::NodeId p0 = topology.AddPeer("SP0");
   network::NodeId p1 = topology.AddPeer("SP1");
@@ -225,8 +197,8 @@ Status RunCrossEdgeFailure(const RunnerCase& test_case) {
   std::vector<ItemPtr> items;
   for (int i = 0; i < 500; ++i) items.push_back(Leaf("n", "x"));
 
-  auto transport = MakeTransport(test_case);
-  PartitionedRunner runner(*transport);
+  TcpTransport transport;
+  PartitionedRunner runner(transport);
   auto batches = engine::ChunkStreams({items});
   return runner.Run({entry}, &batches);
 }
@@ -263,7 +235,7 @@ void BuildSmallGraph(SmallGraph* g) {
   g->sink = sink;
 }
 
-// --- The suite, over the loopback transport -------------------------------
+// --- The suite ---------------------------------------------------------------
 
 /// Forwards every batch, recording the ingress tick each slot carries.
 class StampProbeOp final : public Operator {
@@ -350,26 +322,20 @@ TEST(WindowStampTest, EmissionsCarryClosingSlotStampSerially) {
   }
 }
 
-class PartitionedRunnerTest : public ::testing::TestWithParam<RunnerCase> {
- protected:
-  const RunnerCase& test_case() const { return GetParam(); }
-};
-
-TEST_P(PartitionedRunnerTest, MatchesSerialOnExtendedWorkload) {
-  transport::RunStats stats =
-      ExpectMatchesSerial(test_case(), ConfigFor(test_case()));
-  ExpectCrossTraffic(test_case(), stats);
+TEST(PartitionedRunnerTest, MatchesSerialOnExtendedWorkload) {
+  transport::RunStats stats = ExpectMatchesSerial(TcpConfig());
+  ExpectCrossTraffic(stats);
 }
 
-TEST_P(PartitionedRunnerTest, TinyQueueBackpressureWithoutDeadlock) {
+TEST(PartitionedRunnerTest, TinyQueueBackpressureWithoutDeadlock) {
   // Capacity-1 queues, one item per handoff, and a 2-credit window: every
   // handoff stalls, locally and across the wire, and the run must still
   // complete with the serial results.
-  sharing::SystemConfig config = ConfigFor(test_case());
+  sharing::SystemConfig config = TcpConfig();
   config.parallel.queue_capacity = 1;
   config.parallel.batch_size = 1;
   config.flow.initial_credits = 2;
-  transport::RunStats stats = ExpectMatchesSerial(test_case(), config);
+  transport::RunStats stats = ExpectMatchesSerial(config);
   uint64_t stalls = 0;
   for (const auto& channel : stats.channels) {
     stalls += channel.stats.credit_stalls;
@@ -377,7 +343,7 @@ TEST_P(PartitionedRunnerTest, TinyQueueBackpressureWithoutDeadlock) {
   EXPECT_GT(stalls, 0u) << "a 2-credit window never stalling is a bug";
 }
 
-TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
+TEST(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
   // Two peers joined by one link: entry and link op bill peer 0, the
   // sink's upstream pass bills peer 1 — the edge between them crosses a
   // worker boundary and gets a port spliced in for the run. Afterwards
@@ -429,8 +395,8 @@ TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
 
   RunnerOptions options;
   options.parallel.queue_capacity = 8;  // force some backpressure
-  auto transport = MakeTransport(test_case());
-  PartitionedRunner runner(*transport, options);
+  TcpTransport transport;
+  PartitionedRunner runner(transport, options);
   auto batches = engine::ChunkStreams({items});
   ASSERT_TRUE(runner.Run({entry}, &batches).ok());
   EXPECT_EQ(runner.run_stats().workers.size(), 2u);
@@ -461,7 +427,7 @@ TEST_P(PartitionedRunnerTest, RestoresSerialWiringAndShardedMetrics) {
   EXPECT_EQ(stats.edges[0].items, 200u);
 }
 
-TEST_P(PartitionedRunnerTest, OperatorFailurePropagates) {
+TEST(PartitionedRunnerTest, OperatorFailurePropagates) {
   // Within one worker: no accounting, so the whole chain is one worker.
   {
     engine::OperatorGraph graph;
@@ -474,8 +440,8 @@ TEST_P(PartitionedRunnerTest, OperatorFailurePropagates) {
     std::vector<ItemPtr> items;
     for (int i = 0; i < 1000; ++i) items.push_back(Leaf("n", "x"));
 
-    auto transport = MakeTransport(test_case());
-    PartitionedRunner runner(*transport);
+    TcpTransport transport;
+    PartitionedRunner runner(transport);
     auto batches = engine::ChunkStreams({items});
     Status status = runner.Run({entry}, &batches);
     ASSERT_FALSE(status.ok());
@@ -483,29 +449,29 @@ TEST_P(PartitionedRunnerTest, OperatorFailurePropagates) {
         << status.ToString();
   }
   // Downstream of a cross edge.
-  Status status = RunCrossEdgeFailure(test_case());
+  Status status = RunCrossEdgeFailure();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
       << status.ToString();
 }
 
-TEST_P(PartitionedRunnerTest, EmptyStreamStillFinishes) {
+TEST(PartitionedRunnerTest, EmptyStreamStillFinishes) {
   SmallGraph g;
   BuildSmallGraph(&g);
-  auto transport = MakeTransport(test_case());
-  PartitionedRunner runner(*transport);
+  TcpTransport transport;
+  PartitionedRunner runner(transport);
   auto batches = engine::ChunkStreams({{}});
   ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
   EXPECT_EQ(g.sink->item_count(), 0u);
 }
 
-TEST_P(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
+TEST(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
   for (bool records : {true, false}) {
     SCOPED_TRACE(records ? "record slots" : "opaque slots");
     WindowStampGraph g;
     BuildWindowStampGraph(&g);
-    auto transport = MakeTransport(test_case());
-    PartitionedRunner runner(*transport);
+    TcpTransport transport;
+    PartitionedRunner runner(transport);
     auto batches = StampedPhotons(records);
     ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
     EXPECT_EQ(runner.run_stats().workers.size(), 2u);
@@ -513,23 +479,7 @@ TEST_P(PartitionedRunnerTest, WindowEmissionsCarryClosingSlotStamp) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Channels, PartitionedRunnerTest,
-                         ::testing::Values(kLoopback));
-
-// --- TCP and fault injection -----------------------------------------------
-
-TEST(TransportRunnerTest, MatchesSerialOverTcp) {
-  transport::RunStats stats =
-      ExpectMatchesSerial(kTcpThreads, ConfigFor(kTcpThreads));
-  ExpectCrossTraffic(kTcpThreads, stats);
-}
-
-TEST(TransportRunnerTest, OperatorFailurePropagatesOverTcp) {
-  Status status = RunCrossEdgeFailure(kTcpThreads);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
-      << status.ToString();
-}
+// --- Fault injection ---------------------------------------------------------
 
 TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
   SmallGraph g;
@@ -540,7 +490,7 @@ TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
 
   RunnerOptions options;
   options.faults.drop_period = 10;
-  LoopbackTransport transport;
+  TcpTransport transport;
   PartitionedRunner runner(transport, options);
   auto batches = engine::ChunkStreams({items});
   Status status = runner.Run({g.entry}, &batches);
@@ -558,7 +508,7 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
 
   RunnerOptions options;
   options.faults.duplicate_period = 4;
-  LoopbackTransport transport;
+  TcpTransport transport;
   PartitionedRunner runner(transport, options);
   auto batches = engine::ChunkStreams({items});
   ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
@@ -573,6 +523,33 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
     discarded += channel.stats.duplicates_discarded;
   }
   EXPECT_EQ(discarded, 15u);  // every 4th of 60 frames
+}
+
+TEST(TransportRunnerTest, CreditDropsReachRunStats) {
+  SmallGraph g;
+  BuildSmallGraph(&g);
+
+  std::vector<ItemPtr> items;
+  for (int i = 0; i < 60; ++i) items.push_back(Leaf("n", std::to_string(i)));
+
+  // The receiver swallows every 5th CREDIT; the default window outlasts
+  // the run, so every item still arrives.
+  RunnerOptions options;
+  options.faults.credit_drop_period = 5;
+  TcpTransport transport;
+  PartitionedRunner runner(transport, options);
+  auto batches = engine::ChunkStreams({items});
+  ASSERT_TRUE(runner.Run({g.entry}, &batches).ok());
+
+  ASSERT_EQ(g.sink->item_count(), 60u);
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_EQ(g.sink->items()[i]->text(), std::to_string(i));
+  }
+  uint64_t dropped = 0;
+  for (const auto& channel : runner.run_stats().channels) {
+    dropped += channel.stats.faults_credits_dropped;
+  }
+  EXPECT_EQ(dropped, 12u);  // every 5th of 60 grants
 }
 
 /// Wraps a transport and counts the DATA frames its pipes send at the
@@ -644,49 +621,45 @@ uint64_t ResidencyCount(size_t worker) {
 
 // The runner's `stamp` argument is the whole stamping decision: an
 // unstamped run delivers no stamped item, its queues observe no
-// residency, and its DATA frames stay at the base wire version — on
-// every transport. The stamped run of the same graph is the positive
-// control.
+// residency, and its DATA frames stay at the base wire version. The
+// stamped run of the same graph is the positive control.
 TEST(TransportRunnerTest, UnstampedRunsStampNothingOnAnyTransport) {
   constexpr uint64_t kItems = 200;
-  for (const RunnerCase& test_case : {kLoopback, kTcpThreads}) {
-    for (bool stamp : {true, false}) {
-      SCOPED_TRACE(std::string(test_case.label) +
-                   (stamp ? " stamped" : " unstamped"));
-      SmallGraph g;
-      BuildSmallGraph(&g);
-      g.sink->EnableLatencyRecording("runner_stamp_switch");
-      const uint64_t recorded_before = g.sink->latency_histogram()->Count();
-      const uint64_t residency_before = ResidencyCount(0) + ResidencyCount(1);
+  for (bool stamp : {true, false}) {
+    SCOPED_TRACE(stamp ? "stamped" : "unstamped");
+    SmallGraph g;
+    BuildSmallGraph(&g);
+    g.sink->EnableLatencyRecording("runner_stamp_switch");
+    const uint64_t recorded_before = g.sink->latency_histogram()->Count();
+    const uint64_t residency_before = ResidencyCount(0) + ResidencyCount(1);
 
-      std::vector<ItemPtr> items;
-      for (uint64_t i = 0; i < kItems; ++i) {
-        items.push_back(Leaf("n", std::to_string(i)));
-      }
-      FrameVersionTransport transport(MakeTransport(test_case));
-      PartitionedRunner runner(transport);
-      auto batches = engine::ChunkStreams({items}, /*batch_size=*/16);
-      ASSERT_TRUE(runner.Run({g.entry}, &batches, /*finish=*/true, stamp)
-                      .ok());
+    std::vector<ItemPtr> items;
+    for (uint64_t i = 0; i < kItems; ++i) {
+      items.push_back(Leaf("n", std::to_string(i)));
+    }
+    FrameVersionTransport transport(std::make_unique<TcpTransport>());
+    PartitionedRunner runner(transport);
+    auto batches = engine::ChunkStreams({items}, /*batch_size=*/16);
+    ASSERT_TRUE(
+        runner.Run({g.entry}, &batches, /*finish=*/true, stamp).ok());
 
-      ASSERT_EQ(g.sink->item_count(), kItems);
-      const uint64_t recorded =
-          g.sink->latency_histogram()->Count() - recorded_before;
-      const uint64_t residency =
-          ResidencyCount(0) + ResidencyCount(1) - residency_before;
-      const uint64_t v1 = transport.counts().base.load();
-      const uint64_t v2 = transport.counts().stamped.load();
-      EXPECT_EQ(v1 + v2, kItems);
-      if (stamp) {
-        EXPECT_EQ(recorded, kItems);
-        EXPECT_GT(residency, 0u);
-        EXPECT_EQ(v2, kItems);
-      } else {
-        EXPECT_EQ(recorded, 0u);
-        EXPECT_EQ(g.sink->stamped_count(), 0u);
-        EXPECT_EQ(residency, 0u);
-        EXPECT_EQ(v2, 0u);
-      }
+    ASSERT_EQ(g.sink->item_count(), kItems);
+    const uint64_t recorded =
+        g.sink->latency_histogram()->Count() - recorded_before;
+    const uint64_t residency =
+        ResidencyCount(0) + ResidencyCount(1) - residency_before;
+    const uint64_t v1 = transport.counts().base.load();
+    const uint64_t v2 = transport.counts().stamped.load();
+    EXPECT_EQ(v1 + v2, kItems);
+    if (stamp) {
+      EXPECT_EQ(recorded, kItems);
+      EXPECT_GT(residency, 0u);
+      EXPECT_EQ(v2, kItems);
+    } else {
+      EXPECT_EQ(recorded, 0u);
+      EXPECT_EQ(g.sink->stamped_count(), 0u);
+      EXPECT_EQ(residency, 0u);
+      EXPECT_EQ(v2, 0u);
     }
   }
 }

@@ -1,13 +1,13 @@
 // streamshare_fuzz — differential fuzzing driver. Generates seeded
 // scenarios, runs each one through the oracle (serial reference vs
-// transport-loopback vs transport-TCP, plus the sharing-vs-baseline
-// oracle) and reports divergences. On failure the scenario is shrunk to
+// transport-TCP, plus the sharing-vs-baseline oracle) and reports
+// divergences. On failure the scenario is shrunk to
 // a minimal reproducer and written out as replayable JSON plus a
 // ready-to-commit C++ regression test.
 //
 //   streamshare_fuzz [--seeds=N] [--seed-base=B] [--seed=S]
 //                    [--scenario=FILE] [--out-dir=DIR] [--metrics=FILE]
-//                    [--no-loopback] [--no-tcp] [--no-shrink] [--churn=P]
+//                    [--no-tcp] [--no-shrink] [--churn=P]
 //                    [--sweep-flow] [--dom-path] [--serve] [--crash]
 //                    [--inject-mode=MODE] [--inject-min-window=N]
 //                    [--inject-churn-mode=MODE]
@@ -100,7 +100,7 @@ int Usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--seed-base=B] [--seed=S] "
                "[--scenario=FILE] [--out-dir=DIR] [--metrics=FILE] "
-               "[--no-loopback] [--no-tcp] [--no-shrink] [--churn=P] "
+               "[--no-tcp] [--no-shrink] [--churn=P] "
                "[--sweep-flow] [--dom-path] [--serve] [--crash] [--flat-bfs] "
                "[--inject-mode=MODE] [--inject-min-window=N] "
                "[--inject-churn-mode=MODE]\n",
@@ -185,8 +185,6 @@ int main(int argc, char** argv) {
       options.out_dir = value;
     } else if (ParseFlag(argv[i], "--metrics", &value)) {
       options.metrics_path = value;
-    } else if (std::strcmp(argv[i], "--no-loopback") == 0) {
-      options.oracle.run_loopback = false;
     } else if (std::strcmp(argv[i], "--no-tcp") == 0) {
       options.oracle.run_tcp = false;
     } else if (std::strcmp(argv[i], "--dom-path") == 0) {

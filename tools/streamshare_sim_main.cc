@@ -4,7 +4,7 @@
 //   streamshare_sim [--scenario=extended|grid] [--strategy=data|query|share]
 //                   [--queries=N] [--items=N] [--seed=N] [--widening]
 //                   [--hierarchical] [--enforce-limits]
-//                   [--transport=loopback|tcp] [--fail-peer=ID@OFFSET]
+//                   [--transport=tcp] [--fail-peer=ID@OFFSET]
 //                   [--cut-link=A-B@OFFSET] [--trace=FILE]
 //                   [--metrics=FILE] [--explain] [--log]
 //                   [--latency-report] [--no-stamping] [--query-stats]
@@ -13,8 +13,7 @@
 // the transport layer (binary codec + credit-based flow control) instead
 // of serially on the calling thread, and prints each worker's queue
 // stats and each channel's traffic. Every super-peer partition is a
-// worker thread; with tcp the workers exchange frames over localhost
-// sockets.
+// worker thread, and the workers exchange frames over localhost sockets.
 //
 // --fail-peer / --cut-link (repeatable) inject failures mid-run: after
 // OFFSET items per stream the peer dies / the link goes down, the
@@ -68,7 +67,7 @@ struct Options {
   bool widening = false;
   bool enforce_limits = false;
   bool hierarchical = false;
-  std::string transport;  // empty = serial executor
+  bool partitioned = false;  // --transport=tcp; otherwise serial
   bool explain = false;
   bool log = false;
   bool latency_report = false;
@@ -127,7 +126,7 @@ int Usage(const char* program) {
       "usage: %s [--scenario=extended|grid] "
       "[--strategy=data|query|share] [--queries=N] [--items=N] "
       "[--seed=N] [--widening] [--hierarchical] [--enforce-limits] "
-      "[--transport=loopback|tcp] [--fail-peer=ID@OFFSET] "
+      "[--transport=tcp] [--fail-peer=ID@OFFSET] "
       "[--cut-link=A-B@OFFSET] [--trace=FILE] [--metrics=FILE] "
       "[--explain] [--log] [--latency-report] [--no-stamping] "
       "[--query-stats]\n",
@@ -168,8 +167,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--enforce-limits") == 0) {
       options.enforce_limits = true;
     } else if (ParseFlag(argv[i], "--transport", &value)) {
-      if (value != "loopback" && value != "tcp") return Usage(argv[0]);
-      options.transport = value;
+      if (value != "tcp") return Usage(argv[0]);
+      options.partitioned = true;
     } else if (ParseFlag(argv[i], "--fail-peer", &value)) {
       workload::ChurnEvent event;
       if (!ParseFailPeer(value, &event)) return Usage(argv[0]);
@@ -221,11 +220,7 @@ int main(int argc, char** argv) {
   // Query stats need the delivery log (and RunScenario hashes kept
   // sinks), so the observation matches what a live client accumulates.
   config.keep_results = options.query_stats;
-  if (!options.transport.empty()) {
-    config.executor = options.transport == "tcp"
-                          ? sharing::ExecutorKind::kTcp
-                          : sharing::ExecutorKind::kLoopback;
-  }
+  if (options.partitioned) config.executor = sharing::ExecutorKind::kTcp;
   if (options.hierarchical) {
     // Quadrants for the grid; halves for the extended example.
     size_t peers = scenario.topology.peer_count();
@@ -283,7 +278,7 @@ int main(int argc, char** argv) {
               metrics.TotalWork(),
               run->system->registry().streams().size());
 
-  if (!options.transport.empty()) {
+  if (options.partitioned) {
     const transport::RunStats& tstats = run->system->run_stats();
     std::printf("\n%-8s %10s %10s %16s %16s %10s\n", "worker", "peers",
                 "entries", "prod blocked ms", "cons blocked ms",
