@@ -337,6 +337,14 @@ std::string EncodeStatsReply(const StatsReply& reply) {
   PutVarint(&out, reply.wal_compactions);
   PutVarint(&out, reply.wal_recovered_records);
   PutVarint(&out, reply.wal_torn_tail_truncations);
+  PutVarint(&out, reply.recovery_replayed_registrations);
+  PutVarint(&out, reply.recovery_candidates_examined);
+  PutVarint(&out, reply.recovery_replay_us);
+  PutVarint(&out, reply.recovery_checkpoint_load_us);
+  PutVarint(&out, reply.recovery_wal_scan_us);
+  PutVarint(&out, reply.recovery_replay_register_us);
+  PutVarint(&out, reply.recovery_replay_feed_us);
+  PutVarint(&out, reply.recovery_fold_us);
   PutVarint(&out, reply.queries.size());
   for (const QueryStat& query : reply.queries) {
     PutVarint(&out, Zig(query.query_id));
@@ -365,6 +373,14 @@ Result<StatsReply> DecodeStatsReply(std::string_view payload) {
       !GetVarint(&payload, &reply.wal_compactions) ||
       !GetVarint(&payload, &reply.wal_recovered_records) ||
       !GetVarint(&payload, &reply.wal_torn_tail_truncations) ||
+      !GetVarint(&payload, &reply.recovery_replayed_registrations) ||
+      !GetVarint(&payload, &reply.recovery_candidates_examined) ||
+      !GetVarint(&payload, &reply.recovery_replay_us) ||
+      !GetVarint(&payload, &reply.recovery_checkpoint_load_us) ||
+      !GetVarint(&payload, &reply.recovery_wal_scan_us) ||
+      !GetVarint(&payload, &reply.recovery_replay_register_us) ||
+      !GetVarint(&payload, &reply.recovery_replay_feed_us) ||
+      !GetVarint(&payload, &reply.recovery_fold_us) ||
       !GetVarint(&payload, &count)) {
     return Truncated("stats reply");
   }

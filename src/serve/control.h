@@ -46,7 +46,8 @@ namespace streamshare::serve {
 /// dictionary per connection, would misread them.
 /// v4: SubscribeBatchReply lost its clustering counters; the batch verb
 /// is N sequential registrations.
-inline constexpr uint64_t kServeProtocolVersion = 4;
+/// v5: StatsReply grew the serve.recovery.* counters and timers.
+inline constexpr uint64_t kServeProtocolVersion = 5;
 
 enum class Verb : uint8_t {
   kHello = 1,        // protocol handshake; first request on a connection
@@ -188,6 +189,17 @@ struct StatsReply {
   uint64_t wal_compactions = 0;
   uint64_t wal_recovered_records = 0;
   uint64_t wal_torn_tail_truncations = 0;
+  /// This life's startup recovery (zero without a checkpoint path): the
+  /// logged registrations it re-applied, the planner candidates they
+  /// examined, and where the replay's time went (DaemonStats).
+  uint64_t recovery_replayed_registrations = 0;
+  uint64_t recovery_candidates_examined = 0;
+  uint64_t recovery_replay_us = 0;
+  uint64_t recovery_checkpoint_load_us = 0;
+  uint64_t recovery_wal_scan_us = 0;
+  uint64_t recovery_replay_register_us = 0;
+  uint64_t recovery_replay_feed_us = 0;
+  uint64_t recovery_fold_us = 0;
   std::vector<QueryStat> queries;
 };
 

@@ -83,6 +83,7 @@ Status ServeDaemon::Start() {
 Status ServeDaemon::RecoverDurableState() {
   const std::string wal_path = DefaultWalPath(options_.checkpoint_path);
 
+  const uint64_t load_start_us = NowUs();
   Checkpoint checkpoint;
   bool have_checkpoint = false;
   {
@@ -95,6 +96,7 @@ Status ServeDaemon::RecoverDurableState() {
     }
   }
 
+  const uint64_t scan_start_us = NowUs();
   WalRecovery wal;
   bool have_wal = false;
   {
@@ -106,6 +108,7 @@ Status ServeDaemon::RecoverDurableState() {
       return scanned.status();
     }
   }
+  const uint64_t scan_end_us = NowUs();
 
   uint64_t torn_truncations = 0;
   bool use_wal_records = false;
@@ -172,6 +175,7 @@ Status ServeDaemon::RecoverDurableState() {
   // Fold: a fresh checkpoint capturing everything the WAL added, then an
   // empty log extending it. Without records the checkpoint is already
   // current — only the (possibly missing or torn) log needs recreating.
+  const uint64_t fold_start_us = NowUs();
   generation_ = have_checkpoint ? checkpoint.generation : 0;
   if (!have_checkpoint || applied_records != 0) {
     SS_RETURN_IF_ERROR(SaveNextCheckpoint());
@@ -180,6 +184,9 @@ Status ServeDaemon::RecoverDurableState() {
   SS_RETURN_IF_ERROR(ResetWal());
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.recovery_checkpoint_load_us += scan_start_us - load_start_us;
+  stats_.recovery_wal_scan_us += scan_end_us - scan_start_us;
+  stats_.recovery_fold_us += NowUs() - fold_start_us;
   stats_.wal_recovered_records += applied_records;
   stats_.wal_torn_tail_truncations += torn_truncations;
   return Status::Ok();
@@ -278,14 +285,26 @@ Status ServeDaemon::ReplayHistory(const std::vector<LogEvent>& events,
   const uint64_t start_us = NowUs();
   const uint64_t from = items_fed_;
   const bool replay = options_.resume == ResumeFlavor::kReplay;
+  uint64_t feed_us = 0, register_us = 0;
+  uint64_t registrations = 0, candidates = 0;
   for (const LogEvent& event : events) {
     if (replay && event.at_items > items_fed_) {
+      const uint64_t feed_start_us = NowUs();
       SS_RETURN_IF_ERROR(FeedRange(items_fed_, event.at_items));
+      feed_us += NowUs() - feed_start_us;
       items_fed_ = event.at_items;
     }
+    const uint64_t apply_start_us = NowUs();
     SS_RETURN_IF_ERROR(ApplyLoggedEvent(event));
+    register_us += NowUs() - apply_start_us;
+    if (event.kind == LogEvent::Kind::kSubscribe) {
+      ++registrations;
+      candidates +=
+          system_->registrations().back().search.candidates_examined;
+    }
     event_log_.push_back(event);
   }
+  const uint64_t feed_start_us = NowUs();
   if (replay) {
     SS_RETURN_IF_ERROR(FeedRange(items_fed_, to));
   } else {
@@ -294,10 +313,15 @@ Status ServeDaemon::ReplayHistory(const std::vector<LogEvent>& events,
       for (uint64_t i = items_fed_; i < to; ++i) generator.NextRecord();
     }
   }
+  feed_us += NowUs() - feed_start_us;
   items_fed_ = std::max(items_fed_, to);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   if (replay) stats_.recovery_replay_items += items_fed_ - from;
   stats_.recovery_replayed_events += events.size();
+  stats_.recovery_replayed_registrations += registrations;
+  stats_.recovery_candidates_examined += candidates;
+  stats_.recovery_replay_register_us += register_us;
+  stats_.recovery_replay_feed_us += feed_us;
   stats_.recovery_replay_us += NowUs() - start_us;
   return Status::Ok();
 }
@@ -451,6 +475,20 @@ void ServeDaemon::ExportMetrics(obs::MetricsRegistry* registry) const {
         static_cast<double>(snapshot.recovery_replayed_events));
   gauge("serve.recovery.replay_us",
         static_cast<double>(snapshot.recovery_replay_us));
+  gauge("serve.recovery.checkpoint_load_us",
+        static_cast<double>(snapshot.recovery_checkpoint_load_us));
+  gauge("serve.recovery.wal_scan_us",
+        static_cast<double>(snapshot.recovery_wal_scan_us));
+  gauge("serve.recovery.replay_register_us",
+        static_cast<double>(snapshot.recovery_replay_register_us));
+  gauge("serve.recovery.replay_feed_us",
+        static_cast<double>(snapshot.recovery_replay_feed_us));
+  gauge("serve.recovery.fold_us",
+        static_cast<double>(snapshot.recovery_fold_us));
+  gauge("serve.recovery.replayed_registrations",
+        static_cast<double>(snapshot.recovery_replayed_registrations));
+  gauge("serve.recovery.candidates_examined",
+        static_cast<double>(snapshot.recovery_candidates_examined));
   gauge("serve.net.sends", static_cast<double>(snapshot.net_sends));
   gauge("serve.net.frames_out",
         static_cast<double>(snapshot.net_frames_out));
@@ -873,6 +911,15 @@ ControlResponse ServeDaemon::DoStats(const ControlRequest& request) {
     reply.wal_compactions = stats_.wal_compactions;
     reply.wal_recovered_records = stats_.wal_recovered_records;
     reply.wal_torn_tail_truncations = stats_.wal_torn_tail_truncations;
+    reply.recovery_replayed_registrations =
+        stats_.recovery_replayed_registrations;
+    reply.recovery_candidates_examined = stats_.recovery_candidates_examined;
+    reply.recovery_replay_us = stats_.recovery_replay_us;
+    reply.recovery_checkpoint_load_us = stats_.recovery_checkpoint_load_us;
+    reply.recovery_wal_scan_us = stats_.recovery_wal_scan_us;
+    reply.recovery_replay_register_us = stats_.recovery_replay_register_us;
+    reply.recovery_replay_feed_us = stats_.recovery_replay_feed_us;
+    reply.recovery_fold_us = stats_.recovery_fold_us;
   }
   reply.epoch = epoch_;
   reply.draining = draining_.load(std::memory_order_relaxed);

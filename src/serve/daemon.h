@@ -108,6 +108,20 @@ struct DaemonStats {
   uint64_t recovery_replay_items = 0;
   uint64_t recovery_replayed_events = 0;
   uint64_t recovery_replay_us = 0;
+  /// Where startup recovery spent its time: reading the checkpoint,
+  /// scanning the WAL, applying the logged control events (replay_us's
+  /// registration share, unsubscribes and chaos events included),
+  /// regenerating and feeding the logged item history (its feed share),
+  /// and folding the result into a fresh checkpoint and an empty log.
+  uint64_t recovery_checkpoint_load_us = 0;
+  uint64_t recovery_wal_scan_us = 0;
+  uint64_t recovery_replay_register_us = 0;
+  uint64_t recovery_replay_feed_us = 0;
+  uint64_t recovery_fold_us = 0;
+  /// Logged Subscribe events the replay re-registered, and the planner
+  /// candidates their registrations examined.
+  uint64_t recovery_replayed_registrations = 0;
+  uint64_t recovery_candidates_examined = 0;
   /// Serve plane sends to clients (serve.net.* metrics), summed over
   /// every connection: send() calls, frames queued, bytes written.
   uint64_t net_sends = 0;

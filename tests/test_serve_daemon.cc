@@ -1069,6 +1069,7 @@ TEST(ServeDaemon, ChunkedReplayMatchesTheUninterruptedDaemon) {
   const workload::ScenarioSpec scenario = SmallScenario();
   constexpr uint64_t kHistoryItems = 677;
   constexpr uint64_t kHistoryEvents = 4;
+  constexpr uint64_t kHistoryRegistrations = 3;  // + one unsubscribe
   constexpr uint64_t kHistoryRecords = kHistoryEvents + 9;  // + feeds
   DaemonOptions options;
   options.system.parallel.batch_size = 8;
@@ -1119,11 +1120,35 @@ TEST(ServeDaemon, ChunkedReplayMatchesTheUninterruptedDaemon) {
               static_cast<double>(kHistoryItems));
     EXPECT_EQ(registry.GetGauge("serve.recovery.replayed_events")->Value(),
               static_cast<double>(kHistoryEvents));
+    EXPECT_EQ(
+        registry.GetGauge("serve.recovery.replayed_registrations")->Value(),
+        static_cast<double>(kHistoryRegistrations));
+    const DaemonStats recovered = daemon->stats();
+    EXPECT_LE(recovered.recovery_replay_register_us +
+                  recovered.recovery_replay_feed_us,
+              recovered.recovery_replay_us);
     ServeClient client = MakeClient(*daemon, "recovered");
     EXPECT_TRUE(client.Connect().ok());
     auto stats = client.Stats();
     EXPECT_TRUE(stats.ok()) << stats.status();
-    if (stats.ok()) ExpectSameStatsRows(*stats, *want);
+    if (stats.ok()) {
+      ExpectSameStatsRows(*stats, *want);
+      // Stats carries the same recovery figures as --metrics.
+      EXPECT_EQ(stats->recovery_replayed_registrations,
+                kHistoryRegistrations);
+      EXPECT_EQ(stats->recovery_candidates_examined,
+                recovered.recovery_candidates_examined);
+      EXPECT_EQ(stats->recovery_replay_us, recovered.recovery_replay_us);
+      EXPECT_EQ(stats->recovery_checkpoint_load_us,
+                recovered.recovery_checkpoint_load_us);
+      EXPECT_EQ(stats->recovery_wal_scan_us,
+                recovered.recovery_wal_scan_us);
+      EXPECT_EQ(stats->recovery_replay_register_us,
+                recovered.recovery_replay_register_us);
+      EXPECT_EQ(stats->recovery_replay_feed_us,
+                recovered.recovery_replay_feed_us);
+      EXPECT_EQ(stats->recovery_fold_us, recovered.recovery_fold_us);
+    }
     return daemon;
   };
   std::unique_ptr<ServeDaemon> wal_tail;

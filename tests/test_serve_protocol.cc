@@ -215,6 +215,14 @@ TEST(ServeProtocol, RepliesRoundtrip) {
   stats.admitted = 10;
   stats.rejected = 2;
   stats.results_forwarded = 1234;
+  stats.recovery_replayed_registrations = 2000;
+  stats.recovery_candidates_examined = 3;
+  stats.recovery_replay_us = 900000;
+  stats.recovery_checkpoint_load_us = 2400;
+  stats.recovery_wal_scan_us = 300;
+  stats.recovery_replay_register_us = 180000;
+  stats.recovery_replay_feed_us = 420000;
+  stats.recovery_fold_us = 5000;
   QueryStat query;
   query.query_id = 4;
   query.accepted = true;
@@ -227,6 +235,14 @@ TEST(ServeProtocol, RepliesRoundtrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->epoch, 2u);
   EXPECT_TRUE(decoded->draining);
+  EXPECT_EQ(decoded->recovery_replayed_registrations, 2000u);
+  EXPECT_EQ(decoded->recovery_candidates_examined, 3u);
+  EXPECT_EQ(decoded->recovery_replay_us, 900000u);
+  EXPECT_EQ(decoded->recovery_checkpoint_load_us, 2400u);
+  EXPECT_EQ(decoded->recovery_wal_scan_us, 300u);
+  EXPECT_EQ(decoded->recovery_replay_register_us, 180000u);
+  EXPECT_EQ(decoded->recovery_replay_feed_us, 420000u);
+  EXPECT_EQ(decoded->recovery_fold_us, 5000u);
   ASSERT_EQ(decoded->queries.size(), 1u);
   EXPECT_EQ(decoded->queries[0].content_hash, 0xdeadbeefull);
 

@@ -334,6 +334,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reply.wal_recovered_records),
               static_cast<unsigned long long>(
                   reply.wal_torn_tail_truncations));
+          std::printf(
+              "recovery registrations=%llu candidates_examined=%llu "
+              "replay_us=%llu checkpoint_load_us=%llu wal_scan_us=%llu "
+              "replay_register_us=%llu replay_feed_us=%llu fold_us=%llu\n",
+              static_cast<unsigned long long>(
+                  reply.recovery_replayed_registrations),
+              static_cast<unsigned long long>(
+                  reply.recovery_candidates_examined),
+              static_cast<unsigned long long>(reply.recovery_replay_us),
+              static_cast<unsigned long long>(
+                  reply.recovery_checkpoint_load_us),
+              static_cast<unsigned long long>(reply.recovery_wal_scan_us),
+              static_cast<unsigned long long>(
+                  reply.recovery_replay_register_us),
+              static_cast<unsigned long long>(
+                  reply.recovery_replay_feed_us),
+              static_cast<unsigned long long>(reply.recovery_fold_us));
           for (const serve::QueryStat& query : reply.queries) {
             std::printf("  q%lld %s items=%llu bytes=%llu hash=%llu\n",
                         static_cast<long long>(query.query_id),
