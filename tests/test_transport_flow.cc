@@ -161,6 +161,7 @@ TEST(FlowControlTest, DeliversInOrderWithSmallCreditWindow) {
   const transport::ChannelStats& sent = channel.sender->stats();
   EXPECT_EQ(sent.frames_sent, static_cast<uint64_t>(kItems));
   EXPECT_GT(sent.credit_stalls, 0u);  // window of 4 over 200 items
+  EXPECT_GT(sent.bytes_sent, 0u);
   EXPECT_EQ(channel.receiver->stats().items_delivered,
             static_cast<uint64_t>(kItems));
 }
@@ -268,28 +269,6 @@ TEST(FlowControlTest, ErrorFramePropagatesMessage) {
   ASSERT_TRUE(channel.receiver->Recv(&incoming).ok());
   EXPECT_EQ(incoming.type, FrameType::kError);
   EXPECT_EQ(incoming.error, "upstream exploded");
-}
-
-TEST(FlowControlTest, ProtocolRunsOverTcp) {
-  TcpTransport transport;
-  FlowOptions options;
-  options.initial_credits = 8;
-  Channel channel = MakeChannel(&transport, options);
-
-  constexpr int kItems = 100;
-  ReceiveResult result;
-  std::thread receiver_thread(
-      [&] { result = DrainChannel(channel.receiver.get()); });
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(
-        channel.sender->SendItem(0, "item-" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(channel.sender->SendEos().ok());
-  receiver_thread.join();
-
-  ASSERT_TRUE(result.final_status.ok()) << result.final_status.ToString();
-  ASSERT_EQ(result.items.size(), static_cast<size_t>(kItems));
-  EXPECT_GT(channel.sender->stats().bytes_sent, 0u);
 }
 
 }  // namespace
