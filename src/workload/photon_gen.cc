@@ -1,21 +1,38 @@
 #include "workload/photon_gen.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace streamshare::workload {
 
-namespace {
-
-std::string FormatFixed(double value, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
+std::string_view FormatFixed(double value, int decimals,
+                             std::span<char> buffer) {
+  std::to_chars_result written =
+      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value,
+                    std::chars_format::fixed, decimals);
+  if (written.ec != std::errc()) return {};
+  return std::string_view(buffer.data(), written.ptr - buffer.data());
 }
 
+namespace {
+
 void SetDecimalField(engine::PhotonRecord* record, int field,
-                     const std::string& text) {
+                     std::string_view text) {
   record->SetField(field, text, *Decimal::Parse(text));
+}
+
+void SetFixedField(engine::PhotonRecord* record, int field, double value,
+                   int decimals) {
+  char buffer[64];
+  SetDecimalField(record, field, FormatFixed(value, decimals, buffer));
+}
+
+void SetIntegerField(engine::PhotonRecord* record, int field, int value) {
+  char buffer[16];
+  std::to_chars_result written =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  SetDecimalField(record, field,
+                  std::string_view(buffer, written.ptr - buffer));
 }
 
 }  // namespace
@@ -52,20 +69,16 @@ engine::PhotonRecord PhotonGenerator::NextRecord() {
   std::uniform_int_distribution<int> det_pixel(0, 511);
 
   engine::PhotonRecord record;
-  SetDecimalField(&record, engine::PhotonSchema::kFieldPhc,
-                  std::to_string(phc_dist(rng_)));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldRa,
-                  FormatFixed(ra, 4));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldDec,
-                  FormatFixed(dec, 4));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldDx,
-                  std::to_string(det_pixel(rng_)));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldDy,
-                  std::to_string(det_pixel(rng_)));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldEn,
-                  FormatFixed(en, 3));
-  SetDecimalField(&record, engine::PhotonSchema::kFieldDetTime,
-                  FormatFixed(det_time_, 1));
+  SetIntegerField(&record, engine::PhotonSchema::kFieldPhc,
+                  phc_dist(rng_));
+  SetFixedField(&record, engine::PhotonSchema::kFieldRa, ra, 4);
+  SetFixedField(&record, engine::PhotonSchema::kFieldDec, dec, 4);
+  SetIntegerField(&record, engine::PhotonSchema::kFieldDx,
+                  det_pixel(rng_));
+  SetIntegerField(&record, engine::PhotonSchema::kFieldDy,
+                  det_pixel(rng_));
+  SetFixedField(&record, engine::PhotonSchema::kFieldEn, en, 3);
+  SetFixedField(&record, engine::PhotonSchema::kFieldDetTime, det_time_, 1);
   return record;
 }
 

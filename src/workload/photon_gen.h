@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "engine/item.h"
@@ -48,6 +50,14 @@ struct PhotonGenConfig {
   /// Stream item frequency (items/s) used for statistics.
   double frequency_hz = 100.0;
 };
+
+/// The text of a photon field value with `decimals` fixed digits:
+/// byte for byte printf's "%.*f" in the C locale, which std::to_chars is
+/// specified to match, written into `buffer` without printf's format
+/// parsing and locale machinery. Empty when the text does not fit (64
+/// bytes hold every photon field).
+std::string_view FormatFixed(double value, int decimals,
+                             std::span<char> buffer);
 
 class PhotonGenerator {
  public:
