@@ -142,6 +142,15 @@ FED="$(sed -n 's/^connected epoch=[0-9]* items_fed=\([0-9]*\).*/\1/p' \
 echo "durable items_fed after $((CRASHES)) kills: ${FED}"
 [[ "${FED}" -le "${ITEMS}" ]] || { echo "FAIL: overfed past the target"; exit 1; }
 grep -q 'wal appends=' "${WORK}/probe.txt"
+# Recovery rebuilt the four logged registrations from their plan choices
+# without searching (ARCHITECTURE invariant 12).
+REGS="$(sed -n 's/^recovery registrations=\([0-9]*\) .*/\1/p' \
+  "${WORK}/probe.txt" | head -1)"
+EXAMINED="$(sed -n 's/^recovery .*candidates_examined=\([0-9]*\) .*/\1/p' \
+  "${WORK}/probe.txt" | head -1)"
+echo "final recovery: ${REGS:-?} registrations, ${EXAMINED:-?} candidates examined"
+[[ "${REGS:-0}" -ge 4 ]] || { echo "FAIL: recovery replayed no registrations"; exit 1; }
+[[ "${EXAMINED:-x}" == "0" ]] || { echo "FAIL: recovery searched (${EXAMINED:-?} candidates)"; exit 1; }
 
 "${CLIENT}" --port="${PORT}" --attach=0@0 --attach=1@0 --attach=2@0 \
   --attach=3@0 --feed=$((ITEMS - FED)) --drain=final --wait-eos \

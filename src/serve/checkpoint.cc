@@ -18,8 +18,12 @@ namespace {
 using transport::GetVarint;
 using transport::PutVarint;
 
-constexpr char kMagic[] = "SSCKPT02";
+/// 03: every logged registration carries its plan choices.
+constexpr char kMagic[] = "SSCKPT03";
 constexpr size_t kMagicLen = sizeof(kMagic) - 1;
+/// The version-independent part of the magic: a file that starts with it
+/// but carries another version is a checkpoint this build cannot read.
+constexpr std::string_view kMagicFamily = "SSCKPT";
 
 uint64_t Mix(uint64_t h, uint64_t v) {
   // splitmix64 finalizer as the fold step.
@@ -215,6 +219,12 @@ void AppendLogEvent(std::string* out, const LogEvent& event) {
       PutVarint(out, Zig(event.vq));
       PutVarint(out, event.strategy);
       PutString(out, event.query_text);
+      PutVarint(out, event.choices.size());
+      for (const sharing::PlanChoice& choice : event.choices) {
+        PutVarint(out, static_cast<uint64_t>(choice.kind));
+        PutVarint(out, Zig(choice.stream));
+        PutVarint(out, Zig(choice.node));
+      }
       break;
     case LogEvent::Kind::kUnsubscribe:
       PutVarint(out, Zig(event.query_id));
@@ -243,13 +253,32 @@ bool ParseLogEvent(std::string_view* data, LogEvent* event) {
   }
   event->kind = static_cast<LogEvent::Kind>(kind);
   switch (event->kind) {
-    case LogEvent::Kind::kSubscribe:
+    case LogEvent::Kind::kSubscribe: {
+      uint64_t count = 0;
       if (!GetSigned(data, &event->vq) || !GetVarint(data, &strategy) ||
-          !GetString(data, &event->query_text)) {
+          !GetString(data, &event->query_text) ||
+          !GetVarint(data, &count) || count > data->size()) {
         return false;
       }
       event->strategy = static_cast<uint8_t>(strategy);
+      event->choices.clear();
+      event->choices.reserve(count);
+      for (uint64_t i = 0; i < count; ++i) {
+        uint64_t kind = 0;
+        int64_t stream = 0, node = 0;
+        if (!GetVarint(data, &kind) ||
+            kind > static_cast<uint64_t>(sharing::PlanChoice::Kind::kWiden) ||
+            !GetSigned(data, &stream) || !GetSigned(data, &node)) {
+          return false;
+        }
+        sharing::PlanChoice choice;
+        choice.kind = static_cast<sharing::PlanChoice::Kind>(kind);
+        choice.stream = static_cast<network::StreamId>(stream);
+        choice.node = static_cast<network::NodeId>(node);
+        event->choices.push_back(choice);
+      }
       break;
+    }
     case LogEvent::Kind::kUnsubscribe:
       if (!GetSigned(data, &event->query_id)) return false;
       break;
@@ -301,8 +330,16 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
   std::fclose(file);
 
   std::string_view data = bytes;
-  if (data.size() < kMagicLen ||
-      data.substr(0, kMagicLen) != std::string_view(kMagic, kMagicLen)) {
+  const std::string_view magic(kMagic, kMagicLen);
+  if (data.size() >= kMagicLen && data.substr(0, kMagicLen) != magic &&
+      data.substr(0, kMagicFamily.size()) == kMagicFamily) {
+    return Status::ParseError(
+        path + " is checkpoint format " +
+        std::string(data.substr(0, kMagicLen)) + "; this build reads " +
+        std::string(magic) + " only (" + std::string(magic) +
+        " logs each registration's plan choices)");
+  }
+  if (data.size() < kMagicLen || data.substr(0, kMagicLen) != magic) {
     return Status::ParseError(path + " is not a streamshare checkpoint");
   }
   data.remove_prefix(kMagicLen);

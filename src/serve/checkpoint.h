@@ -2,15 +2,18 @@
 // spirit. Instead of serializing engine state (open windows, dictionary
 // positions), the checkpoint records the *inputs* that produced it —
 // every subscription registration (accepted or admission-rejected, so
-// query-id assignment replays identically), every unsubscribe, every
-// FailPeer/CutLink, each positioned at the per-stream item offset it was
-// applied at, plus how many items each stream had fed. Because stream
-// items come from seeded deterministic generators, a restarted daemon
-// can rebuild the exact pre-drain engine state by replaying the log
-// interleaved with regenerated items (ResumeFlavor::kReplay), or skip
-// the history and resume gap-not-garbage at the recorded offset
+// query-id assignment replays identically) with the plan choice its
+// search made for each input, every unsubscribe, every FailPeer/CutLink,
+// each positioned at the per-stream item offset it was applied at, plus
+// how many items each stream had fed. Because stream items come from
+// seeded deterministic generators, a restarted daemon can rebuild the
+// exact pre-drain engine state by replaying the log interleaved with
+// regenerated items (ResumeFlavor::kReplay) — rebuilding each logged
+// plan from its choices rather than searching again — or skip the
+// history and resume gap-not-garbage at the recorded offset
 // (ResumeFlavor::kGap). Per-query delivered counts/hashes ride along as
-// a consistency check on the replay.
+// a consistency check on the replay. Files of an older format (no plan
+// choices) are refused by name.
 
 #ifndef STREAMSHARE_SERVE_CHECKPOINT_H_
 #define STREAMSHARE_SERVE_CHECKPOINT_H_
@@ -41,6 +44,10 @@ struct LogEvent {
   std::string query_text;
   int64_t vq = 0;
   uint8_t strategy = 2;
+  /// What the planner chose for each query input (stream sharing only;
+  /// empty for the shipping baselines, which never search). A replay
+  /// rebuilds the plan from these instead of searching again.
+  std::vector<sharing::PlanChoice> choices;
 
   // kUnsubscribe
   int64_t query_id = -1;
@@ -100,6 +107,8 @@ bool ParseLogEvent(std::string_view* data, LogEvent* event);
 /// below).
 Status SaveCheckpoint(const std::string& path,
                       const Checkpoint& checkpoint);
+/// ParseError for a foreign file, a torn image, or a checkpoint of
+/// another format version (the error names both versions).
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
 /// Test seam: behaves like SaveCheckpoint up to `fail_after_bytes` of

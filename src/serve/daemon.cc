@@ -354,11 +354,18 @@ Status ServeDaemon::VerifyDeliveries(const Checkpoint& checkpoint) const {
 Status ServeDaemon::ApplyLoggedEvent(const LogEvent& event) {
   switch (event.kind) {
     case LogEvent::Kind::kSubscribe: {
+      // Replay rebuilds the logged plan instead of searching for it again
+      // (invariant 12). Gap resume re-plans: its epoch-safe planner may
+      // choose differently. The shipping baselines never search.
+      const Strategy strategy = StrategyFromByte(event.strategy);
+      const bool rebuild = options_.resume == ResumeFlavor::kReplay &&
+                           strategy == Strategy::kStreamSharing;
       SS_ASSIGN_OR_RETURN(
           RegistrationResult result,
           system_->RegisterQuery(event.query_text,
                                  static_cast<network::NodeId>(event.vq),
-                                 StrategyFromByte(event.strategy)));
+                                 strategy,
+                                 rebuild ? &event.choices : nullptr));
       if (result.sink != nullptr) result.sink->EnableContentHash();
       return Status::Ok();
     }
@@ -790,6 +797,9 @@ Result<SubscribeReply> ServeDaemon::RegisterAndAttach(
   event.query_text = query_text;
   event.vq = vq;
   event.strategy = strategy;
+  if (result.strategy == Strategy::kStreamSharing) {
+    event.choices = result.plan.Choices();
+  }
   LogMutation(std::move(event));
 
   SubscribeReply reply;

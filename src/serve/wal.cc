@@ -21,8 +21,11 @@ using engine::latency::NowUs;
 using transport::GetVarint;
 using transport::PutVarint;
 
-constexpr char kWalMagic[] = "SSWAL001";
+/// 002: every logged registration carries its plan choices.
+constexpr char kWalMagic[] = "SSWAL002";
 constexpr size_t kWalMagicLen = sizeof(kWalMagic) - 1;
+/// The version-independent part of the magic (see LoadCheckpoint).
+constexpr std::string_view kWalMagicFamily = "SSWAL";
 // magic + three 8-byte LE fields + 4-byte CRC of those 24 bytes.
 constexpr size_t kWalHeaderLen = kWalMagicLen + 24 + 4;
 // A record longer than this is treated as corruption, not a record.
@@ -243,9 +246,16 @@ Result<WalRecovery> RecoverWal(const std::string& path) {
 
   WalRecovery recovery;
   std::string_view data = bytes;
+  const std::string_view magic(kWalMagic, kWalMagicLen);
+  if (data.size() >= kWalMagicLen && data.substr(0, kWalMagicLen) != magic &&
+      data.substr(0, kWalMagicFamily.size()) == kWalMagicFamily) {
+    return Status::ParseError(
+        path + " is wal format " + std::string(data.substr(0, kWalMagicLen)) +
+        "; this build reads " + std::string(magic) + " only (" +
+        std::string(magic) + " logs each registration's plan choices)");
+  }
   size_t magic_probe = std::min(data.size(), kWalMagicLen);
-  if (data.substr(0, magic_probe) !=
-      std::string_view(kWalMagic, magic_probe)) {
+  if (data.substr(0, magic_probe) != magic.substr(0, magic_probe)) {
     return Status::ParseError(path + " is not a streamshare wal");
   }
   if (data.size() < kWalHeaderLen) {

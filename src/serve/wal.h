@@ -11,7 +11,7 @@
 // through the same snapshot → catchup machinery a drain/restart uses.
 //
 // On-disk layout:
-//   header   "SSWAL001" | 8B LE scenario fingerprint | 8B LE epoch |
+//   header   "SSWAL002" | 8B LE scenario fingerprint | 8B LE epoch |
 //            8B LE base generation | 4B LE CRC32 of the 24 field bytes
 //   record*  4B LE payload length | 4B LE CRC32(payload) | payload
 //   payload  varint kind | kind body
@@ -136,8 +136,8 @@ struct WalRecovery {
 
 /// Scans the log, stopping at the first invalid record. NotFound when no
 /// file exists; ParseError only when the file is not a WAL at all (bad
-/// magic) — torn tails and torn headers are normal crash outcomes, not
-/// errors.
+/// magic) or is a WAL of another format version (the error names both)
+/// — torn tails and torn headers are normal crash outcomes, not errors.
 Result<WalRecovery> RecoverWal(const std::string& path);
 
 }  // namespace streamshare::serve

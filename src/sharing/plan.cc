@@ -67,6 +67,16 @@ std::string EngineOpSpec::ToString() const {
   return out;
 }
 
+PlanChoice InputPlan::Choice() const {
+  PlanChoice choice;
+  choice.kind = ships_raw_stream      ? PlanChoice::Kind::kShipRaw
+                : widening.has_value() ? PlanChoice::Kind::kWiden
+                                       : PlanChoice::Kind::kTap;
+  choice.stream = reused_stream;
+  choice.node = reuse_node;
+  return choice;
+}
+
 std::string InputPlan::ToString() const {
   std::string out = "InputPlan{input='" + input_stream_name + "', reuse=";
   out += reused_stream >= 0 ? "stream#" + std::to_string(reused_stream)
@@ -100,6 +110,13 @@ bool EvaluationPlan::Feasible() const {
     if (!input.feasible) return false;
   }
   return true;
+}
+
+std::vector<PlanChoice> EvaluationPlan::Choices() const {
+  std::vector<PlanChoice> choices;
+  choices.reserve(inputs.size());
+  for (const InputPlan& input : inputs) choices.push_back(input.Choice());
+  return choices;
 }
 
 std::string EvaluationPlan::ToString() const {

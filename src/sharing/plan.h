@@ -7,6 +7,7 @@
 #ifndef STREAMSHARE_SHARING_PLAN_H_
 #define STREAMSHARE_SHARING_PLAN_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,6 +86,26 @@ struct WideningSpec {
   double new_freq_hz = 0.0;
 };
 
+/// What Algorithm 1's search settled on for one input stream: the kind of
+/// plan, the stream it reuses and the node it taps. The rest of the
+/// InputPlan (operators, new stream, C(P), resource deltas) is a pure
+/// function of this choice and the system state it was made in, so
+/// Planner::Build turns it back into the identical plan without
+/// searching — the daemon logs it with every registration and recovery
+/// rebuilds from it (ARCHITECTURE.md invariant 12).
+struct PlanChoice {
+  enum class Kind : uint8_t {
+    kShipRaw = 0,  // the original stream shipped raw to the query's peer
+    kTap = 1,      // tap `stream` at `node`, residual operators there
+    kWiden = 2,    // widen deployed `stream`, then tap it at `node`
+  };
+  Kind kind = Kind::kShipRaw;
+  network::StreamId stream = -1;
+  network::NodeId node = -1;
+
+  bool operator==(const PlanChoice&) const = default;
+};
+
 /// Plan for answering one input stream of a subscription.
 struct InputPlan {
   std::string input_stream_name;
@@ -111,6 +132,8 @@ struct InputPlan {
   std::vector<std::pair<network::LinkId, double>> added_bandwidth_kbps;
   std::vector<std::pair<network::NodeId, double>> added_load;
 
+  /// The choice this plan realizes (Planner::Build rebuilds it).
+  PlanChoice Choice() const;
   std::string ToString() const;
 };
 
@@ -120,6 +143,8 @@ struct EvaluationPlan {
 
   double TotalCost() const;
   bool Feasible() const;
+  /// One choice per input, in input order.
+  std::vector<PlanChoice> Choices() const;
   std::string ToString() const;
 };
 

@@ -715,39 +715,107 @@ Result<InputPlan> Planner::GenerateWideningPlan(
   return BuildPlan(widened, v, vq, binding, sub_props, std::move(spec));
 }
 
+Result<const RegisteredStream*> Planner::LiveOriginal(
+    const StreamBinding& binding) const {
+  const RegisteredStream* original =
+      registry_->FindOriginal(binding.stream_name);
+  if (original == nullptr) {
+    return Status::NotFound("query references unregistered stream '" +
+                            binding.stream_name + "'");
+  }
+  if (original->retired || state_->health().IsDead(original->source_node)) {
+    return Status::Unavailable(
+        "input stream '" + binding.stream_name + "' is lost: source " +
+        topology_->peer(original->source_node).name + " failed");
+  }
+  return original;
+}
+
+Result<InputPlan> Planner::ShipRawPlan(const RegisteredStream& original,
+                                       const StreamBinding& binding,
+                                       NodeId vq) const {
+  NodeId vb = original.target_node;
+  InputPlan plan;
+  plan.input_stream_name = binding.stream_name;
+  plan.reused_stream = original.id;
+  plan.reuse_node = vb;
+  plan.ships_raw_stream = true;
+  SS_ASSIGN_OR_RETURN(plan.ops,
+                      ResidualOps(original, binding, vq,
+                                  /*reused_is_equivalent=*/false));
+  NewStreamSpec stream;
+  stream.props = original.props;  // the raw stream is what flows
+  stream.source_node = vb;
+  stream.target_node = vq;
+  SS_ASSIGN_OR_RETURN(stream.route, RoutePath(vb, vq));
+  plan.new_stream = std::move(stream);
+  SS_RETURN_IF_ERROR(CostPlan(&plan, binding, original, vq));
+  return plan;
+}
+
+Result<InputPlan> Planner::BuildInput(const StreamBinding& binding,
+                                      const InputStreamProperties& sub_props,
+                                      NodeId vq,
+                                      const PlanChoice& choice) const {
+  SS_ASSIGN_OR_RETURN(const RegisteredStream* original,
+                      LiveOriginal(binding));
+  auto misfit = [&](const std::string& why) {
+    return Status::InvalidArgument(
+        "plan choice (stream " + std::to_string(choice.stream) + " at node " +
+        std::to_string(choice.node) + ") for input '" + binding.stream_name +
+        "' " + why);
+  };
+  if (choice.kind == PlanChoice::Kind::kShipRaw) {
+    if (choice.stream != original->id ||
+        choice.node != original->target_node) {
+      return misfit("does not name the original stream's node");
+    }
+    return ShipRawPlan(*original, binding, vq);
+  }
+  if (choice.stream < 0 ||
+      static_cast<size_t>(choice.stream) >= registry_->streams().size()) {
+    return misfit("names no registered stream");
+  }
+  const RegisteredStream& reused = registry_->stream(choice.stream);
+  if (reused.retired || reused.variant_of != binding.stream_name) {
+    return misfit("names a retired stream or another input's");
+  }
+  if (std::find(reused.route.begin(), reused.route.end(), choice.node) ==
+      reused.route.end()) {
+    return misfit("taps a node off the stream's route");
+  }
+  if (choice.kind == PlanChoice::Kind::kWiden) {
+    return GenerateWideningPlan(reused, choice.node, vq, binding, sub_props);
+  }
+  return GenerateSharedPlan(reused, choice.node, vq, binding, sub_props);
+}
+
+Result<EvaluationPlan> Planner::Build(
+    const AnalyzedQuery& query, NodeId vq,
+    const std::vector<PlanChoice>& choices) const {
+  if (choices.size() != query.bindings.size()) {
+    return Status::InvalidArgument(
+        std::to_string(choices.size()) + " plan choices for a query with " +
+        std::to_string(query.bindings.size()) + " inputs");
+  }
+  EvaluationPlan plan;
+  for (size_t i = 0; i < query.bindings.size(); ++i) {
+    SS_ASSIGN_OR_RETURN(InputPlan input,
+                        BuildInput(query.bindings[i],
+                                   query.props.inputs()[i], vq, choices[i]));
+    plan.inputs.push_back(std::move(input));
+  }
+  return plan;
+}
+
 Result<EvaluationPlan> Planner::DataShipping(const AnalyzedQuery& query,
                                              NodeId vq) const {
   EvaluationPlan plan;
-  for (size_t i = 0; i < query.bindings.size(); ++i) {
-    const StreamBinding& binding = query.bindings[i];
-    const RegisteredStream* original =
-        registry_->FindOriginal(binding.stream_name);
-    if (original == nullptr) {
-      return Status::NotFound("query references unregistered stream '" +
-                              binding.stream_name + "'");
-    }
-    if (original->retired ||
-        state_->health().IsDead(original->source_node)) {
-      return Status::Unavailable(
-          "input stream '" + binding.stream_name + "' is lost: source " +
-          topology_->peer(original->source_node).name + " failed");
-    }
-    InputPlan input;
-    input.input_stream_name = binding.stream_name;
-    input.reused_stream = original->id;
-    input.reuse_node = original->source_node;
-    input.ships_raw_stream = true;
-    SS_ASSIGN_OR_RETURN(
-        input.ops,
-        ResidualOps(*original, binding, vq, /*reused_is_equivalent=*/false));
-    NewStreamSpec stream;
-    stream.props = original->props;  // the raw stream is what flows
-    stream.source_node = original->source_node;
-    stream.target_node = vq;
-    SS_ASSIGN_OR_RETURN(stream.route,
-                        RoutePath(stream.source_node, vq));
-    input.new_stream = std::move(stream);
-    SS_RETURN_IF_ERROR(CostPlan(&input, binding, *original, vq));
+  for (const StreamBinding& binding : query.bindings) {
+    SS_ASSIGN_OR_RETURN(const RegisteredStream* original,
+                        LiveOriginal(binding));
+    SS_ASSIGN_OR_RETURN(InputPlan input,
+                        ShipRawPlan(*original, binding, vq));
     plan.inputs.push_back(std::move(input));
   }
   return plan;
@@ -758,18 +826,8 @@ Result<EvaluationPlan> Planner::QueryShipping(const AnalyzedQuery& query,
   EvaluationPlan plan;
   for (size_t i = 0; i < query.bindings.size(); ++i) {
     const StreamBinding& binding = query.bindings[i];
-    const RegisteredStream* original =
-        registry_->FindOriginal(binding.stream_name);
-    if (original == nullptr) {
-      return Status::NotFound("query references unregistered stream '" +
-                              binding.stream_name + "'");
-    }
-    if (original->retired ||
-        state_->health().IsDead(original->source_node)) {
-      return Status::Unavailable(
-          "input stream '" + binding.stream_name + "' is lost: source " +
-          topology_->peer(original->source_node).name + " failed");
-    }
+    SS_ASSIGN_OR_RETURN(const RegisteredStream* original,
+                        LiveOriginal(binding));
     SS_ASSIGN_OR_RETURN(
         InputPlan input,
         GenerateSharedPlan(*original, original->source_node, vq, binding,
@@ -811,42 +869,14 @@ Result<EvaluationPlan> Planner::Subscribe(
     obs::TraceSpan input_span(&obs::TraceRecorder::Default(),
                               "Subscribe:" + binding.stream_name,
                               "sharing");
-    const RegisteredStream* original =
-        registry_->FindOriginal(binding.stream_name);
-    if (original == nullptr) {
-      return Status::NotFound("query references unregistered stream '" +
-                              binding.stream_name + "'");
-    }
-    if (original->retired ||
-        state_->health().IsDead(original->source_node)) {
-      return Status::Unavailable(
-          "input stream '" + binding.stream_name + "' is lost: source " +
-          topology_->peer(original->source_node).name + " failed");
-    }
+    SS_ASSIGN_OR_RETURN(const RegisteredStream* original,
+                        LiveOriginal(binding));
 
     // Lines 3–6: initial plan — the original input stream routed to vq
     // via a shortest path, all evaluation at the target peer.
     NodeId vb = original->target_node;
-    InputPlan best;
-    {
-      InputPlan initial;
-      initial.input_stream_name = binding.stream_name;
-      initial.reused_stream = original->id;
-      initial.reuse_node = vb;
-      initial.ships_raw_stream = true;
-      SS_ASSIGN_OR_RETURN(initial.ops,
-                          ResidualOps(*original, binding, vq,
-                                      /*reused_is_equivalent=*/false));
-      NewStreamSpec stream;
-      stream.props = original->props;
-      stream.source_node = vb;
-      stream.target_node = vq;
-      SS_ASSIGN_OR_RETURN(stream.route, RoutePath(vb, vq));
-      initial.new_stream = std::move(stream);
-      SS_RETURN_IF_ERROR(CostPlan(&initial, binding, *original, vq));
-      best = std::move(initial);
-      ++local_stats.plans_generated;
-    }
+    SS_ASSIGN_OR_RETURN(InputPlan best, ShipRawPlan(*original, binding, vq));
+    ++local_stats.plans_generated;
     size_t best_candidate = record_candidate(binding, best,
                                              /*widening=*/false,
                                              /*baseline=*/true);
@@ -1025,15 +1055,15 @@ Result<EvaluationPlan> Planner::Subscribe(
       }
     }
     // Memoized plans are score-only skeletons (no ops payloads, no
-    // new-stream props, no resource bookkeeping). Regenerate the one
-    // that won through the unmemoized path — every memoized value is a
-    // pure function of the same inputs, so the regenerated plan carries
-    // the identical cost the search compared.
+    // new-stream props, no resource bookkeeping). The build step turns
+    // the winner's choice into its full plan through the unmemoized
+    // path — every memoized value is a pure function of the same inputs,
+    // so the built plan carries the identical cost the search compared.
+    // Every other winner was built unmemoized already, by the same calls
+    // the build step makes, so Build() reproduces any winner exactly.
     if (best_needs_props) {
-      SS_ASSIGN_OR_RETURN(
-          best, GenerateSharedPlan(registry_->stream(best.reused_stream),
-                                   best.reuse_node, vq, binding,
-                                   sub_props));
+      SS_ASSIGN_OR_RETURN(best,
+                          BuildInput(binding, sub_props, vq, best.Choice()));
     }
     local_stats.candidates[best_candidate].chosen = true;
     if (input_span.active()) {

@@ -10,6 +10,12 @@
 //                       properties matching, cost-based plan choice,
 //                       residual operators installed at the reuse node.
 //
+// Stream sharing runs in two steps. The search (Algorithm 1's BFS) costs
+// every candidate and settles one PlanChoice per input; the build step
+// turns a choice into its full InputPlan. A live Subscribe runs both; a
+// replay of a logged registration runs only the build (Planner::Build),
+// so recovery never searches (ARCHITECTURE.md invariant 12).
+//
 // One deviation from the paper's pseudo-code, documented in DESIGN.md: when
 // a stream matches, we enqueue every node on its route (not only its target
 // node) into LV — a stream is available along its whole route, and this is
@@ -172,6 +178,17 @@ class Planner {
       SearchStats* stats = nullptr,
       const std::set<network::NodeId>* allowed_nodes = nullptr) const;
 
+  /// The build step alone: the plan `choices` (one per query input, as
+  /// EvaluationPlan::Choices returns them) describe, built exactly as
+  /// Subscribe builds its winners. Against the system state a search ran
+  /// in, Build(query, vq, searched.Choices()) equals the searched plan
+  /// bit for bit. InvalidArgument when a choice does not fit that state
+  /// (wrong input count, an unknown or retired stream, a node off the
+  /// stream's route) — a logged choice replayed out of order.
+  Result<EvaluationPlan> Build(const wxquery::AnalyzedQuery& query,
+                               network::NodeId vq,
+                               const std::vector<PlanChoice>& choices) const;
+
   /// Baseline: raw stream to vq, all evaluation at vq.
   Result<EvaluationPlan> DataShipping(const wxquery::AnalyzedQuery& query,
                                       network::NodeId vq) const;
@@ -206,6 +223,25 @@ class Planner {
   /// state_->health()); identical to the plain path while all-healthy.
   Result<std::vector<network::NodeId>> RoutePath(network::NodeId from,
                                                  network::NodeId to) const;
+
+  /// The binding's original stream, or NotFound (never registered) /
+  /// Unavailable (its source failed).
+  Result<const network::RegisteredStream*> LiveOriginal(
+      const wxquery::StreamBinding& binding) const;
+
+  /// Algorithm 1's initial plan (lines 3–6), also the data-shipping
+  /// baseline: the original stream routed raw from its node to vq, all
+  /// evaluation at vq.
+  Result<InputPlan> ShipRawPlan(const network::RegisteredStream& original,
+                                const wxquery::StreamBinding& binding,
+                                network::NodeId vq) const;
+
+  /// The build step for one input: the full, unmemoized InputPlan of
+  /// `choice`.
+  Result<InputPlan> BuildInput(
+      const wxquery::StreamBinding& binding,
+      const properties::InputStreamProperties& sub_props,
+      network::NodeId vq, const PlanChoice& choice) const;
 
   /// False when the stream's route crosses a dead peer or a down link —
   /// the stream no longer flows and must not be reused.

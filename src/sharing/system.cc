@@ -140,9 +140,14 @@ Status StreamShareSystem::SetAvgIncrement(const std::string& stream,
 }
 
 Result<RegistrationResult> StreamShareSystem::RegisterQuery(
-    std::string_view query_text, NodeId vq, Strategy strategy) {
+    std::string_view query_text, NodeId vq, Strategy strategy,
+    const std::vector<PlanChoice>* choices) {
   if (vq < 0 || vq >= static_cast<NodeId>(topology_.peer_count())) {
     return Status::InvalidArgument("query target peer out of range");
+  }
+  if (choices != nullptr && strategy != Strategy::kStreamSharing) {
+    return Status::InvalidArgument(
+        "plan choices rebuild stream-sharing registrations only");
   }
   auto start = std::chrono::steady_clock::now();
   obs::TraceSpan span(&obs::TraceRecorder::Default(), "RegisterQuery",
@@ -168,6 +173,7 @@ Result<RegistrationResult> StreamShareSystem::RegisterQuery(
       case Strategy::kQueryShipping:
         return planner_->QueryShipping(*query, vq);
       case Strategy::kStreamSharing:
+        if (choices != nullptr) return planner_->Build(*query, vq, *choices);
         if (hierarchical_planner_ != nullptr) {
           return hierarchical_planner_->Subscribe(*query, vq,
                                                   &result.search);

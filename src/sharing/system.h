@@ -154,10 +154,14 @@ class StreamShareSystem {
   /// Registers a continuous query at super-peer `vq` under `strategy`.
   /// Returns the registration outcome (also retained in registrations()).
   /// A parse/analysis error fails the call; an overload rejection returns
-  /// accepted = false.
-  Result<RegistrationResult> RegisterQuery(std::string_view query_text,
-                                           network::NodeId vq,
-                                           Strategy strategy);
+  /// accepted = false. With `choices` (stream sharing only: the
+  /// plan.Choices() of an earlier registration of the same query against
+  /// the same system state), the plan is built from them instead of
+  /// searched (Planner::Build) — admission and deployment are unchanged,
+  /// and the result's search stats stay empty.
+  Result<RegistrationResult> RegisterQuery(
+      std::string_view query_text, network::NodeId vq, Strategy strategy,
+      const std::vector<PlanChoice>* choices = nullptr);
 
   /// Outcome of one background re-optimization pass.
   struct ReoptimizeReport {

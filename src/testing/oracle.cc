@@ -496,6 +496,64 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         }
       }
     }
+    // Invariant 12: a registration rebuilt from its logged plan choices
+    // (what recovery replays) equals the searched one — same admission,
+    // C(P), feasibility and per-input plan — without examining a single
+    // candidate, and the rebuilt deployment delivers the same results.
+    SS_ASSIGN_OR_RETURN(std::unique_ptr<StreamShareSystem> rebuilt,
+                        workload::BuildSystem(spec, serial_config));
+    for (size_t q = 0; q < scenario.queries.size(); ++q) {
+      int indexed_id = reference.registration_index[q];
+      if (indexed_id < 0) continue;
+      const RegistrationResult& searched = indexed_regs[indexed_id];
+      const std::vector<sharing::PlanChoice> choices =
+          searched.plan.Choices();
+      Result<RegistrationResult> built = rebuilt->RegisterQuery(
+          spec.queries[q].text, spec.queries[q].target,
+          sharing::Strategy::kStreamSharing, &choices);
+      if (!built.ok()) {
+        return built.status().WithContext("rebuilding " +
+                                          DescribeQuery(scenario, q));
+      }
+      if (built->sink != nullptr) built->sink->EnableContentHash();
+      auto rebuild_fail = [&](const std::string& what) {
+        index_fail(DescribeQuery(scenario, q) + " rebuilt from its plan " +
+                   "choices " + what);
+      };
+      if (built->query_id != searched.query_id ||
+          built->accepted != searched.accepted) {
+        rebuild_fail("diverged in admission");
+        continue;
+      }
+      if (built->search.candidates_examined != 0) {
+        rebuild_fail("examined " +
+                     std::to_string(built->search.candidates_examined) +
+                     " candidates");
+      }
+      if (built->plan.TotalCost() != searched.plan.TotalCost() ||
+          built->plan.Feasible() != searched.plan.Feasible() ||
+          built->plan.ToString() != searched.plan.ToString()) {
+        rebuild_fail("diverged — searched " + searched.plan.ToString() +
+                     ", rebuilt " + built->plan.ToString());
+      }
+    }
+    SS_RETURN_IF_ERROR(rebuilt->Run(items).WithContext("serial-rebuilt"));
+    for (size_t q = 0; q < scenario.queries.size(); ++q) {
+      int id = reference.registration_index[q];
+      if (id < 0) continue;
+      const engine::SinkOp* sink = rebuilt->registrations()[id].sink;
+      QueryObservation observed = reference_mode.queries[q];
+      observed.items = sink == nullptr ? 0 : sink->item_count();
+      observed.bytes = sink == nullptr ? 0 : sink->total_bytes();
+      observed.content_hash = sink == nullptr ? 0 : sink->content_hash();
+      if (!SameObservation(reference_mode.queries[q], observed)) {
+        index_fail("rebuilt results diverged on " +
+                   DescribeQuery(scenario, q) + " — searched " +
+                   ObservationString(reference_mode.queries[q]) +
+                   ", rebuilt " + ObservationString(observed));
+      }
+    }
+
     SS_RETURN_IF_ERROR(flat.system->Run(items).WithContext("serial-flat"));
     ModeObservation flat_mode;
     flat_mode.mode = "serial-flat-bfs";

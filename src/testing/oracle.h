@@ -81,7 +81,10 @@ struct OracleOptions {
   /// with churn events additionally replay the churned run flat and diff
   /// final observations plus recovery outcomes (ARCHITECTURE.md
   /// invariant 10: the index never changes planning outcomes, only the
-  /// set of candidates examined).
+  /// set of candidates examined). The arm also rebuilds every indexed
+  /// registration from its plan choices on a fresh system, as recovery
+  /// does, and demands the searched plan and results back with no
+  /// candidate examined (invariant 12).
   bool run_flat_bfs = false;
 
   /// Self-test hook: perturbs the named mode's observed content hash and
@@ -150,7 +153,8 @@ struct OracleReport {
   bool crash_ok = true;
   /// The indexed run and the flat-BFS run planned identically (chosen
   /// plans, acceptance, C(P)) and delivered identical results, clean and
-  /// churned. Vacuously true when the arm is disabled.
+  /// churned, and every registration rebuilt from its plan choices
+  /// equalled the searched one. Vacuously true when the arm is disabled.
   bool index_ok = true;
   /// First divergence, human-readable; empty when ok().
   std::string failure;

@@ -1123,6 +1123,10 @@ TEST(ServeDaemon, ChunkedReplayMatchesTheUninterruptedDaemon) {
     EXPECT_EQ(
         registry.GetGauge("serve.recovery.replayed_registrations")->Value(),
         static_cast<double>(kHistoryRegistrations));
+    // Replay rebuilds each logged plan; it never searches (invariant 12).
+    EXPECT_EQ(
+        registry.GetGauge("serve.recovery.candidates_examined")->Value(),
+        0.0);
     const DaemonStats recovered = daemon->stats();
     EXPECT_LE(recovered.recovery_replay_register_us +
                   recovered.recovery_replay_feed_us,

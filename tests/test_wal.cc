@@ -46,6 +46,12 @@ std::string ReadBytes(const std::string& path) {
   return bytes;
 }
 
+/// One plan choice of every kind, as a three-input registration logs them.
+std::vector<sharing::PlanChoice> SampleChoices() {
+  using Kind = sharing::PlanChoice::Kind;
+  return {{Kind::kShipRaw, 0, 3}, {Kind::kTap, 17, 5}, {Kind::kWiden, 300, 0}};
+}
+
 /// One record of every kind the daemon ever appends, with every LogEvent
 /// field exercised somewhere.
 std::vector<WalRecord> SampleRecords() {
@@ -57,7 +63,16 @@ std::vector<WalRecord> SampleRecords() {
   sub.query_text = "/site/detector[energy > 3]/photon";
   sub.vq = 3;
   sub.strategy = 2;
+  sub.choices = SampleChoices();
   records.push_back(WalRecord::Event(sub));
+
+  LogEvent shipped;
+  shipped.kind = LogEvent::Kind::kSubscribe;
+  shipped.at_items = 7;
+  shipped.query_text = "/site/detector/photon";
+  shipped.vq = 0;
+  shipped.strategy = 0;  // data shipping logs no choices
+  records.push_back(WalRecord::Event(shipped));
 
   records.push_back(WalRecord::Feed(13));
 
@@ -103,6 +118,7 @@ void ExpectSameRecord(const WalRecord& got, const WalRecord& want,
   EXPECT_EQ(got.event.query_text, want.event.query_text);
   EXPECT_EQ(got.event.vq, want.event.vq);
   EXPECT_EQ(got.event.strategy, want.event.strategy);
+  EXPECT_EQ(got.event.choices, want.event.choices);
   EXPECT_EQ(got.event.query_id, want.event.query_id);
   EXPECT_EQ(got.event.peer, want.event.peer);
   EXPECT_EQ(got.event.link_a, want.event.link_a);
@@ -176,6 +192,67 @@ TEST(Wal, ForeignFileIsADecodableParseError) {
   auto recovered = RecoverWal(path);
   EXPECT_FALSE(recovered.ok());
   EXPECT_TRUE(recovered.status().IsParseError());
+  std::remove(path.c_str());
+}
+
+// A registration's plan choices round-trip through the event codec, and
+// an event cut anywhere inside them is torn: ParseLogEvent refuses it
+// instead of handing back a registration with fewer choices.
+TEST(LogEventCodec, PlanChoicesRoundTripAndTornChoicesRefuse) {
+  LogEvent sub;
+  sub.kind = LogEvent::Kind::kSubscribe;
+  sub.at_items = 1234;
+  sub.query_text = "/site/detector/photon";
+  sub.vq = 9;
+  sub.choices = SampleChoices();
+  std::string encoded;
+  AppendLogEvent(&encoded, sub);
+
+  std::string_view data = encoded;
+  LogEvent parsed;
+  ASSERT_TRUE(ParseLogEvent(&data, &parsed));
+  EXPECT_TRUE(data.empty());
+  EXPECT_EQ(parsed.choices, sub.choices);
+  EXPECT_EQ(parsed.query_text, sub.query_text);
+
+  // The choices are the event's tail: everything after the query text.
+  LogEvent bare = sub;
+  bare.choices.clear();
+  std::string prefix;
+  AppendLogEvent(&prefix, bare);
+  const size_t choices_start = prefix.size() - 1;  // the count varint
+  ASSERT_EQ(encoded.compare(0, choices_start, prefix, 0, choices_start), 0);
+  for (size_t cut = choices_start; cut < encoded.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    std::string_view torn(encoded.data(), cut);
+    LogEvent out;
+    EXPECT_FALSE(ParseLogEvent(&torn, &out));
+  }
+
+  // An unknown choice kind is refused too, not read as some other kind.
+  std::string bad_kind = encoded;
+  bad_kind[choices_start + 1] = 3;  // the first choice's kind byte
+  std::string_view bad = bad_kind;
+  LogEvent out;
+  EXPECT_FALSE(ParseLogEvent(&bad, &out));
+}
+
+// A log written before registrations carried their plan choices is
+// refused with an error naming both format versions: recovery never
+// falls back to searching an old log.
+TEST(Wal, OlderFormatIsRefusedNamingBothVersions) {
+  const std::string path = TestPath("old_format");
+  std::string image = RecordedLog(path, SampleRecords(), nullptr);
+  ASSERT_EQ(image.substr(0, 8), "SSWAL002");
+  image.replace(0, 8, "SSWAL001");
+  WriteBytes(path, image);
+  auto recovered = RecoverWal(path);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_TRUE(recovered.status().IsParseError());
+  EXPECT_NE(recovered.status().message().find("SSWAL001"), std::string::npos)
+      << recovered.status().message();
+  EXPECT_NE(recovered.status().message().find("SSWAL002"), std::string::npos)
+      << recovered.status().message();
   std::remove(path.c_str());
 }
 
@@ -407,6 +484,25 @@ TEST(Checkpoint, AFaultedSaveNeverCorruptsThePreviousCheckpoint) {
   ExpectSameCheckpoint(*loaded, next);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+// The checkpoint half of the format bump: an SSCKPT02 checkpoint (no
+// plan choices) is refused by name, never replayed by searching.
+TEST(Checkpoint, OlderFormatIsRefusedNamingBothVersions) {
+  const std::string path = TestPath("ckpt_old_format");
+  ASSERT_TRUE(SaveCheckpoint(path, SampleCheckpoint(1, 26)).ok());
+  std::string image = ReadBytes(path);
+  ASSERT_EQ(image.substr(0, 8), "SSCKPT03");
+  image.replace(0, 8, "SSCKPT02");
+  WriteBytes(path, image);
+  auto loaded = LoadCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsParseError());
+  EXPECT_NE(loaded.status().message().find("SSCKPT02"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("SSCKPT03"), std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
 }
 
 }  // namespace
