@@ -502,6 +502,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     // candidate, and the rebuilt deployment delivers the same results.
     SS_ASSIGN_OR_RETURN(std::unique_ptr<StreamShareSystem> rebuilt,
                         workload::BuildSystem(spec, serial_config));
+    bool rebuilt_all = true;
     for (size_t q = 0; q < scenario.queries.size(); ++q) {
       int indexed_id = reference.registration_index[q];
       if (indexed_id < 0) continue;
@@ -511,19 +512,21 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
       Result<RegistrationResult> built = rebuilt->RegisterQuery(
           spec.queries[q].text, spec.queries[q].target,
           sharing::Strategy::kStreamSharing, &choices);
-      if (!built.ok()) {
-        return built.status().WithContext("rebuilding " +
-                                          DescribeQuery(scenario, q));
-      }
-      if (built->sink != nullptr) built->sink->EnableContentHash();
       auto rebuild_fail = [&](const std::string& what) {
         index_fail(DescribeQuery(scenario, q) + " rebuilt from its plan " +
                    "choices " + what);
       };
-      if (built->query_id != searched.query_id ||
-          built->accepted != searched.accepted) {
+      if (!built.ok() || built->query_id != searched.query_id) {
+        // The choices no longer fit the state they were made in; later
+        // registrations would rebuild against a different deployment.
+        rebuild_fail(built.ok() ? "got another query id"
+                                : "was refused: " + built.status().ToString());
+        rebuilt_all = false;
+        break;
+      }
+      if (built->sink != nullptr) built->sink->EnableContentHash();
+      if (built->accepted != searched.accepted) {
         rebuild_fail("diverged in admission");
-        continue;
       }
       if (built->search.candidates_examined != 0) {
         rebuild_fail("examined " +
@@ -537,8 +540,10 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
                      ", rebuilt " + built->plan.ToString());
       }
     }
-    SS_RETURN_IF_ERROR(rebuilt->Run(items).WithContext("serial-rebuilt"));
-    for (size_t q = 0; q < scenario.queries.size(); ++q) {
+    if (rebuilt_all) {
+      SS_RETURN_IF_ERROR(rebuilt->Run(items).WithContext("serial-rebuilt"));
+    }
+    for (size_t q = 0; rebuilt_all && q < scenario.queries.size(); ++q) {
       int id = reference.registration_index[q];
       if (id < 0) continue;
       const engine::SinkOp* sink = rebuilt->registrations()[id].sink;
