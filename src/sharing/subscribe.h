@@ -136,7 +136,7 @@ class Planner {
     /// the tap node left as -1 (CostPlan substitutes the candidate's
     /// reuse node) plus any compensation ops at vq. Memoized plans carry
     /// an empty `ops` vector and are scored against this template; the
-    /// search regenerates the one winning plan in full.
+    /// build step regenerates the one winning plan in full.
     std::unordered_map<int, Result<std::vector<EngineOpSpec>>>
         ops_template;
     /// Scratch for CostPlan's per-peer load accumulation (indexed by

@@ -27,14 +27,6 @@ void SetFixedField(engine::PhotonRecord* record, int field, double value,
   SetDecimalField(record, field, FormatFixed(value, decimals, buffer));
 }
 
-void SetIntegerField(engine::PhotonRecord* record, int field, int value) {
-  char buffer[16];
-  std::to_chars_result written =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  SetDecimalField(record, field,
-                  std::string_view(buffer, written.ptr - buffer));
-}
-
 }  // namespace
 
 PhotonGenerator::PhotonGenerator(PhotonGenConfig config)
@@ -69,14 +61,14 @@ engine::PhotonRecord PhotonGenerator::NextRecord() {
   std::uniform_int_distribution<int> det_pixel(0, 511);
 
   engine::PhotonRecord record;
-  SetIntegerField(&record, engine::PhotonSchema::kFieldPhc,
-                  phc_dist(rng_));
+  SetDecimalField(&record, engine::PhotonSchema::kFieldPhc,
+                  std::to_string(phc_dist(rng_)));
   SetFixedField(&record, engine::PhotonSchema::kFieldRa, ra, 4);
   SetFixedField(&record, engine::PhotonSchema::kFieldDec, dec, 4);
-  SetIntegerField(&record, engine::PhotonSchema::kFieldDx,
-                  det_pixel(rng_));
-  SetIntegerField(&record, engine::PhotonSchema::kFieldDy,
-                  det_pixel(rng_));
+  SetDecimalField(&record, engine::PhotonSchema::kFieldDx,
+                  std::to_string(det_pixel(rng_)));
+  SetDecimalField(&record, engine::PhotonSchema::kFieldDy,
+                  std::to_string(det_pixel(rng_)));
   SetFixedField(&record, engine::PhotonSchema::kFieldEn, en, 3);
   SetFixedField(&record, engine::PhotonSchema::kFieldDetTime, det_time_, 1);
   return record;
