@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "serve/crashpoint.h"
 #include "transport/wire.h"
@@ -67,6 +68,12 @@ uint64_t Zig(int64_t value) {
 
 int64_t Unzig(uint64_t value) {
   return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
+}
+
+/// Stream and node ids are ints; a wider logged value is corrupt.
+bool FitsInt(int64_t value) {
+  return value >= std::numeric_limits<int>::min() &&
+         value <= std::numeric_limits<int>::max();
 }
 
 bool GetSigned(std::string_view* data, int64_t* out) {
@@ -268,7 +275,8 @@ bool ParseLogEvent(std::string_view* data, LogEvent* event) {
         int64_t stream = 0, node = 0;
         if (!GetVarint(data, &kind) ||
             kind > static_cast<uint64_t>(sharing::PlanChoice::Kind::kWiden) ||
-            !GetSigned(data, &stream) || !GetSigned(data, &node)) {
+            !GetSigned(data, &stream) || !GetSigned(data, &node) ||
+            !FitsInt(stream) || !FitsInt(node)) {
           return false;
         }
         sharing::PlanChoice choice;

@@ -153,9 +153,13 @@ TEST_P(PlanRebuildWalk, RebuiltPlanEqualsSearchedPlanAtEveryRegistration) {
   // extended example tapping the one stream at its source always beats
   // shipping it raw; the grid's far-corner queries ship raw.
   EXPECT_GE(compared, static_cast<int>(n) * 2 / 3);
-  if (param.grid) EXPECT_GT(raw, 0);
+  if (param.grid) {
+    EXPECT_GT(raw, 0);
+  }
   EXPECT_GT(derived_taps, 0);
-  if (param.widening) EXPECT_GT(widenings, 0);
+  if (param.widening) {
+    EXPECT_GT(widenings, 0);
+  }
   EXPECT_EQ((*searched)->recovery_reports().size(), 2u);
 
   // The rebuilt deployment delivered exactly what the searched one did.

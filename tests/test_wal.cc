@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "serve/checkpoint.h"
 #include "serve/wal.h"
+#include "transport/wire.h"
 
 namespace streamshare::serve {
 namespace {
@@ -235,6 +236,16 @@ TEST(LogEventCodec, PlanChoicesRoundTripAndTornChoicesRefuse) {
   std::string_view bad = bad_kind;
   LogEvent out;
   EXPECT_FALSE(ParseLogEvent(&bad, &out));
+
+  // So is a stream id wider than an int, instead of being truncated.
+  std::string wide = prefix;
+  wide.pop_back();  // the zero choice count
+  transport::PutVarint(&wide, 1);
+  transport::PutVarint(&wide, 1);                   // kTap
+  transport::PutVarint(&wide, uint64_t{1} << 41);   // zigzag of 2^40
+  transport::PutVarint(&wide, 0);                   // node 0
+  std::string_view wide_view = wide;
+  EXPECT_FALSE(ParseLogEvent(&wide_view, &out));
 }
 
 // A log written before registrations carried their plan choices is
