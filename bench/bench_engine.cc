@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     items[stream.name] = generator.Generate(items_per_stream);
     workload::PhotonGenerator record_generator(stream.gen);
     batches[stream.name] = record_generator.GenerateBatches(
-        items_per_stream, config.parallel.batch_size);
+        items_per_stream, config.batch_size);
     total_items += items_per_stream;
   }
 

@@ -1,6 +1,4 @@
-// Measured-latency plane on the 4×4 grid workload: per-query end-to-end
-// p50/p99 under the tcp transport (one worker thread per partition, the
-// channels real localhost sockets), plus a serial
+// Cost of the measured-latency plane on the 4×4 grid workload: a serial
 // stamping-overhead pair (the same record-path run with measure_latency
 // on and off, the median of fifteen paired trials) that CI gates on.
 //
@@ -18,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "workload/scenario.h"
 
 using namespace streamshare;
@@ -55,26 +52,6 @@ Result<std::unique_ptr<sharing::StreamShareSystem>> Deploy(
   return system;
 }
 
-/// Emits `<mode>.q<id>.{p50_us,p99_us,stamped}` for every accepted query
-/// of `system`. A query whose sink saw no stamped item (e.g. a windowed
-/// aggregate whose windows all flushed at end of stream) reports zeros —
-/// a stable key set matters more than suppressing empty series.
-void PrintQueryLatencies(const sharing::StreamShareSystem& system,
-                         const char* mode) {
-  for (const sharing::RegistrationResult& registration :
-       system.registrations()) {
-    if (!registration.accepted || registration.sink == nullptr) continue;
-    const obs::Histogram* hist = registration.sink->latency_histogram();
-    uint64_t stamped = hist != nullptr ? hist->Count() : 0;
-    double p50 = stamped > 0 ? hist->Quantile(0.50) : 0.0;
-    double p99 = stamped > 0 ? hist->Quantile(0.99) : 0.0;
-    std::printf("%s.q%d.p50_us=%.1f\n", mode, registration.query_id, p50);
-    std::printf("%s.q%d.p99_us=%.1f\n", mode, registration.query_id, p99);
-    std::printf("%s.q%d.stamped=%llu\n", mode, registration.query_id,
-                static_cast<unsigned long long>(stamped));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,19 +65,13 @@ int main(int argc, char** argv) {
 
   sharing::SystemConfig config;  // stamping on by default
 
-  std::map<std::string, std::vector<engine::ItemPtr>> items;
-  size_t total_items = 0;
-  for (const workload::StreamSpec& stream : scenario.streams) {
-    workload::PhotonGenerator generator(stream.gen);
-    items[stream.name] = generator.Generate(items_per_stream);
-    total_items += items_per_stream;
-  }
+  const size_t total_items = items_per_stream * scenario.streams.size();
   auto make_batches = [&](const sharing::SystemConfig& cfg) {
     std::map<std::string, std::vector<engine::ItemBatch>> batches;
     for (const workload::StreamSpec& stream : scenario.streams) {
       workload::PhotonGenerator generator(stream.gen);
       batches[stream.name] = generator.GenerateBatches(
-          items_per_stream, cfg.parallel.batch_size);
+          items_per_stream, cfg.batch_size);
     }
     return batches;
   };
@@ -160,32 +131,6 @@ int main(int argc, char** argv) {
                 Quantile(overheads, 0.25));
     std::printf("stamping_overhead_pct_q3=%.2f\n",
                 Quantile(overheads, 0.75));
-  }
-
-  // --- tcp transport: one worker thread per partition; the stamping
-  // runs above share the registry's latency series, so zero it first.
-  obs::MetricsRegistry::Default().ResetAll();
-  {
-    sharing::SystemConfig tcp_config = config;
-    tcp_config.executor = sharing::ExecutorKind::kTcp;
-    Result<std::unique_ptr<sharing::StreamShareSystem>> system =
-        Deploy(scenario, tcp_config);
-    if (!system.ok()) {
-      std::fprintf(stderr, "deploy failed: %s\n",
-                   system.status().ToString().c_str());
-      return 1;
-    }
-    Clock::time_point start = Clock::now();
-    Status status = (*system)->Run(items);
-    double elapsed = SecondsSince(start);
-    if (!status.ok()) {
-      std::fprintf(stderr, "tcp run failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("tcp_items_per_s=%.1f\n",
-                static_cast<double>(total_items) / elapsed);
-    PrintQueryLatencies(**system, "tcp");
   }
   return 0;
 }

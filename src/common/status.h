@@ -28,9 +28,9 @@ enum class StatusCode {
   kUnsatisfiable,
   kOverload,
   kInternal,
-  /// A blocking operation exceeded its deadline (transport send timeout).
+  /// A blocking operation exceeded its deadline (a socket timeout).
   kDeadlineExceeded,
-  /// The peer endpoint is gone or was closed (transport channel shutdown).
+  /// The peer endpoint is gone or was closed (connection shutdown).
   kUnavailable,
 };
 
@@ -41,8 +41,8 @@ std::string_view StatusCodeToString(StatusCode code);
 /// The one way a context string prefixes a message in this codebase:
 /// "outer: inner", with empty sides collapsing to the other. Used by
 /// Status::WithContext, Status::ToString, and the obs event log, so error
-/// strings from the serial executor and the partitioned runner (and log
-/// lines that quote them) all chain identically.
+/// strings from the executor (and log lines that quote them) all chain
+/// identically.
 std::string JoinContext(std::string_view outer, std::string_view inner);
 
 /// The outcome of a fallible operation: either OK or an error with a code

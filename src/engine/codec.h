@@ -52,8 +52,8 @@ inline constexpr size_t kMaxDictionaryNames = 4096;
 /// Decoder safety rail against corrupted frames.
 inline constexpr size_t kMaxDecodeDepth = 512;
 
-/// Encodes items for one link. Not thread-safe; one encoder per channel,
-/// driven by the sending worker's thread.
+/// Encodes a stream of items that share one name dictionary. Not
+/// thread-safe; one encoder per stream.
 class ItemEncoder {
  public:
   /// Appends the encoding of `node` to *out. Reserves using

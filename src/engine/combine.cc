@@ -25,10 +25,6 @@ CombinePortOp::CombinePortOp(std::string label, CombineOp* parent,
                              size_t index)
     : Operator(std::move(label)), parent_(parent), index_(index) {}
 
-void CombinePortOp::AppendHardSuccessors(std::vector<Operator*>* out) {
-  out->push_back(parent_);
-}
-
 Status CombinePortOp::ProcessBatch(ItemBatch* batch) {
   for (size_t i = 0; i < batch->size(); ++i) {
     parent_->buffers_[index_].push_back(batch->Materialize(i));

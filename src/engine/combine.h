@@ -34,11 +34,6 @@ class CombinePortOp : public Operator {
  public:
   CombinePortOp(std::string label, CombineOp* parent, size_t index);
 
-  /// The combiner is invoked through a direct pointer (all ports mutate
-  /// its buffers), so a partitioned executor must co-locate it with its
-  /// ports.
-  void AppendHardSuccessors(std::vector<Operator*>* out) override;
-
  protected:
   /// Buffers the materialized slots into the combiner.
   Status ProcessBatch(ItemBatch* batch) override;

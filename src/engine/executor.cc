@@ -8,10 +8,10 @@
 
 namespace streamshare::engine {
 
-std::string OperatorContext(std::string_view action, const Operator& op) {
-  return std::string(action) + " " + op.label();
-}
+namespace {
 
+/// Prefixes `status` with "<action> <label>" (`action` is "push" or
+/// "finish") and logs the failure as a structured error event.
 Status WrapOperatorFailure(Status status, std::string_view action,
                            const Operator& op) {
   obs::EventLog& log = obs::EventLog::Default();
@@ -20,8 +20,10 @@ Status WrapOperatorFailure(Status status, std::string_view action,
             {obs::F("action", action), obs::F("operator", op.label()),
              obs::F("status", status.ToString())});
   }
-  return status.WithContext(OperatorContext(action, op));
+  return status.WithContext(std::string(action) + " " + op.label());
 }
+
+}  // namespace
 
 std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
                                   size_t batch_size, bool adopt) {

@@ -15,17 +15,6 @@
 
 namespace streamshare::engine {
 
-/// Canonical context prefix for a Status escaping `op` during `action`
-/// ("push" or "finish"): "<action> <label>". Both the serial executor and
-/// the partitioned runner wrap operator failures through WrapOperatorFailure,
-/// so a failing query reports the same string either way.
-std::string OperatorContext(std::string_view action, const Operator& op);
-
-/// Prefixes `status` with OperatorContext and emits an error event to the
-/// default obs::EventLog (when a sink is installed).
-Status WrapOperatorFailure(Status status, std::string_view action,
-                           const Operator& op);
-
 /// Owns a set of operators wired into a dataflow graph.
 class OperatorGraph {
  public:
@@ -53,9 +42,12 @@ std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
 
 /// The feed loop: round-robins the per-stream batch lists across
 /// `entries` (one batch per stream per round, per-stream order
-/// preserved). When `stamp` is true (the default), every fed batch costs
-/// one clock read, which stamps its still-unstamped slots; the stamps
-/// then carry the measured-latency plane (engine/latency.h) to the sinks.
+/// preserved). A failure escaping an entry comes back prefixed
+/// "push <label>" or "finish <label>", and is also logged as an error
+/// event to the default obs::EventLog (when a sink is installed).
+/// When `stamp` is true (the default), every fed batch costs one clock
+/// read, which stamps its still-unstamped slots; the stamps then carry
+/// the measured-latency plane (engine/latency.h) to the sinks.
 /// When `finish` is true (the default), signals end of stream afterwards
 /// — a single-shot run. Pass false to keep the streams live (continuous
 /// operation with more feeds to come); end of stream is a one-shot

@@ -20,28 +20,6 @@ class Metrics {
       : bytes_per_link_(topology.link_count(), 0),
         work_per_peer_(topology.peer_count(), 0.0),
         items_per_peer_(topology.peer_count(), 0) {}
-  /// A zeroed shard shaped like `other` — the partitioned runner gives
-  /// every worker one so the hot path stays free of atomics and merges
-  /// the shards at end of stream.
-  static Metrics ShardLike(const Metrics& other) {
-    Metrics shard;
-    shard.bytes_per_link_.assign(other.bytes_per_link_.size(), 0);
-    shard.work_per_peer_.assign(other.work_per_peer_.size(), 0.0);
-    shard.items_per_peer_.assign(other.items_per_peer_.size(), 0);
-    return shard;
-  }
-
-  /// Adds every counter of `other` (a worker-local shard) into this.
-  void MergeFrom(const Metrics& other) {
-    for (size_t i = 0; i < other.bytes_per_link_.size(); ++i) {
-      bytes_per_link_[i] += other.bytes_per_link_[i];
-    }
-    for (size_t i = 0; i < other.work_per_peer_.size(); ++i) {
-      work_per_peer_[i] += other.work_per_peer_[i];
-      items_per_peer_[i] += other.items_per_peer_[i];
-    }
-  }
-
   void AddBytes(network::LinkId link, uint64_t bytes) {
     bytes_per_link_[link] += bytes;
   }

@@ -137,52 +137,35 @@ void SinkOp::EnableLatencyRecording(const std::string& query) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   std::string prefix = "latency.query." + query;
   lat_e2e_ = registry.GetHistogram(prefix + ".e2e_us", bounds);
-  lat_pipeline_ =
-      registry.GetHistogram(prefix + ".stage.pipeline_us", bounds);
-  lat_queue_ = registry.GetHistogram(prefix + ".stage.queue_us", bounds);
-  lat_transport_ =
-      registry.GetHistogram(prefix + ".stage.transport_us", bounds);
-  for (LocalHist* local :
-       {&loc_e2e_, &loc_pipeline_, &loc_queue_, &loc_transport_}) {
-    local->buckets.assign(lat_e2e_->bucket_count(), 0);
-  }
+  loc_e2e_.buckets.assign(lat_e2e_->bucket_count(), 0);
 }
 
 namespace {
-// Stamped arrivals between registry folds. Large enough that the four
-// atomic MergeCounts amortize away, small enough that a mid-stream
+// Stamped arrivals between registry folds. Large enough that the atomic
+// MergeCounts amortizes away, small enough that a mid-stream
 // metrics scrape (service-mode Feed) is at most this stale.
 constexpr uint64_t kLatencyFlushInterval = 512;
 }  // namespace
 
-void SinkOp::ObserveLocal(LocalHist* local, const obs::Histogram& hist,
-                          double value) {
+void SinkOp::ObserveLocal(double value) {
   // In-process latencies mostly land under the first bound (50us); skip
   // the binary search for them — this runs per delivered item.
   size_t bucket =
-      value <= hist.bounds().front() ? 0 : hist.BucketFor(value);
-  ++local->buckets[bucket];
-  ++local->count;
-  local->sum += value;
-  if (value > local->max) local->max = value;
+      value <= lat_e2e_->bounds().front() ? 0 : lat_e2e_->BucketFor(value);
+  ++loc_e2e_.buckets[bucket];
+  ++loc_e2e_.count;
+  loc_e2e_.sum += value;
+  if (value > loc_e2e_.max) loc_e2e_.max = value;
 }
 
 void SinkOp::FlushLatency() {
-  if (unflushed_ == 0) return;
-  auto fold = [](LocalHist* local, obs::Histogram* hist) {
-    if (local->count == 0) return;
-    hist->MergeCounts(local->buckets, local->count, local->sum,
-                      local->max);
-    std::fill(local->buckets.begin(), local->buckets.end(), 0);
-    local->count = 0;
-    local->sum = 0.0;
-    local->max = 0.0;  // the shared histogram's max only ever raises
-  };
-  fold(&loc_e2e_, lat_e2e_);
-  fold(&loc_pipeline_, lat_pipeline_);
-  fold(&loc_queue_, lat_queue_);
-  fold(&loc_transport_, lat_transport_);
-  unflushed_ = 0;
+  if (loc_e2e_.count == 0) return;
+  lat_e2e_->MergeCounts(loc_e2e_.buckets, loc_e2e_.count, loc_e2e_.sum,
+                        loc_e2e_.max);
+  std::fill(loc_e2e_.buckets.begin(), loc_e2e_.buckets.end(), 0);
+  loc_e2e_.count = 0;
+  loc_e2e_.sum = 0.0;
+  loc_e2e_.max = 0.0;  // the shared histogram's max only ever raises
 }
 
 Status SinkOp::OnFinish() {
@@ -194,32 +177,14 @@ void SinkOp::RecordLatency(const latency::ItemStamp& stamp,
                            uint64_t now) {
   if (lat_e2e_ == nullptr || !stamp.stamped()) return;
   uint64_t e2e = now > stamp.ingress_us ? now - stamp.ingress_us : 0;
-  // Pipeline time is what remains of the end-to-end span after the
-  // explicitly measured queue-wait and transport stages.
-  uint64_t overhead = stamp.queue_us + stamp.transport_us;
-  uint64_t pipeline = e2e > overhead ? e2e - overhead : 0;
-  ObserveLocal(&loc_e2e_, *lat_e2e_, static_cast<double>(e2e));
-  ObserveLocal(&loc_pipeline_, *lat_pipeline_,
-               static_cast<double>(pipeline));
-  // Queue and transport stages record only deliveries the stage actually
-  // touched: a zero wait is the absence of a queue (or wire) on the
-  // item's path, not a measurement of one — and skipping it keeps two
-  // histogram updates off the serial hot path, where both are always 0.
-  if (stamp.queue_us != 0) {
-    ObserveLocal(&loc_queue_, *lat_queue_,
-                 static_cast<double>(stamp.queue_us));
-  }
-  if (stamp.transport_us != 0) {
-    ObserveLocal(&loc_transport_, *lat_transport_,
-                 static_cast<double>(stamp.transport_us));
-  }
+  ObserveLocal(static_cast<double>(e2e));
   ++stamped_count_;
   if (stamp.ingress_us < last_ingress_us_) {
     ++stamp_regressions_;
   } else {
     last_ingress_us_ = stamp.ingress_us;
   }
-  if (++unflushed_ >= kLatencyFlushInterval) FlushLatency();
+  if (loc_e2e_.count >= kLatencyFlushInterval) FlushLatency();
 }
 
 Status SinkOp::ProcessBatch(ItemBatch* batch) {

@@ -52,30 +52,6 @@ class Operator {
         std::remove(downstreams_.begin(), downstreams_.end(), downstream),
         downstreams_.end());
   }
-  /// Swaps `from` for `to` in place, preserving emission order. Used by
-  /// the partitioned runner to splice channel ports into cross-peer edges
-  /// (and to splice the original consumers back afterwards).
-  void ReplaceDownstream(Operator* from, Operator* to) {
-    std::replace(downstreams_.begin(), downstreams_.end(), from, to);
-  }
-  const std::vector<Operator*>& downstreams() const { return downstreams_; }
-
-  /// Successors invoked through direct pointers rather than the
-  /// downstream list (e.g. a combine port feeding its combiner). They
-  /// share this operator's state unsynchronized, so a partitioned
-  /// executor must keep them on the same worker.
-  virtual void AppendHardSuccessors(std::vector<Operator*>*) {}
-
-  /// Metrics sinks this operator writes to (accounting, link traffic).
-  virtual void AppendMetricsTargets(std::vector<Metrics*>* out) {
-    if (metrics_ != nullptr) out->push_back(metrics_);
-  }
-  /// Redirects every metrics pointer currently equal to `from` to `to` —
-  /// the partitioned runner points operators at per-worker shards for the
-  /// duration of a run, then back.
-  virtual void RebindMetrics(Metrics* from, Metrics* to) {
-    if (metrics_ == from) metrics_ = to;
-  }
 
   /// Bills `work_per_item` units to `peer` in `metrics` per pushed item.
   void SetAccounting(Metrics* metrics, network::NodeId peer,
@@ -84,7 +60,6 @@ class Operator {
     peer_ = peer;
     work_per_item_ = work_per_item;
   }
-  network::NodeId peer() const { return peer_; }
 
   /// Feeds a batch of items, billing `work_per_item` once per item
   /// (AddWorkN loops the adds). The batch stays owned by the caller:
@@ -202,20 +177,6 @@ class LinkOp : public Operator {
   LinkOp(std::string label, Metrics* metrics, network::LinkId link)
       : Operator(std::move(label)), link_metrics_(metrics), link_(link) {}
 
-  void AppendMetricsTargets(std::vector<Metrics*>* out) override {
-    Operator::AppendMetricsTargets(out);
-    if (link_metrics_ != nullptr) out->push_back(link_metrics_);
-  }
-  void RebindMetrics(Metrics* from, Metrics* to) override {
-    Operator::RebindMetrics(from, to);
-    if (link_metrics_ == from) link_metrics_ = to;
-  }
-
-  /// The topology connection this operator transmits over — lets the
-  /// transport layer attribute measured bytes-on-wire to the same link
-  /// the cost model predicted u_b(e) for.
-  network::LinkId link() const { return link_; }
-
  protected:
   /// Bills record sizes without materializing, then forwards the batch.
   Status ProcessBatch(ItemBatch* batch) override;
@@ -258,17 +219,15 @@ class SinkOp : public Operator {
 
   /// Starts folding every received item into content_hash() (an
   /// order-insensitive structural hash). Off by default so the hot path
-  /// of ordinary runs is unchanged; the transport runner enables it so
-  /// a partitioned run's results compare against a serial run's by hash.
+  /// of ordinary runs is unchanged; the differential oracle enables it
+  /// so runs compare by hash.
   void EnableContentHash() { hash_items_ = true; }
   uint64_t content_hash() const { return content_hash_; }
 
   /// Starts recording measured end-to-end latency of stamped arrivals
-  /// into latency.query.<query>.{e2e_us,stage.*_us} histograms in the
-  /// default registry (the sink batches observations locally and folds
-  /// them in with Histogram::MergeCounts). Stage attribution: queue-wait
-  /// and transport time accumulate in the stamp on the way here, pipeline
-  /// time is the end-to-end remainder. Unstamped items are skipped.
+  /// into the latency.query.<query>.e2e_us histogram in the default
+  /// registry (the sink batches observations locally and folds them in
+  /// with Histogram::MergeCounts). Unstamped items are skipped.
   void EnableLatencyRecording(const std::string& query);
 
   /// e2e histogram installed by EnableLatencyRecording (null before).
@@ -288,19 +247,18 @@ class SinkOp : public Operator {
   Status OnFinish() override;
 
  private:
-  /// Latency observations accumulate in these plain (single-writer)
-  /// shards — a sink is only ever driven by one thread — and fold into
-  /// the sharded registry histograms every kLatencyFlushInterval stamped
-  /// arrivals and at Finish. Four atomic observes per delivered item
-  /// would dominate the record hot path otherwise.
+  /// Latency observations accumulate in this plain (single-writer)
+  /// shard — a sink is only ever driven by one thread — and fold into
+  /// the sharded registry histogram every kLatencyFlushInterval stamped
+  /// arrivals and at Finish. An atomic observe per delivered item would
+  /// weigh on the record hot path otherwise.
   struct LocalHist {
     std::vector<uint64_t> buckets;
     uint64_t count = 0;
     double sum = 0.0;
     double max = 0.0;
   };
-  static void ObserveLocal(LocalHist* local, const obs::Histogram& hist,
-                           double value);
+  void ObserveLocal(double value);
   void FlushLatency();
   /// `now` is the arrival tick — NowUs() read once per delivered batch
   /// (slots of one batch share their arrival instant, like a fed chunk
@@ -320,14 +278,7 @@ class SinkOp : public Operator {
   /// items()' cache: the first materialized_.size() kept deliveries.
   mutable std::vector<ItemPtr> materialized_;
   obs::Histogram* lat_e2e_ = nullptr;
-  obs::Histogram* lat_pipeline_ = nullptr;
-  obs::Histogram* lat_queue_ = nullptr;
-  obs::Histogram* lat_transport_ = nullptr;
   LocalHist loc_e2e_;
-  LocalHist loc_pipeline_;
-  LocalHist loc_queue_;
-  LocalHist loc_transport_;
-  uint64_t unflushed_ = 0;
   uint64_t last_ingress_us_ = 0;
   uint64_t stamped_count_ = 0;
   uint64_t stamp_regressions_ = 0;

@@ -28,7 +28,6 @@
 #ifndef STREAMSHARE_ENGINE_RECORD_H_
 #define STREAMSHARE_ENGINE_RECORD_H_
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -175,12 +174,12 @@ class PhotonRecord {
 
 /// A batch of stream items: each slot is a PhotonRecord, an opaque XML
 /// item, or an encoded result, with a lazily-filled materialization cache
-/// so fan-out consumers share one DOM tree. Batches flow by pointer
-/// through one worker at a time; receivers may Materialize (filling the
-/// cache) but must not otherwise mutate a batch they were pushed.
+/// so fan-out consumers share one DOM tree. Batches flow by pointer;
+/// receivers may Materialize (filling the cache) but must not otherwise
+/// mutate a batch they were pushed.
 ///
 /// Only RestructureOp's compiled programs emit encoded slots, and only
-/// sinks, links and the partitioned runner's ports consume them; anything
+/// sinks and links consume them; anything
 /// that needs the tree reads it through Materialize.
 class ItemBatch {
  public:
@@ -200,7 +199,7 @@ class ItemBatch {
     uint32_t xml_size = 0;
     uint64_t content_hash = 0;
     /// Measured-latency stamp (latency.h). Unstamped by default; the
-    /// executors stamp freshly fed slots, AppendSlot forwards the stamp,
+    /// executor stamps freshly fed slots, AppendSlot forwards the stamp,
     /// and operators that build new slots copy it explicitly. Excluded
     /// from content hashes and equality — stamps never change results.
     latency::ItemStamp stamp;
@@ -233,11 +232,6 @@ class ItemBatch {
   /// the original tree).
   void AppendItem(const ItemPtr& item, bool adopt,
                   const latency::ItemStamp& stamp = {});
-  /// Appends a standalone record or opaque slot (a decoded wire item).
-  void AppendSlot(const Slot& slot) {
-    assert(!slot.is_encoded());
-    slots_.push_back(slot);
-  }
   /// Appends a copy of slot `i` of `from` (forwarding); an encoded slot's
   /// bytes are copied into this batch's arena.
   void AppendSlot(const ItemBatch& from, size_t i);

@@ -2,36 +2,15 @@
 
 namespace streamshare::network {
 
-const char* PeerStatusName(PeerStatus status) {
-  switch (status) {
-    case PeerStatus::kAlive:
-      return "alive";
-    case PeerStatus::kSuspect:
-      return "suspect";
-    case PeerStatus::kDead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 PeerHealth::PeerHealth(const Topology* topology)
     : topology_(topology),
-      status_(topology->peer_count(), PeerStatus::kAlive),
+      dead_(topology->peer_count(), false),
       reason_(topology->peer_count()),
       link_up_(topology->link_count(), true) {}
 
-bool PeerHealth::MarkSuspect(NodeId peer, std::string reason) {
-  if (status_[peer] != PeerStatus::kAlive) return false;
-  status_[peer] = PeerStatus::kSuspect;
-  reason_[peer] = std::move(reason);
-  ++suspect_peers_;
-  return true;
-}
-
 bool PeerHealth::MarkDead(NodeId peer, std::string reason) {
-  if (status_[peer] == PeerStatus::kDead) return false;
-  if (status_[peer] == PeerStatus::kSuspect) --suspect_peers_;
-  status_[peer] = PeerStatus::kDead;
+  if (dead_[peer]) return false;
+  dead_[peer] = true;
   reason_[peer] = std::move(reason);
   ++dead_peers_;
   // A dead peer takes its links with it: nothing can route over an edge
@@ -42,14 +21,6 @@ bool PeerHealth::MarkDead(NodeId peer, std::string reason) {
       CutLink(static_cast<LinkId>(l));
     }
   }
-  return true;
-}
-
-bool PeerHealth::MarkAlive(NodeId peer) {
-  if (status_[peer] != PeerStatus::kSuspect) return false;
-  status_[peer] = PeerStatus::kAlive;
-  reason_[peer].clear();
-  --suspect_peers_;
   return true;
 }
 

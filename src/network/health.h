@@ -1,19 +1,12 @@
 // Liveness view of the super-peer network. The base Topology is
 // immutable — peers and links never disappear from it — so failure is an
-// overlay: PeerHealth records which peers are suspected or confirmed
-// dead and which links are down, and routing (Topology::ShortestPath
-// with predicates, driven by the planner) excludes them.
+// overlay: PeerHealth records which peers are confirmed dead and which
+// links are down, and routing (Topology::ShortestPath with predicates,
+// driven by the planner) excludes them.
 //
-// Peer state machine:
-//
-//     kAlive ──MarkSuspect──▶ kSuspect ──MarkDead──▶ kDead (terminal)
-//        ▲                        │
-//        └───────MarkAlive────────┘
-//
-// kSuspect is advisory: the transport layer promotes credit-starvation
-// deadlines into suspicion, but a suspected peer still routes traffic —
-// only explicit confirmation (System::FailPeer → MarkDead) commits
-// recovery. Confirming a peer dead cuts every incident link.
+// A peer is alive until System::FailPeer marks it dead; death is
+// terminal and cuts every incident link. A link goes down on its own
+// through System::CutLink (both peers stay alive).
 
 #ifndef STREAMSHARE_NETWORK_HEALTH_H_
 #define STREAMSHARE_NETWORK_HEALTH_H_
@@ -26,67 +19,40 @@
 
 namespace streamshare::network {
 
-enum class PeerStatus {
-  kAlive,
-  kSuspect,  ///< deadline symptoms observed; still routes
-  kDead,     ///< confirmed failed; terminal
-};
-
-const char* PeerStatusName(PeerStatus status);
-
 class PeerHealth {
  public:
   /// All peers alive, all links up. The topology must outlive the view.
   explicit PeerHealth(const Topology* topology);
 
-  PeerStatus status(NodeId peer) const { return status_[peer]; }
-  bool IsAlive(NodeId peer) const {
-    return status_[peer] == PeerStatus::kAlive;
-  }
-  bool IsDead(NodeId peer) const {
-    return status_[peer] == PeerStatus::kDead;
-  }
-  /// Whether traffic may route through the peer (alive or suspect).
+  bool IsDead(NodeId peer) const { return dead_[peer]; }
+  /// Whether traffic may route through the peer (it is not dead).
   bool RoutesThrough(NodeId peer) const { return !IsDead(peer); }
 
   bool LinkUp(LinkId link) const { return link_up_[link]; }
 
-  /// kAlive → kSuspect. Records the first reason. Returns true when the
-  /// transition happened (false from kSuspect/kDead — never downgrades).
-  bool MarkSuspect(NodeId peer, std::string reason);
-
-  /// kAlive/kSuspect → kDead; cuts every link incident to the peer.
-  /// Returns true when the transition happened (false when already dead).
+  /// Alive → dead; cuts every link incident to the peer. Returns true
+  /// when the transition happened (false when already dead: death is
+  /// terminal within one System lifetime).
   bool MarkDead(NodeId peer, std::string reason);
-
-  /// kSuspect → kAlive (suspicion withdrawn). kDead is terminal: returns
-  /// false, a confirmed-dead peer never comes back within one System
-  /// lifetime.
-  bool MarkAlive(NodeId peer);
 
   /// Cuts one link. Idempotent; returns true when the link went down now.
   bool CutLink(LinkId link);
 
-  /// The reason recorded at the peer's last upward transition ("" while
-  /// alive).
+  /// The reason recorded when the peer died ("" while alive).
   const std::string& reason(NodeId peer) const { return reason_[peer]; }
 
   size_t dead_peer_count() const { return dead_peers_; }
-  size_t suspect_peer_count() const { return suspect_peers_; }
   size_t down_link_count() const { return down_links_; }
 
-  /// True when every peer is alive and every link is up.
-  bool AllHealthy() const {
-    return dead_peers_ == 0 && suspect_peers_ == 0 && down_links_ == 0;
-  }
+  /// True when no peer is dead and no link is down.
+  bool AllHealthy() const { return dead_peers_ == 0 && down_links_ == 0; }
 
  private:
   const Topology* topology_;
-  std::vector<PeerStatus> status_;
+  std::vector<bool> dead_;
   std::vector<std::string> reason_;
   std::vector<bool> link_up_;
   size_t dead_peers_ = 0;
-  size_t suspect_peers_ = 0;
   size_t down_links_ = 0;
 };
 

@@ -19,7 +19,7 @@ class NetworkState {
 
   const Topology& topology() const { return *topology_; }
 
-  /// Liveness overlay: which peers are suspect/dead, which links are
+  /// Liveness overlay: which peers are dead, which links are
   /// down. The planner routes around anything marked dead here.
   const PeerHealth& health() const { return health_; }
   PeerHealth& mutable_health() { return health_; }

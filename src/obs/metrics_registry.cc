@@ -9,24 +9,13 @@ namespace {
 
 std::atomic<size_t> g_next_shard{0};
 
-size_t* ThreadShardSlot() {
-  thread_local size_t shard = g_next_shard.fetch_add(
-                                  1, std::memory_order_relaxed) %
-                              kMetricShards;
-  return &shard;
-}
-
 }  // namespace
 
-size_t CurrentShard() { return *ThreadShardSlot(); }
-
-ScopedShard::ScopedShard(size_t shard) {
-  size_t* slot = ThreadShardSlot();
-  previous_ = *slot;
-  *slot = shard % kMetricShards;
+size_t CurrentShard() {
+  thread_local const size_t shard =
+      g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
+  return shard;
 }
-
-ScopedShard::~ScopedShard() { *ThreadShardSlot() = previous_; }
 
 uint64_t Counter::Value() const {
   uint64_t total = 0;
@@ -71,8 +60,8 @@ void Histogram::RaiseMax(std::atomic<double>* slot, double value) {
   }
 }
 
-void Histogram::ObserveToShard(size_t shard_index, double value) {
-  Shard& shard = shards_[shard_index % kMetricShards];
+void Histogram::Observe(double value) {
+  Shard& shard = shards_[CurrentShard()];
   shard.buckets[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
@@ -85,11 +74,6 @@ uint64_t Histogram::BucketValue(size_t bucket) const {
     total += shard.buckets[bucket].load(std::memory_order_relaxed);
   }
   return total;
-}
-
-uint64_t Histogram::ShardBucketValue(size_t shard, size_t bucket) const {
-  return shards_[shard % kMetricShards].buckets[bucket].load(
-      std::memory_order_relaxed);
 }
 
 uint64_t Histogram::Count() const {
@@ -174,7 +158,7 @@ double Histogram::Quantile(double q) const {
 
 void Histogram::MergeCounts(const std::vector<uint64_t>& buckets,
                             uint64_t count, double sum, double max_value) {
-  Shard& shard = shards_[CurrentShard() % kMetricShards];
+  Shard& shard = shards_[CurrentShard()];
   size_t n = std::min(buckets.size(), bucket_count());
   for (size_t i = 0; i < n; ++i) {
     shard.buckets[i].fetch_add(buckets[i], std::memory_order_relaxed);

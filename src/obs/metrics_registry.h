@@ -2,11 +2,10 @@
 // looked up by name in a MetricsRegistry. Lookup takes a mutex (call
 // sites cache the returned pointer); updates touch only per-shard
 // relaxed atomics. Every metric is split into kMetricShards cache-line-
-// aligned shards indexed by a thread-local shard id — the parallel
-// executor pins each worker thread to its worker index (ScopedShard), so
-// worker threads never contend on a line. Reading a metric folds the
-// shards; the fold is a plain sum, so shard merge order cannot matter
-// (tested in test_obs_metrics).
+// aligned shards indexed by a thread-local shard id (threads take ids
+// round-robin), so concurrent writers rarely contend on a line. Reading
+// a metric folds the shards; the fold is a plain sum, so shard merge
+// order cannot matter (tested in test_obs_metrics).
 
 #ifndef STREAMSHARE_OBS_METRICS_REGISTRY_H_
 #define STREAMSHARE_OBS_METRICS_REGISTRY_H_
@@ -27,36 +26,18 @@ namespace streamshare::obs {
 inline constexpr size_t kMetricShards = 16;
 
 /// Shard id of the calling thread. Threads get round-robin ids on first
-/// use; ScopedShard overrides the id for a scope (worker pinning).
+/// use.
 size_t CurrentShard();
-
-/// Pins the calling thread to `shard % kMetricShards` for its lifetime,
-/// restoring the previous id on destruction.
-class ScopedShard {
- public:
-  explicit ScopedShard(size_t shard);
-  ~ScopedShard();
-  ScopedShard(const ScopedShard&) = delete;
-  ScopedShard& operator=(const ScopedShard&) = delete;
-
- private:
-  size_t previous_;
-};
 
 /// Monotonically increasing sum of uint64 increments.
 class Counter {
  public:
-  void Add(uint64_t delta) { AddToShard(CurrentShard(), delta); }
-  void AddToShard(size_t shard, uint64_t delta) {
-    shards_[shard % kMetricShards].value.fetch_add(
-        delta, std::memory_order_relaxed);
+  void Add(uint64_t delta) {
+    shards_[CurrentShard()].value.fetch_add(delta,
+                                            std::memory_order_relaxed);
   }
   /// Folded value (sum over shards).
   uint64_t Value() const;
-  uint64_t ShardValue(size_t shard) const {
-    return shards_[shard % kMetricShards].value.load(
-        std::memory_order_relaxed);
-  }
   void Reset();
 
  private:
@@ -88,8 +69,7 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void Observe(double value) { ObserveToShard(CurrentShard(), value); }
-  void ObserveToShard(size_t shard, double value);
+  void Observe(double value);
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Number of buckets including the overflow bucket.
@@ -100,7 +80,6 @@ class Histogram {
 
   /// Folded per-bucket count.
   uint64_t BucketValue(size_t bucket) const;
-  uint64_t ShardBucketValue(size_t shard, size_t bucket) const;
   uint64_t Count() const;
   double Sum() const;
   /// Largest value ever observed (0 before any observation; meaningful

@@ -66,7 +66,7 @@ class TraceRecorder {
   /// Microseconds since the recorder's epoch (creation or last Clear).
   uint64_t NowMicros() const;
 
-  /// Names the calling thread's track ("worker-3 [SP5,SP6]").
+  /// Names the calling thread's track.
   void SetThreadName(std::string name);
 
   /// A completed span ("ph":"X") on the calling thread's track.

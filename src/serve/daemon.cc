@@ -409,7 +409,7 @@ constexpr uint64_t kFeedChunkBatches = 16;
 
 Status ServeDaemon::FeedRange(uint64_t from, uint64_t to) {
   const uint64_t batch_size =
-      std::max<uint64_t>(1, options_.system.parallel.batch_size);
+      std::max<uint64_t>(1, options_.system.batch_size);
   const uint64_t chunk = kFeedChunkBatches * batch_size;
   for (uint64_t at = from; at < to; at += chunk) {
     const uint64_t count = std::min(chunk, to - at);

@@ -1,8 +1,8 @@
 // Minimal socket plumbing for the service plane: a localhost TCP
 // listener and a buffered frame connection speaking the wire format of
-// transport/wire.h. Unlike the data-plane TcpPipeEnd, a FrameConn
-// tolerates kUnsupported frames (it surfaces them to the caller so the
-// daemon can answer "unsupported" instead of dropping the connection)
+// transport/wire.h. A FrameConn tolerates kUnsupported frames (it
+// surfaces them to the caller so the daemon can answer "unsupported"
+// instead of dropping the connection)
 // and separates buffered non-blocking sends (the daemon's event loop
 // must never block on a slow client) from blocking receives (the
 // client's request/response calls).

@@ -10,8 +10,8 @@
 //
 // Prediction and measurement deliberately measure different clocks: the
 // prediction is modeled network propagation over the simulated topology,
-// the measurement is real wall time through this process's operators,
-// queues, and transport pipes. The audit's value is the trend (ratio
+// the measurement is real wall time through this process's operators.
+// The audit's value is the trend (ratio
 // stability across queries and runs), not absolute agreement.
 
 #ifndef STREAMSHARE_SHARING_LATENCY_AUDIT_H_

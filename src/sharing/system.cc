@@ -12,7 +12,6 @@
 #include "obs/event_log.h"
 #include "sharing/latency_audit.h"
 #include "obs/trace.h"
-#include "transport/tcp.h"
 
 namespace streamshare::sharing {
 
@@ -694,8 +693,7 @@ StreamShareSystem::BatchesByStream ChunkStreams(
 }  // namespace
 
 Status StreamShareSystem::Run(const ItemsByStream& items_by_stream) {
-  BatchesByStream batches =
-      ChunkStreams(items_by_stream, config_.parallel.batch_size);
+  BatchesByStream batches = ChunkStreams(items_by_stream, config_.batch_size);
   return Run(&batches);
 }
 
@@ -704,8 +702,7 @@ Status StreamShareSystem::Run(BatchesByStream* batches_by_stream) {
 }
 
 Status StreamShareSystem::Feed(const ItemsByStream& items_by_stream) {
-  BatchesByStream batches =
-      ChunkStreams(items_by_stream, config_.parallel.batch_size);
+  BatchesByStream batches = ChunkStreams(items_by_stream, config_.batch_size);
   return Feed(&batches);
 }
 
@@ -740,36 +737,8 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
       for (engine::ItemBatch& batch : batches) batch.MakeOpaque();
     }
   }
-  if (config_.executor == ExecutorKind::kSerial) {
-    return engine::RunBatchStreams(entries, &batch_lists, finish,
-                                   config_.measure_latency);
-  }
-  transport::RunnerOptions options;
-  options.parallel = config_.parallel;
-  options.flow = config_.flow;
-  options.faults = config_.faults;
-  transport::TcpTransport transport(config_.tcp);
-  transport::PartitionedRunner runner(transport, options);
-  Status status =
-      runner.Run(entries, &batch_lists, finish, config_.measure_latency);
-  run_stats_ = runner.run_stats();
-  // Liveness detection: a sender that exhausted its credit-wait retries
-  // observed a stalled-or-gone receiver. Promote the symptom into
-  // suspicion of the receiving worker's peers — advisory only (routing is
-  // unchanged); FailPeer confirms and commits recovery.
-  if (status.IsDeadlineExceeded()) {
-    for (const transport::ChannelTrafficStats& channel :
-         run_stats_.channels) {
-      if (channel.stats.deadline_failures == 0) continue;
-      if (channel.target_worker >= run_stats_.workers.size()) continue;
-      for (network::NodeId peer :
-           run_stats_.workers[channel.target_worker].peers) {
-        state_.mutable_health().MarkSuspect(
-            peer, "transport: " + status.message());
-      }
-    }
-  }
-  return status;
+  return engine::RunBatchStreams(entries, &batch_lists, finish,
+                                 config_.measure_latency);
 }
 
 int StreamShareSystem::accepted_count() const {
@@ -858,9 +827,9 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
         ->Set(state_.RelativeLoadUse(peer));
     registry->GetGauge("network.peer." + name + ".peak_load")
         ->Set(state_.PeakLoad(peer));
-    // 0 = alive, 1 = suspect, 2 = dead.
+    // 0 = alive, 2 = dead.
     registry->GetGauge("network.peer." + name + ".health")
-        ->Set(static_cast<double>(state_.health().status(peer)));
+        ->Set(state_.health().IsDead(peer) ? 2.0 : 0.0);
   }
   // The kept-result logs, summed over every query's sink: what retention
   // costs in memory, growing with uptime while keep_results is on.
@@ -875,74 +844,12 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
       ->Set(static_cast<double>(retained_bytes));
   registry->GetGauge("engine.sink.retained_results")
       ->Set(static_cast<double>(retained_results));
-  // Transport measurements of the most recent partitioned run: measured
-  // traffic per topology link, next to the committed bandwidth u_b(e)
-  // the cost model predicted for that link.
-  if (!run_stats_.transport.empty()) {
-    std::map<int, uint64_t> encoded_per_link;
-    std::map<int, uint64_t> items_per_link;
-    for (const transport::EdgeTrafficStats& edge : run_stats_.edges) {
-      if (edge.link < 0) continue;
-      encoded_per_link[edge.link] += edge.encoded_bytes;
-      items_per_link[edge.link] += edge.items;
-    }
-    for (const auto& [link, encoded_bytes] : encoded_per_link) {
-      const network::Link& edge =
-          topology_.link(static_cast<network::LinkId>(link));
-      std::string name = topology_.peer(edge.a).name + "-" +
-                         topology_.peer(edge.b).name;
-      registry->GetGauge("transport.link." + name + ".encoded_bytes")
-          ->Set(static_cast<double>(encoded_bytes));
-      registry->GetGauge("transport.link." + name + ".items")
-          ->Set(static_cast<double>(items_per_link[link]));
-      registry->GetGauge("transport.link." + name + ".predicted_kbps")
-          ->Set(state_.UsedBandwidthKbps(
-              static_cast<network::LinkId>(link)));
-    }
-    uint64_t wire_bytes = 0, frames = 0, stalls = 0, stall_ns = 0;
-    uint64_t duplicates = 0, credits_dropped = 0;
-    for (const transport::ChannelTrafficStats& channel :
-         run_stats_.channels) {
-      wire_bytes += channel.stats.bytes_sent;
-      frames += channel.stats.frames_sent;
-      stalls += channel.stats.credit_stalls;
-      stall_ns += channel.stats.credit_stall_ns;
-      duplicates += channel.stats.duplicates_discarded;
-      credits_dropped += channel.stats.faults_credits_dropped;
-    }
-    registry->GetGauge("transport.run.wire_bytes")
-        ->Set(static_cast<double>(wire_bytes));
-    registry->GetGauge("transport.run.frames")
-        ->Set(static_cast<double>(frames));
-    registry->GetGauge("transport.run.credit_stalls")
-        ->Set(static_cast<double>(stalls));
-    registry->GetGauge("transport.run.credit_stall_ns")
-        ->Set(static_cast<double>(stall_ns));
-    registry->GetGauge("transport.run.duplicates_discarded")
-        ->Set(static_cast<double>(duplicates));
-    registry->GetGauge("transport.run.credits_dropped")
-        ->Set(static_cast<double>(credits_dropped));
-  }
   // Batching configuration in effect, so a metrics snapshot records the
-  // knobs a run's queue/blocking numbers were measured under.
-  registry->GetGauge("engine.queue.capacity")
-      ->Set(static_cast<double>(config_.parallel.queue_capacity));
+  // knob a run's numbers were measured under.
   registry->GetGauge("engine.batch.size")
-      ->Set(static_cast<double>(config_.parallel.batch_size));
+      ->Set(static_cast<double>(config_.batch_size));
   registry->GetGauge("engine.record_path")
       ->Set(config_.record_path ? 1.0 : 0.0);
-  for (size_t w = 0; w < run_stats_.workers.size(); ++w) {
-    const engine::ParallelWorkerStats& stats = run_stats_.workers[w];
-    std::string prefix = "engine.worker." + std::to_string(w);
-    registry->GetGauge(prefix + ".entries_received")
-        ->Set(static_cast<double>(stats.entries_received));
-    registry->GetGauge(prefix + ".producer_blocked_ns")
-        ->Set(static_cast<double>(stats.producer_blocked_ns));
-    registry->GetGauge(prefix + ".consumer_blocked_ns")
-        ->Set(static_cast<double>(stats.consumer_blocked_ns));
-    registry->GetGauge(prefix + ".max_queue_depth")
-        ->Set(static_cast<double>(stats.max_queue_depth));
-  }
   // Measured end-to-end latency per query. The sink histograms record
   // microseconds; the summary quantiles re-export as millisecond gauges so a
   // JSON/CSV snapshot carries per-query p50/p95/p99 without the reader

@@ -30,8 +30,6 @@
 #include "sharing/hierarchy.h"
 #include "sharing/plan.h"
 #include "sharing/subscribe.h"
-#include "transport/runner.h"
-#include "transport/tcp.h"
 #include "wxquery/analyzer.h"
 
 namespace streamshare::sharing {
@@ -39,14 +37,6 @@ namespace streamshare::sharing {
 enum class Strategy { kDataShipping, kQueryShipping, kStreamSharing };
 
 std::string_view StrategyToString(Strategy strategy);
-
-/// How Run() and Feed() drive the deployed operator network: serial on
-/// the calling thread (the default and the correctness oracle), or on
-/// transport::PartitionedRunner — partitioned by super-peer, with every
-/// cross-peer edge a wire channel (binary codec + credit-based flow
-/// control) over localhost TCP connections (kTcp), every partition a
-/// thread of this process.
-enum class ExecutorKind { kSerial, kTcp };
 
 struct SystemConfig {
   cost::CostParams cost_params;
@@ -64,11 +54,9 @@ struct SystemConfig {
   /// subnet first, escalating to the global search when the subnet offers
   /// no derived stream to reuse.
   std::vector<int> subnet_assignment;
-  /// Executor Run() and Feed() use.
-  ExecutorKind executor = ExecutorKind::kSerial;
-  /// Queue capacity / dispatch batching for the partitioned executors;
-  /// every executor chunks fed DOM items by batch_size.
-  engine::ParallelOptions parallel;
+  /// Items per ItemBatch: Run and Feed chunk fed DOM items to this size,
+  /// and the serve daemon generates its feeds in batches of it.
+  size_t batch_size = 64;
   /// Indexed candidate lookup: Subscribe consults a CandidateIndex
   /// (hash buckets on (variant stream, route node), dominance-grouped by
   /// property shape and tap latency, signature-pruned) instead of the
@@ -82,11 +70,6 @@ struct SystemConfig {
   /// materialized), so operators evaluate on trees — the differential
   /// oracle's reference mode, on the same batch execution path.
   bool record_path = true;
-  /// Credit window / timeouts and fault injection for partitioned runs.
-  transport::FlowOptions flow;
-  transport::FaultPlan faults;
-  /// Connect retry/backoff for kTcp.
-  transport::TcpOptions tcp;
   /// Resume mode: the system is (re)started mid-stream — item positions do
   /// not begin at zero. Every deployed window operator anchors at the first
   /// window that STARTS at or after the first item it sees (straddling
@@ -98,8 +81,7 @@ struct SystemConfig {
   /// Measured-latency plane: stamp every item at ingress and record
   /// per-query end-to-end latency histograms at the sinks (exported as
   /// latency.query.* / latency.audit.* metrics). The one switch for
-  /// stamping: Execute hands it to the feeder, and everything downstream
-  /// (queue residency, the wire's stamp extension, sink recording) acts
+  /// stamping: Execute hands it to the feeder, and sink recording acts
   /// only on stamped items. Stamping never changes results — only
   /// metrics — but costs one clock read per fed batch, so throughput
   /// benchmarks may switch it off.
@@ -204,16 +186,16 @@ class StreamShareSystem {
   /// subscriptions may rely on the widened content).
   Status Unsubscribe(int query_id);
 
-  /// Declares a super-peer dead (operator intervention, or promotion of a
-  /// transport liveness verdict): marks it dead in the health view, cuts
-  /// its incident links, and recovers every subscription that transitively
-  /// depended on it — orphaned queries are re-planned against the
-  /// surviving topology under epoch-safe reuse, with windowed residual
-  /// operators rebuilt in resume mode so each recovered query resumes at
-  /// the next window boundary (gap-not-garbage); queries with no surviving
-  /// plan, and queries registered AT the dead peer, are torn down. Shared
-  /// streams whose last consumer left are garbage-collected. Idempotent
-  /// per peer (failing a dead peer is an error).
+  /// Declares a super-peer dead (operator intervention): marks it dead in
+  /// the health view, cuts its incident links, and recovers every
+  /// subscription that transitively depended on it — orphaned queries
+  /// are re-planned against the surviving topology under epoch-safe
+  /// reuse, with windowed residual operators rebuilt in resume mode so
+  /// each recovered query resumes at the next window boundary
+  /// (gap-not-garbage); queries with no surviving plan, and queries
+  /// registered AT the dead peer, are torn down. Shared streams whose
+  /// last consumer left are garbage-collected. Idempotent per peer
+  /// (failing a dead peer is an error).
   Result<recover::RecoveryReport> FailPeer(network::NodeId peer);
   Result<recover::RecoveryReport> FailPeer(const std::string& peer_name);
 
@@ -245,11 +227,10 @@ class StreamShareSystem {
   using BatchesByStream =
       std::map<std::string, std::vector<engine::ItemBatch>>;
 
-  /// Single-shot run on the configured executor: feeds the named original
+  /// Single-shot run on the calling thread: feeds the named original
   /// streams through the deployed network (round-robin across streams),
   /// then signals end of stream — window operators flush their partial
-  /// windows. Every executor produces the serial results and merged
-  /// metrics. DOM items are chunked at parallel.batch_size; batches
+  /// windows. DOM items are chunked at batch_size; batches
   /// (PhotonGenerator::GenerateBatches or a decoder — the compact path
   /// that never builds a source DOM) are consumed in place. Use
   /// Feed/Shutdown instead for continuous operation across multiple
@@ -257,20 +238,15 @@ class StreamShareSystem {
   Status Run(const ItemsByStream& items_by_stream);
   Status Run(BatchesByStream* batches_by_stream);
 
-  /// Per-worker queue stats and cross-edge traffic of the most recent
-  /// partitioned run (kTcp); empty before one, so its
-  /// transport name is empty until then.
-  const transport::RunStats& run_stats() const { return run_stats_; }
-
   /// Continuous operation: feeds like Run without signalling end of
   /// stream. Subscriptions may be registered and deregistered between
   /// feeds; window state carries across.
   Status Feed(const ItemsByStream& items_by_stream);
   Status Feed(BatchesByStream* batches_by_stream);
 
-  /// Ends all streams on the configured executor: flushes buffered window
-  /// state to every active subscription. One-shot; after shutdown no
-  /// further Feed is meaningful.
+  /// Ends all streams: flushes buffered window state to every active
+  /// subscription. One-shot; after shutdown no further Feed is
+  /// meaningful.
   Status Shutdown();
 
   const network::Topology& topology() const { return topology_; }
@@ -296,12 +272,9 @@ class StreamShareSystem {
 
   /// Folds the system's own measurements into named registry series:
   /// engine.link.<a>-<b>.bytes and engine.peer.<name>.{work,items} from
-  /// the deployment's Metrics, engine.worker.<i>.* from the most recent
-  /// partitioned run, network.{link,peer}.<...>.utilization gauges from
-  /// the committed plan usage, and — after a kTransport run —
-  /// transport.link.<a>-<b>.{encoded_bytes,predicted_kbps} gauges that
-  /// put measured bytes-on-wire next to the cost model's committed
-  /// bandwidth u_b(e). Call before exporting a snapshot.
+  /// the deployment's Metrics, network.{link,peer}.<...>.utilization
+  /// gauges from the committed plan usage, and the per-query latency
+  /// quantiles. Call before exporting a snapshot.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
@@ -410,8 +383,8 @@ class StreamShareSystem {
                      const std::vector<bool>& severed) const;
   /// The one driver behind Run, Feed and Shutdown: resolves the named
   /// original streams to their entry operators (NotFound for an unknown
-  /// name) and feeds each its batches on the configured executor;
-  /// `finish` signals end of stream afterwards.
+  /// name) and feeds each its batches on the calling thread; `finish`
+  /// signals end of stream afterwards.
   Status Execute(BatchesByStream* batches_by_stream, bool finish);
 
   network::Topology topology_;
@@ -447,7 +420,6 @@ class StreamShareSystem {
   /// other subscriptions (see ParkedWiring).
   std::vector<ParkedWiring> parked_;
   std::vector<recover::RecoveryReport> recovery_reports_;
-  transport::RunStats run_stats_;
 };
 
 }  // namespace streamshare::sharing

@@ -21,7 +21,6 @@ namespace streamshare::testing {
 
 namespace {
 
-using sharing::ExecutorKind;
 using sharing::RegistrationResult;
 using sharing::StreamShareSystem;
 using sharing::SystemConfig;
@@ -58,15 +57,10 @@ struct BuiltSystem {
 
 /// Builds a system for the scenario, registers every query under
 /// `strategy`, and enables content hashing on all sinks. Keeps results
-/// only when asked (the two serial systems that item-diff). The transport
-/// knobs under test ride along in every config so the transport-mode runs
-/// exercise them.
+/// only when asked (the two serial systems that item-diff).
 Result<BuiltSystem> BuildAndRegister(const workload::ScenarioSpec& spec,
                                      sharing::Strategy strategy,
-                                     SystemConfig config,
-                                     const OracleOptions& options) {
-  config.flow = options.flow;
-  config.tcp = options.tcp;
+                                     const SystemConfig& config) {
   BuiltSystem built;
   SS_ASSIGN_OR_RETURN(built.system, workload::BuildSystem(spec, config));
   for (const workload::QuerySpec& query : spec.queries) {
@@ -123,12 +117,10 @@ struct ChurnRun {
 Result<ChurnRun> RunChurned(const FuzzScenario& scenario,
                             const workload::ScenarioSpec& spec,
                             const workload::StreamItems& items,
-                            SystemConfig config, const char* name,
-                            const OracleOptions& options) {
+                            const SystemConfig& config, const char* name) {
   SS_ASSIGN_OR_RETURN(
       BuiltSystem built,
-      BuildAndRegister(spec, sharing::Strategy::kStreamSharing, config,
-                       options));
+      BuildAndRegister(spec, sharing::Strategy::kStreamSharing, config));
   ChurnRun run;
   workload::ChurnWalk walk(scenario.churn, scenario.items_per_stream);
   SS_RETURN_IF_ERROR(walk.RunToEnd(
@@ -176,17 +168,16 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   const workload::StreamItems items =
       workload::GenerateItems(spec, scenario.items_per_stream);
 
-  // --- Reference: stream sharing, serial executor, kept results. The
-  // reference always evaluates opaque (DOM) slots, so when the other
-  // modes run the record path the N-way diff is also the DOM-vs-record
-  // differential. -------------------------------------------------------
+  // --- Reference: stream sharing, kept results. The reference always
+  // evaluates opaque (DOM) slots, so when the other modes run the record
+  // path the N-way diff is also the DOM-vs-record differential. ---------
   SystemConfig serial_config;
   serial_config.keep_results = true;
   serial_config.record_path = false;
   SS_ASSIGN_OR_RETURN(
       BuiltSystem reference,
       BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
-                       serial_config, options));
+                       serial_config));
   SS_RETURN_IF_ERROR(reference.system->Run(items));
   ModeObservation reference_mode;
   reference_mode.mode = "serial";
@@ -214,22 +205,22 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     if (derived) ++report.shared_reuses;
   }
 
-  // --- The partitioned executor mode. ---------------------------------
-  if (options.run_tcp) {
-    constexpr const char* kTcpMode = "transport-tcp";
+  // --- The record-path mode: the same scenario on compact records (per
+  // options.record_path), with no kept results. ------------------------
+  {
+    constexpr const char* kRecordMode = "serial-record";
     SystemConfig config;  // no keep_results: counts/bytes/hashes suffice
-    config.executor = ExecutorKind::kTcp;
     config.record_path = options.record_path;
     SS_ASSIGN_OR_RETURN(
         BuiltSystem built,
         BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
-                         config, options));
-    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(kTcpMode));
+                         config));
+    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(kRecordMode));
     ModeObservation mode;
-    mode.mode = kTcpMode;
+    mode.mode = kRecordMode;
     Observe(built, &mode);
 
-    if (options.inject_divergence_mode == kTcpMode) {
+    if (options.inject_divergence_mode == kRecordMode) {
       // Deliberate equivalence bug (self-test): aggregation queries with
       // a big enough window report one item too few and a skewed hash.
       for (size_t q = 0; q < mode.queries.size(); ++q) {
@@ -285,7 +276,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     SS_ASSIGN_OR_RETURN(
         BuiltSystem unstamped,
         BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
-                         unstamped_config, options));
+                         unstamped_config));
     SS_RETURN_IF_ERROR(
         unstamped.system->Run(items).WithContext("serial-unstamped"));
     ModeObservation unstamped_mode;
@@ -332,7 +323,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
   SS_ASSIGN_OR_RETURN(
       BuiltSystem baseline,
       BuildAndRegister(spec, sharing::Strategy::kDataShipping,
-                       serial_config, options));
+                       serial_config));
   SS_RETURN_IF_ERROR(baseline.system->Run(items));
 
   const auto& all_shared_regs = reference.system->registrations();
@@ -417,7 +408,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
     SS_ASSIGN_OR_RETURN(
         BuiltSystem flat,
         BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
-                         flat_config, options));
+                         flat_config));
     const auto& indexed_regs = reference.system->registrations();
     const auto& flat_regs = flat.system->registrations();
     for (size_t q = 0; q < scenario.queries.size(); ++q) {
@@ -585,33 +576,28 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
 
     struct ChurnSpec {
       const char* name;
-      ExecutorKind executor;
+      /// Run on the record path (per options.record_path); otherwise on
+      /// DOM slots, like the reference.
+      bool record = false;
       /// Disable the candidate index (the flat-BFS churn differential:
       /// install/GC/recovery index maintenance must keep planning
       /// outcomes identical through failures).
       bool flat = false;
     };
-    std::vector<ChurnSpec> churn_specs = {
-        {"serial+churn", ExecutorKind::kSerial}};
-    if (options.run_tcp) {
-      churn_specs.push_back({"transport-tcp+churn", ExecutorKind::kTcp});
-    }
+    std::vector<ChurnSpec> churn_specs = {{"serial+churn"},
+                                          {"serial-record+churn", true}};
     if (options.run_flat_bfs) {
-      churn_specs.push_back(
-          {"serial-flat+churn", ExecutorKind::kSerial, true});
+      churn_specs.push_back({"serial-flat+churn", false, true});
     }
 
     std::vector<ChurnRun> runs;
     for (const ChurnSpec& churn_spec : churn_specs) {
       SystemConfig config;
-      config.executor = churn_spec.executor;
-      config.record_path = options.record_path &&
-                           churn_spec.executor != ExecutorKind::kSerial;
+      config.record_path = options.record_path && churn_spec.record;
       config.candidate_index = !churn_spec.flat;
       SS_ASSIGN_OR_RETURN(
           ChurnRun run,
-          RunChurned(scenario, spec, items, config, churn_spec.name,
-                     options));
+          RunChurned(scenario, spec, items, config, churn_spec.name));
       if (!options.inject_churn_mode.empty() &&
           options.inject_churn_mode == churn_spec.name) {
         // Planted recovery bug (self-test): the mode under-reports — a
@@ -776,7 +762,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
       SS_ASSIGN_OR_RETURN(
           BuiltSystem restricted,
           BuildAndRegister(spec, sharing::Strategy::kStreamSharing,
-                           restricted_config, options));
+                           restricted_config));
       // The same walk as the churned runs, but the items before the last
       // event (in walk order) are never fed: the fresh run starts there.
       workload::ChurnWalk walk(scenario.churn, scenario.items_per_stream);

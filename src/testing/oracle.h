@@ -1,17 +1,16 @@
-// The differential oracle. One scenario is executed two ways — serial
-// (the reference) and the partitioned runner over localhost TCP — and
-// every query's sink
-// observations (item count, byte count, order-insensitive content hash)
-// are N-way diffed. Separately the *sharing* oracle checks the paper's
-// core claim: the stream-sharing deployment delivers item-identical
-// results to an independent data-shipping evaluation of the same
-// subscriptions, and the plan Subscribe chose never costs more than the
-// no-sharing baseline plan it was allowed to fall back to.
+// The differential oracle. One scenario is executed two ways — the
+// serial reference on DOM slots and the serial record path — and every
+// query's sink observations (item count, byte count, order-insensitive
+// content hash) are N-way diffed. Separately the *sharing* oracle checks
+// the paper's core claim: the stream-sharing deployment delivers
+// item-identical results to an independent data-shipping evaluation of
+// the same subscriptions, and the plan Subscribe chose never costs more
+// than the no-sharing baseline plan it was allowed to fall back to.
 //
 // Scenarios carrying churn events additionally exercise the *recovery*
 // oracle: the same workload is replayed with peers killed / links cut at
-// fixed item offsets (serial and transport-TCP), and
-// the invariant is "gap, not garbage" — every subscription re-planned at the
+// fixed item offsets (on DOM slots and on the record path), and the
+// invariant is "gap, not garbage" — every subscription re-planned at the
 // last failure must produce post-recovery output item-identical to a
 // fresh no-failure run restricted to the post-recovery epochs, every
 // untouched subscription must match the clean reference exactly, and
@@ -33,8 +32,6 @@
 #include "common/status.h"
 #include "obs/metrics_registry.h"
 #include "testing/fuzz_scenario.h"
-#include "transport/flow.h"
-#include "transport/tcp.h"
 
 namespace streamshare::testing {
 
@@ -53,8 +50,6 @@ struct ModeObservation {
 };
 
 struct OracleOptions {
-  bool run_tcp = true;
-
   /// Serve arm: run the scenario through a live streamshare_serve daemon
   /// + client over localhost TCP (subscriptions via the CONTROL plane,
   /// deliveries via RESULT frames) and diff the client-side accumulation
@@ -99,18 +94,13 @@ struct OracleOptions {
   /// reproduces while churn events remain — the shrinker must keep them.
   std::string inject_churn_mode;
 
-  /// Drive the non-reference modes over the compact-record hot path
+  /// Drive the serial-record modes (serial-record, serial-record+churn)
+  /// and the serve/crash arms over the compact-record hot path
   /// (default). The serial reference always evaluates on DOM trees, so
-  /// with this on every equivalence diff doubles as a DOM-vs-record
+  /// with this on the serial-record diffs are the DOM-vs-record
   /// differential. Off (the fuzz tool's --dom-path), every mode feeds
   /// opaque DOM slots through the same batch execution path.
   bool record_path = true;
-
-  /// Transport knobs under test: the credit window / timeout / retry
-  /// configuration every transport-mode run uses, and the TCP connect
-  /// retry policy. Defaults match production; the fuzz tool sweeps them.
-  transport::FlowOptions flow;
-  transport::TcpOptions tcp;
 
   /// When set, per-scenario divergence counters are folded in:
   /// fuzz.scenarios, fuzz.queries, fuzz.divergences,
@@ -122,7 +112,7 @@ struct OracleOptions {
 };
 
 struct OracleReport {
-  /// All executor modes agreed with the serial reference.
+  /// Every mode agreed with the serial reference.
   bool equivalence_ok = true;
   /// Sharing-vs-baseline results identical and chosen C(P) <= baseline.
   bool sharing_ok = true;

@@ -1,30 +1,23 @@
-// Binary wire format shared by every transport: LEB128 varints and
+// Binary wire format of the service plane (serve/): LEB128 varints and
 // length-prefixed, versioned frames. A frame on the wire is
 //
 //   varint(payload length) | version u8 | type u8 | body
 //
 // where the length covers version, type, and body. Frame bodies:
 //
-//   DATA v1  varint seq | varint target op index | encoded item (engine/codec.h)
-//   DATA v2  varint seq | varint target | varint flags |
-//            varint send tick µs | varint (send tick − ingress tick) |
-//            varint queue µs | varint transport µs | encoded item
-//   EOS      varint total DATA frames sent (dropped ones included)
-//   CREDIT   varint credits granted
-//   ERROR    message bytes, raw
 //   CONTROL  varint request id | varint verb | verb payload (serve/control.h)
 //   ACK      varint request id | varint status code | varint message length |
 //            message | verb payload
-//   RESULT   varint query id | varint seq | stamp extension (DATA v2 layout,
-//            flags..transport µs) | encoded item
+//   RESULT   varint query id | varint seq | stamp extension | encoded item
+//            (engine/codec.h)
+//   EOS      varint results forwarded | varint final (serve/control.h)
 //
-// Version 2 only exists to carry the measured-latency stamp
-// (engine/latency.h): flags bit 0 marks a stamped item, the ingress tick
-// is delta-encoded against the send tick, and the encoding is stateless
-// per frame so injected duplicates/drops cannot desynchronize it.
-// Frames without an extension — EOS, CREDIT, ERROR, and unstamped DATA —
-// are still emitted at version 1, byte-identical to the previous wire,
-// and a v1-only peer's frames still parse here.
+// The stamp extension is varint flags | varint send tick µs |
+// varint (send tick − earlier tick) | varint queue µs | varint transport µs;
+// flags bit 0 marks a stamped item, and the encoding is stateless per
+// frame. Version 2 only exists to carry it: RESULT frames are emitted at
+// version 2, every other frame at version 1. Type codes 1, 3 and 4 (DATA,
+// CREDIT, ERROR) are reserved; nothing sends them.
 //
 // See docs/TRANSPORT.md for the full format table.
 
@@ -40,13 +33,12 @@
 
 namespace streamshare::transport {
 
-/// Base frame layout every peer speaks. Extension-free frames (EOS,
-/// CREDIT, ERROR, unstamped DATA) are emitted at this version so a run
-/// with stamping off stays byte-identical to the original wire.
+/// Base frame layout every peer speaks; every frame without the stamp
+/// extension is emitted at this version.
 inline constexpr uint8_t kBaseWireVersion = 1;
 
 /// Highest version this build emits or parses; a receiver rejects frames
-/// whose version it does not speak. Version 2 = DATA frames carrying the
+/// whose version it does not speak. Version 2 = frames carrying the
 /// latency-stamp extension.
 inline constexpr uint8_t kWireVersion = 2;
 
@@ -55,12 +47,12 @@ inline constexpr uint8_t kWireVersion = 2;
 inline constexpr uint64_t kMaxFramePayload = 64ull * 1024 * 1024;
 
 enum class FrameType : uint8_t {
-  kData = 1,
+  kData = 1,    // reserved
   kEos = 2,
-  kCredit = 3,
-  kError = 4,
-  // Service plane (serve/): request/response control channel and the
-  // per-query result stream a daemon forwards to attached clients.
+  kCredit = 3,  // reserved
+  kError = 4,   // reserved
+  // Request/response control channel and the per-query result stream a
+  // daemon forwards to attached clients.
   kControl = 5,
   kControlAck = 6,
   kResult = 7,

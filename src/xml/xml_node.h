@@ -84,8 +84,8 @@ class XmlNode {
   std::string text_;
   std::vector<std::unique_ptr<XmlNode>> children_;
   /// 0 = not yet computed (a node never serializes to 0 bytes). Atomic so
-  /// concurrent first calls from parallel workers are a benign double
-  /// compute, not a data race.
+  /// concurrent first calls are a benign double compute, not a data
+  /// race.
   mutable std::atomic<size_t> cached_size_{0};
 };
 

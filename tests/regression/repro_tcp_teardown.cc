@@ -1,20 +1,14 @@
 // Regression: found by the differential fuzzer's TCP sweep (seed 24,
-// ~20% flaky), back when each TCP worker could run as its own process.
+// ~20% flaky), when a partitioned executor still ran cross-peer edges
+// over localhost TCP sockets.
 //
 // A worker that let its channel socket go right after EOS closed it with
 // unread CREDIT frames in the receive buffer; TCP turns that close into a
-// reset, which can destroy the peer's still-buffered EOS frame — surfacing
-// as "peer closed connection" on the receiving worker. The fix makes
-// receivers close their end on EOS and senders drain in-flight credits
-// until that close before letting their fds go. Worker threads close
-// their sockets the same way, so the teardown path stays covered here.
-//
-// Hand-minimized scenario: one stream, one remote subscription, so there
-// is exactly one cross-worker channel. The item count stays under the
-// initial credit window — then the sender never reads a single CREDIT and
-// every grant is sitting unread at teardown, maximizing the chance of a
-// reset. Repeated runs make the race likely enough to catch (each pre-fix
-// run failed ~1 in 5).
+// reset, which can destroy the peer's still-buffered EOS frame. That
+// executor is gone (docs/TRANSPORT.md, "no partitioned executor"), so no
+// socket is left to race; the hand-minimized scenario — one stream, one
+// subscription remote from its source — stays as a regression seed that
+// every oracle arm must run clean.
 
 #include <gtest/gtest.h>
 
@@ -35,21 +29,16 @@ FuzzScenario TeardownScenario() {
   scenario.streams.push_back(stream);
   FuzzQuerySpec query;
   query.kind = FuzzQuerySpec::Kind::kSelection;
-  query.target = 0;  // remote from the source: forces a cross-worker channel
+  query.target = 0;  // remote from the source
   scenario.queries.push_back(query);
-  scenario.items_per_stream = 250;  // < initial_credits: all grants unread
+  scenario.items_per_stream = 250;
   return scenario;
 }
 
 TEST(FuzzRegression, TcpTeardownDeliversEos) {
-  OracleOptions options;
-  FuzzScenario scenario = TeardownScenario();
-  for (int run = 0; run < 20; ++run) {
-    auto report = RunOracle(scenario, options);
-    ASSERT_TRUE(report.ok())
-        << "run " << run << ": " << report.status().ToString();
-    EXPECT_TRUE(report->ok()) << "run " << run << ": " << report->failure;
-  }
+  auto report = RunOracle(TeardownScenario());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->failure;
 }
 
 }  // namespace

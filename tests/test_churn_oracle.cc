@@ -140,7 +140,7 @@ TEST(ChurnJsonTest, RejectsUnknownChurnKind) {
 
 TEST(ChurnOracleTest, ChurnedSeedsPassAllInvariants) {
   // Replays churned scenarios through every churned mode (serial,
-  // transport-tcp) and checks cross-mode agreement plus the
+  // serial-record) and checks cross-mode agreement plus the
   // gap-not-garbage epoch invariants. Seeds chosen to cover both a
   // re-planned and a torn-down recovery (see the report fields asserted).
   int replans = 0, lost = 0;
@@ -181,7 +181,6 @@ TEST(ChurnShrinkTest, KeepsChurnWhenTheBugNeedsIt) {
   FuzzScenario scenario = FirstChurnScenario();
   OracleOptions options;
   options.inject_churn_mode = "serial+churn";
-  options.run_tcp = false;  // cheaper predicate runs
   auto still_fails = [&](const FuzzScenario& candidate) {
     auto r = RunOracle(candidate, options);
     return r.ok() && !r->ok();
@@ -199,7 +198,7 @@ TEST(ChurnShrinkTest, DropsChurnWhenTheBugIsClean) {
   // recovery is NOT part of the failure.
   FuzzScenario scenario = FirstChurnScenario();
   OracleOptions options;
-  options.inject_divergence_mode = "transport-tcp";
+  options.inject_divergence_mode = "serial-record";
   options.inject_min_window = 0;
   auto still_fails = [&](const FuzzScenario& candidate) {
     auto r = RunOracle(candidate, options);
@@ -218,7 +217,6 @@ TEST(ChurnShrinkTest, OffsetsScaleWithItemReduction) {
   size_t original_items = scenario.items_per_stream;
   OracleOptions options;
   options.inject_churn_mode = "serial+churn";
-  options.run_tcp = false;
   auto still_fails = [&](const FuzzScenario& candidate) {
     auto r = RunOracle(candidate, options);
     return r.ok() && !r->ok();

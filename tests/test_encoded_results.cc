@@ -265,7 +265,7 @@ std::unique_ptr<sharing::StreamShareSystem> RunGrid(bool record_path,
   sharing::SystemConfig config;
   config.keep_results = true;
   config.record_path = record_path;
-  config.parallel.batch_size = batch_size;
+  config.batch_size = batch_size;
   Result<workload::ScenarioRun> run =
       workload::RunScenario(workload::GridScenario(13, 100),
                             sharing::Strategy::kStreamSharing, config, 160);

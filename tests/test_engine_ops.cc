@@ -169,6 +169,30 @@ TEST(ExecutorTest, RunStreamsInterleavesSources) {
   EXPECT_TRUE(RunBatchStreams({a}, &mismatched).IsInvalidArgument());
 }
 
+TEST(RunStreamsTest, SkipsExhaustedStreamsRoundRobin) {
+  OperatorGraph graph;
+  auto* sink_a = graph.Add<SinkOp>("a", /*keep_items=*/true);
+  auto* sink_b = graph.Add<SinkOp>("b", /*keep_items=*/true);
+  // Unequal lengths: stream B exhausts first, A must keep flowing.
+  std::vector<ItemPtr> a_items, b_items;
+  for (const char* en : {"0", "1", "2", "3", "4"}) {
+    a_items.push_back(Photon("1", en));
+  }
+  for (const char* en : {"0", "1"}) b_items.push_back(Photon("2", en));
+  std::vector<std::vector<ItemBatch>> streams = {
+      ChunkItems(a_items, 1, /*adopt=*/false),
+      ChunkItems(b_items, 1, /*adopt=*/false)};
+  ASSERT_TRUE(RunBatchStreams({sink_a, sink_b}, &streams).ok());
+  ASSERT_EQ(sink_a->item_count(), 5u);
+  ASSERT_EQ(sink_b->item_count(), 2u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(sink_a->items()[i]->Equals(*a_items[i])) << i;
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(sink_b->items()[i]->Equals(*b_items[i])) << i;
+  }
+}
+
 TEST(MetricsTest, DerivedRates) {
   network::Topology topology;
   auto a = topology.AddPeer("A", /*max_load=*/200.0);

@@ -106,7 +106,6 @@ TEST(OracleTest, ServeArmMatchesSerialReference) {
   // events through its verbs).
   OracleOptions options;
   options.run_serve = true;
-  options.run_tcp = false;  // speed; the serve arm is under test
   GeneratorOptions gen;
   gen.churn_probability = 0.5;
   int serve_modes = 0;
@@ -128,7 +127,6 @@ TEST(OracleTest, SweepExercisesSharing) {
   // produce plans that reuse derived streams — otherwise the sharing
   // oracle is vacuous.
   OracleOptions options;
-  options.run_tcp = false;  // speed; sharing is mode-independent
   int reuses = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     auto report = RunOracle(GenerateScenario(seed), options);
@@ -179,7 +177,6 @@ constexpr const char* kOutOfOrderChurn[] = {
 TEST(OracleTest, OutOfOrderChurnReplaysLikeSorted) {
   OracleOptions options;
   options.run_serve = true;
-  options.run_tcp = false;  // speed; the order rule is under test
   for (const char* json : kOutOfOrderChurn) {
     Result<FuzzScenario> scenario = FromJson(json);
     ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
@@ -225,7 +222,7 @@ uint64_t FindInjectableSeed(const OracleOptions& options) {
 
 TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   OracleOptions options;
-  options.inject_divergence_mode = "transport-tcp";
+  options.inject_divergence_mode = "serial-record";
   options.inject_min_window = 1;
 
   uint64_t seed = FindInjectableSeed(options);
@@ -235,7 +232,7 @@ TEST(InjectedBugTest, DivergenceIsCaughtAndShrunkToMinimalReproducer) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_FALSE(report->ok());
   EXPECT_FALSE(report->equivalence_ok);
-  EXPECT_NE(report->failure.find("transport-tcp"), std::string::npos)
+  EXPECT_NE(report->failure.find("serial-record"), std::string::npos)
       << report->failure;
 
   // Shrink to a minimal scenario that still trips the same oracle.

@@ -1,9 +1,6 @@
-// The measured-latency plane: stamp primitives, queue-residency
-// crediting, sink-side recording with stage attribution,
-// the stamp's ride across the transport wire (v2 frame extension,
-// fault-tolerant), and the system-level audit pairing each query's
-// measured p50 with its plan's predicted latency. Window-emission stamp
-// attribution is tested with the runner (test_transport_runner.cc).
+// The measured-latency plane: stamp primitives, window-emission stamp
+// attribution, sink-side recording, and the system-level audit pairing
+// each query's measured p50 with its plan's predicted latency.
 
 #include <gtest/gtest.h>
 
@@ -14,14 +11,13 @@
 
 #include "engine/executor.h"
 #include "engine/latency.h"
-#include "engine/link_queue.h"
 #include "engine/operator.h"
+#include "engine/window_agg.h"
 #include "obs/metrics_registry.h"
 #include "sharing/latency_audit.h"
 #include "sharing/system.h"
-#include "transport/flow.h"
-#include "transport/tcp.h"
 #include "workload/paper_queries.h"
+#include "workload/photon_gen.h"
 #include "workload/scenario.h"
 #include "item_feed.h"
 
@@ -32,13 +28,6 @@ using engine::ItemBatch;
 using engine::ItemPtr;
 using engine::latency::ItemStamp;
 using engine::latency::NowUs;
-using transport::ChannelReceiver;
-using transport::ChannelSender;
-using transport::FaultPlan;
-using transport::FlowOptions;
-using transport::FrameType;
-using transport::PipePair;
-using transport::TcpTransport;
 
 ItemPtr Leaf(const std::string& name, const std::string& text) {
   auto node = std::make_unique<xml::XmlNode>(name);
@@ -62,54 +51,57 @@ TEST(LatencyStampTest, DefaultStampIsUnstamped) {
   EXPECT_TRUE(stamp.stamped());
 }
 
-// --- Queue residency ----------------------------------------------------
+// --- Window emissions ---------------------------------------------------
 
-TEST(LinkQueueResidencyTest, PopCreditsWaitToStampedSlotsAndHistogram) {
-  engine::LinkQueue queue(64);
-  obs::Histogram residency(obs::Histogram::ExponentialBounds(50, 1.6, 24));
-  queue.SetResidencyHistogram(&residency);
+/// Forwards every batch, recording the ingress tick each slot carries.
+class StampProbeOp final : public engine::Operator {
+ public:
+  using Operator::Operator;
+  std::vector<uint64_t> ingress;
 
-  engine::LinkQueue::Entry entry;
-  engine::OperatorGraph graph;
-  entry.target = graph.Add<engine::SinkOp>("sink");
-  entry.batch.AppendItem(Leaf("n", "1"), /*adopt=*/false);
-  entry.batch.AppendItem(Leaf("n", "2"), /*adopt=*/false);
-  entry.batch.slot(0).stamp.ingress_us = NowUs();
-  // Slot 1 stays unstamped: residency must not invent a stamp for it.
-  // Pretend the entry was enqueued 5ms ago (Push keeps a pre-set tick).
-  entry.enqueued_us = NowUs() - 5000;
-  queue.Push(std::move(entry));
+ protected:
+  Status ProcessBatch(ItemBatch* batch) override {
+    for (size_t i = 0; i < batch->size(); ++i) {
+      ingress.push_back(batch->slot(i).stamp.ingress_us);
+    }
+    return EmitBatch(batch);
+  }
+};
 
-  std::vector<engine::LinkQueue::Entry> out;
-  queue.PopBatch(&out, 16);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_GE(out[0].batch.slot(0).stamp.queue_us, 5000u);
-  EXPECT_FALSE(out[0].batch.slot(1).stamp.stamped());
-  EXPECT_EQ(out[0].batch.slot(1).stamp.queue_us, 0u);
-  EXPECT_EQ(residency.Count(), 1u);
-  EXPECT_GE(residency.Max(), 5000.0);
-}
+// avg(en) over tumbling count windows of 3 → stamp probe → sink, fed one
+// batch of 8 photons with slot i stamped at tick 1000 + i (the feed keeps
+// pre-set stamps). Windows 0 and 1 close mid-batch, on slots 3 and 6, and
+// carry those slots' ticks; window 2 is flushed at end of stream and
+// stays unstamped.
+TEST(WindowStampTest, EmissionsCarryClosingSlotStampSerially) {
+  for (bool records : {true, false}) {
+    SCOPED_TRACE(records ? "record slots" : "opaque slots");
+    engine::OperatorGraph graph;
+    auto* agg = graph.Add<engine::WindowAggOp>(
+        "agg", properties::AggregateFunc::kAvg,
+        xml::Path::Parse("en").value(),
+        properties::WindowSpec::Count(3).value());
+    auto* probe = graph.Add<StampProbeOp>("probe");
+    auto* sink = graph.Add<engine::SinkOp>("sink");
+    sink->EnableLatencyRecording("latency_plane_window_stamps");
+    agg->AddDownstream(probe);
+    probe->AddDownstream(sink);
 
-// An unstamped run installs no residency histogram (the runner does so
-// only when it stamps), and such a queue takes no ticks at all.
-TEST(LinkQueueResidencyTest, DisabledStampingLeavesEntriesUntouched) {
-  engine::LinkQueue queue(64);
+    workload::PhotonGenerator generator(workload::PhotonGenConfig{});
+    std::vector<std::vector<ItemBatch>> batches = {
+        generator.GenerateBatches(8, 8)};
+    ItemBatch& batch = batches[0].front();
+    if (!records) batch.MakeOpaque();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.slot(i).stamp.ingress_us = 1000 + i;
+    }
+    ASSERT_TRUE(engine::RunBatchStreams({agg}, &batches).ok());
 
-  engine::LinkQueue::Entry entry;
-  engine::OperatorGraph graph;
-  entry.target = graph.Add<engine::SinkOp>("sink");
-  entry.batch.AppendItem(Leaf("n", "1"), /*adopt=*/false);
-  entry.batch.AppendItem(Leaf("n", "2"), /*adopt=*/false);
-  entry.batch.slot(0).stamp.ingress_us = NowUs();
-  std::vector<engine::LinkQueue::Entry> pushed;
-  pushed.push_back(std::move(entry));
-  queue.PushBatch(&pushed);
-  std::vector<engine::LinkQueue::Entry> out;
-  queue.PopBatch(&out, 16);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].enqueued_us, 0u);
-  EXPECT_EQ(out[0].batch.slot(0).stamp.queue_us, 0u);
-  EXPECT_FALSE(out[0].batch.slot(1).stamp.stamped());
+    EXPECT_EQ(probe->ingress, (std::vector<uint64_t>{1003, 1006, 0}));
+    EXPECT_EQ(sink->item_count(), 3u);
+    EXPECT_EQ(sink->stamped_count(), 2u);
+    EXPECT_EQ(sink->stamp_regressions(), 0u);
+  }
 }
 
 // --- Sink recording -----------------------------------------------------
@@ -137,18 +129,16 @@ TEST(SinkLatencyTest, SerialRunStampsAndRecordsEveryItem) {
 }
 
 // One batch mixing repeated, unstamped and out-of-order stamps: every
-// stamped arrival counts once, stage histograms see only the nonzero
-// stages, and each fall of the ingress tick is one regression. The stage
-// values are the stamps' own, independent of the arrival tick, so their
-// sums are exact.
+// stamped arrival counts once in the one per-query histogram, and each
+// fall of the ingress tick is one regression.
 TEST(SinkLatencyTest, MixedStampsCountEveryStampedArrival) {
   engine::OperatorGraph graph;
   auto* sink = graph.Add<engine::SinkOp>("sink");
   sink->EnableLatencyRecording("latency_plane_unit_mixed");
   const uint64_t t = NowUs();
-  const ItemStamp a{t - 1000, 100, 0};
-  const ItemStamp b{t - 900, 0, 700};
-  const ItemStamp c{t - 2000, 100, 300};  // older than a: a regression
+  const ItemStamp a{t - 1000};
+  const ItemStamp b{t - 900};
+  const ItemStamp c{t - 2000};  // older than a: a regression
   const std::vector<ItemStamp> stamps = {a, a, b, b, b, a, ItemStamp{}, c};
   ItemBatch batch;
   for (size_t i = 0; i < stamps.size(); ++i) {
@@ -163,22 +153,15 @@ TEST(SinkLatencyTest, MixedStampsCountEveryStampedArrival) {
   // a→b rises; b→a and a→c fall (the unstamped slot is skipped).
   EXPECT_EQ(sink->stamp_regressions(), 2u);
   EXPECT_EQ(sink->latency_histogram()->Count(), 7u);
+  // The end-to-end histogram is the sink's only latency series.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  const obs::Histogram* queue = registry.FindHistogram(
-      "latency.query.latency_plane_unit_mixed.stage.queue_us");
-  const obs::Histogram* wire = registry.FindHistogram(
-      "latency.query.latency_plane_unit_mixed.stage.transport_us");
-  ASSERT_NE(queue, nullptr);
-  ASSERT_NE(wire, nullptr);
-  EXPECT_EQ(queue->Count(), 4u);  // a ×3, c
-  EXPECT_EQ(queue->Sum(), 400.0);
-  EXPECT_EQ(queue->Max(), 100.0);
-  EXPECT_EQ(queue->BucketValue(queue->BucketFor(100.0)), 4u);
-  EXPECT_EQ(wire->Count(), 4u);  // b ×3, c
-  EXPECT_EQ(wire->Sum(), 2400.0);
-  EXPECT_EQ(wire->Max(), 700.0);
-  EXPECT_EQ(wire->BucketValue(wire->BucketFor(700.0)), 3u);
-  EXPECT_EQ(wire->BucketValue(wire->BucketFor(300.0)), 1u);
+  const std::string prefix = "latency.query.latency_plane_unit_mixed";
+  EXPECT_EQ(registry.FindHistogram(prefix + ".e2e_us"),
+            sink->latency_histogram());
+  for (const char* stage : {"pipeline_us", "queue_us", "transport_us"}) {
+    EXPECT_EQ(registry.FindHistogram(prefix + ".stage." + stage), nullptr)
+        << stage;
+  }
 }
 
 TEST(SinkLatencyTest, DisabledStampingRecordsNothing) {
@@ -199,84 +182,6 @@ TEST(SinkLatencyTest, DisabledStampingRecordsNothing) {
   EXPECT_EQ(sink->stamped_count(), 0u);
   ASSERT_NE(sink->latency_histogram(), nullptr);
   EXPECT_EQ(sink->latency_histogram()->Count(), 0u);
-}
-
-// --- The stamp across the wire ------------------------------------------
-
-struct Channel {
-  std::unique_ptr<ChannelSender> sender;
-  std::unique_ptr<ChannelReceiver> receiver;
-};
-
-Channel MakeChannel(FaultPlan faults = {}) {
-  TcpTransport transport;
-  PipePair pair;
-  Status status = transport.CreatePipe("chan", &pair);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  FlowOptions options;
-  Channel channel;
-  channel.sender = std::make_unique<ChannelSender>(
-      "chan", std::move(pair.ends[0]), options, faults);
-  channel.receiver = std::make_unique<ChannelReceiver>(
-      "chan", std::move(pair.ends[1]), options, faults);
-  return channel;
-}
-
-TEST(WireStampTest, StampSurvivesTheWireWithTransportTimeAdded) {
-  Channel channel = MakeChannel();
-  ItemStamp stamp;
-  stamp.ingress_us = NowUs() - 10000;  // ingressed 10ms ago
-  stamp.queue_us = 500;
-  stamp.transport_us = 42;
-  ASSERT_TRUE(channel.sender->SendItem(3, "item-bytes", stamp).ok());
-
-  ChannelReceiver::Incoming in;
-  ASSERT_TRUE(channel.receiver->Recv(&in).ok());
-  ASSERT_EQ(in.type, FrameType::kData);
-  EXPECT_EQ(in.target, 3u);
-  EXPECT_EQ(in.item_bytes, "item-bytes");
-  ASSERT_TRUE(in.stamp.stamped());
-  // The delta encoding reconstructs the ingress tick exactly; queue time
-  // is carried verbatim; this hop's wire time is added on top of the
-  // accumulated transport time.
-  EXPECT_EQ(in.stamp.ingress_us, stamp.ingress_us);
-  EXPECT_EQ(in.stamp.queue_us, 500u);
-  EXPECT_GE(in.stamp.transport_us, 42u);
-}
-
-TEST(WireStampTest, UnstampedItemsStayOnTheBaseWire) {
-  Channel channel = MakeChannel();
-  ASSERT_TRUE(channel.sender->SendItem(1, "plain").ok());
-  ChannelReceiver::Incoming in;
-  ASSERT_TRUE(channel.receiver->Recv(&in).ok());
-  ASSERT_EQ(in.type, FrameType::kData);
-  EXPECT_FALSE(in.stamp.stamped());
-  EXPECT_EQ(in.stamp.queue_us, 0u);
-  EXPECT_EQ(in.stamp.transport_us, 0u);
-}
-
-TEST(WireStampTest, StampsSurviveInjectedDuplicates) {
-  // The stamp extension is stateless per frame, so the receiver's
-  // duplicate discard cannot desynchronize decoding.
-  FaultPlan faults;
-  faults.duplicate_period = 2;
-  Channel channel = MakeChannel(faults);
-  std::vector<uint64_t> sent_ingress;
-  for (int i = 0; i < 6; ++i) {
-    ItemStamp stamp;
-    stamp.ingress_us = NowUs() - 1000 * static_cast<uint64_t>(6 - i);
-    sent_ingress.push_back(stamp.ingress_us);
-    ASSERT_TRUE(
-        channel.sender->SendItem(0, "i" + std::to_string(i), stamp).ok());
-  }
-  for (int i = 0; i < 6; ++i) {
-    ChannelReceiver::Incoming in;
-    ASSERT_TRUE(channel.receiver->Recv(&in).ok());
-    ASSERT_EQ(in.type, FrameType::kData);
-    EXPECT_EQ(in.item_bytes, "i" + std::to_string(i));
-    EXPECT_EQ(in.stamp.ingress_us, sent_ingress[static_cast<size_t>(i)]);
-  }
-  EXPECT_EQ(channel.sender->stats().faults_duplicated, 3u);
 }
 
 // --- System-level: per-query histograms and the audit -------------------

@@ -14,16 +14,12 @@
 #include <thread>
 #include <vector>
 
-#include "engine/executor.h"
 #include "obs/trace.h"
-#include "transport/runner.h"
-#include "transport/tcp.h"
-#include "item_feed.h"
+#include "workload/scenario.h"
 
 namespace streamshare {
 namespace {
 
-using engine::ItemPtr;
 using obs::TraceArg;
 using obs::TraceRecorder;
 using obs::TraceSpan;
@@ -386,51 +382,38 @@ TEST(TraceRecorderTest, ClearDropsEventsAndResetsEpoch) {
   EXPECT_EQ(events[0].At("name").string, "after");
 }
 
-ItemPtr Leaf(const std::string& name, const std::string& text) {
-  auto node = std::make_unique<xml::XmlNode>(name);
-  node->set_text(text);
-  return engine::MakeItem(std::move(node));
-}
-
-// End-to-end: the partitioned runner's built-in instrumentation (worker
-// tracks, dispatch spans, the parallel.run span) must produce a parseable
-// trace with well-nested spans on every track.
-TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
+// The instrumented registration path: registering grid queries emits
+// RegisterQuery spans with the matcher's spans nested inside them.
+TEST(TraceRecorderTest, RegistrationEmitsWellNestedTrace) {
   TraceRecorder& recorder = TraceRecorder::Default();
   recorder.Clear();
   recorder.SetEnabled(true);
 
-  engine::OperatorGraph graph;
-  auto* entry = graph.Add<engine::PassOp>("entry");
-  auto* sink = graph.Add<engine::SinkOp>("sink");
-  entry->AddDownstream(sink);
-  std::vector<ItemPtr> items;
-  for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
-  transport::TcpTransport tcp;
-  transport::PartitionedRunner runner(tcp);
-  auto batches = engine::ChunkStreams({items});
-  Status status = runner.Run({entry}, &batches);
+  workload::ScenarioSpec scenario = workload::GridScenario(/*seed=*/5, 6);
+  auto system = workload::BuildSystem(scenario, sharing::SystemConfig());
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  for (const workload::QuerySpec& query : scenario.queries) {
+    ASSERT_TRUE((*system)
+                    ->RegisterQuery(query.text, query.target,
+                                    sharing::Strategy::kStreamSharing)
+                    .ok());
+  }
 
   recorder.SetEnabled(false);
-  ASSERT_TRUE(status.ok());
   std::string json = recorder.ToJson();
   recorder.Clear();
 
   std::vector<JsonValue> events = TraceEvents(json);
   CheckRequiredFields(events);
   CheckNestingPerTrack(events);
-  bool saw_run = false, saw_dispatch = false, saw_worker_track = false;
+  size_t registrations = 0;
+  bool saw_match = false;
   for (const JsonValue& event : events) {
-    if (event.At("name").string == "parallel.run") saw_run = true;
-    if (event.At("cat").string == "op") saw_dispatch = true;
-    if (event.At("ph").string == "M" &&
-        event.At("args").At("name").string.find("worker-") == 0) {
-      saw_worker_track = true;
-    }
+    if (event.At("name").string == "RegisterQuery") ++registrations;
+    if (event.At("name").string == "MatchProperties") saw_match = true;
   }
-  EXPECT_TRUE(saw_run);
-  EXPECT_TRUE(saw_dispatch);
-  EXPECT_TRUE(saw_worker_track);
+  EXPECT_EQ(registrations, scenario.queries.size());
+  EXPECT_TRUE(saw_match);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// PeerHealth state-machine tests: the kAlive → kSuspect → kDead lattice,
-// terminal death, link cuts (explicit and via MarkDead), and the
-// aggregate counters routing relies on.
+// PeerHealth tests: terminal death, link cuts (explicit and via
+// MarkDead), and the aggregate counters routing relies on.
 
 #include <gtest/gtest.h>
 
@@ -32,52 +31,15 @@ class PeerHealthTest : public ::testing::Test {
 TEST_F(PeerHealthTest, StartsAllHealthy) {
   EXPECT_TRUE(health_.AllHealthy());
   EXPECT_EQ(health_.dead_peer_count(), 0u);
-  EXPECT_EQ(health_.suspect_peer_count(), 0u);
   EXPECT_EQ(health_.down_link_count(), 0u);
   for (size_t peer = 0; peer < topology_.peer_count(); ++peer) {
-    EXPECT_TRUE(health_.IsAlive(static_cast<NodeId>(peer)));
+    EXPECT_FALSE(health_.IsDead(static_cast<NodeId>(peer)));
     EXPECT_TRUE(health_.RoutesThrough(static_cast<NodeId>(peer)));
     EXPECT_EQ(health_.reason(static_cast<NodeId>(peer)), "");
   }
   for (size_t link = 0; link < topology_.link_count(); ++link) {
     EXPECT_TRUE(health_.LinkUp(static_cast<LinkId>(link)));
   }
-}
-
-TEST_F(PeerHealthTest, SuspectIsAdvisory) {
-  EXPECT_TRUE(health_.MarkSuspect(3, "credit deadline"));
-  EXPECT_EQ(health_.status(3), PeerStatus::kSuspect);
-  EXPECT_FALSE(health_.IsAlive(3));
-  // Advisory: a suspected peer still routes traffic.
-  EXPECT_TRUE(health_.RoutesThrough(3));
-  EXPECT_EQ(health_.reason(3), "credit deadline");
-  EXPECT_EQ(health_.suspect_peer_count(), 1u);
-  EXPECT_FALSE(health_.AllHealthy());
-  // Links stay up — only confirmation cuts them.
-  EXPECT_EQ(health_.down_link_count(), 0u);
-}
-
-TEST_F(PeerHealthTest, SuspectKeepsFirstReason) {
-  EXPECT_TRUE(health_.MarkSuspect(3, "first"));
-  EXPECT_FALSE(health_.MarkSuspect(3, "second"));
-  EXPECT_EQ(health_.reason(3), "first");
-  EXPECT_EQ(health_.suspect_peer_count(), 1u);
-}
-
-TEST_F(PeerHealthTest, MarkAliveWithdrawsSuspicion) {
-  ASSERT_TRUE(health_.MarkSuspect(3, "deadline"));
-  EXPECT_TRUE(health_.MarkAlive(3));
-  EXPECT_TRUE(health_.IsAlive(3));
-  EXPECT_EQ(health_.reason(3), "");
-  EXPECT_TRUE(health_.AllHealthy());
-  // Re-suspecting after recovery records the fresh reason.
-  EXPECT_TRUE(health_.MarkSuspect(3, "again"));
-  EXPECT_EQ(health_.reason(3), "again");
-}
-
-TEST_F(PeerHealthTest, MarkAliveOnAlivePeerIsNoop) {
-  EXPECT_FALSE(health_.MarkAlive(2));
-  EXPECT_TRUE(health_.IsAlive(2));
 }
 
 TEST_F(PeerHealthTest, DeadCutsIncidentLinks) {
@@ -104,20 +66,8 @@ TEST_F(PeerHealthTest, DeadCutsIncidentLinks) {
 TEST_F(PeerHealthTest, DeadIsTerminal) {
   ASSERT_TRUE(health_.MarkDead(4, "operator"));
   EXPECT_FALSE(health_.MarkDead(4, "again"));
-  EXPECT_FALSE(health_.MarkAlive(4));
-  EXPECT_FALSE(health_.MarkSuspect(4, "too late"));
   EXPECT_TRUE(health_.IsDead(4));
   EXPECT_EQ(health_.reason(4), "operator");
-  EXPECT_EQ(health_.dead_peer_count(), 1u);
-}
-
-TEST_F(PeerHealthTest, SuspectEscalatesToDead) {
-  ASSERT_TRUE(health_.MarkSuspect(5, "deadline"));
-  EXPECT_TRUE(health_.MarkDead(5, "confirmed"));
-  EXPECT_TRUE(health_.IsDead(5));
-  EXPECT_EQ(health_.reason(5), "confirmed");
-  // The suspicion converted; it must not linger in the counter.
-  EXPECT_EQ(health_.suspect_peer_count(), 0u);
   EXPECT_EQ(health_.dead_peer_count(), 1u);
 }
 
@@ -130,8 +80,8 @@ TEST_F(PeerHealthTest, CutLinkIsIdempotent) {
   EXPECT_EQ(health_.down_link_count(), 1u);
   // Both endpoints stay alive — a cut link is not a dead peer.
   const Link& l = topology_.link(link);
-  EXPECT_TRUE(health_.IsAlive(l.a));
-  EXPECT_TRUE(health_.IsAlive(l.b));
+  EXPECT_FALSE(health_.IsDead(l.a));
+  EXPECT_FALSE(health_.IsDead(l.b));
 }
 
 TEST_F(PeerHealthTest, MarkDeadAfterManualCutCountsLinksOnce) {

@@ -255,6 +255,28 @@ TEST(RecordCodecTest, MixedRecordAndTreeEncodingSharesOneDictionary) {
   }
 }
 
+TEST(RecordCodecTest, ProjectedRecordDecodesBackToARecord) {
+  // A projected record encodes a subsequence of the schema's children;
+  // the record decoder skips the absent ones (here coord/cel and every
+  // photon child between coord and en) and still yields a record.
+  PhotonRecord record;
+  ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));
+  std::vector<xml::Path> paths{xml::Path::Parse("coord/det").value(),
+                               xml::Path::Parse("en").value()};
+  PhotonRecord projected = record.Project(CompileProjectionMask(paths));
+
+  engine::ItemEncoder encoder;
+  engine::ItemDecoder decoder;
+  std::string bytes;
+  encoder.EncodeRecord(projected, &bytes);
+  ItemBatch::Slot slot;
+  ASSERT_TRUE(decoder.DecodeSlot(bytes, &slot).ok());
+  ASSERT_TRUE(slot.is_record);
+  EXPECT_EQ(xml::WriteCompact(*slot.record.MaterializeXml()),
+            xml::WriteCompact(*projected.MaterializeXml()));
+  EXPECT_EQ(slot.record.ContentHash(), projected.ContentHash());
+}
+
 TEST(RecordCodecTest, DecodeSlotFallsBackToTreeForNonPhotons) {
   engine::ItemEncoder encoder;
   engine::ItemDecoder decoder;

@@ -1072,7 +1072,7 @@ TEST(ServeDaemon, ChunkedReplayMatchesTheUninterruptedDaemon) {
   constexpr uint64_t kHistoryRegistrations = 3;  // + one unsubscribe
   constexpr uint64_t kHistoryRecords = kHistoryEvents + 9;  // + feeds
   DaemonOptions options;
-  options.system.parallel.batch_size = 8;
+  options.system.batch_size = 8;
   const std::string base = ::testing::TempDir() + "/serve_chunked_replay";
   DaemonOptions live_options = options;
   live_options.checkpoint_path = base + ".live.ckpt";

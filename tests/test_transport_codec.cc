@@ -1,8 +1,11 @@
 // Wire primitives and the binary item codec: varint and frame round
 // trips, malformed-input rejection, dictionary behavior (repeats shrink,
-// lockstep reset, one-sided reset detected), and a property-style sweep
-// of randomized trees — deep nesting, empty elements, many distinct
-// names, large text — that must round-trip to byte-identical XML text.
+// lockstep reset, one-sided reset detected), a property-style sweep of
+// randomized trees — deep nesting, empty elements, many distinct names,
+// large text — that must round-trip to byte-identical XML text, and
+// round trips of adversarial item shapes (deep nesting up to the
+// decoder's safety rail, names past the dictionary cap, a megabyte
+// payload).
 
 #include <gtest/gtest.h>
 
@@ -407,6 +410,121 @@ TEST(ItemCodecTest, EncodeReservesFromSerializedSize) {
     EXPECT_LE(encoded.size(), tree->SerializedSize())
         << xml::WriteCompact(*tree).substr(0, 200);
   }
+}
+
+std::unique_ptr<xml::XmlNode> RoundTrip(const xml::XmlNode& node,
+                                        ItemEncoder* encoder,
+                                        ItemDecoder* decoder) {
+  std::string wire;
+  encoder->Encode(node, &wire);
+  std::unique_ptr<xml::XmlNode> decoded;
+  Status status = decoder->Decode(wire, &decoded);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return decoded;
+}
+
+// --- Codec round-trips on adversarial shapes ------------------------------
+
+TEST(CodecRobustnessTest, DeeplyNestedItemRoundTrips) {
+  // A chain nested well past any realistic schema but inside the decoder's
+  // safety rail.
+  constexpr size_t kDepth = engine::kMaxDecodeDepth - 1;
+  xml::XmlNode root("d0");
+  xml::XmlNode* tip = &root;
+  for (size_t i = 1; i < kDepth; ++i) {
+    tip = tip->AddChild("d" + std::to_string(i % 7));
+  }
+  tip->set_text("bottom");
+
+  ItemEncoder encoder;
+  ItemDecoder decoder;
+  auto decoded = RoundTrip(root, &encoder, &decoder);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(decoded->Equals(root));
+}
+
+TEST(CodecRobustnessTest, OverDeepItemFailsToDecodeCleanly) {
+  constexpr size_t kDepth = engine::kMaxDecodeDepth + 8;
+  xml::XmlNode root("d");
+  xml::XmlNode* tip = &root;
+  for (size_t i = 1; i < kDepth; ++i) tip = tip->AddChild("d");
+
+  ItemEncoder encoder;
+  std::string wire;
+  encoder.Encode(root, &wire);
+  ItemDecoder decoder;
+  std::unique_ptr<xml::XmlNode> decoded;
+  Status status = decoder.Decode(wire, &decoded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+TEST(CodecRobustnessTest, EmptyTextAndEmptyElementsRoundTrip) {
+  xml::XmlNode root("photon");
+  root.AddChild("empty");                     // no text, no children
+  root.AddChild("blank")->set_text("");       // explicitly empty text
+  root.AddChild("en")->set_text("1.25");
+  xml::XmlNode* nested = root.AddChild("coord");
+  nested->AddChild("cel");                    // empty interior node
+
+  ItemEncoder encoder;
+  ItemDecoder decoder;
+  auto decoded = RoundTrip(root, &encoder, &decoder);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(decoded->Equals(root));
+}
+
+TEST(CodecRobustnessTest, NamesPastDictionaryCapStillRoundTrip) {
+  // More distinct names than the per-link dictionary holds: the overflow
+  // names travel literally every time, but stay correct, and both ends
+  // agree on the dictionary size.
+  constexpr size_t kNames = engine::kMaxDictionaryNames + 64;
+  ItemEncoder encoder;
+  ItemDecoder decoder;
+
+  // Spread the names over several items so the cap is crossed mid-stream.
+  constexpr size_t kPerItem = 512;
+  size_t next_name = 0;
+  while (next_name < kNames) {
+    xml::XmlNode item("batch");
+    for (size_t i = 0; i < kPerItem && next_name < kNames; ++i) {
+      item.AddChild("name_" + std::to_string(next_name))
+          ->set_text(std::to_string(next_name + 1));
+      ++next_name;
+    }
+    auto decoded = RoundTrip(item, &encoder, &decoder);
+    ASSERT_NE(decoded, nullptr);
+    ASSERT_TRUE(decoded->Equals(item));
+  }
+  EXPECT_EQ(encoder.dictionary_size(), engine::kMaxDictionaryNames);
+  EXPECT_EQ(decoder.dictionary_size(), engine::kMaxDictionaryNames);
+
+  // Repeats of both dictionary and overflow names still decode.
+  xml::XmlNode again("batch");
+  again.AddChild("name_0")->set_text("in-dictionary");
+  again.AddChild("name_" + std::to_string(kNames - 1))
+      ->set_text("overflowed");
+  auto decoded = RoundTrip(again, &encoder, &decoder);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(decoded->Equals(again));
+}
+
+TEST(CodecRobustnessTest, LargePayloadRoundTrips) {
+  // A maximal single item — megabyte text blob plus a wide fanout —
+  // through encode → decode.
+  xml::XmlNode big("blob");
+  std::string text(1 << 20, 'x');
+  for (size_t i = 0; i < text.size(); i += 4096) text[i] = 'y';
+  big.AddChild("payload")->set_text(text);
+  for (int i = 0; i < 1000; ++i) {
+    big.AddChild("row")->set_text(std::to_string(i));
+  }
+
+  ItemEncoder encoder;
+  ItemDecoder decoder;
+  auto decoded = RoundTrip(big, &encoder, &decoder);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(decoded->Equals(big));
 }
 
 }  // namespace

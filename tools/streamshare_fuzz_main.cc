@@ -1,14 +1,14 @@
 // streamshare_fuzz — differential fuzzing driver. Generates seeded
-// scenarios, runs each one through the oracle (serial reference vs
-// transport-TCP, plus the sharing-vs-baseline oracle) and reports
+// scenarios, runs each one through the oracle (the DOM reference vs the
+// record path, plus the sharing-vs-baseline oracle) and reports
 // divergences. On failure the scenario is shrunk to
 // a minimal reproducer and written out as replayable JSON plus a
 // ready-to-commit C++ regression test.
 //
 //   streamshare_fuzz [--seeds=N] [--seed-base=B] [--seed=S]
 //                    [--scenario=FILE] [--out-dir=DIR] [--metrics=FILE]
-//                    [--no-tcp] [--no-shrink] [--churn=P]
-//                    [--sweep-flow] [--dom-path] [--serve] [--crash]
+//                    [--no-shrink] [--churn=P] [--dom-path]
+//                    [--serve] [--crash] [--flat-bfs]
 //                    [--inject-mode=MODE] [--inject-min-window=N]
 //                    [--inject-churn-mode=MODE]
 //
@@ -19,13 +19,10 @@
 //
 // --churn=P gives each generated scenario probability P of carrying
 // mid-run kill-peer / cut-link events (chaos testing; the recovery
-// oracle then checks the "gap, not garbage" invariants). --sweep-flow
-// derives the transport flow-control and TCP retry knobs (credit
-// window, send timeout, retry count/backoff, connect retries) from each
-// seed, so a sweep exercises many transport configurations instead of
-// only the production defaults. --dom-path turns the compact-record hot
-// path off in every mode (by default the non-reference modes run it, so
-// each equivalence diff is also a DOM-vs-record differential). --serve
+// oracle then checks the "gap, not garbage" invariants). --dom-path
+// turns the compact-record hot path off in every mode (by default the
+// non-reference modes run it, so each equivalence diff is also a
+// DOM-vs-record differential). --serve
 // adds the serve oracle arm: every scenario also runs through a live
 // streamshare_serve daemon + client over localhost TCP and the
 // client-side deliveries must match the serial reference byte for byte.
@@ -68,24 +65,8 @@ struct Options {
   std::string metrics_path;
   bool shrink = true;
   double churn_probability = 0.0;
-  bool sweep_flow = false;
   OracleOptions oracle;
 };
-
-/// Seed-derived transport knobs for --sweep-flow. Drawn from a distinct
-/// stream (seed ^ tag) so they never correlate with the scenario's own
-/// draws. Timeouts stay generous — the sweep is after correctness under
-/// odd configurations, not artificial deadline failures.
-void DeriveFlowKnobs(uint64_t seed, OracleOptions* oracle) {
-  DetRng rng(seed ^ 0xf10bcafeULL);
-  oracle->flow.initial_credits =
-      static_cast<int>(uint64_t{1} << rng.Between(3, 8));
-  oracle->flow.send_timeout_ms = static_cast<int>(1000 * rng.Between(1, 4));
-  oracle->flow.max_retries = static_cast<int>(rng.Between(1, 4));
-  oracle->flow.retry_backoff_ms = static_cast<int>(rng.Between(1, 25));
-  oracle->tcp.connect_retries = static_cast<int>(rng.Between(0, 3));
-  oracle->tcp.connect_backoff_ms = static_cast<int>(rng.Between(1, 10));
-}
 
 bool ParseFlag(const char* arg, const char* name, std::string* value) {
   size_t len = std::strlen(name);
@@ -100,8 +81,8 @@ int Usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--seed-base=B] [--seed=S] "
                "[--scenario=FILE] [--out-dir=DIR] [--metrics=FILE] "
-               "[--no-tcp] [--no-shrink] [--churn=P] "
-               "[--sweep-flow] [--dom-path] [--serve] [--crash] [--flat-bfs] "
+               "[--no-shrink] [--churn=P] "
+               "[--dom-path] [--serve] [--crash] [--flat-bfs] "
                "[--inject-mode=MODE] [--inject-min-window=N] "
                "[--inject-churn-mode=MODE]\n",
                program);
@@ -185,8 +166,6 @@ int main(int argc, char** argv) {
       options.out_dir = value;
     } else if (ParseFlag(argv[i], "--metrics", &value)) {
       options.metrics_path = value;
-    } else if (std::strcmp(argv[i], "--no-tcp") == 0) {
-      options.oracle.run_tcp = false;
     } else if (std::strcmp(argv[i], "--dom-path") == 0) {
       options.oracle.record_path = false;
     } else if (std::strcmp(argv[i], "--serve") == 0) {
@@ -199,8 +178,6 @@ int main(int argc, char** argv) {
       options.shrink = false;
     } else if (ParseFlag(argv[i], "--churn", &value)) {
       options.churn_probability = std::strtod(value.c_str(), nullptr);
-    } else if (std::strcmp(argv[i], "--sweep-flow") == 0) {
-      options.sweep_flow = true;
     } else if (ParseFlag(argv[i], "--inject-mode", &value)) {
       options.oracle.inject_divergence_mode = value;
     } else if (ParseFlag(argv[i], "--inject-min-window", &value)) {
@@ -229,14 +206,12 @@ int main(int argc, char** argv) {
   } else if (options.single_seed) {
     GeneratorOptions gen;
     gen.churn_probability = options.churn_probability;
-    if (options.sweep_flow) DeriveFlowKnobs(options.seed, &options.oracle);
     worst = RunOne(GenerateScenario(options.seed, gen), options);
   } else {
     GeneratorOptions gen;
     gen.churn_probability = options.churn_probability;
     for (uint64_t s = 0; s < options.seeds; ++s) {
       const uint64_t seed = options.seed_base + s;
-      if (options.sweep_flow) DeriveFlowKnobs(seed, &options.oracle);
       int rc = RunOne(GenerateScenario(seed, gen), options);
       if (rc > worst) worst = rc;
       if ((s + 1) % 50 == 0) {

@@ -4,16 +4,9 @@
 //   streamshare_sim [--scenario=extended|grid] [--strategy=data|query|share]
 //                   [--queries=N] [--items=N] [--seed=N] [--widening]
 //                   [--hierarchical] [--enforce-limits]
-//                   [--transport=tcp] [--fail-peer=ID@OFFSET]
-//                   [--cut-link=A-B@OFFSET] [--trace=FILE]
-//                   [--metrics=FILE] [--explain] [--log]
+//                   [--fail-peer=ID@OFFSET] [--cut-link=A-B@OFFSET]
+//                   [--trace=FILE] [--metrics=FILE] [--explain] [--log]
 //                   [--latency-report] [--no-stamping] [--query-stats]
-//
-// --transport runs the deployed network partitioned by super-peer over
-// the transport layer (binary codec + credit-based flow control) instead
-// of serially on the calling thread, and prints each worker's queue
-// stats and each channel's traffic. Every super-peer partition is a
-// worker thread, and the workers exchange frames over localhost sockets.
 //
 // --fail-peer / --cut-link (repeatable) inject failures mid-run: after
 // OFFSET items per stream the peer dies / the link goes down, the
@@ -67,7 +60,6 @@ struct Options {
   bool widening = false;
   bool enforce_limits = false;
   bool hierarchical = false;
-  bool partitioned = false;  // --transport=tcp; otherwise serial
   bool explain = false;
   bool log = false;
   bool latency_report = false;
@@ -126,7 +118,7 @@ int Usage(const char* program) {
       "usage: %s [--scenario=extended|grid] "
       "[--strategy=data|query|share] [--queries=N] [--items=N] "
       "[--seed=N] [--widening] [--hierarchical] [--enforce-limits] "
-      "[--transport=tcp] [--fail-peer=ID@OFFSET] "
+      "[--fail-peer=ID@OFFSET] "
       "[--cut-link=A-B@OFFSET] [--trace=FILE] [--metrics=FILE] "
       "[--explain] [--log] [--latency-report] [--no-stamping] "
       "[--query-stats]\n",
@@ -166,9 +158,6 @@ int main(int argc, char** argv) {
       options.hierarchical = true;
     } else if (std::strcmp(argv[i], "--enforce-limits") == 0) {
       options.enforce_limits = true;
-    } else if (ParseFlag(argv[i], "--transport", &value)) {
-      if (value != "tcp") return Usage(argv[0]);
-      options.partitioned = true;
     } else if (ParseFlag(argv[i], "--fail-peer", &value)) {
       workload::ChurnEvent event;
       if (!ParseFailPeer(value, &event)) return Usage(argv[0]);
@@ -220,7 +209,6 @@ int main(int argc, char** argv) {
   // Query stats need the delivery log (and RunScenario hashes kept
   // sinks), so the observation matches what a live client accumulates.
   config.keep_results = options.query_stats;
-  if (options.partitioned) config.executor = sharing::ExecutorKind::kTcp;
   if (options.hierarchical) {
     // Quadrants for the grid; halves for the extended example.
     size_t peers = scenario.topology.peer_count();
@@ -277,42 +265,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.TotalBytes()),
               metrics.TotalWork(),
               run->system->registry().streams().size());
-
-  if (options.partitioned) {
-    const transport::RunStats& tstats = run->system->run_stats();
-    std::printf("\n%-8s %10s %10s %16s %16s %10s\n", "worker", "peers",
-                "entries", "prod blocked ms", "cons blocked ms",
-                "max depth");
-    for (size_t w = 0; w < tstats.workers.size(); ++w) {
-      const engine::ParallelWorkerStats& stats = tstats.workers[w];
-      std::string peers;
-      for (size_t i = 0; i < stats.peers.size(); ++i) {
-        if (i > 0) peers += ",";
-        peers += topology.peer(stats.peers[i]).name;
-      }
-      std::printf("%-8zu %10s %10llu %16.2f %16.2f %10llu\n", w,
-                  peers.c_str(),
-                  static_cast<unsigned long long>(stats.entries_received),
-                  static_cast<double>(stats.producer_blocked_ns) / 1e6,
-                  static_cast<double>(stats.consumer_blocked_ns) / 1e6,
-                  static_cast<unsigned long long>(stats.max_queue_depth));
-    }
-
-    std::printf("\ntransport=%s\n", tstats.transport.c_str());
-    std::printf("%-12s %12s %12s %12s %10s\n", "channel", "frames",
-                "wire bytes", "items", "stalls");
-    for (const transport::ChannelTrafficStats& channel : tstats.channels) {
-      std::string label = "w" + std::to_string(channel.source_worker) +
-                          "->w" + std::to_string(channel.target_worker);
-      std::printf("%-12s %12llu %12llu %12llu %10llu\n", label.c_str(),
-                  static_cast<unsigned long long>(channel.stats.frames_sent),
-                  static_cast<unsigned long long>(channel.stats.bytes_sent),
-                  static_cast<unsigned long long>(
-                      channel.stats.items_delivered),
-                  static_cast<unsigned long long>(
-                      channel.stats.credit_stalls));
-    }
-  }
 
   if (!options.churn.empty()) {
     std::printf("\n=== recovery ===\n");
