@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "engine/codec.h"
-#include "engine/record.h"
 #include "transport/wire.h"
 #include "workload/photon_gen.h"
 #include "xml/xml_writer.h"
@@ -80,50 +79,6 @@ int main(int argc, char** argv) {
   }
   double decode_s = SecondsSince(decode_start) / kPasses;
 
-  // Record-path passes: EncodeRecord straight from compact records and
-  // DecodeSlot straight into them — the form the record-path engine
-  // actually drives the links with. Photon frames never touch a DOM.
-  std::vector<engine::PhotonRecord> records(photons.size());
-  for (size_t i = 0; i < photons.size(); ++i) {
-    if (!engine::PhotonRecord::FromXml(*photons[i], &records[i])) {
-      std::fprintf(stderr, "generator item %zu is not a photon\n", i);
-      return 1;
-    }
-  }
-  uint64_t record_encoded_bytes = 0;
-  auto record_encode_start = std::chrono::steady_clock::now();
-  for (int pass = 0; pass < kPasses; ++pass) {
-    engine::ItemEncoder encoder;
-    record_encoded_bytes = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      encoded[i].clear();
-      encoder.EncodeRecord(records[i], &encoded[i]);
-      record_encoded_bytes += encoded[i].size();
-    }
-  }
-  double record_encode_s = SecondsSince(record_encode_start) / kPasses;
-  if (record_encoded_bytes != encoded_bytes) identical = false;
-
-  auto record_decode_start = std::chrono::steady_clock::now();
-  for (int pass = 0; pass < kPasses; ++pass) {
-    engine::ItemDecoder decoder;
-    for (size_t i = 0; i < encoded.size(); ++i) {
-      engine::ItemBatch::Slot slot;
-      Status status = decoder.DecodeSlot(encoded[i], &slot);
-      if (!status.ok()) {
-        std::fprintf(stderr, "record decode failed: %s\n",
-                     status.ToString().c_str());
-        return 1;
-      }
-      if (pass == 0 &&
-          (!slot.is_record ||
-           slot.record.ContentHash() != records[i].ContentHash())) {
-        identical = false;
-      }
-    }
-  }
-  double record_decode_s = SecondsSince(record_decode_start) / kPasses;
-
   // Text-serialization pass for the throughput comparison.
   auto text_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
@@ -153,12 +108,6 @@ int main(int argc, char** argv) {
               static_cast<double>(encoded_bytes) / encode_s / 1e6);
   std::printf("codec_decode_mb_per_s=%.1f\n",
               static_cast<double>(encoded_bytes) / decode_s / 1e6);
-  std::printf("codec_record_encode_mb_per_s=%.1f\n",
-              static_cast<double>(record_encoded_bytes) / record_encode_s /
-                  1e6);
-  std::printf("codec_record_decode_mb_per_s=%.1f\n",
-              static_cast<double>(record_encoded_bytes) / record_decode_s /
-                  1e6);
   std::printf("codec_roundtrip_identical=%d\n", identical ? 1 : 0);
   if (!identical) {
     std::fprintf(stderr, "round trip diverged\n");

@@ -82,10 +82,11 @@ void BM_AggCombine(benchmark::State& state) {
           .value();
   std::vector<engine::ItemPtr> fine_items;
   {
+    engine::ResultStore store;
     engine::OperatorGraph graph;
     auto* agg = graph.Add<engine::WindowAggOp>(
         "agg", properties::AggregateFunc::kAvg, P("en"), fine);
-    auto* sink = graph.Add<engine::SinkOp>("sink", /*keep_items=*/true);
+    auto* sink = graph.Add<engine::SinkOp>("sink", &store);
     agg->AddDownstream(sink);
     std::vector<std::vector<engine::ItemBatch>> input = {
         OpaqueBatches(Photons(8192))};

@@ -30,14 +30,15 @@ int main() {
   workload::PhotonGenerator generator(config);
   std::vector<engine::ItemPtr> photons = generator.Generate(5000);
 
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   // Chain 1: fine aggregation, then recombination into coarse windows.
   auto* fine_agg = graph.Add<engine::WindowAggOp>(
       "fine", properties::AggregateFunc::kAvg, en, fine);
-  auto* fine_sink = graph.Add<engine::SinkOp>("fine-sink", true);
+  auto* fine_sink = graph.Add<engine::SinkOp>("fine-sink", &store);
   auto* combine = graph.Add<engine::AggCombineOp>(
       "combine", properties::AggregateFunc::kAvg, fine, coarse);
-  auto* combined_sink = graph.Add<engine::SinkOp>("combined-sink", true);
+  auto* combined_sink = graph.Add<engine::SinkOp>("combined-sink", &store);
   fine_agg->AddDownstream(fine_sink);
   fine_agg->AddDownstream(combine);
   combine->AddDownstream(combined_sink);
@@ -45,7 +46,7 @@ int main() {
   // Chain 2: direct coarse aggregation over the raw items.
   auto* direct = graph.Add<engine::WindowAggOp>(
       "direct", properties::AggregateFunc::kAvg, en, coarse);
-  auto* direct_sink = graph.Add<engine::SinkOp>("direct-sink", true);
+  auto* direct_sink = graph.Add<engine::SinkOp>("direct-sink", &store);
   direct->AddDownstream(direct_sink);
 
   // Both chains see the same photons, adopted into record batches.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/decimal.h"
-#include "common/string_util.h"
 #include "common/varint.h"
 
 namespace streamshare::engine {
@@ -58,15 +56,6 @@ void ItemEncoder::Encode(const xml::XmlNode& node, std::string* out) {
                      uint64_t child_count) {
     EncodeNode(name, text, child_count, out);
   });
-}
-
-void ItemEncoder::EncodeRecord(const PhotonRecord& record, std::string* out) {
-  out->reserve(out->size() + record.SerializedSize());
-  WalkRecord(record, PhotonSchema::kPhoton,
-             [&](std::string_view name, std::string_view text,
-                 uint64_t child_count) {
-               EncodeNode(name, text, child_count, out);
-             });
 }
 
 void ItemEncoder::EncodeNode(std::string_view name, std::string_view text,
@@ -186,92 +175,6 @@ Status ItemDecoder::DecodeNode(std::string_view* data, size_t depth,
     node->AddChild(std::move(child));
   }
   *out = std::move(node);
-  return Status::Ok();
-}
-
-bool ItemDecoder::DecodeNameView(std::string_view* data,
-                                 std::string_view* name) {
-  uint64_t tag = 0;
-  if (!GetVarint(data, &tag) || tag == 0) return false;
-  if (tag & 1) {
-    uint64_t len = tag >> 1;
-    if (len == 0 || len > data->size()) return false;
-    std::string_view literal = data->substr(0, len);
-    data->remove_prefix(len);
-    if (names_.size() < kMaxDictionaryNames) names_.emplace_back(literal);
-    // The view aliases the frame buffer, which outlives the decode.
-    *name = literal;
-    return true;
-  }
-  uint64_t id = (tag >> 1) - 1;
-  if (id >= names_.size()) return false;
-  // Aliases the dictionary entry: valid only until the next literal
-  // registration, so callers must consume it before decoding further.
-  *name = names_[id];
-  return true;
-}
-
-bool ItemDecoder::DecodeRecordBody(std::string_view* data, int node,
-                                   PhotonRecord* record) {
-  uint64_t text_len = 0;
-  if (!GetVarint(data, &text_len) || text_len > data->size()) return false;
-  int field = PhotonSchema::FieldOf(node);
-  if (field >= 0) {
-    if (text_len > PhotonRecord::kMaxFieldText) return false;
-    std::string_view text = data->substr(0, text_len);
-    data->remove_prefix(text_len);
-    Result<Decimal> value = Decimal::Parse(Trim(text));
-    if (!value.ok()) return false;
-    uint64_t child_count = 0;
-    if (!GetVarint(data, &child_count) || child_count != 0) return false;
-    record->SetField(field, text, *value);
-    return true;
-  }
-  if (text_len != 0) return false;
-  record->MarkNode(node);
-  uint64_t child_count = 0;
-  if (!GetVarint(data, &child_count) || child_count > data->size()) {
-    return false;
-  }
-  // Same subsequence-in-document-order rule as PhotonRecord::FromXml.
-  std::span<const int> schema_children = PhotonSchema::Children(node);
-  size_t k = 0;
-  for (uint64_t i = 0; i < child_count; ++i) {
-    std::string_view name;
-    if (!DecodeNameView(data, &name)) return false;
-    while (k < schema_children.size() &&
-           PhotonSchema::Name(schema_children[k]) != name) {
-      ++k;
-    }
-    if (k == schema_children.size()) return false;
-    if (!DecodeRecordBody(data, schema_children[k], record)) return false;
-    ++k;
-  }
-  return true;
-}
-
-Status ItemDecoder::DecodeSlot(std::string_view data,
-                               ItemBatch::Slot* out) {
-  const size_t dict_before = names_.size();
-  std::string_view cursor = data;
-  std::string_view root;
-  out->record = PhotonRecord();  // decode in place, no copy on success
-  if (DecodeNameView(&cursor, &root) &&
-      root == PhotonSchema::Name(PhotonSchema::kPhoton) &&
-      DecodeRecordBody(&cursor, PhotonSchema::kPhoton, &out->record) &&
-      cursor.empty()) {
-    out->item = nullptr;
-    out->is_record = true;
-    return Status::Ok();
-  }
-  // Non-conforming or corrupt: roll the dictionary back to the frame
-  // start and take the generic path, which registers names identically
-  // and raises the exact tree-decode error on corruption.
-  names_.resize(dict_before);
-  std::unique_ptr<xml::XmlNode> node;
-  SS_RETURN_IF_ERROR(Decode(data, &node));
-  out->item = MakeItem(std::move(node));
-  out->is_record = false;
   return Status::Ok();
 }
 

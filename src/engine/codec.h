@@ -20,14 +20,6 @@
 // produces for it. Any Reset() decoder reads such an item with no state
 // from earlier ones, so it can be stored once and shipped to any number
 // of readers. ItemWriter produces that form node by node, without a tree.
-//
-// PhotonRecords encode and decode without touching a DOM: EncodeRecord
-// walks the schema tables and produces the byte-identical wire form of
-// the record's materialized tree (same dictionary registrations, same
-// bytes), and DecodeSlot recognizes photon-conforming frames directly
-// into a record, falling back to the generic tree decode — with the
-// dictionary rolled back first, so both paths register names
-// identically — for everything else.
 
 #ifndef STREAMSHARE_ENGINE_CODEC_H_
 #define STREAMSHARE_ENGINE_CODEC_H_
@@ -59,11 +51,6 @@ class ItemEncoder {
   /// Appends the encoding of `node` to *out. Reserves using
   /// XmlNode::SerializedSize() — the text form bounds the binary form.
   void Encode(const xml::XmlNode& node, std::string* out);
-
-  /// Appends the encoding of `record` to *out: byte-identical to
-  /// Encode() of the record's materialized tree, dictionary state
-  /// included, without building the tree.
-  void EncodeRecord(const PhotonRecord& record, std::string* out);
 
   /// Drops the dictionary (link restart). The peer decoder must reset in
   /// the same place in the stream.
@@ -129,12 +116,6 @@ class ItemDecoder {
   /// one-sided dictionary reset), or over-deep nesting.
   Status Decode(std::string_view data, std::unique_ptr<xml::XmlNode>* out);
 
-  /// Decodes one item into a batch slot: frames whose tree conforms to
-  /// the photon schema become records directly (no DOM); everything else
-  /// takes the generic tree decode. Either way the dictionary ends up in
-  /// the exact state Decode() would have left it in.
-  Status DecodeSlot(std::string_view data, ItemBatch::Slot* out);
-
   /// Drops the dictionary (link restart).
   void Reset();
 
@@ -143,9 +124,6 @@ class ItemDecoder {
  private:
   Status DecodeNode(std::string_view* data, size_t depth,
                     std::unique_ptr<xml::XmlNode>* out);
-  bool DecodeNameView(std::string_view* data, std::string_view* name);
-  bool DecodeRecordBody(std::string_view* data, int node,
-                        PhotonRecord* record);
 
   std::vector<std::string> names_;
 };

@@ -40,7 +40,7 @@ std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
 
 Status RunBatchStreams(const std::vector<Operator*>& entries,
                        std::vector<std::vector<ItemBatch>>* batch_lists,
-                       bool finish, bool stamp) {
+                       bool finish, bool stamp, ResultStore* results) {
   if (entries.size() != batch_lists->size()) {
     return Status::InvalidArgument(
         "RunBatchStreams: entries and batch lists differ in count");
@@ -57,6 +57,7 @@ Status RunBatchStreams(const std::vector<Operator*>& entries,
       size_t s = active[idx];
       ItemBatch& batch = (*batch_lists)[s][cursors[s]++];
       if (stamp) batch.StampIngress(latency::NowUs());
+      if (results != nullptr) results->BeginSourceBatch(&batch);
       Status status = entries[s]->PushBatch(&batch);
       if (!status.ok()) {
         return WrapOperatorFailure(std::move(status), "push", *entries[s]);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "engine/operator.h"
+#include "engine/result_store.h"
 
 namespace streamshare::engine {
 
@@ -52,11 +53,15 @@ std::vector<ItemBatch> ChunkItems(const std::vector<ItemPtr>& items,
 /// — a single-shot run. Pass false to keep the streams live (continuous
 /// operation with more feeds to come); end of stream is a one-shot
 /// signal per operator.
+/// With a result store, every fed batch starts a source batch in it
+/// (ResultStore::BeginSourceBatch): its slots get their fed-item origins,
+/// and restructuring shares encodings within the push.
 /// Batches are consumed in place: pushing may fill their lazy
 /// materialization caches.
 Status RunBatchStreams(const std::vector<Operator*>& entries,
                        std::vector<std::vector<ItemBatch>>* batch_lists,
-                       bool finish = true, bool stamp = true);
+                       bool finish = true, bool stamp = true,
+                       ResultStore* results = nullptr);
 
 }  // namespace streamshare::engine
 

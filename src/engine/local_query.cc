@@ -28,7 +28,8 @@ Result<LocalQueryResult> RunLocalQuery(const wxquery::AnalyzedQuery& query,
 
   // Wire the canonical chain: σ → (window | window-agg + filter)? →
   // restructure → sink. Local evaluation needs no projection — nothing is
-  // transmitted.
+  // transmitted. The store outlives the graph's operators.
+  ResultStore store;
   OperatorGraph graph;
   Operator* entry = graph.Add<PassOp>("local:entry");
   Operator* current = entry;
@@ -61,9 +62,9 @@ Result<LocalQueryResult> RunLocalQuery(const wxquery::AnalyzedQuery& query,
   std::shared_ptr<const wxquery::AnalyzedQuery> alias(
       std::shared_ptr<const wxquery::AnalyzedQuery>(), &query);
   Operator* restructure =
-      graph.Add<RestructureOp>("local:restructure", alias);
+      graph.Add<RestructureOp>("local:restructure", alias, &store);
   current->AddDownstream(restructure);
-  auto* sink = graph.Add<SinkOp>("local:sink", /*keep_items=*/true);
+  auto* sink = graph.Add<SinkOp>("local:sink", &store);
   restructure->AddDownstream(sink);
 
   // Opaque slots: a local query evaluates its items on their trees.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/result_store.h"
 #include "obs/metrics_registry.h"
 #include "predicate/eval.h"
 
@@ -116,8 +117,10 @@ Status ProjectOp::ProcessBatch(ItemBatch* batch) {
           /*adopt=*/false);
     }
     // Append* builds a fresh (unstamped) slot; the projected item is still
-    // the same logical item, so its latency stamp rides along.
-    scratch_.slot(scratch_.size() - 1).stamp = slot.stamp;
+    // the same logical item, so its latency stamp and origin ride along.
+    ItemBatch::Slot& projected = scratch_.slot(scratch_.size() - 1);
+    projected.stamp = slot.stamp;
+    projected.origin = slot.origin;
   }
   return FlushScratch(&scratch_);
 }
@@ -197,41 +200,36 @@ Status SinkOp::ProcessBatch(ItemBatch* batch) {
     const ItemBatch::Slot& slot = batch->slot(i);
     total_bytes_ += SlotSerializedSize(slot);
     if (hash_items_) content_hash_ += SlotContentHash(slot);
-    if (keep_items_) Retain(*batch, i);
+    if (store_ != nullptr) Retain(slot);
     RecordLatency(slot.stamp, now);
   }
   return Status::Ok();
 }
 
-void SinkOp::Retain(const ItemBatch& batch, size_t i) {
-  const ItemBatch::Slot& slot = batch.slot(i);
-  if (slot.is_encoded()) {
-    log_.append(batch.encoded(i));
-  } else {
-    writer_.Begin(&log_);
+void SinkOp::Retain(const ItemBatch::Slot& slot) {
+  ResultRef ref = slot.encoded.ref;
+  if (!ref.valid()) {
+    ItemWriter* writer = store_->BeginResult();
     if (slot.is_record) {
-      writer_.Record(slot.record, PhotonSchema::kPhoton);
+      writer->Record(slot.record, PhotonSchema::kPhoton);
     } else {
-      writer_.Tree(*slot.item);
+      writer->Tree(*slot.item);
     }
+    ref = store_->EndResult().ref;
   }
-  log_ends_.push_back(log_.size());
-}
-
-std::string_view SinkOp::retained(size_t i) const {
-  size_t begin = i == 0 ? 0 : log_ends_[i - 1];
-  return std::string_view(log_).substr(begin, log_ends_[i] - begin);
+  retained_.push_back(ref);
+  retained_encoded_bytes_ += ref.bytes().size();
 }
 
 void SinkOp::DropRetained() {
-  std::string().swap(log_);
-  std::vector<uint64_t>().swap(log_ends_);
+  std::vector<ResultRef>().swap(retained_);
+  retained_encoded_bytes_ = 0;
   std::vector<ItemPtr>().swap(materialized_);
 }
 
 const std::vector<ItemPtr>& SinkOp::items() const {
-  materialized_.reserve(log_ends_.size());
-  for (size_t i = materialized_.size(); i < log_ends_.size(); ++i) {
+  materialized_.reserve(retained_.size());
+  for (size_t i = materialized_.size(); i < retained_.size(); ++i) {
     materialized_.push_back(DecodeEncodedItem(retained(i)));
   }
   return materialized_;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/codec.h"
 #include "engine/item.h"
 #include "engine/latency.h"
 #include "engine/metrics.h"
@@ -30,6 +29,8 @@ class Histogram;
 }  // namespace streamshare::obs
 
 namespace streamshare::engine {
+
+class ResultStore;
 
 class Operator {
  public:
@@ -186,35 +187,39 @@ class LinkOp : public Operator {
   network::LinkId link_;
 };
 
-/// Terminal collector: counts items and (optionally) keeps them. Kept
-/// deliveries are stored once each, in the codec's self-contained form,
-/// in one contiguous log (bytes plus end offsets).
+/// Terminal collector: counts items and (optionally) keeps them. A kept
+/// delivery is one 8-byte reference into a result store: an encoded slot
+/// is kept by the reference it arrived with (its bytes may be shared with
+/// other sinks), a record or tree is encoded into the store first.
 class SinkOp : public Operator {
  public:
-  explicit SinkOp(std::string label, bool keep_items = false)
-      : Operator(std::move(label)), keep_items_(keep_items) {}
+  /// With a `store` (not owned; it must outlive the sink), keeps every
+  /// delivery in it.
+  explicit SinkOp(std::string label, ResultStore* store = nullptr)
+      : Operator(std::move(label)), store_(store) {}
 
   uint64_t item_count() const { return item_count_; }
   uint64_t total_bytes() const { return total_bytes_; }
 
-  /// Deliveries kept so far (0 unless keep_items).
-  size_t retained_results() const { return log_ends_.size(); }
+  /// Deliveries kept so far (0 without a store).
+  size_t retained_results() const { return retained_.size(); }
   /// Kept delivery `i` in the self-contained encoding: any Reset()
   /// ItemDecoder reads it on its own.
-  std::string_view retained(size_t i) const;
-  /// Memory the log holds: encoded bytes plus one 8-byte end offset per
-  /// kept delivery.
+  std::string_view retained(size_t i) const { return retained_[i].bytes(); }
+  /// Logical bytes of the kept deliveries: their encodings plus one 8-byte
+  /// reference each. An encoding shared with other sinks counts in each.
   size_t retained_bytes() const {
-    return log_.size() + log_ends_.size() * sizeof(uint64_t);
+    return retained_encoded_bytes_ + retained_.size() * sizeof(ResultRef);
   }
   /// The kept deliveries as trees, decoded on demand: each delivery is
   /// decoded once, later calls decode only what arrived since. For tests,
-  /// the oracle and benches — the serve daemon ships the encoded log.
+  /// the oracle and benches — the serve daemon ships the encodings.
   const std::vector<ItemPtr>& items() const;
-  /// Frees the kept deliveries (and their decoded trees); item_count(),
-  /// total_bytes() and content_hash() are unaffected. Called when the
-  /// sink's query is unsubscribed: nothing forwards a departed query's
-  /// results.
+  /// Drops the sink's references to its kept deliveries (and their
+  /// decoded trees); the store keeps the bytes, which other sinks may
+  /// share. item_count(), total_bytes() and content_hash() are
+  /// unaffected. Called when the sink's query is unsubscribed: nothing
+  /// forwards a departed query's results.
   void DropRetained();
 
   /// Starts folding every received item into content_hash() (an
@@ -240,8 +245,8 @@ class SinkOp : public Operator {
   uint64_t stamp_regressions() const { return stamp_regressions_; }
 
  protected:
-  /// Counts, sizes and hashes straight off the slots, and appends kept
-  /// deliveries to the log, without materializing a tree.
+  /// Counts, sizes and hashes straight off the slots, and keeps
+  /// deliveries, without materializing a tree.
   Status ProcessBatch(ItemBatch* batch) override;
   /// Folds any batched latency observations into the shared histograms.
   Status OnFinish() override;
@@ -264,17 +269,16 @@ class SinkOp : public Operator {
   /// (slots of one batch share their arrival instant, like a fed chunk
   /// shares its ingress tick).
   void RecordLatency(const latency::ItemStamp& stamp, uint64_t now);
-  /// Appends slot `i` of `batch` to the log.
-  void Retain(const ItemBatch& batch, size_t i);
+  /// Keeps `slot`, encoding it into the store unless it is encoded.
+  void Retain(const ItemBatch::Slot& slot);
 
-  bool keep_items_;
+  ResultStore* store_;
   bool hash_items_ = false;
   uint64_t item_count_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t content_hash_ = 0;
-  std::string log_;
-  std::vector<uint64_t> log_ends_;
-  ItemWriter writer_;
+  std::vector<ResultRef> retained_;
+  size_t retained_encoded_bytes_ = 0;
   /// items()' cache: the first materialized_.size() kept deliveries.
   mutable std::vector<ItemPtr> materialized_;
   obs::Histogram* lat_e2e_ = nullptr;

@@ -242,22 +242,22 @@ void ItemBatch::AppendItem(const ItemPtr& item, bool adopt,
   slots_.push_back(std::move(slot));
 }
 
-void ItemBatch::AppendSlot(const ItemBatch& from, size_t i) {
-  slots_.push_back(from.slots_[i]);
-  if (slots_.back().is_encoded()) {
-    slots_.back().encoded_offset = static_cast<uint32_t>(arena_.size());
-    arena_.append(from.encoded(i));
+std::string_view ResultRef::bytes() const {
+  // ResultStore::Append wrote the entry: a well-formed varint length,
+  // then that many bytes.
+  const auto* pos = reinterpret_cast<const uint8_t*>(entry_);
+  uint64_t size = 0;
+  for (int shift = 0;; shift += 7) {
+    size |= static_cast<uint64_t>(*pos & 0x7f) << shift;
+    if ((*pos++ & 0x80) == 0) break;
   }
+  return std::string_view(reinterpret_cast<const char*>(pos), size);
 }
 
-void ItemBatch::AppendEncoded(size_t offset, size_t xml_size,
-                              uint64_t content_hash,
+void ItemBatch::AppendEncoded(const EncodedResult& result,
                               const latency::ItemStamp& stamp) {
   Slot slot;
-  slot.encoded_offset = static_cast<uint32_t>(offset);
-  slot.encoded_size = static_cast<uint32_t>(arena_.size() - offset);
-  slot.xml_size = static_cast<uint32_t>(xml_size);
-  slot.content_hash = content_hash;
+  slot.encoded = result;
   slot.stamp = stamp;
   slots_.push_back(std::move(slot));
 }
@@ -287,18 +287,19 @@ void ItemBatch::MakeOpaque() {
   for (size_t i = 0; i < slots_.size(); ++i) {
     Materialize(i);
     slots_[i].is_record = false;
-    slots_[i].encoded_size = 0;
+    slots_[i].encoded = EncodedResult();
   }
 }
 
 size_t SlotSerializedSize(const ItemBatch::Slot& slot) {
   if (slot.is_record) return slot.record.SerializedSize();
-  return slot.is_encoded() ? slot.xml_size : slot.item->SerializedSize();
+  return slot.is_encoded() ? slot.encoded.xml_size
+                           : slot.item->SerializedSize();
 }
 
 uint64_t SlotContentHash(const ItemBatch::Slot& slot) {
   if (slot.is_record) return slot.record.ContentHash();
-  return slot.is_encoded() ? slot.content_hash
+  return slot.is_encoded() ? slot.encoded.content_hash
                            : HashItemContent(*slot.item);
 }
 

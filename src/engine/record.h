@@ -16,10 +16,11 @@
 // slots and take the operators' DOM path.
 //
 // Results a compiled return program builds from record slots travel as a
-// third kind, encoded slots: the item in the codec's self-contained form
-// (engine/codec.h ItemWriter) in the batch's byte arena, with its XML
-// serialized size and content hash next to it, so links bill, sinks hash
-// and sinks keep it without ever building a tree.
+// third kind, encoded slots: a reference to the item's self-contained
+// encoding (engine/codec.h ItemWriter) in the deployment's result store
+// (engine/result_store.h), with its XML serialized size and content hash
+// next to it, so links bill, sinks hash and sinks keep it without ever
+// building a tree or copying its bytes.
 //
 // XML trees are materialized lazily: only window contents, restructuring
 // on the DOM path and other tree-shaped consumers pay for a DOM, and a
@@ -101,6 +102,31 @@ struct PhotonSchema {
   /// id, or -1 when the path leaves the schema. The empty path resolves
   /// to the root.
   static int Resolve(const xml::Path& path);
+};
+
+/// A reference to one encoded result in a ResultStore: the address of its
+/// entry (a varint length, then the self-contained encoding). Eight bytes,
+/// so a sink keeps one per delivery; the entry stays where it is for the
+/// store's life.
+class ResultRef {
+ public:
+  ResultRef() = default;
+  explicit ResultRef(const char* entry) : entry_(entry) {}
+
+  bool valid() const { return entry_ != nullptr; }
+  /// The self-contained encoding the entry holds.
+  std::string_view bytes() const;
+
+ private:
+  const char* entry_ = nullptr;
+};
+
+/// One encoded result as its producer hands it on: the reference, and the
+/// XmlNode::SerializedSize() and HashItemContent() of the item it encodes.
+struct EncodedResult {
+  ResultRef ref;
+  uint32_t xml_size = 0;
+  uint64_t content_hash = 0;
 };
 
 /// One photon item as a flat record. Trivially copyable; leaf texts are
@@ -190,31 +216,28 @@ class ItemBatch {
     /// Materialize).
     ItemPtr item;
     bool is_record = false;
-    /// Encoded slot (encoded_size != 0): the item's self-contained
-    /// encoding sits at [encoded_offset, encoded_offset + encoded_size)
-    /// of the batch's arena; xml_size and content_hash are its
-    /// XmlNode::SerializedSize() and HashItemContent().
-    uint32_t encoded_offset = 0;
-    uint32_t encoded_size = 0;
-    uint32_t xml_size = 0;
-    uint64_t content_hash = 0;
+    /// Encoded slot (encoded.ref.valid()): the item's self-contained
+    /// encoding in the result store, with its XML size and content hash.
+    EncodedResult encoded;
     /// Measured-latency stamp (latency.h). Unstamped by default; the
     /// executor stamps freshly fed slots, AppendSlot forwards the stamp,
     /// and operators that build new slots copy it explicitly. Excluded
     /// from content hashes and equality — stamps never change results.
     latency::ItemStamp stamp;
+    /// The fed item this slot derives from (ResultStore::BeginSourceBatch
+    /// numbers every fed slot; 0 = none). Carried like the stamp; with the
+    /// record mask it identifies a record's content, which is what lets
+    /// restructuring share one encoding among queries.
+    uint64_t origin = 0;
 
-    bool is_encoded() const { return encoded_size != 0; }
+    bool is_encoded() const { return encoded.ref.valid(); }
   };
 
   ItemBatch() = default;
 
   size_t size() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
-  void clear() {
-    slots_.clear();
-    arena_.clear();
-  }
+  void clear() { slots_.clear(); }
   void reserve(size_t n) { slots_.reserve(n); }
 
   const Slot& slot(size_t i) const { return slots_[i]; }
@@ -232,23 +255,18 @@ class ItemBatch {
   /// the original tree).
   void AppendItem(const ItemPtr& item, bool adopt,
                   const latency::ItemStamp& stamp = {});
-  /// Appends a copy of slot `i` of `from` (forwarding); an encoded slot's
-  /// bytes are copied into this batch's arena.
-  void AppendSlot(const ItemBatch& from, size_t i);
+  /// Appends a copy of slot `i` of `from` (forwarding; an encoded slot
+  /// copies its reference, not its bytes).
+  void AppendSlot(const ItemBatch& from, size_t i) {
+    slots_.push_back(from.slots_[i]);
+  }
 
-  /// The byte arena encoded slots point into. A producer appends one
-  /// item's encoding to it, then calls AppendEncoded with the arena size
-  /// from before the append.
-  std::string* arena() { return &arena_; }
-  /// Appends an encoded slot for the item written to the arena from
-  /// `offset` to its end.
-  void AppendEncoded(size_t offset, size_t xml_size, uint64_t content_hash,
+  /// Appends an encoded slot for `result` carrying `stamp`.
+  void AppendEncoded(const EncodedResult& result,
                      const latency::ItemStamp& stamp);
   /// The self-contained encoding of encoded slot `i`.
   std::string_view encoded(size_t i) const {
-    const Slot& slot = slots_[i];
-    return std::string_view(arena_).substr(slot.encoded_offset,
-                                           slot.encoded_size);
+    return slots_[i].encoded.ref.bytes();
   }
 
   /// The XML tree of slot `i`, materializing (and caching) record and
@@ -273,7 +291,6 @@ class ItemBatch {
 
  private:
   std::vector<Slot> slots_;
-  std::string arena_;
 };
 
 /// Decodes one self-contained item encoding this process wrote (an

@@ -26,7 +26,13 @@ struct CompiledCond {
   int rhs_node = -2;   // -2: no rhs variable
   predicate::ComparisonOp op = predicate::ComparisonOp::kEq;
   Decimal constant;
+
+  bool operator==(const CompiledCond&) const = default;
 };
+
+uint64_t MixHash(uint64_t hash, uint64_t value) {
+  return (hash ^ value) * 0x100000001b3ull;
+}
 
 }  // namespace
 
@@ -34,44 +40,62 @@ struct CompiledCond {
 /// shapes whose DOM evaluation this reproduces byte-for-byte (including
 /// which errors can arise — none) are compiled; everything else keeps the
 /// DOM path. A program writes its results in the codec's self-contained
-/// encoding, node by node, as encoded slots: no tree is ever built.
-struct RestructureOp::CompiledReturn {
+/// encoding, node by node, into the result store: no tree is ever built.
+/// Its output depends on nothing but the record, so structurally equal
+/// programs are interned and share their results.
+struct ReturnProgram {
   enum class Kind { kElement, kSequence, kIf, kPathOutput, kWholeItem };
   Kind kind = Kind::kSequence;
   // kElement
   std::string tag;
   // kElement / kSequence children, kIf {then, else}
-  std::vector<CompiledReturn> children;
+  std::vector<ReturnProgram> children;
   // kIf
   std::vector<CompiledCond> conditions;
   // kPathOutput: resolved schema node, -1 when the path never matches
   int node = -1;
 
-  /// Top level: appends each node this expression produces for `record`
-  /// to `out` as one encoded result slot carrying `stamp`.
-  void Emit(const PhotonRecord& record, ItemWriter* writer,
-            ItemBatch* out, const latency::ItemStamp& stamp) const {
+  bool operator==(const ReturnProgram&) const = default;
+
+  /// Structural hash: equal programs hash equal (condition constants are
+  /// left out; the interning compare tells programs apart that differ
+  /// only there).
+  uint64_t Hash() const {
+    uint64_t hash = MixHash(kContentHashSeed, static_cast<uint64_t>(kind));
+    hash = MixContentHash(hash, tag);
+    hash = MixHash(hash, static_cast<uint64_t>(node + 1));
+    for (const CompiledCond& cond : conditions) {
+      hash = MixHash(hash, static_cast<uint64_t>(cond.lhs_node + 2));
+      hash = MixHash(hash, static_cast<uint64_t>(cond.rhs_node + 2));
+      hash = MixHash(hash, static_cast<uint64_t>(cond.op));
+    }
+    for (const ReturnProgram& child : children) {
+      hash = MixHash(hash, child.Hash());
+    }
+    return hash;
+  }
+
+  /// Top level: encodes each node this expression produces for `record`
+  /// into `store` as one result, appended to `out`.
+  void Emit(const PhotonRecord& record, ResultStore* store,
+            std::vector<EncodedResult>* out) const {
     switch (kind) {
       case Kind::kSequence:
-        for (const CompiledReturn& child : children) {
-          child.Emit(record, writer, out, stamp);
+        for (const ReturnProgram& child : children) {
+          child.Emit(record, store, out);
         }
         return;
       case Kind::kIf:
-        Branch(record).Emit(record, writer, out, stamp);
+        Branch(record).Emit(record, store, out);
         return;
       case Kind::kPathOutput:
         if (!Produces(record)) return;
         [[fallthrough]];
       case Kind::kElement:
-      case Kind::kWholeItem: {
-        size_t offset = out->arena()->size();
-        writer->Begin(out->arena());
-        Write(record, writer);
-        out->AppendEncoded(offset, writer->xml_size(),
-                           writer->content_hash(), stamp);
+      case Kind::kWholeItem:
+        Write(record, store->BeginResult());
+        out->push_back(store->EndResult());
         return;
-      }
     }
   }
 
@@ -82,7 +106,7 @@ struct RestructureOp::CompiledReturn {
     switch (kind) {
       case Kind::kSequence: {
         uint64_t count = 0;
-        for (const CompiledReturn& child : children) {
+        for (const ReturnProgram& child : children) {
           count += child.Count(record);
         }
         return count;
@@ -104,14 +128,14 @@ struct RestructureOp::CompiledReturn {
     switch (kind) {
       case Kind::kElement: {
         uint64_t child_count = 0;
-        for (const CompiledReturn& child : children) {
+        for (const ReturnProgram& child : children) {
           child_count += child.Count(record);
         }
         writer->Node(tag, std::string_view(), child_count);
         [[fallthrough]];
       }
       case Kind::kSequence:
-        for (const CompiledReturn& child : children) {
+        for (const ReturnProgram& child : children) {
           child.Write(record, writer);
         }
         return;
@@ -132,7 +156,7 @@ struct RestructureOp::CompiledReturn {
   }
 
   /// The branch of a kIf the record's condition selects.
-  const CompiledReturn& Branch(const PhotonRecord& record) const {
+  const ReturnProgram& Branch(const PhotonRecord& record) const {
     for (const CompiledCond& cond : conditions) {
       int lhs_field =
           cond.lhs_node >= 0 ? PhotonSchema::FieldOf(cond.lhs_node) : -1;
@@ -191,13 +215,13 @@ bool CompileConditions(const std::vector<WhereAtom>& atoms,
 }
 
 bool CompileExpr(const Expr& expr, const std::string& bound_var,
-                 RestructureOp::CompiledReturn* out);
+                 ReturnProgram* out);
 
 bool CompileChildren(const std::vector<wxquery::ExprPtr>& exprs,
                      const std::string& bound_var,
-                     std::vector<RestructureOp::CompiledReturn>* out) {
+                     std::vector<ReturnProgram>* out) {
   for (const wxquery::ExprPtr& expr : exprs) {
-    RestructureOp::CompiledReturn child;
+    ReturnProgram child;
     if (!CompileExpr(*expr, bound_var, &child)) return false;
     out->push_back(std::move(child));
   }
@@ -205,16 +229,15 @@ bool CompileChildren(const std::vector<wxquery::ExprPtr>& exprs,
 }
 
 bool CompileExpr(const Expr& expr, const std::string& bound_var,
-                 RestructureOp::CompiledReturn* out) {
-  using CompiledReturn = RestructureOp::CompiledReturn;
+                 ReturnProgram* out) {
   if (const auto* element = expr.As<ElementExpr>()) {
-    out->kind = CompiledReturn::Kind::kElement;
+    out->kind = ReturnProgram::Kind::kElement;
     out->tag = element->tag;
     return CompileChildren(element->content, bound_var, &out->children);
   }
   if (expr.Is<FlwrExpr>()) return false;  // DOM path raises Unsupported
   if (const auto* cond = expr.As<IfExpr>()) {
-    out->kind = CompiledReturn::Kind::kIf;
+    out->kind = ReturnProgram::Kind::kIf;
     if (!CompileConditions(cond->condition, bound_var, &out->conditions)) {
       return false;
     }
@@ -226,36 +249,52 @@ bool CompileExpr(const Expr& expr, const std::string& bound_var,
     if (path_out->var != bound_var || path_out->HasConditions()) {
       return false;
     }
-    out->kind = CompiledReturn::Kind::kPathOutput;
+    out->kind = ReturnProgram::Kind::kPathOutput;
     out->node = PhotonSchema::Resolve(path_out->PlainPath());
     return true;
   }
   if (const auto* var_out = expr.As<VarOutputExpr>()) {
     if (var_out->var != bound_var) return false;
-    out->kind = CompiledReturn::Kind::kWholeItem;
+    out->kind = ReturnProgram::Kind::kWholeItem;
     return true;
   }
   const auto& sequence = std::get<SequenceExpr>(expr.node);
-  out->kind = CompiledReturn::Kind::kSequence;
+  out->kind = ReturnProgram::Kind::kSequence;
   return CompileChildren(sequence.items, bound_var, &out->children);
 }
 
 }  // namespace
 
+namespace {
+
+/// The store's instance of `program`: the first structurally equal program
+/// interned, or `program` itself, interned now.
+std::shared_ptr<const ReturnProgram> Intern(ReturnProgram program,
+                                            ResultStore* store) {
+  std::vector<std::shared_ptr<const ReturnProgram>>& same_hash =
+      store->ProgramsWithHash(program.Hash());
+  for (const std::shared_ptr<const ReturnProgram>& interned : same_hash) {
+    if (*interned == program) return interned;
+  }
+  same_hash.push_back(
+      std::make_shared<const ReturnProgram>(std::move(program)));
+  return same_hash.back();
+}
+
+}  // namespace
+
 RestructureOp::RestructureOp(
-    std::string label, std::shared_ptr<const wxquery::AnalyzedQuery> query)
-    : Operator(std::move(label)), query_(std::move(query)) {
+    std::string label, std::shared_ptr<const wxquery::AnalyzedQuery> query,
+    ResultStore* store)
+    : Operator(std::move(label)), query_(std::move(query)), store_(store) {
   binding_ = &query_->bindings.front();
   if (!binding_->window.has_value() && !binding_->aggregate.has_value()) {
-    auto program = std::make_unique<CompiledReturn>();
-    if (CompileExpr(*query_->flwr->return_expr, binding_->var,
-                    program.get())) {
-      program_ = std::move(program);
+    ReturnProgram program;
+    if (CompileExpr(*query_->flwr->return_expr, binding_->var, &program)) {
+      program_ = Intern(std::move(program), store_);
     }
   }
 }
-
-RestructureOp::~RestructureOp() = default;
 
 Status RestructureOp::EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
                                    const latency::ItemStamp& stamp) {
@@ -287,6 +326,24 @@ Status RestructureOp::EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
   return AppendReturnOutputs(*query_->flwr->return_expr, env, out, stamp);
 }
 
+std::span<const EncodedResult> RestructureOp::Encode(
+    const ItemBatch::Slot& slot) {
+  auto encode = [&](std::vector<EncodedResult>* out) {
+    program_->Emit(slot.record, store_, out);
+  };
+  // The store's table holds one reference to the program and every
+  // operator running it another: with no second operator, or a slot not
+  // derived from a fed item (pushed here directly), there is nobody to
+  // share the result with.
+  if (program_.use_count() <= 2 || slot.origin == 0) {
+    fresh_.clear();
+    encode(&fresh_);
+    return fresh_;
+  }
+  return store_->Cached({program_.get(), slot.origin, slot.record.mask()},
+                        encode);
+}
+
 Status RestructureOp::ProcessBatch(ItemBatch* batch) {
   Status failure;
   for (size_t i = 0; i < batch->size() && failure.ok(); ++i) {
@@ -294,7 +351,9 @@ Status RestructureOp::ProcessBatch(ItemBatch* batch) {
     // Every restructured output derives from this one input item, so its
     // latency stamp carries over.
     if (program_ != nullptr && slot.is_record) {
-      program_->Emit(slot.record, &writer_, &scratch_, slot.stamp);
+      for (const EncodedResult& result : Encode(slot)) {
+        scratch_.AppendEncoded(result, slot.stamp);
+      }
     } else {
       failure = EvaluateTree(*batch->Materialize(i), &scratch_, slot.stamp);
     }

@@ -9,8 +9,11 @@
 #define STREAMSHARE_ENGINE_RESTRUCTURE_H_
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "engine/operator.h"
+#include "engine/result_store.h"
 #include "wxquery/analyzer.h"
 
 namespace streamshare::engine {
@@ -27,16 +30,19 @@ namespace streamshare::engine {
 /// into a record program: record slots then produce their result trees
 /// straight from the record fields — no input materialization, no path
 /// navigation, no subtree cloning — byte-identical to the DOM evaluation.
-/// Their results leave as encoded slots (record.h), written straight into
-/// the codec's self-contained form with their XML size and content hash,
-/// so no result tree is built at all.
+/// Their results leave as encoded slots (record.h): references into the
+/// result store, written straight into the codec's self-contained form
+/// with their XML size and content hash, so no result tree is built at
+/// all. Structurally equal programs are interned in the store, and a
+/// record's results are encoded once per fed item and record mask, for
+/// every query whose program is the same (ResultStore::Cached).
 class RestructureOp : public Operator {
  public:
+  /// `store` (not owned) holds the encoded results and must outlive the
+  /// operator.
   RestructureOp(std::string label,
-                std::shared_ptr<const wxquery::AnalyzedQuery> query);
-  ~RestructureOp() override;
-
-  struct CompiledReturn;
+                std::shared_ptr<const wxquery::AnalyzedQuery> query,
+                ResultStore* store);
 
  protected:
   /// Record slots run the compiled return program (when the query shape
@@ -50,13 +56,19 @@ class RestructureOp : public Operator {
   Status EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
                       const latency::ItemStamp& stamp);
 
+  /// The results of record slot `slot` under the compiled program: from
+  /// the store's encode cache, or encoded now.
+  std::span<const EncodedResult> Encode(const ItemBatch::Slot& slot);
+
   std::shared_ptr<const wxquery::AnalyzedQuery> query_;
   const wxquery::StreamBinding* binding_;  // single-input queries
-  /// Compiled record program; null when the query shape requires the DOM
-  /// evaluation (window contents, aggregates, nested FLWR, step
-  /// conditions, off-schema structural conditions).
-  std::unique_ptr<CompiledReturn> program_;
-  ItemWriter writer_;
+  ResultStore* store_;
+  /// Compiled record program, interned in store_; null when the query
+  /// shape requires the DOM evaluation (window contents, aggregates,
+  /// nested FLWR, step conditions, off-schema structural conditions).
+  std::shared_ptr<const ReturnProgram> program_;
+  /// Results of slots that bypass the cache.
+  std::vector<EncodedResult> fresh_;
   ItemBatch scratch_;
 };
 

@@ -104,13 +104,6 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
   return buffer;
 }
 
-void TraceRecorder::SetThreadName(std::string name) {
-  if (!enabled()) return;
-  ThreadBuffer* buffer = BufferForThisThread();
-  std::lock_guard<std::mutex> lock(buffer->mu);
-  buffer->thread_name = std::move(name);
-}
-
 void TraceRecorder::RecordComplete(std::string_view name,
                                    std::string_view category,
                                    uint64_t start_us, uint64_t duration_us,
@@ -167,16 +160,6 @@ std::string TraceRecorder::ToJson() const {
   char head[160];
   for (const auto& buffer : buffers_) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    if (!buffer->thread_name.empty()) {
-      if (!first) out += ",";
-      first = false;
-      std::snprintf(head, sizeof(head),
-                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                    "\"tid\":%" PRIu64 ",\"ts\":0,\"args\":{\"name\":\"",
-                    buffer->tid);
-      out += head;
-      out += JsonEscape(buffer->thread_name) + "\"}}";
-    }
     for (const Event& event : buffer->events) {
       if (!first) out += ",";
       first = false;

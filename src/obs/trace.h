@@ -2,7 +2,7 @@
 // (one uncontended mutex each; acquired once per event) and serialize to
 // the JSON Array Format that chrome://tracing and Perfetto load directly:
 // one process, one track per recorded thread, "X" complete events with
-// name/cat/ts/dur and optional args, plus "M" thread_name metadata.
+// name/cat/ts/dur and optional args.
 //
 // Recording is off until SetEnabled(true); every entry point checks one
 // relaxed atomic first, so a disabled recorder costs a load. Timestamps
@@ -66,9 +66,6 @@ class TraceRecorder {
   /// Microseconds since the recorder's epoch (creation or last Clear).
   uint64_t NowMicros() const;
 
-  /// Names the calling thread's track.
-  void SetThreadName(std::string name);
-
   /// A completed span ("ph":"X") on the calling thread's track.
   void RecordComplete(std::string_view name, std::string_view category,
                       uint64_t start_us, uint64_t duration_us,
@@ -99,7 +96,6 @@ class TraceRecorder {
   struct ThreadBuffer {
     std::mutex mu;
     uint64_t tid = 0;
-    std::string thread_name;
     std::vector<Event> events;
   };
 

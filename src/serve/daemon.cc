@@ -742,13 +742,12 @@ ControlResponse ServeDaemon::DoSubscribe(ClientState* client,
     const engine::SinkOp* sink =
         system_->registrations()[query_id].sink;
     uint64_t have = sink == nullptr ? 0 : sink->item_count();
-    Attachment attachment;
-    attachment.next_index = std::min(request.resume_from, have);
-    client->subs[query_id] = attachment;
+    const uint64_t forward_from = std::min(request.resume_from, have);
+    Attach(client, query_id, forward_from);
     SubscribeReply reply;
     reply.query_id = query_id;
     reply.accepted = true;
-    reply.forward_from = attachment.next_index;
+    reply.forward_from = forward_from;
     return OkResponse(request.request_id, EncodeSubscribeReply(reply));
   }
 
@@ -809,7 +808,7 @@ Result<SubscribeReply> ServeDaemon::RegisterAndAttach(
   if (result.accepted && result.sink != nullptr) {
     // A fresh sink has delivered nothing: forwarding starts at 0.
     result.sink->EnableContentHash();
-    client->subs[result.query_id] = Attachment{};
+    Attach(client, result.query_id, 0);
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   if (result.accepted) {
@@ -1021,18 +1020,28 @@ uint64_t ServeDaemon::ForwardTo(ClientState* client, int query_id,
   if (!system_->IsActive(query_id)) return 0;
   const engine::SinkOp* sink = system_->registrations()[query_id].sink;
   if (sink == nullptr) return 0;
-  std::vector<uint64_t>& observed_us = channels_[query_id].observed_us;
+  QueryChannel& channel = *attachment->channel;
   const uint64_t delivered = sink->retained_results();
-  observed_us.resize(delivered, now);
+  if (delivered > channel.observed) {
+    channel.ticks.push_back({channel.observed, now});
+    channel.observed = delivered;
+  }
   const uint64_t first = attachment->next_index;
   if (first >= delivered) return 0;
+  // The run that observed `first`; later indices walk on from it.
+  auto run = std::prev(std::upper_bound(
+      channel.ticks.begin(), channel.ticks.end(), first,
+      [](uint64_t index, const QueryChannel::TickRun& next) {
+        return index < next.first;
+      }));
   for (uint64_t index = first; index < delivered; ++index) {
-    // Header and the sink's stored encoding into the reused body, which
+    if (run + 1 != channel.ticks.end() && (run + 1)->first == index) ++run;
+    // Header and the stored encoding into the reused body, which
     // QueueFrame copies once into the send buffer. It cannot fail: while
     // the loop runs, a connection closes only in DropClient, which
     // clears subs.
     body->clear();
-    AppendResultFrameHeader(body, query_id, index, observed_us[index], now);
+    AppendResultFrameHeader(body, query_id, index, run->tick, now);
     body->append(sink->retained(index));
     (void)client->conn.QueueFrame(transport::FrameType::kResult, *body,
                                   transport::kWireVersion);
@@ -1040,6 +1049,13 @@ uint64_t ServeDaemon::ForwardTo(ClientState* client, int query_id,
   attachment->next_index = delivered;
   client->results_forwarded += delivered - first;
   return delivered - first;
+}
+
+void ServeDaemon::Attach(ClientState* client, int query_id,
+                         uint64_t next_index) {
+  Attachment& attachment = client->subs[query_id];
+  attachment.next_index = next_index;
+  attachment.channel = &channels_[query_id];
 }
 
 void ServeDaemon::DropClient(ClientState* client) {

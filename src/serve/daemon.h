@@ -3,8 +3,8 @@
 // single-threaded poll loop that multiplexes the CONTROL plane (Hello /
 // Subscribe / Unsubscribe / FailPeer / CutLink / Stats / Feed / Drain /
 // Detach), the RESULTS plane (per-query sink deliveries forwarded to
-// attached clients with latency stamps, straight from each sink's log of
-// self-contained encoded results), and the
+// attached clients with latency stamps, straight from the system's store
+// of self-contained encoded results), and the
 // scenario's deterministic photon generators.
 //
 // Every state mutation — control verb or feed tick — happens on the loop
@@ -74,8 +74,8 @@ struct DaemonOptions {
   /// rename) and starts an empty log, keeping recovery cost bounded.
   uint64_t wal_compact_bytes = 1 << 20;
   ResumeFlavor resume = ResumeFlavor::kReplay;
-  /// Engine configuration. keep_results is forced on (each sink's encoded
-  /// log is what RESULT forwarding ships).
+  /// Engine configuration. keep_results is forced on (the kept encoded
+  /// results are what RESULT forwarding ships).
   sharing::SystemConfig system;
   /// Poll granularity of the event loop; bounds drain-signal latency.
   int poll_interval_ms = 50;
@@ -171,9 +171,26 @@ class ServeDaemon {
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
+  /// Per-query forwarding bookkeeping shared across client lives, for
+  /// the queries some client has attached and nobody has unsubscribed.
+  struct QueryChannel {
+    /// One run per forwarding pass that observed new sink deliveries: the
+    /// index of the first one and the pass's tick (NowUs). Deliveries
+    /// from `first` up to the next run's `first` were observed at `tick`.
+    struct TickRun {
+      uint64_t first = 0;
+      uint64_t tick = 0;
+    };
+    std::vector<TickRun> ticks;
+    /// Deliveries observed so far.
+    uint64_t observed = 0;
+  };
+
   struct Attachment {
     /// Next sink-delivery index to forward to the attached client.
     uint64_t next_index = 0;
+    /// The query's entry in channels_ (std::map nodes stay put).
+    QueryChannel* channel = nullptr;
   };
 
   struct ClientState {
@@ -188,14 +205,6 @@ class ServeDaemon {
     uint64_t noted_sends = 0;
     uint64_t noted_frames_out = 0;
     uint64_t noted_bytes_out = 0;
-  };
-
-  /// Per-query forwarding bookkeeping shared across client lives, for
-  /// the queries some client has attached and nobody has unsubscribed.
-  struct QueryChannel {
-    /// Tick (NowUs) of the forwarding pass that first observed each sink
-    /// delivery; parallel to the sink's kept results.
-    std::vector<uint64_t> observed_us;
   };
 
   bool durable() const { return !options_.checkpoint_path.empty(); }
@@ -289,6 +298,9 @@ class ServeDaemon {
   uint64_t ForwardTo(ClientState* client, int query_id,
                      Attachment* attachment, uint64_t now,
                      std::string* body);
+  /// Attaches `query_id` to `client`, forwarding from delivery
+  /// `next_index`.
+  void Attach(ClientState* client, int query_id, uint64_t next_index);
   /// Drops a client's attachments; with `unsubscribe` the queries leave
   /// the system too (refcounted GC) — the implicit-disconnect semantics.
   void DetachClient(ClientState* client, bool unsubscribe);

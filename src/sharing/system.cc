@@ -36,6 +36,7 @@ StreamShareSystem::StreamShareSystem(network::Topology topology,
     : topology_(std::move(topology)),
       config_(config),
       state_(&topology_),
+      results_(/*transient=*/!config_.keep_results),
       metrics_(topology_) {
   // A resumed system must not reuse aggregate streams whose windows may
   // straddle the resume point — see PlannerOptions::epoch_safe_only.
@@ -616,7 +617,7 @@ Status StreamShareSystem::BuildDeployment(
   engine::Operator* sink_parent = nullptr;
   if (query->bindings.size() == 1) {
     engine::Operator* restructure = graph_.Add<engine::RestructureOp>(
-        "q" + std::to_string(query_id) + ":restructure", query);
+        "q" + std::to_string(query_id) + ":restructure", query, &results_);
     restructure->SetAccounting(
         &metrics_, vq,
         params.bload_restructure * topology_.peer(vq).pindex);
@@ -640,7 +641,8 @@ Status StreamShareSystem::BuildDeployment(
   // anything holding a pointer to it) survive the failure.
   if (*sink == nullptr) {
     *sink = graph_.Add<engine::SinkOp>(
-        "q" + std::to_string(query_id) + ":sink", config_.keep_results);
+        "q" + std::to_string(query_id) + ":sink",
+        config_.keep_results ? &results_ : nullptr);
     if (config_.measure_latency) {
       (*sink)->EnableLatencyRecording("q" + std::to_string(query_id));
     }
@@ -738,7 +740,7 @@ Status StreamShareSystem::Execute(BatchesByStream* batches_by_stream,
     }
   }
   return engine::RunBatchStreams(entries, &batch_lists, finish,
-                                 config_.measure_latency);
+                                 config_.measure_latency, &results_);
 }
 
 int StreamShareSystem::accepted_count() const {
@@ -831,9 +833,9 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->GetGauge("network.peer." + name + ".health")
         ->Set(state_.health().IsDead(peer) ? 2.0 : 0.0);
   }
-  // The kept-result logs, summed over every query's sink: what retention
-  // costs in memory, growing with uptime while keep_results is on.
-  // Unsubscribed queries hold none (Unsubscribe drops their logs).
+  // The kept deliveries, summed over every query's sink: their logical
+  // bytes, as if each sink kept its own copy. Unsubscribed queries hold
+  // none (Unsubscribe drops their references).
   uint64_t retained_bytes = 0, retained_results = 0;
   for (const RegistrationResult& registration : registrations_) {
     if (registration.sink == nullptr) continue;
@@ -844,6 +846,14 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
       ->Set(static_cast<double>(retained_bytes));
   registry->GetGauge("engine.sink.retained_results")
       ->Set(static_cast<double>(retained_results));
+  // The result store: what it actually holds, and how often restructuring
+  // handed out an encoding it already had instead of encoding again.
+  registry->GetGauge("engine.results.encoded")
+      ->Set(static_cast<double>(results_.encoded()));
+  registry->GetGauge("engine.results.shared")
+      ->Set(static_cast<double>(results_.shared()));
+  registry->GetGauge("engine.results.store_bytes")
+      ->Set(static_cast<double>(results_.bytes()));
   // Batching configuration in effect, so a metrics snapshot records the
   // knob a run's numbers were measured under.
   registry->GetGauge("engine.batch.size")

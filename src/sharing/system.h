@@ -20,6 +20,7 @@
 #include "engine/executor.h"
 #include "engine/metrics.h"
 #include "engine/operator.h"
+#include "engine/result_store.h"
 #include "network/state.h"
 #include "network/stream_registry.h"
 #include "network/subnet.h"
@@ -44,10 +45,12 @@ struct SystemConfig {
   /// Reject subscriptions whose best plan overloads a peer or connection
   /// (the paper's capacity-limited experiment).
   bool enforce_limits = false;
-  /// Keep every delivered result in its query's sink, as a log of
-  /// self-contained encoded items (SinkOp). The serve daemon forces it on
-  /// (the log is what it forwards); tests, the oracle and some benches
-  /// turn it on to compare results. The log grows with every delivery.
+  /// Keep every delivered result in its query's sink, as references into
+  /// the system's result store of self-contained encoded items (SinkOp,
+  /// engine/result_store.h). The serve daemon forces it on (the store is
+  /// what it forwards); tests, the oracle and some benches turn it on to
+  /// compare results. The store grows with every distinct result, the
+  /// sinks by one 8-byte reference per delivery.
   bool keep_results = false;
   /// Hierarchical organization (paper §6): when non-empty, assigns every
   /// peer to a subnet and stream-sharing registrations search the query's
@@ -273,8 +276,9 @@ class StreamShareSystem {
   /// Folds the system's own measurements into named registry series:
   /// engine.link.<a>-<b>.bytes and engine.peer.<name>.{work,items} from
   /// the deployment's Metrics, network.{link,peer}.<...>.utilization
-  /// gauges from the committed plan usage, and the per-query latency
-  /// quantiles. Call before exporting a snapshot.
+  /// gauges from the committed plan usage, the result store's
+  /// engine.results.{encoded,shared,store_bytes}, and the per-query
+  /// latency quantiles. Call before exporting a snapshot.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
@@ -399,6 +403,9 @@ class StreamShareSystem {
   std::unique_ptr<Planner> planner_;
   std::unique_ptr<network::SubnetPartition> partition_;
   std::unique_ptr<HierarchicalPlanner> hierarchical_planner_;
+  /// Encoded results of every query (transient unless keep_results);
+  /// declared before graph_ so that it outlives the operators.
+  engine::ResultStore results_;
   engine::OperatorGraph graph_;
   engine::Metrics metrics_;
   /// Engine-side footprint of a registered stream: its tap operators

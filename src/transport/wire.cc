@@ -2,6 +2,21 @@
 
 namespace streamshare::transport {
 
+namespace {
+
+bool KnownFrameType(uint8_t type) {
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kEos:
+    case FrameType::kControl:
+    case FrameType::kControlAck:
+    case FrameType::kResult:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void AppendFrame(std::string* out, FrameType type, std::string_view body,
                  uint8_t version) {
   PutVarint(out, body.size() + 2);  // version + type
@@ -34,8 +49,7 @@ ParseResult ParseFrame(std::string_view buffer, Frame* frame,
   // type is a vocabulary mismatch, not corruption: report it skippable
   // and let the receiver answer with a decodable error.
   if (version < kBaseWireVersion || version > kWireVersion ||
-      type < static_cast<uint8_t>(FrameType::kData) ||
-      type > kMaxKnownFrameType) {
+      !KnownFrameType(type)) {
     return ParseResult::kUnsupported;
   }
   frame->type = static_cast<FrameType>(type);

@@ -16,8 +16,8 @@
 // varint (send tick − earlier tick) | varint queue µs | varint transport µs;
 // flags bit 0 marks a stamped item, and the encoding is stateless per
 // frame. Version 2 only exists to carry it: RESULT frames are emitted at
-// version 2, every other frame at version 1. Type codes 1, 3 and 4 (DATA,
-// CREDIT, ERROR) are reserved; nothing sends them.
+// version 2, every other frame at version 1. Type codes 1, 3 and 4 belonged
+// to the retired DATA, CREDIT and ERROR frames and now parse as unknown.
 //
 // See docs/TRANSPORT.md for the full format table.
 
@@ -46,11 +46,10 @@ inline constexpr uint8_t kWireVersion = 2;
 /// not make it allocate gigabytes.
 inline constexpr uint64_t kMaxFramePayload = 64ull * 1024 * 1024;
 
+/// Type bytes 1, 3 and 4 belonged to retired frame types; they parse as
+/// kUnsupported like any other unknown type.
 enum class FrameType : uint8_t {
-  kData = 1,    // reserved
   kEos = 2,
-  kCredit = 3,  // reserved
-  kError = 4,   // reserved
   // Request/response control channel and the per-query result stream a
   // daemon forwards to attached clients.
   kControl = 5,
@@ -58,11 +57,6 @@ enum class FrameType : uint8_t {
   kResult = 7,
 };
 
-/// Last frame type this build knows how to dispatch. Bytes above this
-/// parse as kUnsupported, not kMalformed, so a newer peer's frames can be
-/// skipped and answered instead of killing the connection.
-inline constexpr uint8_t kMaxKnownFrameType =
-    static_cast<uint8_t>(FrameType::kResult);
 
 // The varints every frame is built from (common/varint.h).
 using ::streamshare::GetVarint;
@@ -76,7 +70,7 @@ void AppendFrame(std::string* out, FrameType type, std::string_view body,
 /// `raw_type` and `version` hold the peer's bytes verbatim (`type` is
 /// meaningless) so a receiver can name what it is rejecting.
 struct Frame {
-  FrameType type = FrameType::kError;
+  FrameType type = FrameType::kControl;
   uint8_t raw_type = 0;
   uint8_t version = kBaseWireVersion;
   std::string_view body;

@@ -55,6 +55,7 @@ std::vector<ItemPtr> MixedItems(size_t count, uint64_t seed) {
 }
 
 struct Pipeline {
+  ResultStore store;
   OperatorGraph graph;
   network::Topology topology;
   std::unique_ptr<Metrics> metrics;
@@ -79,7 +80,8 @@ void BuildPipeline(Pipeline* p, bool keep_items) {
       "proj", std::vector<xml::Path>{P("coord/cel/ra"), P("en")});
   auto* link_op =
       p->graph.Add<LinkOp>("link", p->metrics.get(), *link);
-  auto* sink = p->graph.Add<SinkOp>("sink", keep_items);
+  auto* sink =
+      p->graph.Add<SinkOp>("sink", keep_items ? &p->store : nullptr);
   sink->EnableContentHash();
   select->SetAccounting(p->metrics.get(), p0, 1.0);
   project->SetAccounting(p->metrics.get(), p0, 2.0);
@@ -177,12 +179,13 @@ TEST(BatchOpsTest, WindowAggBatchMatchesItemwise) {
   workload::PhotonGenerator gen(config);
   std::vector<ItemPtr> items = gen.Generate(150);
 
-  auto build = [](OperatorGraph* graph, WindowAggOp** agg_out,
-                  SinkOp** sink_out) {
+  ResultStore store;
+  auto build = [&store](OperatorGraph* graph, WindowAggOp** agg_out,
+                        SinkOp** sink_out) {
     auto* agg = graph->Add<WindowAggOp>(
         "agg", properties::AggregateFunc::kAvg, P("en"),
         properties::WindowSpec::Count(10, 5).value());
-    auto* sink = graph->Add<SinkOp>("sink", /*keep_items=*/true);
+    auto* sink = graph->Add<SinkOp>("sink", &store);
     sink->EnableContentHash();
     agg->AddDownstream(sink);
     *agg_out = agg;
@@ -231,13 +234,14 @@ TEST(BatchOpsTest, BatchErrorMatchesItemwiseErrorAndFlushesPrefix) {
                                 MakeItem(std::move(bad_node)),
                                 make_good("4.0")};
 
+  ResultStore store;
   auto build = [&](OperatorGraph* graph, SelectOp** select_out,
                    SinkOp** sink_out) {
     auto* select = graph->Add<SelectOp>(
         "sel", std::vector<predicate::AtomicPredicate>{
                    predicate::AtomicPredicate::Compare(
                        P("en"), predicate::ComparisonOp::kGe, D("1.0"))});
-    auto* sink = graph->Add<SinkOp>("sink", /*keep_items=*/true);
+    auto* sink = graph->Add<SinkOp>("sink", &store);
     select->AddDownstream(sink);
     *select_out = select;
     *sink_out = sink;

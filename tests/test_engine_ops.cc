@@ -27,6 +27,7 @@ ItemPtr Photon(const char* ra, const char* en) {
 }
 
 TEST(SelectOpTest, FiltersByConjunction) {
+  ResultStore store;
   OperatorGraph graph;
   auto* select = graph.Add<SelectOp>(
       "sel", std::vector<predicate::AtomicPredicate>{
@@ -36,7 +37,7 @@ TEST(SelectOpTest, FiltersByConjunction) {
                      P("coord/cel/ra"), predicate::ComparisonOp::kLe,
                      D("200.0")),
              });
-  auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   select->AddDownstream(sink);
 
   ASSERT_TRUE(RunItems(select, {Photon("120.0", "1.5"),
@@ -59,10 +60,11 @@ TEST(SelectOpTest, EmptyConjunctionPassesEverything) {
 }
 
 TEST(ProjectOpTest, KeepsCoveredSubtreesAndAncestors) {
+  ResultStore store;
   OperatorGraph graph;
   auto* project = graph.Add<ProjectOp>(
       "proj", std::vector<xml::Path>{P("coord/cel/ra"), P("en")});
-  auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   project->AddDownstream(sink);
 
   ASSERT_TRUE(RunItems(project, {Photon("120.0", "1.5")}).ok());
@@ -74,10 +76,11 @@ TEST(ProjectOpTest, KeepsCoveredSubtreesAndAncestors) {
 }
 
 TEST(ProjectOpTest, AncestorPathKeepsWholeSubtree) {
+  ResultStore store;
   OperatorGraph graph;
   auto* project =
       graph.Add<ProjectOp>("proj", std::vector<xml::Path>{P("coord")});
-  auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   project->AddDownstream(sink);
   ASSERT_TRUE(RunItems(project, {Photon("120.0", "1.5")}).ok());
   const xml::XmlNode& item = *sink->items()[0];
@@ -87,10 +90,11 @@ TEST(ProjectOpTest, AncestorPathKeepsWholeSubtree) {
 }
 
 TEST(ProjectOpTest, NothingMatchingYieldsEmptyItemShell) {
+  ResultStore store;
   OperatorGraph graph;
   auto* project =
       graph.Add<ProjectOp>("proj", std::vector<xml::Path>{P("missing")});
-  auto* sink = graph.Add<SinkOp>("sink", /*keep_items=*/true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   project->AddDownstream(sink);
   ASSERT_TRUE(RunItems(project, {Photon("1", "2")}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]), "<photon/>");
@@ -170,9 +174,10 @@ TEST(ExecutorTest, RunStreamsInterleavesSources) {
 }
 
 TEST(RunStreamsTest, SkipsExhaustedStreamsRoundRobin) {
+  ResultStore store;
   OperatorGraph graph;
-  auto* sink_a = graph.Add<SinkOp>("a", /*keep_items=*/true);
-  auto* sink_b = graph.Add<SinkOp>("b", /*keep_items=*/true);
+  auto* sink_a = graph.Add<SinkOp>("a", &store);
+  auto* sink_b = graph.Add<SinkOp>("b", &store);
   // Unequal lengths: stream B exhausts first, A must keep flowing.
   std::vector<ItemPtr> a_items, b_items;
   for (const char* en : {"0", "1", "2", "3", "4"}) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,6 +69,25 @@ class StampProbeOp final : public engine::Operator {
   }
 };
 
+/// Forwards each batch once the clock has moved past its slots' ingress
+/// ticks, so that every delivery's measured latency is at least one clock
+/// step: a push faster than the clock's resolution reads 0 µs otherwise.
+class ClockStepOp final : public engine::Operator {
+ public:
+  using Operator::Operator;
+
+ protected:
+  Status ProcessBatch(ItemBatch* batch) override {
+    uint64_t latest = 0;
+    for (size_t i = 0; i < batch->size(); ++i) {
+      latest = std::max(latest, batch->slot(i).stamp.ingress_us);
+    }
+    while (NowUs() <= latest) {
+    }
+    return EmitBatch(batch);
+  }
+};
+
 // avg(en) over tumbling count windows of 3 → stamp probe → sink, fed one
 // batch of 8 photons with slot i stamped at tick 1000 + i (the feed keeps
 // pre-set stamps). Windows 0 and 1 close mid-batch, on slots 3 and 6, and
@@ -109,8 +129,10 @@ TEST(WindowStampTest, EmissionsCarryClosingSlotStampSerially) {
 TEST(SinkLatencyTest, SerialRunStampsAndRecordsEveryItem) {
   engine::OperatorGraph graph;
   auto* entry = graph.Add<engine::PassOp>("entry");
+  auto* step = graph.Add<ClockStepOp>("step");
   auto* sink = graph.Add<engine::SinkOp>("sink");
-  entry->AddDownstream(sink);
+  entry->AddDownstream(step);
+  step->AddDownstream(sink);
   sink->EnableLatencyRecording("latency_plane_unit_serial");
 
   std::vector<ItemPtr> fed;

@@ -37,11 +37,12 @@ TEST(CombineOpTest, CartesianProductInNestedLoopOrder) {
       "<o> { for $p in stream(\"s\")/r/i for $q in stream(\"t\")/r/j "
       "where $p/a >= 0 and $q/b >= 0 "
       "return <pair> { $p/a } { $q/b } </pair> } </o>");
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* combiner = graph.Add<engine::CombineOp>("c", query);
   auto* port0 = graph.Add<engine::CombinePortOp>("p0", combiner, 0);
   auto* port1 = graph.Add<engine::CombinePortOp>("p1", combiner, 1);
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   combiner->AddDownstream(sink);
 
   ASSERT_TRUE(PushItems(port0, {Item("i", "a", 1)}).ok());
@@ -68,11 +69,12 @@ TEST(CombineOpTest, JoinConditionsFilterTuples) {
   auto query = Analyze(
       "<o> { for $p in stream(\"s\")/r/i for $q in stream(\"t\")/r/j "
       "where $p/a = $q/b return <m> { $p/a } </m> } </o>");
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* combiner = graph.Add<engine::CombineOp>("c", query);
   auto* port0 = graph.Add<engine::CombinePortOp>("p0", combiner, 0);
   auto* port1 = graph.Add<engine::CombinePortOp>("p1", combiner, 1);
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   combiner->AddDownstream(sink);
 
   for (int a : {1, 2, 3}) {
@@ -93,11 +95,12 @@ TEST(CombineOpTest, EmptyInputYieldsEmptyProduct) {
   auto query = Analyze(
       "<o> { for $p in stream(\"s\")/r/i for $q in stream(\"t\")/r/j "
       "where $p/a >= 0 and $q/b >= 0 return <m/> } </o>");
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* combiner = graph.Add<engine::CombineOp>("c", query);
   auto* port0 = graph.Add<engine::CombinePortOp>("p0", combiner, 0);
   auto* port1 = graph.Add<engine::CombinePortOp>("p1", combiner, 1);
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   combiner->AddDownstream(sink);
   ASSERT_TRUE(PushItems(port0, {Item("i", "a", 1)}).ok());
   ASSERT_TRUE(port0->Finish().ok());

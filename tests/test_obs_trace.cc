@@ -288,7 +288,6 @@ TEST(TraceRecorderTest, DisabledRecorderRecordsNothing) {
 TEST(TraceRecorderTest, NestedSpansSerializeWellFormed) {
   TraceRecorder recorder;
   recorder.SetEnabled(true);
-  recorder.SetThreadName("main-track");
   {
     TraceSpan outer(&recorder, "outer", "test");
     ASSERT_TRUE(outer.active());
@@ -303,24 +302,18 @@ TEST(TraceRecorderTest, NestedSpansSerializeWellFormed) {
   EXPECT_EQ(recorder.event_count(), 3u);
 
   std::vector<JsonValue> events = TraceEvents(recorder.ToJson());
-  // 3 recorded events + 1 thread_name metadata record.
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 3u);
   CheckRequiredFields(events);
   CheckNestingPerTrack(events);
 
-  bool saw_metadata = false, saw_outer = false;
+  bool saw_outer = false;
   for (const JsonValue& event : events) {
-    if (event.At("ph").string == "M") {
-      saw_metadata = true;
-      EXPECT_EQ(event.At("args").At("name").string, "main-track");
-    }
     if (event.At("name").string == "outer") {
       saw_outer = true;
       EXPECT_DOUBLE_EQ(event.At("args").At("C(P)").number, 0.125);
       EXPECT_EQ(event.At("args").At("peer").string, "SP3");
     }
   }
-  EXPECT_TRUE(saw_metadata);
   EXPECT_TRUE(saw_outer);
 }
 
@@ -343,8 +336,7 @@ TEST(TraceRecorderTest, ThreadsGetDistinctTracks) {
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      recorder.SetThreadName("thread-" + std::to_string(t));
+    threads.emplace_back([&recorder] {
       for (int i = 0; i < 3; ++i) {
         TraceSpan span(&recorder, "work", "test");
       }
@@ -356,16 +348,11 @@ TEST(TraceRecorderTest, ThreadsGetDistinctTracks) {
   CheckRequiredFields(events);
   CheckNestingPerTrack(events);
   std::map<double, int> spans_per_tid;
-  int metadata = 0;
   for (const JsonValue& event : events) {
-    if (event.At("ph").string == "X") {
-      spans_per_tid[event.At("tid").number]++;
-    } else if (event.At("ph").string == "M") {
-      ++metadata;
-    }
+    EXPECT_EQ(event.At("ph").string, "X");
+    spans_per_tid[event.At("tid").number]++;
   }
   EXPECT_EQ(spans_per_tid.size(), static_cast<size_t>(kThreads));
-  EXPECT_EQ(metadata, kThreads);
   for (const auto& [tid, count] : spans_per_tid) EXPECT_EQ(count, 3);
 }
 

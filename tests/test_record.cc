@@ -215,116 +215,52 @@ TEST(PhotonRecordTest, ProjectionMatchesTreeProjection) {
             "</coord></photon>");
 }
 
-// --- Wire codec: record fast path vs the tree path. ---
+// --- Encoding records: ItemWriter::Record vs a fresh tree encoding. ---
 
-TEST(RecordCodecTest, EncodeRecordMatchesTreeEncodingByteForByte) {
+/// ItemWriter::Record of `record`, the encoder every record result runs.
+std::string WriteRecord(const PhotonRecord& record) {
+  engine::ItemWriter writer;
+  std::string bytes;
+  writer.Begin(&bytes);
+  writer.Record(record, PhotonSchema::kPhoton);
+  EXPECT_EQ(writer.xml_size(), record.SerializedSize());
+  EXPECT_EQ(writer.content_hash(), record.ContentHash());
+  return bytes;
+}
+
+std::string FreshTreeEncoding(const PhotonRecord& record) {
+  engine::ItemEncoder encoder;
+  std::string bytes;
+  encoder.Encode(*MakeItem(record.MaterializeXml()), &bytes);
+  return bytes;
+}
+
+TEST(RecordCodecTest, WriterRecordMatchesTreeEncodingByteForByte) {
   workload::PhotonGenerator gen(workload::PhotonGenConfig{});
-  engine::ItemEncoder record_encoder;
-  engine::ItemEncoder tree_encoder;
-  std::string record_bytes;
-  std::string tree_bytes;
   for (int i = 0; i < 50; ++i) {
     PhotonRecord record = gen.NextRecord();
-    record_bytes.clear();
-    tree_bytes.clear();
-    record_encoder.EncodeRecord(record, &record_bytes);
-    tree_encoder.Encode(*MakeItem(record.MaterializeXml()), &tree_bytes);
-    ASSERT_EQ(record_bytes, tree_bytes) << "item " << i;
+    ASSERT_EQ(WriteRecord(record), FreshTreeEncoding(record))
+        << "item " << i;
   }
 }
 
-TEST(RecordCodecTest, MixedRecordAndTreeEncodingSharesOneDictionary) {
-  // Alternating record- and tree-encoded photons through ONE encoder must
-  // decode cleanly: both paths register dictionary names identically.
-  workload::PhotonGenerator gen(workload::PhotonGenConfig{});
-  engine::ItemEncoder encoder;
-  engine::ItemDecoder decoder;
-  for (int i = 0; i < 20; ++i) {
-    PhotonRecord record = gen.NextRecord();
-    std::string bytes;
-    if (i % 2 == 0) {
-      encoder.EncodeRecord(record, &bytes);
-    } else {
-      encoder.Encode(*MakeItem(record.MaterializeXml()), &bytes);
-    }
-    ItemBatch::Slot slot;
-    ASSERT_TRUE(decoder.DecodeSlot(bytes, &slot).ok()) << "item " << i;
-    ASSERT_TRUE(slot.is_record);
-    EXPECT_EQ(xml::WriteCompact(*slot.record.MaterializeXml()),
-              xml::WriteCompact(*record.MaterializeXml()));
-  }
-}
-
-TEST(RecordCodecTest, ProjectedRecordDecodesBackToARecord) {
-  // A projected record encodes a subsequence of the schema's children;
-  // the record decoder skips the absent ones (here coord/cel and every
-  // photon child between coord and en) and still yields a record.
+TEST(RecordCodecTest, ProjectedRecordWritesItsTreeEncoding) {
+  // A projected record writes a subsequence of the schema's children
+  // (here no coord/cel and nothing between coord and en); the bytes are a
+  // fresh encoder's, and they decode back to the projected tree.
   PhotonRecord record;
   ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));
   std::vector<xml::Path> paths{xml::Path::Parse("coord/det").value(),
                                xml::Path::Parse("en").value()};
   PhotonRecord projected = record.Project(CompileProjectionMask(paths));
 
-  engine::ItemEncoder encoder;
+  std::string bytes = WriteRecord(projected);
+  EXPECT_EQ(bytes, FreshTreeEncoding(projected));
   engine::ItemDecoder decoder;
-  std::string bytes;
-  encoder.EncodeRecord(projected, &bytes);
-  ItemBatch::Slot slot;
-  ASSERT_TRUE(decoder.DecodeSlot(bytes, &slot).ok());
-  ASSERT_TRUE(slot.is_record);
-  EXPECT_EQ(xml::WriteCompact(*slot.record.MaterializeXml()),
-            xml::WriteCompact(*projected.MaterializeXml()));
-  EXPECT_EQ(slot.record.ContentHash(), projected.ContentHash());
-}
-
-TEST(RecordCodecTest, DecodeSlotFallsBackToTreeForNonPhotons) {
-  engine::ItemEncoder encoder;
-  engine::ItemDecoder decoder;
-
-  auto wagg = std::make_unique<xml::XmlNode>("wagg");
-  wagg->AddLeaf("seq", "3");
-  wagg->AddLeaf("sum", "12.5");
-  ItemPtr item = MakeItem(std::move(wagg));
-  std::string bytes;
-  encoder.Encode(*item, &bytes);
-
-  ItemBatch::Slot slot;
-  ASSERT_TRUE(decoder.DecodeSlot(bytes, &slot).ok());
-  EXPECT_FALSE(slot.is_record);
-  ASSERT_NE(slot.item, nullptr);
-  EXPECT_EQ(xml::WriteCompact(*slot.item), xml::WriteCompact(*item));
-
-  // A conforming photon after the fallback still takes the record path —
-  // the rollback left the decoder dictionary in lockstep.
-  PhotonRecord record;
-  ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));
-  bytes.clear();
-  encoder.EncodeRecord(record, &bytes);
-  ASSERT_TRUE(decoder.DecodeSlot(bytes, &slot).ok());
-  EXPECT_TRUE(slot.is_record);
-  EXPECT_EQ(slot.record.ContentHash(), record.ContentHash());
-}
-
-TEST(RecordCodecTest, DecodeSlotRejectsCorruptFramesLikeDecode) {
-  // A corrupt body must raise the same error through DecodeSlot as
-  // through the generic Decode — the record automaton's rollback re-runs
-  // the tree path, it never invents its own error.
-  engine::ItemEncoder encoder;
-  PhotonRecord record;
-  ASSERT_TRUE(PhotonRecord::FromXml(*FullPhoton(), &record));
-  std::string bytes;
-  encoder.EncodeRecord(record, &bytes);
-  std::string corrupt = bytes.substr(0, bytes.size() / 2);
-
-  engine::ItemDecoder slot_decoder;
-  engine::ItemDecoder tree_decoder;
-  ItemBatch::Slot slot;
-  Status via_slot = slot_decoder.DecodeSlot(corrupt, &slot);
   std::unique_ptr<xml::XmlNode> tree;
-  Status via_tree = tree_decoder.Decode(corrupt, &tree);
-  EXPECT_FALSE(via_slot.ok());
-  EXPECT_FALSE(via_tree.ok());
-  EXPECT_EQ(via_slot.ToString(), via_tree.ToString());
+  ASSERT_TRUE(decoder.Decode(bytes, &tree).ok());
+  EXPECT_EQ(xml::WriteCompact(*tree),
+            xml::WriteCompact(*projected.MaterializeXml()));
 }
 
 }  // namespace

@@ -37,9 +37,10 @@ TEST(RestructureTest, BuildsReturnElements) {
       "<photons> { for $p in stream(\"photons\")/photons/photon "
       "where $p/en >= 1.0 "
       "return <vela> { $p/coord/cel/ra } { $p/en } </vela> } </photons>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
 
   ASSERT_TRUE(RunItems(restructure, {Photon("120.5", "1.5")}).ok());
@@ -52,9 +53,10 @@ TEST(RestructureTest, WholeItemOutput) {
   auto query = Analyze(
       "<out> { for $p in stream(\"photons\")/photons/photon "
       "where $p/en >= 0 return $p } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
   ItemPtr photon = Photon("1.0", "2.0");
   ASSERT_TRUE(RunItems(restructure, {photon}).ok());
@@ -68,9 +70,10 @@ TEST(RestructureTest, ConditionalBranches) {
       "where $p/en >= 0 "
       "return if $p/en >= 1.0 then <hard> { $p/en } </hard> "
       "else <soft> { $p/en } </soft> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
   ASSERT_TRUE(
       RunItems(restructure, {Photon("1", "1.5"), Photon("2", "0.5")})
@@ -86,9 +89,10 @@ TEST(RestructureTest, SequenceEmitsMultipleItems) {
       "where $p/en >= 0 "
       "return ( <a> { $p/en } </a>, <b> { $p/coord/cel/ra } </b> ) } "
       "</out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
   ASSERT_TRUE(RunItems(restructure, {Photon("7.0", "1.0")}).ok());
   ASSERT_EQ(sink->item_count(), 2u);
@@ -102,9 +106,10 @@ TEST(RestructureTest, NestedElementConstructors) {
       "where $p/en >= 0 "
       "return <hit><pos> { $p/coord/cel/ra } </pos><meta><src/></meta>"
       "</hit> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
   ASSERT_TRUE(RunItems(restructure, {Photon("3.0", "1.0")}).ok());
   EXPECT_EQ(xml::WriteCompact(*sink->items()[0]),
@@ -116,9 +121,10 @@ TEST(RestructureTest, AggregateValueOutput) {
       "<photons> { for $w in stream(\"photons\")/photons/photon "
       "|det_time diff 20 step 10| let $a := avg($w/en) "
       "return <avg_en> { $a } </avg_en> } </photons>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
 
   AggItem window;
@@ -143,9 +149,10 @@ TEST(RestructureTest, PathOutputWithMultipleMatches) {
   auto query = Analyze(
       "<out> { for $p in stream(\"s\")/root/item where $p/n >= 0 "
       "return <all> { $p/tag } </all> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
 
   auto item = std::make_unique<xml::XmlNode>("item");
@@ -161,9 +168,10 @@ TEST(RestructureTest, OutputPathConditionsFilterSubtrees) {
   auto query = Analyze(
       "<out> { for $p in stream(\"s\")/root/item where $p/n >= 0 "
       "return <big> { $p/reading[v >= 10] } </big> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
 
   auto item = std::make_unique<xml::XmlNode>("item");
@@ -183,9 +191,10 @@ TEST(RestructureTest, MidPathConditionsFilterAtTheirStep) {
       "<out> { for $p in stream(\"s\")/root/item where $p/n >= 0 "
       "return <good> { $p/sensor[quality >= 5]/reading[v >= 10] } "
       "</good> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
 
   auto item = std::make_unique<xml::XmlNode>("item");
@@ -210,9 +219,10 @@ TEST(RestructureTest, MissingElementsYieldEmptyOutput) {
       "<out> { for $p in stream(\"photons\")/photons/photon "
       "where $p/en >= 0 "
       "return <v> { $p/coord/det/dx } </v> } </out>");
+  ResultStore store;
   OperatorGraph graph;
-  auto* restructure = graph.Add<RestructureOp>("r", query);
-  auto* sink = graph.Add<SinkOp>("s", true);
+  auto* restructure = graph.Add<RestructureOp>("r", query, &store);
+  auto* sink = graph.Add<SinkOp>("s", &store);
   restructure->AddDownstream(sink);
   ASSERT_TRUE(RunItems(restructure, {Photon("1", "1")}).ok());
   // No det/dx in the item: the constructed element is simply empty.

@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,6 +81,9 @@ struct RawClient {
   /// query id -> seq -> the decoded delivery.
   std::map<int64_t, std::map<uint64_t, std::unique_ptr<xml::XmlNode>>>
       trees;
+  /// query id -> seq -> (delivery tick, encoded item) of the frame.
+  std::map<int64_t, std::map<uint64_t, std::pair<uint64_t, std::string>>>
+      frames;
 
   /// Dials the daemon; a nonzero `rcvbuf` shrinks the receive buffer
   /// before the connection is made.
@@ -218,6 +223,8 @@ struct RawClient {
     query.next_seq = result.seq + 1;
     ++results_seen;
     trees[result.query_id][result.seq] = std::move(item);
+    frames[result.query_id][result.seq] = {result.delivery_us,
+                                           std::string(result.item)};
     return Status::Ok();
   }
 
@@ -892,6 +899,52 @@ TEST(ServeDaemon, MidLogAttachDecodesEveryResultBodyOnItsOwn) {
     ASSERT_EQ(got.count(seq), 1u) << "seq " << seq;
     EXPECT_TRUE(got.at(seq)->Equals(*first->trees[query].at(seq)))
         << "seq " << seq;
+  }
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+}
+
+TEST(ServeDaemon, ReattachAtZeroGetsTheTicksTheFirstLifeSent) {
+  workload::ScenarioSpec scenario =
+      workload::GridScenario(/*seed=*/13, /*query_count=*/20);
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  auto first = RawClient::Connect(daemon->port());
+  ASSERT_NE(first, nullptr);
+  ASSERT_TRUE(first->Hello().ok());
+  auto accepted = first->SubscribeAll(scenario);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  // Several feeds: each forwarding pass stamps its deliveries with a tick
+  // of its own.
+  for (int feed = 0; feed < 5; ++feed) {
+    ASSERT_TRUE(first->Call(RawClient::FeedRequest(40)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  int64_t query = -1;
+  uint64_t delivered = 0;
+  for (const auto& [id, results] : first->results) {
+    if (results.items > delivered) {
+      query = id;
+      delivered = results.items;
+    }
+  }
+  const auto& sent = first->frames[query];
+  ASSERT_EQ(sent.size(), delivered);
+  std::set<uint64_t> ticks;
+  for (const auto& [seq, frame] : sent) ticks.insert(frame.first);
+  ASSERT_GT(ticks.size(), 1u) << "the feeds' passes share one tick";
+  ASSERT_TRUE(first->Detach().ok());
+
+  auto again = RawClient::Connect(daemon->port());
+  ASSERT_NE(again, nullptr);
+  ASSERT_TRUE(again->Hello().ok());
+  ASSERT_TRUE(again->Attach(query, 0).ok());
+  ASSERT_TRUE(again->Call(RawClient::FeedRequest(20)).ok());
+  const auto& resent = again->frames[query];
+  for (uint64_t seq = 0; seq < delivered; ++seq) {
+    ASSERT_EQ(resent.count(seq), 1u) << "seq " << seq;
+    EXPECT_EQ(resent.at(seq).first, sent.at(seq).first) << "seq " << seq;
+    EXPECT_EQ(resent.at(seq).second, sent.at(seq).second) << "seq " << seq;
   }
   daemon->RequestDrain(/*final_drain=*/true);
   daemon->Join();

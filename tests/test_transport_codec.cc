@@ -64,8 +64,8 @@ TEST(VarintTest, RejectsTruncatedAndOverlongInput) {
 }
 
 TEST(FrameTest, RoundTripsEveryType) {
-  for (FrameType type : {FrameType::kData, FrameType::kEos,
-                         FrameType::kCredit, FrameType::kError}) {
+  for (FrameType type : {FrameType::kEos, FrameType::kControl,
+                         FrameType::kControlAck, FrameType::kResult}) {
     std::string buffer;
     transport::AppendFrame(&buffer, type, "payload");
     transport::Frame frame;
@@ -80,7 +80,7 @@ TEST(FrameTest, RoundTripsEveryType) {
 
 TEST(FrameTest, PartialBufferNeedsMore) {
   std::string buffer;
-  transport::AppendFrame(&buffer, FrameType::kData, "some item bytes");
+  transport::AppendFrame(&buffer, FrameType::kResult, "some item bytes");
   transport::Frame frame;
   size_t consumed = 0;
   for (size_t cut = 0; cut < buffer.size(); ++cut) {
@@ -96,7 +96,7 @@ TEST(FrameTest, UnknownVersionOrTypeIsSkippableNotFatal) {
   // kUnsupported with `consumed` covering the whole frame, so a receiver
   // can skip it, answer with a decodable error, and keep the connection.
   std::string good;
-  transport::AppendFrame(&good, FrameType::kData, "x");
+  transport::AppendFrame(&good, FrameType::kControl, "x");
   transport::Frame frame;
   size_t consumed = 0;
 
@@ -115,6 +115,17 @@ TEST(FrameTest, UnknownVersionOrTypeIsSkippableNotFatal) {
   EXPECT_EQ(consumed, bad_type.size());
   EXPECT_EQ(frame.raw_type, 0x7f);
 
+  // The type bytes of the retired DATA, CREDIT and ERROR frames are as
+  // unknown as any other, and so is 0.
+  for (uint8_t retired : {0, 1, 3, 4}) {
+    std::string old_type = good;
+    old_type[2] = static_cast<char>(retired);
+    EXPECT_EQ(transport::ParseFrame(old_type, &frame, &consumed),
+              transport::ParseResult::kUnsupported)
+        << "type " << int{retired};
+    EXPECT_EQ(frame.raw_type, retired);
+  }
+
   // A frame following the unsupported one must still parse: the stream
   // survives the vocabulary mismatch.
   std::string mixed = bad_type + good;
@@ -123,7 +134,7 @@ TEST(FrameTest, UnknownVersionOrTypeIsSkippableNotFatal) {
   mixed.erase(0, consumed);
   ASSERT_EQ(transport::ParseFrame(mixed, &frame, &consumed),
             transport::ParseResult::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kData);
+  EXPECT_EQ(frame.type, FrameType::kControl);
   EXPECT_EQ(frame.body, "x");
 }
 
@@ -144,18 +155,18 @@ TEST(FrameVersionTest, DefaultFramesAreByteIdenticalToPriorWire) {
   // A frame without the stamp extension must serialize exactly as wire
   // version 1 did before the extension existed: len varint, version byte
   // 1, type byte, body. Old decoders keep working on every frame the new
-  // code emits for EOS/CREDIT/ERROR and unstamped DATA.
+  // code emits without the extension (CONTROL, CONTROL_ACK, EOS).
   std::string frame;
-  transport::AppendFrame(&frame, FrameType::kData, "abc");
+  transport::AppendFrame(&frame, FrameType::kControl, "abc");
   std::string expected;
   transport::PutVarint(&expected, 3 + 2);
   expected.push_back(static_cast<char>(transport::kBaseWireVersion));
-  expected.push_back(static_cast<char>(FrameType::kData));
+  expected.push_back(static_cast<char>(FrameType::kControl));
   expected += "abc";
   EXPECT_EQ(frame, expected);
 
   std::string explicit_v1;
-  transport::AppendFrame(&explicit_v1, FrameType::kData, "abc",
+  transport::AppendFrame(&explicit_v1, FrameType::kControl, "abc",
                          transport::kBaseWireVersion);
   EXPECT_EQ(explicit_v1, frame);
 }
@@ -164,7 +175,7 @@ TEST(FrameVersionTest, BothVersionsRoundTripAndReportTheirVersion) {
   for (uint8_t version :
        {transport::kBaseWireVersion, transport::kWireVersion}) {
     std::string buffer;
-    transport::AppendFrame(&buffer, FrameType::kData, "payload", version);
+    transport::AppendFrame(&buffer, FrameType::kResult, "payload", version);
     transport::Frame frame;
     size_t consumed = 0;
     ASSERT_EQ(transport::ParseFrame(buffer, &frame, &consumed),
@@ -182,14 +193,14 @@ TEST(FrameVersionTest, PriorVersionFrameStillDecodes) {
   std::string old_wire;
   transport::PutVarint(&old_wire, 2 + 7);
   old_wire.push_back(1);  // the literal pre-extension version byte
-  old_wire.push_back(static_cast<char>(FrameType::kError));
+  old_wire.push_back(static_cast<char>(FrameType::kEos));
   old_wire += "oh dear";
   transport::Frame frame;
   size_t consumed = 0;
   ASSERT_EQ(transport::ParseFrame(old_wire, &frame, &consumed),
             transport::ParseResult::kFrame);
   EXPECT_EQ(frame.version, transport::kBaseWireVersion);
-  EXPECT_EQ(frame.type, FrameType::kError);
+  EXPECT_EQ(frame.type, FrameType::kEos);
   EXPECT_EQ(frame.body, "oh dear");
 }
 

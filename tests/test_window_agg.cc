@@ -96,10 +96,11 @@ TEST(AggItemTest, ParseRejectsMalformed) {
 }
 
 TEST(WindowAggTest, TumblingCountWindowSums) {
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>("agg", AggregateFunc::kSum, P("x"),
                                      WindowSpec::Count(3).value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
 
   std::vector<ItemPtr> items;
@@ -117,10 +118,11 @@ TEST(WindowAggTest, TumblingCountWindowSums) {
 }
 
 TEST(WindowAggTest, SlidingCountWindowOverlaps) {
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>("agg", AggregateFunc::kSum, P("x"),
                                      WindowSpec::Count(4, 2).value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 1; i <= 8; ++i) items.push_back(TimedItem(i, 1.0));
@@ -138,10 +140,11 @@ TEST(WindowAggTest, SlidingCountWindowOverlaps) {
 TEST(WindowAggTest, SamplingCountWindowSkipsItems) {
   // Window of 2 items every 4 items: items 2,3 (0-based) fall between
   // windows.
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>("agg", AggregateFunc::kCount, P("x"),
                                      WindowSpec::Count(2, 4).value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 8; ++i) items.push_back(TimedItem(i, i));
@@ -153,12 +156,13 @@ TEST(WindowAggTest, SamplingCountWindowSkipsItems) {
 }
 
 TEST(WindowAggTest, TimeWindowsAnchoredAtZero) {
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>(
       "agg", AggregateFunc::kAvg, P("x"),
       WindowSpec::Diff(P("t"), Decimal::FromInt(20), Decimal::FromInt(10))
           .value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
 
   // Items at t = 5, 15, 25, 35: window 0 = [0,20) holds {5,15},
@@ -176,11 +180,12 @@ TEST(WindowAggTest, TimeWindowsAnchoredAtZero) {
 }
 
 TEST(WindowAggTest, EmptyTimeWindowsAreEmittedForContinuity) {
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>(
       "agg", AggregateFunc::kSum, P("x"),
       WindowSpec::Diff(P("t"), Decimal::FromInt(10)).value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
   // A gap: items at t=5 and t=35; windows [10,20) and [20,30) are empty.
   ASSERT_TRUE(
@@ -194,11 +199,12 @@ TEST(WindowAggTest, EmptyTimeWindowsAreEmittedForContinuity) {
 }
 
 TEST(WindowAggTest, StreamStartingLateFastForwards) {
+  ResultStore store;
   OperatorGraph graph;
   auto* agg = graph.Add<WindowAggOp>(
       "agg", AggregateFunc::kSum, P("x"),
       WindowSpec::Diff(P("t"), Decimal::FromInt(10)).value());
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   agg->AddDownstream(sink);
   // First item at t = 1000: no flood of empty windows for [0,1000).
   ASSERT_TRUE(
@@ -222,13 +228,14 @@ TEST(WindowAggTest, UnsortedTimeStreamIsRejected) {
 }
 
 TEST(WindowAggTest, MinMaxCarryExtremum) {
+  ResultStore store;
   OperatorGraph graph;
   auto* min_agg = graph.Add<WindowAggOp>("min", AggregateFunc::kMin, P("x"),
                                          WindowSpec::Count(3).value());
   auto* max_agg = graph.Add<WindowAggOp>("max", AggregateFunc::kMax, P("x"),
                                          WindowSpec::Count(3).value());
-  auto* min_sink = graph.Add<SinkOp>("s1", true);
-  auto* max_sink = graph.Add<SinkOp>("s2", true);
+  auto* min_sink = graph.Add<SinkOp>("s1", &store);
+  auto* max_sink = graph.Add<SinkOp>("s2", &store);
   min_agg->AddDownstream(min_sink);
   max_agg->AddDownstream(max_sink);
   std::vector<ItemPtr> items{TimedItem(1, 5), TimedItem(2, 2),
@@ -248,18 +255,19 @@ TEST(AggCombineTest, PaperFig5Recombination) {
       WindowSpec::Diff(P("t"), Decimal::FromInt(60), Decimal::FromInt(40))
           .value();
 
+  ResultStore store;
   OperatorGraph graph;
   auto* fine_agg =
       graph.Add<WindowAggOp>("fine", AggregateFunc::kAvg, P("x"), fine);
   auto* combine =
       graph.Add<AggCombineOp>("combine", AggregateFunc::kAvg, fine, coarse);
-  auto* combined_sink = graph.Add<SinkOp>("cs", true);
+  auto* combined_sink = graph.Add<SinkOp>("cs", &store);
   fine_agg->AddDownstream(combine);
   combine->AddDownstream(combined_sink);
 
   auto* direct_agg =
       graph.Add<WindowAggOp>("direct", AggregateFunc::kAvg, P("x"), coarse);
-  auto* direct_sink = graph.Add<SinkOp>("ds", true);
+  auto* direct_sink = graph.Add<SinkOp>("ds", &store);
   direct_agg->AddDownstream(direct_sink);
 
   std::vector<ItemPtr> items;
@@ -300,14 +308,15 @@ TEST_P(CombineSweep, RecombinationMatchesDirectAggregation) {
   for (AggregateFunc func :
        {AggregateFunc::kSum, AggregateFunc::kCount, AggregateFunc::kAvg,
         AggregateFunc::kMin, AggregateFunc::kMax}) {
+    ResultStore store;
     OperatorGraph graph;
     auto* fine_agg = graph.Add<WindowAggOp>("f", func, P("x"), fine);
     auto* combine = graph.Add<AggCombineOp>("c", func, fine, coarse);
-    auto* cs = graph.Add<SinkOp>("cs", true);
+    auto* cs = graph.Add<SinkOp>("cs", &store);
     fine_agg->AddDownstream(combine);
     combine->AddDownstream(cs);
     auto* direct = graph.Add<WindowAggOp>("d", func, P("x"), coarse);
-    auto* ds = graph.Add<SinkOp>("ds", true);
+    auto* ds = graph.Add<SinkOp>("ds", &store);
     direct->AddDownstream(ds);
 
     std::vector<ItemPtr> items;
@@ -344,6 +353,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CombineCase{10, 10, 100, 50}));
 
 TEST(AggFilterTest, FiltersOnFinalizedValue) {
+  ResultStore store;
   OperatorGraph graph;
   auto* filter = graph.Add<AggFilterOp>(
       "filter", AggregateFunc::kAvg,
@@ -352,7 +362,7 @@ TEST(AggFilterTest, FiltersOnFinalizedValue) {
               properties::AggregateValuePath(),
               predicate::ComparisonOp::kGe, Decimal::Parse("1.3").value()),
       });
-  auto* sink = graph.Add<SinkOp>("sink", true);
+  auto* sink = graph.Add<SinkOp>("sink", &store);
   filter->AddDownstream(sink);
 
   AggItem high;

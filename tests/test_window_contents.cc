@@ -28,10 +28,11 @@ engine::ItemPtr Item(double t, double x) {
 }
 
 TEST(WindowContentsOpTest, TumblingCountWindows) {
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* contents = graph.Add<engine::WindowContentsOp>(
       "wc", properties::WindowSpec::Count(2).value());
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   contents->AddDownstream(sink);
 
   ASSERT_TRUE(engine::RunItems(contents, {Item(1, 10), Item(2, 20),
@@ -48,10 +49,11 @@ TEST(WindowContentsOpTest, TumblingCountWindows) {
 }
 
 TEST(WindowContentsOpTest, SlidingWindowsDuplicateMembers) {
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* contents = graph.Add<engine::WindowContentsOp>(
       "wc", properties::WindowSpec::Count(4, 2).value());
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   contents->AddDownstream(sink);
   std::vector<engine::ItemPtr> items;
   for (int i = 0; i < 8; ++i) items.push_back(Item(i, i));
@@ -68,11 +70,12 @@ TEST(WindowContentsOpTest, SlidingWindowsDuplicateMembers) {
 }
 
 TEST(WindowContentsOpTest, TimeWindowsEmitEmptyForContinuity) {
+  engine::ResultStore store;
   engine::OperatorGraph graph;
   auto* contents = graph.Add<engine::WindowContentsOp>(
       "wc", properties::WindowSpec::Diff(P("t"), Decimal::FromInt(10))
                 .value());
-  auto* sink = graph.Add<engine::SinkOp>("sink", true);
+  auto* sink = graph.Add<engine::SinkOp>("sink", &store);
   contents->AddDownstream(sink);
   ASSERT_TRUE(
       engine::RunItems(contents, {Item(5, 1), Item(25, 2)}).ok());
