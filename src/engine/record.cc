@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/string_util.h"
+#include "common/varint.h"
 #include "engine/codec.h"
 #include "predicate/eval.h"
 
@@ -243,14 +244,11 @@ void ItemBatch::AppendItem(const ItemPtr& item, bool adopt,
 }
 
 std::string_view ResultRef::bytes() const {
-  // ResultStore::Append wrote the entry: a well-formed varint length,
-  // then that many bytes.
+  // ResultStore::Append wrote the entry: a well-formed varint length (at
+  // most 10 bytes), then that many bytes.
   const auto* pos = reinterpret_cast<const uint8_t*>(entry_);
   uint64_t size = 0;
-  for (int shift = 0;; shift += 7) {
-    size |= static_cast<uint64_t>(*pos & 0x7f) << shift;
-    if ((*pos++ & 0x80) == 0) break;
-  }
+  GetVarint(&pos, pos + 10, &size);
   return std::string_view(reinterpret_cast<const char*>(pos), size);
 }
 

@@ -328,20 +328,15 @@ Status RestructureOp::EvaluateTree(const xml::XmlNode& item, ItemBatch* out,
 
 std::span<const EncodedResult> RestructureOp::Encode(
     const ItemBatch::Slot& slot) {
-  auto encode = [&](std::vector<EncodedResult>* out) {
-    program_->Emit(slot.record, store_, out);
-  };
-  // The store's table holds one reference to the program and every
-  // operator running it another: with no second operator, or a slot not
-  // derived from a fed item (pushed here directly), there is nobody to
-  // share the result with.
-  if (program_.use_count() <= 2 || slot.origin == 0) {
-    fresh_.clear();
-    encode(&fresh_);
-    return fresh_;
+  const uint16_t mask = slot.record.mask();
+  if (memo_ == nullptr || mask != memo_mask_) {
+    memo_ = store_->MemoFor(program_.get(), mask);
+    memo_mask_ = mask;
   }
-  return store_->Cached({program_.get(), slot.origin, slot.record.mask()},
-                        encode);
+  return store_->Cached(memo_, slot.origin,
+                        [&](std::vector<EncodedResult>* out) {
+                          program_->Emit(slot.record, store_, out);
+                        });
 }
 
 Status RestructureOp::ProcessBatch(ItemBatch* batch) {

@@ -67,8 +67,10 @@ class RestructureOp : public Operator {
   /// shape requires the DOM evaluation (window contents, aggregates,
   /// nested FLWR, step conditions, off-schema structural conditions).
   std::shared_ptr<const ReturnProgram> program_;
-  /// Results of slots that bypass the cache.
-  std::vector<EncodedResult> fresh_;
+  /// The store's encode cache for program_ under memo_mask_, the mask of
+  /// the last record slot.
+  ResultStore::Memo* memo_ = nullptr;
+  uint16_t memo_mask_ = 0;
   ItemBatch scratch_;
 };
 

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/varint.h"
+
 namespace streamshare::engine {
 
 ResultRef ResultStore::Append(std::string_view encoding) {
-  size_t prefix = 1;
-  for (uint64_t rest = encoding.size(); rest >= 0x80; rest >>= 7) ++prefix;
-  const size_t need = prefix + encoding.size();
+  std::string prefix;
+  PutVarint(&prefix, encoding.size());
+  const size_t need = prefix.size() + encoding.size();
   if (chunks_.empty() || chunks_.back().capacity - used_ < need) {
     Chunk chunk;
     chunk.capacity = std::max(kChunkBytes, need);
@@ -17,12 +19,8 @@ ResultRef ResultStore::Append(std::string_view encoding) {
     used_ = 0;
   }
   char* entry = chunks_.back().data.get() + used_;
-  char* out = entry;
-  for (uint64_t rest = encoding.size();; rest >>= 7) {
-    *out++ = static_cast<char>(rest >= 0x80 ? (rest & 0x7f) | 0x80 : rest);
-    if (rest < 0x80) break;
-  }
-  std::memcpy(out, encoding.data(), encoding.size());
+  std::memcpy(entry, prefix.data(), prefix.size());
+  std::memcpy(entry + prefix.size(), encoding.data(), encoding.size());
   used_ += need;
   bytes_ += need;
   ++encoded_;
@@ -30,10 +28,10 @@ ResultRef ResultStore::Append(std::string_view encoding) {
 }
 
 void ResultStore::BeginSourceBatch(ItemBatch* batch) {
+  first_origin_ = next_origin_ + 1;
   for (size_t i = 0; i < batch->size(); ++i) {
     batch->slot(i).origin = ++next_origin_;
   }
-  cache_.clear();
   cached_.clear();
   if (transient_ && !chunks_.empty()) {
     chunks_.resize(1);

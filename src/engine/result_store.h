@@ -13,14 +13,15 @@
 // produced it.
 //
 // The store also holds what restructuring shares across queries: the
-// interned return programs (restructure.cc), and the encode cache that maps
-// (program, fed-item origin, record mask) to the results already encoded
-// for it in the current source batch.
+// interned return programs (restructure.cc), and the encode cache: for
+// each (program, record mask), the results already encoded for each fed
+// item of the current source batch.
 
 #ifndef STREAMSHARE_ENGINE_RESULT_STORE_H_
 #define STREAMSHARE_ENGINE_RESULT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -69,31 +70,50 @@ class ResultStore {
   /// rewinds a transient store.
   void BeginSourceBatch(ItemBatch* batch);
 
-  /// What one return program produced for one fed item under one record
-  /// mask.
-  struct CacheKey {
-    const ReturnProgram* program = nullptr;
-    uint64_t origin = 0;
-    uint16_t mask = 0;
-
-    bool operator==(const CacheKey&) const = default;
+  /// The encode cache of one return program under one record mask: what
+  /// it produced for each fed item of the current source batch, by the
+  /// item's position in the batch.
+  struct Memo {
+    struct Entry {
+      uint64_t origin = 0;  // 0: nothing cached yet
+      uint32_t begin = 0;   // the run of cached_ it produced
+      uint32_t count = 0;
+    };
+    std::vector<Entry> entries;
   };
-  /// The results cached for `key` in the current source batch; on a miss,
-  /// `encode(std::vector<EncodedResult>*)` appends them first. The span is
-  /// valid until the next call.
+  /// The memo of `program` under `mask`; it lives as long as the store.
+  Memo* MemoFor(const ReturnProgram* program, uint16_t mask) {
+    return &memos_[{program, mask}];
+  }
+
+  /// The results `memo` cached for fed item `origin` in the current source
+  /// batch; on a miss, `encode(std::vector<EncodedResult>*)` appends them
+  /// first. An origin that is not one of the current batch's fed items (a
+  /// slot pushed without BeginSourceBatch) is encoded afresh every time.
+  /// The span is valid until the next call.
   template <typename EncodeFn>
-  std::span<const EncodedResult> Cached(const CacheKey& key,
+  std::span<const EncodedResult> Cached(Memo* memo, uint64_t origin,
                                         const EncodeFn& encode) {
-    auto [it, missed] = cache_.try_emplace(key);
-    if (missed) {
-      it->second.begin = cached_.size();
-      encode(&cached_);
-      it->second.count = cached_.size() - it->second.begin;
-    } else {
-      shared_ += it->second.count;
+    if (origin < first_origin_) {
+      fresh_.clear();
+      encode(&fresh_);
+      return fresh_;
     }
-    return std::span<const EncodedResult>(cached_).subspan(
-        it->second.begin, it->second.count);
+    const size_t at = origin - first_origin_;
+    if (memo->entries.size() <= at) {
+      memo->entries.resize(next_origin_ - first_origin_ + 1);
+    }
+    Memo::Entry& entry = memo->entries[at];
+    if (entry.origin == origin) {
+      shared_ += entry.count;
+    } else {
+      entry.origin = origin;
+      entry.begin = static_cast<uint32_t>(cached_.size());
+      encode(&cached_);
+      entry.count = static_cast<uint32_t>(cached_.size() - entry.begin);
+    }
+    return std::span<const EncodedResult>(cached_).subspan(entry.begin,
+                                                           entry.count);
   }
 
   /// The interned programs whose structural hash is `hash`; restructure.cc
@@ -113,15 +133,15 @@ class ResultStore {
   uint64_t bytes() const { return bytes_; }
 
  private:
-  struct CachedRun {
-    size_t begin = 0;
-    size_t count = 0;
+  struct MemoKey {
+    const ReturnProgram* program;
+    uint16_t mask;
+
+    bool operator==(const MemoKey&) const = default;
   };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& key) const {
-      uint64_t h = reinterpret_cast<uintptr_t>(key.program);
-      h = (h ^ key.origin) * 0x9e3779b97f4a7c15ull;
-      return static_cast<size_t>((h ^ key.mask) * 0xbf58476d1ce4e5b9ull);
+  struct MemoKeyHash {
+    size_t operator()(const MemoKey& key) const {
+      return std::hash<const void*>()(key.program) * 31 + key.mask;
     }
   };
 
@@ -135,8 +155,13 @@ class ResultStore {
   std::vector<Chunk> chunks_;
   size_t used_ = 0;
   uint64_t next_origin_ = 0;
-  std::unordered_map<CacheKey, CachedRun, CacheKeyHash> cache_;
+  /// Origins below this are not fed items of the current source batch.
+  uint64_t first_origin_ = 1;
+  std::unordered_map<MemoKey, Memo, MemoKeyHash> memos_;
+  /// The results the memos point into; emptied at every source batch.
   std::vector<EncodedResult> cached_;
+  /// Results of origins that bypass the cache.
+  std::vector<EncodedResult> fresh_;
   std::unordered_map<uint64_t,
                      std::vector<std::shared_ptr<const ReturnProgram>>>
       programs_;

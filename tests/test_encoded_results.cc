@@ -489,6 +489,52 @@ TEST(ResultStoreTest, OneProgramBehindDifferentMasksEncodesPerMask) {
   }
 }
 
+TEST(ResultStoreTest, QueriesWithDistinctProgramsShareNothing) {
+  // Different element names make different programs: every result is
+  // encoded, through the same cache path, and none is handed out twice.
+  for (size_t batch_size : {size_t{1}, size_t{64}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    HarnessPair pair;
+    pair.AddQuery(PhotonQuery("", "<a> { $p/en } </a>"), {"en"});
+    pair.AddQuery(PhotonQuery("", "<b> { $p/en } </b>"), {"en"});
+    std::vector<ItemPtr> photons = Photons(120);
+    pair.RunAndCompare(photons, batch_size);
+    EXPECT_EQ(pair.records.store().encoded(), 2 * photons.size());
+    EXPECT_EQ(pair.records.store().shared(), 0u);
+  }
+}
+
+TEST(ResultStoreTest, SlotsPushedOutsideASourceBatchAreEncodedAfresh) {
+  // A batch pushed straight into the graph has no fed-item origins, so
+  // two operators with one program cannot share: each encodes its own.
+  std::shared_ptr<const wxquery::AnalyzedQuery> query =
+      Analyze(PhotonQuery("", "<v> { $p/en } </v>"));
+  ResultStore store;
+  OperatorGraph graph;
+  auto* entry = graph.Add<PassOp>("entry");
+  std::vector<SinkOp*> sinks;
+  for (int q = 0; q < 2; ++q) {
+    auto* restructure = graph.Add<RestructureOp>("restructure", query, &store);
+    auto* sink = graph.Add<SinkOp>("sink", &store);
+    entry->AddDownstream(restructure);
+    restructure->AddDownstream(sink);
+    sinks.push_back(sink);
+  }
+  std::vector<ItemPtr> photons = Photons(40);
+  for (int push = 0; push < 2; ++push) {
+    ItemBatch batch = ItemBatch::FromItems(photons, /*adopt=*/true);
+    ASSERT_TRUE(entry->PushBatch(&batch).ok());
+  }
+  EXPECT_EQ(store.encoded(), 2 * 2 * photons.size());
+  EXPECT_EQ(store.shared(), 0u);
+  for (SinkOp* sink : sinks) {
+    ASSERT_EQ(sink->item_count(), 2 * photons.size());
+    for (size_t i = 0; i < sink->item_count(); ++i) {
+      EXPECT_EQ(sink->retained(i), sinks[0]->retained(i));
+    }
+  }
+}
+
 TEST(ResultStoreTest, SequenceAndIfProgramsShareEveryResultOfAnInput) {
   // A top-level sequence with a conditional emits two or three results
   // per input; all of them come from the cache for the sharers.
